@@ -11,11 +11,12 @@ the report because the verdict hinged on a boundary case.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .model import (
     Act,
@@ -174,10 +175,14 @@ class MarginTable:
     """Vertex expectations of a battery, scaled to one integer denominator.
 
     Rows are acts, columns are the vertices of every belief set (plus an
-    optional extra prior for expected-utility models).  Margins for any model
-    reduce to integer min/max arithmetic on row differences, which keeps
-    quadratic and cubic audit loops cheap without ever leaving exact
-    arithmetic.
+    optional extra prior for expected-utility models).  The five composite
+    models read two primitives of u_i - u_j, maxmin and minmax, and the
+    duality minmax(phi) = -maxmin(-phi) makes one of them enough: a single
+    integer matrix M[i][j] = denom * maxmin(u_i - u_j), built lazily in one
+    pass over the rows, gives maxmin as M[i][j] and minmax as -M[j][i].  The
+    one-group models (Bewley, Justifiable, SEU) read one group's extreme of
+    the row differences directly.  Weak relations are memoized on the table
+    per model, so every audit of the same battery shares them.
     """
 
     def __init__(
@@ -212,24 +217,34 @@ class MarginTable:
             self.rows.append(
                 tuple(sum(a * b for a, b in zip(u, col)) for col in int_cols)
             )
-        self._stats: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        self._columns = list(zip(*self.rows))
+        self._maxmin: list[list[int]] | None = None
+        self._relations: dict[tuple, tuple[list[int], int]] = {}
 
-    def stats(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
-        """Per-group (min, max) of the scaled expectations of u_i - u_j."""
-        if i == j:
-            return tuple((0, 0) for _ in self.groups)
-        key = (i, j) if i < j else (j, i)
-        st = self._stats.get(key)
-        if st is None:
-            ri, rj = self.rows[key[0]], self.rows[key[1]]
-            diffs = [a - b for a, b in zip(ri, rj)]
-            st = tuple(
-                (min(diffs[s:e]), max(diffs[s:e])) for s, e in self.groups
-            )
-            self._stats[key] = st
-        if i < j:
-            return st
-        return tuple((-mx, -mn) for mn, mx in st)
+    def group_row(self, i: int, group: int, extreme) -> list[int]:
+        """``extreme`` (min or max) over one group of u_i - u_j, for every j."""
+        ri = self.rows[i]
+        start, end = self.groups[group]
+        return _elementwise(
+            extreme, [[ri[c] - x for x in self._columns[c]] for c in range(start, end)]
+        )
+
+    def group_extreme(self, i: int, j: int, group: int, extreme) -> int:
+        """``extreme`` (min or max) over one group of u_i - u_j."""
+        ri, rj = self.rows[i], self.rows[j]
+        start, end = self.groups[group]
+        return extreme([ri[c] - rj[c] for c in range(start, end)])
+
+    def maxmin_matrix(self) -> list[list[int]]:
+        """M[i][j] = denom * maxmin(u_i - u_j); minmax(u_i - u_j) is -M[j][i]."""
+        if self._maxmin is None:
+            self._maxmin = [
+                _elementwise(
+                    max, [self.group_row(i, g, min) for g in range(self.num_set_groups)]
+                )
+                for i in range(self.n)
+            ]
+        return self._maxmin
 
     def combo_stats(
         self, coeffs: Sequence[tuple[int, Fraction]]
@@ -253,28 +268,44 @@ class MarginTable:
         return stats, extra
 
 
+def _elementwise(fn, lists: list[list[int]]) -> list[int]:
+    """``fn`` across equal-length lists, position by position."""
+    return lists[0] if len(lists) == 1 else list(map(fn, *lists))
+
+
 def _resolve_formula(
     kind: ModelKind, instance: Instance, table: MarginTable
-) -> tuple[str, Fraction | None, int | None]:
-    """Map a model kind onto (tag, alpha, group index) for integer margins."""
+) -> tuple[tuple, Callable, int | None, int]:
+    """Map a model kind onto (memo key, rule, group index, scale factor).
+
+    A composite kind has no group: its rule folds the scaled (maxmin, minmax)
+    pair into one margin, which is scaled by ``factor`` on top of the table
+    denominator.  A one-group kind takes its rule (min or max) over that
+    group's columns.  The key names the model in full, so two kinds share a
+    memoized relation only when they are the same model.
+    """
     if isinstance(kind, GeneralizedBewley):
-        return "maxmin", None, None
+        return ("maxmin",), lambda mm, mx: mm, None, 1
     if isinstance(kind, Disjunctive):
-        return "disjunctive", None, None
+        return ("disjunctive",), max, None, 1
     if isinstance(kind, Conjunctive):
-        return "conjunctive", None, None
+        return ("conjunctive",), min, None, 1
     if isinstance(kind, HalfMixture):
-        return "half", None, None
+        return ("half",), operator.add, None, 2
     if isinstance(kind, AlphaMixture):
-        return "alpha", kind.alpha, None
+        num, den = kind.alpha.numerator, kind.alpha.denominator
+        rest = den - num
+        return ("alpha", kind.alpha), lambda mm, mx: num * mm + rest * mx, None, den
     if isinstance(kind, Bewley) or isinstance(kind, Justifiable):
         names = [s.name for s in instance.collection]
         group = names.index(instance.collection.get(kind.set_name).name)
-        return ("set_min" if isinstance(kind, Bewley) else "set_max"), None, group
+        if isinstance(kind, Bewley):
+            return ("bewley", group), min, group, 1
+        return ("justifiable", group), max, group, 1
     if isinstance(kind, SEU):
         if table.extra_prior != kind.prior:
             raise ValueError("margin table was not built with this model's prior")
-        return "seu", None, table.num_set_groups
+        return ("seu", kind.prior), min, table.num_set_groups, 1
     raise TypeError(f"unknown model kind: {kind!r}")
 
 
@@ -284,47 +315,26 @@ class _Runner:
     def __init__(self, table: MarginTable, kind: ModelKind, instance: Instance):
         self.table = table
         self.kind = kind
-        tag, alpha, group = _resolve_formula(kind, instance, table)
-        self.tag = tag
-        self.group = group
-        if tag == "half":
-            self.factor = 2
-            self.alpha_num = self.alpha_rest = None
-        elif tag == "alpha":
-            assert alpha is not None
-            self.factor = alpha.denominator
-            self.alpha_num = alpha.numerator
-            self.alpha_rest = alpha.denominator - alpha.numerator
-        else:
-            self.factor = 1
-            self.alpha_num = self.alpha_rest = None
+        self.key, self.rule, self.group, self.factor = _resolve_formula(
+            kind, instance, table
+        )
         self._zero_seen: set[tuple[int, int]] = set()
         self.combo_zeros = 0
-        self._matrix: list[int] | None = None
         self.matrix_zero_flags = 0
 
     def _from_stats(self, stats: Sequence[tuple[int, int]]) -> int:
-        tag = self.tag
-        if tag in ("set_min", "set_max", "seu"):
-            mn, mx = stats[self.group]  # type: ignore[index]
-            return mn if tag == "set_min" else mx
+        if self.group is not None:
+            return self.rule(stats[self.group])  # (min, max) of the group
         grp = stats[: self.table.num_set_groups]
-        mm = max(mn for mn, _ in grp)
-        mx = min(x for _, x in grp)
-        if tag == "maxmin":
-            return mm
-        if tag == "disjunctive":
-            return max(mm, mx)
-        if tag == "conjunctive":
-            return min(mm, mx)
-        if tag == "half":
-            return mm + mx
-        # alpha
-        return self.alpha_num * mm + self.alpha_rest * mx  # type: ignore[operator]
+        return self.rule(max(mn for mn, _ in grp), min(x for _, x in grp))
 
     def margin_num(self, i: int, j: int) -> int:
         """Scaled numerator of the margin for u_i - u_j (sign-faithful)."""
-        num = self._from_stats(self.table.stats(i, j))
+        if self.group is not None:
+            num = self.table.group_extreme(i, j, self.group, self.rule)
+        else:
+            m = self.table.maxmin_matrix()
+            num = self.rule(m[i][j], -m[j][i])
         if num == 0:
             self._zero_seen.add((i, j))
         return num
@@ -342,27 +352,34 @@ class _Runner:
             self.combo_zeros += 1
         return Fraction(num, self.table.denom * self.factor * extra)
 
+    def _margin_rows(self):
+        """Each act's margins against every act of the battery, row by row."""
+        table = self.table
+        if self.group is not None:
+            for i in range(table.n):
+                yield table.group_row(i, self.group, self.rule)
+            return
+        m = table.maxmin_matrix()
+        for i, col in enumerate(zip(*m)):
+            # minmax(u_i - u_j) = -maxmin(u_j - u_i) = -M[j][i]
+            yield list(map(self.rule, m[i], [-x for x in col]))
+
     def weak_matrix(self) -> list[int]:
-        """Bitmask rows of the weak-preference relation over the battery."""
-        if self._matrix is None:
-            n = self.table.n
-            rows = [0] * n
-            zeros = 0
-            for i in range(n):
-                rows[i] |= 1 << i  # margin of the zero vector
-            for i in range(n):
-                for j in range(i + 1, n):
-                    stats = self.table.stats(i, j)
-                    fwd = self._from_stats(stats)
-                    rev = self._from_stats(tuple((-mx, -mn) for mn, mx in stats))
-                    if fwd >= 0:
-                        rows[i] |= 1 << j
-                    if rev >= 0:
-                        rows[j] |= 1 << i
-                    zeros += (fwd == 0) + (rev == 0)
-            self._matrix = rows
-            self.matrix_zero_flags = zeros
-        return self._matrix
+        """Bitmask rows of the weak-preference relation over the battery.
+
+        Built once per (table, model) and shared; callers must not mutate it.
+        """
+        memo = self.table._relations
+        if self.key not in memo:
+            rows = []
+            zeros = -self.table.n  # the diagonal is the zero vector, not a boundary
+            for values in self._margin_rows():
+                bits = "".join(["1" if v >= 0 else "0" for v in reversed(values)])
+                rows.append(int(bits, 2))
+                zeros += values.count(0)
+            memo[self.key] = (rows, zeros)
+        rows, self.matrix_zero_flags = memo[self.key]
+        return rows
 
     @property
     def zero_flags(self) -> int:
@@ -695,13 +712,15 @@ def audit(
     the same battery; a table built for a different battery or missing the
     model's prior is rejected.
     """
-    uvecs = [utility_vector(instance.utility, act) for act in battery]
     if table is None or (isinstance(kind, SEU) and table.extra_prior != kind.prior):
+        uvecs = [utility_vector(instance.utility, act) for act in battery]
         table = MarginTable(
             instance, uvecs, extra_prior=kind.prior if isinstance(kind, SEU) else None
         )
-    elif table.n != len(uvecs):
+    elif table.n != len(battery):
         raise ValueError("margin table does not match this battery")
+    else:
+        uvecs = table.uvecs
     runner = _Runner(table, kind, instance)
     outcome = _RUNNERS[axiom](runner, uvecs, instance, witness_cap)
     if axiom is AxiomKind.NON_TRIVIALITY and not outcome.passed:
@@ -726,7 +745,8 @@ def weak_relation(
 
     Row i has bit j set when act i is weakly preferred to act j.  Also
     returns how many of the consulted margins were exactly zero, since those
-    judgments sit on the boundary of the relation.
+    judgments sit on the boundary of the relation.  The relation is memoized
+    on the table; the returned list is the caller's own copy.
     """
     runner = _Runner(table, kind, instance)
     matrix = list(runner.weak_matrix())

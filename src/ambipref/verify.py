@@ -187,28 +187,17 @@ def _cached_pairwise(instance, cache):
     return cache["pairwise"]
 
 
-def _suite_thm2(instance, battery, table, desc, config, cache) -> SuiteOutcome:
-    rep = audit(
-        AxiomKind.COMPLETENESS, Disjunctive(), instance, battery,
-        table=table, battery_desc=desc,
-    )
-    return _audit_outcome([rep], desc)
+def _audit_suite(kind, axioms: Sequence[AxiomKind]) -> Callable:
+    """A suite that audits one model on a few axioms over the lattice battery."""
 
+    def run(instance, battery, table, desc, config, cache) -> SuiteOutcome:
+        reps = [
+            audit(axiom, kind, instance, battery, table=table, battery_desc=desc)
+            for axiom in axioms
+        ]
+        return _audit_outcome(reps, desc)
 
-def _suite_thm3(instance, battery, table, desc, config, cache) -> SuiteOutcome:
-    rep = audit(
-        AxiomKind.CONSTANT_BOUND_TRANSITIVITY, Conjunctive(), instance, battery,
-        table=table, battery_desc=desc,
-    )
-    return _audit_outcome([rep], desc)
-
-
-def _suite_thm4(instance, battery, table, desc, config, cache) -> SuiteOutcome:
-    reps = [
-        audit(axiom, HalfMixture(), instance, battery, table=table, battery_desc=desc)
-        for axiom in (AxiomKind.COMPLETENESS, AxiomKind.CONSTANT_BOUND_TRANSITIVITY)
-    ]
-    return _audit_outcome(reps, desc)
+    return run
 
 
 def _suite_prop1(instance, battery, table, desc, config, cache) -> SuiteOutcome:
@@ -251,7 +240,7 @@ def _suite_prop2(instance, battery, table, desc, config, cache) -> SuiteOutcome:
             {"detail": "parametric conditions hold but no collapse prior exists"}
         )
         return SuiteOutcome(False, True, False, tuple(bad), 0, (desc,))
-    uvecs = [utility_vector(instance.utility, act) for act in battery]
+    uvecs = table.uvecs
     seu_table = MarginTable(instance, uvecs, extra_prior=collapse)
     w_gb, flags_gb = weak_relation(table, GeneralizedBewley(), instance)
     w_seu, flags_seu = weak_relation(seu_table, SEU(collapse), instance)
@@ -362,22 +351,6 @@ def _suite_prop4(instance, battery, table, desc, config, cache) -> SuiteOutcome:
     return SuiteOutcome(not bad, True, False, tuple(bad), flags, tuple(batteries))
 
 
-def _suite_prop5(instance, battery, table, desc, config, cache) -> SuiteOutcome:
-    rep = audit(
-        AxiomKind.NEGATIVE_COMPLETENESS, Conjunctive(), instance, battery,
-        table=table, battery_desc=desc,
-    )
-    return _audit_outcome([rep], desc)
-
-
-def _suite_prop6(instance, battery, table, desc, config, cache) -> SuiteOutcome:
-    rep = audit(
-        AxiomKind.NEGATIVE_CONSTANT_BOUND_TRANSITIVITY, Disjunctive(), instance,
-        battery, table=table, battery_desc=desc,
-    )
-    return _audit_outcome([rep], desc)
-
-
 def _lemma3_pair(instance, battery, table, desc) -> tuple[AuditReport, AuditReport]:
     comp = audit(
         AxiomKind.COMPLETENESS, GeneralizedBewley(), instance, battery,
@@ -447,15 +420,19 @@ def _suite_fig4(instance, battery, table, desc, config, cache) -> SuiteOutcome:
 
 
 _SUITE_FUNCS: dict[str, Callable] = {
-    "thm2": _suite_thm2,
-    "thm3": _suite_thm3,
-    "thm4": _suite_thm4,
+    "thm2": _audit_suite(Disjunctive(), [AxiomKind.COMPLETENESS]),
+    "thm3": _audit_suite(Conjunctive(), [AxiomKind.CONSTANT_BOUND_TRANSITIVITY]),
+    "thm4": _audit_suite(
+        HalfMixture(), [AxiomKind.COMPLETENESS, AxiomKind.CONSTANT_BOUND_TRANSITIVITY]
+    ),
     "prop1": _suite_prop1,
     "prop2": _suite_prop2,
     "prop3": _suite_prop3,
     "prop4": _suite_prop4,
-    "prop5": _suite_prop5,
-    "prop6": _suite_prop6,
+    "prop5": _audit_suite(Conjunctive(), [AxiomKind.NEGATIVE_COMPLETENESS]),
+    "prop6": _audit_suite(
+        Disjunctive(), [AxiomKind.NEGATIVE_CONSTANT_BOUND_TRANSITIVITY]
+    ),
     "lemma3": _suite_lemma3,
     "fig4": _suite_fig4,
 }
@@ -482,14 +459,16 @@ def _seed_work(args: tuple[int, tuple[str, ...], VerifyConfig]):
     return seed, suite_outcomes(instance, suites, config)
 
 
-def _worker_count() -> int:
+def _worker_count(jobs: int) -> int:
+    """Pool size from AMBIPREF_THREADS, clamped to the jobs and the CPUs."""
     raw = os.environ.get(THREADS_ENV, "").strip()
     if not raw:
         return 1
     try:
-        return max(1, int(raw))
+        wanted = int(raw)
     except ValueError:
         return 1
+    return max(1, min(wanted, jobs, os.cpu_count() or 1))
 
 
 def verify(
@@ -500,8 +479,9 @@ def verify(
     """Run suites over a seed range and assemble the versioned report.
 
     Set the AMBIPREF_THREADS environment variable above 1 to fan seeds out
-    over a process pool; results are merged in seed order either way, so the
-    report does not depend on the worker count.
+    over a process pool of that many workers, capped at the number of seeds
+    and of CPUs; results are merged in seed order either way, so the report
+    does not depend on the worker count.
     """
     config = config or VerifyConfig()
     requested: list[str] = []
@@ -514,8 +494,8 @@ def verify(
             requested.append(name)
     seed_list = list(seeds)
     jobs = [(s, tuple(requested), config) for s in seed_list]
-    workers = _worker_count()
-    if workers > 1 and len(jobs) > 1:
+    workers = _worker_count(len(jobs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_seed_work, jobs))
     else:

@@ -11,9 +11,11 @@ from ambipref import (
     AuditReport,
     AxiomKind,
     BatteryMissingConstants,
+    Bewley,
     Conjunctive,
     Disjunctive,
     GeneralizedBewley,
+    GenParams,
     HalfMixture,
     AlphaMixture,
     Justifiable,
@@ -26,12 +28,13 @@ from ambipref import (
     audit_suite,
     constant_act,
     generate_act_grid,
+    generate_instance,
+    model_margin,
     utility_vector,
     validate_instance,
     weak_relation,
-    weakly_prefers,
 )
-from ambipref.axioms import WITNESS_CAP, battery_label
+from ambipref.axioms import WITNESS_CAP, _Runner, battery_label
 
 F = Fraction
 
@@ -87,24 +90,41 @@ class TestGrid:
 
 class TestMarginTableAgreement:
     def test_weak_matrix_matches_reference_path(self, disjoint_pair):
-        """The integer fast path and the direct Fraction path must agree."""
-        battery = generate_act_grid(disjoint_pair, resolution=1)
-        uvecs = [utility_vector(disjoint_pair.utility, a) for a in battery]
-        table = MarginTable(disjoint_pair, uvecs)
-        kinds = [
-            GeneralizedBewley(),
-            Disjunctive(),
-            Conjunctive(),
-            HalfMixture(),
-            AlphaMixture(F(3, 4)),
-            Justifiable("high"),
-        ]
-        for kind in kinds:
-            matrix, _ = weak_relation(table, kind, disjoint_pair)
-            for i, f in enumerate(battery):
-                for j, g in enumerate(battery):
-                    expected = weakly_prefers(kind, disjoint_pair, f, g)
-                    assert bool((matrix[i] >> j) & 1) == expected, (kind, i, j)
+        """The integer fast path and the direct Fraction path must agree.
+
+        One table built with an extra prior serves all eight kinds, on a
+        two-state and a three-state instance; margins must match exactly,
+        and the zero count must equal the off-diagonal zero margins.
+        """
+        three_state = generate_instance(1, GenParams(num_states=3))
+        for inst in (disjoint_pair, three_state):
+            n = inst.num_states
+            prior = Prior(tuple(F(1, n) for _ in range(n)))
+            first_set = next(iter(inst.collection)).name
+            battery = generate_act_grid(inst, resolution=1)
+            uvecs = [utility_vector(inst.utility, a) for a in battery]
+            table = MarginTable(inst, uvecs, extra_prior=prior)
+            kinds = [
+                GeneralizedBewley(),
+                Disjunctive(),
+                Conjunctive(),
+                HalfMixture(),
+                AlphaMixture(F(3, 4)),
+                Bewley(first_set),
+                Justifiable(first_set),
+                SEU(prior),
+            ]
+            for kind in kinds:
+                matrix, zeros = weak_relation(table, kind, inst)
+                runner = _Runner(table, kind, inst)
+                expected_zeros = 0
+                for i, u in enumerate(uvecs):
+                    for j, v in enumerate(uvecs):
+                        expected = model_margin(kind, inst.collection, u - v)
+                        assert runner.margin(i, j) == expected, (kind, i, j)
+                        assert bool((matrix[i] >> j) & 1) == (expected >= 0), (kind, i, j)
+                        expected_zeros += i != j and expected == 0
+                assert zeros == expected_zeros, kind
 
     def test_table_rejects_foreign_battery(self, disjoint_pair):
         small = generate_act_grid(disjoint_pair, resolution=1)
@@ -114,6 +134,33 @@ class TestMarginTableAgreement:
         with pytest.raises(ValueError):
             audit(AxiomKind.COMPLETENESS, GeneralizedBewley(), disjoint_pair, big,
                   table=table)
+
+    def test_relations_are_memoized_per_model_identity(self, disjoint_pair):
+        battery = generate_act_grid(disjoint_pair)
+        uvecs = [utility_vector(disjoint_pair.utility, a) for a in battery]
+        table = MarginTable(disjoint_pair, uvecs)
+
+        def fresh(kind):
+            return weak_relation(MarginTable(disjoint_pair, uvecs), kind, disjoint_pair)
+
+        quarter, _ = weak_relation(table, AlphaMixture(F(1, 4)), disjoint_pair)
+        three_quarters, _ = weak_relation(table, AlphaMixture(F(3, 4)), disjoint_pair)
+        assert quarter != three_quarters
+        assert (quarter, three_quarters) == (
+            fresh(AlphaMixture(F(1, 4)))[0], fresh(AlphaMixture(F(3, 4)))[0]
+        )
+
+        returned, _ = weak_relation(table, GeneralizedBewley(), disjoint_pair)
+        returned[0] = 0
+        returned.append(1)
+        assert weak_relation(table, GeneralizedBewley(), disjoint_pair) == fresh(
+            GeneralizedBewley()
+        )
+
+        kind = AlphaMixture(F(3, 4))
+        for report in audit_suite(kind, disjoint_pair, battery):
+            alone = audit(report.axiom, kind, disjoint_pair, battery)
+            assert report.boundary_flags == alone.boundary_flags, report.axiom
 
     def test_seu_margins_need_their_own_prior_column(self, disjoint_pair):
         battery = generate_act_grid(disjoint_pair, resolution=1)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 from pathlib import Path
 
@@ -44,6 +45,36 @@ class TestRunner:
     def test_garbage_thread_setting_falls_back_to_serial(self, monkeypatch):
         monkeypatch.setenv("AMBIPREF_THREADS", "many")
         report = verify(["thm2"], [0, 1])
+        assert report.passed
+
+    def test_thread_setting_is_clamped_to_seeds_and_cpus(self, monkeypatch):
+        verify_mod = importlib.import_module("ambipref.verify")
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for the process pool: records its size, maps serially."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("AMBIPREF_THREADS", str(10**9))
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 8)
+        report = verify(["thm2"], range(3))
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+        verify(["thm2"], range(3))
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
+        verify(["thm2"], range(3))
+        assert sizes == [3, 2]
         assert report.passed
 
     def test_report_schema(self):
