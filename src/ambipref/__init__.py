@@ -16,6 +16,7 @@ from .model import (
     Instance,
     InstanceValidationError,
     Lottery,
+    NotARational,
     Prior,
     PrizeSet,
     StateSpace,

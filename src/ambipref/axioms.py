@@ -6,6 +6,13 @@ tuples and the margins that witness the violation.  All judgments are sign
 tests on integers scaled to a common denominator, so verdicts are exact and
 reproducible; a margin that is exactly zero increments ``boundary_flags`` on
 the report because the verdict hinged on a boundary case.
+
+Margins are computed many at a time by one fold: given the scaled vertex
+expectations of a list of utility differences, column by column, builtin
+min and max run down the columns and yield every difference's margin
+numerator at once.  The pairwise matrix folds u_i - u_j over all j; the
+mixed-act audits fold integer-weighted combinations of battery rows, with
+each weight in ``MIX_GRID`` written as k / s over one common scale s.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ __all__ = [
 ]
 
 MIX_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+_MIX_SCALE = lcm(*(a.denominator for a in MIX_GRID))  # weight a is k / s, k integer
 WITNESS_CAP = 25
 _SPOT_CHECK_TRIPLES = 48
 
@@ -176,13 +184,17 @@ class MarginTable:
 
     Rows are acts, columns are the vertices of every belief set (plus an
     optional extra prior for expected-utility models).  The five composite
-    models read two primitives of u_i - u_j, maxmin and minmax, and the
-    duality minmax(phi) = -maxmin(-phi) makes one of them enough: a single
-    integer matrix M[i][j] = denom * maxmin(u_i - u_j), built lazily in one
-    pass over the rows, gives maxmin as M[i][j] and minmax as -M[j][i].  The
-    one-group models (Bewley, Justifiable, SEU) read one group's extreme of
-    the row differences directly.  Weak relations are memoized on the table
-    per model, so every audit of the same battery shares them.
+    models read two primitives of a utility difference, maxmin and minmax;
+    ``nested`` folds either one down lists of column values, so a whole row
+    of differences is judged per call.  The duality
+    minmax(phi) = -maxmin(-phi) makes one matrix enough for the pairwise
+    margins: M[i][j] = denom * maxmin(u_i - u_j), built lazily one folded
+    row at a time, gives maxmin as M[i][j] and minmax as -M[j][i].  The
+    one-group models (Bewley, Justifiable, SEU) fold one group's extreme
+    instead.  Independence and favorable mixing fold their integer-weighted
+    combinations of rows the same way, so no margin is computed one pair at
+    a time.  Weak relations are memoized on the table per model, so every
+    audit of the same battery shares them.
     """
 
     def __init__(
@@ -202,6 +214,7 @@ class MarginTable:
             columns.extend(v.probs for v in bset.vertices)
             self.groups.append((start, len(columns)))
         self.num_set_groups = len(self.groups)
+        self.num_set_columns = len(columns)
         if extra_prior is not None:
             start = len(columns)
             columns.append(extra_prior.probs)
@@ -221,13 +234,10 @@ class MarginTable:
         self._maxmin: list[list[int]] | None = None
         self._relations: dict[tuple, tuple[list[int], int]] = {}
 
-    def group_row(self, i: int, group: int, extreme) -> list[int]:
-        """``extreme`` (min or max) over one group of u_i - u_j, for every j."""
+    def diff_cols(self, i: int, start: int, end: int) -> list[list[int]]:
+        """Columns ``start:end`` of u_i - u_j, each listed over every j."""
         ri = self.rows[i]
-        start, end = self.groups[group]
-        return _elementwise(
-            extreme, [[ri[c] - x for x in self._columns[c]] for c in range(start, end)]
-        )
+        return [[ri[c] - x for x in self._columns[c]] for c in range(start, end)]
 
     def group_extreme(self, i: int, j: int, group: int, extreme) -> int:
         """``extreme`` (min or max) over one group of u_i - u_j."""
@@ -235,37 +245,25 @@ class MarginTable:
         start, end = self.groups[group]
         return extreme([ri[c] - rj[c] for c in range(start, end)])
 
+    def nested(self, cols: list[list[int]], outer, inner) -> list[int]:
+        """``outer`` over the belief sets of ``inner`` over each set's columns.
+
+        Works position by position down equal-length column lists, so
+        (max, min) folds maxmin and (min, max) folds minmax for every entry.
+        """
+        return _elementwise(
+            outer,
+            [_elementwise(inner, cols[s:e]) for s, e in self.groups[: self.num_set_groups]],
+        )
+
     def maxmin_matrix(self) -> list[list[int]]:
         """M[i][j] = denom * maxmin(u_i - u_j); minmax(u_i - u_j) is -M[j][i]."""
         if self._maxmin is None:
             self._maxmin = [
-                _elementwise(
-                    max, [self.group_row(i, g, min) for g in range(self.num_set_groups)]
-                )
+                self.nested(self.diff_cols(i, 0, self.num_set_columns), max, min)
                 for i in range(self.n)
             ]
         return self._maxmin
-
-    def combo_stats(
-        self, coeffs: Sequence[tuple[int, Fraction]]
-    ) -> tuple[tuple[tuple[int, int], ...], int]:
-        """Stats of an exact linear combination of battery utility vectors.
-
-        Returns per-group (min, max) integers over denom * extra, where
-        ``extra`` clears the coefficient denominators.
-        """
-        extra = lcm(*(c.denominator for _, c in coeffs))
-        weights = [(idx, int(c * extra)) for idx, c in coeffs]
-        ncols = len(self.rows[0]) if self.rows else 0
-        vals = [0] * ncols
-        for idx, w in weights:
-            if w == 0:
-                continue
-            row = self.rows[idx]
-            for c in range(ncols):
-                vals[c] += w * row[c]
-        stats = tuple((min(vals[s:e]), max(vals[s:e])) for s, e in self.groups)
-        return stats, extra
 
 
 def _elementwise(fn, lists: list[list[int]]) -> list[int]:
@@ -318,15 +316,32 @@ class _Runner:
         self.key, self.rule, self.group, self.factor = _resolve_formula(
             kind, instance, table
         )
+        # The vertex columns this model reads: its one group, or every set.
+        self.span = (
+            table.groups[self.group] if self.group is not None else (0, table.num_set_columns)
+        )
         self._zero_seen: set[tuple[int, int]] = set()
         self.combo_zeros = 0
         self.matrix_zero_flags = 0
 
-    def _from_stats(self, stats: Sequence[tuple[int, int]]) -> int:
+    def fold(self, cols: list[list[int]]) -> list[int]:
+        """Margin numerators of many differences at once.
+
+        ``cols[c][h]`` is the scaled expectation of the h-th difference at
+        the c-th column of ``span``; entry h of the result is that
+        difference's margin numerator over the column scale times
+        ``factor``.  Zero results are the caller's to count.
+        """
         if self.group is not None:
-            return self.rule(stats[self.group])  # (min, max) of the group
-        grp = stats[: self.table.num_set_groups]
-        return self.rule(max(mn for mn, _ in grp), min(x for _, x in grp))
+            return _elementwise(self.rule, cols)
+        t = self.table
+        return list(map(self.rule, t.nested(cols, max, min), t.nested(cols, min, max)))
+
+    def fold_zeros(self, cols: list[list[int]]) -> list[int]:
+        """``fold`` that also counts every zero numerator as a boundary case."""
+        nums = self.fold(cols)
+        self.combo_zeros += nums.count(0)
+        return nums
 
     def margin_num(self, i: int, j: int) -> int:
         """Scaled numerator of the margin for u_i - u_j (sign-faithful)."""
@@ -345,19 +360,12 @@ class _Runner:
     def weak(self, i: int, j: int) -> bool:
         return self.margin_num(i, j) >= 0
 
-    def combo_margin(self, coeffs: Sequence[tuple[int, Fraction]]) -> Fraction:
-        stats, extra = self.table.combo_stats(coeffs)
-        num = self._from_stats(stats)
-        if num == 0:
-            self.combo_zeros += 1
-        return Fraction(num, self.table.denom * self.factor * extra)
-
     def _margin_rows(self):
         """Each act's margins against every act of the battery, row by row."""
         table = self.table
         if self.group is not None:
             for i in range(table.n):
-                yield table.group_row(i, self.group, self.rule)
+                yield self.fold(table.diff_cols(i, *self.span))
             return
         m = table.maxmin_matrix()
         for i, col in enumerate(zip(*m)):
@@ -498,17 +506,25 @@ def _run_monotonicity(r: _Runner, uvecs, instance, cap) -> _Outcome:
 
 def _run_independence(r: _Runner, uvecs, instance, cap) -> _Outcome:
     out = _Outcome(True, [], 0, 0)
-    n = r.table.n
+    table = r.table
+    n = table.n
+    unit = table.denom * r.factor * _MIX_SCALE
+    ks = [int(a * _MIX_SCALE) for a in MIX_GRID]
     for i in range(n):
+        ri = table.rows[i]
+        diffs = [[ri[c] - x for x in table._columns[c][i + 1 :]] for c in range(*r.span)]
+        # k * (u_i - u_j) for every j > i, folded afresh for each weight k / s.
+        folds = [r.fold_zeros([[k * x for x in d] for d in diffs]) for k in ks]
         for j in range(i + 1, n):
-            base = r.margin(i, j)
-            for a in MIX_GRID:
+            base_num = r.margin_num(i, j)
+            for a, k, nums in zip(MIX_GRID, ks, folds):
                 out.checked += 1
-                scaled = r.combo_margin([(i, a), (j, -a)])
-                if scaled != a * base:
+                num = nums[j - i - 1]
+                if num != k * base_num:
                     _cap_add(
                         out,
-                        Witness((i, j), (base, scaled), f"margin not homogeneous at {a}"),
+                        Witness((i, j), (r.margin(i, j), Fraction(num, unit)),
+                                f"margin not homogeneous at {a}"),
                         cap,
                     )
     # Spot checks through the slow path: real mixed acts, judged end to end.
@@ -607,36 +623,45 @@ def _run_cbt(r: _Runner, uvecs, instance, cap) -> _Outcome:
 def _run_favorable_mixing(r: _Runner, uvecs, instance, cap) -> _Outcome:
     out = _Outcome(True, [], 0, 0)
     w = r.weak_matrix()
-    n = r.table.n
+    table = r.table
+    n = table.n
+    start, end = r.span
+    unit = table.denom * r.factor * _MIX_SCALE
     grid = sorted(MIX_GRID)
+    ks = [int(a * _MIX_SCALE) for a in grid]
+    # (s - k) * u_h at every column, for all h at once.
+    rests = [
+        [[(_MIX_SCALE - k) * x for x in table._columns[c]] for c in range(start, end)]
+        for k in ks
+    ]
     for g in range(n):
+        rg = table.rows[g][start:end]
         for f in range(n):
             if f == g or not (w[g] >> f) & 1 or (w[f] >> g) & 1:
                 continue  # need g strictly better than f
-            for h in range(n):
-                out.checked += 1
-                mixed = [
-                    r.combo_margin([(f, lam), (h, 1 - lam), (g, Fraction(-1))])
-                    for lam in grid
-                ]
-                for ai, a in enumerate(grid):
-                    if mixed[ai] < 0:
-                        continue
-                    for li in range(ai):
-                        if mixed[li] < 0:
-                            _cap_add(
-                                out,
-                                Witness(
-                                    (f, g, h),
-                                    (mixed[ai], mixed[li]),
-                                    f"acceptable at weight {a} but not at {grid[li]}",
-                                ),
-                                cap,
-                            )
-                            break
-                    else:
-                        continue
-                    break
+            rf = table.rows[f][start:end]
+            out.checked += n
+            # k * u_f + (s - k) * u_h - s * u_g for every h, one fold per weight.
+            mixed = []
+            for k, rest in zip(ks, rests):
+                offsets = [k * a - _MIX_SCALE * b for a, b in zip(rf, rg)]
+                mixed.append(
+                    r.fold_zeros([[o + x for x in col] for o, col in zip(offsets, rest)])
+                )
+            for h, nums in enumerate(zip(*mixed)):
+                low = None  # the lightest weight at which mixing is unacceptable
+                for ai, num in enumerate(nums):
+                    if num < 0:
+                        if low is None:
+                            low = ai
+                    elif low is not None:
+                        _cap_add(
+                            out,
+                            Witness((f, g, h), (Fraction(num, unit), Fraction(nums[low], unit)),
+                                    f"acceptable at weight {grid[ai]} but not at {grid[low]}"),
+                            cap,
+                        )
+                        break
     return out
 
 

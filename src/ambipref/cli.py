@@ -44,7 +44,13 @@ from .model import (
 from .slices import SlicePlane, export_slice, slice_profile
 from .verify import SUITES, UnknownSuite, VerifyConfig, verify
 
-__all__ = ["main", "parse_model", "parse_seed_range"]
+__all__ = ["main", "parse_model", "parse_seed_range", "MAX_BATTERY_ACTS", "MAX_SLICE_SAMPLES"]
+
+# A lattice battery at resolution r on n states has (2r + 1)^n acts, and the
+# audits hold an n-by-n margin matrix.  729 is the largest battery any suite
+# builds by default: lemma3's escalation to resolution 4 on three states.
+MAX_BATTERY_ACTS = 729
+MAX_SLICE_SAMPLES = 4096
 
 _MODEL_HELP = (
     "gb | disjunctive | conjunctive | half | alpha:Q | bewley:NAME | "
@@ -107,6 +113,18 @@ def parse_seed_range(text: str) -> list[int]:
         return [int(text)]
     except ValueError as exc:
         raise InputError(f"bad seed range {text!r}: {exc}") from exc
+
+
+def _check_battery(resolution: int, num_states: int, what: str = "") -> None:
+    """Reject a lattice battery that is empty or over ``MAX_BATTERY_ACTS``."""
+    if resolution < 1:
+        raise InputError(f"--resolution must be a positive integer, got {resolution}")
+    acts = (2 * resolution + 1) ** num_states
+    if acts > MAX_BATTERY_ACTS:
+        raise InputError(
+            f"resolution {resolution}{what} on {num_states} states gives a battery of "
+            f"{acts} acts; the limit is {MAX_BATTERY_ACTS}"
+        )
 
 
 def _load(path: str) -> Instance:
@@ -180,6 +198,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     instance = _load(args.instance)
     kind = parse_model(args.model, instance)
     axioms = _parse_axioms(args.axioms)
+    _check_battery(args.resolution, instance.num_states)
     try:
         radius = parse_rational(args.radius)
         battery = generate_act_grid(instance, args.resolution, radius)
@@ -203,6 +222,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_slice(args: argparse.Namespace) -> int:
+    if args.samples > MAX_SLICE_SAMPLES:
+        raise InputError(f"--samples {args.samples} exceeds the limit of {MAX_SLICE_SAMPLES}")
     instance = _load(args.instance)
     try:
         direction = [parse_rational(p.strip()) for p in args.direction.split(",")]
@@ -262,6 +283,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         radius = parse_rational(args.radius)
         config = VerifyConfig(resolution=args.resolution, radius=radius, params=params)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    states = max(config.params_for_seed(seed).num_states for seed in seeds)
+    _check_battery(args.resolution, states)
+    if "lemma3" in suites:
+        _check_battery(2 * args.resolution, states, " (lemma3's escalation)")
+    try:
         report = verify(suites, seeds, config)
     except (UnknownSuite, ValueError) as exc:
         raise InputError(str(exc)) from exc

@@ -9,12 +9,15 @@ of dissolving into float noise.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "AlphaOutOfRange",
+    "NotARational",
+    "MAX_RATIONAL_DIGITS",
     "UnknownBeliefSetName",
     "ValidationIssue",
     "InstanceValidationError",
@@ -49,6 +52,10 @@ class AlphaOutOfRange(ValueError):
     """Mixture weight outside the closed interval [0, 1]."""
 
 
+class NotARational(ValueError):
+    """A value that is not an exact rational in the file format, or too long."""
+
+
 class UnknownBeliefSetName(KeyError):
     """A model referenced a belief-set name absent from the collection."""
 
@@ -73,22 +80,41 @@ class InstanceValidationError(ValueError):
         super().__init__("; ".join(str(issue) for issue in self.issues))
 
 
+MAX_RATIONAL_DIGITS = 100  # per numerator and per denominator
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(value: object) -> Fraction:
     """Parse an exact rational from a JSON-level int or a string like ``"3/4"``.
 
+    A string is an optional sign, decimal digits and an optional ``/digits``
+    denominator, each part at most ``MAX_RATIONAL_DIGITS`` digits long.
     Floats (and bools) are rejected: accepting them would smuggle rounding
-    into a pipeline whose whole point is exactness.
+    into a pipeline whose whole point is exactness.  Decimal points and
+    exponents are rejected too, so a short string cannot expand into a huge
+    integer that every later computation carries.
     """
     if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
+        raise NotARational(f"not a rational: {value!r}")
     if isinstance(value, int):
+        if abs(value) >= 10**MAX_RATIONAL_DIGITS:
+            raise NotARational(f"integer longer than {MAX_RATIONAL_DIGITS} digits")
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
-    raise ValueError(f"expected an integer or 'num/den' string, got {type(value).__name__}")
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            raise NotARational(f"not a rational: {value!r}")
+        num, den = match.group(1).lstrip("+-"), match.group(2) or "1"
+        if max(len(num), len(den)) > MAX_RATIONAL_DIGITS:
+            raise NotARational(
+                f"rational part longer than {MAX_RATIONAL_DIGITS} digits: {value[:20]!r}..."
+            )
+        if int(den) == 0:
+            raise NotARational(f"zero denominator: {value!r}")
+        return Fraction(int(match.group(1)), int(den))
+    raise NotARational(
+        f"expected an integer or 'num/den' string, got {type(value).__name__}"
+    )
 
 
 def format_rational(value: Fraction) -> str:

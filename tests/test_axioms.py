@@ -34,7 +34,13 @@ from ambipref import (
     validate_instance,
     weak_relation,
 )
-from ambipref.axioms import WITNESS_CAP, _Runner, battery_label
+from ambipref.axioms import (
+    MIX_GRID,
+    WITNESS_CAP,
+    _SPOT_CHECK_TRIPLES,
+    _Runner,
+    battery_label,
+)
 
 F = Fraction
 
@@ -52,6 +58,23 @@ def single_set_instance():
             "acts": {},
         }
     )
+
+
+def eight_kinds(inst):
+    """A uniform prior and one model of every kind, set kinds on the first set."""
+    n = inst.num_states
+    prior = Prior(tuple(F(1, n) for _ in range(n)))
+    first_set = next(iter(inst.collection)).name
+    return prior, [
+        GeneralizedBewley(),
+        Disjunctive(),
+        Conjunctive(),
+        HalfMixture(),
+        AlphaMixture(F(3, 4)),
+        Bewley(first_set),
+        Justifiable(first_set),
+        SEU(prior),
+    ]
 
 
 class TestGrid:
@@ -98,22 +121,10 @@ class TestMarginTableAgreement:
         """
         three_state = generate_instance(1, GenParams(num_states=3))
         for inst in (disjoint_pair, three_state):
-            n = inst.num_states
-            prior = Prior(tuple(F(1, n) for _ in range(n)))
-            first_set = next(iter(inst.collection)).name
+            prior, kinds = eight_kinds(inst)
             battery = generate_act_grid(inst, resolution=1)
             uvecs = [utility_vector(inst.utility, a) for a in battery]
             table = MarginTable(inst, uvecs, extra_prior=prior)
-            kinds = [
-                GeneralizedBewley(),
-                Disjunctive(),
-                Conjunctive(),
-                HalfMixture(),
-                AlphaMixture(F(3, 4)),
-                Bewley(first_set),
-                Justifiable(first_set),
-                SEU(prior),
-            ]
             for kind in kinds:
                 matrix, zeros = weak_relation(table, kind, inst)
                 runner = _Runner(table, kind, inst)
@@ -167,6 +178,129 @@ class TestMarginTableAgreement:
         kind = SEU(Prior((F(1, 3), F(2, 3))))
         report = audit(AxiomKind.COMPLETENESS, kind, disjoint_pair, battery)
         assert report.passed
+
+
+def reference_mixing_audits(kind, inst, uvecs, cap=WITNESS_CAP):
+    """Favorable mixing and independence from explicit Fraction combinations.
+
+    Every margin is ``model_margin`` of a utility vector built with exact
+    scalar weights; returns one summary per audit in the shape of
+    ``summarize``.
+    """
+    n = len(uvecs)
+
+    def margin(phi):
+        return model_margin(kind, inst.collection, phi)
+
+    pair = [[margin(u - v) for v in uvecs] for u in uvecs]
+
+    fav = {"checked": 0, "witnesses": [], "total": 0,
+           "flags": sum(i != j and pair[i][j] == 0 for i in range(n) for j in range(n))}
+    for g in range(n):
+        for f in range(n):
+            if f == g or pair[g][f] < 0 or pair[f][g] >= 0:
+                continue
+            for h in range(n):
+                fav["checked"] += 1
+                mixed = [
+                    margin(uvecs[f].scale(a) + uvecs[h].scale(1 - a) - uvecs[g])
+                    for a in MIX_GRID
+                ]
+                fav["flags"] += mixed.count(0)
+                bad = [(hi, lo) for hi in range(3) for lo in range(hi)
+                       if mixed[hi] >= 0 and mixed[lo] < 0]
+                if bad:
+                    hi, lo = min(bad)
+                    fav["total"] += 1
+                    fav["witnesses"].append(((f, g, h), (mixed[hi], mixed[lo])))
+
+    ind = {"checked": 0, "witnesses": [], "total": 0, "flags": 0}
+    zero_pairs = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            if pair[i][j] == 0:
+                zero_pairs.add((i, j))
+            for a in MIX_GRID:
+                ind["checked"] += 1
+                scaled = margin(uvecs[i].scale(a) - uvecs[j].scale(a))
+                ind["flags"] += scaled == 0
+                if scaled != a * pair[i][j]:
+                    ind["total"] += 1
+                    ind["witnesses"].append(((i, j), (pair[i][j], scaled)))
+    stride = max(1, n**3 // _SPOT_CHECK_TRIPLES)
+    for flat in range(0, n**3, stride):
+        f, rem = divmod(flat, n * n)
+        g, h = divmod(rem, n)
+        if pair[f][g] == 0:
+            zero_pairs.add((f, g))
+        for a in MIX_GRID:
+            ind["checked"] += 1
+            rest = uvecs[h].scale(1 - a)
+            mixed = margin(uvecs[f].scale(a) + rest - (uvecs[g].scale(a) + rest))
+            if (mixed >= 0) != (pair[f][g] >= 0):
+                ind["total"] += 1
+                ind["witnesses"].append(((f, g, h), (pair[f][g],)))
+    ind["flags"] += len(zero_pairs)
+
+    for out in (fav, ind):
+        out["passed"] = out["total"] == 0
+        out["witnesses"] = out["witnesses"][:cap]
+    return fav, ind
+
+
+def summarize(report):
+    return {
+        "passed": report.passed,
+        "total": report.total_violations,
+        "checked": report.checked,
+        "flags": report.boundary_flags,
+        "witnesses": [(w.indices, w.margins) for w in report.witnesses],
+    }
+
+
+class TestMixingAudits:
+    """The integer row folds against explicit Fraction combinations."""
+
+    def test_reports_match_fraction_reference(self):
+        """All eight kinds on a 2-state and a 3-state instance.
+
+        Every other lattice act keeps the Fraction reference quick; on the
+        3-state instance four kinds fail favorable mixing.
+        """
+        failing = 0
+        for seed, states in ((0, 2), (3, 3)):
+            inst = generate_instance(seed, GenParams(num_states=states))
+            battery = generate_act_grid(inst, resolution=4 - states)[::2]
+            uvecs = [utility_vector(inst.utility, a) for a in battery]
+            for kind in eight_kinds(inst)[1]:
+                fav, ind = audit_suite(
+                    kind, inst, battery,
+                    axioms=[AxiomKind.FAVORABLE_MIXING, AxiomKind.INDEPENDENCE],
+                )
+                expected_fav, expected_ind = reference_mixing_audits(kind, inst, uvecs)
+                assert summarize(fav) == expected_fav, kind
+                assert summarize(ind) == expected_ind, kind
+                failing += not fav.passed
+        assert failing == 4  # the witness comparison is not vacuous
+
+    @pytest.mark.parametrize("kind", [GeneralizedBewley(), HalfMixture(), Bewley("low")])
+    def test_independence_sees_a_perturbed_fold(self, disjoint_pair, monkeypatch, kind):
+        """Homogeneity is checked on folded values, not derived from the base."""
+        battery = generate_act_grid(disjoint_pair, resolution=1)
+        assert audit(AxiomKind.INDEPENDENCE, kind, disjoint_pair, battery).passed
+        fold = _Runner.fold
+        calls = []
+
+        def perturbed(self, cols):
+            nums = fold(self, cols)
+            calls.append(len(nums))
+            return [nums[0] + 1, *nums[1:]] if len(calls) == 1 else nums
+
+        monkeypatch.setattr(_Runner, "fold", perturbed)
+        report = audit(AxiomKind.INDEPENDENCE, kind, disjoint_pair, battery)
+        assert not report.passed
+        assert report.total_violations == 1
+        assert report.witnesses[0].indices == (0, 1)
 
 
 class TestSuiteVerdicts:

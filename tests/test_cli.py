@@ -7,7 +7,15 @@ from pathlib import Path
 import pytest
 
 from ambipref import AlphaMixture, Bewley, Justifiable, Prior, SEU, load_instance
-from ambipref.cli import InputError, main, parse_model, parse_seed_range
+from ambipref import cli
+from ambipref.cli import (
+    MAX_BATTERY_ACTS,
+    MAX_SLICE_SAMPLES,
+    InputError,
+    main,
+    parse_model,
+    parse_seed_range,
+)
 
 F = Fraction
 
@@ -250,6 +258,68 @@ class TestSlice:
         )
         assert code == 2
         assert "at least 8" in capsys.readouterr().err
+
+
+class TestSizeLimits:
+    """Oversized batteries and sample counts exit 2 before any work starts."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started despite an input over the limit")
+
+        for name in ("generate_act_grid", "slice_profile", "verify"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("resolution", ["14", "10" * 20, "0", "-3"])
+    def test_audit_resolution(self, no_work, capsys, resolution):
+        # Two states: (2 * 14 + 1) ** 2 = 841 acts is the first size over 729.
+        code = main(["audit", "--instance", DISJOINT, "--model", "gb",
+                     "--resolution", resolution])
+        assert code == 2
+        assert "resolution" in capsys.readouterr().err
+
+    def test_audit_limit_is_inclusive(self, monkeypatch, capsys):
+        def reached(*args, **kwargs):
+            raise ValueError("battery requested")
+
+        monkeypatch.setattr(cli, "generate_act_grid", reached)
+        assert (2 * 13 + 1) ** 2 == MAX_BATTERY_ACTS
+        code = main(["audit", "--instance", DISJOINT, "--model", "gb", "--resolution", "13"])
+        assert code == 2
+        assert "battery requested" in capsys.readouterr().err
+
+    def test_slice_samples(self, no_work, capsys):
+        code = main(["slice", "--instance", DISJOINT, "--direction", "1,-1",
+                     "--samples", str(MAX_SLICE_SAMPLES + 1)])
+        assert code == 2
+        assert f"limit of {MAX_SLICE_SAMPLES}" in capsys.readouterr().err
+
+    def test_verify_counts_the_lemma3_escalation(self, no_work, capsys):
+        # Odd seeds have three states; lemma3 doubles resolution 3 to 6: 13 ** 3 acts.
+        code = main(["verify", "--suites", "thm2,lemma3", "--seeds", "0..1",
+                     "--resolution", "3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "lemma3" in err and "2197 acts" in err
+
+    def test_verify_uses_the_largest_state_count(self, no_work, capsys):
+        code = main(["verify", "--suites", "thm2", "--seeds", "0..3", "--states", "4",
+                     "--resolution", "3"])
+        assert code == 2
+        assert "2401 acts" in capsys.readouterr().err
+
+    def test_verify_defaults_fit(self, monkeypatch):
+        # Resolution 2 on three states escalates to the 729-act lemma3 battery.
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "verify", reached)
+        with pytest.raises(Reached):
+            main(["verify", "--suites", "all", "--seeds", "0..1"])
 
 
 class TestGen:

@@ -11,6 +11,7 @@ from ambipref import (
     Act,
     InstanceValidationError,
     Lottery,
+    NotARational,
     Prior,
     UtilityVector,
     act_from_utility_vector,
@@ -26,6 +27,7 @@ from ambipref import (
     utility_vector,
     validate_instance,
 )
+from ambipref.model import MAX_RATIONAL_DIGITS
 
 F = Fraction
 
@@ -42,10 +44,24 @@ class TestRationalCodec:
         if expected.denominator == 1:
             assert parse_rational(expected.numerator) == expected
 
-    @pytest.mark.parametrize("bad", [0.5, True, None, "one half", "1/0", [1, 2]])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            0.5, True, None, "one half", "1/0", [1, 2],
+            "1e1000000", "1e3", "1.5", ".5", "1_000", "3/-4", "3/+4", " 3/4", "3 / 4",
+            "", "-", "/4", "\u0663", "inf", "nan",
+            "9" * (MAX_RATIONAL_DIGITS + 1), "1/" + "9" * (MAX_RATIONAL_DIGITS + 1),
+            10**MAX_RATIONAL_DIGITS, -(10**MAX_RATIONAL_DIGITS),
+        ],
+    )
     def test_rejects_non_rationals(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotARational):
             parse_rational(bad)
+
+    def test_accepts_the_longest_allowed_parts(self):
+        top = "9" * MAX_RATIONAL_DIGITS
+        assert parse_rational(f"+{top}/{top}") == 1
+        assert parse_rational(-int(top)) == -int(top)
 
     @given(rationals)
     def test_round_trip(self, q):
