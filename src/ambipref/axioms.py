@@ -18,15 +18,15 @@ each weight in ``MIX_GRID`` written as k / s over one common scale s.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .model import (
     Act,
+    BeliefCollection,
     Instance,
     Prior,
     UtilityVector,
@@ -34,19 +34,7 @@ from .model import (
     mix_acts,
     utility_vector,
 )
-from .margins import (
-    AlphaMixture,
-    Bewley,
-    Conjunctive,
-    Disjunctive,
-    GeneralizedBewley,
-    HalfMixture,
-    Justifiable,
-    ModelKind,
-    SEU,
-    describe_model,
-    model_margin,
-)
+from .margins import ModelKind, SEU, describe_model, model_margin
 
 __all__ = [
     "AxiomKind",
@@ -183,18 +171,17 @@ class MarginTable:
     """Vertex expectations of a battery, scaled to one integer denominator.
 
     Rows are acts, columns are the vertices of every belief set (plus an
-    optional extra prior for expected-utility models).  The five composite
-    models read two primitives of a utility difference, maxmin and minmax;
-    ``nested`` folds either one down lists of column values, so a whole row
-    of differences is judged per call.  The duality
-    minmax(phi) = -maxmin(-phi) makes one matrix enough for the pairwise
-    margins: M[i][j] = denom * maxmin(u_i - u_j), built lazily one folded
-    row at a time, gives maxmin as M[i][j] and minmax as -M[j][i].  The
-    one-group models (Bewley, Justifiable, SEU) fold one group's extreme
-    instead.  Independence and favorable mixing fold their integer-weighted
-    combinations of rows the same way, so no margin is computed one pair at
-    a time.  Weak relations are memoized on the table per model, so every
-    audit of the same battery shares them.
+    optional extra prior for expected-utility models), one column group per
+    set.  Every model reads two primitives of a utility difference over the
+    groups of its own belief sets, maxmin and minmax, and folds them with its
+    ``combine`` rule.  The duality minmax(phi) = -maxmin(-phi) makes one
+    matrix per group selection enough for the pairwise margins:
+    M[i][j] = denom * maxmin(u_i - u_j), built lazily one folded row at a
+    time, gives maxmin as M[i][j] and minmax as -M[j][i].  Independence and
+    favorable mixing fold their integer-weighted combinations of rows the
+    same way, so no margin is computed one pair at a time.  Weak relations
+    are memoized on the table per model, so every audit of the same battery
+    shares them.
     """
 
     def __init__(
@@ -207,17 +194,16 @@ class MarginTable:
         self.uvecs = list(uvecs)
         self.n = len(self.uvecs)
         self.extra_prior = extra_prior
+        vertex_lists = [bset.vertices for bset in instance.collection]
+        if extra_prior is not None:
+            vertex_lists.append((extra_prior,))
         columns: list[tuple[Fraction, ...]] = []
         self.groups: list[tuple[int, int]] = []
-        for bset in instance.collection:
+        self._group_of: dict[tuple[Prior, ...], int] = {}
+        for vertices in vertex_lists:
+            self._group_of.setdefault(vertices, len(self.groups))
             start = len(columns)
-            columns.extend(v.probs for v in bset.vertices)
-            self.groups.append((start, len(columns)))
-        self.num_set_groups = len(self.groups)
-        self.num_set_columns = len(columns)
-        if extra_prior is not None:
-            start = len(columns)
-            columns.append(extra_prior.probs)
+            columns.extend(v.probs for v in vertices)
             self.groups.append((start, len(columns)))
 
         dv = lcm(*(p.denominator for col in columns for p in col))
@@ -231,39 +217,42 @@ class MarginTable:
                 tuple(sum(a * b for a, b in zip(u, col)) for col in int_cols)
             )
         self._columns = list(zip(*self.rows))
-        self._maxmin: list[list[int]] | None = None
-        self._relations: dict[tuple, tuple[list[int], int]] = {}
+        self._maxmin: dict[tuple[int, ...], list[list[int]]] = {}
+        self._relations: dict[ModelKind, tuple[list[int], int]] = {}
 
-    def diff_cols(self, i: int, start: int, end: int) -> list[list[int]]:
-        """Columns ``start:end`` of u_i - u_j, each listed over every j."""
+    def select(self, sets: BeliefCollection) -> tuple[int, ...]:
+        """Indices of the column groups that hold these belief sets."""
+        try:
+            return tuple(self._group_of[bset.vertices] for bset in sets)
+        except KeyError:
+            raise ValueError("margin table has no columns for this model's belief sets") from None
+
+    def layout(self, selection: tuple[int, ...]) -> tuple[list[int], list[tuple[int, int]]]:
+        """The selected groups' columns in order, and each group's range in that list."""
+        columns: list[int] = []
+        parts = []
+        for g in selection:
+            start, end = self.groups[g]
+            parts.append((len(columns), len(columns) + end - start))
+            columns.extend(range(start, end))
+        return columns, parts
+
+    def diff_cols(self, i: int, columns: Sequence[int]) -> list[list[int]]:
+        """The given columns of u_i - u_j, each listed over every j."""
         ri = self.rows[i]
-        return [[ri[c] - x for x in self._columns[c]] for c in range(start, end)]
+        return [[ri[c] - x for x in self._columns[c]] for c in columns]
 
-    def group_extreme(self, i: int, j: int, group: int, extreme) -> int:
-        """``extreme`` (min or max) over one group of u_i - u_j."""
-        ri, rj = self.rows[i], self.rows[j]
-        start, end = self.groups[group]
-        return extreme([ri[c] - rj[c] for c in range(start, end)])
+    def maxmin_matrix(self, selection: tuple[int, ...]) -> list[list[int]]:
+        """M[i][j] = denom * maxmin(u_i - u_j) over the selected groups.
 
-    def nested(self, cols: list[list[int]], outer, inner) -> list[int]:
-        """``outer`` over the belief sets of ``inner`` over each set's columns.
-
-        Works position by position down equal-length column lists, so
-        (max, min) folds maxmin and (min, max) folds minmax for every entry.
+        minmax(u_i - u_j) over the same groups is -M[j][i].
         """
-        return _elementwise(
-            outer,
-            [_elementwise(inner, cols[s:e]) for s, e in self.groups[: self.num_set_groups]],
-        )
-
-    def maxmin_matrix(self) -> list[list[int]]:
-        """M[i][j] = denom * maxmin(u_i - u_j); minmax(u_i - u_j) is -M[j][i]."""
-        if self._maxmin is None:
-            self._maxmin = [
-                self.nested(self.diff_cols(i, 0, self.num_set_columns), max, min)
-                for i in range(self.n)
+        if selection not in self._maxmin:
+            columns, parts = self.layout(selection)
+            self._maxmin[selection] = [
+                _nested(self.diff_cols(i, columns), parts, max, min) for i in range(self.n)
             ]
-        return self._maxmin
+        return self._maxmin[selection]
 
 
 def _elementwise(fn, lists: list[list[int]]) -> list[int]:
@@ -271,55 +260,32 @@ def _elementwise(fn, lists: list[list[int]]) -> list[int]:
     return lists[0] if len(lists) == 1 else list(map(fn, *lists))
 
 
-def _resolve_formula(
-    kind: ModelKind, instance: Instance, table: MarginTable
-) -> tuple[tuple, Callable, int | None, int]:
-    """Map a model kind onto (memo key, rule, group index, scale factor).
+def _nested(cols: list[list[int]], parts, outer, inner) -> list[int]:
+    """``outer`` over the groups of ``inner`` over each group's columns.
 
-    A composite kind has no group: its rule folds the scaled (maxmin, minmax)
-    pair into one margin, which is scaled by ``factor`` on top of the table
-    denominator.  A one-group kind takes its rule (min or max) over that
-    group's columns.  The key names the model in full, so two kinds share a
-    memoized relation only when they are the same model.
+    ``parts`` are the groups' ranges in ``cols``.  Works position by
+    position down equal-length column lists, so (max, min) folds maxmin and
+    (min, max) folds minmax for every entry.
     """
-    if isinstance(kind, GeneralizedBewley):
-        return ("maxmin",), lambda mm, mx: mm, None, 1
-    if isinstance(kind, Disjunctive):
-        return ("disjunctive",), max, None, 1
-    if isinstance(kind, Conjunctive):
-        return ("conjunctive",), min, None, 1
-    if isinstance(kind, HalfMixture):
-        return ("half",), operator.add, None, 2
-    if isinstance(kind, AlphaMixture):
-        num, den = kind.alpha.numerator, kind.alpha.denominator
-        rest = den - num
-        return ("alpha", kind.alpha), lambda mm, mx: num * mm + rest * mx, None, den
-    if isinstance(kind, Bewley) or isinstance(kind, Justifiable):
-        names = [s.name for s in instance.collection]
-        group = names.index(instance.collection.get(kind.set_name).name)
-        if isinstance(kind, Bewley):
-            return ("bewley", group), min, group, 1
-        return ("justifiable", group), max, group, 1
-    if isinstance(kind, SEU):
-        if table.extra_prior != kind.prior:
-            raise ValueError("margin table was not built with this model's prior")
-        return ("seu", kind.prior), min, table.num_set_groups, 1
-    raise TypeError(f"unknown model kind: {kind!r}")
+    return _elementwise(outer, [_elementwise(inner, cols[s:e]) for s, e in parts])
 
 
 class _Runner:
-    """Margin access for one audit: sign tests, caching, boundary counting."""
+    """Margin access for one audit: sign tests, caching, boundary counting.
+
+    The model's rule decides everything: its belief sets pick the column
+    groups, and its ``combine`` folds their (maxmin, minmax) into a margin
+    numerator over the table denominator times ``factor``.
+    """
 
     def __init__(self, table: MarginTable, kind: ModelKind, instance: Instance):
         self.table = table
         self.kind = kind
-        self.key, self.rule, self.group, self.factor = _resolve_formula(
-            kind, instance, table
-        )
-        # The vertex columns this model reads: its one group, or every set.
-        self.span = (
-            table.groups[self.group] if self.group is not None else (0, table.num_set_columns)
-        )
+        self.combine = kind.combine
+        self.factor = kind.den
+        self.selection = table.select(kind.sets(instance.collection))
+        self.columns, self.parts = table.layout(self.selection)
+        self.matrix = table.maxmin_matrix(self.selection)
         self._zero_seen: set[tuple[int, int]] = set()
         self.combo_zeros = 0
         self.matrix_zero_flags = 0
@@ -328,14 +294,13 @@ class _Runner:
         """Margin numerators of many differences at once.
 
         ``cols[c][h]`` is the scaled expectation of the h-th difference at
-        the c-th column of ``span``; entry h of the result is that
-        difference's margin numerator over the column scale times
-        ``factor``.  Zero results are the caller's to count.
+        the c-th of ``columns``; entry h of the result is that difference's
+        margin numerator over the column scale times ``factor``.  Zero
+        results are the caller's to count.
         """
-        if self.group is not None:
-            return _elementwise(self.rule, cols)
-        t = self.table
-        return list(map(self.rule, t.nested(cols, max, min), t.nested(cols, min, max)))
+        return list(
+            map(self.combine, _nested(cols, self.parts, max, min), _nested(cols, self.parts, min, max))
+        )
 
     def fold_zeros(self, cols: list[list[int]]) -> list[int]:
         """``fold`` that also counts every zero numerator as a boundary case."""
@@ -345,11 +310,8 @@ class _Runner:
 
     def margin_num(self, i: int, j: int) -> int:
         """Scaled numerator of the margin for u_i - u_j (sign-faithful)."""
-        if self.group is not None:
-            num = self.table.group_extreme(i, j, self.group, self.rule)
-        else:
-            m = self.table.maxmin_matrix()
-            num = self.rule(m[i][j], -m[j][i])
+        m = self.matrix
+        num = self.combine(m[i][j], -m[j][i])
         if num == 0:
             self._zero_seen.add((i, j))
         return num
@@ -360,33 +322,24 @@ class _Runner:
     def weak(self, i: int, j: int) -> bool:
         return self.margin_num(i, j) >= 0
 
-    def _margin_rows(self):
-        """Each act's margins against every act of the battery, row by row."""
-        table = self.table
-        if self.group is not None:
-            for i in range(table.n):
-                yield self.fold(table.diff_cols(i, *self.span))
-            return
-        m = table.maxmin_matrix()
-        for i, col in enumerate(zip(*m)):
-            # minmax(u_i - u_j) = -maxmin(u_j - u_i) = -M[j][i]
-            yield list(map(self.rule, m[i], [-x for x in col]))
-
     def weak_matrix(self) -> list[int]:
         """Bitmask rows of the weak-preference relation over the battery.
 
         Built once per (table, model) and shared; callers must not mutate it.
         """
         memo = self.table._relations
-        if self.key not in memo:
+        if self.kind not in memo:
+            m = self.matrix
             rows = []
             zeros = -self.table.n  # the diagonal is the zero vector, not a boundary
-            for values in self._margin_rows():
+            for i, col in enumerate(zip(*m)):
+                # minmax(u_i - u_j) = -maxmin(u_j - u_i) = -M[j][i]
+                values = list(map(self.combine, m[i], [-x for x in col]))
                 bits = "".join(["1" if v >= 0 else "0" for v in reversed(values)])
                 rows.append(int(bits, 2))
                 zeros += values.count(0)
-            memo[self.key] = (rows, zeros)
-        rows, self.matrix_zero_flags = memo[self.key]
+            memo[self.kind] = (rows, zeros)
+        rows, self.matrix_zero_flags = memo[self.kind]
         return rows
 
     @property
@@ -512,7 +465,7 @@ def _run_independence(r: _Runner, uvecs, instance, cap) -> _Outcome:
     ks = [int(a * _MIX_SCALE) for a in MIX_GRID]
     for i in range(n):
         ri = table.rows[i]
-        diffs = [[ri[c] - x for x in table._columns[c][i + 1 :]] for c in range(*r.span)]
+        diffs = [[ri[c] - x for x in table._columns[c][i + 1 :]] for c in r.columns]
         # k * (u_i - u_j) for every j > i, folded afresh for each weight k / s.
         folds = [r.fold_zeros([[k * x for x in d] for d in diffs]) for k in ks]
         for j in range(i + 1, n):
@@ -625,21 +578,21 @@ def _run_favorable_mixing(r: _Runner, uvecs, instance, cap) -> _Outcome:
     w = r.weak_matrix()
     table = r.table
     n = table.n
-    start, end = r.span
     unit = table.denom * r.factor * _MIX_SCALE
     grid = sorted(MIX_GRID)
     ks = [int(a * _MIX_SCALE) for a in grid]
     # (s - k) * u_h at every column, for all h at once.
     rests = [
-        [[(_MIX_SCALE - k) * x for x in table._columns[c]] for c in range(start, end)]
+        [[(_MIX_SCALE - k) * x for x in table._columns[c]] for c in r.columns]
         for k in ks
     ]
+    rows = [[row[c] for c in r.columns] for row in table.rows]
     for g in range(n):
-        rg = table.rows[g][start:end]
+        rg = rows[g]
         for f in range(n):
             if f == g or not (w[g] >> f) & 1 or (w[f] >> g) & 1:
                 continue  # need g strictly better than f
-            rf = table.rows[f][start:end]
+            rf = rows[f]
             out.checked += n
             # k * u_f + (s - k) * u_h - s * u_g for every h, one fold per weight.
             mixed = []
@@ -721,6 +674,12 @@ _RUNNERS = {
 }
 
 
+def _table_for(kind: ModelKind, instance: Instance, battery: Sequence[Act]) -> MarginTable:
+    """A fresh table for the battery, with an SEU model's prior as a column."""
+    uvecs = [utility_vector(instance.utility, act) for act in battery]
+    return MarginTable(instance, uvecs, extra_prior=kind.prior if isinstance(kind, SEU) else None)
+
+
 def audit(
     axiom: AxiomKind,
     kind: ModelKind,
@@ -734,20 +693,16 @@ def audit(
     """Quantify one axiom over the battery and report the outcome.
 
     Pass ``table`` to share the cached margin work across several audits of
-    the same battery; a table built for a different battery or missing the
-    model's prior is rejected.
+    the same battery.  A table whose size differs from the battery's is
+    rejected; for an SEU model, a table without that model's prior column is
+    not used and a fresh table is built instead.
     """
     if table is None or (isinstance(kind, SEU) and table.extra_prior != kind.prior):
-        uvecs = [utility_vector(instance.utility, act) for act in battery]
-        table = MarginTable(
-            instance, uvecs, extra_prior=kind.prior if isinstance(kind, SEU) else None
-        )
+        table = _table_for(kind, instance, battery)
     elif table.n != len(battery):
         raise ValueError("margin table does not match this battery")
-    else:
-        uvecs = table.uvecs
     runner = _Runner(table, kind, instance)
-    outcome = _RUNNERS[axiom](runner, uvecs, instance, witness_cap)
+    outcome = _RUNNERS[axiom](runner, table.uvecs, instance, witness_cap)
     if axiom is AxiomKind.NON_TRIVIALITY and not outcome.passed:
         outcome.total = 1  # the failure is the exhausted search itself
     return AuditReport(
@@ -787,10 +742,7 @@ def audit_suite(
     battery_desc: str | None = None,
 ) -> list[AuditReport]:
     """Run every requested axiom (default: all twelve) over one shared table."""
-    uvecs = [utility_vector(instance.utility, act) for act in battery]
-    table = MarginTable(
-        instance, uvecs, extra_prior=kind.prior if isinstance(kind, SEU) else None
-    )
+    table = _table_for(kind, instance, battery)
     return [
         audit(a, kind, instance, battery, table=table, battery_desc=battery_desc)
         for a in (axioms if axioms is not None else list(AxiomKind))

@@ -51,6 +51,7 @@ __all__ = ["main", "parse_model", "parse_seed_range", "MAX_BATTERY_ACTS", "MAX_S
 # builds by default: lemma3's escalation to resolution 4 on three states.
 MAX_BATTERY_ACTS = 729
 MAX_SLICE_SAMPLES = 4096
+MAX_SEEDS = 10_000  # checked from a range's two ends, before its list is built
 
 _MODEL_HELP = (
     "gb | disjunctive | conjunctive | half | alpha:Q | bewley:NAME | "
@@ -99,7 +100,7 @@ def parse_model(text: str, instance: Optional[Instance] = None) -> ModelKind:
 
 
 def parse_seed_range(text: str) -> list[int]:
-    """Seeds as 'A..B' (inclusive), a single integer, or a comma list."""
+    """Seeds as 'A..B' (inclusive, at most ``MAX_SEEDS``), an integer, or a comma list."""
     text = text.strip()
     try:
         if ".." in text:
@@ -107,6 +108,10 @@ def parse_seed_range(text: str) -> list[int]:
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise InputError(f"empty seed range {text!r}")
+            if hi - lo + 1 > MAX_SEEDS:
+                raise InputError(
+                    f"seed range {text!r} holds {hi - lo + 1} seeds; the limit is {MAX_SEEDS}"
+                )
             return list(range(lo, hi + 1))
         if "," in text:
             return [int(p) for p in text.split(",")]

@@ -8,6 +8,7 @@ best vertex); everything else is a combination or a restriction of those.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -19,6 +20,7 @@ from .model import (
     BeliefCollection,
     BeliefSet,
     Instance,
+    NotARational,
     Prior,
     UtilityVector,
     expected_value,
@@ -79,56 +81,129 @@ def margin_profile(collection: BeliefCollection, phi: UtilityVector) -> MarginPr
     return MarginProfile(maxmin=max(mins), minmax=min(maxes))
 
 
+class _Kind:
+    """One model kind's rule: the belief sets it reads and how it combines them.
+
+    ``combine(maxmin, minmax)`` is integer-homogeneous, so it works on exact
+    Fractions and on integers scaled to a common denominator alike; divided
+    by ``den`` it is the model's margin.  Over a single set, maxmin is the
+    set's minimal vertex expectation and minmax its maximal one, so the
+    one-set models are the same algebra over a smaller collection.
+    """
+
+    den = 1
+
+    def sets(self, collection: BeliefCollection) -> BeliefCollection:
+        return collection
+
+    def margin(self, maxmin: Fraction, minmax: Fraction) -> Fraction:
+        value = self.combine(maxmin, minmax)
+        return value if self.den == 1 else value / self.den
+
+
 @dataclass(frozen=True)
-class GeneralizedBewley:
+class GeneralizedBewley(_Kind):
     """Judge by the maxmin margin: some belief set clears phi at every vertex."""
 
+    tag = "generalized-bewley"
+    combine = staticmethod(lambda maxmin, minmax: maxmin)
+
 
 @dataclass(frozen=True)
-class Disjunctive:
+class Disjunctive(_Kind):
     """Judge by the larger of the two primitive margins."""
 
+    tag = "disjunctive"
+    combine = staticmethod(max)
+
 
 @dataclass(frozen=True)
-class Conjunctive:
+class Conjunctive(_Kind):
     """Judge by the smaller of the two primitive margins."""
 
+    tag = "conjunctive"
+    combine = staticmethod(min)
+
 
 @dataclass(frozen=True)
-class HalfMixture:
+class HalfMixture(_Kind):
     """Judge by the average of the two primitive margins."""
 
+    tag = "half-mixture"
+    den = 2
+    combine = staticmethod(operator.add)
+
 
 @dataclass(frozen=True)
-class AlphaMixture:
-    """Judge by alpha * maxmin + (1 - alpha) * minmax."""
+class AlphaMixture(_Kind):
+    """Judge by alpha * maxmin + (1 - alpha) * minmax, alpha an exact p / q."""
 
     alpha: Fraction
 
     def __post_init__(self) -> None:
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, Fraction)):
+            raise NotARational(f"mixture weight must be an int or a Fraction, got {self.alpha!r}")
         if not 0 <= self.alpha <= 1:
             raise AlphaOutOfRange(f"mixture weight {self.alpha} outside [0, 1]")
+        alpha = Fraction(self.alpha)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "_weights", (alpha.numerator, alpha.denominator - alpha.numerator))
+
+    @property
+    def tag(self) -> str:
+        return f"alpha-mixture({self.alpha})"
+
+    @property
+    def den(self) -> int:
+        return self.alpha.denominator
+
+    def combine(self, maxmin, minmax):
+        p, rest = self._weights
+        return p * maxmin + rest * minmax
+
+
+class _OneSet(_Kind):
+    """A kind that reads one named belief set of the collection."""
+
+    @property
+    def tag(self) -> str:
+        return f"{self.label}({self.set_name})"
+
+    def sets(self, collection: BeliefCollection) -> BeliefCollection:
+        return BeliefCollection((collection.get(self.set_name),))
 
 
 @dataclass(frozen=True)
-class Bewley:
+class Bewley(_OneSet):
     """Judge by the minimal vertex expectation of one named belief set."""
 
     set_name: str
+    label = "bewley"
+    combine = staticmethod(lambda maxmin, minmax: maxmin)
 
 
 @dataclass(frozen=True)
-class Justifiable:
+class Justifiable(_OneSet):
     """Judge by the maximal vertex expectation of one named belief set."""
 
     set_name: str
+    label = "justifiable"
+    combine = staticmethod(lambda maxmin, minmax: minmax)
 
 
 @dataclass(frozen=True)
-class SEU:
+class SEU(_Kind):
     """Judge by the expectation under a single fixed prior."""
 
     prior: Prior
+    combine = staticmethod(lambda maxmin, minmax: maxmin)
+
+    @property
+    def tag(self) -> str:
+        return "seu(" + ",".join(str(p) for p in self.prior.probs) + ")"
+
+    def sets(self, collection: BeliefCollection) -> BeliefCollection:
+        return BeliefCollection((BeliefSet("seu", (self.prior,)),))
 
 
 ModelKind = Union[
@@ -145,45 +220,13 @@ ModelKind = Union[
 
 def describe_model(kind: ModelKind) -> str:
     """Short printable tag for reports."""
-    if isinstance(kind, GeneralizedBewley):
-        return "generalized-bewley"
-    if isinstance(kind, Disjunctive):
-        return "disjunctive"
-    if isinstance(kind, Conjunctive):
-        return "conjunctive"
-    if isinstance(kind, HalfMixture):
-        return "half-mixture"
-    if isinstance(kind, AlphaMixture):
-        return f"alpha-mixture({kind.alpha})"
-    if isinstance(kind, Bewley):
-        return f"bewley({kind.set_name})"
-    if isinstance(kind, Justifiable):
-        return f"justifiable({kind.set_name})"
-    if isinstance(kind, SEU):
-        return "seu(" + ",".join(str(p) for p in kind.prior.probs) + ")"
-    raise TypeError(f"unknown model kind: {kind!r}")
+    return kind.tag
 
 
 def model_margin(kind: ModelKind, collection: BeliefCollection, phi: UtilityVector) -> Fraction:
     """Margin a model assigns to the utility difference phi."""
-    if isinstance(kind, Bewley):
-        return set_min(collection.get(kind.set_name), phi)
-    if isinstance(kind, Justifiable):
-        return set_max(collection.get(kind.set_name), phi)
-    if isinstance(kind, SEU):
-        return expected_value(kind.prior, phi)
-    profile = margin_profile(collection, phi)
-    if isinstance(kind, GeneralizedBewley):
-        return profile.maxmin
-    if isinstance(kind, Disjunctive):
-        return max(profile.maxmin, profile.minmax)
-    if isinstance(kind, Conjunctive):
-        return min(profile.maxmin, profile.minmax)
-    if isinstance(kind, HalfMixture):
-        return (profile.maxmin + profile.minmax) / 2
-    if isinstance(kind, AlphaMixture):
-        return kind.alpha * profile.maxmin + (1 - kind.alpha) * profile.minmax
-    raise TypeError(f"unknown model kind: {kind!r}")
+    profile = margin_profile(kind.sets(collection), phi)
+    return kind.margin(profile.maxmin, profile.minmax)
 
 
 def margin_pair(
@@ -194,30 +237,9 @@ def margin_pair(
     Uses the duality maxmin(-phi) = -minmax(phi): negating the difference
     swaps the roles of the two primitive margins.
     """
-    if isinstance(kind, Bewley):
-        bset = collection.get(kind.set_name)
-        return set_min(bset, phi), -set_max(bset, phi)
-    if isinstance(kind, Justifiable):
-        bset = collection.get(kind.set_name)
-        return set_max(bset, phi), -set_min(bset, phi)
-    if isinstance(kind, SEU):
-        value = expected_value(kind.prior, phi)
-        return value, -value
-    profile = margin_profile(collection, phi)
+    profile = margin_profile(kind.sets(collection), phi)
     mm, mx = profile.maxmin, profile.minmax
-    if isinstance(kind, GeneralizedBewley):
-        return mm, -mx
-    if isinstance(kind, Disjunctive):
-        return max(mm, mx), -min(mm, mx)
-    if isinstance(kind, Conjunctive):
-        return min(mm, mx), -max(mm, mx)
-    if isinstance(kind, HalfMixture):
-        half = (mm + mx) / 2
-        return half, -half
-    if isinstance(kind, AlphaMixture):
-        a = kind.alpha
-        return a * mm + (1 - a) * mx, -(a * mx + (1 - a) * mm)
-    raise TypeError(f"unknown model kind: {kind!r}")
+    return kind.margin(mm, mx), kind.margin(-mx, -mm)
 
 
 class Relation(Enum):

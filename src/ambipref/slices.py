@@ -16,7 +16,15 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .margins import AlphaMixture, margin_profile
+from .margins import (
+    AlphaMixture,
+    Conjunctive,
+    Disjunctive,
+    GeneralizedBewley,
+    HalfMixture,
+    ModelKind,
+    margin_profile,
+)
 from .model import BeliefCollection, UtilityVector
 
 __all__ = [
@@ -33,6 +41,16 @@ __all__ = [
 ]
 
 CONES = ("maxmin", "minmax", "half", "alpha", "conjunctive", "disjunctive")
+
+# Each cone is the nonnegative set of one model kind's margin; "alpha" takes
+# the profile's weight.  minmax is the mixture that puts no weight on maxmin.
+_CONE_KINDS = {
+    "maxmin": GeneralizedBewley(),
+    "minmax": AlphaMixture(Fraction(0)),
+    "half": HalfMixture(),
+    "conjunctive": Conjunctive(),
+    "disjunctive": Disjunctive(),
+}
 
 
 class DegenerateDirection(ValueError):
@@ -156,7 +174,7 @@ def slice_profile(
         raise ValueError(f"need at least 8 samples, got {n}")
     if n % 2:
         raise ValueError(f"sample count must be even so antipodes align, got {n}")
-    weight = AlphaMixture(alpha).alpha if alpha is not None else None
+    mixture = AlphaMixture(alpha) if alpha is not None else None
     dim = plane.num_states
     samples = []
     for k, (c, s) in enumerate(_circle_points(n)):
@@ -164,27 +182,25 @@ def slice_profile(
             tuple(c * plane.e1[i] + s * plane.e2[i] for i in range(dim))
         )
         prof = margin_profile(collection, phi)
-        mixed = (
-            weight * prof.maxmin + (1 - weight) * prof.minmax
-            if weight is not None
-            else None
-        )
+        mm, mx = prof.maxmin, prof.minmax
         samples.append(
             SliceSample(
                 theta=Fraction(k, n),
                 direction=phi,
-                maxmin=prof.maxmin,
-                minmax=prof.minmax,
-                half=(prof.maxmin + prof.minmax) / 2,
-                alpha=mixed,
+                maxmin=mm,
+                minmax=mx,
+                half=_CONE_KINDS["half"].margin(mm, mx),
+                alpha=mixture.margin(mm, mx) if mixture is not None else None,
             )
         )
 
+    weight = mixture.alpha if mixture is not None else None
     summary = []
     for cone in CONES:
         if cone == "alpha" and weight is None:
             continue
-        summary.append((cone, _sign_arcs([_cone_value(s, cone) >= 0 for s in samples])))
+        kind = _cone_kind(cone, weight)
+        summary.append((cone, _sign_arcs([_cone_value(s, kind) >= 0 for s in samples])))
     return SliceProfile(
         plane=plane,
         alpha_weight=weight,
@@ -193,22 +209,26 @@ def slice_profile(
     )
 
 
-def _cone_value(sample: SliceSample, cone: str) -> Fraction:
-    if cone == "maxmin":
-        return sample.maxmin
-    if cone == "minmax":
-        return sample.minmax
-    if cone == "half":
-        return sample.half
-    if cone == "alpha":
-        if sample.alpha is None:
-            raise ValueError("profile was sampled without an alpha weight")
-        return sample.alpha
-    if cone == "conjunctive":
-        return min(sample.maxmin, sample.minmax)
-    if cone == "disjunctive":
-        return max(sample.maxmin, sample.minmax)
-    raise ValueError(f"unknown cone {cone!r}; expected one of {CONES}")
+def _cone_kind(cone: str, weight: Optional[Fraction]) -> ModelKind:
+    """The model kind whose margin is the cone's value at each sample."""
+    if cone not in CONES:
+        raise ValueError(f"unknown cone {cone!r}; expected one of {CONES}")
+    if cone != "alpha":
+        return _CONE_KINDS[cone]
+    if weight is None:
+        raise ValueError("profile was sampled without an alpha weight")
+    return AlphaMixture(weight)
+
+
+def _cone_value(sample: SliceSample, kind: ModelKind) -> int:
+    """Sign-faithful integer value of the cone's margin at the sample.
+
+    It is the margin times ``maxmin.denominator * minmax.denominator *
+    kind.den``: ``combine`` is integer-homogeneous, so it runs on the two
+    primitives brought to one denominator.
+    """
+    mm, mx = sample.maxmin, sample.minmax
+    return kind.combine(mm.numerator * mx.denominator, mx.numerator * mm.denominator)
 
 
 def certify_slice_convexity(profile: SliceProfile, cone: str) -> ConvexityVerdict:
@@ -219,12 +239,11 @@ def certify_slice_convexity(profile: SliceProfile, cone: str) -> ConvexityVerdic
     disjunctive cone is a union of two half-plane-like regions, so its
     complement is certified instead.
     """
-    if cone not in CONES:
-        raise ValueError(f"unknown cone {cone!r}; expected one of {CONES}")
+    kind = _cone_kind(cone, profile.alpha_weight)
     if cone == "disjunctive":
-        flags = [_cone_value(s, cone) < 0 for s in profile.samples]
+        flags = [_cone_value(s, kind) < 0 for s in profile.samples]
     else:
-        flags = [_cone_value(s, cone) >= 0 for s in profile.samples]
+        flags = [_cone_value(s, kind) >= 0 for s in profile.samples]
     arcs = _sign_arcs(flags)
     return ConvexityVerdict(cone=cone, convex=len(arcs) <= 1, arcs=arcs)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,7 @@ from ambipref import AlphaMixture, Bewley, Justifiable, Prior, SEU, load_instanc
 from ambipref import cli
 from ambipref.cli import (
     MAX_BATTERY_ACTS,
+    MAX_SEEDS,
     MAX_SLICE_SAMPLES,
     InputError,
     main,
@@ -23,6 +25,7 @@ INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 DISJOINT = str(INSTANCES / "disjoint_pair.json")
 TOUCHING = str(INSTANCES / "touching_intervals.json")
 OVERLAP = str(INSTANCES / "overlapping_intervals.json")
+EXPORT_SCRIPT = INSTANCES.parent / "scripts" / "export_figure_slices.py"
 
 
 class TestParseModel:
@@ -289,6 +292,20 @@ class TestSizeLimits:
         assert code == 2
         assert "battery requested" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seeds", [f"0..{MAX_SEEDS}", "0..10000000000", "-5..5" + "0" * 30])
+    def test_verify_seed_range(self, no_work, monkeypatch, capsys, seeds):
+        def no_list(*args):
+            raise AssertionError("seed list built despite a range over the limit")
+
+        monkeypatch.setattr(cli, "range", no_list, raising=False)
+        code = main(["verify", "--suites", "thm2", f"--seeds={seeds}"])
+        assert code == 2
+        assert f"limit is {MAX_SEEDS}" in capsys.readouterr().err
+
+    def test_seed_limit_is_inclusive(self):
+        seeds = parse_seed_range(f"5..{MAX_SEEDS + 4}")
+        assert len(seeds) == MAX_SEEDS and seeds[-1] == MAX_SEEDS + 4
+
     def test_slice_samples(self, no_work, capsys):
         code = main(["slice", "--instance", DISJOINT, "--direction", "1,-1",
                      "--samples", str(MAX_SLICE_SAMPLES + 1)])
@@ -320,6 +337,48 @@ class TestSizeLimits:
         monkeypatch.setattr(cli, "verify", reached)
         with pytest.raises(Reached):
             main(["verify", "--suites", "all", "--seeds", "0..1"])
+
+
+class TestExportScript:
+    """The figure export script checks its flags before it samples anything."""
+
+    @pytest.fixture
+    def script(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location("export_figure_slices", EXPORT_SCRIPT)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("slice sampling started despite a bad flag")
+
+        monkeypatch.setattr(module, "slice_profile", refuse)
+        return module
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--samples", str(MAX_SLICE_SAMPLES + 2)],
+            ["--samples", "10" * 20],
+            ["--samples", "9"],
+            ["--samples", "6"],
+            ["--alpha", "0.1"],
+            ["--alpha", "1e-1000000"],
+            ["--alpha", "5/4"],
+            ["--alpha", "1/0"],
+        ],
+    )
+    def test_bad_flags_exit_two(self, script, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        code = script.main(["--instances", str(INSTANCES), "--out", str(out), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_largest_sample_count_is_accepted(self, script, tmp_path):
+        with pytest.raises(AssertionError, match="slice sampling started"):
+            script.main(["--instances", str(INSTANCES), "--out", str(tmp_path),
+                         "--samples", str(MAX_SLICE_SAMPLES), "--alpha", "1"])
 
 
 class TestGen:

@@ -15,6 +15,7 @@ from ambipref import (
     GeneralizedBewley,
     HalfMixture,
     Justifiable,
+    NotARational,
     Relation,
     SEU,
     Prior,
@@ -22,6 +23,7 @@ from ambipref import (
     UtilityVector,
     classify,
     describe_model,
+    expected_value,
     margin_pair,
     margin_profile,
     model_margin,
@@ -54,6 +56,33 @@ def all_kinds(instance):
         Justifiable(names[-1]),
         SEU(uniform),
     ]
+
+
+# The two mixtures at the ends of the weight range: pure minmax and pure maxmin.
+END_MIXTURES = [AlphaMixture(0), AlphaMixture(1)]
+
+
+def reference_margin(kind, collection, phi):
+    """Each kind's margin written out on its own, in exact Fractions."""
+    if isinstance(kind, Bewley):
+        return set_min(collection.get(kind.set_name), phi)
+    if isinstance(kind, Justifiable):
+        return set_max(collection.get(kind.set_name), phi)
+    if isinstance(kind, SEU):
+        return expected_value(kind.prior, phi)
+    mm = max(set_min(s, phi) for s in collection)
+    mx = min(set_max(s, phi) for s in collection)
+    if isinstance(kind, GeneralizedBewley):
+        return mm
+    if isinstance(kind, Disjunctive):
+        return max(mm, mx)
+    if isinstance(kind, Conjunctive):
+        return min(mm, mx)
+    if isinstance(kind, HalfMixture):
+        return (mm + mx) / 2
+    if isinstance(kind, AlphaMixture):
+        return kind.alpha * mm + (1 - kind.alpha) * mx
+    raise TypeError(f"unknown model kind: {kind!r}")
 
 
 class TestProfile:
@@ -127,6 +156,25 @@ class TestModelMargins:
         base = model_margin(kind, touching_intervals.collection, phi)
         assert model_margin(kind, touching_intervals.collection, phi.scale(c)) == c * base
 
+    @given(phis, st.integers(min_value=0, max_value=9))
+    def test_rule_matches_the_reference_formulas(
+        self, disjoint_pair, touching_intervals, overlapping_intervals, phi, pick
+    ):
+        for inst in (disjoint_pair, touching_intervals, overlapping_intervals):
+            kind = (all_kinds(inst) + END_MIXTURES)[pick]
+            coll = inst.collection
+            margin = model_margin(kind, coll, phi)
+            assert type(margin) is F
+            assert margin == reference_margin(kind, coll, phi), kind
+            assert margin_pair(kind, coll, phi) == (margin, model_margin(kind, coll, -phi))
+
+    def test_end_mixtures_are_the_primitives(self, disjoint_pair):
+        prof = margin_profile(disjoint_pair.collection, BET)
+        assert [model_margin(k, disjoint_pair.collection, BET) for k in END_MIXTURES] == [
+            prof.minmax,
+            prof.maxmin,
+        ]
+
     def test_unknown_set_name_raises(self, disjoint_pair):
         with pytest.raises(UnknownBeliefSetName):
             model_margin(Bewley("nope"), disjoint_pair.collection, BET)
@@ -136,6 +184,18 @@ class TestModelMargins:
             AlphaMixture(F(5, 4))
         with pytest.raises(AlphaOutOfRange):
             AlphaMixture(F(-1, 4))
+
+    @pytest.mark.parametrize("weight", [0.75, 0.1, 1.0, True, "3/4", None])
+    def test_alpha_must_be_exact(self, weight):
+        with pytest.raises(NotARational):
+            AlphaMixture(weight)
+
+    @pytest.mark.parametrize("weight, stored", [(0, F(0)), (1, F(1)), (F(3, 4), F(3, 4))])
+    def test_alpha_is_stored_as_a_fraction(self, disjoint_pair, weight, stored):
+        kind = AlphaMixture(weight)
+        assert type(kind.alpha) is F and kind.alpha == stored
+        assert kind == AlphaMixture(stored)
+        assert type(model_margin(kind, disjoint_pair.collection, BET)) is F
 
     def test_seu_prior_dimension_checked(self, disjoint_pair):
         wrong = SEU(Prior((F(1, 3), F(1, 3), F(1, 3))))

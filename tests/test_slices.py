@@ -7,20 +7,38 @@ import pytest
 
 from ambipref import (
     CONES,
+    AlphaMixture,
     AlphaOutOfRange,
     BeliefCollection,
     BeliefSet,
+    Conjunctive,
     DegenerateDirection,
+    Disjunctive,
+    GeneralizedBewley,
+    HalfMixture,
+    NotARational,
     Prior,
     SlicePlane,
     UnknownFormat,
     UtilityVector,
     certify_slice_convexity,
     export_slice,
+    model_margin,
     slice_profile,
 )
+from ambipref.slices import _cone_kind, _cone_value, _sign_arcs
 
 F = Fraction
+
+# The model kind behind each cone, written out independently of the package.
+CONE_KINDS = {
+    "maxmin": GeneralizedBewley(),
+    "minmax": AlphaMixture(F(0)),
+    "half": HalfMixture(),
+    "alpha": AlphaMixture(F(3, 4)),
+    "conjunctive": Conjunctive(),
+    "disjunctive": Disjunctive(),
+}
 
 
 def singleton_collection(p1: F) -> BeliefCollection:
@@ -106,6 +124,38 @@ class TestSampling:
         plane = SlicePlane.through((1, -1))
         with pytest.raises(AlphaOutOfRange):
             slice_profile(disjoint_pair.collection, plane, 16, alpha=F(3, 2))
+
+    def test_float_alpha_weight_rejected(self, disjoint_pair):
+        plane = SlicePlane.through((1, -1))
+        with pytest.raises(NotARational):
+            slice_profile(disjoint_pair.collection, plane, 16, alpha=0.1)
+
+    @pytest.mark.parametrize("cone", CONES)
+    def test_cone_values_are_model_margins(
+        self, disjoint_pair, touching_intervals, overlapping_intervals, cone
+    ):
+        """Each cone is read through its model kind's rule, sample by sample."""
+        expected_kind = CONE_KINDS[cone]
+        for inst in (disjoint_pair, touching_intervals, overlapping_intervals):
+            for direction in ((1, 0), (1, -3)):
+                profile = slice_profile(
+                    inst.collection, SlicePlane.through(direction), 16, alpha=F(3, 4)
+                )
+                kind = _cone_kind(cone, profile.alpha_weight)
+                values = [
+                    model_margin(expected_kind, inst.collection, s.direction)
+                    for s in profile.samples
+                ]
+                scales = [
+                    s.maxmin.denominator * s.minmax.denominator * kind.den
+                    for s in profile.samples
+                ]
+                assert [
+                    F(_cone_value(s, kind), scale) for s, scale in zip(profile.samples, scales)
+                ] == values
+                if cone in ("maxmin", "minmax", "half", "alpha"):
+                    assert [getattr(s, cone) for s in profile.samples] == values
+                assert profile.arcs(cone) == _sign_arcs([v >= 0 for v in values])
 
 
 class TestArcs:
