@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -368,9 +369,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_seeds(argv: Sequence[str]) -> list[str]:
+    """Write ``--seeds -5..5`` as ``--seeds=-5..5``.
+
+    argparse reads a value that starts with '-' as an option unless it is a
+    plain negative number, so a range or list from a negative seed would
+    otherwise fail before it reaches ``parse_seed_range``.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--seeds" and re.match(r"-\d", arg):
+            out[-1] = f"--seeds={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_seeds(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except InputError as exc:

@@ -1,16 +1,23 @@
 """Small exact linear programming solver over rationals.
 
-Two-phase primal simplex on a dense tableau of Fractions, with Bland's
-smallest-index rule for both entering and leaving variables so cycling is
-impossible.  Problem sizes in this package are tiny (a handful of variables,
-a few dozen rows), so clarity and exactness win over sparse cleverness.
-Optimal points are re-checked against every constraint before being returned.
+Two-phase primal simplex with Bland's smallest-index rule for both entering
+and leaving variables, so cycling is impossible.  The tableau is kept
+fraction-free: each row, the reduced-cost row included, is a list of Python
+ints that stands for the row divided by one positive denominator (for a
+constraint row, its basic entry).  A pivot cross-multiplies and divides each
+changed row by its gcd, and ratio ties are compared by cross-multiplying, so
+every pivot is the one exact rational arithmetic would take; Fractions appear
+only when the program is read in and the optimal point is read out.
+Problem sizes in this package are tiny (a handful of variables, a few dozen
+rows), so a dense tableau is enough.  Optimal points are re-checked against
+every constraint in Fractions before being returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 __all__ = [
@@ -95,53 +102,80 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
+def _reduced(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def _integer_row(values: Sequence[Fraction]) -> list[int]:
+    """The smallest integer row with the same ratios (a positive multiple)."""
+    scale = lcm(*(v.denominator for v in values))
+    return _reduced([v.numerator * (scale // v.denominator) for v in values])
+
+
+def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int) -> None:
+    """Make ``col`` basic in ``row``; every other row, the cost row too, loses it.
+
+    Each row is a list of ints whose basic entry is positive and acts as the
+    row's denominator, so the row is exact without Fractions: eliminating
+    ``col`` from another row cross-multiplies by the pivot entry, and the
+    result is divided by its gcd to keep the integers small.
+    """
     pivot_row = tableau[row]
-    factor = pivot_row[col]
-    tableau[row] = [v / factor for v in pivot_row]
-    pivot_row = tableau[row]
+    p = pivot_row[col]
+    if p < 0:
+        pivot_row = tableau[row] = [-v for v in pivot_row]
+        p = -p
     for i, other in enumerate(tableau):
-        if i == row:
-            continue
         scale = other[col]
-        if scale != 0:
-            tableau[i] = [a - scale * b for a, b in zip(other, pivot_row)]
+        if i == row or not scale:
+            continue
+        tableau[i] = _reduced([p * a - scale * b for a, b in zip(other, pivot_row)])
     basis[row] = col
 
 
-def _simplex(
-    tableau: list[list[Fraction]],
-    basis: list[int],
-    cost: list[Fraction],
-    allowed: Sequence[bool],
-) -> str:
-    """Minimize cost over the tableau; returns 'optimal' or 'unbounded'."""
-    ncols = len(cost)
+def _cost_row(body: list[list[int]], basis: list[int], cost: Sequence[Fraction]) -> list[int]:
+    """Reduced costs c_j - c_B . column_j of the canonical rows, as an int row.
+
+    The row is a positive multiple of the exact reduced costs, so its signs
+    are theirs; its last entry is -c_B . rhs on the same scale.
+    """
+    ints = _integer_row(list(cost) + [_ZERO])
+    dens = [body[i][b] for i, b in enumerate(basis) if ints[b]]
+    scale = lcm(*dens)
+    out = [scale * c for c in ints]
+    for row, b in zip(body, basis):
+        if ints[b]:
+            factor = ints[b] * (scale // row[b])
+            out = [o - factor * v for o, v in zip(out, row)]
+    return _reduced(out)
+
+
+def _simplex(tableau: list[list[int]], basis: list[int], allowed: Sequence[bool]) -> str:
+    """Minimize the cost row (the last row); returns 'optimal' or 'unbounded'."""
+    nrows = len(tableau) - 1
     while True:
-        # Reduced costs in canonical form: z_j = c_j - c_B . column_j.
-        basic_cost = [cost[b] for b in basis]
-        entering = -1
-        for j in range(ncols):
-            if not allowed[j] or j in basis:
-                continue
-            reduced = cost[j] - sum(
-                (cb * tableau[i][j] for i, cb in enumerate(basic_cost)), _ZERO
-            )
-            if reduced < 0:
-                entering = j
-                break  # Bland: smallest index wins
+        costs = tableau[-1]
+        entering = next(
+            (j for j in range(len(costs) - 1) if costs[j] < 0 and allowed[j]), -1
+        )  # Bland: smallest index wins
         if entering < 0:
             return "optimal"
         leaving = -1
-        best_ratio: Fraction | None = None
-        for i, tab_row in enumerate(tableau):
+        for i in range(nrows):
+            tab_row = tableau[i]
             coef = tab_row[entering]
             if coef > 0:
-                ratio = tab_row[-1] / coef
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < basis[leaving]
-                ):
-                    best_ratio = ratio
+                if leaving < 0:
+                    leaving = i
+                    continue
+                # rhs_i / coef_i against the best ratio, cross-multiplied;
+                # the rows' denominators cancel within each ratio.
+                best = tableau[leaving]
+                lhs = tab_row[-1] * best[entering]
+                rhs = best[-1] * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving < 0:
             return "unbounded"
@@ -210,65 +244,49 @@ def solve(lp: LinearProgram) -> LpOutcome:
     std = _Standardized(lp)
     n_struct = std.num_structural
 
-    # Assemble equality rows with slack/surplus columns and artificials.
-    body: list[list[Fraction]] = []
-    slack_cols = 0
-    for coeffs, cmp, rhs in std.rows:
-        if cmp != EQ:
-            slack_cols += 1
+    # Equality rows with slack/surplus columns; a row whose slack cannot
+    # start basic (no +1 slack after making the rhs nonnegative) gets an
+    # artificial column instead.
+    slack_cols = sum(cmp != EQ for _, cmp, _ in std.rows)
     total_cols = n_struct + slack_cols
-    artificial_start = total_cols
+    rows: list[tuple[list[Fraction], Fraction]] = []
     basis: list[int] = []
-    artificials: list[int] = []
     slack_at = n_struct
     for coeffs, cmp, rhs in std.rows:
         row, rhs2 = std.structural_row(coeffs, rhs)
-        row = row + [_ZERO] * (total_cols - n_struct)
-        if cmp == LE:
-            row[slack_at] = _ONE
-            slack_col = slack_at
+        row += [_ZERO] * slack_cols
+        if cmp != EQ:
+            row[slack_at] = _ONE if cmp == LE else -_ONE
             slack_at += 1
-        elif cmp == GE:
-            row[slack_at] = -_ONE
-            slack_col = -1
-            slack_at += 1
-        else:
-            slack_col = -1
+        basis.append(slack_at - 1 if cmp == LE and rhs2 >= 0 else -1)
         if rhs2 < 0:
             row = [-v for v in row]
             rhs2 = -rhs2
-            slack_col = -1  # a negated slack is -1, not a valid basic column
-        if slack_col >= 0:
-            basis.append(slack_col)
-            body.append(row + [rhs2])
-        else:
-            art = artificial_start + len(artificials)
-            artificials.append(art)
-            basis.append(art)
-            body.append(row + [rhs2])
-    # Widen all rows for the artificial columns.
-    n_art = len(artificials)
+        rows.append((row, rhs2))
+    n_art = basis.count(-1)
     full_cols = total_cols + n_art
-    for i, row in enumerate(body):
-        rhs_val = row.pop()
-        row.extend([_ZERO] * n_art)
-        if basis[i] >= artificial_start:
-            row[basis[i]] = _ONE
-        row.append(rhs_val)
+    body: list[list[int]] = []
+    art_at = total_cols
+    for i, (row, rhs2) in enumerate(rows):
+        row += [_ZERO] * n_art + [rhs2]
+        if basis[i] < 0:
+            row[art_at] = _ONE
+            basis[i] = art_at
+            art_at += 1
+        body.append(_integer_row(row))
 
-    allowed_all = [True] * full_cols
     if n_art:
         phase1_cost = [_ZERO] * total_cols + [_ONE] * n_art
-        status = _simplex(body, basis, phase1_cost, allowed_all)
+        body.append(_cost_row(body, basis, phase1_cost))
+        status = _simplex(body, basis, [True] * full_cols)
         assert status == "optimal"  # phase 1 is bounded below by zero
-        residual = sum(
-            (row[-1] for row, b in zip(body, basis) if b >= artificial_start), _ZERO
-        )
-        if residual > 0:
+        body.pop()
+        # Every rhs is nonnegative, so the residual is positive iff one is.
+        if any(row[-1] for row, b in zip(body, basis) if b >= total_cols):
             return Infeasible()
         # Drive leftover zero-level artificials out of the basis.
         for i in range(len(body) - 1, -1, -1):
-            if basis[i] < artificial_start:
+            if basis[i] < total_cols:
                 continue
             pivot_col = next(
                 (j for j in range(total_cols) if body[i][j] != 0), None
@@ -279,7 +297,6 @@ def solve(lp: LinearProgram) -> LpOutcome:
             else:
                 _pivot(body, basis, i, pivot_col)
 
-    allowed = [j < total_cols for j in range(full_cols)]
     phase2_cost = [_ZERO] * full_cols
     for j in range(lp.num_vars):
         kind, a, b = std.columns[j]
@@ -287,13 +304,15 @@ def solve(lp: LinearProgram) -> LpOutcome:
         phase2_cost[a] -= c  # minimize the negated objective
         if kind == "split":
             phase2_cost[b] += c
-    status = _simplex(body, basis, phase2_cost, allowed)
+    body.append(_cost_row(body, basis, phase2_cost))
+    status = _simplex(body, basis, [j < total_cols for j in range(full_cols)])
     if status == "unbounded":
         return Unbounded()
+    body.pop()
 
     values = [_ZERO] * full_cols
-    for i, b in enumerate(basis):
-        values[b] = body[i][-1]
+    for row, b in zip(body, basis):
+        values[b] = Fraction(row[-1], row[b])
     point = std.recover_point(values)
     objective_value = sum((c * x for c, x in zip(lp.objective, point)), _ZERO)
     _check_point(lp, point)

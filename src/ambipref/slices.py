@@ -1,11 +1,15 @@
 """Cross-sections of the margin cones on planes through the diagonal.
 
-A slice plane is spanned by the all-ones vector and the off-diagonal
-component of a chosen direction.  Directions around the slice are rational
-points on the unit circle, generated by the tangent half-angle substitution,
-so every margin sign along the circle is decided exactly; floats appear only
-in exported decimal columns.  Convexity of a cone's slice is certified by a
-single-arc test on the sampled signs.
+A slice plane is spanned by the all-ones vector e1 and the off-diagonal
+component e2 of a chosen direction.  Every prior sums to 1, so along
+c*e1 + s*e2 a vertex v scores c + s*(v . e2): the two primitive margins of
+the whole plane follow from A = maxmin(e2) and B = minmax(e2), taken once
+per plane.  For s >= 0, maxmin = c + s*A and minmax = c + s*B; for s < 0
+the two swap.  Directions around the slice are rational points on the unit
+circle, generated by the tangent half-angle substitution, so every margin
+sign along the circle is decided exactly; floats appear only in exported
+decimal columns.  Convexity of a cone's slice is certified by a single-arc
+test on the sampled signs.
 """
 
 from __future__ import annotations
@@ -75,6 +79,15 @@ class SlicePlane:
 
     e1: tuple[Fraction, ...]
     e2: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        # slice_profile's closed form needs v . e1 = 1 for every prior v.
+        if not self.e1 or any(e != 1 for e in self.e1):
+            raise ValueError(f"e1 must be the all-ones vector, got {self.e1}")
+        if len(self.e2) != len(self.e1):
+            raise ValueError(
+                f"e2 has {len(self.e2)} entries but the plane has {len(self.e1)} states"
+            )
 
     @classmethod
     def through(cls, direction: Sequence) -> "SlicePlane":
@@ -168,25 +181,26 @@ def slice_profile(
 
     The sample count must be even (so antipodes pair up index-wise) and at
     least 8.  Sample k is labeled theta = k/n turns; its direction is the
-    k-th rational circle point combined through the plane basis.
+    k-th rational circle point (c, s) combined through the plane basis, and
+    its margins come from the plane's closed form, not a vertex sweep.
     """
     if n < 8:
         raise ValueError(f"need at least 8 samples, got {n}")
     if n % 2:
         raise ValueError(f"sample count must be even so antipodes align, got {n}")
     mixture = AlphaMixture(alpha) if alpha is not None else None
-    dim = plane.num_states
+    # Both primitive margins are linear in (c, s) on each half-circle.
+    along = margin_profile(collection, UtilityVector(plane.e2))
     samples = []
     for k, (c, s) in enumerate(_circle_points(n)):
-        phi = UtilityVector(
-            tuple(c * plane.e1[i] + s * plane.e2[i] for i in range(dim))
+        mm_slope, mx_slope = (
+            (along.maxmin, along.minmax) if s >= 0 else (along.minmax, along.maxmin)
         )
-        prof = margin_profile(collection, phi)
-        mm, mx = prof.maxmin, prof.minmax
+        mm, mx = c + s * mm_slope, c + s * mx_slope
         samples.append(
             SliceSample(
                 theta=Fraction(k, n),
-                direction=phi,
+                direction=UtilityVector(tuple(c + s * e for e in plane.e2)),
                 maxmin=mm,
                 minmax=mx,
                 half=_CONE_KINDS["half"].margin(mm, mx),

@@ -72,6 +72,22 @@ class TestParseSeedRange:
         with pytest.raises(InputError):
             parse_seed_range(text)
 
+    @pytest.mark.parametrize(
+        "text, seeds",
+        [("-5..5", list(range(-5, 6))), ("-3,4", [-3, 4]), ("-7", [-7]), ("-9..-8", [-9, -8])],
+    )
+    def test_negative_seeds_as_a_separate_value(self, monkeypatch, text, seeds):
+        seen = []
+
+        def record(suites, chosen, config):
+            seen.append(list(chosen))
+            raise InputError("recorded")
+
+        monkeypatch.setattr(cli, "verify", record)
+        assert main(["verify", "--suites", "thm2", "--seeds", text]) == 2
+        assert main(["verify", "--suites", "thm2", f"--seeds={text}"]) == 2
+        assert seen == [seeds, seeds]
+
 
 class TestEvaluate:
     def test_judgment_document(self, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,23 @@ class TestExactPivoting:
         assert isinstance(out, Optimal)
         assert out.value == F(1, 20)
         assert out.point == (F(1, 25), F(0), F(1), F(0))
+
+    def test_ratio_ties_leave_by_the_smallest_basic_index(self):
+        """Every point of the edge y = 2 is optimal; Bland's rule picks (2, 2).
+
+        The phase-1 pivot ties two rows on the ratio test, and the row whose
+        basic column comes first leaves; the other choice ends at (0, 2).
+        """
+        lp = LinearProgram(
+            num_vars=2,
+            objective=(F(0), F(1)),
+            constraints=(ge([1, 1], 2),),
+            lower=(F(0), F(0)),
+            upper=(F(2), F(2)),
+        )
+        out = solve(lp)
+        assert isinstance(out, Optimal)
+        assert out.point == (F(2), F(2))
 
     def test_fractional_vertex_is_exact(self):
         lp = LinearProgram(
@@ -178,6 +196,52 @@ class TestOutcomeInvariants:
             for row in cons:
                 assert row.holds_at(out.point)
             assert out.value == out.point[0] - out.point[1]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.fractions(min_value=-5, max_value=5, max_denominator=10),
+                st.fractions(min_value=-5, max_value=5, max_denominator=10),
+                st.sampled_from(["<=", "<=", ">=", "=="]),
+                st.fractions(min_value=-5, max_value=5, max_denominator=10),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.tuples(
+            st.fractions(min_value=-3, max_value=3, max_denominator=6),
+            st.fractions(min_value=-3, max_value=3, max_denominator=6),
+        ),
+    )
+    def test_optimum_is_the_best_vertex(self, rows, objective):
+        """Brute force over the vertices of a boxed 2-variable program.
+
+        Every vertex is the crossing of two non-parallel constraint or box
+        lines; the program is infeasible exactly when no crossing is
+        feasible, and otherwise its optimum is the best feasible crossing.
+        """
+        cons = tuple(Constraint((a, b), cmp, r) for a, b, cmp, r in rows)
+        box = (F(-2), F(-2)), (F(2), F(2))
+        lp = LinearProgram(2, objective, cons, lower=box[0], upper=box[1])
+        lines = [(c.coeffs, c.rhs) for c in cons if any(c.coeffs)]
+        lines += [((F(1), F(0)), x) for x in (F(-2), F(2))]
+        lines += [((F(0), F(1)), y) for y in (F(-2), F(2))]
+        vertices = []
+        for ((a1, b1), r1), ((a2, b2), r2) in itertools.combinations(lines, 2):
+            det = a1 * b2 - a2 * b1
+            if det == 0:
+                continue
+            point = ((r1 * b2 - r2 * b1) / det, (a1 * r2 - a2 * r1) / det)
+            inside = all(lo <= x <= hi for lo, x, hi in zip(box[0], point, box[1]))
+            if inside and all(c.holds_at(point) for c in cons):
+                vertices.append(point)
+        out = solve(lp)
+        if not vertices:
+            assert isinstance(out, Infeasible)
+        else:
+            assert isinstance(out, Optimal)
+            best = max(objective[0] * x + objective[1] * y for x, y in vertices)
+            assert out.value == best
 
     def test_rejects_malformed_comparison(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from ambipref import (
     Conjunctive,
     DegenerateDirection,
     Disjunctive,
+    GenParams,
     GeneralizedBewley,
     HalfMixture,
     NotARational,
@@ -23,10 +25,15 @@ from ambipref import (
     UtilityVector,
     certify_slice_convexity,
     export_slice,
+    generate_instance,
+    load_instance,
+    margin_profile,
     model_margin,
     slice_profile,
 )
 from ambipref.slices import _cone_kind, _cone_value, _sign_arcs
+
+INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
 F = Fraction
 
@@ -70,6 +77,20 @@ class TestSlicePlane:
     def test_single_state_rejected(self):
         with pytest.raises(DegenerateDirection):
             SlicePlane.through((F(5),))
+
+    @pytest.mark.parametrize(
+        "e1, e2",
+        [
+            ((F(2), F(2)), (F(1), F(-1))),
+            ((F(1), F(0)), (F(1), F(-1))),
+            ((), ()),
+            ((F(1), F(1)), (F(1), F(0), F(-1))),
+            ((F(1), F(1), F(1)), (F(1), F(-1))),
+        ],
+    )
+    def test_basis_must_fit_the_closed_form(self, e1, e2):
+        with pytest.raises(ValueError):
+            SlicePlane(e1=e1, e2=e2)
 
 
 @pytest.fixture()
@@ -156,6 +177,47 @@ class TestSampling:
                 if cone in ("maxmin", "minmax", "half", "alpha"):
                     assert [getattr(s, cone) for s in profile.samples] == values
                 assert profile.arcs(cone) == _sign_arcs([v >= 0 for v in values])
+
+
+class TestClosedForm:
+    """Each sample's margins equal a vertex sweep at its own direction.
+
+    ``slice_profile`` computes them in closed form from two numbers per
+    plane; this check sweeps every vertex at every sample instead.
+    """
+
+    @staticmethod
+    def check(collection, direction, n=64):
+        plane = SlicePlane.through(direction)
+        profile = slice_profile(collection, plane, n, alpha=F(3, 4))
+        offset = next(i for i, e in enumerate(plane.e2) if e)
+        for sample in profile.samples:
+            phi = sample.direction.entries
+            # phi = c*e1 + t*e2 with (c, t) on the unit circle; e2 sums to 0.
+            c = sum(phi) / len(phi)
+            t = (phi[offset] - c) / plane.e2[offset]
+            assert c * c + t * t == 1
+            assert phi == tuple(c + t * e for e in plane.e2)
+            swept = margin_profile(collection, sample.direction)
+            assert (sample.maxmin, sample.minmax) == (swept.maxmin, swept.minmax)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in INSTANCE_DIR.glob("*.json")))
+    def test_instance_files(self, name):
+        instance = load_instance(INSTANCE_DIR / name)
+        for direction in ((1, -1), (1, 0), (F(-2, 3), 5)):
+            self.check(instance.collection, direction)
+
+    @pytest.mark.parametrize("states", [3, 4])
+    def test_generated_instances(self, states):
+        directions = {
+            3: ((1, -1, 0), (0, 1, -1), (1, 1, -2), (F(1, 2), -3, 7)),
+            4: ((1, -1, 0, 0), (0, 0, 1, -1), (1, 1, -1, -1), (3, F(-1, 5), 0, 2)),
+        }[states]
+        params = GenParams(num_states=states, num_sets=4, vertices_per_set=6)
+        for seed in range(3):
+            instance = generate_instance(seed, params)
+            for direction in directions:
+                self.check(instance.collection, direction)
 
 
 class TestArcs:
