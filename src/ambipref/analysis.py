@@ -1,15 +1,17 @@
 """Exact structural analysis of belief collections.
 
-Decides, with rational LPs and enumeration, the two parametric conditions
-that govern completeness and constant-bound transitivity of the margin
-models: absence of a cutting hyperplane, and pairwise intersection of the
-belief sets.  Also constructs the explicit counterexample acts that replay
-a failing condition as a concrete axiom violation.
+Decides the two parametric conditions that govern completeness and
+constant-bound transitivity of the margin models: absence of a cutting
+hyperplane, by the sign of minmax - maxmin on the integer rays of a plane
+arrangement, and pairwise intersection of the belief sets, by rational LPs.
+Also constructs the explicit counterexample acts that replay a failing
+condition as a concrete axiom violation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -312,72 +314,69 @@ def pairwise_intersection_holds(collection: BeliefCollection) -> PairwiseReport:
     return PairwiseReport(holds=holds, entries=tuple(entries))
 
 
+def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
+    """A nonzero integer vector over its gcd, first nonzero entry positive."""
+    g = math.gcd(*vec) * (1 if next(x for x in vec if x) > 0 else -1)
+    return tuple(x // g for x in vec)
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+        for j, a in enumerate(rows[0])
+        if a
+    )
+
+
 def find_cutting_hyperplane(
     collection: BeliefCollection,
 ) -> Optional[CuttingHyperplane]:
     """Search for a functional that strictly straddles every belief set.
 
-    The threshold is normalized to zero (shifting the functional by a
-    constant shifts every expectation equally).  For each choice of one
-    (plus, minus) vertex pair per set, an LP maximizes the common strict
-    margin t; any assignment with t > 0 is a witness.  The first set's pair
-    is kept in ascending index order, since negating the functional swaps
-    the sides of every pair at once.  Subtrees whose partial constraints
-    already cap t at zero are pruned.  The first witness in lexicographic
-    assignment order is returned, so the result is deterministic.
+    A cut along psi exists iff D(psi) = minmax(psi) - maxmin(psi) > 0.  D
+    is even, ignores shifts along the all-ones vector, and is linear on each
+    cell of the arrangement of planes (v - w).psi = 0 (v, w any two
+    vertices) and (e_i - e_j).psi = 0 inside psi.1 = 0.  Those cells are
+    pointed cones, so D > 0 somewhere iff D > 0 on an edge: a ray that n - 2
+    of the normals cut out of psi.1 = 0.  Rays are tried in the order of the
+    sorted normal subsets; the first with D > 0 is shifted by
+    t = (maxmin + minmax) / 2 to threshold zero, and each set is straddled
+    by its first argmax and argmin vertices.
     """
     sets = collection.sets
-    if any(len(s.vertices) < 2 for s in sets):
+    if any(len(s.vertices) < 2 for s in sets):  # a point cannot be straddled
         return None
     n = _num_states(sets[0])
-    pair_lists: list[list[tuple[int, int]]] = []
-    for gi, s in enumerate(sets):
-        idx = range(len(s.vertices))
-        if gi == 0:
-            pair_lists.append([(i, j) for i in idx for j in idx if i < j])
-        else:
-            pair_lists.append([(i, j) for i in idx for j in idx if i != j])
-
-    objective = [Fraction(0)] * n + [Fraction(1)]
-    lower = [Fraction(-1)] * n + [Fraction(-3)]
-    upper = [Fraction(1)] * n + [Fraction(1)]
-    stack: list[Constraint] = []
-    chosen: list[tuple[int, int]] = []
-
-    def best_t() -> Optimal:
-        res = solve(LinearProgram(n + 1, objective, list(stack), lower, upper))
-        if not isinstance(res, Optimal):
-            raise RuntimeError(f"straddle program did not optimize: {res!r}")
-        return res
-
-    def descend(g: int) -> Optional[CuttingHyperplane]:
-        if g == len(sets):
-            res = best_t()
-            if res.value > 0:
-                return CuttingHyperplane(
-                    normal=UtilityVector(res.point[:n]),
-                    offset=Fraction(0),
-                    straddles=tuple(chosen),
-                )
-            return None
-        for ip, im in pair_lists[g]:
-            vp = sets[g].vertices[ip].probs
-            vm = sets[g].vertices[im].probs
-            stack.append(Constraint(tuple(vp) + (Fraction(-1),), ">=", Fraction(0)))
-            stack.append(Constraint(tuple(vm) + (Fraction(1),), "<=", Fraction(0)))
-            chosen.append((ip, im))
-            prune = False
-            if 0 < g < len(sets) - 1:
-                prune = best_t().value <= 0
-            found = None if prune else descend(g + 1)
-            chosen.pop()
-            stack.pop()
-            stack.pop()
-            if found is not None:
-                return found
-        return None
-
-    return descend(0)
+    den = math.lcm(*(p.denominator for s in sets for v in s.vertices for p in v.probs))
+    scaled = [[tuple(int(p * den) for p in v.probs) for v in s.vertices] for s in sets]
+    points = {v for verts in scaled for v in verts}
+    normals = {
+        _primitive([a - b for a, b in zip(v, w)])
+        for v, w in itertools.combinations(points, 2)
+    }
+    for i, j in itertools.combinations(range(n), 2):
+        normals.add(tuple((k == i) - (k == j) for k in range(n)))
+    seen = set()
+    for subset in itertools.combinations(sorted(normals), n - 2):
+        # On psi = (x, -sum(x)) a normal a reads (a_i - a_n) . x; x is the
+        # cross product of those n - 2 rows in n - 1 dimensions.
+        rows = [[a - row[-1] for a in row[:-1]] for row in subset]
+        x = [(-1) ** k * _det([r[:k] + r[k + 1:] for r in rows]) for k in range(n - 1)]
+        if not any(x) or (ray := _primitive(x + [-sum(x)])) in seen:
+            continue
+        seen.add(ray)
+        values = [[sum(p * r for p, r in zip(v, ray)) for v in verts] for verts in scaled]
+        maxmin, minmax = max(map(min, values)), min(map(max, values))
+        if minmax > maxmin:
+            t = Fraction(maxmin + minmax, 2 * den)
+            return CuttingHyperplane(
+                normal=UtilityVector(tuple(r - t for r in ray)),
+                offset=Fraction(0),
+                straddles=tuple((v.index(max(v)), v.index(min(v))) for v in values),
+            )
+    return None
 
 
 def phi_lattice(

@@ -222,6 +222,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     instance = _load(args.instance)
+    _check_battery(2, instance.num_states, " (analyze's commutativity lattice)")
     report = analyze(instance)
     _emit(_json_doc(report.to_jsonable()), args.output)
     return 0

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -143,7 +144,8 @@ class ConvexityVerdict:
     arcs: tuple[tuple[int, int], ...]
 
 
-def _circle_points(n: int) -> list[tuple[Fraction, Fraction]]:
+@lru_cache(maxsize=8)
+def _circle_points(n: int) -> tuple[tuple[Fraction, Fraction], ...]:
     """n rational unit-circle points in circular order; point k+n/2 is -point k."""
     half = n // 2
     right = []
@@ -151,7 +153,7 @@ def _circle_points(n: int) -> list[tuple[Fraction, Fraction]]:
         u = Fraction(2 * j - half, half)
         den = 1 + u * u
         right.append(((1 - u * u) / den, 2 * u / den))
-    return right + [(-c, -s) for c, s in right]
+    return tuple(right + [(-c, -s) for c, s in right])
 
 
 def _sign_arcs(flags: Sequence[bool]) -> tuple[tuple[int, int], ...]:

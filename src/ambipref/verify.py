@@ -175,12 +175,6 @@ def _audit_outcome(reports: Sequence[AuditReport], desc: str) -> SuiteOutcome:
     )
 
 
-def _cached_cutting(instance, cache):
-    if "cutting" not in cache:
-        cache["cutting"] = find_cutting_hyperplane(instance.collection)
-    return cache["cutting"]
-
-
 def _cached_pairwise(instance, cache):
     if "pairwise" not in cache:
         cache["pairwise"] = pairwise_intersection_holds(instance.collection)
@@ -201,7 +195,7 @@ def _audit_suite(kind, axioms: Sequence[AxiomKind]) -> Callable:
 
 
 def _suite_prop1(instance, battery, table, desc, config, cache) -> SuiteOutcome:
-    complete_param = _cached_cutting(instance, cache) is None
+    complete_param = find_cutting_hyperplane(instance.collection) is None
     cbt_param = _cached_pairwise(instance, cache).holds
     lattice = phi_lattice(instance.num_states, config.resolution, config.radius)
     verdict = check_commutativity(instance.collection, lattice)
@@ -229,7 +223,7 @@ def _suite_prop1(instance, battery, table, desc, config, cache) -> SuiteOutcome:
 def _suite_prop2(instance, battery, table, desc, config, cache) -> SuiteOutcome:
     if instance.num_states != 2:
         return SuiteOutcome(True, False, False, (), 0, ())
-    complete_param = _cached_cutting(instance, cache) is None
+    complete_param = find_cutting_hyperplane(instance.collection) is None
     cbt_param = _cached_pairwise(instance, cache).holds
     if not (complete_param and cbt_param):
         return SuiteOutcome(True, True, False, (), 0, (desc,))
@@ -265,7 +259,7 @@ def _suite_prop2(instance, battery, table, desc, config, cache) -> SuiteOutcome:
 
 
 def _suite_prop3(instance, battery, table, desc, config, cache) -> SuiteOutcome:
-    cutting = _cached_cutting(instance, cache)
+    cutting = find_cutting_hyperplane(instance.collection)
     bad: list[dict] = []
     flags = 0
     batteries = []

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ambipref import analysis
 from ambipref import (
     AnalysisReport,
     AxiomKind,
@@ -24,15 +28,57 @@ from ambipref import (
     check_commutativity,
     constant_act,
     find_cutting_hyperplane,
+    generate_instance,
+    GenParams,
+    load_instance,
     margin_profile,
     pairwise_intersection_holds,
     phi_lattice,
     polytopes_intersect,
     seu_collapse_binary,
     utility_vector,
+    VerifyConfig,
 )
 
 F = Fraction
+
+CORNER_CLUSTERS = Path(__file__).resolve().parent / "data" / "corner_clusters.json"
+
+# Generator seeds whose collection has no cutting hyperplane, as decided by
+# the earlier LP branch-and-bound search over (plus, minus) vertex pairs.
+NO_CUT_SEEDS = {
+    "box3": (
+        2, 4, 5, 7, 11, 14, 16, 17, 19, 20, 21, 22, 23, 26, 27, 28, 31, 32, 35, 38,
+        39, 40, 43, 45, 46, 47, 48, 49, 50, 51, 55, 57, 58, 59, 61, 63, 64, 65, 66,
+        67, 70, 72, 74, 75, 76, 77, 81, 84, 86, 89, 91, 93, 96, 99, 101, 104, 107,
+        108, 109, 110, 113, 119, 121, 123, 127, 137, 139, 140, 142, 144, 146, 149,
+        150, 152, 156, 160, 161, 162, 164, 165, 167, 168, 171, 174, 176, 178, 179,
+        181, 182, 183, 185, 186, 187, 190, 194, 195, 198,
+    ),
+    "box4": (
+        1, 2, 5, 6, 7, 8, 9, 12, 13, 14, 23, 25, 26, 27, 28, 31, 32, 33, 37, 38, 41,
+        42, 43, 46, 47, 48, 49, 50, 51, 52, 54, 55, 57, 63, 66, 67, 68, 69, 70, 72,
+        74, 75, 76, 77, 78, 79, 83, 86, 87, 88, 89, 90, 91, 99, 102, 104, 105, 106,
+        108, 109, 111, 113, 114, 117, 121, 123, 124, 127, 128, 133, 136, 137, 139,
+        140, 145, 149, 151, 153, 154, 155, 156, 159, 160, 162, 164, 165, 169, 174,
+        176, 177, 178, 180, 181, 182, 183, 185, 187, 190, 191, 192, 193, 198, 199,
+    ),
+    "verify": (
+        0, 2, 3, 4, 5, 6, 7, 8, 10, 14, 16, 17, 19, 20, 21, 23, 24, 26, 27, 28, 29,
+        30, 31, 32, 33, 34, 35, 36, 37, 38, 42, 43, 44, 45, 46, 47, 49, 50, 51, 52,
+        53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 64, 66, 67, 68, 69, 70, 71, 72, 73,
+        74, 75, 77, 78, 80, 82, 86, 87, 88, 89, 90, 91, 92, 93, 94, 96, 98,
+    ),
+}
+
+
+def pinned_instances(family: str) -> list:
+    """(seed, instance) pairs of one pinned family, in seed order."""
+    if family == "verify":
+        config = VerifyConfig()
+        return [(s, generate_instance(s, config.params_for_seed(s))) for s in range(100)]
+    params = GenParams(num_states=int(family[-1]), num_sets=4, vertices_per_set=6)
+    return [(s, generate_instance(s, params)) for s in range(200)]
 
 
 def interval_set(name: str, lo: F, hi: F) -> BeliefSet:
@@ -132,6 +178,90 @@ class TestCuttingHyperplane:
                 interval_set("fat", F(1, 4), F(3, 4)),
             )
         )
+        assert find_cutting_hyperplane(collection) is None
+
+    @pytest.mark.parametrize("family", sorted(NO_CUT_SEEDS))
+    def test_verdicts_match_the_lp_search(self, family, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the cut decision solved an LP")
+
+        monkeypatch.setattr(analysis, "solve", no_lp)
+        no_cut = []
+        for seed, inst in pinned_instances(family):
+            cut = find_cutting_hyperplane(inst.collection)
+            if cut is None:
+                no_cut.append(seed)
+            else:
+                assert cut.offset == 0
+                assert cut.verify(inst.collection)
+        assert tuple(no_cut) == NO_CUT_SEEDS[family]
+
+    @given(
+        st.lists(
+            st.lists(st.fractions(0, 1, max_denominator=12), min_size=1, max_size=3),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_two_states_follow_the_interval_closed_form(self, masses):
+        collection = BeliefCollection(
+            tuple(
+                BeliefSet(f"s{k}", tuple(Prior((p, 1 - p)) for p in dict.fromkeys(ps)))
+                for k, ps in enumerate(masses)
+            )
+        )
+        cut = find_cutting_hyperplane(collection)
+        assert (cut is not None) == (max(map(min, masses)) < min(map(max, masses)))
+        if cut is not None:
+            assert cut.verify(collection)
+
+    @pytest.mark.parametrize("states", [3, 4])
+    def test_a_lattice_straddle_implies_a_cut(self, states):
+        params = GenParams(num_states=states, num_sets=4, vertices_per_set=6)
+        lattice = phi_lattice(states, 2)
+        straddled = 0
+        for seed in range(30):
+            collection = generate_instance(seed, params).collection
+            cut = find_cutting_hyperplane(collection)
+            if any(
+                prof.minmax > prof.maxmin
+                for prof in (margin_profile(collection, phi) for phi in lattice)
+            ):
+                straddled += 1
+                assert cut is not None
+            if cut is not None:
+                assert cut.offset == 0
+                assert cut.verify(collection)
+        assert straddled > 0
+
+    def test_collinear_sets_need_the_coordinate_planes(self):
+        # Every vertex lies on one line through the uniform prior, so the
+        # vertex differences give one plane; its ray scores all vertices
+        # alike, and the cut comes from a ray of an (e_i - e_j) plane.
+        def on_line(*ts):
+            return tuple(Prior((F(1, 3) + t, F(1, 3) + t, F(1, 3) - 2 * t)) for t in ts)
+
+        collection = BeliefCollection(
+            (
+                BeliefSet("a", on_line(F(-1, 12), F(1, 12))),
+                BeliefSet("b", on_line(F(0), F(1, 6))),
+            )
+        )
+        cut = find_cutting_hyperplane(collection)
+        assert cut is not None
+        assert cut.verify(collection)
+        apart = BeliefCollection(
+            (collection.sets[0], BeliefSet("c", on_line(F(1, 12), F(1, 6))))
+        )
+        assert find_cutting_hyperplane(apart) is None
+
+    def test_corner_clusters_have_no_cut(self):
+        # Four tight clusters of six vertices, one at each corner of the
+        # simplex: every ray of the arrangement must be tried.
+        collection = load_instance(CORNER_CLUSTERS).collection
+        assert len(collection.sets) == 4
+        assert all(len(s.vertices) == 6 for s in collection.sets)
         assert find_cutting_hyperplane(collection) is None
 
 

@@ -26,6 +26,7 @@ DISJOINT = str(INSTANCES / "disjoint_pair.json")
 TOUCHING = str(INSTANCES / "touching_intervals.json")
 OVERLAP = str(INSTANCES / "overlapping_intervals.json")
 EXPORT_SCRIPT = INSTANCES.parent / "scripts" / "export_figure_slices.py"
+CORNER_CLUSTERS = Path(__file__).resolve().parent / "data" / "corner_clusters.json"
 
 
 class TestParseModel:
@@ -287,7 +288,7 @@ class TestSizeLimits:
         def refuse(*args, **kwargs):
             raise AssertionError("work started despite an input over the limit")
 
-        for name in ("generate_act_grid", "slice_profile", "verify"):
+        for name in ("generate_act_grid", "slice_profile", "verify", "analyze"):
             monkeypatch.setattr(cli, name, refuse)
 
     @pytest.mark.parametrize("resolution", ["14", "10" * 20, "0", "-3"])
@@ -341,6 +342,34 @@ class TestSizeLimits:
                      "--resolution", "3"])
         assert code == 2
         assert "2401 acts" in capsys.readouterr().err
+
+    def test_analyze_rejects_five_states(self, no_work, tmp_path, capsys):
+        # analyze checks commutativity on the 5 ** n direction lattice.
+        states = [f"s{i}" for i in range(1, 6)]
+        doc = {
+            "states": states,
+            "prizes": ["lose", "win"],
+            "utility": {"lose": "-1", "win": "1"},
+            "acts": {"all_win": {s: {"win": "1"} for s in states}},
+            "belief_collection": [{"name": "flat", "vertices": [["1/5"] * 5]}],
+        }
+        path = tmp_path / "five.json"
+        path.write_text(json.dumps(doc))
+        code = main(["analyze", "--instance", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "analyze" in err and "3125 acts" in err
+
+    def test_analyze_accepts_four_states(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "analyze", reached)
+        with pytest.raises(Reached):
+            main(["analyze", "--instance", str(CORNER_CLUSTERS)])
 
     def test_verify_defaults_fit(self, monkeypatch):
         # Resolution 2 on three states escalates to the 729-act lemma3 battery.
