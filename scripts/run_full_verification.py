@@ -2,7 +2,9 @@
 
 The heavy lifting happens in :func:`ambipref.verify`.  This wrapper picks the
 seed range, forwards generator overrides, and writes the JSON report somewhere
-useful.  Worker count comes from the AMBIPREF_THREADS environment variable, so
+useful.  Its flags are checked and mapped exactly as ``ambipref verify`` maps
+them, so a bad flag exits 2 with one ``error:`` line before any instance is
+built.  Worker count comes from the AMBIPREF_THREADS environment variable, so
 
     AMBIPREF_THREADS=4 python3 scripts/run_full_verification.py --seeds 0..99
 
@@ -17,8 +19,8 @@ import sys
 import time
 from pathlib import Path
 
-from ambipref import GenParams, SUITES, VerifyConfig, verify
-from ambipref.cli import parse_seed_range
+from ambipref import verify
+from ambipref.cli import InputError, attach_negative_seeds, verify_request
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -30,25 +32,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--vertices", type=int, default=None)
     parser.add_argument("--denominator", type=int, default=None)
     parser.add_argument("--out", type=Path, default=Path("verification_report.json"))
-    args = parser.parse_args(argv)
+    parser.set_defaults(resolution=2, radius="1")
+    args = parser.parse_args(attach_negative_seeds(sys.argv[1:] if argv is None else argv))
+    try:
+        suites, seeds, config = verify_request(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    seeds = parse_seed_range(args.seeds)
-    suites = SUITES if args.suites == "all" else tuple(s.strip() for s in args.suites.split(","))
-
-    overrides = {
-        "num_states": args.states,
-        "num_sets": args.sets,
-        "vertices_per_set": args.vertices,
-        "denominator_bound": args.denominator,
-    }
-    supplied = {k: v for k, v in overrides.items() if v is not None}
-    params = None
-    if supplied:
-        if args.states is None:
-            supplied["num_states"] = GenParams.num_states
-        params = GenParams(**supplied)
-
-    config = VerifyConfig(params=params)
     started = time.monotonic()
     report = verify(suites, seeds, config=config)
     elapsed = time.monotonic() - started

@@ -43,13 +43,22 @@ from .model import (
     utility_vector,
 )
 from .slices import SlicePlane, export_slice, slice_profile
-from .verify import SUITES, UnknownSuite, VerifyConfig, verify
+from .verify import SUITES, VerifyConfig, verify
 
-__all__ = ["main", "parse_model", "parse_seed_range", "MAX_BATTERY_ACTS", "MAX_SLICE_SAMPLES"]
+__all__ = [
+    "main",
+    "parse_model",
+    "parse_seed_range",
+    "attach_negative_seeds",
+    "verify_request",
+    "MAX_BATTERY_ACTS",
+    "MAX_SLICE_SAMPLES",
+]
 
 # A lattice battery at resolution r on n states has (2r + 1)^n acts, and the
-# audits hold an n-by-n margin matrix.  729 is the largest battery any suite
-# builds by default: lemma3's escalation to resolution 4 on three states.
+# audits hold an acts-by-acts margin matrix (531,441 margins at the limit).
+# The limit admits the default resolution 2 on the generator's largest state
+# count, four (625 acts), and resolution 4 on three states.
 MAX_BATTERY_ACTS = 729
 MAX_SLICE_SAMPLES = 4096
 MAX_SEEDS = 10_000  # checked from a range's two ends, before its list is built
@@ -264,12 +273,29 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    suites = (
-        list(SUITES)
-        if args.suites.strip().lower() == "all"
-        else [s.strip() for s in args.suites.split(",")]
-    )
+def _parse_suites(text: str) -> list[str]:
+    if text.strip().lower() == "all":
+        return list(SUITES)
+    suites = [part.strip() for part in text.split(",")]
+    for name in suites:
+        if name not in SUITES:
+            raise InputError(
+                f"unknown suite {name!r}; expected 'all' or a comma list of: "
+                + ", ".join(SUITES)
+            )
+    return suites
+
+
+def verify_request(
+    args: argparse.Namespace,
+) -> tuple[list[str], list[int], VerifyConfig]:
+    """Check the verify flags and map them to suites, seeds and a config.
+
+    Reads ``suites``, ``seeds``, ``resolution``, ``radius`` and the generator
+    overrides ``states``, ``sets``, ``vertices`` and ``denominator`` (None
+    when unset).  Raises InputError before any instance or battery is built.
+    """
+    suites = _parse_suites(args.suites)
     seeds = parse_seed_range(args.seeds)
     params = None
     if any(v is not None for v in (args.states, args.sets, args.vertices, args.denominator)):
@@ -294,11 +320,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise InputError(str(exc)) from exc
     states = max(config.params_for_seed(seed).num_states for seed in seeds)
     _check_battery(args.resolution, states)
-    if "lemma3" in suites:
-        _check_battery(2 * args.resolution, states, " (lemma3's escalation)")
+    return suites, seeds, config
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    suites, seeds, config = verify_request(args)
     try:
         report = verify(suites, seeds, config)
-    except (UnknownSuite, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
     _emit(_json_doc(report.to_jsonable()), args.output)
     return 0 if report.passed else 1
@@ -370,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_negative_seeds(argv: Sequence[str]) -> list[str]:
+def attach_negative_seeds(argv: Sequence[str]) -> list[str]:
     """Write ``--seeds -5..5`` as ``--seeds=-5..5``.
 
     argparse reads a value that starts with '-' as an option unless it is a
@@ -388,7 +417,7 @@ def _attach_negative_seeds(argv: Sequence[str]) -> list[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_negative_seeds(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(attach_negative_seeds(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except InputError as exc:

@@ -8,8 +8,9 @@ per plane.  For s >= 0, maxmin = c + s*A and minmax = c + s*B; for s < 0
 the two swap.  Directions around the slice are rational points on the unit
 circle, generated by the tangent half-angle substitution, so every margin
 sign along the circle is decided exactly; floats appear only in exported
-decimal columns.  Convexity of a cone's slice is certified by a single-arc
-test on the sampled signs.
+decimal columns.  ``certify_slice_convexity`` reports whether a cone's
+sampled signs form a single arc; that is necessary for a convex slice but
+not sufficient, since one arc longer than a half-turn is not a convex cone.
 """
 
 from __future__ import annotations
@@ -248,12 +249,14 @@ def _cone_value(sample: SliceSample, kind: ModelKind) -> int:
 
 
 def certify_slice_convexity(profile: SliceProfile, cone: str) -> ConvexityVerdict:
-    """Single-arc convexity check for one cone's slice.
+    """Single-arc check for one cone's slice.
 
-    For every cone but the disjunctive one, the nonnegative samples must
-    form one contiguous circular arc (an empty or full circle counts).  The
-    disjunctive cone is a union of two half-plane-like regions, so its
-    complement is certified instead.
+    For every cone but the disjunctive one, ``convex`` says whether the
+    nonnegative samples form one contiguous circular arc (an empty or full
+    circle counts).  The disjunctive cone is a union of two half-plane-like
+    regions, so its complement is tested instead.  The flag is a single-arc
+    test, not a convexity proof: one arc longer than a half-turn passes it,
+    yet such a cone is not convex.
     """
     kind = _cone_kind(cone, profile.alpha_weight)
     if cone == "disjunctive":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -43,7 +43,7 @@ from .margins import (
     SEU,
     model_margin,
 )
-from .model import Instance, utility_vector
+from .model import Instance, act_from_utility_vector, constant_act, utility_vector
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -163,22 +163,26 @@ def _witness_dicts(report: AuditReport) -> list[dict]:
     ]
 
 
-def _audit_outcome(reports: Sequence[AuditReport], desc: str) -> SuiteOutcome:
-    bad = [w for r in reports if not r.passed for w in _witness_dicts(r)]
-    return SuiteOutcome(
-        ok=all(r.passed for r in reports),
-        applicable=True,
-        found=False,
-        counterexamples=tuple(bad),
-        boundary_flags=sum(r.boundary_flags for r in reports),
-        batteries=(desc,),
-    )
+def _cut(instance, cache):
+    """A hyperplane straddling every belief set, or None."""
+    return find_cutting_hyperplane(instance.collection)
+
+
+def _separation(instance, cache):
+    """The Samet separation of the first disjoint pair of sets, or None."""
+    pairwise = _cached_pairwise(instance, cache)
+    return None if pairwise.holds else pairwise.failing()[0].result
 
 
 def _cached_pairwise(instance, cache):
     if "pairwise" not in cache:
         cache["pairwise"] = pairwise_intersection_holds(instance.collection)
     return cache["pairwise"]
+
+
+def _conditions_hold(instance, cache) -> bool:
+    """No cutting hyperplane and no disjoint pair: complete and bound-transitive."""
+    return _cut(instance, cache) is None and _separation(instance, cache) is None
 
 
 def _audit_suite(kind, axioms: Sequence[AxiomKind]) -> Callable:
@@ -189,18 +193,23 @@ def _audit_suite(kind, axioms: Sequence[AxiomKind]) -> Callable:
             audit(axiom, kind, instance, battery, table=table, battery_desc=desc)
             for axiom in axioms
         ]
-        return _audit_outcome(reps, desc)
+        return SuiteOutcome(
+            ok=all(r.passed for r in reps),
+            applicable=True,
+            found=False,
+            counterexamples=tuple(w for r in reps if not r.passed for w in _witness_dicts(r)),
+            boundary_flags=sum(r.boundary_flags for r in reps),
+            batteries=(desc,),
+        )
 
     return run
 
 
 def _suite_prop1(instance, battery, table, desc, config, cache) -> SuiteOutcome:
-    complete_param = find_cutting_hyperplane(instance.collection) is None
-    cbt_param = _cached_pairwise(instance, cache).holds
     lattice = phi_lattice(instance.num_states, config.resolution, config.radius)
     verdict = check_commutativity(instance.collection, lattice)
     bad: list[dict] = []
-    if complete_param and cbt_param and not verdict.holds:
+    if not verdict.holds and _conditions_hold(instance, cache):
         phi, mm, mx = verdict.counterexample  # type: ignore[misc]
         bad.append(
             {
@@ -223,17 +232,13 @@ def _suite_prop1(instance, battery, table, desc, config, cache) -> SuiteOutcome:
 def _suite_prop2(instance, battery, table, desc, config, cache) -> SuiteOutcome:
     if instance.num_states != 2:
         return SuiteOutcome(True, False, False, (), 0, ())
-    complete_param = find_cutting_hyperplane(instance.collection) is None
-    cbt_param = _cached_pairwise(instance, cache).holds
-    if not (complete_param and cbt_param):
+    if not _conditions_hold(instance, cache):
         return SuiteOutcome(True, True, False, (), 0, (desc,))
     collapse = seu_collapse_binary(instance.collection)
-    bad: list[dict] = []
     if collapse is None:
-        bad.append(
-            {"detail": "parametric conditions hold but no collapse prior exists"}
-        )
-        return SuiteOutcome(False, True, False, tuple(bad), 0, (desc,))
+        bad = ({"detail": "parametric conditions hold but no collapse prior exists"},)
+        return SuiteOutcome(False, True, False, bad, 0, (desc,))
+    bad: list[dict] = []
     uvecs = table.uvecs
     seu_table = MarginTable(instance, uvecs, extra_prior=collapse)
     w_gb, flags_gb = weak_relation(table, GeneralizedBewley(), instance)
@@ -258,124 +263,75 @@ def _suite_prop2(instance, battery, table, desc, config, cache) -> SuiteOutcome:
     return SuiteOutcome(not bad, True, False, tuple(bad), flags, (desc,))
 
 
-def _suite_prop3(instance, battery, table, desc, config, cache) -> SuiteOutcome:
-    cutting = find_cutting_hyperplane(instance.collection)
-    bad: list[dict] = []
-    flags = 0
-    batteries = []
-    if cutting is None:
-        rep = audit(
-            AxiomKind.COMPLETENESS, GeneralizedBewley(), instance, battery,
-            table=table, battery_desc=desc,
-        )
-        flags += rep.boundary_flags
-        batteries.append(desc)
-        if not rep.passed:
-            bad.extend(
-                {
-                    "detail": "no cutting hyperplane, yet completeness failed",
-                    **w,
-                }
-                for w in _witness_dicts(rep)
+def _two_sided_suite(
+    axiom: AxiomKind,
+    certificate: Callable,
+    witness: Callable,
+    witness_desc: str,
+    held_but_failed: str,
+    witness_clean: str,
+    evidence: Callable,
+) -> Callable:
+    """A characterization of the set-based model, replayed in both directions.
+
+    ``certificate(instance, cache)`` returns None when the condition holds;
+    the axiom must then pass on the lattice battery.  Otherwise
+    ``witness(collection, cert, instance)`` turns the certificate into acts
+    that must violate the axiom, and ``evidence(cert)`` names what was
+    certified when they do not.
+    """
+
+    def run(instance, battery, table, desc, config, cache) -> SuiteOutcome:
+        cert = certificate(instance, cache)
+        if cert is None:
+            rep = audit(
+                axiom, GeneralizedBewley(), instance, battery, table=table, battery_desc=desc
             )
-    else:
+            bad = [{"detail": held_but_failed, **w} for w in _witness_dicts(rep)]
+            return SuiteOutcome(rep.passed, True, False, tuple(bad), rep.boundary_flags, (desc,))
         try:
-            f, x0 = build_incompleteness_witness(instance.collection, cutting, instance)
+            acts = witness(instance.collection, cert, instance)
         except (ValueError, RuntimeError) as exc:
-            bad.append({"detail": f"witness construction failed: {exc}"})
-            return SuiteOutcome(False, True, False, tuple(bad), flags, (desc,))
-        pair_desc = "constructed incomparable pair"
-        batteries.append(pair_desc)
-        rep = audit(
-            AxiomKind.COMPLETENESS, GeneralizedBewley(), instance, [f, x0],
-            battery_desc=pair_desc,
+            bad = ({"detail": f"witness construction failed: {exc}"},)
+            return SuiteOutcome(False, True, False, bad, 0, (desc,))
+        rep = audit(axiom, GeneralizedBewley(), instance, acts, battery_desc=witness_desc)
+        bad = [{"detail": witness_clean, **evidence(cert)}] if rep.passed else []
+        return SuiteOutcome(
+            not bad, True, False, tuple(bad), rep.boundary_flags, (witness_desc,)
         )
-        flags += rep.boundary_flags
-        if rep.passed:
-            bad.append(
-                {
-                    "detail": "cutting hyperplane found but the witness pair is comparable",
-                    "normal": [str(e) for e in cutting.normal.entries],
-                }
-            )
-    return SuiteOutcome(not bad, True, False, tuple(bad), flags, tuple(batteries))
+
+    return run
 
 
-def _suite_prop4(instance, battery, table, desc, config, cache) -> SuiteOutcome:
-    pairwise = _cached_pairwise(instance, cache)
-    bad: list[dict] = []
-    flags = 0
-    batteries = []
-    if pairwise.holds:
-        rep = audit(
-            AxiomKind.CONSTANT_BOUND_TRANSITIVITY, GeneralizedBewley(), instance,
-            battery, table=table, battery_desc=desc,
-        )
-        flags += rep.boundary_flags
-        batteries.append(desc)
-        if not rep.passed:
-            bad.extend(
-                {
-                    "detail": "all pairs intersect, yet bound transitivity failed",
-                    **w,
-                }
-                for w in _witness_dicts(rep)
-            )
-    else:
-        cert = pairwise.failing()[0].result
-        try:
-            x0, f, xe = build_cbt_witness(instance.collection, cert, instance)
-        except (ValueError, RuntimeError) as exc:
-            bad.append({"detail": f"witness construction failed: {exc}"})
-            return SuiteOutcome(False, True, False, tuple(bad), flags, (desc,))
-        triple_desc = "constructed sandwich triple"
-        batteries.append(triple_desc)
-        rep = audit(
-            AxiomKind.CONSTANT_BOUND_TRANSITIVITY, GeneralizedBewley(), instance,
-            [x0, f, xe], battery_desc=triple_desc,
-        )
-        flags += rep.boundary_flags
-        if rep.passed:
-            bad.append(
-                {
-                    "detail": "disjoint pair found but the sandwich triple audits clean",
-                    "slack": str(cert.slack),
-                }
-            )
-    return SuiteOutcome(not bad, True, False, tuple(bad), flags, tuple(batteries))
-
-
-def _lemma3_pair(instance, battery, table, desc) -> tuple[AuditReport, AuditReport]:
-    comp = audit(
-        AxiomKind.COMPLETENESS, GeneralizedBewley(), instance, battery,
-        table=table, battery_desc=desc,
-    )
-    ncbt = audit(
-        AxiomKind.NEGATIVE_CONSTANT_BOUND_TRANSITIVITY, GeneralizedBewley(), instance,
-        battery, table=table, battery_desc=desc,
-    )
-    return comp, ncbt
+_HALF_DIFFERENCE = "constructed half-difference pair"
 
 
 def _suite_lemma3(instance, battery, table, desc, config, cache) -> SuiteOutcome:
-    # A negative-transitivity witness (f, x_c) is itself an incomparable
-    # battery pair, so that audit can never fail alone.  The converse needs
-    # the half-difference of the incomparable pair as an auditable act, and
-    # a lattice is not closed under halving: completeness can fail while the
-    # negative scan at the same resolution comes up empty.  Doubling the
-    # resolution adds every half-difference of the original lattice, which
-    # turns the one disagreement direction into a guaranteed joint failure,
-    # so one escalation always settles the verdict comparison.
-    comp, ncbt = _lemma3_pair(instance, battery, table, desc)
-    used_desc = desc
-    if comp.passed != ncbt.passed:
-        fine_res = 2 * config.resolution
-        fine = generate_act_grid(instance, fine_res, config.radius)
-        used_desc = battery_label(instance, len(fine), fine_res, config.radius)
-        fine_table = MarginTable(
-            instance, [utility_vector(instance.utility, a) for a in fine]
+    # A negative-transitivity witness (x, f, y) makes (x, f) an incomparable
+    # battery pair, so that audit cannot fail alone.  Completeness can, since
+    # a lattice need not hold h = (u_i - u_j)/2 for its incomparable pair
+    # (i, j).  The set-based margin is positively homogeneous, so m(h) and
+    # m(-h) are both negative and (x0, h, x0) breaks negative transitivity on
+    # the pair [x0, h]; h fits the utility range, as |u_i - u_j|/2 <= radius.
+    reps = [
+        audit(axiom, GeneralizedBewley(), instance, battery, table=table, battery_desc=desc)
+        for axiom in (AxiomKind.COMPLETENESS, AxiomKind.NEGATIVE_CONSTANT_BOUND_TRANSITIVITY)
+    ]
+    comp, ncbt = reps
+    batteries: tuple[str, ...] = (desc,)
+    if not comp.passed and ncbt.passed:
+        i, j = comp.witnesses[0].indices
+        u_i, u_j = table.uvecs[i].entries, table.uvecs[j].entries
+        pair = [
+            constant_act(instance, Fraction(0)),
+            act_from_utility_vector(instance, [(a - b) / 2 for a, b in zip(u_i, u_j)]),
+        ]
+        ncbt = audit(
+            AxiomKind.NEGATIVE_CONSTANT_BOUND_TRANSITIVITY, GeneralizedBewley(), instance,
+            pair, battery_desc=_HALF_DIFFERENCE,
         )
-        comp, ncbt = _lemma3_pair(instance, fine, fine_table, used_desc)
+        reps.append(ncbt)
+        batteries += (_HALF_DIFFERENCE,)
     bad: list[dict] = []
     if comp.passed != ncbt.passed:
         bad.append(
@@ -383,34 +339,19 @@ def _suite_lemma3(instance, battery, table, desc, config, cache) -> SuiteOutcome
                 "detail": "completeness and negative bound transitivity disagree",
                 "completeness_passed": comp.passed,
                 "negative_cbt_passed": ncbt.passed,
-                "battery": used_desc,
+                "battery": batteries[-1],
             }
         )
-    return SuiteOutcome(
-        ok=not bad,
-        applicable=True,
-        found=False,
-        counterexamples=tuple(bad),
-        boundary_flags=comp.boundary_flags + ncbt.boundary_flags,
-        batteries=(used_desc,),
-    )
+    flags = sum(r.boundary_flags for r in reps)
+    return SuiteOutcome(not bad, True, False, tuple(bad), flags, batteries)
 
 
 def _suite_fig4(instance, battery, table, desc, config, cache) -> SuiteOutcome:
-    kind = AlphaMixture(Fraction(3, 4))
-    reps = [
-        audit(axiom, kind, instance, battery, table=table, battery_desc=desc)
-        for axiom in (AxiomKind.COMPLETENESS, AxiomKind.CONSTANT_BOUND_TRANSITIVITY)
-    ]
-    witnesses = [w for r in reps if not r.passed for w in _witness_dicts(r)]
-    return SuiteOutcome(
-        ok=True,
-        applicable=True,
-        found=bool(witnesses),
-        counterexamples=tuple(witnesses[:2]),
-        boundary_flags=sum(r.boundary_flags for r in reps),
-        batteries=(desc,),
-    )
+    scan = _audit_suite(
+        AlphaMixture(Fraction(3, 4)),
+        [AxiomKind.COMPLETENESS, AxiomKind.CONSTANT_BOUND_TRANSITIVITY],
+    )(instance, battery, table, desc, config, cache)
+    return replace(scan, ok=True, found=not scan.ok, counterexamples=scan.counterexamples[:2])
 
 
 _SUITE_FUNCS: dict[str, Callable] = {
@@ -421,8 +362,25 @@ _SUITE_FUNCS: dict[str, Callable] = {
     ),
     "prop1": _suite_prop1,
     "prop2": _suite_prop2,
-    "prop3": _suite_prop3,
-    "prop4": _suite_prop4,
+    # The builders are looked up when called, so a traced or patched name is used.
+    "prop3": _two_sided_suite(
+        AxiomKind.COMPLETENESS,
+        _cut,
+        lambda *args: build_incompleteness_witness(*args),
+        "constructed incomparable pair",
+        "no cutting hyperplane, yet completeness failed",
+        "cutting hyperplane found but the witness pair is comparable",
+        lambda cut: {"normal": [str(e) for e in cut.normal.entries]},
+    ),
+    "prop4": _two_sided_suite(
+        AxiomKind.CONSTANT_BOUND_TRANSITIVITY,
+        _separation,
+        lambda *args: build_cbt_witness(*args),
+        "constructed sandwich triple",
+        "all pairs intersect, yet bound transitivity failed",
+        "disjoint pair found but the sandwich triple audits clean",
+        lambda cert: {"slack": str(cert.slack)},
+    ),
     "prop5": _audit_suite(Conjunctive(), [AxiomKind.NEGATIVE_COMPLETENESS]),
     "prop6": _audit_suite(
         Disjunctive(), [AxiomKind.NEGATIVE_CONSTANT_BOUND_TRANSITIVITY]

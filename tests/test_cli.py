@@ -26,6 +26,7 @@ DISJOINT = str(INSTANCES / "disjoint_pair.json")
 TOUCHING = str(INSTANCES / "touching_intervals.json")
 OVERLAP = str(INSTANCES / "overlapping_intervals.json")
 EXPORT_SCRIPT = INSTANCES.parent / "scripts" / "export_figure_slices.py"
+VERIFY_SCRIPT = INSTANCES.parent / "scripts" / "run_full_verification.py"
 CORNER_CLUSTERS = Path(__file__).resolve().parent / "data" / "corner_clusters.json"
 
 
@@ -329,13 +330,25 @@ class TestSizeLimits:
         assert code == 2
         assert f"limit of {MAX_SLICE_SAMPLES}" in capsys.readouterr().err
 
-    def test_verify_counts_the_lemma3_escalation(self, no_work, capsys):
-        # Odd seeds have three states; lemma3 doubles resolution 3 to 6: 13 ** 3 acts.
-        code = main(["verify", "--suites", "thm2,lemma3", "--seeds", "0..1",
-                     "--resolution", "3"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "lemma3" in err and "2197 acts" in err
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # odd seeds have three states: 7 ** 3 = 343 acts
+            ["--suites", "thm2,lemma3", "--seeds", "0..1", "--resolution", "3"],
+            # the generator's largest state count at the default resolution: 5 ** 4 = 625
+            ["--suites", "all", "--seeds", "0..1", "--states", "4"],
+        ],
+    )
+    def test_verify_with_lemma3_builds_only_the_lattice(self, monkeypatch, flags):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "verify", reached)
+        with pytest.raises(Reached):
+            main(["verify", *flags])
 
     def test_verify_uses_the_largest_state_count(self, no_work, capsys):
         code = main(["verify", "--suites", "thm2", "--seeds", "0..3", "--states", "4",
@@ -372,7 +385,7 @@ class TestSizeLimits:
             main(["analyze", "--instance", str(CORNER_CLUSTERS)])
 
     def test_verify_defaults_fit(self, monkeypatch):
-        # Resolution 2 on three states escalates to the 729-act lemma3 battery.
+        # Resolution 2 on the default sizing's three states: 125 acts.
         class Reached(Exception):
             pass
 
@@ -424,6 +437,61 @@ class TestExportScript:
         with pytest.raises(AssertionError, match="slice sampling started"):
             script.main(["--instances", str(INSTANCES), "--out", str(tmp_path),
                          "--samples", str(MAX_SLICE_SAMPLES), "--alpha", "1"])
+
+
+class TestVerificationScript:
+    """The full-verification script maps its flags as ``ambipref verify`` does."""
+
+    @staticmethod
+    def load():
+        spec = importlib.util.spec_from_file_location("run_full_verification", VERIFY_SCRIPT)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.fixture
+    def script(self, monkeypatch):
+        module = self.load()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verification started despite a bad flag")
+
+        monkeypatch.setattr(module, "verify", refuse)
+        return module
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--suites", "nope"], "unknown suite 'nope'"),
+            (["--states", "5"], "num_states"),
+            (["--seeds", "9..1"], "empty seed range"),
+            (["--seeds", f"0..{MAX_SEEDS}"], f"limit is {MAX_SEEDS}"),
+        ],
+    )
+    def test_bad_flags_exit_two(self, script, tmp_path, capsys, flags, message):
+        out = tmp_path / "report.json"
+        code = script.main(["--out", str(out), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["-5..5", "-3", "-2,4"])
+    def test_negative_seeds_are_accepted(self, script, tmp_path, seeds):
+        with pytest.raises(AssertionError, match="verification started"):
+            script.main(["--out", str(tmp_path / "report.json"), "--seeds", seeds])
+
+    def test_small_run_writes_the_report_and_summary(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = self.load().main(["--out", str(out), "--suites", "thm2,lemma3",
+                                 "--seeds", "-1..0", "--states", "2"])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["seeds"] == [-1, 0]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines[:2]] == [["thm2", "pass"], ["lemma3", "pass"]]
+        assert lines[2].startswith("seeds=2  ")
 
 
 class TestGen:

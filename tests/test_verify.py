@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,12 +13,15 @@ from ambipref import (
     GenParams,
     UnknownSuite,
     VerifyConfig,
+    constant_act,
     generate_instance,
     suite_outcomes,
     verify,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "verify_report.json"
+HALF_DIFFERENCE = "constructed half-difference pair"
+verify_mod = importlib.import_module("ambipref.verify")
 
 
 class TestRunner:
@@ -48,7 +52,6 @@ class TestRunner:
         assert report.passed
 
     def test_thread_setting_is_clamped_to_seeds_and_cpus(self, monkeypatch):
-        verify_mod = importlib.import_module("ambipref.verify")
         sizes = []
 
         class RecordingPool:
@@ -101,17 +104,90 @@ class TestRunner:
         assert report.suites[0].instances == 1
 
 
+def _lattice_desc(instance) -> str:
+    return suite_outcomes(instance, ["thm2"], VerifyConfig())["thm2"].batteries[0]
+
+
 class TestSuiteOutcomes:
-    def test_lemma_pair_escalates_only_when_the_verdicts_split(
+    def test_lemma_pair_settles_a_split_with_the_half_difference(
         self, overlapping_intervals, touching_intervals
     ):
         cfg = VerifyConfig()
-        fine = suite_outcomes(overlapping_intervals, ["lemma3"], cfg)["lemma3"]
-        assert fine.ok
-        assert "resolution=4" in fine.batteries[0]
-        coarse = suite_outcomes(touching_intervals, ["lemma3"], cfg)["lemma3"]
-        assert coarse.ok
-        assert "resolution=2" in coarse.batteries[0]
+        split = suite_outcomes(overlapping_intervals, ["lemma3"], cfg)["lemma3"]
+        assert split.ok
+        assert split.batteries == (_lattice_desc(overlapping_intervals), HALF_DIFFERENCE)
+        agreed = suite_outcomes(touching_intervals, ["lemma3"], cfg)["lemma3"]
+        assert agreed.ok
+        assert agreed.batteries == (_lattice_desc(touching_intervals),)
+
+    def test_lemma_pair_split_on_a_generated_seed(self):
+        entry = verify(["lemma3"], [15]).suites[0]
+        assert entry.passed
+        assert entry.batteries == (
+            "lattice battery resolution=2 radius=1 (125 acts on 3 states)",
+            HALF_DIFFERENCE,
+        )
+
+    def test_lemma_pair_fails_when_the_half_difference_is_lost(
+        self, monkeypatch, overlapping_intervals
+    ):
+        # Realizing every target as the zero constant makes the pair [x0, x0],
+        # on which negative transitivity holds, so the split must surface.
+        monkeypatch.setattr(
+            verify_mod, "act_from_utility_vector",
+            lambda instance, targets: constant_act(instance, Fraction(0)),
+        )
+        out = suite_outcomes(overlapping_intervals, ["lemma3"], VerifyConfig())["lemma3"]
+        assert not out.ok
+        (record,) = out.counterexamples
+        assert record["detail"] == "completeness and negative bound transitivity disagree"
+        assert record["completeness_passed"] is False
+        assert record["negative_cbt_passed"] is True
+        assert record["battery"] == HALF_DIFFERENCE
+
+    @pytest.mark.parametrize(
+        "suite, builder, fixture, acts, detail, evidence",
+        [
+            ("prop3", "build_incompleteness_witness", "overlapping_intervals", 2,
+             "cutting hyperplane found but the witness pair is comparable", "normal"),
+            ("prop4", "build_cbt_witness", "disjoint_pair", 3,
+             "disjoint pair found but the sandwich triple audits clean", "slack"),
+        ],
+    )
+    def test_witness_that_audits_clean_is_reported(
+        self, monkeypatch, request, suite, builder, fixture, acts, detail, evidence
+    ):
+        instance = request.getfixturevalue(fixture)
+        zeros = tuple(constant_act(instance, Fraction(0)) for _ in range(acts))
+        monkeypatch.setattr(verify_mod, builder, lambda *args: zeros)
+        out = suite_outcomes(instance, [suite], VerifyConfig())[suite]
+        assert not out.ok
+        (record,) = out.counterexamples
+        assert record["detail"] == detail and evidence in record
+
+    @pytest.mark.parametrize(
+        "suite, builder, fixture",
+        [
+            ("prop3", "build_incompleteness_witness", "overlapping_intervals"),
+            ("prop4", "build_cbt_witness", "disjoint_pair"),
+        ],
+    )
+    def test_failed_witness_construction_is_reported(
+        self, monkeypatch, request, suite, builder, fixture
+    ):
+        instance = request.getfixturevalue(fixture)
+
+        def refuse(*args):
+            raise ValueError("target outside the utility range")
+
+        monkeypatch.setattr(verify_mod, builder, refuse)
+        out = suite_outcomes(instance, [suite], VerifyConfig())[suite]
+        assert not out.ok
+        assert out.counterexamples == (
+            {"detail": "witness construction failed: target outside the utility range"},
+        )
+        assert out.batteries == (_lattice_desc(instance),)
+        assert out.boundary_flags == 0
 
     def test_incompleteness_witness_branch(
         self, overlapping_intervals, touching_intervals
