@@ -24,6 +24,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from .analysis import phi_lattice
 from .model import (
     Act,
     BeliefCollection,
@@ -31,10 +32,11 @@ from .model import (
     Prior,
     UtilityVector,
     act_from_utility_vector,
+    constant_act,
     mix_acts,
     utility_vector,
 )
-from .margins import ModelKind, SEU, describe_model, model_margin
+from .margins import ModelKind, describe_model, model_margin
 
 __all__ = [
     "AxiomKind",
@@ -134,11 +136,13 @@ def generate_act_grid(
 ) -> list[Act]:
     """Deterministic battery: acts whose utility vectors fill a cubic lattice.
 
-    Levels run from -radius to radius in steps of radius/resolution on every
-    coordinate, realized as lotteries over the two extreme prizes.  The
-    enumeration order is the row-major product in declared state order, so
-    the same instance and parameters always give the same battery.  Constant
-    acts appear as the lattice diagonal; the zero act is always present.
+    The acts realize ``phi_lattice``'s vectors in the same order: levels run
+    from -radius to radius in steps of radius/resolution on every
+    coordinate, and each level is one lottery over the two extreme prizes,
+    shared by every act that takes it.  The enumeration order is the
+    row-major product in declared state order, so the same instance and
+    parameters always give the same battery.  Constant acts appear as the
+    lattice diagonal; the zero act is always present.
     """
     if resolution < 1:
         raise ValueError(f"resolution must be a positive integer, got {resolution}")
@@ -150,12 +154,13 @@ def generate_act_grid(
         raise RadiusExceedsUtilityRange(
             f"lattice [-{radius}, {radius}] does not fit utility range [{lo}, {hi}]"
         )
-    step = radius / resolution
-    levels = [-radius + k * step for k in range(2 * resolution + 1)]
-    return [
-        act_from_utility_vector(instance, combo)
-        for combo in itertools.product(levels, repeat=instance.num_states)
-    ]
+    lattice = phi_lattice(instance.num_states, resolution, radius)
+    lottery = {
+        v.entries[0]: constant_act(instance, v.entries[0]).lotteries[0]
+        for v in lattice
+        if v.is_constant()
+    }
+    return [Act(tuple(lottery[e] for e in v.entries)) for v in lattice]
 
 
 def battery_label(instance: Instance, count: int, resolution: int | None, radius) -> str:
@@ -168,91 +173,65 @@ def battery_label(instance: Instance, count: int, resolution: int | None, radius
 
 
 class MarginTable:
-    """Vertex expectations of a battery, scaled to one integer denominator.
+    """Vertex expectations of a battery, scaled to integers, for any model kind.
 
-    Rows are acts, columns are the vertices of every belief set (plus an
-    optional extra prior for expected-utility models), one column group per
-    set.  Every model reads two primitives of a utility difference over the
-    groups of its own belief sets, maxmin and minmax, and folds them with its
-    ``combine`` rule.  The duality minmax(phi) = -maxmin(-phi) makes one
-    matrix per group selection enough for the pairwise margins:
-    M[i][j] = denom * maxmin(u_i - u_j), built lazily one folded row at a
-    time, gives maxmin as M[i][j] and minmax as -M[j][i].  Independence and
-    favorable mixing fold their integer-weighted combinations of rows the
-    same way, so no margin is computed one pair at a time.  Weak relations
-    are memoized on the table per model, so every audit of the same battery
-    shares them.
+    Every model reads two primitives of a utility difference over its own
+    belief sets, maxmin and minmax, and folds them with its ``combine``
+    rule.  On a model's first use, the table builds integer columns for the
+    sets ``kind.sets`` names, keyed by their vertex lists: one column per
+    vertex, grouped by set, over a denominator of their own, and the matrix
+    M[i][j] = denom * maxmin(u_i - u_j).  By the duality
+    minmax(phi) = -maxmin(-phi), minmax(u_i - u_j) is -M[j][i].  Kinds that
+    read the same sets share all of it.  Independence and favorable mixing
+    fold integer-weighted combinations of the rows the same way, so no
+    margin is computed one pair at a time.  Weak relations are memoized on
+    the table per model, so every audit of the same battery shares them.
     """
 
-    def __init__(
-        self,
-        instance: Instance,
-        uvecs: Sequence[UtilityVector],
-        extra_prior: Prior | None = None,
-    ):
+    def __init__(self, instance: Instance, uvecs: Sequence[UtilityVector]):
         self.instance = instance
         self.uvecs = list(uvecs)
         self.n = len(self.uvecs)
-        self.extra_prior = extra_prior
-        vertex_lists = [bset.vertices for bset in instance.collection]
-        if extra_prior is not None:
-            vertex_lists.append((extra_prior,))
-        columns: list[tuple[Fraction, ...]] = []
-        self.groups: list[tuple[int, int]] = []
-        self._group_of: dict[tuple[Prior, ...], int] = {}
-        for vertices in vertex_lists:
-            self._group_of.setdefault(vertices, len(self.groups))
-            start = len(columns)
-            columns.extend(v.probs for v in vertices)
-            self.groups.append((start, len(columns)))
-
-        dv = lcm(*(p.denominator for col in columns for p in col))
-        du = lcm(*(e.denominator for vec in self.uvecs for e in vec.entries)) if self.uvecs else 1
-        self.denom = dv * du
-        int_cols = [tuple(int(p * dv) for p in col) for col in columns]
-        self.rows: list[tuple[int, ...]] = []
-        for vec in self.uvecs:
-            u = tuple(int(e * du) for e in vec.entries)
-            self.rows.append(
-                tuple(sum(a * b for a, b in zip(u, col)) for col in int_cols)
-            )
-        self._columns = list(zip(*self.rows))
-        self._maxmin: dict[tuple[int, ...], list[list[int]]] = {}
+        self._du = lcm(*(e.denominator for vec in self.uvecs for e in vec.entries))
+        self._scaled = [tuple(int(e * self._du) for e in vec.entries) for vec in self.uvecs]
+        self._columns: dict[tuple[tuple[Prior, ...], ...], _SetColumns] = {}
         self._relations: dict[ModelKind, tuple[list[int], int]] = {}
 
-    def select(self, sets: BeliefCollection) -> tuple[int, ...]:
-        """Indices of the column groups that hold these belief sets."""
-        try:
-            return tuple(self._group_of[bset.vertices] for bset in sets)
-        except KeyError:
-            raise ValueError("margin table has no columns for this model's belief sets") from None
+    def columns(self, kind: ModelKind) -> "_SetColumns":
+        """The integer columns of the belief sets this model reads."""
+        sets = kind.sets(self.instance.collection)
+        key = tuple(bset.vertices for bset in sets)
+        if key not in self._columns:
+            self._columns[key] = _SetColumns(sets, self._scaled, self._du)
+        return self._columns[key]
 
-    def layout(self, selection: tuple[int, ...]) -> tuple[list[int], list[tuple[int, int]]]:
-        """The selected groups' columns in order, and each group's range in that list."""
-        columns: list[int] = []
-        parts = []
-        for g in selection:
-            start, end = self.groups[g]
-            parts.append((len(columns), len(columns) + end - start))
-            columns.extend(range(start, end))
-        return columns, parts
 
-    def diff_cols(self, i: int, columns: Sequence[int]) -> list[list[int]]:
-        """The given columns of u_i - u_j, each listed over every j."""
-        ri = self.rows[i]
-        return [[ri[c] - x for x in self._columns[c]] for c in columns]
+class _SetColumns:
+    """One selection of belief sets, as integer columns over a battery.
 
-    def maxmin_matrix(self, selection: tuple[int, ...]) -> list[list[int]]:
-        """M[i][j] = denom * maxmin(u_i - u_j) over the selected groups.
+    ``cols[c][i]`` is ``denom`` times the expectation of u_i at the c-th
+    vertex, ``rows[i]`` lists the same numbers by act, and ``parts`` are the
+    sets' column ranges in order.  The maxmin matrix is built with them.
+    """
 
-        minmax(u_i - u_j) over the same groups is -M[j][i].
-        """
-        if selection not in self._maxmin:
-            columns, parts = self.layout(selection)
-            self._maxmin[selection] = [
-                _nested(self.diff_cols(i, columns), parts, max, min) for i in range(self.n)
-            ]
-        return self._maxmin[selection]
+    def __init__(self, sets: BeliefCollection, scaled: list[tuple[int, ...]], du: int):
+        vertices: list[Prior] = []
+        self.parts: list[tuple[int, int]] = []
+        for bset in sets:
+            self.parts.append((len(vertices), len(vertices) + len(bset.vertices)))
+            vertices.extend(bset.vertices)
+        dv = lcm(*(p.denominator for v in vertices for p in v.probs))
+        self.denom = dv * du
+        int_vertices = [tuple(int(p * dv) for p in v.probs) for v in vertices]
+        self.rows = [
+            tuple(sum(a * b for a, b in zip(u, col)) for col in int_vertices) for u in scaled
+        ]
+        self.cols = list(zip(*self.rows))
+        # M[i][j] = denom * maxmin(u_i - u_j); minmax(u_i - u_j) is -M[j][i].
+        self.maxmin = [
+            _nested([[a - x for x in col] for a, col in zip(row, self.cols)], self.parts, max, min)
+            for row in self.rows
+        ]
 
 
 def _elementwise(fn, lists: list[list[int]]) -> list[int]:
@@ -273,19 +252,18 @@ def _nested(cols: list[list[int]], parts, outer, inner) -> list[int]:
 class _Runner:
     """Margin access for one audit: sign tests, caching, boundary counting.
 
-    The model's rule decides everything: its belief sets pick the column
-    groups, and its ``combine`` folds their (maxmin, minmax) into a margin
-    numerator over the table denominator times ``factor``.
+    The model's rule decides everything: its belief sets pick the table's
+    columns, and its ``combine`` folds their (maxmin, minmax) into a margin
+    numerator over the columns' denominator times ``factor``.
     """
 
-    def __init__(self, table: MarginTable, kind: ModelKind, instance: Instance):
+    def __init__(self, table: MarginTable, kind: ModelKind):
         self.table = table
         self.kind = kind
         self.combine = kind.combine
         self.factor = kind.den
-        self.selection = table.select(kind.sets(instance.collection))
-        self.columns, self.parts = table.layout(self.selection)
-        self.matrix = table.maxmin_matrix(self.selection)
+        self.cols = table.columns(kind)
+        self.matrix = self.cols.maxmin
         self._zero_seen: set[tuple[int, int]] = set()
         self.combo_zeros = 0
         self.matrix_zero_flags = 0
@@ -294,13 +272,13 @@ class _Runner:
         """Margin numerators of many differences at once.
 
         ``cols[c][h]`` is the scaled expectation of the h-th difference at
-        the c-th of ``columns``; entry h of the result is that difference's
-        margin numerator over the column scale times ``factor``.  Zero
-        results are the caller's to count.
+        the c-th of the model's columns; entry h of the result is that
+        difference's margin numerator over the column scale times
+        ``factor``.  Zero results are the caller's to count.
         """
-        return list(
-            map(self.combine, _nested(cols, self.parts, max, min), _nested(cols, self.parts, min, max))
-        )
+        parts = self.cols.parts
+        maxmin, minmax = _nested(cols, parts, max, min), _nested(cols, parts, min, max)
+        return list(map(self.combine, maxmin, minmax))
 
     def fold_zeros(self, cols: list[list[int]]) -> list[int]:
         """``fold`` that also counts every zero numerator as a boundary case."""
@@ -317,7 +295,7 @@ class _Runner:
         return num
 
     def margin(self, i: int, j: int) -> Fraction:
-        return Fraction(self.margin_num(i, j), self.table.denom * self.factor)
+        return Fraction(self.margin_num(i, j), self.cols.denom * self.factor)
 
     def weak(self, i: int, j: int) -> bool:
         return self.margin_num(i, j) >= 0
@@ -459,13 +437,12 @@ def _run_monotonicity(r: _Runner, uvecs, instance, cap) -> _Outcome:
 
 def _run_independence(r: _Runner, uvecs, instance, cap) -> _Outcome:
     out = _Outcome(True, [], 0, 0)
-    table = r.table
-    n = table.n
-    unit = table.denom * r.factor * _MIX_SCALE
+    cols = r.cols
+    n = r.table.n
+    unit = cols.denom * r.factor * _MIX_SCALE
     ks = [int(a * _MIX_SCALE) for a in MIX_GRID]
     for i in range(n):
-        ri = table.rows[i]
-        diffs = [[ri[c] - x for x in table._columns[c][i + 1 :]] for c in r.columns]
+        diffs = [[a - x for x in col[i + 1 :]] for a, col in zip(cols.rows[i], cols.cols)]
         # k * (u_i - u_j) for every j > i, folded afresh for each weight k / s.
         folds = [r.fold_zeros([[k * x for x in d] for d in diffs]) for k in ks]
         for j in range(i + 1, n):
@@ -576,17 +553,13 @@ def _run_cbt(r: _Runner, uvecs, instance, cap) -> _Outcome:
 def _run_favorable_mixing(r: _Runner, uvecs, instance, cap) -> _Outcome:
     out = _Outcome(True, [], 0, 0)
     w = r.weak_matrix()
-    table = r.table
-    n = table.n
-    unit = table.denom * r.factor * _MIX_SCALE
+    n = r.table.n
+    unit = r.cols.denom * r.factor * _MIX_SCALE
     grid = sorted(MIX_GRID)
     ks = [int(a * _MIX_SCALE) for a in grid]
     # (s - k) * u_h at every column, for all h at once.
-    rests = [
-        [[(_MIX_SCALE - k) * x for x in table._columns[c]] for c in r.columns]
-        for k in ks
-    ]
-    rows = [[row[c] for c in r.columns] for row in table.rows]
+    rests = [[[(_MIX_SCALE - k) * x for x in col] for col in r.cols.cols] for k in ks]
+    rows = r.cols.rows
     for g in range(n):
         rg = rows[g]
         for f in range(n):
@@ -674,12 +647,6 @@ _RUNNERS = {
 }
 
 
-def _table_for(kind: ModelKind, instance: Instance, battery: Sequence[Act]) -> MarginTable:
-    """A fresh table for the battery, with an SEU model's prior as a column."""
-    uvecs = [utility_vector(instance.utility, act) for act in battery]
-    return MarginTable(instance, uvecs, extra_prior=kind.prior if isinstance(kind, SEU) else None)
-
-
 def audit(
     axiom: AxiomKind,
     kind: ModelKind,
@@ -693,15 +660,15 @@ def audit(
     """Quantify one axiom over the battery and report the outcome.
 
     Pass ``table`` to share the cached margin work across several audits of
-    the same battery.  A table whose size differs from the battery's is
-    rejected; for an SEU model, a table without that model's prior column is
-    not used and a fresh table is built instead.
+    the same battery, under any model kinds: each reads its own belief sets'
+    columns from it.  A table whose size differs from the battery's is
+    rejected.
     """
-    if table is None or (isinstance(kind, SEU) and table.extra_prior != kind.prior):
-        table = _table_for(kind, instance, battery)
+    if table is None:
+        table = MarginTable(instance, [utility_vector(instance.utility, act) for act in battery])
     elif table.n != len(battery):
         raise ValueError("margin table does not match this battery")
-    runner = _Runner(table, kind, instance)
+    runner = _Runner(table, kind)
     outcome = _RUNNERS[axiom](runner, table.uvecs, instance, witness_cap)
     if axiom is AxiomKind.NON_TRIVIALITY and not outcome.passed:
         outcome.total = 1  # the failure is the exhausted search itself
@@ -725,10 +692,12 @@ def weak_relation(
 
     Row i has bit j set when act i is weakly preferred to act j.  Also
     returns how many of the consulted margins were exactly zero, since those
-    judgments sit on the boundary of the relation.  The relation is memoized
-    on the table; the returned list is the caller's own copy.
+    judgments sit on the boundary of the relation.  Any model kind works on
+    any table of the battery, reading its own belief sets' columns.  The
+    relation is memoized on the table; the returned list is the caller's
+    own copy.
     """
-    runner = _Runner(table, kind, instance)
+    runner = _Runner(table, kind)
     matrix = list(runner.weak_matrix())
     return matrix, runner.matrix_zero_flags
 
@@ -742,7 +711,7 @@ def audit_suite(
     battery_desc: str | None = None,
 ) -> list[AuditReport]:
     """Run every requested axiom (default: all twelve) over one shared table."""
-    table = _table_for(kind, instance, battery)
+    table = MarginTable(instance, [utility_vector(instance.utility, act) for act in battery])
     return [
         audit(a, kind, instance, battery, table=table, battery_desc=battery_desc)
         for a in (axioms if axioms is not None else list(AxiomKind))

@@ -61,7 +61,7 @@ __all__ = [
 # count, four (625 acts), and resolution 4 on three states.
 MAX_BATTERY_ACTS = 729
 MAX_SLICE_SAMPLES = 4096
-MAX_SEEDS = 10_000  # checked from a range's two ends, before its list is built
+MAX_SEEDS = 10_000  # a range is checked from its two ends, before its list is built
 
 _MODEL_HELP = (
     "gb | disjunctive | conjunctive | half | alpha:Q | bewley:NAME | "
@@ -110,7 +110,7 @@ def parse_model(text: str, instance: Optional[Instance] = None) -> ModelKind:
 
 
 def parse_seed_range(text: str) -> list[int]:
-    """Seeds as 'A..B' (inclusive, at most ``MAX_SEEDS``), an integer, or a comma list."""
+    """Seeds as 'A..B' (inclusive), an integer, or a comma list; at most ``MAX_SEEDS``."""
     text = text.strip()
     try:
         if ".." in text:
@@ -123,9 +123,10 @@ def parse_seed_range(text: str) -> list[int]:
                     f"seed range {text!r} holds {hi - lo + 1} seeds; the limit is {MAX_SEEDS}"
                 )
             return list(range(lo, hi + 1))
-        if "," in text:
-            return [int(p) for p in text.split(",")]
-        return [int(text)]
+        parts = text.split(",")
+        if len(parts) > MAX_SEEDS:
+            raise InputError(f"seed list holds {len(parts)} seeds; the limit is {MAX_SEEDS}")
+        return [int(p) for p in parts]
     except ValueError as exc:
         raise InputError(f"bad seed range {text!r}: {exc}") from exc
 

@@ -256,14 +256,17 @@ def certify_slice_convexity(profile: SliceProfile, cone: str) -> ConvexityVerdic
     circle counts).  The disjunctive cone is a union of two half-plane-like
     regions, so its complement is tested instead.  The flag is a single-arc
     test, not a convexity proof: one arc longer than a half-turn passes it,
-    yet such a cone is not convex.
+    yet such a cone is not convex.  The arcs are the profile's own, so no
+    sample's sign is taken again.
     """
-    kind = _cone_kind(cone, profile.alpha_weight)
-    if cone == "disjunctive":
-        flags = [_cone_value(s, kind) < 0 for s in profile.samples]
-    else:
-        flags = [_cone_value(s, kind) >= 0 for s in profile.samples]
-    arcs = _sign_arcs(flags)
+    _cone_kind(cone, profile.alpha_weight)  # rejects unknown cones and a missing weight
+    arcs = profile.arcs(cone)
+    if cone == "disjunctive":  # the runs outside the nonnegative arcs
+        outside = [True] * len(profile.samples)
+        for start, length in arcs:
+            for k in range(start, start + length):
+                outside[k % len(outside)] = False
+        arcs = _sign_arcs(outside)
     return ConvexityVerdict(cone=cone, convex=len(arcs) <= 1, arcs=arcs)
 
 

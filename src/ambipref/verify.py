@@ -43,7 +43,7 @@ from .margins import (
     SEU,
     model_margin,
 )
-from .model import Instance, act_from_utility_vector, constant_act, utility_vector
+from .model import Instance, act_from_utility_vector, constant_act
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -206,8 +206,7 @@ def _audit_suite(kind, axioms: Sequence[AxiomKind]) -> Callable:
 
 
 def _suite_prop1(instance, battery, table, desc, config, cache) -> SuiteOutcome:
-    lattice = phi_lattice(instance.num_states, config.resolution, config.radius)
-    verdict = check_commutativity(instance.collection, lattice)
+    verdict = check_commutativity(instance.collection, table.uvecs)
     bad: list[dict] = []
     if not verdict.holds and _conditions_hold(instance, cache):
         phi, mm, mx = verdict.counterexample  # type: ignore[misc]
@@ -225,7 +224,7 @@ def _suite_prop1(instance, battery, table, desc, config, cache) -> SuiteOutcome:
         found=False,
         counterexamples=tuple(bad),
         boundary_flags=0,
-        batteries=(f"raw direction lattice, {len(lattice)} vectors",),
+        batteries=(f"raw direction lattice, {table.n} vectors",),
     )
 
 
@@ -240,9 +239,8 @@ def _suite_prop2(instance, battery, table, desc, config, cache) -> SuiteOutcome:
         return SuiteOutcome(False, True, False, bad, 0, (desc,))
     bad: list[dict] = []
     uvecs = table.uvecs
-    seu_table = MarginTable(instance, uvecs, extra_prior=collapse)
     w_gb, flags_gb = weak_relation(table, GeneralizedBewley(), instance)
-    w_seu, flags_seu = weak_relation(seu_table, SEU(collapse), instance)
+    w_seu, flags_seu = weak_relation(table, SEU(collapse), instance)
     for i in range(len(uvecs)):
         if w_gb[i] != w_seu[i]:
             diff = w_gb[i] ^ w_seu[i]
@@ -395,8 +393,9 @@ def suite_outcomes(
 ) -> dict[str, SuiteOutcome]:
     """Run the requested suites on one instance with shared margin work."""
     battery = generate_act_grid(instance, config.resolution, config.radius)
-    uvecs = [utility_vector(instance.utility, act) for act in battery]
-    table = MarginTable(instance, uvecs)
+    # The battery's utility vectors are this lattice, which prop1 also scans.
+    lattice = phi_lattice(instance.num_states, config.resolution, config.radius)
+    table = MarginTable(instance, lattice)
     desc = battery_label(instance, len(battery), config.resolution, config.radius)
     cache: dict = {}
     return {

@@ -355,7 +355,7 @@ def test_criterion_08_binary_collapse(capsys, full_report, touching_intervals):
         MarginTable(touching_intervals, uvecs), GeneralizedBewley(), touching_intervals
     )
     seu_rows, _ = weak_relation(
-        MarginTable(touching_intervals, uvecs, extra_prior=prior),
+        MarginTable(touching_intervals, uvecs),
         SEU(prior),
         touching_intervals,
     )

@@ -115,19 +115,19 @@ class TestMarginTableAgreement:
     def test_weak_matrix_matches_reference_path(self, disjoint_pair):
         """The integer fast path and the direct Fraction path must agree.
 
-        One table built with an extra prior serves all eight kinds, on a
+        One table serves all eight kinds, each reading its own columns, on a
         two-state and a three-state instance; margins must match exactly,
         and the zero count must equal the off-diagonal zero margins.
         """
         three_state = generate_instance(1, GenParams(num_states=3))
         for inst in (disjoint_pair, three_state):
-            prior, kinds = eight_kinds(inst)
+            _, kinds = eight_kinds(inst)
             battery = generate_act_grid(inst, resolution=1)
             uvecs = [utility_vector(inst.utility, a) for a in battery]
-            table = MarginTable(inst, uvecs, extra_prior=prior)
+            table = MarginTable(inst, uvecs)
             for kind in kinds:
                 matrix, zeros = weak_relation(table, kind, inst)
-                runner = _Runner(table, kind, inst)
+                runner = _Runner(table, kind)
                 expected_zeros = 0
                 for i, u in enumerate(uvecs):
                     for j, v in enumerate(uvecs):
@@ -178,6 +178,34 @@ class TestMarginTableAgreement:
         kind = SEU(Prior((F(1, 3), F(2, 3))))
         report = audit(AxiomKind.COMPLETENESS, kind, disjoint_pair, battery)
         assert report.passed
+
+    def test_shared_table_serves_one_set_and_seu_audits(self, disjoint_pair):
+        """Audits on a table built without any prior column match fresh ones."""
+        three_state = generate_instance(1, GenParams(num_states=3))
+        for inst in (disjoint_pair, three_state):
+            n = inst.num_states
+            prior = Prior(tuple(F(2 * (k + 1), n * (n + 1)) for k in range(n)))
+            last_set = list(inst.collection)[-1].name
+            battery = generate_act_grid(inst, resolution=1)
+            table = MarginTable(inst, [utility_vector(inst.utility, a) for a in battery])
+            weak_relation(table, GeneralizedBewley(), inst)
+            for kind in (SEU(prior), Bewley(last_set), Justifiable(last_set)):
+                for axiom in AxiomKind:
+                    shared = audit(axiom, kind, inst, battery, table=table)
+                    assert shared == audit(axiom, kind, inst, battery), (kind, axiom)
+
+    def test_seu_relation_on_a_table_without_its_prior(self, touching_intervals):
+        battery = generate_act_grid(touching_intervals)
+        uvecs = [utility_vector(touching_intervals.utility, a) for a in battery]
+        kind = SEU(Prior((F(1, 3), F(2, 3))))
+        rows, zeros = weak_relation(MarginTable(touching_intervals, uvecs), kind, touching_intervals)
+        expected_zeros = 0
+        for i, u in enumerate(uvecs):
+            for j, v in enumerate(uvecs):
+                margin = model_margin(kind, touching_intervals.collection, u - v)
+                assert bool((rows[i] >> j) & 1) == (margin >= 0), (i, j)
+                expected_zeros += i != j and margin == 0
+        assert zeros == expected_zeros > 0
 
 
 def reference_mixing_audits(kind, inst, uvecs, cap=WITNESS_CAP):

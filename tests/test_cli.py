@@ -320,9 +320,17 @@ class TestSizeLimits:
         assert code == 2
         assert f"limit is {MAX_SEEDS}" in capsys.readouterr().err
 
+    def test_verify_seed_list(self, no_work, capsys):
+        seeds = ",".join(str(s) for s in range(2 * MAX_SEEDS))
+        code = main(["verify", "--suites", "thm2", "--seeds", seeds])
+        assert code == 2
+        assert f"holds {2 * MAX_SEEDS} seeds; the limit is {MAX_SEEDS}" in capsys.readouterr().err
+
     def test_seed_limit_is_inclusive(self):
         seeds = parse_seed_range(f"5..{MAX_SEEDS + 4}")
         assert len(seeds) == MAX_SEEDS and seeds[-1] == MAX_SEEDS + 4
+        listed = ",".join(str(s) for s in range(MAX_SEEDS))
+        assert parse_seed_range(listed) == list(range(MAX_SEEDS))
 
     def test_slice_samples(self, no_work, capsys):
         code = main(["slice", "--instance", DISJOINT, "--direction", "1,-1",

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -272,6 +274,35 @@ class TestConvexityCertificates:
         assert verdict.arcs == ((9, 7),)
         # the summary stores the nonnegative arc, the certificate its complement
         assert profile.arcs("disjunctive") == ((0, 9),)
+
+    @pytest.mark.parametrize("states", [3, 4])
+    def test_verdicts_match_a_per_sample_recomputation(self, states):
+        """Certificates read the profile's arcs; each sample's sign agrees."""
+        directions = {3: ((1, 0, 0), (2, -1, 3)), 4: ((1, 0, 0, 0), (1, -2, 0, 3))}
+        for seed in range(4):
+            collection = generate_instance(seed, GenParams(num_states=states)).collection
+            for direction in directions[states]:
+                plane = SlicePlane.through(direction)
+                profile = slice_profile(collection, plane, 32, alpha=F(3, 4))
+                for cone in CONES:
+                    signs = [
+                        model_margin(CONE_KINDS[cone], collection, s.direction) >= 0
+                        for s in profile.samples
+                    ]
+                    if cone == "disjunctive":
+                        signs = [not s for s in signs]
+                    arcs = _sign_arcs(signs)
+                    verdict = certify_slice_convexity(profile, cone)
+                    assert (verdict.arcs, verdict.convex) == (arcs, len(arcs) <= 1), (
+                        seed, direction, cone,
+                    )
+
+    def test_disjunctive_certificate_complements_any_arc_pattern(self, disjoint_pair):
+        profile = slice_profile(disjoint_pair.collection, SlicePlane.through((1, -1)), 8)
+        for flags in itertools.product((False, True), repeat=8):
+            patterned = replace(profile, arc_summary=(("disjunctive", _sign_arcs(flags)),))
+            verdict = certify_slice_convexity(patterned, "disjunctive")
+            assert verdict.arcs == _sign_arcs([not f for f in flags]), flags
 
     def test_verdicts_stable_under_sample_doubling(self, disjoint_pair):
         plane = SlicePlane.through((1, -1))

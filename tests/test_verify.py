@@ -9,6 +9,7 @@ import pytest
 
 from ambipref import (
     SCHEMA_VERSION,
+    SEU,
     SUITES,
     GenParams,
     UnknownSuite,
@@ -208,6 +209,29 @@ class TestSuiteOutcomes:
         overlap = suite_outcomes(touching_intervals, ["prop4"], cfg)["prop4"]
         assert overlap.ok
         assert "lattice battery" in overlap.batteries[0]
+
+    def test_one_margin_table_per_seed(self, monkeypatch):
+        # Seed 4 draws two states with no cut and no disjoint pair, so prop2
+        # compares the set model with its collapse prior on the shared table.
+        built, judged = [], []
+        table_class, relation = verify_mod.MarginTable, verify_mod.weak_relation
+
+        def counted(*args):
+            built.append(args)
+            return table_class(*args)
+
+        def spied(table, kind, instance):
+            judged.append(kind)
+            return relation(table, kind, instance)
+
+        for module in (verify_mod, importlib.import_module("ambipref.axioms")):
+            monkeypatch.setattr(module, "MarginTable", counted)
+        monkeypatch.setattr(verify_mod, "weak_relation", spied)
+        cfg = VerifyConfig()
+        outcomes = suite_outcomes(generate_instance(4, cfg.params_for_seed(4)), SUITES, cfg)
+        assert all(out.ok for out in outcomes.values())
+        assert any(isinstance(kind, SEU) for kind in judged)
+        assert len(built) == 1
 
     def test_collapse_suite_branches(self, touching_intervals, disjoint_pair):
         cfg = VerifyConfig()
