@@ -215,10 +215,6 @@ class AnalysisReport:
         }
 
 
-def _num_states(bset: BeliefSet) -> int:
-    return len(bset.vertices[0].probs)
-
-
 def polytopes_intersect(
     first: BeliefSet, second: BeliefSet
 ) -> Union[CommonPrior, SametCertificate]:
@@ -229,10 +225,10 @@ def polytopes_intersect(
     strictly positive optimum certifies disjointness; otherwise a feasibility
     LP produces an explicit common prior as a mixture of both vertex lists.
     """
-    n = _num_states(first)
-    if _num_states(second) != n:
+    n = first.dimension
+    if second.dimension != n:
         raise DimensionMismatch(
-            f"belief sets on {n} and {_num_states(second)} states cannot be compared"
+            f"belief sets on {n} and {second.dimension} states cannot be compared"
         )
     rows = []
     for v in first.vertices:
@@ -348,7 +344,7 @@ def find_cutting_hyperplane(
     sets = collection.sets
     if any(len(s.vertices) < 2 for s in sets):  # a point cannot be straddled
         return None
-    n = _num_states(sets[0])
+    n = sets[0].dimension
     den = math.lcm(*(p.denominator for s in sets for v in s.vertices for p in v.probs))
     scaled = [[tuple(int(p * den) for p in v.probs) for v in s.vertices] for s in sets]
     points = {v for verts in scaled for v in verts}
@@ -415,7 +411,7 @@ def seu_collapse_binary(collection: BeliefCollection) -> Optional[Prior]:
     the collapse prior exists exactly when the largest interval minimum
     meets the smallest interval maximum.
     """
-    n = _num_states(collection.sets[0])
+    n = collection.dimension
     if n != 2:
         raise WrongDimension(f"collapse analysis needs exactly 2 states, got {n}")
     a = max(min(v.probs[0] for v in s.vertices) for s in collection.sets)

@@ -661,11 +661,13 @@ def audit(
 
     Pass ``table`` to share the cached margin work across several audits of
     the same battery, under any model kinds: each reads its own belief sets'
-    columns from it.  A table whose size differs from the battery's is
-    rejected.
+    columns from it.  A table built for another instance, or whose size
+    differs from the battery's, is rejected.
     """
     if table is None:
         table = MarginTable(instance, [utility_vector(instance.utility, act) for act in battery])
+    elif instance != table.instance:
+        raise ValueError("margin table was built for another instance")
     elif table.n != len(battery):
         raise ValueError("margin table does not match this battery")
     runner = _Runner(table, kind)
@@ -693,10 +695,12 @@ def weak_relation(
     Row i has bit j set when act i is weakly preferred to act j.  Also
     returns how many of the consulted margins were exactly zero, since those
     judgments sit on the boundary of the relation.  Any model kind works on
-    any table of the battery, reading its own belief sets' columns.  The
-    relation is memoized on the table; the returned list is the caller's
-    own copy.
+    any table of the battery, reading its own belief sets' columns; a table
+    built for another instance is rejected.  The relation is memoized on the
+    table; the returned list is the caller's own copy.
     """
+    if instance != table.instance:
+        raise ValueError("margin table was built for another instance")
     runner = _Runner(table, kind)
     matrix = list(runner.weak_matrix())
     return matrix, runner.matrix_zero_flags

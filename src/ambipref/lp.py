@@ -1,5 +1,10 @@
 """Small exact linear programming solver over rationals.
 
+Programs are box-bounded: every variable has a finite lower bound and an
+optional upper bound, which is all the separation and common-prior programs
+of this package need.  Column j of the tableau holds x_j - lower_j >= 0, so
+no variable is ever split, and each row is read straight into integers.
+
 Two-phase primal simplex with Bland's smallest-index rule for both entering
 and leaving variables, so cycling is impossible.  The tableau is kept
 fraction-free: each row, the reduced-cost row included, is a list of Python
@@ -7,10 +12,10 @@ ints that stands for the row divided by one positive denominator (for a
 constraint row, its basic entry).  A pivot cross-multiplies and divides each
 changed row by its gcd, and ratio ties are compared by cross-multiplying, so
 every pivot is the one exact rational arithmetic would take; Fractions appear
-only when the program is read in and the optimal point is read out.
-Problem sizes in this package are tiny (a handful of variables, a few dozen
-rows), so a dense tableau is enough.  Optimal points are re-checked against
-every constraint in Fractions before being returned.
+only in the shifted rhs, the objective and the returned point.  Problem sizes
+in this package are tiny (a handful of variables, a few dozen rows), so a
+dense tableau is enough.  Optimal points are re-checked against every
+constraint in Fractions before being returned.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ __all__ = [
     "Unbounded",
     "LpOutcome",
     "solve",
-    "feasible_point",
 ]
 
 LE, EQ, GE = "<=", "==", ">="
@@ -57,16 +61,16 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Maximize objective . x subject to constraints and optional var bounds.
+    """Maximize objective . x subject to constraints and per-variable bounds.
 
-    ``lower``/``upper`` give per-variable bounds, with None meaning
-    unbounded on that side; omitted entirely means free variables.
+    ``lower`` is required and finite for every variable; ``upper`` may be
+    omitted, or hold None for a variable unbounded above.
     """
 
     num_vars: int
     objective: tuple[Fraction, ...]
     constraints: tuple[Constraint, ...]
-    lower: tuple[Fraction | None, ...] | None = None
+    lower: tuple[Fraction, ...] | None = None
     upper: tuple[Fraction | None, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -78,6 +82,8 @@ class LinearProgram:
         for bounds in (self.lower, self.upper):
             if bounds is not None and len(bounds) != self.num_vars:
                 raise ValueError("bounds length does not match num_vars")
+        if self.lower is None or None in self.lower:
+            raise ValueError("every variable needs a finite lower bound")
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,6 @@ class Unbounded:
 LpOutcome = Optimal | Infeasible | Unbounded
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _reduced(row: list[int]) -> list[int]:
@@ -108,7 +113,7 @@ def _reduced(row: list[int]) -> list[int]:
     return [v // g for v in row] if g > 1 else row
 
 
-def _integer_row(values: Sequence[Fraction]) -> list[int]:
+def _integer_row(values: Sequence[Fraction | int]) -> list[int]:
     """The smallest integer row with the same ratios (a positive multiple)."""
     scale = lcm(*(v.denominator for v in values))
     return _reduced([v.numerator * (scale // v.denominator) for v in values])
@@ -135,13 +140,13 @@ def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int) -> No
     basis[row] = col
 
 
-def _cost_row(body: list[list[int]], basis: list[int], cost: Sequence[Fraction]) -> list[int]:
+def _cost_row(body: list[list[int]], basis: list[int], cost: Sequence[Fraction | int]) -> list[int]:
     """Reduced costs c_j - c_B . column_j of the canonical rows, as an int row.
 
     The row is a positive multiple of the exact reduced costs, so its signs
     are theirs; its last entry is -c_B . rhs on the same scale.
     """
-    ints = _integer_row(list(cost) + [_ZERO])
+    ints = _integer_row(list(cost) + [0])
     dens = [body[i][b] for i, b in enumerate(basis) if ints[b]]
     scale = lcm(*dens)
     out = [scale * c for c in ints]
@@ -182,101 +187,47 @@ def _simplex(tableau: list[list[int]], basis: list[int], allowed: Sequence[bool]
         _pivot(tableau, basis, leaving, entering)
 
 
-class _Standardized:
-    """Rewrite of a general program in equality standard form y >= 0."""
-
-    def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        lower = lp.lower or (None,) * lp.num_vars
-        upper = lp.upper or (None,) * lp.num_vars
-        # Column layout per original variable: shifted single column when a
-        # lower bound exists, otherwise a split positive/negative pair.
-        self.columns: list[tuple[str, int, int]] = []
-        ncols = 0
-        for j in range(lp.num_vars):
-            if lower[j] is not None:
-                self.columns.append(("shift", ncols, -1))
-                ncols += 1
-            else:
-                self.columns.append(("split", ncols, ncols + 1))
-                ncols += 2
-        self.num_structural = ncols
-        self.lower = lower
-
-        rows: list[tuple[list[Fraction], str, Fraction]] = []
-        for con in lp.constraints:
-            rows.append((list(con.coeffs), con.cmp, con.rhs))
-        for j in range(lp.num_vars):
-            if upper[j] is not None:
-                coeffs = [_ZERO] * lp.num_vars
-                coeffs[j] = _ONE
-                rows.append((coeffs, LE, upper[j]))
-        self.rows = rows
-
-    def structural_row(self, coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[list[Fraction], Fraction]:
-        out = [_ZERO] * self.num_structural
-        shifted_rhs = rhs
-        for j, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            kind, a, b = self.columns[j]
-            if kind == "shift":
-                out[a] += c
-                shifted_rhs -= c * self.lower[j]  # type: ignore[operator]
-            else:
-                out[a] += c
-                out[b] -= c
-        return out, shifted_rhs
-
-    def recover_point(self, values: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        point = []
-        for j in range(self.lp.num_vars):
-            kind, a, b = self.columns[j]
-            if kind == "shift":
-                point.append(values[a] + self.lower[j])  # type: ignore[operator]
-            else:
-                point.append(values[a] - values[b])
-        return tuple(point)
-
-
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve the program exactly; the returned point is verified feasible."""
-    std = _Standardized(lp)
-    n_struct = std.num_structural
-
-    # Equality rows with slack/surplus columns; a row whose slack cannot
-    # start basic (no +1 slack after making the rhs nonnegative) gets an
-    # artificial column instead.
-    slack_cols = sum(cmp != EQ for _, cmp, _ in std.rows)
-    total_cols = n_struct + slack_cols
-    rows: list[tuple[list[Fraction], Fraction]] = []
-    basis: list[int] = []
-    slack_at = n_struct
-    for coeffs, cmp, rhs in std.rows:
-        row, rhs2 = std.structural_row(coeffs, rhs)
-        row += [_ZERO] * slack_cols
-        if cmp != EQ:
-            row[slack_at] = _ONE if cmp == LE else -_ONE
-            slack_at += 1
-        basis.append(slack_at - 1 if cmp == LE and rhs2 >= 0 else -1)
-        if rhs2 < 0:
-            row = [-v for v in row]
-            rhs2 = -rhs2
-        rows.append((row, rhs2))
-    n_art = basis.count(-1)
-    full_cols = total_cols + n_art
+    n = lp.num_vars
+    lower = lp.lower
+    rows = [(con.coeffs, con.cmp, con.rhs) for con in lp.constraints]
+    rows += [
+        (tuple(int(k == j) for k in range(n)), LE, hi)
+        for j, hi in enumerate(lp.upper or ())
+        if hi is not None
+    ]
+    # Column j holds x_j - lower_j >= 0, so each rhs shifts by the bounds.
+    shifted = [
+        rhs - sum((c * lo for c, lo in zip(coeffs, lower) if c and lo), _ZERO)
+        for coeffs, _, rhs in rows
+    ]
+    # A row whose slack can start basic (a +1 slack once the rhs is made
+    # nonnegative) takes it; every other row gets an artificial column.
+    starts_basic = [cmp == LE and rhs >= 0 for (_, cmp, _), rhs in zip(rows, shifted)]
+    total_cols = n + sum(cmp != EQ for _, cmp, _ in rows)
+    full_cols = total_cols + starts_basic.count(False)
     body: list[list[int]] = []
-    art_at = total_cols
-    for i, (row, rhs2) in enumerate(rows):
-        row += [_ZERO] * n_art + [rhs2]
-        if basis[i] < 0:
-            row[art_at] = _ONE
-            basis[i] = art_at
+    basis: list[int] = []
+    slack_at, art_at = n, total_cols
+    for (coeffs, cmp, _), rhs, slack_basic in zip(rows, shifted, starts_basic):
+        scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+        sign = -1 if rhs < 0 else 1
+        row = [sign * c.numerator * (scale // c.denominator) for c in coeffs]
+        row += [0] * (full_cols - n) + [abs(rhs.numerator) * (scale // rhs.denominator)]
+        if cmp != EQ:
+            row[slack_at] = (sign if cmp == LE else -sign) * scale
+            slack_at += 1
+        if slack_basic:
+            basis.append(slack_at - 1)
+        else:
+            row[art_at] = scale
+            basis.append(art_at)
             art_at += 1
-        body.append(_integer_row(row))
+        body.append(_reduced(row))
 
-    if n_art:
-        phase1_cost = [_ZERO] * total_cols + [_ONE] * n_art
+    if full_cols > total_cols:
+        phase1_cost = [0] * total_cols + [1] * (full_cols - total_cols)
         body.append(_cost_row(body, basis, phase1_cost))
         status = _simplex(body, basis, [True] * full_cols)
         assert status == "optimal"  # phase 1 is bounded below by zero
@@ -297,23 +248,19 @@ def solve(lp: LinearProgram) -> LpOutcome:
             else:
                 _pivot(body, basis, i, pivot_col)
 
-    phase2_cost = [_ZERO] * full_cols
-    for j in range(lp.num_vars):
-        kind, a, b = std.columns[j]
-        c = lp.objective[j]
-        phase2_cost[a] -= c  # minimize the negated objective
-        if kind == "split":
-            phase2_cost[b] += c
+    # Minimize the negated objective.
+    phase2_cost = [-c for c in lp.objective] + [0] * (full_cols - n)
     body.append(_cost_row(body, basis, phase2_cost))
     status = _simplex(body, basis, [j < total_cols for j in range(full_cols)])
     if status == "unbounded":
         return Unbounded()
     body.pop()
 
-    values = [_ZERO] * full_cols
+    values = [_ZERO] * n
     for row, b in zip(body, basis):
-        values[b] = Fraction(row[-1], row[b])
-    point = std.recover_point(values)
+        if b < n:
+            values[b] = Fraction(row[-1], row[b])
+    point = tuple(v + lo for v, lo in zip(values, lower))
     objective_value = sum((c * x for c, x in zip(lp.objective, point)), _ZERO)
     _check_point(lp, point)
     return Optimal(objective_value, point)
@@ -323,30 +270,7 @@ def _check_point(lp: LinearProgram, point: Sequence[Fraction]) -> None:
     for con in lp.constraints:
         if not con.holds_at(point):
             raise RuntimeError(f"solver returned a point violating {con}")
-    lower = lp.lower or (None,) * lp.num_vars
     upper = lp.upper or (None,) * lp.num_vars
-    for j, x in enumerate(point):
-        if lower[j] is not None and x < lower[j]:
-            raise RuntimeError(f"solver violated lower bound on variable {j}")
-        if upper[j] is not None and x > upper[j]:
-            raise RuntimeError(f"solver violated upper bound on variable {j}")
-
-
-def feasible_point(
-    num_vars: int,
-    constraints: Sequence[Constraint],
-    lower: tuple[Fraction | None, ...] | None = None,
-    upper: tuple[Fraction | None, ...] | None = None,
-) -> tuple[Fraction, ...] | None:
-    """Any exact point satisfying the system, or None when there is none."""
-    lp = LinearProgram(
-        num_vars=num_vars,
-        objective=(_ZERO,) * num_vars,
-        constraints=tuple(constraints),
-        lower=lower,
-        upper=upper,
-    )
-    outcome = solve(lp)
-    if isinstance(outcome, Optimal):
-        return outcome.point
-    return None
+    for j, (lo, x, hi) in enumerate(zip(lp.lower, point, upper)):
+        if x < lo or (hi is not None and x > hi):
+            raise RuntimeError(f"solver violated a bound on variable {j}")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambipref import analysis
+from ambipref import analysis, cli
 from ambipref import (
     AnalysisReport,
     AxiomKind,
@@ -42,7 +44,9 @@ from ambipref import (
 
 F = Fraction
 
-CORNER_CLUSTERS = Path(__file__).resolve().parent / "data" / "corner_clusters.json"
+DATA = Path(__file__).resolve().parent / "data"
+CORNER_CLUSTERS = DATA / "corner_clusters.json"
+INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
 # Generator seeds whose collection has no cutting hyperplane, as decided by
 # the earlier LP branch-and-bound search over (plus, minus) vertex pairs.
@@ -380,3 +384,26 @@ class TestAnalyze:
         assert doc["complete_param"] is True
         assert doc["cbt_param"] is True
         assert doc["seu_collapse"] == ["2/5", "3/5"]
+
+
+class TestPinnedReports:
+    """``analyze`` output is pinned byte for byte: certificates follow pivot order."""
+
+    @pytest.mark.parametrize(
+        "stem", sorted(p.stem for p in INSTANCE_DIR.glob("*.json"))
+    )
+    def test_bundled_instance_report(self, stem, capsys):
+        assert cli.main(["analyze", "--instance", str(INSTANCE_DIR / f"{stem}.json")]) == 0
+        expected = (DATA / "analyze" / f"{stem}.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
+
+    def test_geometry_box_reports(self):
+        """Seeds 0..79 of the geometry box, 3 states on even seeds, 4 on odd."""
+        pinned = json.loads((DATA / "analyze_geometry_sha256.json").read_text())
+        digests = {}
+        for seed in range(80):
+            params = GenParams(num_states=3 if seed % 2 == 0 else 4, num_sets=4, vertices_per_set=6)
+            doc = analyze(generate_instance(seed, params)).to_jsonable()
+            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            digests[str(seed)] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digests == pinned

@@ -146,6 +146,18 @@ class TestMarginTableAgreement:
             audit(AxiomKind.COMPLETENESS, GeneralizedBewley(), disjoint_pair, big,
                   table=table)
 
+    def test_table_rejects_foreign_instance(self, disjoint_pair, touching_intervals):
+        battery = generate_act_grid(touching_intervals, resolution=1)
+        own = generate_act_grid(disjoint_pair, resolution=1)
+        assert len(battery) == len(own)
+        table = MarginTable(disjoint_pair, [utility_vector(disjoint_pair.utility, a) for a in own])
+        with pytest.raises(ValueError, match="another instance"):
+            audit(AxiomKind.INDEPENDENCE, GeneralizedBewley(), touching_intervals, battery,
+                  table=table)
+        with pytest.raises(ValueError, match="another instance"):
+            weak_relation(table, GeneralizedBewley(), touching_intervals)
+        assert weak_relation(table, GeneralizedBewley(), disjoint_pair)[0]
+
     def test_relations_are_memoized_per_model_identity(self, disjoint_pair):
         battery = generate_act_grid(disjoint_pair)
         uvecs = [utility_vector(disjoint_pair.utility, a) for a in battery]

@@ -13,7 +13,6 @@ from ambipref.lp import (
     LinearProgram,
     Optimal,
     Unbounded,
-    feasible_point,
     solve,
 )
 
@@ -45,7 +44,7 @@ class TestSingleVariable:
         assert isinstance(solve(lp), Infeasible)
 
     def test_free_direction_unbounded(self):
-        lp = LinearProgram(1, (F(1),), (ge([1], 0),))
+        lp = LinearProgram(1, (F(1),), (ge([1], 0),), lower=(F(0),))
         assert isinstance(solve(lp), Unbounded)
 
 
@@ -153,19 +152,6 @@ class TestSeparationShape:
         assert worst_high >= F(1, 5)
         assert best_low <= F(-1, 5)
 
-    def test_feasible_point_on_mixture_system(self):
-        point = feasible_point(
-            2,
-            [eq([1, 1], 1), ge([1, 0], F(1, 3)), le([1, 0], F(2, 3))],
-            lower=(F(0), F(0)),
-        )
-        assert point is not None
-        assert sum(point) == 1
-        assert F(1, 3) <= point[0] <= F(2, 3)
-
-    def test_feasible_point_none_when_empty(self):
-        assert feasible_point(1, [ge([1], 2), le([1], 1)]) is None
-
 
 class TestOutcomeInvariants:
     @given(
@@ -250,3 +236,9 @@ class TestOutcomeInvariants:
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError):
             LinearProgram(2, (F(1),), ())
+
+    def test_rejects_a_missing_lower_bound(self):
+        with pytest.raises(ValueError, match="lower bound"):
+            LinearProgram(1, (F(1),), (le([1], 1),))
+        with pytest.raises(ValueError, match="lower bound"):
+            LinearProgram(2, (F(1), F(1)), (le([1, 1], 1),), lower=(F(0), None))
