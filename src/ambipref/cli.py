@@ -42,7 +42,7 @@ from .model import (
     parse_rational,
     utility_vector,
 )
-from .slices import SlicePlane, export_slice, slice_profile
+from .slices import MAX_SLICE_SAMPLES, SlicePlane, export_slice, slice_profile
 from .verify import SUITES, VerifyConfig, verify
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
 # The limit admits the default resolution 2 on the generator's largest state
 # count, four (625 acts), and resolution 4 on three states.
 MAX_BATTERY_ACTS = 729
-MAX_SLICE_SAMPLES = 4096
 MAX_SEEDS = 10_000  # a range is checked from its two ends, before its list is built
 
 _MODEL_HELP = (

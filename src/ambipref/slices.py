@@ -6,11 +6,15 @@ c*e1 + s*e2 a vertex v scores c + s*(v . e2): the two primitive margins of
 the whole plane follow from A = maxmin(e2) and B = minmax(e2), taken once
 per plane.  For s >= 0, maxmin = c + s*A and minmax = c + s*B; for s < 0
 the two swap.  Directions around the slice are rational points on the unit
-circle, generated by the tangent half-angle substitution, so every margin
-sign along the circle is decided exactly; floats appear only in exported
-decimal columns.  ``certify_slice_convexity`` reports whether a cone's
-sampled signs form a single arc; that is necessary for a convex slice but
-not sufficient, since one arc longer than a half-turn is not a convex cone.
+circle, generated by the tangent half-angle substitution as integer triples
+(c, s, d) standing for (c/d, s/d).  Each sample is computed as integer
+numerators over one positive denominator per circle point, and every
+exported Fraction is built once from such a pair; each cone's sign is read
+on those integers, so every margin sign along the circle is decided
+exactly.  Floats appear only in exported decimal columns.
+``certify_slice_convexity`` reports whether a cone's sampled signs form a
+single arc; that is necessary for a convex slice but not sufficient, since
+one arc longer than a half-turn is not a convex cone.
 """
 
 from __future__ import annotations
@@ -41,12 +45,14 @@ __all__ = [
     "SliceProfile",
     "ConvexityVerdict",
     "CONES",
+    "MAX_SLICE_SAMPLES",
     "slice_profile",
     "certify_slice_convexity",
     "export_slice",
 ]
 
 CONES = ("maxmin", "minmax", "half", "alpha", "conjunctive", "disjunctive")
+MAX_SLICE_SAMPLES = 4096
 
 # Each cone is the nonnegative set of one model kind's margin; "alpha" takes
 # the profile's weight.  minmax is the mixture that puts no weight on maxmin.
@@ -146,15 +152,21 @@ class ConvexityVerdict:
 
 
 @lru_cache(maxsize=8)
-def _circle_points(n: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """n rational unit-circle points in circular order; point k+n/2 is -point k."""
-    half = n // 2
-    right = []
-    for j in range(half):
-        u = Fraction(2 * j - half, half)
-        den = 1 + u * u
-        right.append(((1 - u * u) / den, 2 * u / den))
-    return tuple(right + [(-c, -s) for c, s in right])
+def _circle_points(n: int) -> tuple[tuple[int, int, int], ...]:
+    """n unit-circle points (c/d, s/d) in circular order, as integer triples.
+
+    With h = n/2 and m = 2j - h, point j is the tangent half-angle point of
+    u = m/h scaled by h^2: (h^2 - m^2, 2mh, h^2 + m^2).  Point k+n/2 is
+    (-c, -s, d).
+    """
+    h = n // 2
+    right = [(h * h - m * m, 2 * m * h, h * h + m * m) for m in range(-h, h, 2)]
+    return tuple(right + [(-c, -s, d) for c, s, d in right])
+
+
+@lru_cache(maxsize=8)
+def _thetas(n: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(k, n) for k in range(n))
 
 
 def _sign_arcs(flags: Sequence[bool]) -> tuple[tuple[int, int], ...]:
@@ -182,42 +194,59 @@ def slice_profile(
 ) -> SliceProfile:
     """Sample the four margin operators around one diagonal slice.
 
-    The sample count must be even (so antipodes pair up index-wise) and at
-    least 8.  Sample k is labeled theta = k/n turns; its direction is the
-    k-th rational circle point (c, s) combined through the plane basis, and
-    its margins come from the plane's closed form, not a vertex sweep.
+    The sample count must be an even int from 8 to ``MAX_SLICE_SAMPLES``
+    (even so antipodes pair up index-wise).  Sample k is labeled theta = k/n
+    turns; its direction is the k-th rational circle point (c, s) combined
+    through the plane basis, and its margins come from the plane's closed
+    form, not a vertex sweep.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"sample count must be an int, got {n!r}")
     if n < 8:
         raise ValueError(f"need at least 8 samples, got {n}")
+    if n > MAX_SLICE_SAMPLES:
+        raise ValueError(f"sample count {n} exceeds the limit of {MAX_SLICE_SAMPLES}")
     if n % 2:
         raise ValueError(f"sample count must be even so antipodes align, got {n}")
     mixture = AlphaMixture(alpha) if alpha is not None else None
-    # Both primitive margins are linear in (c, s) on each half-circle.
+    weight = mixture.alpha if mixture is not None else None
+    # With A = a/ad and B = b/bd, the primitives at the circle point
+    # (c/d, s/d) are c*ad*bd + s*a*bd and c*ad*bd + s*b*ad over
+    # denom = d*ad*bd, the two slopes swapped for s < 0.
     along = margin_profile(collection, UtilityVector(plane.e2))
+    a, ad = along.maxmin.numerator, along.maxmin.denominator
+    b, bd = along.minmax.numerator, along.minmax.denominator
+    base, a_slope, b_slope = ad * bd, a * bd, b * ad
+    # The direction entry c/d + (s/d)*(e/q) is (c*q + s*e) / (d*q).
+    q = lcm(*(e.denominator for e in plane.e2))
+    e2 = [int(e * q) for e in plane.e2]
+    half = _CONE_KINDS["half"]
     samples = []
-    for k, (c, s) in enumerate(_circle_points(n)):
-        mm_slope, mx_slope = (
-            (along.maxmin, along.minmax) if s >= 0 else (along.minmax, along.maxmin)
-        )
-        mm, mx = c + s * mm_slope, c + s * mx_slope
+    numerators = []
+    for theta, (c, s, d) in zip(_thetas(n), _circle_points(n)):
+        cb, denom = c * base, d * base
+        mm_slope, mx_slope = (a_slope, b_slope) if s >= 0 else (b_slope, a_slope)
+        mm, mx = cb + s * mm_slope, cb + s * mx_slope
+        numerators.append((mm, mx))
         samples.append(
             SliceSample(
-                theta=Fraction(k, n),
-                direction=UtilityVector(tuple(c + s * e for e in plane.e2)),
-                maxmin=mm,
-                minmax=mx,
-                half=_CONE_KINDS["half"].margin(mm, mx),
-                alpha=mixture.margin(mm, mx) if mixture is not None else None,
+                theta=theta,
+                direction=UtilityVector(tuple(Fraction(c * q + s * e, d * q) for e in e2)),
+                maxmin=Fraction(mm, denom),
+                minmax=Fraction(mx, denom),
+                half=Fraction(half.combine(mm, mx), half.den * denom),
+                alpha=None
+                if mixture is None
+                else Fraction(mixture.combine(mm, mx), mixture.den * denom),
             )
         )
-
-    weight = mixture.alpha if mixture is not None else None
+    # denom > 0, so each cone's sign is its combine's sign on the numerators.
     summary = []
     for cone in CONES:
         if cone == "alpha" and weight is None:
             continue
-        kind = _cone_kind(cone, weight)
-        summary.append((cone, _sign_arcs([_cone_value(s, kind) >= 0 for s in samples])))
+        combine = _cone_kind(cone, weight).combine
+        summary.append((cone, _sign_arcs([combine(mm, mx) >= 0 for mm, mx in numerators])))
     return SliceProfile(
         plane=plane,
         alpha_weight=weight,
@@ -235,17 +264,6 @@ def _cone_kind(cone: str, weight: Optional[Fraction]) -> ModelKind:
     if weight is None:
         raise ValueError("profile was sampled without an alpha weight")
     return AlphaMixture(weight)
-
-
-def _cone_value(sample: SliceSample, kind: ModelKind) -> int:
-    """Sign-faithful integer value of the cone's margin at the sample.
-
-    It is the margin times ``maxmin.denominator * minmax.denominator *
-    kind.den``: ``combine`` is integer-homogeneous, so it runs on the two
-    primitives brought to one denominator.
-    """
-    mm, mx = sample.maxmin, sample.minmax
-    return kind.combine(mm.numerator * mx.denominator, mx.numerator * mm.denominator)
 
 
 def certify_slice_convexity(profile: SliceProfile, cone: str) -> ConvexityVerdict:

@@ -280,6 +280,18 @@ class TestSlice:
         assert code == 2
         assert "at least 8" in capsys.readouterr().err
 
+    def test_odd_samples(self, capsys):
+        code = main(["slice", "--instance", DISJOINT, "--direction", "1,-1", "--samples", "9"])
+        assert code == 2
+        assert "must be even" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["16.0", "True", "1e3"])
+    def test_non_integer_samples(self, capsys, samples):
+        with pytest.raises(SystemExit) as exc:
+            main(["slice", "--instance", DISJOINT, "--direction", "1,-1", "--samples", samples])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+
 
 class TestSizeLimits:
     """Oversized batteries and sample counts exit 2 before any work starts."""

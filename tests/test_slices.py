@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from dataclasses import replace
@@ -33,9 +34,11 @@ from ambipref import (
     model_margin,
     slice_profile,
 )
-from ambipref.slices import _cone_kind, _cone_value, _sign_arcs
+from ambipref import cli, slices
+from ambipref.slices import MAX_SLICE_SAMPLES, _sign_arcs
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
+DATA = Path(__file__).resolve().parent / "data"
 
 F = Fraction
 
@@ -157,28 +160,156 @@ class TestSampling:
     def test_cone_values_are_model_margins(
         self, disjoint_pair, touching_intervals, overlapping_intervals, cone
     ):
-        """Each cone is read through its model kind's rule, sample by sample."""
-        expected_kind = CONE_KINDS[cone]
+        """Each cone's value is its model kind's margin; its arcs are their signs."""
+        kind = CONE_KINDS[cone]
         for inst in (disjoint_pair, touching_intervals, overlapping_intervals):
             for direction in ((1, 0), (1, -3)):
                 profile = slice_profile(
                     inst.collection, SlicePlane.through(direction), 16, alpha=F(3, 4)
                 )
-                kind = _cone_kind(cone, profile.alpha_weight)
                 values = [
-                    model_margin(expected_kind, inst.collection, s.direction)
-                    for s in profile.samples
+                    model_margin(kind, inst.collection, s.direction) for s in profile.samples
                 ]
-                scales = [
-                    s.maxmin.denominator * s.minmax.denominator * kind.den
-                    for s in profile.samples
-                ]
-                assert [
-                    F(_cone_value(s, kind), scale) for s, scale in zip(profile.samples, scales)
-                ] == values
+                assert [kind.margin(s.maxmin, s.minmax) for s in profile.samples] == values
                 if cone in ("maxmin", "minmax", "half", "alpha"):
                     assert [getattr(s, cone) for s in profile.samples] == values
                 assert profile.arcs(cone) == _sign_arcs([v >= 0 for v in values])
+
+    @pytest.mark.parametrize("n", [16.0, F(16), "16", True, None])
+    def test_sample_count_must_be_an_int(self, disjoint_pair, n):
+        plane = SlicePlane.through((1, -1))
+        with pytest.raises(ValueError, match="must be an int"):
+            slice_profile(disjoint_pair.collection, plane, n)
+
+    @pytest.mark.parametrize("n", [MAX_SLICE_SAMPLES + 2, 10**40])
+    def test_sample_count_over_the_limit(self, disjoint_pair, monkeypatch, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling started despite a bad sample count")
+
+        monkeypatch.setattr(slices, "margin_profile", refuse)
+        plane = SlicePlane.through((1, -1))
+        with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_SLICE_SAMPLES}"):
+            slice_profile(disjoint_pair.collection, plane, n)
+
+    def test_sample_limit_is_inclusive(self, disjoint_pair):
+        plane = SlicePlane.through((1, -1))
+        profile = slice_profile(disjoint_pair.collection, plane, MAX_SLICE_SAMPLES)
+        assert len(profile.samples) == MAX_SLICE_SAMPLES
+        assert cli.MAX_SLICE_SAMPLES == MAX_SLICE_SAMPLES
+
+
+def interval_set(name: str, lo: F, hi: F) -> BeliefSet:
+    return BeliefSet(name, (Prior((lo, 1 - lo)), Prior((hi, 1 - hi))))
+
+
+# On the plane through (1, -1), a prior (p, 1 - p) scores 2p - 1, so these
+# put A = maxmin(e2) and B = minmax(e2) at zero, below zero, on both sides
+# of it, in the wrong order (A > B) and on large denominators.
+EDGE_COLLECTIONS = {
+    "both_zero": singleton_collection(F(1, 2)),
+    "both_negative": BeliefCollection((interval_set("low", F(1, 5), F(2, 5)),)),
+    "straddling": BeliefCollection((interval_set("wide", F(1, 5), F(4, 5)),)),
+    "apart": BeliefCollection(
+        (interval_set("low", F(1, 5), F(2, 5)), interval_set("high", F(3, 5), F(4, 5)))
+    ),
+    "large_denominators": BeliefCollection(
+        (
+            interval_set("p", F(123456789, 987654323), F(987654321, 1000000007)),
+            interval_set("q", F(1, 3), F(2**61 - 1, 2**62)),
+        )
+    ),
+}
+EDGE_PLANES = {
+    "diagonal_residue": SlicePlane.through((1, -1)),
+    "fractional_e2": SlicePlane(e1=(F(1), F(1)), e2=(F(1, 3), F(-1, 3))),
+    "steep": SlicePlane.through((F(-2, 3), 5)),
+}
+
+
+def reference_samples(collection, plane, n, alpha):
+    """Rows (theta, direction, maxmin, minmax, half, alpha) in plain Fractions.
+
+    The closed form of the slices module docstring: the tangent half-angle
+    point of u = (2j - n/2) / (n/2) and its antipode, then maxmin = c + s*A
+    and minmax = c + s*B, swapped for s < 0.
+    """
+    e2 = plane.e2
+    scores = [
+        [sum(p * e for p, e in zip(v.probs, e2)) for v in bset.vertices]
+        for bset in collection.sets
+    ]
+    big_a = max(min(row) for row in scores)
+    big_b = min(max(row) for row in scores)
+    h = n // 2
+    right = []
+    for j in range(h):
+        u = F(2 * j - h, h)
+        right.append(((1 - u * u) / (1 + u * u), 2 * u / (1 + u * u)))
+    rows = []
+    for k, (c, s) in enumerate(right + [(-c, -s) for c, s in right]):
+        lo, hi = (big_a, big_b) if s >= 0 else (big_b, big_a)
+        mm, mx = c + s * lo, c + s * hi
+        rows.append(
+            (
+                F(k, n),
+                tuple(c + s * e for e in e2),
+                mm,
+                mx,
+                (mm + mx) / 2,
+                None if alpha is None else alpha * mm + (1 - alpha) * mx,
+            )
+        )
+    return rows
+
+
+class TestIntegerSampler:
+    """Samples built from integer numerators equal the Fraction closed form."""
+
+    @pytest.mark.parametrize("n", [8, 10, 14, 256])
+    @pytest.mark.parametrize("alpha", [None, F(0), F(1), F(1, 3), F(3, 4)])
+    @pytest.mark.parametrize("collection", sorted(EDGE_COLLECTIONS))
+    def test_matches_the_fraction_reference(self, n, alpha, collection):
+        beliefs = EDGE_COLLECTIONS[collection]
+        cones = [c for c in CONES if c != "alpha" or alpha is not None]
+        for plane, basis in EDGE_PLANES.items():
+            profile = slice_profile(beliefs, basis, n, alpha=alpha)
+            rows = reference_samples(beliefs, basis, n, alpha)
+            got = [
+                (s.theta, s.direction.entries, s.maxmin, s.minmax, s.half, s.alpha)
+                for s in profile.samples
+            ]
+            assert got == rows, plane
+            columns = {
+                "maxmin": [r[2] for r in rows],
+                "minmax": [r[3] for r in rows],
+                "half": [r[4] for r in rows],
+                "alpha": [r[5] for r in rows],
+                "conjunctive": [min(r[2], r[3]) for r in rows],
+                "disjunctive": [max(r[2], r[3]) for r in rows],
+            }
+            assert profile.arc_summary == tuple(
+                (cone, _sign_arcs([v >= 0 for v in columns[cone]])) for cone in cones
+            ), plane
+
+    @pytest.mark.parametrize("n", [8, 10, 14, 256])
+    @pytest.mark.parametrize("collection", sorted(EDGE_COLLECTIONS))
+    def test_antipodes(self, n, collection):
+        for basis in EDGE_PLANES.values():
+            samples = slice_profile(EDGE_COLLECTIONS[collection], basis, n, F(1, 3)).samples
+            for near, far in zip(samples[: n // 2], samples[n // 2 :]):
+                assert far.direction.entries == tuple(-e for e in near.direction.entries)
+                assert far.maxmin == -near.minmax
+                assert far.minmax == -near.maxmin
+                assert far.half == -near.half
+
+    def test_edge_collections_cover_the_signs(self):
+        plane = EDGE_PLANES["diagonal_residue"]
+        signs = set()
+        for beliefs in EDGE_COLLECTIONS.values():
+            along = margin_profile(beliefs, UtilityVector(plane.e2))
+            signs.add((along.maxmin > 0) - (along.maxmin < 0))
+            signs.add((along.minmax > 0) - (along.minmax < 0))
+        assert signs == {-1, 0, 1}
 
 
 class TestClosedForm:
@@ -369,3 +500,42 @@ class TestExport:
         profile = slice_profile(disjoint_pair.collection, plane, 16)
         with pytest.raises(UnknownFormat):
             export_slice(profile, "yaml")
+
+
+DIRECTION_TAGS = {"1,0": "1_0", "1,-1": "1_m1", "1,-3": "1_m3"}
+GEOMETRY_DIRECTIONS = {
+    3: ((1, -1, 0), (0, 1, -1), (1, 1, -2)),
+    4: ((1, -1, 0, 0), (0, 0, 1, -1), (1, 1, -1, -1)),
+}
+
+
+class TestPinnedSlices:
+    """Slice output is pinned byte for byte, 64 samples at alpha 3/4."""
+
+    @pytest.mark.parametrize("direction", sorted(DIRECTION_TAGS))
+    @pytest.mark.parametrize("stem", sorted(p.stem for p in INSTANCE_DIR.glob("*.json")))
+    def test_bundled_instance_slice(self, stem, direction, capsys):
+        argv = [
+            "slice", "--instance", str(INSTANCE_DIR / f"{stem}.json"),
+            "--direction", direction, "--samples", "64", "--alpha", "3/4", "--format", "json",
+        ]
+        assert cli.main(argv) == 0
+        pinned = DATA / "slices" / f"{stem}_{DIRECTION_TAGS[direction]}.json"
+        assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")
+
+    def test_geometry_box_slices(self):
+        """Seeds 0..79 of the geometry box, 3 states on even seeds, 4 on odd."""
+        pinned = json.loads((DATA / "slices_geometry_sha256.json").read_text())
+        digests = {}
+        for seed in range(80):
+            states = 3 if seed % 2 == 0 else 4
+            params = GenParams(num_states=states, num_sets=4, vertices_per_set=6)
+            collection = generate_instance(seed, params).collection
+            for direction in GEOMETRY_DIRECTIONS[states]:
+                profile = slice_profile(
+                    collection, SlicePlane.through(direction), 64, alpha=F(3, 4)
+                )
+                text = export_slice(profile, "json")
+                key = f"{seed}:" + ",".join(str(d) for d in direction)
+                digests[key] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digests == pinned
