@@ -1,17 +1,18 @@
-"""Run the perfbench workloads over a few seeds and record their end-to-end metrics.
+"""Measure this checkout against a baseline checkout on every perfbench workload.
 
     python3 scripts/bench.py --out BENCH_10.json --baseline ../parent-checkout
 
-Each run is ``python3 perfbench/run.py --workload W --seed S --seconds N
---trace 0`` in the root of the checkout being measured.  For every workload
-the script writes one row per checkout: the median and quartiles over the
-seeds of each end-to-end metric that ``BENCHMARK.json`` declares, the per-seed
-values, whether every run was correct, ``nproc``, the Python version and the
-commit (``git rev-parse HEAD`` in that checkout, with a flag for uncommitted
-changes).  With ``--baseline DIR`` the same runs are made in a second
-checkout, alternating with this one run by run (and alternating which of the
-two goes first), so both rows see the same machine load, and the second row
-counts the pairs in which it beat the baseline on each metric.  Nothing under ``perfbench/`` is changed.
+Each run is ``python3 perfbench/run.py --workload W --seed S --seconds 30
+--trace 0`` in the root of the checkout being measured, for every workload in
+``BENCHMARK.json`` and seeds 20..29.  The two checkouts alternate run by run
+(and alternate which of the two goes first), so both see the same machine
+load.  For every workload the script writes one row per checkout: the median
+and quartiles over the seeds of each end-to-end metric that ``BENCHMARK.json``
+declares, the per-seed values, whether every run was correct and the commit
+(``git rev-parse HEAD`` in that checkout, with a flag for uncommitted
+changes); the row of this checkout also counts the pairs in which it beat the
+baseline on each metric.  The file records ``nproc`` and the Python version.
+Nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = list(range(20, 30))
+SECONDS = 30
 
 
 def _git(root: Path, *args: str):
@@ -47,11 +50,11 @@ def checkout_info(root: Path) -> dict:
     }
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(root: Path, workload: str, seed: int) -> dict:
     """One untraced perfbench run; returns its final JSON line."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0",
     ]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if done.returncode != 0:
@@ -63,11 +66,7 @@ def summarize(results: list[dict], names: list[str]) -> dict:
     metrics = {}
     for name in names:
         values = [r["metrics"][name]["value"] for r in results]
-        q1, median, q3 = (
-            statistics.quantiles(values, n=4, method="inclusive")
-            if len(values) > 1
-            else values * 3
-        )
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
         metrics[name] = {
             "unit": results[0]["metrics"][name]["unit"],
             "median": median,
@@ -81,55 +80,45 @@ def summarize(results: list[dict], names: list[str]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--baseline", type=Path, help="a second checkout to measure alongside")
-    parser.add_argument("--workloads", help="comma list (default: every workload in BENCHMARK.json)")
-    parser.add_argument("--seeds", default="20,21,22,23,24,25,26,27,28,29",
-                        help="comma list of perfbench seeds, one run pair each")
-    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--baseline", type=Path, required=True,
+                        help="a second checkout to measure alongside")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [m["name"] for m in spec["end_to_end"]]
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
-    workloads = (
-        args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
-    )
-    seeds = [int(s) for s in args.seeds.split(",")]
-    roots = {"head": ROOT}
-    if args.baseline is not None:
-        roots = {"baseline": args.baseline.resolve(), **roots}
+    roots = {"baseline": args.baseline.resolve(), "head": ROOT}
 
     rows = []
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         results = {role: [] for role in roots}
-        for i, seed in enumerate(seeds):
+        for i, seed in enumerate(SEEDS):
             # Alternate which checkout runs first, so neither always runs warm.
             order = list(roots.items())
             for role, root in order if i % 2 == 0 else order[::-1]:
                 print(f"# {workload} seed={seed} {role}", file=sys.stderr, flush=True)
-                results[role].append(run_once(root, workload, seed, args.seconds))
+                results[role].append(run_once(root, workload, seed))
         for role, root in roots.items():
             rows.append(
                 {
                     "workload": workload,
                     "role": role,
                     **checkout_info(root),
-                    "seeds": seeds,
-                    "seconds": args.seconds,
+                    "seeds": SEEDS,
+                    "seconds": SECONDS,
                     "correct": all(r["correct"] for r in results[role]),
                     "metrics": summarize(results[role], names),
                 }
             )
-        if "baseline" in roots:
-            # Pairs in which this checkout beat the baseline; ties count for neither.
-            head, base = rows[-1]["metrics"], rows[-2]["metrics"]
-            rows[-1]["pairs_won"] = {
-                name: sum(
-                    h > b if higher[name] else h < b
-                    for h, b in zip(head[name]["values"], base[name]["values"])
-                )
-                for name in names
-            }
+        # Pairs in which this checkout beat the baseline; ties count for neither.
+        head, base = rows[-1]["metrics"], rows[-2]["metrics"]
+        rows[-1]["pairs_won"] = {
+            name: sum(
+                h > b if higher[name] else h < b
+                for h, b in zip(head[name]["values"], base[name]["values"])
+            )
+            for name in names
+        }
 
     doc = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds N --trace 0",

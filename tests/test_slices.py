@@ -124,12 +124,22 @@ class TestSampling:
             )
 
     def test_antipodal_samples_negate_each_other(self, disjoint_profile):
-        samples = disjoint_profile.samples
-        for k in range(8):
-            near, far = samples[k], samples[k + 8]
-            assert far.direction.entries == tuple(-e for e in near.direction.entries)
-            assert far.maxmin == -near.minmax
-            assert far.half == -near.half
+        # n/2 odd and even; A and B zero, negative, straddling zero, out of
+        # order and on large denominators; fractional and steep planes.
+        profiles = [disjoint_profile] + [
+            slice_profile(beliefs, plane, n, F(1, 3))
+            for n in (8, 10, 14, 256)
+            for beliefs in EDGE_COLLECTIONS.values()
+            for plane in EDGE_PLANES.values()
+        ]
+        for profile in profiles:
+            samples = profile.samples
+            half_n = len(samples) // 2
+            for near, far in zip(samples[:half_n], samples[half_n:]):
+                assert far.direction.entries == tuple(-e for e in near.direction.entries)
+                assert far.maxmin == -near.minmax
+                assert far.minmax == -near.maxmin
+                assert far.half == -near.half
 
     def test_half_is_the_operator_midpoint(self, disjoint_profile):
         for s in disjoint_profile.samples:
@@ -290,17 +300,6 @@ class TestIntegerSampler:
             assert profile.arc_summary == tuple(
                 (cone, _sign_arcs([v >= 0 for v in columns[cone]])) for cone in cones
             ), plane
-
-    @pytest.mark.parametrize("n", [8, 10, 14, 256])
-    @pytest.mark.parametrize("collection", sorted(EDGE_COLLECTIONS))
-    def test_antipodes(self, n, collection):
-        for basis in EDGE_PLANES.values():
-            samples = slice_profile(EDGE_COLLECTIONS[collection], basis, n, F(1, 3)).samples
-            for near, far in zip(samples[: n // 2], samples[n // 2 :]):
-                assert far.direction.entries == tuple(-e for e in near.direction.entries)
-                assert far.maxmin == -near.minmax
-                assert far.minmax == -near.maxmin
-                assert far.half == -near.half
 
     def test_edge_collections_cover_the_signs(self):
         plane = EDGE_PLANES["diagonal_residue"]
