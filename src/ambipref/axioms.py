@@ -13,11 +13,16 @@ min and max run down the columns and yield every difference's margin
 numerator at once.  The pairwise matrix folds u_i - u_j over all j; the
 mixed-act audits fold integer-weighted combinations of battery rows, with
 each weight in ``MIX_GRID`` written as k / s over one common scale s.
+Independence is decided by the integer homogeneity fold alone: utility is
+affine, so mixing f and g with a common act h at weight a leaves the
+difference a * (u_f - u_g), and the audit compares the fold of
+k * (u_i - u_j) with k times the pair's margin numerator on every pair.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -31,12 +36,11 @@ from .model import (
     Instance,
     Prior,
     UtilityVector,
-    act_from_utility_vector,
     constant_act,
-    mix_acts,
     utility_vector,
 )
-from .margins import ModelKind, describe_model, model_margin
+from .margins import ModelKind, describe_model
+from .margins import model_margin  # noqa: F401  (perfbench/tracer.py wraps axioms.model_margin)
 
 __all__ = [
     "AxiomKind",
@@ -55,7 +59,6 @@ __all__ = [
 MIX_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 _MIX_SCALE = lcm(*(a.denominator for a in MIX_GRID))  # weight a is k / s, k integer
 WITNESS_CAP = 25
-_SPOT_CHECK_TRIPLES = 48
 
 
 class AxiomKind(Enum):
@@ -184,8 +187,10 @@ class MarginTable:
     minmax(phi) = -maxmin(-phi), minmax(u_i - u_j) is -M[j][i].  Kinds that
     read the same sets share all of it.  Independence and favorable mixing
     fold integer-weighted combinations of the rows the same way, so no
-    margin is computed one pair at a time.  Weak relations are memoized on
-    the table per model, so every audit of the same battery shares them.
+    margin is computed one pair at a time; independence is decided by that
+    homogeneity fold alone, with no mixed lottery built.  Weak relations are
+    memoized on the table per model, and the statewise dominance pairs once,
+    so every audit of the same battery shares them.
     """
 
     def __init__(self, instance: Instance, uvecs: Sequence[UtilityVector]):
@@ -196,6 +201,7 @@ class MarginTable:
         self._scaled = [tuple(int(e * self._du) for e in vec.entries) for vec in self.uvecs]
         self._columns: dict[tuple[tuple[Prior, ...], ...], _SetColumns] = {}
         self._relations: dict[ModelKind, tuple[list[int], int]] = {}
+        self._dominance: list[tuple[int, int]] | None = None
 
     def columns(self, kind: ModelKind) -> "_SetColumns":
         """The integer columns of the belief sets this model reads."""
@@ -383,20 +389,28 @@ def _run_unambiguous_completeness(r: _Runner, uvecs, instance, cap) -> _Outcome:
     return out
 
 
-def _dominance_pairs(uvecs: Sequence[UtilityVector]) -> list[tuple[int, int]]:
-    pairs = []
-    for i, vi in enumerate(uvecs):
-        for j, vj in enumerate(uvecs):
-            if i != j and all(a >= b for a, b in zip(vi.entries, vj.entries)):
-                pairs.append((i, j))
-    return pairs
+def _dominance_pairs(table: MarginTable) -> list[tuple[int, int]]:
+    """Pairs (i, j), i != j, where act i statewise dominates act j, row-major.
+
+    Read on the table's integer rows, which share one positive denominator,
+    and memoized on the table; callers must not mutate the list.
+    """
+    if table._dominance is None:
+        rows = table._scaled
+        table._dominance = [
+            (i, j)
+            for i, ri in enumerate(rows)
+            for j, rj in enumerate(rows)
+            if i != j and all(map(operator.ge, ri, rj))
+        ]
+    return table._dominance
 
 
 def _run_unambiguous_transitivity(r: _Runner, uvecs, instance, cap) -> _Outcome:
     out = _Outcome(True, [], 0, 0)
     w = r.weak_matrix()
     n = r.table.n
-    dom = _dominance_pairs(uvecs)
+    dom = _dominance_pairs(r.table)
     for f, g in dom:
         wg, wf = w[g], w[f]
         for h in range(n):
@@ -424,7 +438,7 @@ def _run_unambiguous_transitivity(r: _Runner, uvecs, instance, cap) -> _Outcome:
 def _run_monotonicity(r: _Runner, uvecs, instance, cap) -> _Outcome:
     out = _Outcome(True, [], 0, 0)
     w = r.weak_matrix()
-    for i, j in _dominance_pairs(uvecs):
+    for i, j in _dominance_pairs(r.table):
         out.checked += 1
         if not (w[i] >> j) & 1:
             _cap_add(
@@ -457,30 +471,6 @@ def _run_independence(r: _Runner, uvecs, instance, cap) -> _Outcome:
                                 f"margin not homogeneous at {a}"),
                         cap,
                     )
-    # Spot checks through the slow path: real mixed acts, judged end to end.
-    total = n * n * n
-    stride = max(1, total // _SPOT_CHECK_TRIPLES)
-    battery_acts = [act_from_utility_vector(instance, v.entries) for v in uvecs]
-    for flat in range(0, total, stride):
-        f, rem = divmod(flat, n * n)
-        g, h = divmod(rem, n)
-        for a in MIX_GRID:
-            out.checked += 1
-            plain = r.weak(f, g)
-            # Mix both sides with the same third act h and judge end to end.
-            left = mix_acts(a, battery_acts[f], battery_acts[h])
-            right = mix_acts(a, battery_acts[g], battery_acts[h])
-            phi = utility_vector(instance.utility, left) - utility_vector(
-                instance.utility, right
-            )
-            mixed = model_margin(r.kind, instance.collection, phi) >= 0
-            if mixed != plain:
-                _cap_add(
-                    out,
-                    Witness((f, g, h), (r.margin(f, g),),
-                            f"mixing with weight {a} flipped the judgment"),
-                    cap,
-                )
     return out
 
 

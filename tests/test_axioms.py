@@ -37,8 +37,8 @@ from ambipref import (
 from ambipref.axioms import (
     MIX_GRID,
     WITNESS_CAP,
-    _SPOT_CHECK_TRIPLES,
     _Runner,
+    _dominance_pairs,
     battery_label,
 )
 
@@ -136,6 +136,24 @@ class TestMarginTableAgreement:
                         assert bool((matrix[i] >> j) & 1) == (expected >= 0), (kind, i, j)
                         expected_zeros += i != j and expected == 0
                 assert zeros == expected_zeros, kind
+
+    def test_dominance_pairs_match_the_fraction_order(self):
+        """Integer rows give the statewise order of the Fraction vectors, row-major."""
+        inst = generate_instance(3, GenParams(num_states=3))
+        battery = generate_act_grid(inst, resolution=1, radius=F(1, 3))
+        table = MarginTable(inst, [utility_vector(inst.utility, a) for a in battery])
+        entries = [u.entries for u in table.uvecs]
+        expected = [
+            (i, j)
+            for i, ui in enumerate(entries)
+            for j, uj in enumerate(entries)
+            if i != j and all(a >= b for a, b in zip(ui, uj))
+        ]
+        assert _dominance_pairs(table) == expected
+        assert _dominance_pairs(table) is _dominance_pairs(table)
+        assert (1, 0) in expected and (0, 1) not in expected
+        report = audit(AxiomKind.MONOTONICITY, SEU(eight_kinds(inst)[0]), inst, battery, table=table)
+        assert report.checked == len(expected)
 
     def test_table_rejects_foreign_battery(self, disjoint_pair):
         small = generate_act_grid(disjoint_pair, resolution=1)
@@ -255,11 +273,9 @@ def reference_mixing_audits(kind, inst, uvecs, cap=WITNESS_CAP):
                     fav["witnesses"].append(((f, g, h), (mixed[hi], mixed[lo])))
 
     ind = {"checked": 0, "witnesses": [], "total": 0, "flags": 0}
-    zero_pairs = set()
     for i in range(n):
         for j in range(i + 1, n):
-            if pair[i][j] == 0:
-                zero_pairs.add((i, j))
+            ind["flags"] += pair[i][j] == 0
             for a in MIX_GRID:
                 ind["checked"] += 1
                 scaled = margin(uvecs[i].scale(a) - uvecs[j].scale(a))
@@ -267,20 +283,6 @@ def reference_mixing_audits(kind, inst, uvecs, cap=WITNESS_CAP):
                 if scaled != a * pair[i][j]:
                     ind["total"] += 1
                     ind["witnesses"].append(((i, j), (pair[i][j], scaled)))
-    stride = max(1, n**3 // _SPOT_CHECK_TRIPLES)
-    for flat in range(0, n**3, stride):
-        f, rem = divmod(flat, n * n)
-        g, h = divmod(rem, n)
-        if pair[f][g] == 0:
-            zero_pairs.add((f, g))
-        for a in MIX_GRID:
-            ind["checked"] += 1
-            rest = uvecs[h].scale(1 - a)
-            mixed = margin(uvecs[f].scale(a) + rest - (uvecs[g].scale(a) + rest))
-            if (mixed >= 0) != (pair[f][g] >= 0):
-                ind["total"] += 1
-                ind["witnesses"].append(((f, g, h), (pair[f][g],)))
-    ind["flags"] += len(zero_pairs)
 
     for out in (fav, ind):
         out["passed"] = out["total"] == 0
@@ -322,6 +324,27 @@ class TestMixingAudits:
                 assert summarize(ind) == expected_ind, kind
                 failing += not fav.passed
         assert failing == 4  # the witness comparison is not vacuous
+
+    def test_independence_checks_each_pair_at_each_weight(self, monkeypatch):
+        """3 * n(n-1)/2 checks per audit, and every witness is a pair of acts.
+
+        A fold that is off by one everywhere fails every check, so the
+        witness shape is tested on a full cap of witnesses.
+        """
+        inst = generate_instance(3, GenParams(num_states=3))
+        battery = generate_act_grid(inst, resolution=1)
+        n = len(battery)
+        expected = len(MIX_GRID) * n * (n - 1) // 2
+        for kind in eight_kinds(inst)[1]:
+            report = audit(AxiomKind.INDEPENDENCE, kind, inst, battery)
+            assert report.passed and report.checked == expected, kind
+        fold = _Runner.fold
+        monkeypatch.setattr(_Runner, "fold", lambda self, cols: [x + 1 for x in fold(self, cols)])
+        for kind in eight_kinds(inst)[1]:
+            report = audit(AxiomKind.INDEPENDENCE, kind, inst, battery)
+            assert report.checked == report.total_violations == expected, kind
+            assert len(report.witnesses) == WITNESS_CAP
+            assert all(len(w.indices) == 2 for w in report.witnesses), kind
 
     @pytest.mark.parametrize("kind", [GeneralizedBewley(), HalfMixture(), Bewley("low")])
     def test_independence_sees_a_perturbed_fold(self, disjoint_pair, monkeypatch, kind):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ambipref import (
     Act,
+    GenParams,
     InstanceValidationError,
     Lottery,
     NotARational,
@@ -19,14 +20,17 @@ from ambipref import (
     dumps_instance,
     expected_value,
     format_rational,
+    generate_instance,
     instance_to_jsonable,
     mix_acts,
     mix_lotteries,
     parse_rational,
+    phi_lattice,
     statewise_dominates,
     utility_vector,
     validate_instance,
 )
+from ambipref.axioms import MIX_GRID
 from ambipref.model import MAX_RATIONAL_DIGITS
 
 F = Fraction
@@ -142,6 +146,26 @@ class TestActHelpers:
         mixed = mix_acts(F(1, 4), f, g)
         vec = utility_vector(disjoint_pair.utility, mixed)
         assert vec.entries == (F(-1, 2), F(-1))
+
+    @pytest.mark.parametrize("seed, states", [(0, 2), (3, 3)])
+    def test_common_mixing_scales_the_utility_difference(self, seed, states):
+        """Mixing f and g with one act h at weight a leaves a * (u_f - u_g).
+
+        Over 48 strided triples of a lattice battery and every weight in
+        ``MIX_GRID``; independence audits rely on this identity and check
+        homogeneity on the differences alone.
+        """
+        inst = generate_instance(seed, GenParams(num_states=states))
+        vecs = phi_lattice(states, 4 - states, F(1))
+        acts = [act_from_utility_vector(inst, v.entries) for v in vecs]
+        n = len(acts)
+        for flat in range(0, n**3, max(1, n**3 // 48)):
+            f, rem = divmod(flat, n * n)
+            g, h = divmod(rem, n)
+            for a in MIX_GRID:
+                left = utility_vector(inst.utility, mix_acts(a, acts[f], acts[h]))
+                right = utility_vector(inst.utility, mix_acts(a, acts[g], acts[h]))
+                assert left - right == (vecs[f] - vecs[g]).scale(a), (f, g, h, a)
 
     def test_mix_weight_out_of_range(self, disjoint_pair):
         f = disjoint_pair.act("bet_s1")
