@@ -152,7 +152,8 @@ class TestMarginTableAgreement:
         assert _dominance_pairs(table) == expected
         assert _dominance_pairs(table) is _dominance_pairs(table)
         assert (1, 0) in expected and (0, 1) not in expected
-        report = audit(AxiomKind.MONOTONICITY, SEU(eight_kinds(inst)[0]), inst, battery, table=table)
+        prior = eight_kinds(inst)[0]
+        report = audit(AxiomKind.MONOTONICITY, SEU(prior), inst, battery, table=table)
         assert report.checked == len(expected)
 
     def test_table_rejects_foreign_battery(self, disjoint_pair):
