@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .lp import Constraint, LinearProgram, Optimal, solve
-from .margins import margin_profile
+from .margins import margin_profile, set_max, set_min, vertex_extremes
 from .model import (
     Act,
     BeliefCollection,
@@ -248,14 +248,9 @@ def polytopes_intersect(
     if not isinstance(res, Optimal):
         raise RuntimeError(f"separation program did not optimize: {res!r}")
     if res.value > 0:
-        phi = res.point[:n]
-        m1 = min(sum(p * e for p, e in zip(v.probs, phi)) for v in first.vertices)
-        m2 = min(-sum(p * e for p, e in zip(w.probs, phi)) for w in second.vertices)
-        return SametCertificate(
-            phi1=UtilityVector(phi),
-            phi2=UtilityVector(tuple(-e for e in phi)),
-            slack=min(m1, m2),
-        )
+        phi = UtilityVector(res.point[:n])
+        slack = min(set_min(first, phi), -set_max(second, phi))
+        return SametCertificate(phi1=phi, phi2=-phi, slack=slack)
 
     n1, n2 = len(first.vertices), len(second.vertices)
     cols = n1 + n2
@@ -341,12 +336,10 @@ def find_cutting_hyperplane(
     t = (maxmin + minmax) / 2 to threshold zero, and each set is straddled
     by its first argmax and argmin vertices.
     """
-    sets = collection.sets
-    if any(len(s.vertices) < 2 for s in sets):  # a point cannot be straddled
+    den, scaled = collection.integer_view
+    if any(len(verts) < 2 for verts in scaled):  # a point cannot be straddled
         return None
-    n = sets[0].dimension
-    den = math.lcm(*(p.denominator for s in sets for v in s.vertices for p in v.probs))
-    scaled = [[tuple(int(p * den) for p in v.probs) for v in s.vertices] for s in sets]
+    n = collection.dimension
     points = {v for verts in scaled for v in verts}
     normals = {
         _primitive([a - b for a, b in zip(v, w)])
@@ -363,8 +356,7 @@ def find_cutting_hyperplane(
         if not any(x) or (ray := _primitive(x + [-sum(x)])) in seen:
             continue
         seen.add(ray)
-        values = [[sum(p * r for p, r in zip(v, ray)) for v in verts] for verts in scaled]
-        maxmin, minmax = max(map(min, values)), min(map(max, values))
+        values, maxmin, minmax = vertex_extremes(scaled, ray)
         if minmax > maxmin:
             t = Fraction(maxmin + minmax, 2 * den)
             return CuttingHyperplane(

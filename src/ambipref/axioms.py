@@ -221,14 +221,11 @@ class _SetColumns:
     """
 
     def __init__(self, sets: BeliefCollection, scaled: list[tuple[int, ...]], du: int):
-        vertices: list[Prior] = []
-        self.parts: list[tuple[int, int]] = []
-        for bset in sets:
-            self.parts.append((len(vertices), len(vertices) + len(bset.vertices)))
-            vertices.extend(bset.vertices)
-        dv = lcm(*(p.denominator for v in vertices for p in v.probs))
+        dv, set_rows = sets.integer_view
         self.denom = dv * du
-        int_vertices = [tuple(int(p * dv) for p in v.probs) for v in vertices]
+        ends = list(itertools.accumulate(map(len, set_rows)))
+        self.parts = list(zip([0, *ends], ends))
+        int_vertices = [v for verts in set_rows for v in verts]
         self.rows = [
             tuple(sum(a * b for a, b in zip(u, col)) for col in int_vertices) for u in scaled
         ]

@@ -12,7 +12,8 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import Sequence, Union
 
 from .model import (
     Act,
@@ -31,6 +32,7 @@ __all__ = [
     "set_min",
     "set_max",
     "MarginProfile",
+    "vertex_extremes",
     "margin_profile",
     "GeneralizedBewley",
     "Disjunctive",
@@ -70,15 +72,21 @@ class MarginProfile:
     minmax: Fraction
 
 
+def vertex_extremes(rows, x: Sequence[int]) -> tuple[list[list[int]], int, int]:
+    """Each set's values of integer x on ``integer_view`` rows, their maxmin, minmax."""
+    values = [[sum(map(operator.mul, row, x)) for row in verts] for verts in rows]
+    return values, max(map(min, values)), min(map(max, values))
+
+
 def margin_profile(collection: BeliefCollection, phi: UtilityVector) -> MarginProfile:
-    """Compute both primitive margins in one pass over the vertex lists."""
-    mins = []
-    maxes = []
-    for bset in collection:
-        values = [expected_value(v, phi) for v in bset.vertices]
-        mins.append(min(values))
-        maxes.append(max(values))
-    return MarginProfile(maxmin=max(mins), minmax=min(maxes))
+    """Compute both primitive margins on the collection's integer vertex rows."""
+    if len(phi) != collection.dimension:
+        raise ValueError("prior and utility vector disagree on dimension")
+    den, rows = collection.integer_view
+    q = lcm(*(e.denominator for e in phi.entries))
+    x = [e.numerator * (q // e.denominator) for e in phi.entries]
+    _, maxmin, minmax = vertex_extremes(rows, x)
+    return MarginProfile(maxmin=Fraction(maxmin, den * q), minmax=Fraction(minmax, den * q))
 
 
 class _Kind:

@@ -1,16 +1,18 @@
 """Exact-arithmetic decision universe: states, prizes, lotteries, acts, priors.
 
-Every numeric quantity is a :class:`fractions.Fraction` and nothing in this
-package rounds.  Downstream preference judgments reduce to sign tests of
-rational margins, so cases that land exactly on a boundary stay exact instead
-of dissolving into float noise.
+Every number is an exact :class:`fractions.Fraction` or an integer over a
+common denominator (``BeliefCollection.integer_view``), and nothing rounds.
+Preference judgments reduce to sign tests of exact margins, so cases that land
+exactly on a boundary stay exact instead of dissolving into float noise.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -353,6 +355,17 @@ class BeliefCollection:
 
     def __iter__(self) -> Iterator[BeliefSet]:
         return iter(self.sets)
+
+    @cached_property
+    def integer_view(self) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+        """``(den, rows)``: ``rows[g][k]`` is ``den`` times the g-th set's k-th vertex,
+        ``den`` the lcm of all vertex denominators.  Cached outside the fields,
+        so equality and hashing ignore it; the only place vertices become ints."""
+        den = math.lcm(*(p.denominator for s in self.sets for v in s.vertices for p in v.probs))
+        return den, tuple(
+            tuple(tuple(p.numerator * (den // p.denominator) for p in v.probs) for v in s.vertices)
+            for s in self.sets
+        )
 
     def get(self, name: str) -> BeliefSet:
         for bset in self.sets:

@@ -563,6 +563,11 @@ class TestVerifyCommand:
         assert code == 2
         assert "empty seed range" in capsys.readouterr().err
 
+    def test_radius_beyond_utility_range(self, capsys):
+        code = main(["verify", "--seeds", "0", "--suites", "thm2", "--radius", "3"])
+        assert code == 2
+        assert "lattice [-3, 3] does not fit utility range" in capsys.readouterr().err
+
     def test_generator_overrides_reach_the_generator(self, capsys):
         code = main(
             [

@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ambipref import (
@@ -12,6 +12,7 @@ from ambipref import (
     Bewley,
     Conjunctive,
     Disjunctive,
+    GenParams,
     GeneralizedBewley,
     HalfMixture,
     Justifiable,
@@ -24,6 +25,7 @@ from ambipref import (
     classify,
     describe_model,
     expected_value,
+    generate_instance,
     margin_pair,
     margin_profile,
     model_margin,
@@ -39,6 +41,10 @@ BET = UtilityVector((F(1), F(-1)))
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=24)
 phis = st.tuples(rationals, rationals).map(UtilityVector)
+# Zero, negative and large-denominator entries, for phis on 3 and 4 states.
+wide_entries = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=10**12)
+)
 
 
 def all_kinds(instance):
@@ -107,6 +113,35 @@ class TestProfile:
         flipped = margin_profile(disjoint_pair.collection, -phi)
         assert flipped.maxmin == -prof.minmax
         assert flipped.minmax == -prof.maxmin
+
+    def test_dimension_mismatch_raises(self, disjoint_pair):
+        with pytest.raises(ValueError, match="disagree on dimension"):
+            margin_profile(disjoint_pair.collection, UtilityVector((F(1), F(0), F(-1))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from([3, 4]),
+        st.integers(min_value=2, max_value=60),
+        st.data(),
+    )
+    @example(seed=7, n=4, bound=60, data=None)
+    def test_profile_matches_the_fraction_reference(self, seed, n, bound, data):
+        """The integer kernel agrees with set_min/set_max on every selection."""
+        coll = generate_instance(seed, GenParams(num_states=n, denominator_bound=bound)).collection
+        if data is None:
+            entries = (F(0), F(-3, 7), F(10**12 - 1, 10**12), F(-2))[:n]
+        else:
+            entries = tuple(data.draw(wide_entries) for _ in range(n))
+        phi = UtilityVector(entries)
+        names = [s.name for s in coll]
+        kinds = [GeneralizedBewley(), Bewley(names[0]), Justifiable(names[-1]),
+                 SEU(coll.sets[-1].vertices[0])]
+        for selection in (kind.sets(coll) for kind in kinds):
+            prof = margin_profile(selection, phi)
+            assert type(prof.maxmin) is F and type(prof.minmax) is F
+            assert prof.maxmin == max(set_min(s, phi) for s in selection)
+            assert prof.minmax == min(set_max(s, phi) for s in selection)
 
     @given(phis)
     def test_maxmin_below_minmax_only_with_overlap(self, overlapping_intervals, phi):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 
 from ambipref import (
     Act,
+    BeliefCollection,
+    BeliefSet,
+    Bewley,
     GenParams,
     InstanceValidationError,
     Lottery,
@@ -106,6 +110,48 @@ class TestStructures:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             UtilityVector((F(1),)) + UtilityVector((F(1), F(2)))
+
+
+def _collection(name_probs):
+    return BeliefCollection(
+        tuple(BeliefSet(name, tuple(Prior(p) for p in probs)) for name, probs in name_probs)
+    )
+
+
+HALVES_THIRDS = [
+    ("halves", [(F(1, 2), F(1, 2)), (F(1), F(0))]),
+    ("thirds", [(F(1, 3), F(2, 3)), (F(0), F(1)), (F(2, 3), F(1, 3))]),
+]
+
+
+class TestIntegerView:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_are_den_times_probs(self, seed):
+        coll = generate_instance(seed, GenParams(num_states=3 + seed % 2)).collection
+        den, rows = coll.integer_view
+        assert den == math.lcm(*(p.denominator for s in coll for v in s.vertices for p in v.probs))
+        assert [len(verts) for verts in rows] == [len(s.vertices) for s in coll]
+        for verts, bset in zip(rows, coll):
+            for row, vertex in zip(verts, bset.vertices):
+                assert all(type(x) is int for x in row)
+                assert row == tuple(den * p for p in vertex.probs)
+
+    def test_rows_run_in_set_and_vertex_order(self):
+        den, rows = _collection(HALVES_THIRDS).integer_view
+        assert den == 6
+        assert rows == (((3, 3), (6, 0)), ((2, 4), (0, 6), (4, 2)))
+
+    def test_one_set_selection_gets_its_own_denominator(self):
+        coll = _collection(HALVES_THIRDS)
+        assert _collection(HALVES_THIRDS[:1]).integer_view == (2, (((1, 1), (2, 0)),))
+        assert Bewley("thirds").sets(coll).integer_view == (3, (((1, 2), (0, 3), (2, 1)),))
+
+    def test_view_leaves_equality_and_hashing_alone(self):
+        built, fresh = _collection(HALVES_THIRDS), _collection(HALVES_THIRDS)
+        assert built.integer_view[0] == 6
+        assert "integer_view" in vars(built) and "integer_view" not in vars(fresh)
+        assert built == fresh and hash(built) == hash(fresh)
+        assert built != _collection(HALVES_THIRDS[:1])
 
 
 class TestActHelpers:
