@@ -5,7 +5,10 @@ lattice), reports pass or fail, and backs every failure with concrete act
 tuples and the margins that witness the violation.  All judgments are sign
 tests on integers scaled to a common denominator, so verdicts are exact and
 reproducible; a margin that is exactly zero increments ``boundary_flags`` on
-the report because the verdict hinged on a boundary case.
+the report because the verdict hinged on a boundary case.  ``witnesses``
+keeps the first ``witness_cap`` (default ``WITNESS_CAP``) violations,
+``total_violations`` counts all of them, and ``boundary_flags`` does not
+depend on the cap.
 
 Margins are computed many at a time by one fold: given the scaled vertex
 expectations of a list of utility differences, column by column, builtin
@@ -253,31 +256,52 @@ def _nested(cols: list[list[int]], parts, outer, inner) -> list[int]:
 
 
 class _Runner:
-    """Margin access for one audit: sign tests, caching, boundary counting.
+    """One audit's state: margin access, boundary counting and the tally.
 
-    The model's rule decides everything: its belief sets pick the table's
+    The model's rule decides every margin: its belief sets pick the table's
     columns, and its ``combine`` folds their (maxmin, minmax) into a margin
-    numerator over the columns' denominator times ``factor``.
+    numerator over ``unit``, the columns' denominator times the model's
+    ``den``.  Runners report through ``fail``, which counts every violation
+    but builds a witness's Fractions only while fewer than ``witness_cap``
+    are kept.  Zero margins are counted where numerators are read, never in
+    ``fail``, so ``zero_flags`` does not depend on the cap.
     """
 
-    def __init__(self, table: MarginTable, kind: ModelKind):
+    def __init__(self, table: MarginTable, kind: ModelKind, witness_cap: int = WITNESS_CAP):
         self.table = table
         self.kind = kind
         self.combine = kind.combine
-        self.factor = kind.den
         self.cols = table.columns(kind)
+        self.unit = self.cols.denom * kind.den
         self.matrix = self.cols.maxmin
         self._zero_seen: set[tuple[int, int]] = set()
         self.combo_zeros = 0
         self.matrix_zero_flags = 0
+        self.witness_cap = witness_cap
+        self.passed = True
+        self.checked = 0
+        self.total = 0
+        self.witnesses: list[Witness] = []
+
+    def fail(self, indices: tuple[int, ...], nums, note: str, unit: int | None = None) -> None:
+        """Count one violation, keeping its witness while under the cap.
+
+        ``nums`` are the witness's integer margin numerators over ``unit``,
+        which defaults to the runner's own.
+        """
+        self.passed = False
+        self.total += 1
+        if len(self.witnesses) < self.witness_cap:
+            den = unit or self.unit
+            self.witnesses.append(Witness(indices, tuple(Fraction(x, den) for x in nums), note))
 
     def fold(self, cols: list[list[int]]) -> list[int]:
         """Margin numerators of many differences at once.
 
         ``cols[c][h]`` is the scaled expectation of the h-th difference at
         the c-th of the model's columns; entry h of the result is that
-        difference's margin numerator over the column scale times
-        ``factor``.  Zero results are the caller's to count.
+        difference's margin numerator over the column scale times the
+        model's ``den``.  Zero results are the caller's to count.
         """
         parts = self.cols.parts
         maxmin, minmax = _nested(cols, parts, max, min), _nested(cols, parts, min, max)
@@ -290,15 +314,12 @@ class _Runner:
         return nums
 
     def margin_num(self, i: int, j: int) -> int:
-        """Scaled numerator of the margin for u_i - u_j (sign-faithful)."""
+        """Numerator over ``unit`` of the margin for u_i - u_j (sign-faithful)."""
         m = self.matrix
         num = self.combine(m[i][j], -m[j][i])
         if num == 0:
             self._zero_seen.add((i, j))
         return num
-
-    def margin(self, i: int, j: int) -> Fraction:
-        return Fraction(self.margin_num(i, j), self.cols.denom * self.factor)
 
     def weak(self, i: int, j: int) -> bool:
         return self.margin_num(i, j) >= 0
@@ -328,62 +349,39 @@ class _Runner:
         return len(self._zero_seen) + self.combo_zeros + self.matrix_zero_flags
 
 
-@dataclass
-class _Outcome:
-    passed: bool
-    witnesses: list[Witness]
-    total: int
-    checked: int
-
-
-def _constants(uvecs: Sequence[UtilityVector]) -> list[tuple[int, Fraction]]:
-    return [(i, v.entries[0]) for i, v in enumerate(uvecs) if v.is_constant()]
-
-
-def _cap_add(out: _Outcome, witness: Witness, cap: int) -> None:
-    out.total += 1
-    out.passed = False
-    if len(out.witnesses) < cap:
-        out.witnesses.append(witness)
-
-
-def _run_non_triviality(r: _Runner, uvecs, instance, cap) -> _Outcome:
-    out = _Outcome(False, [], 0, 0)
-    for i in range(r.table.n):
-        for j in range(r.table.n):
-            if i == j:
-                continue
-            out.checked += 1
-            if r.weak(i, j) and not r.weak(j, i):
-                out.passed = True
-                return out
-    return out
-
-
-def _run_reflexivity(r: _Runner, uvecs, instance, cap) -> _Outcome:
-    out = _Outcome(True, [], 0, 0)
-    for i in range(r.table.n):
-        out.checked += 1
-        if not r.weak(i, i):
-            _cap_add(out, Witness((i,), (r.margin(i, i),), "act not weakly preferred to itself"), cap)
-    return out
-
-
-def _run_unambiguous_completeness(r: _Runner, uvecs, instance, cap) -> _Outcome:
-    consts = _constants(uvecs)
+def _constants(r: _Runner) -> list[tuple[int, Fraction]]:
+    """The battery's constant acts and their values; there must be some."""
+    consts = [(i, v.entries[0]) for i, v in enumerate(r.table.uvecs) if v.is_constant()]
     if not consts:
         raise BatteryMissingConstants("battery has no constant acts")
-    out = _Outcome(True, [], 0, 0)
-    for (a, va), (b, vb) in itertools.combinations(consts, 2):
-        out.checked += 1
-        if not r.weak(a, b) and not r.weak(b, a):
-            _cap_add(
-                out,
-                Witness((a, b), (r.margin(a, b), r.margin(b, a)),
-                        f"constants {va} and {vb} incomparable"),
-                cap,
-            )
-    return out
+    return consts
+
+
+def _run_non_triviality(r: _Runner) -> None:
+    n = r.table.n
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                r.checked += 1
+                if r.weak(i, j) and not r.weak(j, i):
+                    return
+    r.passed, r.total = False, 1  # the failure is the exhausted search itself
+
+
+def _run_reflexivity(r: _Runner) -> None:
+    for i in range(r.table.n):
+        r.checked += 1
+        num = r.margin_num(i, i)
+        if num < 0:
+            r.fail((i,), (num,), "act not weakly preferred to itself")
+
+
+def _run_unambiguous_completeness(r: _Runner) -> None:
+    for (a, va), (b, vb) in itertools.combinations(_constants(r), 2):
+        r.checked += 1
+        ab = r.margin_num(a, b)
+        if ab < 0 and (ba := r.margin_num(b, a)) < 0:
+            r.fail((a, b), (ab, ba), f"constants {va} and {vb} incomparable")
 
 
 def _dominance_pairs(table: MarginTable) -> list[tuple[int, int]]:
@@ -403,54 +401,36 @@ def _dominance_pairs(table: MarginTable) -> list[tuple[int, int]]:
     return table._dominance
 
 
-def _run_unambiguous_transitivity(r: _Runner, uvecs, instance, cap) -> _Outcome:
-    out = _Outcome(True, [], 0, 0)
+def _run_unambiguous_transitivity(r: _Runner) -> None:
     w = r.weak_matrix()
     n = r.table.n
     dom = _dominance_pairs(r.table)
     for f, g in dom:
         wg, wf = w[g], w[f]
         for h in range(n):
-            out.checked += 1
+            r.checked += 1
             if (wg >> h) & 1 and not (wf >> h) & 1:
-                _cap_add(
-                    out,
-                    Witness((f, g, h), (r.margin(g, h), r.margin(f, h)),
-                            "dominance then weak preference fails to chain"),
-                    cap,
-                )
+                r.fail((f, g, h), (r.margin_num(g, h), r.margin_num(f, h)),
+                       "dominance then weak preference fails to chain")
     for g, h in dom:
         for f in range(n):
-            out.checked += 1
+            r.checked += 1
             if (w[f] >> g) & 1 and not (w[f] >> h) & 1:
-                _cap_add(
-                    out,
-                    Witness((f, g, h), (r.margin(f, g), r.margin(f, h)),
-                            "weak preference then dominance fails to chain"),
-                    cap,
-                )
-    return out
+                r.fail((f, g, h), (r.margin_num(f, g), r.margin_num(f, h)),
+                       "weak preference then dominance fails to chain")
 
 
-def _run_monotonicity(r: _Runner, uvecs, instance, cap) -> _Outcome:
-    out = _Outcome(True, [], 0, 0)
+def _run_monotonicity(r: _Runner) -> None:
     w = r.weak_matrix()
     for i, j in _dominance_pairs(r.table):
-        out.checked += 1
+        r.checked += 1
         if not (w[i] >> j) & 1:
-            _cap_add(
-                out,
-                Witness((i, j), (r.margin(i, j),), "statewise dominance not honored"),
-                cap,
-            )
-    return out
+            r.fail((i, j), (r.margin_num(i, j),), "statewise dominance not honored")
 
 
-def _run_independence(r: _Runner, uvecs, instance, cap) -> _Outcome:
-    out = _Outcome(True, [], 0, 0)
+def _run_independence(r: _Runner) -> None:
     cols = r.cols
     n = r.table.n
-    unit = cols.denom * r.factor * _MIX_SCALE
     ks = [int(a * _MIX_SCALE) for a in MIX_GRID]
     for i in range(n):
         diffs = [[a - x for x in col[i + 1 :]] for a, col in zip(cols.rows[i], cols.cols)]
@@ -459,37 +439,25 @@ def _run_independence(r: _Runner, uvecs, instance, cap) -> _Outcome:
         for j in range(i + 1, n):
             base_num = r.margin_num(i, j)
             for a, k, nums in zip(MIX_GRID, ks, folds):
-                out.checked += 1
+                r.checked += 1
                 num = nums[j - i - 1]
                 if num != k * base_num:
-                    _cap_add(
-                        out,
-                        Witness((i, j), (r.margin(i, j), Fraction(num, unit)),
-                                f"margin not homogeneous at {a}"),
-                        cap,
-                    )
-    return out
+                    r.fail((i, j), (base_num * _MIX_SCALE, num),
+                           f"margin not homogeneous at {a}", r.unit * _MIX_SCALE)
 
 
-def _run_completeness(r: _Runner, uvecs, instance, cap) -> _Outcome:
-    out = _Outcome(True, [], 0, 0)
+def _run_completeness(r: _Runner) -> None:
     w = r.weak_matrix()
     n = r.table.n
     for i in range(n):
         wi = w[i]
         for j in range(i + 1, n):
-            out.checked += 1
+            r.checked += 1
             if not (wi >> j) & 1 and not (w[j] >> i) & 1:
-                _cap_add(
-                    out,
-                    Witness((i, j), (r.margin(i, j), r.margin(j, i)), "incomparable pair"),
-                    cap,
-                )
-    return out
+                r.fail((i, j), (r.margin_num(i, j), r.margin_num(j, i)), "incomparable pair")
 
 
-def _run_transitivity(r: _Runner, uvecs, instance, cap) -> _Outcome:
-    out = _Outcome(True, [], 0, 0)
+def _run_transitivity(r: _Runner) -> None:
     w = r.weak_matrix()
     n = r.table.n
     for i in range(n):
@@ -497,51 +465,54 @@ def _run_transitivity(r: _Runner, uvecs, instance, cap) -> _Outcome:
         for j in range(n):
             if i == j or not (wi >> j) & 1:
                 continue
-            out.checked += n
+            r.checked += n
             bad = w[j] & ~wi
             while bad:
                 low = bad & -bad
                 h = low.bit_length() - 1
                 bad ^= low
-                _cap_add(
-                    out,
-                    Witness((i, j, h),
-                            (r.margin(i, j), r.margin(j, h), r.margin(i, h)),
-                            "weak preference fails to chain"),
-                    cap,
-                )
-    return out
+                r.fail((i, j, h), (r.margin_num(i, j), r.margin_num(j, h), r.margin_num(i, h)),
+                       "weak preference fails to chain")
 
 
-def _run_cbt(r: _Runner, uvecs, instance, cap) -> _Outcome:
-    consts = _constants(uvecs)
-    if not consts:
-        raise BatteryMissingConstants("battery has no constant acts")
-    out = _Outcome(True, [], 0, 0)
+def _constant_sandwich(r: _Runner, order, bit: int, note: str) -> None:
+    """Acts f between constants a and b, for every pair with ``order(va, vb)``.
+
+    Both premises, a vs f and f vs b, must have weak-preference bit ``bit``;
+    each such f violates the axiom, since the order leaves its conclusion
+    false.  ``note`` is formatted with the two constants' values.
+    """
+    consts = _constants(r)
     w = r.weak_matrix()
     n = r.table.n
     for a, va in consts:
+        wa = w[a]
         for b, vb in consts:
-            if va >= vb:
+            if not order(va, vb):
                 continue  # the conclusion already holds
+            pair_note = note.format(va, vb)
             for f in range(n):
-                out.checked += 1
-                if (w[a] >> f) & 1 and (w[f] >> b) & 1:
-                    _cap_add(
-                        out,
-                        Witness((a, f, b),
-                                (r.margin(a, f), r.margin(f, b), r.margin(a, b)),
-                                f"act sandwiched between constants {va} < {vb}"),
-                        cap,
-                    )
-    return out
+                r.checked += 1
+                if (wa >> f) & 1 == bit and (w[f] >> b) & 1 == bit:
+                    r.fail((a, f, b),
+                           (r.margin_num(a, f), r.margin_num(f, b), r.margin_num(a, b)),
+                           pair_note)
 
 
-def _run_favorable_mixing(r: _Runner, uvecs, instance, cap) -> _Outcome:
-    out = _Outcome(True, [], 0, 0)
+def _run_cbt(r: _Runner) -> None:
+    _constant_sandwich(r, operator.lt, 1, "act sandwiched between constants {} < {}")
+
+
+def _run_negative_cbt(r: _Runner) -> None:
+    _constant_sandwich(
+        r, operator.ge, 0, "non-preference fails to chain across constants {} >= {}"
+    )
+
+
+def _run_favorable_mixing(r: _Runner) -> None:
     w = r.weak_matrix()
     n = r.table.n
-    unit = r.cols.denom * r.factor * _MIX_SCALE
+    unit = r.unit * _MIX_SCALE
     grid = sorted(MIX_GRID)
     ks = [int(a * _MIX_SCALE) for a in grid]
     # (s - k) * u_h at every column, for all h at once.
@@ -553,7 +524,7 @@ def _run_favorable_mixing(r: _Runner, uvecs, instance, cap) -> _Outcome:
             if f == g or not (w[g] >> f) & 1 or (w[f] >> g) & 1:
                 continue  # need g strictly better than f
             rf = rows[f]
-            out.checked += n
+            r.checked += n
             # k * u_f + (s - k) * u_h - s * u_g for every h, one fold per weight.
             mixed = []
             for k, rest in zip(ks, rests):
@@ -568,54 +539,19 @@ def _run_favorable_mixing(r: _Runner, uvecs, instance, cap) -> _Outcome:
                         if low is None:
                             low = ai
                     elif low is not None:
-                        _cap_add(
-                            out,
-                            Witness((f, g, h), (Fraction(num, unit), Fraction(nums[low], unit)),
-                                    f"acceptable at weight {grid[ai]} but not at {grid[low]}"),
-                            cap,
-                        )
+                        r.fail((f, g, h), (num, nums[low]),
+                               f"acceptable at weight {grid[ai]} but not at {grid[low]}", unit)
                         break
-    return out
 
 
-def _run_negative_completeness(r: _Runner, uvecs, instance, cap) -> _Outcome:
-    out = _Outcome(True, [], 0, 0)
+def _run_negative_completeness(r: _Runner) -> None:
     n = r.table.n
     for i in range(n):
         for j in range(i + 1, n):
-            out.checked += 1
-            if r.margin_num(i, j) > 0 and r.margin_num(j, i) > 0:
-                _cap_add(
-                    out,
-                    Witness((i, j), (r.margin(i, j), r.margin(j, i)),
-                            "both directions robustly preferred"),
-                    cap,
-                )
-    return out
-
-
-def _run_negative_cbt(r: _Runner, uvecs, instance, cap) -> _Outcome:
-    consts = _constants(uvecs)
-    if not consts:
-        raise BatteryMissingConstants("battery has no constant acts")
-    out = _Outcome(True, [], 0, 0)
-    w = r.weak_matrix()
-    n = r.table.n
-    for a, va in consts:
-        for b, vb in consts:
-            if va < vb:
-                continue  # conclusion x not-weakly-preferred to y can't be violated
-            for f in range(n):
-                out.checked += 1
-                if not (w[a] >> f) & 1 and not (w[f] >> b) & 1:
-                    _cap_add(
-                        out,
-                        Witness((a, f, b),
-                                (r.margin(a, f), r.margin(f, b), r.margin(a, b)),
-                                f"non-preference fails to chain across constants {va} >= {vb}"),
-                        cap,
-                    )
-    return out
+            r.checked += 1
+            ij = r.margin_num(i, j)
+            if ij > 0 and (ji := r.margin_num(j, i)) > 0:
+                r.fail((i, j), (ij, ji), "both directions robustly preferred")
 
 
 _RUNNERS = {
@@ -649,7 +585,8 @@ def audit(
     Pass ``table`` to share the cached margin work across several audits of
     the same battery, under any model kinds: each reads its own belief sets'
     columns from it.  A table built for another instance, or whose size
-    differs from the battery's, is rejected.
+    differs from the battery's, is rejected.  ``witness_cap`` bounds only
+    how many witnesses are kept, never the counts.
     """
     if table is None:
         table = MarginTable(instance, [utility_vector(instance.utility, act) for act in battery])
@@ -657,20 +594,18 @@ def audit(
         raise ValueError("margin table was built for another instance")
     elif table.n != len(battery):
         raise ValueError("margin table does not match this battery")
-    runner = _Runner(table, kind)
-    outcome = _RUNNERS[axiom](runner, table.uvecs, instance, witness_cap)
-    if axiom is AxiomKind.NON_TRIVIALITY and not outcome.passed:
-        outcome.total = 1  # the failure is the exhausted search itself
+    r = _Runner(table, kind, witness_cap)
+    _RUNNERS[axiom](r)
     return AuditReport(
         axiom=axiom,
         model=describe_model(kind),
         battery=battery_desc
         or battery_label(instance, len(battery), None, None),
-        passed=outcome.passed,
-        witnesses=tuple(outcome.witnesses),
-        total_violations=outcome.total,
-        checked=outcome.checked,
-        boundary_flags=runner.zero_flags,
+        passed=r.passed,
+        witnesses=tuple(r.witnesses),
+        total_violations=r.total,
+        checked=r.checked,
+        boundary_flags=r.zero_flags,
     )
 
 

@@ -297,22 +297,17 @@ def verify_request(
     """
     suites = _parse_suites(args.suites)
     seeds = parse_seed_range(args.seeds)
-    params = None
-    if any(v is not None for v in (args.states, args.sets, args.vertices, args.denominator)):
-        defaults = GenParams()
-        try:
-            params = GenParams(
-                num_states=args.states if args.states is not None else defaults.num_states,
-                num_sets=args.sets if args.sets is not None else defaults.num_sets,
-                vertices_per_set=args.vertices
-                if args.vertices is not None
-                else defaults.vertices_per_set,
-                denominator_bound=args.denominator
-                if args.denominator is not None
-                else defaults.denominator_bound,
-            )
-        except ParamsOutOfRange as exc:
-            raise InputError(str(exc)) from exc
+    overrides = {
+        "num_states": args.states,
+        "num_sets": args.sets,
+        "vertices_per_set": args.vertices,
+        "denominator_bound": args.denominator,
+    }
+    given = {field: value for field, value in overrides.items() if value is not None}
+    try:
+        params = GenParams(**given) if given else None
+    except ParamsOutOfRange as exc:
+        raise InputError(str(exc)) from exc
     try:
         radius = parse_rational(args.radius)
         config = VerifyConfig(resolution=args.resolution, radius=radius, params=params)

@@ -165,7 +165,9 @@ def _witness_dicts(report: AuditReport) -> list[dict]:
 
 def _cut(instance, cache):
     """A hyperplane straddling every belief set, or None."""
-    return find_cutting_hyperplane(instance.collection)
+    if "cut" not in cache:
+        cache["cut"] = find_cutting_hyperplane(instance.collection)
+    return cache["cut"]
 
 
 def _separation(instance, cache):
@@ -188,7 +190,7 @@ def _conditions_hold(instance, cache) -> bool:
 def _audit_suite(kind, axioms: Sequence[AxiomKind]) -> Callable:
     """A suite that audits one model on a few axioms over the lattice battery."""
 
-    def run(instance, battery, table, desc, config, cache) -> SuiteOutcome:
+    def run(instance, battery, table, desc, cache) -> SuiteOutcome:
         reps = [
             audit(axiom, kind, instance, battery, table=table, battery_desc=desc)
             for axiom in axioms
@@ -205,7 +207,7 @@ def _audit_suite(kind, axioms: Sequence[AxiomKind]) -> Callable:
     return run
 
 
-def _suite_prop1(instance, battery, table, desc, config, cache) -> SuiteOutcome:
+def _suite_prop1(instance, battery, table, desc, cache) -> SuiteOutcome:
     verdict = check_commutativity(instance.collection, table.uvecs)
     bad: list[dict] = []
     if not verdict.holds and _conditions_hold(instance, cache):
@@ -228,7 +230,7 @@ def _suite_prop1(instance, battery, table, desc, config, cache) -> SuiteOutcome:
     )
 
 
-def _suite_prop2(instance, battery, table, desc, config, cache) -> SuiteOutcome:
+def _suite_prop2(instance, battery, table, desc, cache) -> SuiteOutcome:
     if instance.num_states != 2:
         return SuiteOutcome(True, False, False, (), 0, ())
     if not _conditions_hold(instance, cache):
@@ -279,7 +281,7 @@ def _two_sided_suite(
     certified when they do not.
     """
 
-    def run(instance, battery, table, desc, config, cache) -> SuiteOutcome:
+    def run(instance, battery, table, desc, cache) -> SuiteOutcome:
         cert = certificate(instance, cache)
         if cert is None:
             rep = audit(
@@ -304,7 +306,7 @@ def _two_sided_suite(
 _HALF_DIFFERENCE = "constructed half-difference pair"
 
 
-def _suite_lemma3(instance, battery, table, desc, config, cache) -> SuiteOutcome:
+def _suite_lemma3(instance, battery, table, desc, cache) -> SuiteOutcome:
     # A negative-transitivity witness (x, f, y) makes (x, f) an incomparable
     # battery pair, so that audit cannot fail alone.  Completeness can, since
     # a lattice need not hold h = (u_i - u_j)/2 for its incomparable pair
@@ -344,11 +346,11 @@ def _suite_lemma3(instance, battery, table, desc, config, cache) -> SuiteOutcome
     return SuiteOutcome(not bad, True, False, tuple(bad), flags, batteries)
 
 
-def _suite_fig4(instance, battery, table, desc, config, cache) -> SuiteOutcome:
+def _suite_fig4(instance, battery, table, desc, cache) -> SuiteOutcome:
     scan = _audit_suite(
         AlphaMixture(Fraction(3, 4)),
         [AxiomKind.COMPLETENESS, AxiomKind.CONSTANT_BOUND_TRANSITIVITY],
-    )(instance, battery, table, desc, config, cache)
+    )(instance, battery, table, desc, cache)
     return replace(scan, ok=True, found=not scan.ok, counterexamples=scan.counterexamples[:2])
 
 
@@ -399,7 +401,7 @@ def suite_outcomes(
     desc = battery_label(instance, len(battery), config.resolution, config.radius)
     cache: dict = {}
     return {
-        name: _SUITE_FUNCS[name](instance, battery, table, desc, config, cache)
+        name: _SUITE_FUNCS[name](instance, battery, table, desc, cache)
         for name in suites
     }
 

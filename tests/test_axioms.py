@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +46,7 @@ from ambipref.axioms import (
 )
 
 F = Fraction
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def single_set_instance():
@@ -132,7 +136,7 @@ class TestMarginTableAgreement:
                 for i, u in enumerate(uvecs):
                     for j, v in enumerate(uvecs):
                         expected = model_margin(kind, inst.collection, u - v)
-                        assert runner.margin(i, j) == expected, (kind, i, j)
+                        assert F(runner.margin_num(i, j), runner.unit) == expected, (kind, i, j)
                         assert bool((matrix[i] >> j) & 1) == (expected >= 0), (kind, i, j)
                         expected_zeros += i != j and expected == 0
                 assert zeros == expected_zeros, kind
@@ -532,3 +536,56 @@ class TestUnconditionalAxioms:
         for kind in (GeneralizedBewley(), Conjunctive(), Disjunctive()):
             report = audit(AxiomKind.MONOTONICITY, kind, overlapping_intervals, battery)
             assert report.passed, kind
+
+
+def audit_box(seed):
+    """Generator seed ``seed`` with the battery the audit benchmark gives it.
+
+    Even seeds have 2 states and a resolution-2 lattice (25 acts), odd
+    seeds 3 states and a resolution-1 lattice (27 acts).
+    """
+    states = 2 if seed % 2 == 0 else 3
+    inst = generate_instance(seed, GenParams(num_states=states))
+    resolution = 2 if states == 2 else 1
+    battery = generate_act_grid(inst, resolution)
+    return inst, battery, battery_label(inst, len(battery), resolution, F(1))
+
+
+class TestPinnedAudits:
+    """Every audit field is pinned, witnesses and boundary flags included."""
+
+    def test_audit_suites_of_the_eight_kinds(self):
+        """One sha256 per seed over all twelve axioms under all eight kinds."""
+        pinned = json.loads((DATA / "audit_reports_sha256.json").read_text())
+        digests = {}
+        for seed in range(8):
+            inst, battery, desc = audit_box(seed)
+            uvecs = [utility_vector(inst.utility, a) for a in battery]
+            doc = [
+                [r.to_jsonable(uvecs) for r in audit_suite(kind, inst, battery, battery_desc=desc)]
+                for kind in eight_kinds(inst)[1]
+            ]
+            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            digests[str(seed)] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digests == pinned
+
+    def test_the_cap_changes_only_the_kept_witnesses(self):
+        """Counts and boundary flags do not depend on ``witness_cap``.
+
+        With cap c, the witnesses are the first c of the uncapped list.
+        """
+        def counts(report):
+            return report.passed, report.total_violations, report.checked, report.boundary_flags
+
+        over_cap = 0
+        for seed in range(4):
+            inst, battery, _ = audit_box(seed)
+            table = MarginTable(inst, [utility_vector(inst.utility, a) for a in battery])
+            for kind, axiom in itertools.product(eight_kinds(inst)[1], AxiomKind):
+                full = audit(axiom, kind, inst, battery, table=table, witness_cap=10**6)
+                over_cap += full.total_violations > WITNESS_CAP
+                for cap in (0, WITNESS_CAP):
+                    report = audit(axiom, kind, inst, battery, table=table, witness_cap=cap)
+                    assert counts(report) == counts(full), (seed, kind, axiom)
+                    assert report.witnesses == full.witnesses[:cap], (seed, kind, axiom)
+        assert over_cap == 34

@@ -233,6 +233,21 @@ class TestSuiteOutcomes:
         assert any(isinstance(kind, SEU) for kind in judged)
         assert len(built) == 1
 
+    def test_one_cut_search_per_seed(self, monkeypatch):
+        """prop1, prop2 and prop3 share one cutting-hyperplane search."""
+        search, calls = verify_mod.find_cutting_hyperplane, []
+
+        def counted(collection):
+            calls.append(collection)
+            return search(collection)
+
+        monkeypatch.setattr(verify_mod, "find_cutting_hyperplane", counted)
+        cfg = VerifyConfig()
+        for seed in (0, 4):  # two states, so prop2 asks for the cut too
+            calls.clear()
+            suite_outcomes(generate_instance(seed, cfg.params_for_seed(seed)), SUITES, cfg)
+            assert len(calls) == 1, seed
+
     def test_collapse_suite_branches(self, touching_intervals, disjoint_pair):
         cfg = VerifyConfig()
         held = suite_outcomes(touching_intervals, ["prop2"], cfg)["prop2"]
