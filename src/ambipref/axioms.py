@@ -20,6 +20,11 @@ Independence is decided by the integer homogeneity fold alone: utility is
 affine, so mixing f and g with a common act h at weight a leaves the
 difference a * (u_f - u_g), and the audit compares the fold of
 k * (u_i - u_j) with k times the pair's margin numerator on every pair.
+Favorable mixing reads the margin of d = k * u_f + (s - k) * u_h - s * u_g
+for every strictly ordered pair (f, g), every act h and every weight; many
+of those share one d, so each act gets an integer code linear in its scaled
+utility vector and injective on such differences, and each distinct d is
+folded once.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ __all__ = [
 MIX_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 _MIX_SCALE = lcm(*(a.denominator for a in MIX_GRID))  # weight a is k / s, k integer
 WITNESS_CAP = 25
+_NEGATIVE_BITS = str.maketrans("-0+", "100")  # a row of margin signs as a bitmask
 
 
 class AxiomKind(Enum):
@@ -150,6 +156,23 @@ def generate_act_grid(
     parameters always give the same battery.  Constant acts appear as the
     lattice diagonal; the zero act is always present.
     """
+    radius = check_lattice(instance, resolution, radius)
+    lattice = phi_lattice(instance.num_states, resolution, radius)
+    lottery = {
+        v.entries[0]: constant_act(instance, v.entries[0]).lotteries[0]
+        for v in lattice
+        if v.is_constant()
+    }
+    return [Act(tuple(lottery[e] for e in v.entries)) for v in lattice]
+
+
+def check_lattice(instance: Instance, resolution: int, radius) -> Fraction:
+    """Reject lattice parameters that ``generate_act_grid`` cannot realize.
+
+    Returns the radius as a Fraction.  Raises ValueError for a resolution
+    below 1 or a radius that is not positive, and RadiusExceedsUtilityRange
+    when [-radius, radius] does not fit the instance's utility range.
+    """
     if resolution < 1:
         raise ValueError(f"resolution must be a positive integer, got {resolution}")
     radius = Fraction(radius)
@@ -160,13 +183,7 @@ def generate_act_grid(
         raise RadiusExceedsUtilityRange(
             f"lattice [-{radius}, {radius}] does not fit utility range [{lo}, {hi}]"
         )
-    lattice = phi_lattice(instance.num_states, resolution, radius)
-    lottery = {
-        v.entries[0]: constant_act(instance, v.entries[0]).lotteries[0]
-        for v in lattice
-        if v.is_constant()
-    }
-    return [Act(tuple(lottery[e] for e in v.entries)) for v in lattice]
+    return radius
 
 
 def battery_label(instance: Instance, count: int, resolution: int | None, radius) -> str:
@@ -191,7 +208,8 @@ class MarginTable:
     read the same sets share all of it.  Independence and favorable mixing
     fold integer-weighted combinations of the rows the same way, so no
     margin is computed one pair at a time; independence is decided by that
-    homogeneity fold alone, with no mixed lottery built.  Weak relations are
+    homogeneity fold alone, with no mixed lottery built, and favorable
+    mixing folds each distinct difference vector once.  Weak relations are
     memoized on the table per model, and the statewise dominance pairs once,
     so every audit of the same battery shares them.
     """
@@ -219,8 +237,9 @@ class _SetColumns:
     """One selection of belief sets, as integer columns over a battery.
 
     ``cols[c][i]`` is ``denom`` times the expectation of u_i at the c-th
-    vertex, ``rows[i]`` lists the same numbers by act, and ``parts`` are the
-    sets' column ranges in order.  The maxmin matrix is built with them.
+    vertex, ``rows[i]`` lists the same numbers by act, ``vertices[c]`` is
+    that vertex as integers, and ``parts`` are the sets' column ranges in
+    order.  The maxmin matrix is built with them.
     """
 
     def __init__(self, sets: BeliefCollection, scaled: list[tuple[int, ...]], du: int):
@@ -228,9 +247,9 @@ class _SetColumns:
         self.denom = dv * du
         ends = list(itertools.accumulate(map(len, set_rows)))
         self.parts = list(zip([0, *ends], ends))
-        int_vertices = [v for verts in set_rows for v in verts]
+        self.vertices = [v for verts in set_rows for v in verts]
         self.rows = [
-            tuple(sum(a * b for a, b in zip(u, col)) for col in int_vertices) for u in scaled
+            tuple(sum(a * b for a, b in zip(u, col)) for col in self.vertices) for u in scaled
         ]
         self.cols = list(zip(*self.rows))
         # M[i][j] = denom * maxmin(u_i - u_j); minmax(u_i - u_j) is -M[j][i].
@@ -243,6 +262,14 @@ class _SetColumns:
 def _elementwise(fn, lists: list[list[int]]) -> list[int]:
     """``fn`` across equal-length lists, position by position."""
     return lists[0] if len(lists) == 1 else list(map(fn, *lists))
+
+
+def _combine(weights: Sequence[int], rows: list[list[int]]) -> list[int]:
+    """The sum of ``weights[j] * rows[j]`` over j, position by position."""
+    out = [0] * len(rows[0])
+    for wt, row in zip(weights, rows):
+        out = list(map(operator.add, out, map(wt.__mul__, row)))
+    return out
 
 
 def _nested(cols: list[list[int]], parts, outer, inner) -> list[int]:
@@ -512,36 +539,63 @@ def _run_negative_cbt(r: _Runner) -> None:
 def _run_favorable_mixing(r: _Runner) -> None:
     w = r.weak_matrix()
     n = r.table.n
-    unit = r.unit * _MIX_SCALE
+    s = _MIX_SCALE
+    unit = r.unit * s
     grid = sorted(MIX_GRID)
-    ks = [int(a * _MIX_SCALE) for a in grid]
-    # (s - k) * u_h at every column, for all h at once.
-    rests = [[[(_MIX_SCALE - k) * x for x in col] for col in r.cols.cols] for k in ks]
-    rows = r.cols.rows
-    for g in range(n):
-        rg = rows[g]
-        for f in range(n):
-            if f == g or not (w[g] >> f) & 1 or (w[f] >> g) & 1:
-                continue  # need g strictly better than f
-            rf = rows[f]
-            r.checked += n
-            # k * u_f + (s - k) * u_h - s * u_g for every h, one fold per weight.
-            mixed = []
-            for k, rest in zip(ks, rests):
-                offsets = [k * a - _MIX_SCALE * b for a, b in zip(rf, rg)]
-                mixed.append(
-                    r.fold_zeros([[o + x for x in col] for o, col in zip(offsets, rest)])
-                )
-            for h, nums in enumerate(zip(*mixed)):
-                low = None  # the lightest weight at which mixing is unacceptable
-                for ai, num in enumerate(nums):
-                    if num < 0:
-                        if low is None:
-                            low = ai
-                    elif low is not None:
-                        r.fail((f, g, h), (num, nums[low]),
-                               f"acceptable at weight {grid[ai]} but not at {grid[low]}", unit)
-                        break
+    ks = [int(a * s) for a in grid]
+    # Every (f, g) with g strictly better than f, g outer, as witnesses are kept.
+    strict = [(f, g) for g in range(n) for f in range(n) if (w[g] >> f) & 1 > (w[f] >> g) & 1]
+    if not strict:
+        return
+    # Every margin read is that of d = k * u_f - s * u_g + (s - k) * u_h.  Its
+    # entries lie within s * (hi - lo) of zero, so base-``radix`` codes with
+    # balanced digits are injective on them, and linear: code(d) is the same
+    # combination of the acts' codes.  Each distinct d is folded once.
+    scaled = r.table._scaled
+    lo, hi = min(map(min, scaled)), max(map(max, scaled))
+    half = s * (hi - lo)
+    radix = 2 * half + 1
+    code = [sum(x * radix**j for j, x in enumerate(u)) for u in scaled]
+    # Per weight: the codes of (s - k) * u_h for every h, and of
+    # k * u_f - s * u_g for every strict pair (f, g).
+    rests = [[(s - k) * c for c in code] for k in ks]
+    bases = [[k * code[f] - s * code[g] for f, g in strict] for k in ks]
+    distinct = list({b + x for bs, rest in zip(bases, rests) for b in set(bs) for x in rest})
+
+    # Decode every distinct d, then fold it on the model's vertex columns.
+    digits, cur = [], [c + half for c in distinct]
+    for _ in scaled[0]:
+        digits.append([c % radix - half for c in cur])
+        cur = [c // radix + half for c in cur]
+    num = dict(zip(distinct, r.fold([_combine(v, digits) for v in r.cols.vertices])))
+    sign = {c: "-" if x < 0 else "0" if x == 0 else "+" for c, x in num.items()}
+
+    # Per weight and distinct base: its zero count over h, and the mask of
+    # the h where d is negative (h descending in ``signs``, so bit h is h).
+    summary = []
+    for bs, rest in zip(bases, rests):
+        by_base = {}
+        for b in set(bs):
+            signs = "".join(map(sign.__getitem__, map(b.__add__, reversed(rest))))
+            by_base[b] = signs.count("0"), int(signs.translate(_NEGATIVE_BITS), 2)
+        summary.append(list(map(by_base.__getitem__, bs)))
+
+    for pair, ((f, g), per_weight) in enumerate(zip(strict, zip(*summary))):
+        r.checked += n
+        bad = below = 0  # h unacceptable at some weight and acceptable at a heavier one
+        for zeros, mask in per_weight:
+            r.combo_zeros += zeros
+            bad |= below & ~mask
+            below |= mask
+        while bad:
+            low = bad & -bad
+            h = low.bit_length() - 1
+            bad ^= low
+            nums = [num[bs[pair] + rest[h]] for bs, rest in zip(bases, rests)]
+            lo_w = next(ai for ai, x in enumerate(nums) if x < 0)  # lightest unacceptable
+            hi_w = next(ai for ai in range(lo_w, len(nums)) if nums[ai] >= 0)
+            r.fail((f, g, h), (nums[hi_w], nums[lo_w]),
+                   f"acceptable at weight {grid[hi_w]} but not at {grid[lo_w]}", unit)
 
 
 def _run_negative_completeness(r: _Runner) -> None:

@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .analysis import analyze

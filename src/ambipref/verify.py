@@ -30,9 +30,10 @@ from .axioms import (
     MarginTable,
     audit,
     battery_label,
-    generate_act_grid,
+    check_lattice,
     weak_relation,
 )
+from .axioms import generate_act_grid  # noqa: F401  (perfbench/tracer.py wraps it here)
 from .generate import GenParams, generate_instance
 from .margins import (
     AlphaMixture,
@@ -187,14 +188,20 @@ def _conditions_hold(instance, cache) -> bool:
     return _cut(instance, cache) is None and _separation(instance, cache) is None
 
 
+def _lattice_audit(axiom, kind, instance, table, desc) -> AuditReport:
+    """One audit over the lattice battery whose margin table is ``table``.
+
+    Given a table, ``audit`` reads only the battery's length, so the
+    lattice's utility vectors stand in for its acts.
+    """
+    return audit(axiom, kind, instance, table.uvecs, table=table, battery_desc=desc)
+
+
 def _audit_suite(kind, axioms: Sequence[AxiomKind]) -> Callable:
     """A suite that audits one model on a few axioms over the lattice battery."""
 
-    def run(instance, battery, table, desc, cache) -> SuiteOutcome:
-        reps = [
-            audit(axiom, kind, instance, battery, table=table, battery_desc=desc)
-            for axiom in axioms
-        ]
+    def run(instance, table, desc, cache) -> SuiteOutcome:
+        reps = [_lattice_audit(axiom, kind, instance, table, desc) for axiom in axioms]
         return SuiteOutcome(
             ok=all(r.passed for r in reps),
             applicable=True,
@@ -207,7 +214,7 @@ def _audit_suite(kind, axioms: Sequence[AxiomKind]) -> Callable:
     return run
 
 
-def _suite_prop1(instance, battery, table, desc, cache) -> SuiteOutcome:
+def _suite_prop1(instance, table, desc, cache) -> SuiteOutcome:
     verdict = check_commutativity(instance.collection, table.uvecs)
     bad: list[dict] = []
     if not verdict.holds and _conditions_hold(instance, cache):
@@ -230,7 +237,7 @@ def _suite_prop1(instance, battery, table, desc, cache) -> SuiteOutcome:
     )
 
 
-def _suite_prop2(instance, battery, table, desc, cache) -> SuiteOutcome:
+def _suite_prop2(instance, table, desc, cache) -> SuiteOutcome:
     if instance.num_states != 2:
         return SuiteOutcome(True, False, False, (), 0, ())
     if not _conditions_hold(instance, cache):
@@ -281,12 +288,10 @@ def _two_sided_suite(
     certified when they do not.
     """
 
-    def run(instance, battery, table, desc, cache) -> SuiteOutcome:
+    def run(instance, table, desc, cache) -> SuiteOutcome:
         cert = certificate(instance, cache)
         if cert is None:
-            rep = audit(
-                axiom, GeneralizedBewley(), instance, battery, table=table, battery_desc=desc
-            )
+            rep = _lattice_audit(axiom, GeneralizedBewley(), instance, table, desc)
             bad = [{"detail": held_but_failed, **w} for w in _witness_dicts(rep)]
             return SuiteOutcome(rep.passed, True, False, tuple(bad), rep.boundary_flags, (desc,))
         try:
@@ -306,7 +311,7 @@ def _two_sided_suite(
 _HALF_DIFFERENCE = "constructed half-difference pair"
 
 
-def _suite_lemma3(instance, battery, table, desc, cache) -> SuiteOutcome:
+def _suite_lemma3(instance, table, desc, cache) -> SuiteOutcome:
     # A negative-transitivity witness (x, f, y) makes (x, f) an incomparable
     # battery pair, so that audit cannot fail alone.  Completeness can, since
     # a lattice need not hold h = (u_i - u_j)/2 for its incomparable pair
@@ -314,7 +319,7 @@ def _suite_lemma3(instance, battery, table, desc, cache) -> SuiteOutcome:
     # m(-h) are both negative and (x0, h, x0) breaks negative transitivity on
     # the pair [x0, h]; h fits the utility range, as |u_i - u_j|/2 <= radius.
     reps = [
-        audit(axiom, GeneralizedBewley(), instance, battery, table=table, battery_desc=desc)
+        _lattice_audit(axiom, GeneralizedBewley(), instance, table, desc)
         for axiom in (AxiomKind.COMPLETENESS, AxiomKind.NEGATIVE_CONSTANT_BOUND_TRANSITIVITY)
     ]
     comp, ncbt = reps
@@ -346,11 +351,11 @@ def _suite_lemma3(instance, battery, table, desc, cache) -> SuiteOutcome:
     return SuiteOutcome(not bad, True, False, tuple(bad), flags, batteries)
 
 
-def _suite_fig4(instance, battery, table, desc, cache) -> SuiteOutcome:
+def _suite_fig4(instance, table, desc, cache) -> SuiteOutcome:
     scan = _audit_suite(
         AlphaMixture(Fraction(3, 4)),
         [AxiomKind.COMPLETENESS, AxiomKind.CONSTANT_BOUND_TRANSITIVITY],
-    )(instance, battery, table, desc, cache)
+    )(instance, table, desc, cache)
     return replace(scan, ok=True, found=not scan.ok, counterexamples=scan.counterexamples[:2])
 
 
@@ -394,14 +399,15 @@ def suite_outcomes(
     instance: Instance, suites: Sequence[str], config: VerifyConfig
 ) -> dict[str, SuiteOutcome]:
     """Run the requested suites on one instance with shared margin work."""
-    battery = generate_act_grid(instance, config.resolution, config.radius)
-    # The battery's utility vectors are this lattice, which prop1 also scans.
-    lattice = phi_lattice(instance.num_states, config.resolution, config.radius)
+    # The lattice battery's acts are never built: its utility vectors are this
+    # lattice, which prop1 also scans, and a table is all the audits read.
+    radius = check_lattice(instance, config.resolution, config.radius)
+    lattice = phi_lattice(instance.num_states, config.resolution, radius)
     table = MarginTable(instance, lattice)
-    desc = battery_label(instance, len(battery), config.resolution, config.radius)
+    desc = battery_label(instance, len(lattice), config.resolution, config.radius)
     cache: dict = {}
     return {
-        name: _SUITE_FUNCS[name](instance, battery, table, desc, cache)
+        name: _SUITE_FUNCS[name](instance, table, desc, cache)
         for name in suites
     }
 

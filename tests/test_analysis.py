@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from ambipref import analysis, cli
 from ambipref import (
-    AnalysisReport,
     AxiomKind,
     BeliefCollection,
     BeliefSet,
@@ -28,7 +27,6 @@ from ambipref import (
     build_cbt_witness,
     build_incompleteness_witness,
     check_commutativity,
-    constant_act,
     find_cutting_hyperplane,
     generate_instance,
     GenParams,

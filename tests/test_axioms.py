@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambipref import (
-    AuditReport,
     AxiomKind,
     BatteryMissingConstants,
     Bewley,
@@ -26,6 +26,7 @@ from ambipref import (
     Prior,
     RadiusExceedsUtilityRange,
     SEU,
+    UtilityVector,
     act_from_utility_vector,
     audit,
     audit_suite,
@@ -329,6 +330,55 @@ class TestMixingAudits:
                 assert summarize(ind) == expected_ind, kind
                 failing += not fav.passed
         assert failing == 4  # the witness comparison is not vacuous
+
+    def test_irregular_batteries_match_fraction_reference(self):
+        """Non-lattice acts over denominators 1, 3, 7, 12 and 35, all eight kinds.
+
+        Favorable mixing folds each distinct difference vector once, keyed by
+        an integer code of the vector; on these batteries no lattice symmetry
+        makes distinct vectors rare, so a code collision would show.  Each
+        strictly ordered pair (f, g) is checked against every h.
+        """
+        rng = random.Random(0)
+        dens = (1, 3, 7, 12, 35)
+        failing = 0
+        for states in (2, 3):
+            inst = generate_instance(states, GenParams(num_states=states))
+            for size in (0, 1, 2, 5, 9, 14):
+                uvecs = [
+                    UtilityVector(tuple(
+                        F(rng.randint(-den, den), den)
+                        for den in (rng.choice(dens) for _ in range(states))
+                    ))
+                    for _ in range(size)
+                ]
+                battery = [act_from_utility_vector(inst, u.entries) for u in uvecs]
+                table = MarginTable(inst, uvecs)
+                for kind in eight_kinds(inst)[1]:
+                    fav, ind = (
+                        audit(axiom, kind, inst, battery, table=table)
+                        for axiom in (AxiomKind.FAVORABLE_MIXING, AxiomKind.INDEPENDENCE)
+                    )
+                    expected_fav, expected_ind = reference_mixing_audits(kind, inst, uvecs)
+                    assert summarize(fav) == expected_fav, (states, size, kind)
+                    assert summarize(ind) == expected_ind, (states, size, kind)
+                    w, _ = weak_relation(table, kind, inst)
+                    strict = sum(
+                        (w[g] >> f) & 1 and not (w[f] >> g) & 1
+                        for f in range(size) for g in range(size)
+                    )
+                    assert fav.checked == size * strict, (states, size, kind)
+                    failing += not fav.passed
+        assert failing == 8  # the witness comparison is not vacuous
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_favorable_mixing_without_a_strict_pair(self, disjoint_pair, size):
+        """An empty or one-act battery passes with nothing checked."""
+        battery = [constant_act(disjoint_pair, F(0))] * size
+        for kind in eight_kinds(disjoint_pair)[1]:
+            report = audit(AxiomKind.FAVORABLE_MIXING, kind, disjoint_pair, battery)
+            assert report.passed, kind
+            assert (report.checked, report.total_violations, report.boundary_flags) == (0, 0, 0)
 
     def test_independence_checks_each_pair_at_each_weight(self, monkeypatch):
         """3 * n(n-1)/2 checks per audit, and every witness is a pair of acts.

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ambipref import (
-    Act,
     BeliefCollection,
     BeliefSet,
     Bewley,
