@@ -13,18 +13,19 @@ depend on the cap.
 Margins are computed many at a time by one fold: given the scaled vertex
 expectations of a list of utility differences, column by column, builtin
 min and max run down the columns and yield every difference's margin
-numerator at once.  The pairwise matrix folds u_i - u_j over all j; the
-mixed-act audits fold integer-weighted combinations of battery rows, with
-each weight in ``MIX_GRID`` written as k / s over one common scale s.
-Independence is decided by the integer homogeneity fold alone: utility is
-affine, so mixing f and g with a common act h at weight a leaves the
-difference a * (u_f - u_g), and the audit compares the fold of
-k * (u_i - u_j) with k times the pair's margin numerator on every pair.
-Favorable mixing reads the margin of d = k * u_f + (s - k) * u_h - s * u_g
-for every strictly ordered pair (f, g), every act h and every weight; many
-of those share one d, so each act gets an integer code linear in its scaled
-utility vector and injective on such differences, and each distinct d is
-folded once.
+numerator at once.  Each act has an integer code, linear in its scaled
+utility vector and injective on the differences the audits read, so each
+distinct difference is folded once: the pairwise margins fold the distinct
+u_i - u_j (9 ** n of them on a resolution-2 lattice, against 25 ** n
+pairs), and favorable mixing the distinct k * u_f + (s - k) * u_h - s * u_g
+over the strictly ordered pairs (f, g), the acts h and the weights k / s in
+``MIX_GRID``.  A model's margins become one "-0+" sign string per act, read
+as bitmask rows of its weak, positive and zero margins and their
+transposes, so the pairwise axioms loop only over the set bits of their
+violations.  Independence is decided by the integer homogeneity fold
+alone: utility is affine, so mixing f and g with a common act h at weight
+a leaves the difference a * (u_f - u_g), and the audit compares the fold
+of k * (u_i - u_j) with k times the pair's margin numerator on every pair.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Sequence
 
@@ -67,7 +69,8 @@ __all__ = [
 MIX_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 _MIX_SCALE = lcm(*(a.denominator for a in MIX_GRID))  # weight a is k / s, k integer
 WITNESS_CAP = 25
-_NEGATIVE_BITS = str.maketrans("-0+", "100")  # a row of margin signs as a bitmask
+# The bit each margin sign "-0+" sets in a bitmask row of the relation.
+_WEAK, _POSITIVE, _ZERO, _NEGATIVE = "011", "001", "010", "100"
 
 
 class AxiomKind(Enum):
@@ -200,63 +203,110 @@ class MarginTable:
 
     Every model reads two primitives of a utility difference over its own
     belief sets, maxmin and minmax, and folds them with its ``combine``
-    rule.  On a model's first use, the table builds integer columns for the
-    sets ``kind.sets`` names, keyed by their vertex lists: one column per
-    vertex, grouped by set, over a denominator of their own, and the matrix
-    M[i][j] = denom * maxmin(u_i - u_j).  By the duality
-    minmax(phi) = -maxmin(-phi), minmax(u_i - u_j) is -M[j][i].  Kinds that
-    read the same sets share all of it.  Independence and favorable mixing
-    fold integer-weighted combinations of the rows the same way, so no
-    margin is computed one pair at a time; independence is decided by that
-    homogeneity fold alone, with no mixed lottery built, and favorable
-    mixing folds each distinct difference vector once.  Weak relations are
-    memoized on the table per model, and the statewise dominance pairs once,
-    so every audit of the same battery shares them.
+    rule.  Act i has the integer code ``codes[i]``: its scaled entries as
+    the balanced digits of a base-``radix`` number, linear and injective on
+    every vector with entries within ``half`` of zero, which covers each
+    u_i - u_j and each favorable-mixing combination.  So codes[i] - codes[j]
+    names u_i - u_j, and ``distinct`` lists those codes once each.  On a
+    model's first use, the table builds integer columns for the sets
+    ``kind.sets`` names, keyed by their vertex lists, and folds maxmin once
+    per distinct difference; by the duality minmax(phi) = -maxmin(-phi),
+    minmax of code c is -maxmin[-c].  Kinds that read the same sets share
+    all of it, and each model's margins and relation rows are memoized on
+    the table, as are the statewise dominance pairs.
     """
 
     def __init__(self, instance: Instance, uvecs: Sequence[UtilityVector]):
         self.instance = instance
         self.uvecs = list(uvecs)
         self.n = len(self.uvecs)
-        self._du = lcm(*(e.denominator for vec in self.uvecs for e in vec.entries))
-        self._scaled = [tuple(int(e * self._du) for e in vec.entries) for vec in self.uvecs]
+        du = self._du = lcm(*(e.denominator for vec in self.uvecs for e in vec.entries))
+        self._scaled = [
+            tuple(e.numerator * (du // e.denominator) for e in vec.entries) for vec in self.uvecs
+        ]
+        spread = max(map(max, self._scaled), default=0) - min(map(min, self._scaled), default=0)
+        self.half = _MIX_SCALE * spread  # bounds every entry of k*u_f + (s-k)*u_h - s*u_g
+        self.radix = 2 * self.half + 1
+        self.codes = [sum(x * self.radix**j for j, x in enumerate(u)) for u in self._scaled]
+        unique = set(self.codes)
+        self.distinct = list({a - b for a in unique for b in unique})
+        self.digits = self.decode(self.distinct)
+        # readers[i] picks, from a sequence in the order of ``distinct``, the
+        # items of codes[i] - codes[j] for j descending.
+        rank = {c: r for r, c in enumerate(self.distinct)}
+        descending = self.codes[::-1]
+        self.readers = [
+            operator.itemgetter(*map(rank.__getitem__, map(c.__sub__, descending)))
+            for c in self.codes
+        ]
         self._columns: dict[tuple[tuple[Prior, ...], ...], _SetColumns] = {}
-        self._relations: dict[ModelKind, tuple[list[int], int]] = {}
+        self._relations: dict[ModelKind, _Relation] = {}
         self._dominance: list[tuple[int, int]] | None = None
+        self.constants = [(i, v.entries[0]) for i, v in enumerate(self.uvecs) if v.is_constant()]
+
+    def decode(self, codes: list[int]) -> list[list[int]]:
+        """The scaled entries of the vectors with these codes, one list per state."""
+        half, radix = self.half, self.radix
+        digits, cur = [], [c + half for c in codes]
+        for _ in range(self.instance.num_states):
+            digits.append([c % radix - half for c in cur])
+            cur = [c // radix + half for c in cur]
+        return digits
 
     def columns(self, kind: ModelKind) -> "_SetColumns":
         """The integer columns of the belief sets this model reads."""
         sets = kind.sets(self.instance.collection)
         key = tuple(bset.vertices for bset in sets)
         if key not in self._columns:
-            self._columns[key] = _SetColumns(sets, self._scaled, self._du)
+            self._columns[key] = _SetColumns(sets, self)
         return self._columns[key]
 
 
 class _SetColumns:
-    """One selection of belief sets, as integer columns over a battery.
+    """One selection of belief sets, as integer vertices over a battery.
 
-    ``cols[c][i]`` is ``denom`` times the expectation of u_i at the c-th
-    vertex, ``rows[i]`` lists the same numbers by act, ``vertices[c]`` is
-    that vertex as integers, and ``parts`` are the sets' column ranges in
-    order.  The maxmin matrix is built with them.
+    ``vertices[c]`` is the c-th vertex, ``parts`` are the sets' ranges in
+    it, and ``maxmin[c]`` is ``denom`` times the maxmin of the difference
+    with code c, in the order of the table's ``distinct``.
     """
 
-    def __init__(self, sets: BeliefCollection, scaled: list[tuple[int, ...]], du: int):
+    def __init__(self, sets: BeliefCollection, table: MarginTable):
         dv, set_rows = sets.integer_view
-        self.denom = dv * du
+        self.denom = dv * table._du
         ends = list(itertools.accumulate(map(len, set_rows)))
         self.parts = list(zip([0, *ends], ends))
         self.vertices = [v for verts in set_rows for v in verts]
-        self.rows = [
-            tuple(sum(a * b for a, b in zip(u, col)) for col in self.vertices) for u in scaled
-        ]
-        self.cols = list(zip(*self.rows))
-        # M[i][j] = denom * maxmin(u_i - u_j); minmax(u_i - u_j) is -M[j][i].
-        self.maxmin = [
-            _nested([[a - x for x in col] for a, col in zip(row, self.cols)], self.parts, max, min)
-            for row in self.rows
-        ]
+        columns = [_combine(v, table.digits) for v in self.vertices]
+        self.maxmin = dict(zip(table.distinct, _nested(columns, self.parts, max, min)))
+
+
+class _Relation:
+    """One model's margin numerators by difference code, and its relation rows.
+
+    ``signs[i]`` spells the margins of u_i - u_j in "-0+" for j descending,
+    so that bit j of a row read as binary digits after ``str.translate`` is
+    act j; ``transposed[i]`` does the same for u_j - u_i.  ``zeros`` counts
+    the zero margins off the diagonal, where u_i - u_i is the zero vector.
+    """
+
+    def __init__(self, kind: ModelKind, table: MarginTable):
+        maxmin = table.columns(kind).maxmin
+        self.num = {c: kind.combine(x, -maxmin[-c]) for c, x in maxmin.items()}
+        # Like maxmin, num runs in the order of the table's ``distinct``.
+        line = "".join(["-" if x < 0 else "0" if x == 0 else "+" for x in self.num.values()])
+        self.signs = ["".join(read(line)) for read in table.readers]
+        self.transposed = ["".join(col) for col in zip(*self.signs[::-1])][::-1]
+        self.zeros = sum(s.count("0") for s in self.signs) - table.n
+        self._bits: dict[tuple[str, bool], list[int]] = {}
+
+    def bits(self, digits: str, transposed: bool = False) -> list[int]:
+        """Rows with bit j set where the sign maps to "1" in ``digits``, for "-0+"."""
+        key = digits, transposed
+        if key not in self._bits:
+            table = str.maketrans("-0+", digits)
+            strings = self.transposed if transposed else self.signs
+            self._bits[key] = [int(s.translate(table), 2) for s in strings]
+        return self._bits[key]
 
 
 def _elementwise(fn, lists: list[list[int]]) -> list[int]:
@@ -291,18 +341,20 @@ class _Runner:
     ``den``.  Runners report through ``fail``, which counts every violation
     but builds a witness's Fractions only while fewer than ``witness_cap``
     are kept.  Zero margins are counted where numerators are read, never in
-    ``fail``, so ``zero_flags`` does not depend on the cap.
+    ``fail``, so ``zero_flags`` does not depend on the cap; ``zeros``
+    counts those read in bulk.
     """
 
     def __init__(self, table: MarginTable, kind: ModelKind, witness_cap: int = WITNESS_CAP):
         self.table = table
-        self.kind = kind
         self.combine = kind.combine
         self.cols = table.columns(kind)
         self.unit = self.cols.denom * kind.den
-        self.matrix = self.cols.maxmin
+        if kind not in table._relations:
+            table._relations[kind] = _Relation(kind, table)
+        self.relation = table._relations[kind]
         self._zero_seen: set[tuple[int, int]] = set()
-        self.combo_zeros = 0
+        self.zeros = 0
         self.matrix_zero_flags = 0
         self.witness_cap = witness_cap
         self.passed = True
@@ -334,54 +386,40 @@ class _Runner:
         maxmin, minmax = _nested(cols, parts, max, min), _nested(cols, parts, min, max)
         return list(map(self.combine, maxmin, minmax))
 
-    def fold_zeros(self, cols: list[list[int]]) -> list[int]:
-        """``fold`` that also counts every zero numerator as a boundary case."""
-        nums = self.fold(cols)
-        self.combo_zeros += nums.count(0)
-        return nums
-
     def margin_num(self, i: int, j: int) -> int:
         """Numerator over ``unit`` of the margin for u_i - u_j (sign-faithful)."""
-        m = self.matrix
-        num = self.combine(m[i][j], -m[j][i])
+        num = self.relation.num[self.table.codes[i] - self.table.codes[j]]
         if num == 0:
             self._zero_seen.add((i, j))
         return num
 
-    def weak(self, i: int, j: int) -> bool:
-        return self.margin_num(i, j) >= 0
+    def weak_matrix(self) -> tuple[list[int], list[int]]:
+        """Bitmask rows of the weak-preference relation and of its transpose.
 
-    def weak_matrix(self) -> list[int]:
-        """Bitmask rows of the weak-preference relation over the battery.
-
-        Built once per (table, model) and shared; callers must not mutate it.
+        Built once per (table, model) and shared; callers must not mutate
+        them.  Every off-diagonal zero margin counts as a boundary case.
         """
-        memo = self.table._relations
-        if self.kind not in memo:
-            m = self.matrix
-            rows = []
-            zeros = -self.table.n  # the diagonal is the zero vector, not a boundary
-            for i, col in enumerate(zip(*m)):
-                # minmax(u_i - u_j) = -maxmin(u_j - u_i) = -M[j][i]
-                values = list(map(self.combine, m[i], [-x for x in col]))
-                bits = "".join(["1" if v >= 0 else "0" for v in reversed(values)])
-                rows.append(int(bits, 2))
-                zeros += values.count(0)
-            memo[self.kind] = (rows, zeros)
-        rows, self.matrix_zero_flags = memo[self.kind]
-        return rows
+        self.matrix_zero_flags = self.relation.zeros
+        return self.relation.bits(_WEAK), self.relation.bits(_WEAK, transposed=True)
 
     @property
     def zero_flags(self) -> int:
-        return len(self._zero_seen) + self.combo_zeros + self.matrix_zero_flags
+        return len(self._zero_seen) + self.zeros + self.matrix_zero_flags
 
 
-def _constants(r: _Runner) -> list[tuple[int, Fraction]]:
+def _set_bits(mask: int):
+    """The positions of the set bits of a non-negative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _constants(table: MarginTable) -> list[tuple[int, Fraction]]:
     """The battery's constant acts and their values; there must be some."""
-    consts = [(i, v.entries[0]) for i, v in enumerate(r.table.uvecs) if v.is_constant()]
-    if not consts:
+    if not table.constants:
         raise BatteryMissingConstants("battery has no constant acts")
-    return consts
+    return table.constants
 
 
 def _run_non_triviality(r: _Runner) -> None:
@@ -390,7 +428,7 @@ def _run_non_triviality(r: _Runner) -> None:
         for j in range(n):
             if i != j:
                 r.checked += 1
-                if r.weak(i, j) and not r.weak(j, i):
+                if r.margin_num(i, j) >= 0 and r.margin_num(j, i) < 0:
                     return
     r.passed, r.total = False, 1  # the failure is the exhausted search itself
 
@@ -404,7 +442,7 @@ def _run_reflexivity(r: _Runner) -> None:
 
 
 def _run_unambiguous_completeness(r: _Runner) -> None:
-    for (a, va), (b, vb) in itertools.combinations(_constants(r), 2):
+    for (a, va), (b, vb) in itertools.combinations(_constants(r.table), 2):
         r.checked += 1
         ab = r.margin_num(a, b)
         if ab < 0 and (ba := r.margin_num(b, a)) < 0:
@@ -429,26 +467,21 @@ def _dominance_pairs(table: MarginTable) -> list[tuple[int, int]]:
 
 
 def _run_unambiguous_transitivity(r: _Runner) -> None:
-    w = r.weak_matrix()
-    n = r.table.n
+    w, wt = r.weak_matrix()
     dom = _dominance_pairs(r.table)
+    r.checked += 2 * r.table.n * len(dom)
     for f, g in dom:
-        wg, wf = w[g], w[f]
-        for h in range(n):
-            r.checked += 1
-            if (wg >> h) & 1 and not (wf >> h) & 1:
-                r.fail((f, g, h), (r.margin_num(g, h), r.margin_num(f, h)),
-                       "dominance then weak preference fails to chain")
+        for h in _set_bits(w[g] & ~w[f]):
+            r.fail((f, g, h), (r.margin_num(g, h), r.margin_num(f, h)),
+                   "dominance then weak preference fails to chain")
     for g, h in dom:
-        for f in range(n):
-            r.checked += 1
-            if (w[f] >> g) & 1 and not (w[f] >> h) & 1:
-                r.fail((f, g, h), (r.margin_num(f, g), r.margin_num(f, h)),
-                       "weak preference then dominance fails to chain")
+        for f in _set_bits(wt[g] & ~wt[h]):
+            r.fail((f, g, h), (r.margin_num(f, g), r.margin_num(f, h)),
+                   "weak preference then dominance fails to chain")
 
 
 def _run_monotonicity(r: _Runner) -> None:
-    w = r.weak_matrix()
+    w, _ = r.weak_matrix()
     for i, j in _dominance_pairs(r.table):
         r.checked += 1
         if not (w[i] >> j) & 1:
@@ -456,13 +489,15 @@ def _run_monotonicity(r: _Runner) -> None:
 
 
 def _run_independence(r: _Runner) -> None:
-    cols = r.cols
     n = r.table.n
     ks = [int(a * _MIX_SCALE) for a in MIX_GRID]
+    rows = [[sum(map(operator.mul, u, v)) for v in r.cols.vertices] for u in r.table._scaled]
+    cols = list(zip(*rows))
     for i in range(n):
-        diffs = [[a - x for x in col[i + 1 :]] for a, col in zip(cols.rows[i], cols.cols)]
+        diffs = [[a - x for x in col[i + 1 :]] for a, col in zip(rows[i], cols)]
         # k * (u_i - u_j) for every j > i, folded afresh for each weight k / s.
-        folds = [r.fold_zeros([[k * x for x in d] for d in diffs]) for k in ks]
+        folds = [r.fold([[k * x for x in d] for d in diffs]) for k in ks]
+        r.zeros += sum(nums.count(0) for nums in folds)
         for j in range(i + 1, n):
             base_num = r.margin_num(i, j)
             for a, k, nums in zip(MIX_GRID, ks, folds):
@@ -474,30 +509,23 @@ def _run_independence(r: _Runner) -> None:
 
 
 def _run_completeness(r: _Runner) -> None:
-    w = r.weak_matrix()
+    w, wt = r.weak_matrix()
     n = r.table.n
+    r.checked += n * (n - 1) // 2
+    upper = (1 << n) - 1
     for i in range(n):
-        wi = w[i]
-        for j in range(i + 1, n):
-            r.checked += 1
-            if not (wi >> j) & 1 and not (w[j] >> i) & 1:
-                r.fail((i, j), (r.margin_num(i, j), r.margin_num(j, i)), "incomparable pair")
+        upper ^= 1 << i  # the j > i
+        for j in _set_bits(upper & ~(w[i] | wt[i])):
+            r.fail((i, j), (r.margin_num(i, j), r.margin_num(j, i)), "incomparable pair")
 
 
 def _run_transitivity(r: _Runner) -> None:
-    w = r.weak_matrix()
+    w, _ = r.weak_matrix()
     n = r.table.n
-    for i in range(n):
-        wi = w[i]
-        for j in range(n):
-            if i == j or not (wi >> j) & 1:
-                continue
+    for i, wi in enumerate(w):
+        for j in _set_bits(wi & ~(1 << i)):
             r.checked += n
-            bad = w[j] & ~wi
-            while bad:
-                low = bad & -bad
-                h = low.bit_length() - 1
-                bad ^= low
+            for h in _set_bits(w[j] & ~wi):
                 r.fail((i, j, h), (r.margin_num(i, j), r.margin_num(j, h), r.margin_num(i, h)),
                        "weak preference fails to chain")
 
@@ -509,88 +537,65 @@ def _constant_sandwich(r: _Runner, order, bit: int, note: str) -> None:
     each such f violates the axiom, since the order leaves its conclusion
     false.  ``note`` is formatted with the two constants' values.
     """
-    consts = _constants(r)
-    w = r.weak_matrix()
+    consts = _constants(r.table)
+    w, wt = r.weak_matrix()
     n = r.table.n
+    flip = 0 if bit else (1 << n) - 1
     for a, va in consts:
-        wa = w[a]
         for b, vb in consts:
             if not order(va, vb):
                 continue  # the conclusion already holds
             pair_note = note.format(va, vb)
-            for f in range(n):
-                r.checked += 1
-                if (wa >> f) & 1 == bit and (w[f] >> b) & 1 == bit:
-                    r.fail((a, f, b),
-                           (r.margin_num(a, f), r.margin_num(f, b), r.margin_num(a, b)),
-                           pair_note)
-
-
-def _run_cbt(r: _Runner) -> None:
-    _constant_sandwich(r, operator.lt, 1, "act sandwiched between constants {} < {}")
-
-
-def _run_negative_cbt(r: _Runner) -> None:
-    _constant_sandwich(
-        r, operator.ge, 0, "non-preference fails to chain across constants {} >= {}"
-    )
+            r.checked += n
+            for f in _set_bits((w[a] ^ flip) & (wt[b] ^ flip)):
+                r.fail((a, f, b),
+                       (r.margin_num(a, f), r.margin_num(f, b), r.margin_num(a, b)),
+                       pair_note)
 
 
 def _run_favorable_mixing(r: _Runner) -> None:
-    w = r.weak_matrix()
+    w, wt = r.weak_matrix()
     n = r.table.n
     s = _MIX_SCALE
     unit = r.unit * s
     grid = sorted(MIX_GRID)
     ks = [int(a * s) for a in grid]
     # Every (f, g) with g strictly better than f, g outer, as witnesses are kept.
-    strict = [(f, g) for g in range(n) for f in range(n) if (w[g] >> f) & 1 > (w[f] >> g) & 1]
+    strict = [(f, g) for g in range(n) for f in _set_bits(w[g] & ~wt[g])]
     if not strict:
         return
-    # Every margin read is that of d = k * u_f - s * u_g + (s - k) * u_h.  Its
-    # entries lie within s * (hi - lo) of zero, so base-``radix`` codes with
-    # balanced digits are injective on them, and linear: code(d) is the same
-    # combination of the acts' codes.  Each distinct d is folded once.
-    scaled = r.table._scaled
-    lo, hi = min(map(min, scaled)), max(map(max, scaled))
-    half = s * (hi - lo)
-    radix = 2 * half + 1
-    code = [sum(x * radix**j for j, x in enumerate(u)) for u in scaled]
+    # Every margin read is that of d = k * u_f - s * u_g + (s - k) * u_h, and
+    # the table's codes are linear and injective on such d: code(d) is the
+    # same combination of the acts' codes.  Each distinct d is folded once.
+    code = r.table.codes
     # Per weight: the codes of (s - k) * u_h for every h, and of
     # k * u_f - s * u_g for every strict pair (f, g).
     rests = [[(s - k) * c for c in code] for k in ks]
     bases = [[k * code[f] - s * code[g] for f, g in strict] for k in ks]
     distinct = list({b + x for bs, rest in zip(bases, rests) for b in set(bs) for x in rest})
-
-    # Decode every distinct d, then fold it on the model's vertex columns.
-    digits, cur = [], [c + half for c in distinct]
-    for _ in scaled[0]:
-        digits.append([c % radix - half for c in cur])
-        cur = [c // radix + half for c in cur]
+    digits = r.table.decode(distinct)
     num = dict(zip(distinct, r.fold([_combine(v, digits) for v in r.cols.vertices])))
     sign = {c: "-" if x < 0 else "0" if x == 0 else "+" for c, x in num.items()}
 
     # Per weight and distinct base: its zero count over h, and the mask of
     # the h where d is negative (h descending in ``signs``, so bit h is h).
     summary = []
+    negative = str.maketrans("-0+", _NEGATIVE)
     for bs, rest in zip(bases, rests):
         by_base = {}
         for b in set(bs):
             signs = "".join(map(sign.__getitem__, map(b.__add__, reversed(rest))))
-            by_base[b] = signs.count("0"), int(signs.translate(_NEGATIVE_BITS), 2)
+            by_base[b] = signs.count("0"), int(signs.translate(negative), 2)
         summary.append(list(map(by_base.__getitem__, bs)))
 
     for pair, ((f, g), per_weight) in enumerate(zip(strict, zip(*summary))):
         r.checked += n
         bad = below = 0  # h unacceptable at some weight and acceptable at a heavier one
         for zeros, mask in per_weight:
-            r.combo_zeros += zeros
+            r.zeros += zeros
             bad |= below & ~mask
             below |= mask
-        while bad:
-            low = bad & -bad
-            h = low.bit_length() - 1
-            bad ^= low
+        for h in _set_bits(bad):
             nums = [num[bs[pair] + rest[h]] for bs, rest in zip(bases, rests)]
             lo_w = next(ai for ai, x in enumerate(nums) if x < 0)  # lightest unacceptable
             hi_w = next(ai for ai in range(lo_w, len(nums)) if nums[ai] >= 0)
@@ -599,13 +604,19 @@ def _run_favorable_mixing(r: _Runner) -> None:
 
 
 def _run_negative_completeness(r: _Runner) -> None:
+    rel = r.relation
+    pos, pos_t = rel.bits(_POSITIVE), rel.bits(_POSITIVE, transposed=True)
+    zero, zero_t = rel.bits(_ZERO), rel.bits(_ZERO, transposed=True)
     n = r.table.n
+    r.checked += n * (n - 1) // 2
+    upper = (1 << n) - 1
     for i in range(n):
-        for j in range(i + 1, n):
-            r.checked += 1
-            ij = r.margin_num(i, j)
-            if ij > 0 and (ji := r.margin_num(j, i)) > 0:
-                r.fail((i, j), (ij, ji), "both directions robustly preferred")
+        upper ^= 1 << i  # the j > i
+        # Each pair reads margin(i, j), and margin(j, i) only when the first is positive.
+        r.zeros += (upper & (zero[i] | pos[i] & zero_t[i])).bit_count()
+        for j in _set_bits(upper & pos[i] & pos_t[i]):
+            r.fail((i, j), (r.margin_num(i, j), r.margin_num(j, i)),
+                   "both directions robustly preferred")
 
 
 _RUNNERS = {
@@ -617,10 +628,14 @@ _RUNNERS = {
     AxiomKind.INDEPENDENCE: _run_independence,
     AxiomKind.COMPLETENESS: _run_completeness,
     AxiomKind.TRANSITIVITY: _run_transitivity,
-    AxiomKind.CONSTANT_BOUND_TRANSITIVITY: _run_cbt,
+    AxiomKind.CONSTANT_BOUND_TRANSITIVITY: partial(
+        _constant_sandwich, order=operator.lt, bit=1,
+        note="act sandwiched between constants {} < {}"),
     AxiomKind.FAVORABLE_MIXING: _run_favorable_mixing,
     AxiomKind.NEGATIVE_COMPLETENESS: _run_negative_completeness,
-    AxiomKind.NEGATIVE_CONSTANT_BOUND_TRANSITIVITY: _run_negative_cbt,
+    AxiomKind.NEGATIVE_CONSTANT_BOUND_TRANSITIVITY: partial(
+        _constant_sandwich, order=operator.ge, bit=0,
+        note="non-preference fails to chain across constants {} >= {}"),
 }
 
 
@@ -678,7 +693,7 @@ def weak_relation(
     if instance != table.instance:
         raise ValueError("margin table was built for another instance")
     runner = _Runner(table, kind)
-    matrix = list(runner.weak_matrix())
+    matrix = list(runner.weak_matrix()[0])
     return matrix, runner.matrix_zero_flags
 
 

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from ambipref import (
     RadiusExceedsUtilityRange,
     SEU,
     UtilityVector,
+    VerifyConfig,
     act_from_utility_vector,
     audit,
     audit_suite,
@@ -34,10 +36,12 @@ from ambipref import (
     generate_act_grid,
     generate_instance,
     model_margin,
+    phi_lattice,
     utility_vector,
     validate_instance,
     weak_relation,
 )
+from ambipref.margins import _Kind
 from ambipref.axioms import (
     MIX_GRID,
     WITNESS_CAP,
@@ -421,6 +425,165 @@ class TestMixingAudits:
         assert report.witnesses[0].indices == (0, 1)
 
 
+PAIRWISE_AXIOMS = (
+    AxiomKind.COMPLETENESS,
+    AxiomKind.NEGATIVE_COMPLETENESS,
+    AxiomKind.CONSTANT_BOUND_TRANSITIVITY,
+    AxiomKind.NEGATIVE_CONSTANT_BOUND_TRANSITIVITY,
+    AxiomKind.UNAMBIGUOUS_TRANSITIVITY,
+)
+
+
+def reference_pairwise_audit(axiom, kind, inst, uvecs):
+    """One of ``PAIRWISE_AXIOMS`` by a per-pair loop over Fraction margins.
+
+    Returns the uncapped report in the shape of ``summarize`` plus the
+    notes, or None when the axiom needs constants and the battery has none.
+    Boundary flags follow the audits' rule: the off-diagonal zeros of the
+    weak relation when the axiom reads it, plus every distinct ordered pair
+    whose margin is read one at a time and is zero.
+    """
+    n = len(uvecs)
+    m = [[model_margin(kind, inst.collection, u - v) for v in uvecs] for u in uvecs]
+    weak = [[x >= 0 for x in row] for row in m]
+    zero_reads = set()
+
+    def read(i, j):
+        if m[i][j] == 0:
+            zero_reads.add((i, j))
+        return m[i][j]
+
+    checked, witnesses = 0, []
+    consts = [(i, u.entries[0]) for i, u in enumerate(uvecs) if u.is_constant()]
+    if axiom is AxiomKind.COMPLETENESS:
+        for i in range(n):
+            for j in range(i + 1, n):
+                checked += 1
+                if not weak[i][j] and not weak[j][i]:
+                    witnesses.append(((i, j), (read(i, j), read(j, i)), "incomparable pair"))
+    elif axiom is AxiomKind.NEGATIVE_COMPLETENESS:
+        for i in range(n):
+            for j in range(i + 1, n):
+                checked += 1
+                if read(i, j) > 0 and read(j, i) > 0:
+                    witnesses.append(
+                        ((i, j), (m[i][j], m[j][i]), "both directions robustly preferred")
+                    )
+    elif axiom is AxiomKind.UNAMBIGUOUS_TRANSITIVITY:
+        dom = [(i, j) for i in range(n) for j in range(n)
+               if i != j and all(a >= b for a, b in zip(uvecs[i].entries, uvecs[j].entries))]
+        for f, g in dom:
+            for h in range(n):
+                checked += 1
+                if weak[g][h] and not weak[f][h]:
+                    witnesses.append(((f, g, h), (read(g, h), read(f, h)),
+                                      "dominance then weak preference fails to chain"))
+        for g, h in dom:
+            for f in range(n):
+                checked += 1
+                if weak[f][g] and not weak[f][h]:
+                    witnesses.append(((f, g, h), (read(f, g), read(f, h)),
+                                      "weak preference then dominance fails to chain"))
+    else:
+        if not consts:
+            return None
+        cbt = axiom is AxiomKind.CONSTANT_BOUND_TRANSITIVITY
+        for a, va in consts:
+            for b, vb in consts:
+                if (va >= vb) if cbt else (va < vb):
+                    continue
+                for f in range(n):
+                    checked += 1
+                    if weak[a][f] == weak[f][b] == cbt:
+                        note = (f"act sandwiched between constants {va} < {vb}" if cbt else
+                                f"non-preference fails to chain across constants {va} >= {vb}")
+                        witnesses.append(
+                            ((a, f, b), (read(a, f), read(f, b), read(a, b)), note)
+                        )
+    reads_relation = axiom is not AxiomKind.NEGATIVE_COMPLETENESS
+    matrix_zeros = sum(i != j and m[i][j] == 0 for i in range(n) for j in range(n))
+    return {
+        "passed": not witnesses,
+        "total": len(witnesses),
+        "checked": checked,
+        "flags": len(zero_reads) + (matrix_zeros if reads_relation else 0),
+        "witnesses": witnesses,
+    }
+
+
+def irregular_batteries(rng, states):
+    """Non-lattice batteries with duplicate acts, tied and repeated constants.
+
+    Entries lie over denominators 1, 3, 7, 12 and 35.  Sizes run from one
+    act up; the last battery has no constant act.
+    """
+    dens = (1, 3, 7, 12, 35)
+
+    def entry():
+        den = rng.choice(dens)
+        return F(rng.randint(-den, den), den)
+
+    def vector():
+        return UtilityVector(tuple(entry() for _ in range(states)))
+
+    def constant(value):
+        return UtilityVector((value,) * states)
+
+    yield [constant(F(0))]
+    for size in (4, 9, 15):
+        acts = [vector() for _ in range(size)]
+        acts += [constant(entry()) for _ in range(3)]
+        acts += [rng.choice(acts) for _ in range(size // 3)]  # duplicates and tied constants
+        rng.shuffle(acts)
+        yield acts
+    yield [u for u in (vector() for _ in range(12)) if not u.is_constant()]
+
+
+@dataclass(frozen=True)
+class Reversed(_Kind):
+    """The generalized Bewley preference turned around: f over g when g over f.
+
+    No model kind breaks monotonicity, so none fails unambiguous
+    transitivity; this rule does, and so exercises that audit's witnesses.
+    """
+
+    tag = "reversed-generalized-bewley"
+    combine = staticmethod(lambda maxmin, minmax: -minmax)
+
+
+class TestPairwiseAudits:
+    """The bitmask runners against a per-pair loop over Fraction margins."""
+
+    def test_irregular_batteries_match_per_pair_reference(self):
+        """All eight kinds and a reversed one, uncapped witnesses, 2 and 3 states."""
+        rng = random.Random(15)
+        failing = {axiom: 0 for axiom in PAIRWISE_AXIOMS}
+        flagged = missing = 0
+        for states in (2, 3):
+            inst = generate_instance(states, GenParams(num_states=states))
+            for uvecs in irregular_batteries(rng, states):
+                battery = [act_from_utility_vector(inst, u.entries) for u in uvecs]
+                table = MarginTable(inst, uvecs)
+                kinds = [*eight_kinds(inst)[1], Reversed()]
+                for kind, axiom in itertools.product(kinds, PAIRWISE_AXIOMS):
+                    expected = reference_pairwise_audit(axiom, kind, inst, uvecs)
+                    if expected is None:
+                        with pytest.raises(BatteryMissingConstants):
+                            audit(axiom, kind, inst, battery, table=table)
+                        missing += 1
+                        continue
+                    report = audit(axiom, kind, inst, battery, table=table, witness_cap=10**6)
+                    got = summarize(report)
+                    got["witnesses"] = [
+                        (w.indices, w.margins, w.note) for w in report.witnesses
+                    ]
+                    assert got == expected, (states, len(uvecs), kind, axiom)
+                    failing[axiom] += not report.passed
+                    flagged += report.boundary_flags > 0
+        assert all(failing.values()), failing  # every comparison sees witnesses
+        assert flagged and missing == 2 * 9 * 2
+
+
 class TestSuiteVerdicts:
     def test_touching_instance_satisfies_everything(self, touching_intervals):
         """Touching sets leave no room for either parametrized failure."""
@@ -639,3 +802,41 @@ class TestPinnedAudits:
                     assert counts(report) == counts(full), (seed, kind, axiom)
                     assert report.witnesses == full.witnesses[:cap], (seed, kind, axiom)
         assert over_cap == 34
+
+    def test_verify_lattice_pairwise_audits(self):
+        """verify's own 125-act lattice (3 states, resolution 2), all eight kinds.
+
+        One sha256 per (seed, axiom) over the eight kinds' reports, for every
+        axiom that reads the pairwise margins or the weak relation; the
+        mixing audits are pinned on the smaller batteries above.
+        """
+        pinned = json.loads((DATA / "audit_lattice_sha256.json").read_text())
+        assert lattice_audit_digests() == pinned
+
+
+LATTICE_SEEDS = (1, 3, 5, 7)
+LATTICE_AXIOMS = [
+    a for a in AxiomKind if a not in (AxiomKind.INDEPENDENCE, AxiomKind.FAVORABLE_MIXING)
+]
+
+
+def lattice_audit_digests():
+    """sha256 of the reports ``verify`` would read on its lattice, by seed and axiom."""
+    config = VerifyConfig()
+    digests = {}
+    for seed in LATTICE_SEEDS:
+        inst = generate_instance(seed, config.params_for_seed(seed))
+        assert inst.num_states == 3
+        lattice = phi_lattice(3, config.resolution, F(config.radius))
+        table = MarginTable(inst, lattice)
+        desc = battery_label(inst, len(lattice), config.resolution, config.radius)
+        for axiom in LATTICE_AXIOMS:
+            doc = [
+                audit(axiom, kind, inst, lattice, table=table, battery_desc=desc).to_jsonable(
+                    table.uvecs
+                )
+                for kind in eight_kinds(inst)[1]
+            ]
+            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            digests[f"{seed}:{axiom.value}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return digests

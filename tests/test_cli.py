@@ -160,6 +160,24 @@ class TestEvaluate:
         assert doc["relation"] == "strictly_preferred"
 
 
+PINNED_AUDIT_MODELS = ("gb", "disjunctive", "conjunctive", "half", "alpha:3/4")
+
+
+class TestPinnedAudits:
+    """``audit --axioms all`` on the bundled instances is pinned byte for byte."""
+
+    @pytest.mark.parametrize("model", PINNED_AUDIT_MODELS)
+    @pytest.mark.parametrize("stem", sorted(p.stem for p in INSTANCES.glob("*.json")))
+    def test_bundled_instance_audit(self, stem, model, capsys):
+        code = main(["audit", "--instance", str(INSTANCES / f"{stem}.json"),
+                     "--model", model, "--axioms", "all"])
+        out = capsys.readouterr().out
+        assert code == (0 if '"passed": false' not in out else 1)
+        tag = model.replace(":", "_").replace("/", "_")
+        pinned = Path(__file__).resolve().parent / "data" / "audit" / f"{stem}_{tag}.json"
+        assert out == pinned.read_text(encoding="utf-8")
+
+
 class TestAudit:
     def test_failing_audit_exits_one(self, capsys):
         code = main(
