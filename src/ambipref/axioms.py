@@ -10,22 +10,21 @@ keeps the first ``witness_cap`` (default ``WITNESS_CAP``) violations,
 ``total_violations`` counts all of them, and ``boundary_flags`` does not
 depend on the cap.
 
-Margins are computed many at a time by one fold: given the scaled vertex
-expectations of a list of utility differences, column by column, builtin
-min and max run down the columns and yield every difference's margin
-numerator at once.  Each act has an integer code, linear in its scaled
-utility vector and injective on the differences the audits read, so each
-distinct difference is folded once: the pairwise margins fold the distinct
-u_i - u_j (9 ** n of them on a resolution-2 lattice, against 25 ** n
-pairs), and favorable mixing the distinct k * u_f + (s - k) * u_h - s * u_g
-over the strictly ordered pairs (f, g), the acts h and the weights k / s in
-``MIX_GRID``.  A model's margins become one "-0+" sign string per act, read
-as bitmask rows of its weak, positive and zero margins and their
-transposes, so the pairwise axioms loop only over the set bits of their
-violations.  Independence is decided by the integer homogeneity fold
-alone: utility is affine, so mixing f and g with a common act h at weight
-a leaves the difference a * (u_f - u_g), and the audit compares the fold
-of k * (u_i - u_j) with k times the pair's margin numerator on every pair.
+Every margin comes from one fold, ``_SetColumns.fold``: builtin min and
+max run down the scaled vertex expectations of many difference vectors at
+once and yield their (maxmin, minmax) numerators, which each model's
+``combine`` turns into its margin.  Each act has an integer code, linear
+in its scaled utility vector and injective on the differences the audits
+read, so each distinct difference is folded once: the pairwise margins
+fold the distinct u_i - u_j (9 ** n on a resolution-2 lattice, against
+25 ** n pairs), independence their multiples k * (u_i - u_j) for each
+weight k / s in ``MIX_GRID``, and favorable mixing the distinct
+k * u_f + (s - k) * u_h - s * u_g.  A model's margins become one "-0+"
+sign string per act, read as bitmask rows of its weak, positive and zero
+margins and their transposes, so the pairwise axioms loop only over the
+set bits of their violations.  Utility is affine, so mixing f and g with
+a common act h at weight a leaves a * (u_f - u_g): independence compares
+the folded margin of k * (u_i - u_j) with k times the pair's.
 """
 
 from __future__ import annotations
@@ -209,11 +208,10 @@ class MarginTable:
     u_i - u_j and each favorable-mixing combination.  So codes[i] - codes[j]
     names u_i - u_j, and ``distinct`` lists those codes once each.  On a
     model's first use, the table builds integer columns for the sets
-    ``kind.sets`` names, keyed by their vertex lists, and folds maxmin once
-    per distinct difference; by the duality minmax(phi) = -maxmin(-phi),
-    minmax of code c is -maxmin[-c].  Kinds that read the same sets share
-    all of it, and each model's margins and relation rows are memoized on
-    the table, as are the statewise dominance pairs.
+    ``kind.sets`` names, keyed by their vertex lists, and folds (maxmin,
+    minmax) once per distinct difference.  Kinds that read the same sets
+    share all of it, and each model's margins and relation rows are
+    memoized on the table, as are the statewise dominance pairs.
     """
 
     def __init__(self, instance: Instance, uvecs: Sequence[UtilityVector]):
@@ -258,41 +256,49 @@ class MarginTable:
         sets = kind.sets(self.instance.collection)
         key = tuple(bset.vertices for bset in sets)
         if key not in self._columns:
-            self._columns[key] = _SetColumns(sets, self)
+            self._columns[key] = _SetColumns(sets, self._du, self.digits)
         return self._columns[key]
 
 
 class _SetColumns:
     """One selection of belief sets, as integer vertices over a battery.
 
-    ``vertices[c]`` is the c-th vertex, ``parts`` are the sets' ranges in
-    it, and ``maxmin[c]`` is ``denom`` times the maxmin of the difference
-    with code c, in the order of the table's ``distinct``.
+    ``vertices[c]`` is the c-th vertex and ``parts`` are the sets' ranges in
+    it.  ``maxmin`` and ``minmax`` fold ``digits``, the decoded distinct
+    differences of the table whose scale is ``du``, in their order.
     """
 
-    def __init__(self, sets: BeliefCollection, table: MarginTable):
+    def __init__(self, sets: BeliefCollection, du: int, digits: list[list[int]]):
         dv, set_rows = sets.integer_view
-        self.denom = dv * table._du
+        self.denom = dv * du
         ends = list(itertools.accumulate(map(len, set_rows)))
         self.parts = list(zip([0, *ends], ends))
         self.vertices = [v for verts in set_rows for v in verts]
-        columns = [_combine(v, table.digits) for v in self.vertices]
-        self.maxmin = dict(zip(table.distinct, _nested(columns, self.parts, max, min)))
+        self.maxmin, self.minmax = self.fold(digits)
+
+    def fold(self, digits: list[list[int]]) -> tuple[list[int], list[int]]:
+        """The (maxmin, minmax) numerators over ``denom`` of decoded vectors.
+
+        ``digits`` is as ``MarginTable.decode`` returns it; entry h of each
+        result list is that of the h-th vector.
+        """
+        cols = [_combine(v, digits) for v in self.vertices]
+        return _nested(cols, self.parts, max, min), _nested(cols, self.parts, min, max)
 
 
 class _Relation:
     """One model's margin numerators by difference code, and its relation rows.
 
-    ``signs[i]`` spells the margins of u_i - u_j in "-0+" for j descending,
+    ``num[c]`` combines the columns' (maxmin, minmax) of code c by the
+    model's rule, in the order of the table's ``distinct``.  ``signs[i]`` spells the margins of u_i - u_j in "-0+" for j descending,
     so that bit j of a row read as binary digits after ``str.translate`` is
     act j; ``transposed[i]`` does the same for u_j - u_i.  ``zeros`` counts
     the zero margins off the diagonal, where u_i - u_i is the zero vector.
     """
 
     def __init__(self, kind: ModelKind, table: MarginTable):
-        maxmin = table.columns(kind).maxmin
-        self.num = {c: kind.combine(x, -maxmin[-c]) for c, x in maxmin.items()}
-        # Like maxmin, num runs in the order of the table's ``distinct``.
+        cols = table.columns(kind)
+        self.num = dict(zip(table.distinct, map(kind.combine, cols.maxmin, cols.minmax)))
         line = "".join(["-" if x < 0 else "0" if x == 0 else "+" for x in self.num.values()])
         self.signs = ["".join(read(line)) for read in table.readers]
         self.transposed = ["".join(col) for col in zip(*self.signs[::-1])][::-1]
@@ -336,9 +342,11 @@ class _Runner:
     """One audit's state: margin access, boundary counting and the tally.
 
     The model's rule decides every margin: its belief sets pick the table's
-    columns, and its ``combine`` folds their (maxmin, minmax) into a margin
+    columns, and its ``combine`` turns their (maxmin, minmax) into a margin
     numerator over ``unit``, the columns' denominator times the model's
-    ``den``.  Runners report through ``fail``, which counts every violation
+    ``den``.  ``margin_num`` reads the memoized margins of the table's
+    differences; ``margins`` folds any other codes through the columns'
+    ``fold``.  Runners report through ``fail``, which counts every violation
     but builds a witness's Fractions only while fewer than ``witness_cap``
     are kept.  Zero margins are counted where numerators are read, never in
     ``fail``, so ``zero_flags`` does not depend on the cap; ``zeros``
@@ -374,17 +382,13 @@ class _Runner:
             den = unit or self.unit
             self.witnesses.append(Witness(indices, tuple(Fraction(x, den) for x in nums), note))
 
-    def fold(self, cols: list[list[int]]) -> list[int]:
-        """Margin numerators of many differences at once.
+    def margins(self, codes: list[int]) -> list[int]:
+        """Numerators over ``unit`` of the margins of the vectors with these codes.
 
-        ``cols[c][h]`` is the scaled expectation of the h-th difference at
-        the c-th of the model's columns; entry h of the result is that
-        difference's margin numerator over the column scale times the
-        model's ``den``.  Zero results are the caller's to count.
+        Always folded afresh, never read from the table's memo.  Zero
+        results are the caller's to count.
         """
-        parts = self.cols.parts
-        maxmin, minmax = _nested(cols, parts, max, min), _nested(cols, parts, min, max)
-        return list(map(self.combine, maxmin, minmax))
+        return list(map(self.combine, *self.cols.fold(self.table.decode(codes))))
 
     def margin_num(self, i: int, j: int) -> int:
         """Numerator over ``unit`` of the margin for u_i - u_j (sign-faithful)."""
@@ -489,23 +493,21 @@ def _run_monotonicity(r: _Runner) -> None:
 
 
 def _run_independence(r: _Runner) -> None:
-    n = r.table.n
+    codes, distinct = r.table.codes, r.table.distinct
     ks = [int(a * _MIX_SCALE) for a in MIX_GRID]
-    rows = [[sum(map(operator.mul, u, v)) for v in r.cols.vertices] for u in r.table._scaled]
-    cols = list(zip(*rows))
-    for i in range(n):
-        diffs = [[a - x for x in col[i + 1 :]] for a, col in zip(rows[i], cols)]
-        # k * (u_i - u_j) for every j > i, folded afresh for each weight k / s.
-        folds = [r.fold([[k * x for x in d] for d in diffs]) for k in ks]
-        r.zeros += sum(nums.count(0) for nums in folds)
-        for j in range(i + 1, n):
-            base_num = r.margin_num(i, j)
-            for a, k, nums in zip(MIX_GRID, ks, folds):
-                r.checked += 1
-                num = nums[j - i - 1]
-                if num != k * base_num:
-                    r.fail((i, j), (base_num * _MIX_SCALE, num),
-                           f"margin not homogeneous at {a}", r.unit * _MIX_SCALE)
+    # k * (u_i - u_j) has code k * (c_i - c_j), folded once per weight k / s.
+    weights = [(a, k, dict(zip(distinct, r.margins([k * c for c in distinct]))))
+               for a, k in zip(MIX_GRID, ks)]
+    for i, j in itertools.combinations(range(r.table.n), 2):
+        code = codes[i] - codes[j]
+        base_num = r.margin_num(i, j)
+        for a, k, folded in weights:
+            r.checked += 1
+            num = folded[code]
+            r.zeros += num == 0
+            if num != k * base_num:
+                r.fail((i, j), (base_num * _MIX_SCALE, num),
+                       f"margin not homogeneous at {a}", r.unit * _MIX_SCALE)
 
 
 def _run_completeness(r: _Runner) -> None:
@@ -573,8 +575,7 @@ def _run_favorable_mixing(r: _Runner) -> None:
     rests = [[(s - k) * c for c in code] for k in ks]
     bases = [[k * code[f] - s * code[g] for f, g in strict] for k in ks]
     distinct = list({b + x for bs, rest in zip(bases, rests) for b in set(bs) for x in rest})
-    digits = r.table.decode(distinct)
-    num = dict(zip(distinct, r.fold([_combine(v, digits) for v in r.cols.vertices])))
+    num = dict(zip(distinct, r.margins(distinct)))
     sign = {c: "-" if x < 0 else "0" if x == 0 else "+" for c, x in num.items()}
 
     # Per weight and distinct base: its zero count over h, and the mask of
@@ -643,7 +644,7 @@ def audit(
     axiom: AxiomKind,
     kind: ModelKind,
     instance: Instance,
-    battery: Sequence[Act],
+    battery: Sequence[Act] | None = None,
     *,
     table: MarginTable | None = None,
     witness_cap: int = WITNESS_CAP,
@@ -653,23 +654,26 @@ def audit(
 
     Pass ``table`` to share the cached margin work across several audits of
     the same battery, under any model kinds: each reads its own belief sets'
-    columns from it.  A table built for another instance, or whose size
-    differs from the battery's, is rejected.  ``witness_cap`` bounds only
-    how many witnesses are kept, never the counts.
+    columns from it.  Given a table, the battery may be left out, since
+    only its length would be read.  A table built for another instance, or
+    whose size differs from a given battery's, is rejected, and so is an
+    audit with neither.  ``witness_cap`` bounds only how many witnesses are
+    kept, never the counts.
     """
     if table is None:
+        if battery is None:
+            raise ValueError("audit needs a battery or a margin table")
         table = MarginTable(instance, [utility_vector(instance.utility, act) for act in battery])
     elif instance != table.instance:
         raise ValueError("margin table was built for another instance")
-    elif table.n != len(battery):
+    elif battery is not None and table.n != len(battery):
         raise ValueError("margin table does not match this battery")
     r = _Runner(table, kind, witness_cap)
     _RUNNERS[axiom](r)
     return AuditReport(
         axiom=axiom,
         model=describe_model(kind),
-        battery=battery_desc
-        or battery_label(instance, len(battery), None, None),
+        battery=battery_desc or battery_label(instance, table.n, None, None),
         passed=r.passed,
         witnesses=tuple(r.witnesses),
         total_violations=r.total,

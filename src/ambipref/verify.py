@@ -188,20 +188,11 @@ def _conditions_hold(instance, cache) -> bool:
     return _cut(instance, cache) is None and _separation(instance, cache) is None
 
 
-def _lattice_audit(axiom, kind, instance, table, desc) -> AuditReport:
-    """One audit over the lattice battery whose margin table is ``table``.
-
-    Given a table, ``audit`` reads only the battery's length, so the
-    lattice's utility vectors stand in for its acts.
-    """
-    return audit(axiom, kind, instance, table.uvecs, table=table, battery_desc=desc)
-
-
 def _audit_suite(kind, axioms: Sequence[AxiomKind]) -> Callable:
     """A suite that audits one model on a few axioms over the lattice battery."""
 
     def run(instance, table, desc, cache) -> SuiteOutcome:
-        reps = [_lattice_audit(axiom, kind, instance, table, desc) for axiom in axioms]
+        reps = [audit(axiom, kind, instance, table=table, battery_desc=desc) for axiom in axioms]
         return SuiteOutcome(
             ok=all(r.passed for r in reps),
             applicable=True,
@@ -291,7 +282,7 @@ def _two_sided_suite(
     def run(instance, table, desc, cache) -> SuiteOutcome:
         cert = certificate(instance, cache)
         if cert is None:
-            rep = _lattice_audit(axiom, GeneralizedBewley(), instance, table, desc)
+            rep = audit(axiom, GeneralizedBewley(), instance, table=table, battery_desc=desc)
             bad = [{"detail": held_but_failed, **w} for w in _witness_dicts(rep)]
             return SuiteOutcome(rep.passed, True, False, tuple(bad), rep.boundary_flags, (desc,))
         try:
@@ -319,7 +310,7 @@ def _suite_lemma3(instance, table, desc, cache) -> SuiteOutcome:
     # m(-h) are both negative and (x0, h, x0) breaks negative transitivity on
     # the pair [x0, h]; h fits the utility range, as |u_i - u_j|/2 <= radius.
     reps = [
-        _lattice_audit(axiom, GeneralizedBewley(), instance, table, desc)
+        audit(axiom, GeneralizedBewley(), instance, table=table, battery_desc=desc)
         for axiom in (AxiomKind.COMPLETENESS, AxiomKind.NEGATIVE_CONSTANT_BOUND_TRANSITIVITY)
     ]
     comp, ncbt = reps

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -45,6 +47,7 @@ from ambipref.margins import _Kind
 from ambipref.axioms import (
     MIX_GRID,
     WITNESS_CAP,
+    _MIX_SCALE,
     _Runner,
     _dominance_pairs,
     battery_label,
@@ -185,6 +188,34 @@ class TestMarginTableAgreement:
         with pytest.raises(ValueError, match="another instance"):
             weak_relation(table, GeneralizedBewley(), touching_intervals)
         assert weak_relation(table, GeneralizedBewley(), disjoint_pair)[0]
+
+    def test_table_alone_stands_for_the_battery(self, disjoint_pair):
+        """Given a table, the battery may be left out; with neither, audit raises."""
+        battery = generate_act_grid(disjoint_pair, resolution=1)
+        uvecs = [utility_vector(disjoint_pair.utility, a) for a in battery]
+        table = MarginTable(disjoint_pair, uvecs)
+        for kind, axiom in itertools.product(eight_kinds(disjoint_pair)[1], AxiomKind):
+            alone = audit(axiom, kind, disjoint_pair, table=table)
+            assert alone == audit(axiom, kind, disjoint_pair, battery, table=table), (kind, axiom)
+        with pytest.raises(ValueError, match="battery or a margin table"):
+            audit(AxiomKind.REFLEXIVITY, GeneralizedBewley(), disjoint_pair)
+
+    def test_table_is_freed_without_the_collector(self, disjoint_pair):
+        """A table holds no reference cycle after all axioms under every kind."""
+        battery = generate_act_grid(disjoint_pair, resolution=1)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            uvecs = [utility_vector(disjoint_pair.utility, a) for a in battery]
+            table = MarginTable(disjoint_pair, uvecs)
+            for kind, axiom in itertools.product(eight_kinds(disjoint_pair)[1], AxiomKind):
+                audit(axiom, kind, disjoint_pair, table=table)
+            ref = weakref.ref(table)
+            del table
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_relations_are_memoized_per_model_identity(self, disjoint_pair):
         battery = generate_act_grid(disjoint_pair)
@@ -397,8 +428,10 @@ class TestMixingAudits:
         for kind in eight_kinds(inst)[1]:
             report = audit(AxiomKind.INDEPENDENCE, kind, inst, battery)
             assert report.passed and report.checked == expected, kind
-        fold = _Runner.fold
-        monkeypatch.setattr(_Runner, "fold", lambda self, cols: [x + 1 for x in fold(self, cols)])
+        margins = _Runner.margins
+        monkeypatch.setattr(
+            _Runner, "margins", lambda self, codes: [x + 1 for x in margins(self, codes)]
+        )
         for kind in eight_kinds(inst)[1]:
             report = audit(AxiomKind.INDEPENDENCE, kind, inst, battery)
             assert report.checked == report.total_violations == expected, kind
@@ -407,22 +440,55 @@ class TestMixingAudits:
 
     @pytest.mark.parametrize("kind", [GeneralizedBewley(), HalfMixture(), Bewley("low")])
     def test_independence_sees_a_perturbed_fold(self, disjoint_pair, monkeypatch, kind):
-        """Homogeneity is checked on folded values, not derived from the base."""
+        """Homogeneity is checked on folded values, not derived from the base.
+
+        Shifting the first weight's fold at the code of u_0 - u_1 fails
+        exactly the pairs i < j with that difference, in row-major order.
+        """
         battery = generate_act_grid(disjoint_pair, resolution=1)
-        assert audit(AxiomKind.INDEPENDENCE, kind, disjoint_pair, battery).passed
-        fold = _Runner.fold
+        uvecs = [utility_vector(disjoint_pair.utility, a) for a in battery]
+        table = MarginTable(disjoint_pair, uvecs)
+        assert audit(AxiomKind.INDEPENDENCE, kind, disjoint_pair, table=table).passed
+        target = table.codes[0] - table.codes[1]
+        k = int(MIX_GRID[0] * _MIX_SCALE)
+        margins = _Runner.margins
         calls = []
 
-        def perturbed(self, cols):
-            nums = fold(self, cols)
-            calls.append(len(nums))
-            return [nums[0] + 1, *nums[1:]] if len(calls) == 1 else nums
+        def perturbed(self, codes):
+            nums = margins(self, codes)
+            calls.append(len(codes))
+            if len(calls) > 1:
+                return nums
+            return [x + (c == k * target) for c, x in zip(codes, nums)]
 
-        monkeypatch.setattr(_Runner, "fold", perturbed)
-        report = audit(AxiomKind.INDEPENDENCE, kind, disjoint_pair, battery)
+        monkeypatch.setattr(_Runner, "margins", perturbed)
+        report = audit(AxiomKind.INDEPENDENCE, kind, disjoint_pair, table=table)
+        expected = [
+            (i, j)
+            for i, j in itertools.combinations(range(table.n), 2)
+            if table.codes[i] - table.codes[j] == target
+        ]
+        assert len(expected) == 6
         assert not report.passed
-        assert report.total_violations == 1
-        assert report.witnesses[0].indices == (0, 1)
+        assert report.total_violations == len(expected)
+        assert [w.indices for w in report.witnesses] == expected
+
+    def test_independence_folds_once_per_weight(self, disjoint_pair, monkeypatch):
+        """One fold per weight in ``MIX_GRID``, each over the table's distinct codes."""
+        battery = generate_act_grid(disjoint_pair, resolution=2)
+        uvecs = [utility_vector(disjoint_pair.utility, a) for a in battery]
+        table = MarginTable(disjoint_pair, uvecs)
+        margins = _Runner.margins
+        calls = []
+
+        def counted(self, codes):
+            calls.append(len(codes))
+            return margins(self, codes)
+
+        monkeypatch.setattr(_Runner, "margins", counted)
+        report = audit(AxiomKind.INDEPENDENCE, GeneralizedBewley(), disjoint_pair, table=table)
+        assert report.passed
+        assert calls == [len(table.distinct)] * len(MIX_GRID)
 
 
 PAIRWISE_AXIOMS = (
@@ -807,17 +873,15 @@ class TestPinnedAudits:
         """verify's own 125-act lattice (3 states, resolution 2), all eight kinds.
 
         One sha256 per (seed, axiom) over the eight kinds' reports, for every
-        axiom that reads the pairwise margins or the weak relation; the
-        mixing audits are pinned on the smaller batteries above.
+        axiom but favorable mixing, which is pinned on the smaller batteries
+        above.
         """
         pinned = json.loads((DATA / "audit_lattice_sha256.json").read_text())
         assert lattice_audit_digests() == pinned
 
 
 LATTICE_SEEDS = (1, 3, 5, 7)
-LATTICE_AXIOMS = [
-    a for a in AxiomKind if a not in (AxiomKind.INDEPENDENCE, AxiomKind.FAVORABLE_MIXING)
-]
+LATTICE_AXIOMS = [a for a in AxiomKind if a is not AxiomKind.FAVORABLE_MIXING]
 
 
 def lattice_audit_digests():
