@@ -478,13 +478,13 @@ def build_cbt_witness(
     return x0, f, xe
 
 
-def analyze(instance: Instance, *, resolution: int = 2) -> AnalysisReport:
+def analyze(instance: Instance) -> AnalysisReport:
     """Full parametric analysis of an instance's belief collection."""
     collection = instance.collection
     pairwise = pairwise_intersection_holds(collection)
     cutting = find_cutting_hyperplane(collection)
     n = instance.num_states
-    commutes = check_commutativity(collection, phi_lattice(n, resolution=resolution))
+    commutes = check_commutativity(collection, phi_lattice(n))
     collapse = seu_collapse_binary(collection) if n == 2 else None
     return AnalysisReport(
         pairwise=pairwise,

@@ -24,7 +24,9 @@ sign string per act, read as bitmask rows of its weak, positive and zero
 margins and their transposes, so the pairwise axioms loop only over the
 set bits of their violations.  Utility is affine, so mixing f and g with
 a common act h at weight a leaves a * (u_f - u_g): independence compares
-the folded margin of k * (u_i - u_j) with k times the pair's.
+the folded margin of k * (u_i - u_j) with k times the pair's.  The
+battery's ``MarginTable`` owns all of this shared work, one
+``relation(kind)`` per model; an audit's ``_Runner`` keeps only its tally.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import lcm
 from typing import Sequence
 
@@ -63,11 +65,18 @@ __all__ = [
     "audit_suite",
     "weak_relation",
     "MIX_GRID",
+    "MAX_BATTERY_ACTS",
+    "check_battery",
 ]
 
 MIX_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 _MIX_SCALE = lcm(*(a.denominator for a in MIX_GRID))  # weight a is k / s, k integer
 WITNESS_CAP = 25
+# A lattice battery at resolution r on n states has (2r + 1)^n acts, and the
+# audits hold an acts-by-acts margin matrix (531,441 margins at the limit).
+# The limit admits the default resolution 2 on the generator's largest state
+# count, four (625 acts), and resolution 4 on three states.
+MAX_BATTERY_ACTS = 729
 # The bit each margin sign "-0+" sets in a bitmask row of the relation.
 _WEAK, _POSITIVE, _ZERO, _NEGATIVE = "011", "001", "010", "100"
 
@@ -171,12 +180,12 @@ def generate_act_grid(
 def check_lattice(instance: Instance, resolution: int, radius) -> Fraction:
     """Reject lattice parameters that ``generate_act_grid`` cannot realize.
 
-    Returns the radius as a Fraction.  Raises ValueError for a resolution
-    below 1 or a radius that is not positive, and RadiusExceedsUtilityRange
-    when [-radius, radius] does not fit the instance's utility range.
+    Returns the radius as a Fraction.  Raises ValueError where
+    ``check_battery`` does or for a radius that is not positive, and
+    RadiusExceedsUtilityRange when [-radius, radius] does not fit the
+    instance's utility range.
     """
-    if resolution < 1:
-        raise ValueError(f"resolution must be a positive integer, got {resolution}")
+    check_battery(resolution, instance.num_states)
     radius = Fraction(radius)
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -186,6 +195,18 @@ def check_lattice(instance: Instance, resolution: int, radius) -> Fraction:
             f"lattice [-{radius}, {radius}] does not fit utility range [{lo}, {hi}]"
         )
     return radius
+
+
+def check_battery(resolution: int, num_states: int, what: str = "") -> None:
+    """Raise ValueError for a lattice battery that is empty or over ``MAX_BATTERY_ACTS``."""
+    if resolution < 1:
+        raise ValueError(f"resolution must be a positive integer, got {resolution}")
+    acts = (2 * resolution + 1) ** num_states
+    if acts > MAX_BATTERY_ACTS:
+        raise ValueError(
+            f"resolution {resolution}{what} on {num_states} states gives a battery of "
+            f"{acts} acts; the limit is {MAX_BATTERY_ACTS}"
+        )
 
 
 def battery_label(instance: Instance, count: int, resolution: int | None, radius) -> str:
@@ -210,8 +231,8 @@ class MarginTable:
     model's first use, the table builds integer columns for the sets
     ``kind.sets`` names, keyed by their vertex lists, and folds (maxmin,
     minmax) once per distinct difference.  Kinds that read the same sets
-    share all of it, and each model's margins and relation rows are
-    memoized on the table, as are the statewise dominance pairs.
+    share all of it.  ``relation(kind)`` and ``dominance`` are memoized
+    here, and nowhere else.
     """
 
     def __init__(self, instance: Instance, uvecs: Sequence[UtilityVector]):
@@ -239,8 +260,6 @@ class MarginTable:
         ]
         self._columns: dict[tuple[tuple[Prior, ...], ...], _SetColumns] = {}
         self._relations: dict[ModelKind, _Relation] = {}
-        self._dominance: list[tuple[int, int]] | None = None
-        self.constants = [(i, v.entries[0]) for i, v in enumerate(self.uvecs) if v.is_constant()]
 
     def decode(self, codes: list[int]) -> list[list[int]]:
         """The scaled entries of the vectors with these codes, one list per state."""
@@ -258,6 +277,26 @@ class MarginTable:
         if key not in self._columns:
             self._columns[key] = _SetColumns(sets, self._du, self.digits)
         return self._columns[key]
+
+    def relation(self, kind: ModelKind) -> "_Relation":
+        """The model's margins and relation rows, built on its first use."""
+        if kind not in self._relations:
+            self._relations[kind] = _Relation(kind, self)
+        return self._relations[kind]
+
+    @cached_property
+    def dominance(self) -> list[tuple[int, int]]:
+        """The pairs (i, j), i != j, where act i statewise dominates act j, row-major."""
+        rows = self._scaled
+        return [(i, j) for i, ri in enumerate(rows) for j, rj in enumerate(rows)
+                if i != j and all(map(operator.ge, ri, rj))]
+
+    def constants(self) -> list[tuple[int, Fraction]]:
+        """The battery's constant acts and their values; there must be some."""
+        found = [(i, v.entries[0]) for i, v in enumerate(self.uvecs) if v.is_constant()]
+        if not found:
+            raise BatteryMissingConstants("battery has no constant acts")
+        return found
 
 
 class _SetColumns:
@@ -289,16 +328,20 @@ class _SetColumns:
 class _Relation:
     """One model's margin numerators by difference code, and its relation rows.
 
-    ``num[c]`` combines the columns' (maxmin, minmax) of code c by the
-    model's rule, in the order of the table's ``distinct``.  ``signs[i]`` spells the margins of u_i - u_j in "-0+" for j descending,
+    Built only by ``MarginTable.relation``, and holds no reference to the
+    table.  ``combine`` turns the (maxmin, minmax) of the model's columns
+    ``cols`` into a numerator over ``unit``; ``num[c]`` is that of code c.
+    ``signs[i]`` spells the margins of u_i - u_j in "-0+" for j descending,
     so that bit j of a row read as binary digits after ``str.translate`` is
     act j; ``transposed[i]`` does the same for u_j - u_i.  ``zeros`` counts
     the zero margins off the diagonal, where u_i - u_i is the zero vector.
     """
 
     def __init__(self, kind: ModelKind, table: MarginTable):
-        cols = table.columns(kind)
-        self.num = dict(zip(table.distinct, map(kind.combine, cols.maxmin, cols.minmax)))
+        self.combine = kind.combine
+        self.cols = cols = table.columns(kind)
+        self.unit = cols.denom * kind.den
+        self.num = dict(zip(table.distinct, map(self.combine, cols.maxmin, cols.minmax)))
         line = "".join(["-" if x < 0 else "0" if x == 0 else "+" for x in self.num.values()])
         self.signs = ["".join(read(line)) for read in table.readers]
         self.transposed = ["".join(col) for col in zip(*self.signs[::-1])][::-1]
@@ -339,33 +382,24 @@ def _nested(cols: list[list[int]], parts, outer, inner) -> list[int]:
 
 
 class _Runner:
-    """One audit's state: margin access, boundary counting and the tally.
+    """One audit's tally: checks, violations, witnesses and boundary cases.
 
-    The model's rule decides every margin: its belief sets pick the table's
-    columns, and its ``combine`` turns their (maxmin, minmax) into a margin
-    numerator over ``unit``, the columns' denominator times the model's
-    ``den``.  ``margin_num`` reads the memoized margins of the table's
-    differences; ``margins`` folds any other codes through the columns'
-    ``fold``.  Runners report through ``fail``, which counts every violation
-    but builds a witness's Fractions only while fewer than ``witness_cap``
-    are kept.  Zero margins are counted where numerators are read, never in
-    ``fail``, so ``zero_flags`` does not depend on the cap; ``zeros``
-    counts those read in bulk.
+    Every margin comes from ``relation``, the table's memoized relation of
+    the model: ``margin_num`` reads its margins of the table's differences,
+    and ``margins`` folds any other codes through its columns.  Runners
+    report through ``fail``, which counts every violation but builds a
+    witness's Fractions only while fewer than ``witness_cap`` are kept.
+    Zero margins are counted where numerators are read, never in ``fail``,
+    so ``zero_flags`` does not depend on the cap; ``zeros`` counts those
+    read in bulk.  The audit passes when ``total`` is zero.
     """
 
     def __init__(self, table: MarginTable, kind: ModelKind, witness_cap: int = WITNESS_CAP):
         self.table = table
-        self.combine = kind.combine
-        self.cols = table.columns(kind)
-        self.unit = self.cols.denom * kind.den
-        if kind not in table._relations:
-            table._relations[kind] = _Relation(kind, table)
-        self.relation = table._relations[kind]
+        self.relation = table.relation(kind)
         self._zero_seen: set[tuple[int, int]] = set()
         self.zeros = 0
-        self.matrix_zero_flags = 0
         self.witness_cap = witness_cap
-        self.passed = True
         self.checked = 0
         self.total = 0
         self.witnesses: list[Witness] = []
@@ -374,21 +408,21 @@ class _Runner:
         """Count one violation, keeping its witness while under the cap.
 
         ``nums`` are the witness's integer margin numerators over ``unit``,
-        which defaults to the runner's own.
+        which defaults to the relation's.
         """
-        self.passed = False
         self.total += 1
         if len(self.witnesses) < self.witness_cap:
-            den = unit or self.unit
+            den = unit or self.relation.unit
             self.witnesses.append(Witness(indices, tuple(Fraction(x, den) for x in nums), note))
 
     def margins(self, codes: list[int]) -> list[int]:
-        """Numerators over ``unit`` of the margins of the vectors with these codes.
+        """Numerators over the relation's ``unit`` of the margins of these codes.
 
         Always folded afresh, never read from the table's memo.  Zero
         results are the caller's to count.
         """
-        return list(map(self.combine, *self.cols.fold(self.table.decode(codes))))
+        rel = self.relation
+        return list(map(rel.combine, *rel.cols.fold(self.table.decode(codes))))
 
     def margin_num(self, i: int, j: int) -> int:
         """Numerator over ``unit`` of the margin for u_i - u_j (sign-faithful)."""
@@ -401,14 +435,15 @@ class _Runner:
         """Bitmask rows of the weak-preference relation and of its transpose.
 
         Built once per (table, model) and shared; callers must not mutate
-        them.  Every off-diagonal zero margin counts as a boundary case.
+        them.  Every off-diagonal zero margin counts as a boundary case and
+        is added to ``zeros``, so each runner calls this at most once.
         """
-        self.matrix_zero_flags = self.relation.zeros
+        self.zeros += self.relation.zeros
         return self.relation.bits(_WEAK), self.relation.bits(_WEAK, transposed=True)
 
     @property
     def zero_flags(self) -> int:
-        return len(self._zero_seen) + self.zeros + self.matrix_zero_flags
+        return len(self._zero_seen) + self.zeros
 
 
 def _set_bits(mask: int):
@@ -419,13 +454,6 @@ def _set_bits(mask: int):
         mask ^= low
 
 
-def _constants(table: MarginTable) -> list[tuple[int, Fraction]]:
-    """The battery's constant acts and their values; there must be some."""
-    if not table.constants:
-        raise BatteryMissingConstants("battery has no constant acts")
-    return table.constants
-
-
 def _run_non_triviality(r: _Runner) -> None:
     n = r.table.n
     for i in range(n):
@@ -434,7 +462,7 @@ def _run_non_triviality(r: _Runner) -> None:
                 r.checked += 1
                 if r.margin_num(i, j) >= 0 and r.margin_num(j, i) < 0:
                     return
-    r.passed, r.total = False, 1  # the failure is the exhausted search itself
+    r.total = 1  # the failure is the exhausted search itself
 
 
 def _run_reflexivity(r: _Runner) -> None:
@@ -446,33 +474,16 @@ def _run_reflexivity(r: _Runner) -> None:
 
 
 def _run_unambiguous_completeness(r: _Runner) -> None:
-    for (a, va), (b, vb) in itertools.combinations(_constants(r.table), 2):
+    for (a, va), (b, vb) in itertools.combinations(r.table.constants(), 2):
         r.checked += 1
         ab = r.margin_num(a, b)
         if ab < 0 and (ba := r.margin_num(b, a)) < 0:
             r.fail((a, b), (ab, ba), f"constants {va} and {vb} incomparable")
 
 
-def _dominance_pairs(table: MarginTable) -> list[tuple[int, int]]:
-    """Pairs (i, j), i != j, where act i statewise dominates act j, row-major.
-
-    Read on the table's integer rows, which share one positive denominator,
-    and memoized on the table; callers must not mutate the list.
-    """
-    if table._dominance is None:
-        rows = table._scaled
-        table._dominance = [
-            (i, j)
-            for i, ri in enumerate(rows)
-            for j, rj in enumerate(rows)
-            if i != j and all(map(operator.ge, ri, rj))
-        ]
-    return table._dominance
-
-
 def _run_unambiguous_transitivity(r: _Runner) -> None:
     w, wt = r.weak_matrix()
-    dom = _dominance_pairs(r.table)
+    dom = r.table.dominance
     r.checked += 2 * r.table.n * len(dom)
     for f, g in dom:
         for h in _set_bits(w[g] & ~w[f]):
@@ -486,7 +497,7 @@ def _run_unambiguous_transitivity(r: _Runner) -> None:
 
 def _run_monotonicity(r: _Runner) -> None:
     w, _ = r.weak_matrix()
-    for i, j in _dominance_pairs(r.table):
+    for i, j in r.table.dominance:
         r.checked += 1
         if not (w[i] >> j) & 1:
             r.fail((i, j), (r.margin_num(i, j),), "statewise dominance not honored")
@@ -507,7 +518,7 @@ def _run_independence(r: _Runner) -> None:
             r.zeros += num == 0
             if num != k * base_num:
                 r.fail((i, j), (base_num * _MIX_SCALE, num),
-                       f"margin not homogeneous at {a}", r.unit * _MIX_SCALE)
+                       f"margin not homogeneous at {a}", r.relation.unit * _MIX_SCALE)
 
 
 def _run_completeness(r: _Runner) -> None:
@@ -539,7 +550,7 @@ def _constant_sandwich(r: _Runner, order, bit: int, note: str) -> None:
     each such f violates the axiom, since the order leaves its conclusion
     false.  ``note`` is formatted with the two constants' values.
     """
-    consts = _constants(r.table)
+    consts = r.table.constants()
     w, wt = r.weak_matrix()
     n = r.table.n
     flip = 0 if bit else (1 << n) - 1
@@ -559,7 +570,7 @@ def _run_favorable_mixing(r: _Runner) -> None:
     w, wt = r.weak_matrix()
     n = r.table.n
     s = _MIX_SCALE
-    unit = r.unit * s
+    unit = r.relation.unit * s
     grid = sorted(MIX_GRID)
     ks = [int(a * s) for a in grid]
     # Every (f, g) with g strictly better than f, g outer, as witnesses are kept.
@@ -674,7 +685,7 @@ def audit(
         axiom=axiom,
         model=describe_model(kind),
         battery=battery_desc or battery_label(instance, table.n, None, None),
-        passed=r.passed,
+        passed=not r.total,
         witnesses=tuple(r.witnesses),
         total_violations=r.total,
         checked=r.checked,
@@ -691,14 +702,13 @@ def weak_relation(
     returns how many of the consulted margins were exactly zero, since those
     judgments sit on the boundary of the relation.  Any model kind works on
     any table of the battery, reading its own belief sets' columns; a table
-    built for another instance is rejected.  The relation is memoized on the
-    table; the returned list is the caller's own copy.
+    built for another instance is rejected.  The rows are those of the
+    table's ``relation(kind)``; the returned list is the caller's own copy.
     """
     if instance != table.instance:
         raise ValueError("margin table was built for another instance")
-    runner = _Runner(table, kind)
-    matrix = list(runner.weak_matrix()[0])
-    return matrix, runner.matrix_zero_flags
+    rel = table.relation(kind)
+    return list(rel.bits(_WEAK)), rel.zeros
 
 
 def audit_suite(

@@ -14,7 +14,8 @@ import sys
 from typing import Optional, Sequence
 
 from .analysis import analyze
-from .axioms import AxiomKind, audit_suite, battery_label, generate_act_grid
+from .axioms import AxiomKind, audit_suite, battery_label, check_battery, generate_act_grid
+from .axioms import MAX_BATTERY_ACTS  # noqa: F401  (re-exported for callers of the CLI module)
 from .generate import GenParams, ParamsOutOfRange, generate_instance
 from .margins import (
     AlphaMixture,
@@ -54,11 +55,6 @@ __all__ = [
     "MAX_SLICE_SAMPLES",
 ]
 
-# A lattice battery at resolution r on n states has (2r + 1)^n acts, and the
-# audits hold an acts-by-acts margin matrix (531,441 margins at the limit).
-# The limit admits the default resolution 2 on the generator's largest state
-# count, four (625 acts), and resolution 4 on three states.
-MAX_BATTERY_ACTS = 729
 MAX_SEEDS = 10_000  # a range is checked from its two ends, before its list is built
 
 _MODEL_HELP = (
@@ -127,18 +123,6 @@ def parse_seed_range(text: str) -> list[int]:
         return [int(p) for p in parts]
     except ValueError as exc:
         raise InputError(f"bad seed range {text!r}: {exc}") from exc
-
-
-def _check_battery(resolution: int, num_states: int, what: str = "") -> None:
-    """Reject a lattice battery that is empty or over ``MAX_BATTERY_ACTS``."""
-    if resolution < 1:
-        raise InputError(f"--resolution must be a positive integer, got {resolution}")
-    acts = (2 * resolution + 1) ** num_states
-    if acts > MAX_BATTERY_ACTS:
-        raise InputError(
-            f"resolution {resolution}{what} on {num_states} states gives a battery of "
-            f"{acts} acts; the limit is {MAX_BATTERY_ACTS}"
-        )
 
 
 def _load(path: str) -> Instance:
@@ -212,8 +196,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     instance = _load(args.instance)
     kind = parse_model(args.model, instance)
     axioms = _parse_axioms(args.axioms)
-    _check_battery(args.resolution, instance.num_states)
     try:
+        check_battery(args.resolution, instance.num_states)
         radius = parse_rational(args.radius)
         battery = generate_act_grid(instance, args.resolution, radius)
     except ValueError as exc:
@@ -230,7 +214,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     instance = _load(args.instance)
-    _check_battery(2, instance.num_states, " (analyze's commutativity lattice)")
+    try:
+        check_battery(2, instance.num_states, " (analyze's commutativity lattice)")
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     report = analyze(instance)
     _emit(_json_doc(report.to_jsonable()), args.output)
     return 0
@@ -310,10 +297,10 @@ def verify_request(
     try:
         radius = parse_rational(args.radius)
         config = VerifyConfig(resolution=args.resolution, radius=radius, params=params)
+        states = max(config.params_for_seed(seed).num_states for seed in seeds)
+        check_battery(args.resolution, states)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    states = max(config.params_for_seed(seed).num_states for seed in seeds)
-    _check_battery(args.resolution, states)
     return suites, seeds, config
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import importlib
 import itertools
 import json
 import random
@@ -41,15 +42,16 @@ from ambipref import (
     phi_lattice,
     utility_vector,
     validate_instance,
+    verify,
     weak_relation,
 )
 from ambipref.margins import _Kind
 from ambipref.axioms import (
+    MAX_BATTERY_ACTS,
     MIX_GRID,
     WITNESS_CAP,
     _MIX_SCALE,
     _Runner,
-    _dominance_pairs,
     battery_label,
 )
 
@@ -118,6 +120,21 @@ class TestGrid:
         with pytest.raises(ValueError):
             generate_act_grid(disjoint_pair, resolution=resolution, radius=radius)
 
+    def test_library_callers_meet_the_battery_limit(self, disjoint_pair, monkeypatch):
+        """Oversized lattices are refused before any vector is built."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("lattice built despite a battery over the limit")
+
+        for name in ("ambipref.axioms", "ambipref.verify"):
+            monkeypatch.setattr(importlib.import_module(name), "phi_lattice", refuse)
+        limit = f"the limit is {MAX_BATTERY_ACTS}"
+        with pytest.raises(ValueError, match=limit):
+            generate_act_grid(disjoint_pair, resolution=10**6)
+        with pytest.raises(ValueError, match=limit):
+            verify(["thm2"], [0], VerifyConfig(resolution=10**6))
+        with pytest.raises(AssertionError, match="lattice built"):
+            generate_act_grid(disjoint_pair, resolution=13)  # 27 ** 2 acts: at the limit
+
     def test_battery_labels(self, disjoint_pair):
         assert "custom" in battery_label(disjoint_pair, 3, None, None)
         assert "resolution=2" in battery_label(disjoint_pair, 25, 2, F(1))
@@ -144,7 +161,8 @@ class TestMarginTableAgreement:
                 for i, u in enumerate(uvecs):
                     for j, v in enumerate(uvecs):
                         expected = model_margin(kind, inst.collection, u - v)
-                        assert F(runner.margin_num(i, j), runner.unit) == expected, (kind, i, j)
+                        margin = F(runner.margin_num(i, j), runner.relation.unit)
+                        assert margin == expected, (kind, i, j)
                         assert bool((matrix[i] >> j) & 1) == (expected >= 0), (kind, i, j)
                         expected_zeros += i != j and expected == 0
                 assert zeros == expected_zeros, kind
@@ -161,8 +179,8 @@ class TestMarginTableAgreement:
             for j, uj in enumerate(entries)
             if i != j and all(a >= b for a, b in zip(ui, uj))
         ]
-        assert _dominance_pairs(table) == expected
-        assert _dominance_pairs(table) is _dominance_pairs(table)
+        assert table.dominance == expected
+        assert table.dominance is table.dominance
         assert (1, 0) in expected and (0, 1) not in expected
         prior = eight_kinds(inst)[0]
         report = audit(AxiomKind.MONOTONICITY, SEU(prior), inst, battery, table=table)
@@ -243,6 +261,43 @@ class TestMarginTableAgreement:
         for report in audit_suite(kind, disjoint_pair, battery):
             alone = audit(report.axiom, kind, disjoint_pair, battery)
             assert report.boundary_flags == alone.boundary_flags, report.axiom
+
+    def test_the_table_owns_one_relation_per_kind(self, disjoint_pair, monkeypatch):
+        """Audits and ``weak_relation`` on one table read one memoized relation."""
+        battery = generate_act_grid(disjoint_pair, resolution=1)
+        table = MarginTable(disjoint_pair, [utility_vector(disjoint_pair.utility, a) for a in battery])
+        runners = []
+        original = _Runner.__init__
+
+        def spied(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            runners.append(self)
+
+        monkeypatch.setattr(_Runner, "__init__", spied)
+        for kind in eight_kinds(disjoint_pair)[1]:
+            rel = table.relation(kind)
+            assert table.relation(kind) is rel, kind
+            audit(AxiomKind.COMPLETENESS, kind, disjoint_pair, table=table)
+            assert runners.pop().relation is rel, kind
+            rows, zeros = weak_relation(table, kind, disjoint_pair)
+            assert (rows, zeros) == (rel.bits("011"), rel.zeros), kind
+            assert table.relation(kind) is rel, kind
+
+    def test_weak_relation_runs_no_audit(self, disjoint_pair, monkeypatch):
+        battery = generate_act_grid(disjoint_pair, resolution=1)
+        uvecs = [utility_vector(disjoint_pair.utility, a) for a in battery]
+        expected = {
+            kind: weak_relation(MarginTable(disjoint_pair, uvecs), kind, disjoint_pair)
+            for kind in eight_kinds(disjoint_pair)[1]
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("weak_relation built an audit runner")
+
+        monkeypatch.setattr(_Runner, "__init__", refuse)
+        table = MarginTable(disjoint_pair, uvecs)
+        for kind, relation in expected.items():
+            assert weak_relation(table, kind, disjoint_pair) == relation, kind
 
     def test_seu_margins_need_their_own_prior_column(self, disjoint_pair):
         battery = generate_act_grid(disjoint_pair, resolution=1)
@@ -840,10 +895,11 @@ class TestPinnedAudits:
         for seed in range(8):
             inst, battery, desc = audit_box(seed)
             uvecs = [utility_vector(inst.utility, a) for a in battery]
-            doc = [
-                [r.to_jsonable(uvecs) for r in audit_suite(kind, inst, battery, battery_desc=desc)]
-                for kind in eight_kinds(inst)[1]
-            ]
+            suites = [audit_suite(kind, inst, battery, battery_desc=desc)
+                      for kind in eight_kinds(inst)[1]]
+            for report in itertools.chain.from_iterable(suites):
+                assert report.passed == (report.total_violations == 0), (seed, report.axiom)
+            doc = [[r.to_jsonable(uvecs) for r in reports] for reports in suites]
             text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
             digests[str(seed)] = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digests == pinned
