@@ -47,6 +47,8 @@ __all__ = [
     "build_incompleteness_witness",
     "build_cbt_witness",
     "phi_lattice",
+    "MAX_BATTERY_ACTS",
+    "check_battery",
     "analyze",
 ]
 
@@ -379,6 +381,25 @@ def phi_lattice(
     ]
 
 
+# A lattice battery at resolution r on n states has (2r + 1)^n acts, and the
+# audits hold an acts-by-acts margin matrix (531,441 margins at the limit).
+# The limit admits the default resolution 2 on the generator's largest state
+# count, four (625 acts), and resolution 4 on three states.
+MAX_BATTERY_ACTS = 729
+
+
+def check_battery(resolution: int, num_states: int, what: str = "") -> None:
+    """Raise ValueError for a lattice battery that is empty or over ``MAX_BATTERY_ACTS``."""
+    if resolution < 1:
+        raise ValueError(f"resolution must be a positive integer, got {resolution}")
+    acts = (2 * resolution + 1) ** num_states
+    if acts > MAX_BATTERY_ACTS:
+        raise ValueError(
+            f"resolution {resolution}{what} on {num_states} states gives a battery of "
+            f"{acts} acts; the limit is {MAX_BATTERY_ACTS}"
+        )
+
+
 def check_commutativity(
     collection: BeliefCollection, battery: Sequence[UtilityVector]
 ) -> CommutativityVerdict:
@@ -413,15 +434,24 @@ def seu_collapse_binary(collection: BeliefCollection) -> Optional[Prior]:
     return Prior((a, 1 - a))
 
 
-def _fit_scale(phi: Sequence[Fraction], lo: Fraction, hi: Fraction) -> Fraction:
-    """Largest scale (capped at 1) keeping s*phi inside [lo, hi] per state."""
+def _realize(
+    instance: Instance, direction: UtilityVector
+) -> tuple[Fraction, UtilityVector, Act, Act]:
+    """Scale a direction into the utility range and realize it beside x0.
+
+    Returns s, the largest scale up to 1 keeping s * direction in range, the
+    scaled vector, its act and the zero-utility constant x0.
+    """
+    lo, hi = instance.utility_bounds()
     if lo > 0 or hi < 0:
         raise ValueError("utility range must contain 0 to host the witness acts")
-    caps = [hi / v for v in phi if v > 0] + [lo / v for v in phi if v < 0]
-    scale = min([Fraction(1), *caps])
-    if scale <= 0:
+    caps = [(hi if v > 0 else lo) / v for v in direction.entries if v]
+    s = min([Fraction(1), *caps])
+    if s <= 0:
         raise ValueError("utility range is degenerate on the witness side")
-    return scale
+    phi = direction.scale(s)
+    f = act_from_utility_vector(instance, phi.entries)
+    return s, phi, f, constant_act(instance, Fraction(0))
 
 
 def build_incompleteness_witness(
@@ -433,13 +463,8 @@ def build_incompleteness_witness(
     range, and realized as an act; x0 is the zero-utility constant.  Both
     directional margins are recomputed and must be strictly negative.
     """
-    shifted = [e - cut.offset for e in cut.normal.entries]
-    lo, hi = instance.utility_bounds()
-    s = _fit_scale(shifted, lo, hi)
-    target = [s * e for e in shifted]
-    f = act_from_utility_vector(instance, target)
-    x0 = constant_act(instance, Fraction(0))
-    prof = margin_profile(collection, UtilityVector(tuple(target)))
+    _, phi, f, x0 = _realize(instance, cut.normal.shift(-cut.offset))
+    prof = margin_profile(collection, phi)
     if not (prof.maxmin < 0 and -prof.minmax < 0):
         raise RuntimeError(
             "cutting hyperplane did not produce an incomparable pair; "
@@ -458,18 +483,11 @@ def build_cbt_witness(
     robustly prefers f to xe, the second robustly prefers x0 to f, yet xe
     beats x0 outright.
     """
-    lo, hi = instance.utility_bounds()
-    s = _fit_scale(cert.phi1.entries, lo, hi)
-    target = [s * e for e in cert.phi1.entries]
+    s, phi, f, x0 = _realize(instance, cert.phi1)
     eps = s * cert.slack / 2
-    f = act_from_utility_vector(instance, target)
-    x0 = constant_act(instance, Fraction(0))
     xe = constant_act(instance, eps)
-    phi = UtilityVector(tuple(target))
-    down = margin_profile(collection, UtilityVector(tuple(-e for e in phi.entries)))
-    up = margin_profile(
-        collection, UtilityVector(tuple(e - eps for e in phi.entries))
-    )
+    down = margin_profile(collection, -phi)
+    up = margin_profile(collection, phi.shift(-eps))
     if not (down.maxmin > 0 and up.maxmin > 0 and eps > 0):
         raise RuntimeError(
             "separation certificate did not produce a transitivity failure; "
@@ -480,10 +498,11 @@ def build_cbt_witness(
 
 def analyze(instance: Instance) -> AnalysisReport:
     """Full parametric analysis of an instance's belief collection."""
+    n = instance.num_states
+    check_battery(2, n, " (analyze's commutativity lattice)")
     collection = instance.collection
     pairwise = pairwise_intersection_holds(collection)
     cutting = find_cutting_hyperplane(collection)
-    n = instance.num_states
     commutes = check_commutativity(collection, phi_lattice(n))
     collapse = seu_collapse_binary(collection) if n == 2 else None
     return AnalysisReport(

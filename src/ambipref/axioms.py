@@ -40,7 +40,8 @@ from functools import cached_property, partial
 from math import lcm
 from typing import Sequence
 
-from .analysis import phi_lattice
+from .analysis import check_battery, phi_lattice
+from .analysis import MAX_BATTERY_ACTS  # noqa: F401  (re-exported for callers of the axioms module)
 from .model import (
     Act,
     BeliefCollection,
@@ -72,11 +73,6 @@ __all__ = [
 MIX_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 _MIX_SCALE = lcm(*(a.denominator for a in MIX_GRID))  # weight a is k / s, k integer
 WITNESS_CAP = 25
-# A lattice battery at resolution r on n states has (2r + 1)^n acts, and the
-# audits hold an acts-by-acts margin matrix (531,441 margins at the limit).
-# The limit admits the default resolution 2 on the generator's largest state
-# count, four (625 acts), and resolution 4 on three states.
-MAX_BATTERY_ACTS = 729
 # The bit each margin sign "-0+" sets in a bitmask row of the relation.
 _WEAK, _POSITIVE, _ZERO, _NEGATIVE = "011", "001", "010", "100"
 
@@ -195,18 +191,6 @@ def check_lattice(instance: Instance, resolution: int, radius) -> Fraction:
             f"lattice [-{radius}, {radius}] does not fit utility range [{lo}, {hi}]"
         )
     return radius
-
-
-def check_battery(resolution: int, num_states: int, what: str = "") -> None:
-    """Raise ValueError for a lattice battery that is empty or over ``MAX_BATTERY_ACTS``."""
-    if resolution < 1:
-        raise ValueError(f"resolution must be a positive integer, got {resolution}")
-    acts = (2 * resolution + 1) ** num_states
-    if acts > MAX_BATTERY_ACTS:
-        raise ValueError(
-            f"resolution {resolution}{what} on {num_states} states gives a battery of "
-            f"{acts} acts; the limit is {MAX_BATTERY_ACTS}"
-        )
 
 
 def battery_label(instance: Instance, count: int, resolution: int | None, radius) -> str:

@@ -13,9 +13,9 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .analysis import analyze
-from .axioms import AxiomKind, audit_suite, battery_label, check_battery, generate_act_grid
-from .axioms import MAX_BATTERY_ACTS  # noqa: F401  (re-exported for callers of the CLI module)
+from .analysis import analyze, check_battery
+from .analysis import MAX_BATTERY_ACTS  # noqa: F401  (re-exported for callers of the CLI module)
+from .axioms import AxiomKind, audit_suite, battery_label, generate_act_grid
 from .generate import GenParams, ParamsOutOfRange, generate_instance
 from .margins import (
     AlphaMixture,

@@ -5,6 +5,9 @@ structural theorems as direct audits, the characterizations as two-sided
 checks between a parametric decision and a replayable witness.  A paper
 suite with any counterexample is a hard failure; the figure suite inverts
 the logic and fails only when no violation could be exhibited at all.
+
+Every suite reads one per-seed context: the instance, its lattice table and
+label, and the cutting hyperplane and Samet separation, each found on first use.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .analysis import (
@@ -164,51 +168,61 @@ def _witness_dicts(report: AuditReport) -> list[dict]:
     ]
 
 
-def _cut(instance, cache):
-    """A hyperplane straddling every belief set, or None."""
-    if "cut" not in cache:
-        cache["cut"] = find_cutting_hyperplane(instance.collection)
-    return cache["cut"]
+class _SeedContext:
+    """One instance's lattice table and label, and the certificates suites read.
 
+    The lattice battery's acts are never built: its utility vectors are this
+    lattice, which prop1 also scans, and a table is all the audits read.
+    """
 
-def _separation(instance, cache):
-    """The Samet separation of the first disjoint pair of sets, or None."""
-    pairwise = _cached_pairwise(instance, cache)
-    return None if pairwise.holds else pairwise.failing()[0].result
+    def __init__(self, instance: Instance, config: VerifyConfig):
+        radius = check_lattice(instance, config.resolution, config.radius)
+        lattice = phi_lattice(instance.num_states, config.resolution, radius)
+        self.instance = instance
+        self.table = MarginTable(instance, lattice)
+        self.desc = battery_label(instance, len(lattice), config.resolution, config.radius)
 
+    @cached_property
+    def cut(self):
+        """A hyperplane straddling every belief set, or None."""
+        return find_cutting_hyperplane(self.instance.collection)
 
-def _cached_pairwise(instance, cache):
-    if "pairwise" not in cache:
-        cache["pairwise"] = pairwise_intersection_holds(instance.collection)
-    return cache["pairwise"]
+    @cached_property
+    def separation(self):
+        """The Samet separation of the first disjoint pair of sets, or None."""
+        pairwise = pairwise_intersection_holds(self.instance.collection)
+        return None if pairwise.holds else pairwise.failing()[0].result
 
+    def conditions_hold(self) -> bool:
+        """No cutting hyperplane and no disjoint pair: complete and bound-transitive."""
+        return self.cut is None and self.separation is None
 
-def _conditions_hold(instance, cache) -> bool:
-    """No cutting hyperplane and no disjoint pair: complete and bound-transitive."""
-    return _cut(instance, cache) is None and _separation(instance, cache) is None
+    def audit(self, axiom: AxiomKind, kind) -> AuditReport:
+        """Audit one model on one axiom over the lattice battery."""
+        return audit(axiom, kind, self.instance, table=self.table, battery_desc=self.desc)
 
 
 def _audit_suite(kind, axioms: Sequence[AxiomKind]) -> Callable:
     """A suite that audits one model on a few axioms over the lattice battery."""
 
-    def run(instance, table, desc, cache) -> SuiteOutcome:
-        reps = [audit(axiom, kind, instance, table=table, battery_desc=desc) for axiom in axioms]
+    def run(ctx: _SeedContext) -> SuiteOutcome:
+        reps = [ctx.audit(axiom, kind) for axiom in axioms]
         return SuiteOutcome(
             ok=all(r.passed for r in reps),
             applicable=True,
             found=False,
             counterexamples=tuple(w for r in reps if not r.passed for w in _witness_dicts(r)),
             boundary_flags=sum(r.boundary_flags for r in reps),
-            batteries=(desc,),
+            batteries=(ctx.desc,),
         )
 
     return run
 
 
-def _suite_prop1(instance, table, desc, cache) -> SuiteOutcome:
-    verdict = check_commutativity(instance.collection, table.uvecs)
+def _suite_prop1(ctx: _SeedContext) -> SuiteOutcome:
+    verdict = check_commutativity(ctx.instance.collection, ctx.table.uvecs)
     bad: list[dict] = []
-    if not verdict.holds and _conditions_hold(instance, cache):
+    if not verdict.holds and ctx.conditions_hold():
         phi, mm, mx = verdict.counterexample  # type: ignore[misc]
         bad.append(
             {
@@ -224,14 +238,15 @@ def _suite_prop1(instance, table, desc, cache) -> SuiteOutcome:
         found=False,
         counterexamples=tuple(bad),
         boundary_flags=0,
-        batteries=(f"raw direction lattice, {table.n} vectors",),
+        batteries=(f"raw direction lattice, {ctx.table.n} vectors",),
     )
 
 
-def _suite_prop2(instance, table, desc, cache) -> SuiteOutcome:
+def _suite_prop2(ctx: _SeedContext) -> SuiteOutcome:
+    instance, table, desc = ctx.instance, ctx.table, ctx.desc
     if instance.num_states != 2:
         return SuiteOutcome(True, False, False, (), 0, ())
-    if not _conditions_hold(instance, cache):
+    if not ctx.conditions_hold():
         return SuiteOutcome(True, True, False, (), 0, (desc,))
     collapse = seu_collapse_binary(instance.collection)
     if collapse is None:
@@ -261,67 +276,74 @@ def _suite_prop2(instance, table, desc, cache) -> SuiteOutcome:
     return SuiteOutcome(not bad, True, False, tuple(bad), flags, (desc,))
 
 
-def _two_sided_suite(
-    axiom: AxiomKind,
-    certificate: Callable,
-    witness: Callable,
-    witness_desc: str,
-    held_but_failed: str,
-    witness_clean: str,
-    evidence: Callable,
-) -> Callable:
+def _replay(
+    ctx: _SeedContext, axiom: AxiomKind, cert, build: Callable, *,
+    held: str, built: str, clean: str, evidence: Callable[..., dict],
+) -> SuiteOutcome:
     """A characterization of the set-based model, replayed in both directions.
 
-    ``certificate(instance, cache)`` returns None when the condition holds;
-    the axiom must then pass on the lattice battery.  Otherwise
-    ``witness(collection, cert, instance)`` turns the certificate into acts
-    that must violate the axiom, and ``evidence(cert)`` names what was
-    certified when they do not.
+    With no certificate the condition holds, and the axiom must pass on the
+    lattice battery; ``held`` names a failure.  Otherwise
+    ``build(collection, cert, instance)`` turns the certificate into the
+    acts of the ``built`` battery, which must violate the axiom; ``clean``
+    and ``evidence(cert)`` name what was certified when they do not.
     """
+    instance = ctx.instance
+    if cert is None:
+        rep = ctx.audit(axiom, GeneralizedBewley())
+        bad = [{"detail": held, **w} for w in _witness_dicts(rep)]
+        return SuiteOutcome(rep.passed, True, False, tuple(bad), rep.boundary_flags, (ctx.desc,))
+    try:
+        acts = build(instance.collection, cert, instance)
+    except (ValueError, RuntimeError) as exc:
+        bad = ({"detail": f"witness construction failed: {exc}"},)
+        return SuiteOutcome(False, True, False, bad, 0, (ctx.desc,))
+    rep = audit(axiom, GeneralizedBewley(), instance, acts, battery_desc=built)
+    bad = [{"detail": clean, **evidence(cert)}] if rep.passed else []
+    return SuiteOutcome(not bad, True, False, tuple(bad), rep.boundary_flags, (built,))
 
-    def run(instance, table, desc, cache) -> SuiteOutcome:
-        cert = certificate(instance, cache)
-        if cert is None:
-            rep = audit(axiom, GeneralizedBewley(), instance, table=table, battery_desc=desc)
-            bad = [{"detail": held_but_failed, **w} for w in _witness_dicts(rep)]
-            return SuiteOutcome(rep.passed, True, False, tuple(bad), rep.boundary_flags, (desc,))
-        try:
-            acts = witness(instance.collection, cert, instance)
-        except (ValueError, RuntimeError) as exc:
-            bad = ({"detail": f"witness construction failed: {exc}"},)
-            return SuiteOutcome(False, True, False, bad, 0, (desc,))
-        rep = audit(axiom, GeneralizedBewley(), instance, acts, battery_desc=witness_desc)
-        bad = [{"detail": witness_clean, **evidence(cert)}] if rep.passed else []
-        return SuiteOutcome(
-            not bad, True, False, tuple(bad), rep.boundary_flags, (witness_desc,)
-        )
 
-    return run
+def _suite_prop3(ctx: _SeedContext) -> SuiteOutcome:
+    return _replay(
+        ctx, AxiomKind.COMPLETENESS, ctx.cut, build_incompleteness_witness,
+        held="no cutting hyperplane, yet completeness failed",
+        built="constructed incomparable pair",
+        clean="cutting hyperplane found but the witness pair is comparable",
+        evidence=lambda cut: {"normal": [str(e) for e in cut.normal.entries]},
+    )
+
+
+def _suite_prop4(ctx: _SeedContext) -> SuiteOutcome:
+    return _replay(
+        ctx, AxiomKind.CONSTANT_BOUND_TRANSITIVITY, ctx.separation, build_cbt_witness,
+        held="all pairs intersect, yet bound transitivity failed",
+        built="constructed sandwich triple",
+        clean="disjoint pair found but the sandwich triple audits clean",
+        evidence=lambda cert: {"slack": str(cert.slack)},
+    )
 
 
 _HALF_DIFFERENCE = "constructed half-difference pair"
 
 
-def _suite_lemma3(instance, table, desc, cache) -> SuiteOutcome:
+def _suite_lemma3(ctx: _SeedContext) -> SuiteOutcome:
     # A negative-transitivity witness (x, f, y) makes (x, f) an incomparable
     # battery pair, so that audit cannot fail alone.  Completeness can, since
     # a lattice need not hold h = (u_i - u_j)/2 for its incomparable pair
     # (i, j).  The set-based margin is positively homogeneous, so m(h) and
     # m(-h) are both negative and (x0, h, x0) breaks negative transitivity on
     # the pair [x0, h]; h fits the utility range, as |u_i - u_j|/2 <= radius.
+    instance = ctx.instance
     reps = [
-        audit(axiom, GeneralizedBewley(), instance, table=table, battery_desc=desc)
+        ctx.audit(axiom, GeneralizedBewley())
         for axiom in (AxiomKind.COMPLETENESS, AxiomKind.NEGATIVE_CONSTANT_BOUND_TRANSITIVITY)
     ]
     comp, ncbt = reps
-    batteries: tuple[str, ...] = (desc,)
+    batteries: tuple[str, ...] = (ctx.desc,)
     if not comp.passed and ncbt.passed:
         i, j = comp.witnesses[0].indices
-        u_i, u_j = table.uvecs[i].entries, table.uvecs[j].entries
-        pair = [
-            constant_act(instance, Fraction(0)),
-            act_from_utility_vector(instance, [(a - b) / 2 for a, b in zip(u_i, u_j)]),
-        ]
+        h = (ctx.table.uvecs[i] - ctx.table.uvecs[j]).scale(Fraction(1, 2))
+        pair = [constant_act(instance, Fraction(0)), act_from_utility_vector(instance, h.entries)]
         ncbt = audit(
             AxiomKind.NEGATIVE_CONSTANT_BOUND_TRANSITIVITY, GeneralizedBewley(), instance,
             pair, battery_desc=_HALF_DIFFERENCE,
@@ -342,15 +364,15 @@ def _suite_lemma3(instance, table, desc, cache) -> SuiteOutcome:
     return SuiteOutcome(not bad, True, False, tuple(bad), flags, batteries)
 
 
-def _suite_fig4(instance, table, desc, cache) -> SuiteOutcome:
+def _suite_fig4(ctx: _SeedContext) -> SuiteOutcome:
     scan = _audit_suite(
         AlphaMixture(Fraction(3, 4)),
         [AxiomKind.COMPLETENESS, AxiomKind.CONSTANT_BOUND_TRANSITIVITY],
-    )(instance, table, desc, cache)
+    )(ctx)
     return replace(scan, ok=True, found=not scan.ok, counterexamples=scan.counterexamples[:2])
 
 
-_SUITE_FUNCS: dict[str, Callable] = {
+_SUITE_FUNCS: dict[str, Callable[[_SeedContext], SuiteOutcome]] = {
     "thm2": _audit_suite(Disjunctive(), [AxiomKind.COMPLETENESS]),
     "thm3": _audit_suite(Conjunctive(), [AxiomKind.CONSTANT_BOUND_TRANSITIVITY]),
     "thm4": _audit_suite(
@@ -358,25 +380,8 @@ _SUITE_FUNCS: dict[str, Callable] = {
     ),
     "prop1": _suite_prop1,
     "prop2": _suite_prop2,
-    # The builders are looked up when called, so a traced or patched name is used.
-    "prop3": _two_sided_suite(
-        AxiomKind.COMPLETENESS,
-        _cut,
-        lambda *args: build_incompleteness_witness(*args),
-        "constructed incomparable pair",
-        "no cutting hyperplane, yet completeness failed",
-        "cutting hyperplane found but the witness pair is comparable",
-        lambda cut: {"normal": [str(e) for e in cut.normal.entries]},
-    ),
-    "prop4": _two_sided_suite(
-        AxiomKind.CONSTANT_BOUND_TRANSITIVITY,
-        _separation,
-        lambda *args: build_cbt_witness(*args),
-        "constructed sandwich triple",
-        "all pairs intersect, yet bound transitivity failed",
-        "disjoint pair found but the sandwich triple audits clean",
-        lambda cert: {"slack": str(cert.slack)},
-    ),
+    "prop3": _suite_prop3,
+    "prop4": _suite_prop4,
     "prop5": _audit_suite(Conjunctive(), [AxiomKind.NEGATIVE_COMPLETENESS]),
     "prop6": _audit_suite(
         Disjunctive(), [AxiomKind.NEGATIVE_CONSTANT_BOUND_TRANSITIVITY]
@@ -390,17 +395,8 @@ def suite_outcomes(
     instance: Instance, suites: Sequence[str], config: VerifyConfig
 ) -> dict[str, SuiteOutcome]:
     """Run the requested suites on one instance with shared margin work."""
-    # The lattice battery's acts are never built: its utility vectors are this
-    # lattice, which prop1 also scans, and a table is all the audits read.
-    radius = check_lattice(instance, config.resolution, config.radius)
-    lattice = phi_lattice(instance.num_states, config.resolution, radius)
-    table = MarginTable(instance, lattice)
-    desc = battery_label(instance, len(lattice), config.resolution, config.radius)
-    cache: dict = {}
-    return {
-        name: _SUITE_FUNCS[name](instance, table, desc, cache)
-        for name in suites
-    }
+    ctx = _SeedContext(instance, config)
+    return {name: _SUITE_FUNCS[name](ctx) for name in suites}
 
 
 def _seed_work(args: tuple[int, tuple[str, ...], VerifyConfig]):

@@ -37,6 +37,7 @@ from ambipref import (
     polytopes_intersect,
     seu_collapse_binary,
     utility_vector,
+    validate_instance,
     VerifyConfig,
 )
 
@@ -382,6 +383,35 @@ class TestAnalyze:
         assert doc["complete_param"] is True
         assert doc["cbt_param"] is True
         assert doc["seu_collapse"] == ["2/5", "3/5"]
+
+    @staticmethod
+    def _flat_prior(num_states):
+        states = [f"s{i}" for i in range(1, num_states + 1)]
+        return validate_instance(
+            {
+                "states": states,
+                "prizes": ["lose", "win"],
+                "utility": {"lose": "-1", "win": "1"},
+                "acts": {"all_win": {s: {"win": "1"} for s in states}},
+                "belief_collection": [
+                    {"name": "flat", "vertices": [[f"1/{num_states}"] * num_states]}
+                ],
+            }
+        )
+
+    def test_direction_lattice_is_bounded(self, monkeypatch):
+        # The commutativity lattice has 5 ** n vectors: 3125 on five states.
+        def refuse(*args, **kwargs):
+            raise AssertionError("analysis started despite a lattice over the limit")
+
+        for name in ("pairwise_intersection_holds", "find_cutting_hyperplane", "phi_lattice"):
+            monkeypatch.setattr(analysis, name, refuse)
+        with pytest.raises(ValueError, match="the limit is 729"):
+            analyze(self._flat_prior(5))
+
+    def test_four_states_fit_the_lattice(self):
+        report = analyze(self._flat_prior(4))
+        assert report.cbt_param and report.commutes.holds
 
 
 class TestPinnedReports:

@@ -16,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
     path
-    for top in ("src", "tests")
+    for top in ("src", "tests", "scripts")
     for path in (ROOT / top).rglob("*.py")
     if path.name != "__init__.py"
 )

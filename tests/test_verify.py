@@ -233,20 +233,35 @@ class TestSuiteOutcomes:
         assert any(isinstance(kind, SEU) for kind in judged)
         assert len(built) == 1
 
-    def test_one_cut_search_per_seed(self, monkeypatch):
-        """prop1, prop2 and prop3 share one cutting-hyperplane search."""
-        search, calls = verify_mod.find_cutting_hyperplane, []
+    @pytest.mark.parametrize(
+        "search_name", ["find_cutting_hyperplane", "pairwise_intersection_holds"]
+    )
+    def test_one_certificate_search_per_seed(self, monkeypatch, search_name):
+        """prop1 to prop4 share one cutting-hyperplane and one pairwise search."""
+        search, calls = getattr(verify_mod, search_name), []
 
         def counted(collection):
             calls.append(collection)
             return search(collection)
 
-        monkeypatch.setattr(verify_mod, "find_cutting_hyperplane", counted)
+        monkeypatch.setattr(verify_mod, search_name, counted)
         cfg = VerifyConfig()
-        for seed in (0, 4):  # two states, so prop2 asks for the cut too
+        for seed in (0, 4):  # two states, so prop2 asks for the certificates too
             calls.clear()
             suite_outcomes(generate_instance(seed, cfg.params_for_seed(seed)), SUITES, cfg)
             assert len(calls) == 1, seed
+
+    def test_suites_that_read_no_certificate_search_none(self, monkeypatch):
+        def refuse(collection):
+            raise AssertionError("certificate searched for a suite that reads none")
+
+        for name in ("find_cutting_hyperplane", "pairwise_intersection_holds"):
+            monkeypatch.setattr(verify_mod, name, refuse)
+        cfg = VerifyConfig()
+        suites = ["thm2", "thm3", "thm4", "prop5", "prop6", "lemma3", "fig4"]
+        for seed in (0, 1):  # two and three states
+            instance = generate_instance(seed, cfg.params_for_seed(seed))
+            assert set(suite_outcomes(instance, suites, cfg)) == set(suites)
 
     def test_collapse_suite_branches(self, touching_intervals, disjoint_pair):
         cfg = VerifyConfig()
