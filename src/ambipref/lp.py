@@ -3,7 +3,9 @@
 Programs are box-bounded: every variable has a finite lower bound and an
 optional upper bound, which is all the separation and common-prior programs
 of this package need.  Column j of the tableau holds x_j - lower_j >= 0, so
-no variable is ever split, and each row is read straight into integers.
+no variable is ever split.  Each row is read in over one positive scale
+that clears its coefficients, its rhs and every product of a coefficient
+with a lower bound, so the shifted rhs is an integer too.
 
 Two-phase primal simplex with Bland's smallest-index rule for both entering
 and leaving variables, so cycling is impossible.  The tableau is kept
@@ -12,14 +14,16 @@ ints that stands for the row divided by one positive denominator (for a
 constraint row, its basic entry).  A pivot cross-multiplies and divides each
 changed row by its gcd, and ratio ties are compared by cross-multiplying, so
 every pivot is the one exact rational arithmetic would take; Fractions appear
-only in the shifted rhs, the objective and the returned point.  Problem sizes
-in this package are tiny (a handful of variables, a few dozen rows), so a
-dense tableau is enough.  Optimal points are re-checked against every
-constraint in Fractions before being returned.
+only in the objective and the returned point.  Problem sizes in this package
+are tiny (a handful of variables, a few dozen rows), so a dense tableau is
+enough.  Optimal points are re-checked on integers before being returned:
+the point is brought to one common denominator and tested against every
+constraint as given, and then against every bound.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -36,6 +40,7 @@ __all__ = [
 ]
 
 LE, EQ, GE = "<=", "==", ">="
+_COMPARE = {LE: operator.le, EQ: operator.eq, GE: operator.ge}
 
 
 @dataclass(frozen=True)
@@ -198,23 +203,31 @@ def solve(lp: LinearProgram) -> LpOutcome:
         if hi is not None
     ]
     # Column j holds x_j - lower_j >= 0, so each rhs shifts by the bounds.
-    shifted = [
-        rhs - sum((c * lo for c, lo in zip(coeffs, lower) if c and lo), _ZERO)
-        for coeffs, _, rhs in rows
-    ]
+    # Each row is read in over one positive scale that makes every
+    # coefficient, the rhs and every product c * lower_j an integer.
+    read = []
+    for coeffs, cmp, rhs in rows:
+        scale = lcm(
+            rhs.denominator,
+            *(c.denominator * lo.denominator for c, lo in zip(coeffs, lower) if c),
+        )
+        ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+        shifted = rhs.numerator * (scale // rhs.denominator) - sum(
+            v // lo.denominator * lo.numerator for v, lo in zip(ints, lower) if v and lo
+        )
+        read.append((ints, cmp, shifted, scale))
     # A row whose slack can start basic (a +1 slack once the rhs is made
     # nonnegative) takes it; every other row gets an artificial column.
-    starts_basic = [cmp == LE and rhs >= 0 for (_, cmp, _), rhs in zip(rows, shifted)]
+    starts_basic = [cmp == LE and shifted >= 0 for _, cmp, shifted, _ in read]
     total_cols = n + sum(cmp != EQ for _, cmp, _ in rows)
     full_cols = total_cols + starts_basic.count(False)
     body: list[list[int]] = []
     basis: list[int] = []
     slack_at, art_at = n, total_cols
-    for (coeffs, cmp, _), rhs, slack_basic in zip(rows, shifted, starts_basic):
-        scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
-        sign = -1 if rhs < 0 else 1
-        row = [sign * c.numerator * (scale // c.denominator) for c in coeffs]
-        row += [0] * (full_cols - n) + [abs(rhs.numerator) * (scale // rhs.denominator)]
+    for (ints, cmp, shifted, scale), slack_basic in zip(read, starts_basic):
+        sign = -1 if shifted < 0 else 1
+        row = [-v for v in ints] if sign < 0 else ints
+        row += [0] * (full_cols - n) + [abs(shifted)]
         if cmp != EQ:
             row[slack_at] = (sign if cmp == LE else -sign) * scale
             slack_at += 1
@@ -267,8 +280,24 @@ def solve(lp: LinearProgram) -> LpOutcome:
 
 
 def _check_point(lp: LinearProgram, point: Sequence[Fraction]) -> None:
+    """Re-check every constraint and bound at ``point``, on integers.
+
+    The point is brought to one common denominator P, and each constraint's
+    coefficients and rhs to integers over their own lcm, so the row is
+    tested as coeffs . (P * point) against rhs * P.  The constraints are
+    read as given, independently of the tableau.
+    """
+    common = lcm(*(x.denominator for x in point))
+    nums = [x.numerator * (common // x.denominator) for x in point]
     for con in lp.constraints:
-        if not con.holds_at(point):
+        scale = lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs))
+        value = sum(
+            c.numerator * (scale // c.denominator) * x
+            for c, x in zip(con.coeffs, nums)
+            if c
+        )
+        bound = con.rhs.numerator * (scale // con.rhs.denominator) * common
+        if not _COMPARE[con.cmp](value, bound):
             raise RuntimeError(f"solver returned a point violating {con}")
     upper = lp.upper or (None,) * lp.num_vars
     for j, (lo, x, hi) in enumerate(zip(lp.lower, point, upper)):

@@ -7,11 +7,15 @@ the whole plane follow from A = maxmin(e2) and B = minmax(e2), taken once
 per plane.  For s >= 0, maxmin = c + s*A and minmax = c + s*B; for s < 0
 the two swap.  Directions around the slice are rational points on the unit
 circle, generated by the tangent half-angle substitution as integer triples
-(c, s, d) standing for (c/d, s/d).  Each sample is computed as integer
-numerators over one positive denominator per circle point, and every
-exported Fraction is built once from such a pair; each cone's sign is read
-on those integers, so every margin sign along the circle is decided
-exactly.  Floats appear only in exported decimal columns.
+(c, s, d) standing for (c/d, s/d).  A plane's sample directions depend only
+on e2 and the sample count, so they are built once and shared by every
+profile of that plane.  Each sample is computed as integer numerators over
+one positive denominator per circle point; each cone's sign is read on those
+integers, so every margin sign along the circle is decided exactly.  Circle
+point k+n/2 is (-c, -s, d), so its maxmin, minmax and half are minus point
+k's minmax, maxmin and half: those Fractions are built for the first
+half-circle only and negated for the second.  Floats appear only in exported
+decimal columns.
 ``certify_slice_convexity`` reports whether a cone's sampled signs form a
 single arc; that is necessary for a convex slice but not sufficient, since
 one arc longer than a half-turn is not a convex cone.
@@ -165,6 +169,22 @@ def _circle_points(n: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @lru_cache(maxsize=8)
+def _directions(e2: tuple[Fraction, ...], n: int) -> tuple[UtilityVector, ...]:
+    """The n sample directions c/d + (s/d)*e2 of a plane, in circular order.
+
+    With q the lcm of e2's denominators, entry e/q of e2 gives the direction
+    entry (c*q + s*e) / (d*q).  Direction k+n/2 is minus direction k.
+    """
+    q = lcm(*(e.denominator for e in e2))
+    ints = [int(e * q) for e in e2]
+    right = [
+        UtilityVector(tuple(Fraction(c * q + s * e, d * q) for e in ints))
+        for c, s, d in _circle_points(n)[: n // 2]
+    ]
+    return tuple(right + [-v for v in right])
+
+
+@lru_cache(maxsize=8)
 def _thetas(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(k, n) for k in range(n))
 
@@ -217,40 +237,46 @@ def slice_profile(
     a, ad = along.maxmin.numerator, along.maxmin.denominator
     b, bd = along.minmax.numerator, along.minmax.denominator
     base, a_slope, b_slope = ad * bd, a * bd, b * ad
-    # The direction entry c/d + (s/d)*(e/q) is (c*q + s*e) / (d*q).
-    q = lcm(*(e.denominator for e in plane.e2))
-    e2 = [int(e * q) for e in plane.e2]
     half = _CONE_KINDS["half"]
-    samples = []
     numerators = []
-    for theta, (c, s, d) in zip(_thetas(n), _circle_points(n)):
+    values = []
+    for c, s, d in _circle_points(n)[: n // 2]:
         cb, denom = c * base, d * base
         mm_slope, mx_slope = (a_slope, b_slope) if s >= 0 else (b_slope, a_slope)
         mm, mx = cb + s * mm_slope, cb + s * mx_slope
-        numerators.append((mm, mx))
-        samples.append(
-            SliceSample(
-                theta=theta,
-                direction=UtilityVector(tuple(Fraction(c * q + s * e, d * q) for e in e2)),
-                maxmin=Fraction(mm, denom),
-                minmax=Fraction(mx, denom),
-                half=Fraction(half.combine(mm, mx), half.den * denom),
-                alpha=None
-                if mixture is None
-                else Fraction(mixture.combine(mm, mx), mixture.den * denom),
-            )
+        numerators.append((mm, mx, denom))
+        half_value = Fraction(half.combine(mm, mx), half.den * denom)
+        values.append((Fraction(mm, denom), Fraction(mx, denom), half_value))
+    # Point k+n/2 is (-c, -s, d), so its maxmin is minus point k's minmax,
+    # its minmax minus point k's maxmin, and its half minus point k's half.
+    numerators += [(-mx, -mm, denom) for mm, mx, denom in numerators]
+    values += [(-mx, -mm, -hv) for mm, mx, hv in values]
+    samples = tuple(
+        SliceSample(
+            theta=theta,
+            direction=direction,
+            maxmin=maxmin,
+            minmax=minmax,
+            half=half_value,
+            alpha=None
+            if mixture is None
+            else Fraction(mixture.combine(mm, mx), mixture.den * denom),
         )
+        for theta, direction, (maxmin, minmax, half_value), (mm, mx, denom) in zip(
+            _thetas(n), _directions(tuple(plane.e2), n), values, numerators
+        )
+    )
     # denom > 0, so each cone's sign is its combine's sign on the numerators.
     summary = []
     for cone in CONES:
         if cone == "alpha" and weight is None:
             continue
         combine = _cone_kind(cone, weight).combine
-        summary.append((cone, _sign_arcs([combine(mm, mx) >= 0 for mm, mx in numerators])))
+        summary.append((cone, _sign_arcs([combine(mm, mx) >= 0 for mm, mx, _ in numerators])))
     return SliceProfile(
         plane=plane,
         alpha_weight=weight,
-        samples=tuple(samples),
+        samples=samples,
         arc_summary=tuple(summary),
     )
 

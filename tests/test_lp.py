@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ambipref import lp as lp_module
 from ambipref.lp import (
     Constraint,
     Infeasible,
@@ -29,6 +30,28 @@ def ge(coeffs, rhs):
 
 def eq(coeffs, rhs):
     return Constraint(tuple(F(c) for c in coeffs), "==", F(rhs))
+
+
+def feasible_vertices(cons, box):
+    """Feasible vertices of a boxed 2-variable program, by brute force.
+
+    Every vertex is the crossing of two non-parallel constraint or box
+    lines; the program is infeasible exactly when no crossing is feasible,
+    and otherwise its optimum is the best feasible crossing.
+    """
+    lines = [(c.coeffs, c.rhs) for c in cons if any(c.coeffs)]
+    lines += [((F(1), F(0)), x) for x in (box[0][0], box[1][0])]
+    lines += [((F(0), F(1)), y) for y in (box[0][1], box[1][1])]
+    vertices = []
+    for ((a1, b1), r1), ((a2, b2), r2) in itertools.combinations(lines, 2):
+        det = a1 * b2 - a2 * b1
+        if det == 0:
+            continue
+        point = ((r1 * b2 - r2 * b1) / det, (a1 * r2 - a2 * r1) / det)
+        inside = all(lo <= x <= hi for lo, x, hi in zip(box[0], point, box[1]))
+        if inside and all(c.holds_at(point) for c in cons):
+            vertices.append(point)
+    return vertices
 
 
 class TestSingleVariable:
@@ -200,27 +223,11 @@ class TestOutcomeInvariants:
         ),
     )
     def test_optimum_is_the_best_vertex(self, rows, objective):
-        """Brute force over the vertices of a boxed 2-variable program.
-
-        Every vertex is the crossing of two non-parallel constraint or box
-        lines; the program is infeasible exactly when no crossing is
-        feasible, and otherwise its optimum is the best feasible crossing.
-        """
+        """Brute force over the vertices of a boxed 2-variable program."""
         cons = tuple(Constraint((a, b), cmp, r) for a, b, cmp, r in rows)
         box = (F(-2), F(-2)), (F(2), F(2))
         lp = LinearProgram(2, objective, cons, lower=box[0], upper=box[1])
-        lines = [(c.coeffs, c.rhs) for c in cons if any(c.coeffs)]
-        lines += [((F(1), F(0)), x) for x in (F(-2), F(2))]
-        lines += [((F(0), F(1)), y) for y in (F(-2), F(2))]
-        vertices = []
-        for ((a1, b1), r1), ((a2, b2), r2) in itertools.combinations(lines, 2):
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            point = ((r1 * b2 - r2 * b1) / det, (a1 * r2 - a2 * r1) / det)
-            inside = all(lo <= x <= hi for lo, x, hi in zip(box[0], point, box[1]))
-            if inside and all(c.holds_at(point) for c in cons):
-                vertices.append(point)
+        vertices = feasible_vertices(cons, box)
         out = solve(lp)
         if not vertices:
             assert isinstance(out, Infeasible)
@@ -242,3 +249,129 @@ class TestOutcomeInvariants:
             LinearProgram(1, (F(1),), (le([1], 1),))
         with pytest.raises(ValueError, match="lower bound"):
             LinearProgram(2, (F(1), F(1)), (le([1, 1], 1),), lower=(F(0), None))
+
+
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+class TestIntegerReadIn:
+    """Rows are read in, and points re-checked, on integers.
+
+    The package's own programs all have integer lower bounds, so these use
+    fractional bounds whose denominators do not divide each other or the
+    coefficients' ones: every product c * lower needs the row's scale.
+    """
+
+    BOX = (F(-1, 2), F(-3, 4)), (F(5, 3), F(7, 5))
+    ROWS = (
+        Constraint((F(1, 2), F(2, 3)), "<=", F(1, 7)),
+        Constraint((F(-2, 3), F(1, 2)), ">=", F(-1, 5)),
+        Constraint((F(3, 7), F(1, 2)), "==", F(1, 11)),
+    )
+
+    def test_fractional_bounds_match_the_brute_force_vertex(self):
+        cons = self.ROWS
+        objective = (F(1), F(2))
+        lp = LinearProgram(2, objective, cons, lower=self.BOX[0], upper=self.BOX[1])
+        vertices = feasible_vertices(cons, self.BOX)
+        value = lambda p: objective[0] * p[0] + objective[1] * p[1]
+        best = max(value(p) for p in vertices)
+        winners = {p for p in vertices if value(p) == best}
+        assert len(winners) == 1
+        out = solve(lp)
+        assert isinstance(out, Optimal)
+        assert out.value == best
+        assert out.point == winners.pop()
+
+    @given(
+        st.lists(
+            st.tuples(fractions, fractions, st.sampled_from(["<=", ">=", "=="]), fractions),
+            min_size=1,
+            max_size=4,
+        ),
+        st.tuples(fractions, fractions),
+        st.tuples(
+            st.fractions(min_value=-2, max_value=0, max_denominator=9),
+            st.fractions(min_value=-2, max_value=0, max_denominator=7),
+        ),
+    )
+    def test_fractional_bounds_give_the_best_vertex(self, rows, objective, lower):
+        cons = tuple(Constraint((a, b), cmp, r) for a, b, cmp, r in rows)
+        box = lower, (F(1, 3), F(5, 4))
+        lp = LinearProgram(2, objective, cons, lower=box[0], upper=box[1])
+        vertices = feasible_vertices(cons, box)
+        out = solve(lp)
+        if not vertices:
+            assert isinstance(out, Infeasible)
+        else:
+            assert isinstance(out, Optimal)
+            assert out.value == max(objective[0] * x + objective[1] * y for x, y in vertices)
+            assert all(c.holds_at(out.point) for c in cons)
+
+    def test_check_point_rejects_each_violated_comparison(self):
+        cons = self.ROWS
+        lp = LinearProgram(2, (F(0), F(0)), cons, lower=self.BOX[0], upper=self.BOX[1])
+        # On the equality line x = (1/11 - y/2) * 7/3, the first row fails
+        # for y > 0.44 and the second for y < -0.04; the third point leaves
+        # the line.  Each breaks exactly one row.
+        on_line = lambda y: ((F(1, 11) - y / 2) * F(7, 3), y)
+        good = on_line(F(0))
+        assert all(c.holds_at(good) for c in cons)
+        lp_module._check_point(lp, good)
+        for point, broken in (
+            (on_line(F(3, 5)), cons[0]),
+            (on_line(F(-2, 3)), cons[1]),
+            ((good[0] + F(1, 97), good[1]), cons[2]),
+        ):
+            assert [c for c in cons if not c.holds_at(point)] == [broken]
+            with pytest.raises(RuntimeError, match="violating"):
+                lp_module._check_point(lp, point)
+
+    @pytest.mark.parametrize(
+        "cmp, point",
+        [("<=", (F(4, 7), F(4, 7))), (">=", (F(3, 7), F(3, 7))), ("==", (F(3, 7), F(3, 7)))],
+    )
+    def test_check_point_sees_the_smallest_violation(self, cmp, point):
+        """A row missed by 1/P, one unit of the point's common denominator."""
+        row = Constraint((F(1), F(1)), cmp, F(1))
+        lp = LinearProgram(2, (F(0), F(0)), (row,), lower=(F(0), F(0)))
+        with pytest.raises(RuntimeError, match="violating"):
+            lp_module._check_point(lp, point)
+
+    def test_check_point_rejects_a_bound_violation(self):
+        lp = LinearProgram(2, (F(0), F(0)), (), lower=self.BOX[0], upper=self.BOX[1])
+        for point in ((F(-51, 100), F(0)), (F(0), F(-3, 4) - F(1, 1000)), (F(0), F(71, 50))):
+            with pytest.raises(RuntimeError, match="bound on variable"):
+                lp_module._check_point(lp, point)
+        lp_module._check_point(lp, (F(-1, 2), F(7, 5)))
+
+    @given(
+        st.lists(
+            st.tuples(fractions, fractions, st.sampled_from(["<=", ">=", "=="])),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(st.sampled_from([F(-1, 3), F(0), F(0), F(1, 2)]), min_size=4, max_size=4),
+        st.tuples(fractions, fractions),
+    )
+    def test_check_point_agrees_with_the_fraction_reference(self, rows, offsets, point):
+        """Accepts exactly when every ``holds_at`` and every bound holds.
+
+        Each rhs is the row's value at the point plus a small offset, so
+        the rows hold with equality as often as they fail.
+        """
+        cons = tuple(
+            Constraint((a, b), cmp, a * point[0] + b * point[1] + offset)
+            for (a, b, cmp), offset in zip(rows, offsets)
+        )
+        lp = LinearProgram(2, (F(0), F(0)), cons, lower=(F(-2), F(-5, 2)), upper=(F(5, 3), None))
+        expected = all(c.holds_at(point) for c in cons) and all(
+            lo <= x and (hi is None or x <= hi)
+            for lo, x, hi in zip(lp.lower, point, lp.upper)
+        )
+        try:
+            lp_module._check_point(lp, point)
+            accepted = True
+        except RuntimeError:
+            accepted = False
+        assert accepted == expected

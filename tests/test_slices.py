@@ -284,11 +284,7 @@ class TestIntegerSampler:
         for plane, basis in EDGE_PLANES.items():
             profile = slice_profile(beliefs, basis, n, alpha=alpha)
             rows = reference_samples(beliefs, basis, n, alpha)
-            got = [
-                (s.theta, s.direction.entries, s.maxmin, s.minmax, s.half, s.alpha)
-                for s in profile.samples
-            ]
-            assert got == rows, plane
+            assert sample_rows(profile) == rows, plane
             columns = {
                 "maxmin": [r[2] for r in rows],
                 "minmax": [r[3] for r in rows],
@@ -309,6 +305,50 @@ class TestIntegerSampler:
             signs.add((along.maxmin > 0) - (along.maxmin < 0))
             signs.add((along.minmax > 0) - (along.minmax < 0))
         assert signs == {-1, 0, 1}
+
+
+def sample_rows(profile):
+    return [
+        (s.theta, s.direction.entries, s.maxmin, s.minmax, s.half, s.alpha)
+        for s in profile.samples
+    ]
+
+
+class TestSharedDirections:
+    """Each plane's directions are built once and shared by its profiles."""
+
+    def test_profiles_of_one_plane_share_their_direction_objects(self):
+        plane = EDGE_PLANES["steep"]
+        first, second = EDGE_COLLECTIONS["apart"], EDGE_COLLECTIONS["straddling"]
+        one = slice_profile(first, plane, 64, alpha=F(3, 4))
+        other = slice_profile(second, SlicePlane.through((F(-2, 3), 5)), 64)
+        assert all(
+            a.direction is b.direction for a, b in zip(one.samples, other.samples)
+        )
+        assert sample_rows(one) == reference_samples(first, plane, 64, F(3, 4))
+        assert sample_rows(other) == reference_samples(second, plane, 64, None)
+
+    def test_revisiting_a_plane_after_the_cache_turns_over(self):
+        beliefs = EDGE_COLLECTIONS["large_denominators"]
+        maxsize = slices._directions.cache_info().maxsize
+        planes = [
+            SlicePlane(e1=(F(1), F(1)), e2=(F(k + 1, 3), F(-k - 1, 3)))
+            for k in range(maxsize + 2)
+        ]
+        assert len({p.e2 for p in planes}) == len(planes)
+        for plane in planes + planes[:1]:
+            profile = slice_profile(beliefs, plane, 16, alpha=F(1, 3))
+            assert sample_rows(profile) == reference_samples(beliefs, plane, 16, F(1, 3))
+
+    def test_a_plane_built_with_a_list_profiles(self):
+        beliefs = EDGE_COLLECTIONS["apart"]
+        plane = SlicePlane(e1=(F(1), F(1)), e2=[F(1, 3), F(-1, 3)])
+        profile = slice_profile(beliefs, plane, 8)
+        assert sample_rows(profile) == reference_samples(beliefs, plane, 8, None)
+
+    def test_the_direction_cache_is_bounded(self):
+        maxsize = slices._directions.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 16
 
 
 class TestClosedForm:
