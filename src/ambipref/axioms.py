@@ -215,8 +215,8 @@ class MarginTable:
     model's first use, the table builds integer columns for the sets
     ``kind.sets`` names, keyed by their vertex lists, and folds (maxmin,
     minmax) once per distinct difference.  Kinds that read the same sets
-    share all of it.  ``relation(kind)`` and ``dominance`` are memoized
-    here, and nowhere else.
+    share all of it.  ``relation(kind)``, ``dominance`` and the constant acts
+    behind ``constants()`` are memoized here, and nowhere else.
     """
 
     def __init__(self, instance: Instance, uvecs: Sequence[UtilityVector]):
@@ -275,12 +275,16 @@ class MarginTable:
         return [(i, j) for i, ri in enumerate(rows) for j, rj in enumerate(rows)
                 if i != j and all(map(operator.ge, ri, rj))]
 
+    @cached_property
+    def _constant_acts(self) -> list[tuple[int, Fraction]]:
+        return [(i, self.uvecs[i].entries[0]) for i, row in enumerate(self._scaled)
+                if row.count(row[0]) == len(row)]
+
     def constants(self) -> list[tuple[int, Fraction]]:
         """The battery's constant acts and their values; there must be some."""
-        found = [(i, v.entries[0]) for i, v in enumerate(self.uvecs) if v.is_constant()]
-        if not found:
+        if not self._constant_acts:
             raise BatteryMissingConstants("battery has no constant acts")
-        return found
+        return self._constant_acts
 
 
 class _SetColumns:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .model import (
+    MAX_RATIONAL_DIGITS,
     Act,
     BeliefCollection,
     BeliefSet,
@@ -44,7 +45,8 @@ class GenParams:
     ``vertices_per_set`` is a ceiling; each belief set draws its own count
     between 1 and the ceiling.  ``denominator_bound`` is the common
     denominator of all prior entries, so it also bounds every reduced
-    denominator.
+    denominator; it stays below ``10**MAX_RATIONAL_DIGITS``, so the instance
+    file's rationals fit what the loader accepts.  Every field is an ``int``.
     """
 
     num_states: int = 3
@@ -53,6 +55,10 @@ class GenParams:
     denominator_bound: int = 20
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ParamsOutOfRange(f"{field.name} must be an int; got {self}")
         checks = [
             (2 <= self.num_states <= MAX_STATES, f"num_states must be in [2, {MAX_STATES}]"),
             (1 <= self.num_sets <= MAX_SETS, f"num_sets must be in [1, {MAX_SETS}]"),
@@ -61,6 +67,10 @@ class GenParams:
                 f"vertices_per_set must be in [1, {MAX_VERTICES}]",
             ),
             (self.denominator_bound >= 2, "denominator_bound must be at least 2"),
+            (
+                self.denominator_bound < 10**MAX_RATIONAL_DIGITS,
+                f"denominator_bound must be below 10**{MAX_RATIONAL_DIGITS}",
+            ),
         ]
         for ok, message in checks:
             if not ok:

@@ -2,12 +2,18 @@
 
 Each suite replays one published result over generated instances: the
 structural theorems as direct audits, the characterizations as two-sided
-checks between a parametric decision and a replayable witness.  A paper
-suite with any counterexample is a hard failure; the figure suite inverts
-the logic and fails only when no violation could be exhibited at all.
+checks between a parametric decision and a replayable witness.
 
 Every suite reads one per-seed context: the instance, its lattice table and
 label, and the cutting hyperplane and Samet separation, each found on first use.
+
+One suite's per-seed outcomes merge, in seed order, into its report entry.
+Only applicable seeds count; counterexamples are stamped with their seed,
+batteries are listed once in first-seen order, and boundary flags are summed.
+A paper suite passes when every seed is ok, so any counterexample fails it.
+The figure suite inverts the logic: it passes when any seed found a
+violation, keeps the first four as evidence, and fails only when no
+violation could be exhibited at all.
 """
 
 from __future__ import annotations
@@ -252,28 +258,24 @@ def _suite_prop2(ctx: _SeedContext) -> SuiteOutcome:
     if collapse is None:
         bad = ({"detail": "parametric conditions hold but no collapse prior exists"},)
         return SuiteOutcome(False, True, False, bad, 0, (desc,))
-    bad: list[dict] = []
-    uvecs = table.uvecs
     w_gb, flags_gb = weak_relation(table, GeneralizedBewley(), instance)
     w_seu, flags_seu = weak_relation(table, SEU(collapse), instance)
-    for i in range(len(uvecs)):
-        if w_gb[i] != w_seu[i]:
-            diff = w_gb[i] ^ w_seu[i]
-            j = (diff & -diff).bit_length() - 1
-            phi = uvecs[i] - uvecs[j]
-            bad.append(
-                {
-                    "detail": "collapse prior disagrees with the set-based model",
-                    "pair": [i, j],
-                    "maxmin_margin": str(
-                        model_margin(GeneralizedBewley(), instance.collection, phi)
-                    ),
-                    "seu_margin": str(model_margin(SEU(collapse), instance.collection, phi)),
-                }
-            )
-            break
     flags = flags_gb + flags_seu
-    return SuiteOutcome(not bad, True, False, tuple(bad), flags, (desc,))
+    i = next((i for i, (a, b) in enumerate(zip(w_gb, w_seu)) if a != b), None)
+    if i is None:
+        return SuiteOutcome(True, True, False, (), flags, (desc,))
+    diff = w_gb[i] ^ w_seu[i]
+    j = (diff & -diff).bit_length() - 1
+    phi = table.uvecs[i] - table.uvecs[j]
+    bad = (
+        {
+            "detail": "collapse prior disagrees with the set-based model",
+            "pair": [i, j],
+            "maxmin_margin": str(model_margin(GeneralizedBewley(), instance.collection, phi)),
+            "seu_margin": str(model_margin(SEU(collapse), instance.collection, phi)),
+        },
+    )
+    return SuiteOutcome(False, True, False, bad, flags, (desc,))
 
 
 def _replay(
@@ -417,6 +419,27 @@ def _worker_count(jobs: int) -> int:
     return max(1, min(wanted, jobs, os.cpu_count() or 1))
 
 
+def _merge(name: str, results: Sequence[tuple[int, dict[str, SuiteOutcome]]]) -> SuiteEntry:
+    """One suite's entry from its per-seed outcomes, by the merge rule above."""
+    runs = [(seed, out[name]) for seed, out in results if out[name].applicable]
+    found = [{"seed": seed, **item} for seed, out in runs for item in out.counterexamples]
+    if name == "fig4":
+        passed = any(out.found for _, out in runs)
+        found = found[:4] if passed else [
+            {"detail": "no mixture violation found across the seed range"}
+        ]
+    else:
+        passed = all(out.ok for _, out in runs)
+    return SuiteEntry(
+        theorem=name,
+        instances=len(runs),
+        batteries=tuple(dict.fromkeys(desc for _, out in runs for desc in out.batteries)),
+        verdict="pass" if passed else "fail",
+        counterexamples=tuple(found),
+        boundary_flags=sum(out.boundary_flags for _, out in runs),
+    )
+
+
 def verify(
     suites: Sequence[str],
     seeds: Iterable[int],
@@ -430,14 +453,12 @@ def verify(
     does not depend on the worker count.
     """
     config = config or VerifyConfig()
-    requested: list[str] = []
-    for name in suites:
+    requested = list(dict.fromkeys(suites))
+    for name in requested:
         if name not in _SUITE_FUNCS:
             raise UnknownSuite(
                 f"unknown suite {name!r}; expected one of {', '.join(SUITES)}"
             )
-        if name not in requested:
-            requested.append(name)
     seed_list = list(seeds)
     jobs = [(s, tuple(requested), config) for s in seed_list]
     workers = _worker_count(len(jobs))
@@ -446,51 +467,8 @@ def verify(
             results = list(pool.map(_seed_work, jobs))
     else:
         results = [_seed_work(job) for job in jobs]
-
-    entries = []
-    for name in requested:
-        instances = 0
-        batteries: list[str] = []
-        counterexamples: list[dict] = []
-        flags = 0
-        found_any = False
-        ok_all = True
-        for seed, outcomes in results:
-            outcome = outcomes[name]
-            if not outcome.applicable:
-                continue
-            instances += 1
-            flags += outcome.boundary_flags
-            found_any = found_any or outcome.found
-            ok_all = ok_all and outcome.ok
-            for desc in outcome.batteries:
-                if desc not in batteries:
-                    batteries.append(desc)
-            for item in outcome.counterexamples:
-                counterexamples.append({"seed": seed, **item})
-        if name == "fig4":
-            verdict = "pass" if found_any else "fail"
-            if not found_any:
-                counterexamples = [
-                    {"detail": "no mixture violation found across the seed range"}
-                ]
-            else:
-                # keep the first confirmations only; they are evidence, not failures
-                counterexamples = counterexamples[:4]
-        else:
-            verdict = "pass" if ok_all else "fail"
-        entries.append(
-            SuiteEntry(
-                theorem=name,
-                instances=instances,
-                batteries=tuple(batteries),
-                verdict=verdict,
-                counterexamples=tuple(counterexamples),
-                boundary_flags=flags,
-            )
-        )
     return VerificationReport(
         schema_version=SCHEMA_VERSION,
         seeds=tuple(seed_list),
-        suites=tuple(entries),
+        suites=tuple(_merge(name, results) for name in requested),
     )

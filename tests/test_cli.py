@@ -18,6 +18,7 @@ from ambipref.cli import (
     parse_model,
     parse_seed_range,
 )
+from ambipref.model import MAX_RATIONAL_DIGITS
 
 F = Fraction
 
@@ -560,6 +561,13 @@ class TestGen:
     def test_params_out_of_range(self, capsys):
         assert main(["gen", "--seed", "0", "--states", "9"]) == 2
         assert "num_states" in capsys.readouterr().err
+
+    def test_denominator_the_loader_would_reject(self, capsys):
+        big = str(10**MAX_RATIONAL_DIGITS)
+        assert main(["gen", "--seed", "1", "--states", "2", "--denominator", big]) == 2
+        assert "denominator_bound must be below" in capsys.readouterr().err
+        assert main(["verify", "--suites", "thm2", "--seeds", "0", "--denominator", big]) == 2
+        assert "denominator_bound must be below" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -20,6 +20,7 @@ from ambipref import (
     validate_instance,
     weak_relation,
 )
+from ambipref.model import MAX_RATIONAL_DIGITS
 
 F = Fraction
 
@@ -40,11 +41,24 @@ class TestParams:
             {"vertices_per_set": 0},
             {"vertices_per_set": 7},
             {"denominator_bound": 1},
+            {"denominator_bound": 10**MAX_RATIONAL_DIGITS},
+            {"num_states": 2.0},
+            {"num_sets": True},
+            {"vertices_per_set": F(2)},
+            {"denominator_bound": "20"},
         ],
     )
     def test_out_of_range(self, kwargs):
         with pytest.raises(ParamsOutOfRange):
             GenParams(**kwargs)
+
+    def test_largest_denominator_round_trips(self):
+        bound = 10**MAX_RATIONAL_DIGITS - 1
+        inst = generate_instance(1, GenParams(num_states=2, denominator_bound=bound))
+        text = dumps_instance(inst)
+        assert dumps_instance(validate_instance(json.loads(text))) == text
+        assert any(v.probs[0].denominator > 10 ** (MAX_RATIONAL_DIGITS - 2)
+                   for s in inst.collection.sets for v in s.vertices)
 
 
 class TestDeterminism:

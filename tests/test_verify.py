@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import json
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -233,6 +234,29 @@ class TestSuiteOutcomes:
         assert any(isinstance(kind, SEU) for kind in judged)
         assert len(built) == 1
 
+    def test_one_constant_scan_per_seed(self, monkeypatch):
+        """Every suite reading the lattice's constant acts shares one scan."""
+        scans, reads = [], []
+        derive = verify_mod.MarginTable._constant_acts.func
+
+        class Counted(verify_mod.MarginTable):
+            @cached_property
+            def _constant_acts(self):
+                scans.append(self)
+                return derive(self)
+
+            def constants(self):
+                reads.append(self)
+                return super().constants()
+
+        monkeypatch.setattr(verify_mod, "MarginTable", Counted)
+        cfg = VerifyConfig()
+        for seed in (0, 1):  # two and three states
+            scans.clear()
+            reads.clear()
+            suite_outcomes(generate_instance(seed, cfg.params_for_seed(seed)), SUITES, cfg)
+            assert len(scans) == 1 and len(reads) > 1, seed
+
     @pytest.mark.parametrize(
         "search_name", ["find_cutting_hyperplane", "pairwise_intersection_holds"]
     )
@@ -294,6 +318,61 @@ class TestMixtureScan:
         assert entry.counterexamples[0]["detail"].startswith(
             "no mixture violation found"
         )
+
+
+NO_VIOLATION = {"detail": "no mixture violation found across the seed range"}
+
+
+def _reference_merge(singles) -> list[dict]:
+    """The suite entries a run over several seeds must give, from one-seed runs."""
+    merged = []
+    for entries in zip(*(report.suites for report in singles)):
+        name = entries[0].theorem
+        batteries: list[str] = []
+        for entry in entries:
+            batteries += [b for b in entry.batteries if b not in batteries]
+        if name == "fig4":
+            hits = [entry for entry in entries if entry.passed]
+            passed = bool(hits)
+            found = [w for entry in hits for w in entry.counterexamples][:4] or [NO_VIOLATION]
+        else:
+            passed = all(entry.passed for entry in entries)
+            found = [w for entry in entries for w in entry.counterexamples]
+        merged.append(
+            {
+                "theorem": name,
+                "instances": sum(entry.instances for entry in entries),
+                "batteries": batteries,
+                "verdict": "pass" if passed else "fail",
+                "counterexamples": found,
+                "boundary_flags": sum(entry.boundary_flags for entry in entries),
+            }
+        )
+    return merged
+
+
+class TestMergeAcrossSeeds:
+    """Seeds 0..15 reach what the four golden seeds do not: the fig4 cap binds,
+    prop2 skips half the seeds, and three suites list three batteries."""
+
+    SEEDS = range(16)
+
+    @pytest.fixture(scope="class")
+    def singles(self):
+        return [verify(SUITES, [seed]) for seed in self.SEEDS]
+
+    def test_window_reaches_the_merge_rules(self, singles):
+        fig4 = [report.suites[SUITES.index("fig4")] for report in singles]
+        assert [s for s, entry in zip(self.SEEDS, fig4) if entry.passed] == [1, 9, 11, 12, 13, 15]
+        assert sum(len(entry.counterexamples) for entry in fig4 if entry.passed) > 4
+        merged = {entry["theorem"]: entry for entry in _reference_merge(singles)}
+        assert merged["prop2"]["instances"] == 8
+        assert [len(merged[name]["batteries"]) for name in ("prop3", "prop4", "lemma3")] == [3] * 3
+
+    def test_one_run_equals_the_merged_single_seed_runs(self, singles):
+        report = verify(SUITES, self.SEEDS)
+        assert report.to_jsonable()["suites"] == _reference_merge(singles)
+        assert len(report.suites[SUITES.index("fig4")].counterexamples) == 4
 
 
 class TestGoldenReport:
