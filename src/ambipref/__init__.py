@@ -65,6 +65,7 @@ from .margins import (
 from .axioms import (
     AuditReport,
     AxiomKind,
+    Battery,
     BatteryMissingConstants,
     MarginTable,
     RadiusExceedsUtilityRange,

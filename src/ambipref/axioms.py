@@ -24,9 +24,15 @@ sign string per act, read as bitmask rows of its weak, positive and zero
 margins and their transposes, so the pairwise axioms loop only over the
 set bits of their violations.  Utility is affine, so mixing f and g with
 a common act h at weight a leaves a * (u_f - u_g): independence compares
-the folded margin of k * (u_i - u_j) with k times the pair's.  The
-battery's ``MarginTable`` owns all of this shared work, one
-``relation(kind)`` per model; an audit's ``_Runner`` keeps only its tally.
+the folded margin of k * (u_i - u_j) with k times the pair's.
+
+The shared work splits in two.  A ``Battery`` holds what reads no belief
+set: the scaled rows, codes, distinct differences and their digits, the
+readers of its rows, the dominance pairs and the constant acts.  One
+battery serves every instance with its state count, and ``verify`` builds
+each lattice's once per process.  An instance's ``MarginTable`` over a
+battery holds the rest: the integer columns of its belief sets and one
+``relation(kind)`` per model.  An audit's ``_Runner`` keeps only its tally.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .analysis import check_battery, phi_lattice
 from .analysis import MAX_BATTERY_ACTS  # noqa: F401  (re-exported for callers of the axioms module)
@@ -46,7 +52,6 @@ from .model import (
     Act,
     BeliefCollection,
     Instance,
-    Prior,
     UtilityVector,
     constant_act,
     utility_vector,
@@ -60,6 +65,7 @@ __all__ = [
     "BatteryMissingConstants",
     "Witness",
     "AuditReport",
+    "Battery",
     "MarginTable",
     "generate_act_grid",
     "audit",
@@ -202,28 +208,27 @@ def battery_label(instance: Instance, count: int, resolution: int | None, radius
     )
 
 
-class MarginTable:
-    """Vertex expectations of a battery, scaled to integers, for any model kind.
+class Battery:
+    """The instance-free half of a battery's margin work: its integer geometry.
 
-    Every model reads two primitives of a utility difference over its own
-    belief sets, maxmin and minmax, and folds them with its ``combine``
-    rule.  Act i has the integer code ``codes[i]``: its scaled entries as
+    A battery of acts on ``num_states`` states is its utility vectors
+    ``uvecs``; their entries over one common denominator ``du`` are integer
+    rows.  Act i has the integer code ``codes[i]``: its scaled entries as
     the balanced digits of a base-``radix`` number, linear and injective on
     every vector with entries within ``half`` of zero, which covers each
     u_i - u_j and each favorable-mixing combination.  So codes[i] - codes[j]
-    names u_i - u_j, and ``distinct`` lists those codes once each.  On a
-    model's first use, the table builds integer columns for the sets
-    ``kind.sets`` names, keyed by their vertex lists, and folds (maxmin,
-    minmax) once per distinct difference.  Kinds that read the same sets
-    share all of it.  ``relation(kind)``, ``dominance`` and the constant acts
-    behind ``constants()`` are memoized here, and nowhere else.
+    names u_i - u_j, ``distinct`` lists those codes once each and ``digits``
+    decodes them.  None of it reads belief sets, so one battery serves every
+    instance with that many states; ``dominance`` and the constant acts
+    behind ``constants()`` are memoized here.  The state count is given,
+    since an empty battery has no vector to read it from.
     """
 
-    def __init__(self, instance: Instance, uvecs: Sequence[UtilityVector]):
-        self.instance = instance
-        self.uvecs = list(uvecs)
+    def __init__(self, num_states: int, uvecs: Sequence[UtilityVector]):
+        self.num_states = num_states
+        self.uvecs = tuple(uvecs)
         self.n = len(self.uvecs)
-        du = self._du = lcm(*(e.denominator for vec in self.uvecs for e in vec.entries))
+        du = self.du = lcm(*(e.denominator for vec in self.uvecs for e in vec.entries))
         self._scaled = [
             tuple(e.numerator * (du // e.denominator) for e in vec.entries) for vec in self.uvecs
         ]
@@ -242,31 +247,15 @@ class MarginTable:
             operator.itemgetter(*map(rank.__getitem__, map(c.__sub__, descending)))
             for c in self.codes
         ]
-        self._columns: dict[tuple[tuple[Prior, ...], ...], _SetColumns] = {}
-        self._relations: dict[ModelKind, _Relation] = {}
 
     def decode(self, codes: list[int]) -> list[list[int]]:
         """The scaled entries of the vectors with these codes, one list per state."""
         half, radix = self.half, self.radix
         digits, cur = [], [c + half for c in codes]
-        for _ in range(self.instance.num_states):
+        for _ in range(self.num_states):
             digits.append([c % radix - half for c in cur])
             cur = [c // radix + half for c in cur]
         return digits
-
-    def columns(self, kind: ModelKind) -> "_SetColumns":
-        """The integer columns of the belief sets this model reads."""
-        sets = kind.sets(self.instance.collection)
-        key = tuple(bset.vertices for bset in sets)
-        if key not in self._columns:
-            self._columns[key] = _SetColumns(sets, self._du, self.digits)
-        return self._columns[key]
-
-    def relation(self, kind: ModelKind) -> "_Relation":
-        """The model's margins and relation rows, built on its first use."""
-        if kind not in self._relations:
-            self._relations[kind] = _Relation(kind, self)
-        return self._relations[kind]
 
     @cached_property
     def dominance(self) -> list[tuple[int, int]]:
@@ -285,6 +274,50 @@ class MarginTable:
         if not self._constant_acts:
             raise BatteryMissingConstants("battery has no constant acts")
         return self._constant_acts
+
+
+class MarginTable:
+    """One instance's margins over a battery, for any model kind.
+
+    ``battery`` is a ``Battery`` of the instance's state count, or the
+    utility vectors to build one from; the table reads its codes and digits
+    and holds only what the instance adds.  Every model reads two
+    primitives of a utility difference over its own belief sets, maxmin and
+    minmax, and folds them with its ``combine`` rule.  On a model's first
+    use, the table builds integer columns for the sets ``kind.sets`` names,
+    keyed by their integer view, and folds (maxmin, minmax) once per
+    distinct difference.  Kinds that read the same sets share all of it.
+    ``relation(kind)`` is memoized here, and nowhere else; ``n`` and
+    ``uvecs`` are the battery's.
+    """
+
+    def __init__(self, instance: Instance, battery: Battery | Sequence[UtilityVector]):
+        if not isinstance(battery, Battery):
+            battery = Battery(instance.num_states, battery)
+        elif battery.num_states != instance.num_states:
+            raise ValueError(
+                f"battery on {battery.num_states} states, instance on {instance.num_states}"
+            )
+        self.instance = instance
+        self.battery = battery
+        self.uvecs = battery.uvecs
+        self.n = battery.n
+        self._columns: dict[tuple, _SetColumns] = {}
+        self._relations: dict[ModelKind, _Relation] = {}
+
+    def columns(self, kind: ModelKind) -> "_SetColumns":
+        """The integer columns of the belief sets this model reads."""
+        sets = kind.sets(self.instance.collection)
+        key = sets.integer_view
+        if key not in self._columns:
+            self._columns[key] = _SetColumns(sets, self.battery.du, self.battery.digits)
+        return self._columns[key]
+
+    def relation(self, kind: ModelKind) -> "_Relation":
+        """The model's margins and relation rows, built on its first use."""
+        if kind not in self._relations:
+            self._relations[kind] = _Relation(kind, self)
+        return self._relations[kind]
 
 
 class _SetColumns:
@@ -328,10 +361,11 @@ class _Relation:
     def __init__(self, kind: ModelKind, table: MarginTable):
         self.combine = kind.combine
         self.cols = cols = table.columns(kind)
+        battery = table.battery
         self.unit = cols.denom * kind.den
-        self.num = dict(zip(table.distinct, map(self.combine, cols.maxmin, cols.minmax)))
+        self.num = dict(zip(battery.distinct, map(self.combine, cols.maxmin, cols.minmax)))
         line = "".join(["-" if x < 0 else "0" if x == 0 else "+" for x in self.num.values()])
-        self.signs = ["".join(read(line)) for read in table.readers]
+        self.signs = ["".join(read(line)) for read in battery.readers]
         self.transposed = ["".join(col) for col in zip(*self.signs[::-1])][::-1]
         self.zeros = sum(s.count("0") for s in self.signs) - table.n
         self._bits: dict[tuple[str, bool], list[int]] = {}
@@ -376,10 +410,11 @@ class _Runner:
     the model: ``margin_num`` reads its margins of the table's differences,
     and ``margins`` folds any other codes through its columns.  Runners
     report through ``fail``, which counts every violation but builds a
-    witness's Fractions only while fewer than ``witness_cap`` are kept.
-    Zero margins are counted where numerators are read, never in ``fail``,
-    so ``zero_flags`` does not depend on the cap; ``zeros`` counts those
-    read in bulk.  The audit passes when ``total`` is zero.
+    witness's Fractions only while fewer than ``witness_cap`` are kept, or
+    through ``fail_each``, which reads no margin past the cap.  Zero
+    margins are counted where numerators are read, never in ``fail``, so
+    ``zero_flags`` does not depend on the cap; ``zeros`` counts those read
+    in bulk.  The audit passes when ``total`` is zero.
     """
 
     def __init__(self, table: MarginTable, kind: ModelKind, witness_cap: int = WITNESS_CAP):
@@ -403,6 +438,19 @@ class _Runner:
             den = unit or self.relation.unit
             self.witnesses.append(Witness(indices, tuple(Fraction(x, den) for x in nums), note))
 
+    def fail_each(self, mask: int, witness: Callable[[int], tuple]) -> None:
+        """Count each set bit j of ``mask`` as one violation.
+
+        ``witness(j)`` returns the arguments of ``fail`` for violation j.
+        It is called for the lowest bits only, while fewer than
+        ``witness_cap`` witnesses are kept, so the margins of violations
+        past the cap are never read.
+        """
+        room = max(self.witness_cap - len(self.witnesses), 0)
+        for j in itertools.islice(_set_bits(mask), room):
+            self.fail(*witness(j))
+        self.total += max(mask.bit_count() - room, 0)
+
     def margins(self, codes: list[int]) -> list[int]:
         """Numerators over the relation's ``unit`` of the margins of these codes.
 
@@ -410,11 +458,16 @@ class _Runner:
         results are the caller's to count.
         """
         rel = self.relation
-        return list(map(rel.combine, *rel.cols.fold(self.table.decode(codes))))
+        return list(map(rel.combine, *rel.cols.fold(self.table.battery.decode(codes))))
+
+    def num(self, i: int, j: int) -> int:
+        """Numerator over ``unit`` of the margin for u_i - u_j; no zero is counted."""
+        codes = self.table.battery.codes
+        return self.relation.num[codes[i] - codes[j]]
 
     def margin_num(self, i: int, j: int) -> int:
-        """Numerator over ``unit`` of the margin for u_i - u_j (sign-faithful)."""
-        num = self.relation.num[self.table.codes[i] - self.table.codes[j]]
+        """Numerator over ``unit`` of the margin for u_i - u_j, counting a zero once."""
+        num = self.num(i, j)
         if num == 0:
             self._zero_seen.add((i, j))
         return num
@@ -462,7 +515,7 @@ def _run_reflexivity(r: _Runner) -> None:
 
 
 def _run_unambiguous_completeness(r: _Runner) -> None:
-    for (a, va), (b, vb) in itertools.combinations(r.table.constants(), 2):
+    for (a, va), (b, vb) in itertools.combinations(r.table.battery.constants(), 2):
         r.checked += 1
         ab = r.margin_num(a, b)
         if ab < 0 and (ba := r.margin_num(b, a)) < 0:
@@ -471,7 +524,7 @@ def _run_unambiguous_completeness(r: _Runner) -> None:
 
 def _run_unambiguous_transitivity(r: _Runner) -> None:
     w, wt = r.weak_matrix()
-    dom = r.table.dominance
+    dom = r.table.battery.dominance
     r.checked += 2 * r.table.n * len(dom)
     for f, g in dom:
         for h in _set_bits(w[g] & ~w[f]):
@@ -485,14 +538,14 @@ def _run_unambiguous_transitivity(r: _Runner) -> None:
 
 def _run_monotonicity(r: _Runner) -> None:
     w, _ = r.weak_matrix()
-    for i, j in r.table.dominance:
+    for i, j in r.table.battery.dominance:
         r.checked += 1
         if not (w[i] >> j) & 1:
             r.fail((i, j), (r.margin_num(i, j),), "statewise dominance not honored")
 
 
 def _run_independence(r: _Runner) -> None:
-    codes, distinct = r.table.codes, r.table.distinct
+    codes, distinct = r.table.battery.codes, r.table.battery.distinct
     ks = [int(a * _MIX_SCALE) for a in MIX_GRID]
     # k * (u_i - u_j) has code k * (c_i - c_j), folded once per weight k / s.
     weights = [(a, k, dict(zip(distinct, r.margins([k * c for c in distinct]))))
@@ -516,19 +569,29 @@ def _run_completeness(r: _Runner) -> None:
     upper = (1 << n) - 1
     for i in range(n):
         upper ^= 1 << i  # the j > i
-        for j in _set_bits(upper & ~(w[i] | wt[i])):
-            r.fail((i, j), (r.margin_num(i, j), r.margin_num(j, i)), "incomparable pair")
+        # Both margins of an incomparable pair are negative, so none is zero.
+        if bad := upper & ~(w[i] | wt[i]):
+            r.fail_each(bad, lambda j: ((i, j), (r.num(i, j), r.num(j, i)), "incomparable pair"))
 
 
 def _run_transitivity(r: _Runner) -> None:
     w, _ = r.weak_matrix()
     n = r.table.n
+    # read[a] has bit b set when some violation (i, j, h) reads margin(a, b)
+    # as its (i, j) or (j, h); its margin (i, h) is negative, so never zero.
+    read = [0] * n
     for i, wi in enumerate(w):
-        for j in _set_bits(wi & ~(1 << i)):
-            r.checked += n
-            for h in _set_bits(w[j] & ~wi):
-                r.fail((i, j, h), (r.margin_num(i, j), r.margin_num(j, h), r.margin_num(i, h)),
-                       "weak preference fails to chain")
+        worse = wi & ~(1 << i)
+        r.checked += n * worse.bit_count()
+        for j in _set_bits(worse):
+            bad = w[j] & ~wi
+            if not bad:
+                continue
+            read[i] |= 1 << j
+            read[j] |= bad
+            r.fail_each(bad, lambda h: ((i, j, h), (r.num(i, j), r.num(j, h), r.num(i, h)),
+                                        "weak preference fails to chain"))
+    r.zeros += sum((a & z).bit_count() for a, z in zip(read, r.relation.bits(_ZERO)))
 
 
 def _constant_sandwich(r: _Runner, order, bit: int, note: str) -> None:
@@ -538,7 +601,7 @@ def _constant_sandwich(r: _Runner, order, bit: int, note: str) -> None:
     each such f violates the axiom, since the order leaves its conclusion
     false.  ``note`` is formatted with the two constants' values.
     """
-    consts = r.table.constants()
+    consts = r.table.battery.constants()
     w, wt = r.weak_matrix()
     n = r.table.n
     flip = 0 if bit else (1 << n) - 1
@@ -568,7 +631,7 @@ def _run_favorable_mixing(r: _Runner) -> None:
     # Every margin read is that of d = k * u_f - s * u_g + (s - k) * u_h, and
     # the table's codes are linear and injective on such d: code(d) is the
     # same combination of the acts' codes.  Each distinct d is folded once.
-    code = r.table.codes
+    code = r.table.battery.codes
     # Per weight: the codes of (s - k) * u_h for every h, and of
     # k * u_f - s * u_g for every strict pair (f, g).
     rests = [[(s - k) * c for c in code] for k in ks]
@@ -614,9 +677,9 @@ def _run_negative_completeness(r: _Runner) -> None:
         upper ^= 1 << i  # the j > i
         # Each pair reads margin(i, j), and margin(j, i) only when the first is positive.
         r.zeros += (upper & (zero[i] | pos[i] & zero_t[i])).bit_count()
-        for j in _set_bits(upper & pos[i] & pos_t[i]):
-            r.fail((i, j), (r.margin_num(i, j), r.margin_num(j, i)),
-                   "both directions robustly preferred")
+        if bad := upper & pos[i] & pos_t[i]:
+            r.fail_each(bad, lambda j: (
+                (i, j), (r.num(i, j), r.num(j, i)), "both directions robustly preferred"))
 
 
 _RUNNERS = {

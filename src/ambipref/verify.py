@@ -22,7 +22,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .analysis import (
@@ -37,6 +37,7 @@ from .analysis import (
 from .axioms import (
     AuditReport,
     AxiomKind,
+    Battery,
     MarginTable,
     audit,
     battery_label,
@@ -174,19 +175,27 @@ def _witness_dicts(report: AuditReport) -> list[dict]:
     ]
 
 
+@lru_cache(maxsize=8)
+def _lattice_battery(states: int, resolution: int, radius: Fraction) -> Battery:
+    """The lattice's battery, built once per process and shared by its seeds."""
+    return Battery(states, phi_lattice(states, resolution, radius))
+
+
 class _SeedContext:
     """One instance's lattice table and label, and the certificates suites read.
 
     The lattice battery's acts are never built: its utility vectors are this
     lattice, which prop1 also scans, and a table is all the audits read.
+    The battery reads no belief set, so every seed with the same state count
+    shares one, and each process (each pool worker too) builds it once.
     """
 
     def __init__(self, instance: Instance, config: VerifyConfig):
         radius = check_lattice(instance, config.resolution, config.radius)
-        lattice = phi_lattice(instance.num_states, config.resolution, radius)
+        battery = _lattice_battery(instance.num_states, config.resolution, radius)
         self.instance = instance
-        self.table = MarginTable(instance, lattice)
-        self.desc = battery_label(instance, len(lattice), config.resolution, config.radius)
+        self.table = MarginTable(instance, battery)
+        self.desc = battery_label(instance, battery.n, config.resolution, config.radius)
 
     @cached_property
     def cut(self):

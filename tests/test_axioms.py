@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from ambipref import (
     AxiomKind,
+    Battery,
     BatteryMissingConstants,
     Bewley,
     Conjunctive,
@@ -179,8 +180,8 @@ class TestMarginTableAgreement:
             for j, uj in enumerate(entries)
             if i != j and all(a >= b for a, b in zip(ui, uj))
         ]
-        assert table.dominance == expected
-        assert table.dominance is table.dominance
+        assert table.battery.dominance == expected
+        assert table.battery.dominance is table.battery.dominance
         assert (1, 0) in expected and (0, 1) not in expected
         prior = eight_kinds(inst)[0]
         report = audit(AxiomKind.MONOTONICITY, SEU(prior), inst, battery, table=table)
@@ -206,6 +207,21 @@ class TestMarginTableAgreement:
         with pytest.raises(ValueError, match="another instance"):
             weak_relation(table, GeneralizedBewley(), touching_intervals)
         assert weak_relation(table, GeneralizedBewley(), disjoint_pair)[0]
+
+    def test_tables_share_a_battery_of_their_state_count(self, disjoint_pair):
+        """Two instances' tables over one battery agree with tables over its vectors."""
+        three_state = generate_instance(1, GenParams(num_states=3))
+        with pytest.raises(ValueError, match="battery on 3 states, instance on 2"):
+            MarginTable(disjoint_pair, Battery(3, phi_lattice(3, 1)))
+        battery = Battery(2, phi_lattice(2, 1))
+        shared = MarginTable(disjoint_pair, battery)
+        assert shared.battery is battery and shared.uvecs == battery.uvecs
+        for inst in (disjoint_pair, generate_instance(0, GenParams(num_states=2))):
+            table = MarginTable(inst, battery)
+            own = MarginTable(inst, phi_lattice(2, 1))
+            for kind in eight_kinds(inst)[1]:
+                assert weak_relation(table, kind, inst) == weak_relation(own, kind, inst)
+        assert MarginTable(three_state, Battery(3, [])).n == 0
 
     def test_table_alone_stands_for_the_battery(self, disjoint_pair):
         """Given a table, the battery may be left out; with neither, audit raises."""
@@ -504,7 +520,8 @@ class TestMixingAudits:
         uvecs = [utility_vector(disjoint_pair.utility, a) for a in battery]
         table = MarginTable(disjoint_pair, uvecs)
         assert audit(AxiomKind.INDEPENDENCE, kind, disjoint_pair, table=table).passed
-        target = table.codes[0] - table.codes[1]
+        codes = table.battery.codes
+        target = codes[0] - codes[1]
         k = int(MIX_GRID[0] * _MIX_SCALE)
         margins = _Runner.margins
         calls = []
@@ -521,7 +538,7 @@ class TestMixingAudits:
         expected = [
             (i, j)
             for i, j in itertools.combinations(range(table.n), 2)
-            if table.codes[i] - table.codes[j] == target
+            if codes[i] - codes[j] == target
         ]
         assert len(expected) == 6
         assert not report.passed
@@ -543,7 +560,7 @@ class TestMixingAudits:
         monkeypatch.setattr(_Runner, "margins", counted)
         report = audit(AxiomKind.INDEPENDENCE, GeneralizedBewley(), disjoint_pair, table=table)
         assert report.passed
-        assert calls == [len(table.distinct)] * len(MIX_GRID)
+        assert calls == [len(table.battery.distinct)] * len(MIX_GRID)
 
 
 PAIRWISE_AXIOMS = (
@@ -703,6 +720,33 @@ class TestPairwiseAudits:
                     flagged += report.boundary_flags > 0
         assert all(failing.values()), failing  # every comparison sees witnesses
         assert flagged and missing == 2 * 9 * 2
+
+    @pytest.mark.parametrize(
+        "axiom",
+        [AxiomKind.COMPLETENESS, AxiomKind.TRANSITIVITY, AxiomKind.NEGATIVE_COMPLETENESS],
+    )
+    def test_counts_do_not_depend_on_the_witness_cap(self, axiom):
+        """The cap bounds only the kept witnesses, on a 125-act lattice, all eight kinds.
+
+        Past the cap these runners count violations without reading their
+        margins, and their zero reads come from masks instead.
+        """
+        config = VerifyConfig()
+        inst = generate_instance(1, config.params_for_seed(1))
+        table = MarginTable(inst, phi_lattice(3, config.resolution, F(config.radius)))
+        assert table.n == 125
+        def counts(report):
+            return report.total_violations, report.checked, report.boundary_flags
+
+        binding = 0
+        for kind in eight_kinds(inst)[1]:
+            full = audit(axiom, kind, inst, table=table, witness_cap=10**6)
+            for cap in (0, 1, WITNESS_CAP):
+                report = audit(axiom, kind, inst, table=table, witness_cap=cap)
+                assert counts(report) == counts(full), (kind, cap)
+                assert report.witnesses == full.witnesses[:cap], (kind, cap)
+            binding += full.total_violations > WITNESS_CAP and full.boundary_flags > 0
+        assert binding >= 2, axiom
 
 
 class TestSuiteVerdicts:

@@ -12,6 +12,8 @@ from ambipref import (
     SCHEMA_VERSION,
     SEU,
     SUITES,
+    AxiomKind,
+    GeneralizedBewley,
     GenParams,
     UnknownSuite,
     VerifyConfig,
@@ -24,6 +26,14 @@ from ambipref import (
 GOLDEN = Path(__file__).parent / "data" / "verify_report.json"
 HALF_DIFFERENCE = "constructed half-difference pair"
 verify_mod = importlib.import_module("ambipref.verify")
+
+
+@pytest.fixture
+def fresh_batteries():
+    """An empty per-process lattice cache before and after the test."""
+    verify_mod._lattice_battery.cache_clear()
+    yield
+    verify_mod._lattice_battery.cache_clear()
 
 
 class TestRunner:
@@ -234,28 +244,66 @@ class TestSuiteOutcomes:
         assert any(isinstance(kind, SEU) for kind in judged)
         assert len(built) == 1
 
-    def test_one_constant_scan_per_seed(self, monkeypatch):
-        """Every suite reading the lattice's constant acts shares one scan."""
-        scans, reads = [], []
-        derive = verify_mod.MarginTable._constant_acts.func
+    def test_one_battery_per_lattice_per_process(self, monkeypatch, fresh_batteries):
+        """Seeds on one lattice share its battery, and its memos are derived once."""
+        built, scans = [], []
+        battery_class = verify_mod.Battery
 
-        class Counted(verify_mod.MarginTable):
+        class Counted(battery_class):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+            @cached_property
+            def dominance(self):
+                scans.append("dominance")
+                return battery_class.dominance.func(self)
+
             @cached_property
             def _constant_acts(self):
-                scans.append(self)
-                return derive(self)
+                scans.append("constants")
+                return battery_class._constant_acts.func(self)
 
-            def constants(self):
-                reads.append(self)
-                return super().constants()
-
-        monkeypatch.setattr(verify_mod, "MarginTable", Counted)
+        monkeypatch.setattr(verify_mod, "Battery", Counted)
         cfg = VerifyConfig()
-        for seed in (0, 1):  # two and three states
-            scans.clear()
-            reads.clear()
+        contexts = [
+            verify_mod._SeedContext(generate_instance(seed, cfg.params_for_seed(seed)), cfg)
+            for seed in (1, 3)  # both three states
+        ]
+        first, second = (ctx.table for ctx in contexts)
+        assert first is not second and first.battery is second.battery
+        assert built == [first.battery] and first.n == 125
+        for ctx in contexts:
+            for axiom in (AxiomKind.MONOTONICITY, AxiomKind.UNAMBIGUOUS_COMPLETENESS):
+                assert ctx.audit(axiom, GeneralizedBewley()).passed
+        assert scans == ["dominance", "constants"]
+
+        for seed in range(4):
             suite_outcomes(generate_instance(seed, cfg.params_for_seed(seed)), SUITES, cfg)
-            assert len(scans) == 1 and len(reads) > 1, seed
+        assert len(built) == 2 and built[1].num_states == 2
+        assert scans.count("constants") == 2
+
+        coarse = VerifyConfig(resolution=1)
+        ctx = verify_mod._SeedContext(generate_instance(1, coarse.params_for_seed(1)), coarse)
+        assert ctx.table.battery is built[2] and ctx.table.n == 27
+        assert len(built) == 3
+
+    def test_switching_lattices_reproduces_fresh_reports(self, fresh_batteries):
+        """Resolution 1, then 2, then 1 again in one process.
+
+        The first report is made on an empty cache; the second must equal the
+        golden report and the third the first.
+        """
+        coarse = VerifyConfig(resolution=1)
+        first = verify(SUITES, range(4), coarse).to_jsonable()
+        prop1 = next(entry for entry in first["suites"] if entry["theorem"] == "prop1")
+        assert prop1["batteries"] == [
+            "raw direction lattice, 9 vectors", "raw direction lattice, 27 vectors"
+        ]
+        assert verify(SUITES, range(4)).to_jsonable() == json.loads(GOLDEN.read_text())
+        assert verify(SUITES, range(4), coarse).to_jsonable() == first
+        info = verify_mod._lattice_battery.cache_info()
+        assert (info.misses, info.currsize) == (4, 4)  # two lattices at two state counts
 
     @pytest.mark.parametrize(
         "search_name", ["find_cutting_hyperplane", "pairwise_intersection_holds"]
