@@ -10,25 +10,30 @@ keeps the first ``witness_cap`` (default ``WITNESS_CAP``) violations,
 ``total_violations`` counts all of them, and ``boundary_flags`` does not
 depend on the cap.
 
-Every margin comes from one fold, ``_SetColumns.fold``: builtin min and
-max run down the scaled vertex expectations of many difference vectors at
-once and yield their (maxmin, minmax) numerators, which each model's
-``combine`` turns into its margin.  Each act has an integer code, linear
-in its scaled utility vector and injective on the differences the audits
-read, so each distinct difference is folded once: the pairwise margins
-fold the distinct u_i - u_j (9 ** n on a resolution-2 lattice, against
-25 ** n pairs), independence their multiples k * (u_i - u_j) for each
-weight k / s in ``MIX_GRID``, and favorable mixing the distinct
-k * u_f + (s - k) * u_h - s * u_g.  A model's margins become one "-0+"
-sign string per act, read as bitmask rows of its weak, positive and zero
-margins and their transposes, so the pairwise axioms loop only over the
-set bits of their violations.  Utility is affine, so mixing f and g with
-a common act h at weight a leaves a * (u_f - u_g): independence compares
-the folded margin of k * (u_i - u_j) with k times the pair's.
+Every margin comes from a fold: builtin min and max run down the scaled
+vertex expectations of many difference vectors at once and yield their
+(maxmin, minmax) numerators, which each model's ``combine`` turns into its
+margin.  Each act has an integer code, linear in its scaled utility vector
+and injective on the differences the audits read, so each distinct
+difference is folded once: the pairwise margins fold the distinct
+u_i - u_j (9 ** n on a resolution-2 lattice, against 25 ** n pairs),
+independence their multiples k * (u_i - u_j) for each weight k / s in
+``MIX_GRID``, and favorable mixing the distinct
+k * u_f + (s - k) * u_h - s * u_g.  The last two decode their codes for
+``_SetColumns.fold``.  The first reads each vertex's expectation of
+u_i - u_j as that of u_i less that of u_j, and folds maxmin alone, since
+minmax(d) = -maxmin(-d) and the differences come in opposite pairs.  A
+model's margins become one "-0+" sign string per act, read as bitmask rows
+of its weak, positive and zero margins and their transposes, so the
+pairwise axioms loop only over the set bits of their violations.  Utility
+is affine, so mixing f and g with a common act h at weight a leaves
+a * (u_f - u_g): independence compares the folded margin of
+k * (u_i - u_j) with k times the pair's.
 
 The shared work splits in two.  A ``Battery`` holds what reads no belief
-set: the scaled rows, codes, distinct differences and their digits, the
-readers of its rows, the dominance pairs and the constant acts.  One
+set: the scaled rows, codes, distinct differences with a pair of acts
+and the negation of each, the readers of its rows, the dominance pairs and
+the constant acts.  One
 battery serves every instance with its state count, and ``verify`` builds
 each lattice's once per process.  An instance's ``MarginTable`` over a
 battery holds the rest: the integer columns of its belief sets and one
@@ -217,11 +222,14 @@ class Battery:
     the balanced digits of a base-``radix`` number, linear and injective on
     every vector with entries within ``half`` of zero, which covers each
     u_i - u_j and each favorable-mixing combination.  So codes[i] - codes[j]
-    names u_i - u_j, ``distinct`` lists those codes once each and ``digits``
-    decodes them.  None of it reads belief sets, so one battery serves every
-    instance with that many states; ``dominance`` and the constant acts
-    behind ``constants()`` are memoized here.  The state count is given,
-    since an empty battery has no vector to read it from.
+    names u_i - u_j, and ``distinct`` lists those codes once each, each
+    with one pair of acts that differ by it and the position of its
+    negation.  ``decode`` recovers any code's entries, and ``entries[s]``
+    holds the acts' scaled entries on state s.  None of it reads belief
+    sets, so one battery serves every instance with that many states;
+    ``dominance`` and the constant acts behind ``constants()`` are memoized
+    here.  The state count is given, since an empty battery has no vector
+    to read it from.
     """
 
     def __init__(self, num_states: int, uvecs: Sequence[UtilityVector]):
@@ -237,11 +245,18 @@ class Battery:
         self.radix = 2 * self.half + 1
         self.codes = [sum(x * self.radix**j for j, x in enumerate(u)) for u in self._scaled]
         unique = set(self.codes)
-        self.distinct = list({a - b for a in unique for b in unique})
-        self.digits = self.decode(self.distinct)
+        pairs = {a - b: (a, b) for a in unique for b in unique}
+        self.distinct = list(pairs)
+        # distinct[r] is u_i - u_j for i = minuends[r] and j = subtrahends[r],
+        # and its negation is distinct[negations[r]].
+        act = {c: i for i, c in enumerate(self.codes)}
+        self.minuends = [act[a] for a, _ in pairs.values()]
+        self.subtrahends = [act[b] for _, b in pairs.values()]
+        rank = {c: r for r, c in enumerate(self.distinct)}
+        self.negations = [rank[-c] for c in self.distinct]
+        self.entries = [[row[s] for row in self._scaled] for s in range(num_states)]
         # readers[i] picks, from a sequence in the order of ``distinct``, the
         # items of codes[i] - codes[j] for j descending.
-        rank = {c: r for r, c in enumerate(self.distinct)}
         descending = self.codes[::-1]
         self.readers = [
             operator.itemgetter(*map(rank.__getitem__, map(c.__sub__, descending)))
@@ -310,7 +325,7 @@ class MarginTable:
         sets = kind.sets(self.instance.collection)
         key = sets.integer_view
         if key not in self._columns:
-            self._columns[key] = _SetColumns(sets, self.battery.du, self.battery.digits)
+            self._columns[key] = _SetColumns(sets, self.battery)
         return self._columns[key]
 
     def relation(self, kind: ModelKind) -> "_Relation":
@@ -324,22 +339,30 @@ class _SetColumns:
     """One selection of belief sets, as integer vertices over a battery.
 
     ``vertices[c]`` is the c-th vertex and ``parts`` are the sets' ranges in
-    it.  ``maxmin`` and ``minmax`` fold ``digits``, the decoded distinct
-    differences of the table whose scale is ``du``, in their order.
+    it.  ``maxmin`` and ``minmax`` are those of the battery's distinct
+    differences, in their order; ``fold`` folds any other vectors.
     """
 
-    def __init__(self, sets: BeliefCollection, du: int, digits: list[list[int]]):
+    def __init__(self, sets: BeliefCollection, battery: Battery):
         dv, set_rows = sets.integer_view
-        self.denom = dv * du
+        self.denom = dv * battery.du
         ends = list(itertools.accumulate(map(len, set_rows)))
         self.parts = list(zip([0, *ends], ends))
         self.vertices = [v for verts in set_rows for v in verts]
-        self.maxmin, self.minmax = self.fold(digits)
+        # A vertex's expectation of u_i - u_j is its expectation of u_i less
+        # that of u_j, and minmax(d) = -maxmin(-d).
+        cols = []
+        for v in self.vertices:
+            acts = _combine(v, battery.entries)
+            cols.append(list(map(operator.sub, map(acts.__getitem__, battery.minuends),
+                                 map(acts.__getitem__, battery.subtrahends))))
+        self.maxmin = _nested(cols, self.parts, max, min)
+        self.minmax = [-x for x in map(self.maxmin.__getitem__, battery.negations)]
 
     def fold(self, digits: list[list[int]]) -> tuple[list[int], list[int]]:
         """The (maxmin, minmax) numerators over ``denom`` of decoded vectors.
 
-        ``digits`` is as ``MarginTable.decode`` returns it; entry h of each
+        ``digits`` is as ``Battery.decode`` returns it; entry h of each
         result list is that of the h-th vector.
         """
         cols = [_combine(v, digits) for v in self.vertices]
