@@ -224,7 +224,7 @@ class Battery:
     u_i - u_j and each favorable-mixing combination.  So codes[i] - codes[j]
     names u_i - u_j, and ``distinct`` lists those codes once each, each
     with one pair of acts that differ by it and the position of its
-    negation.  ``decode`` recovers any code's entries, and ``entries[s]``
+    negation.  ``decode`` recovers any code's entries, and ``state_rows[s]``
     holds the acts' scaled entries on state s.  None of it reads belief
     sets, so one battery serves every instance with that many states;
     ``dominance`` and the constant acts behind ``constants()`` are memoized
@@ -254,7 +254,7 @@ class Battery:
         self.subtrahends = [act[b] for _, b in pairs.values()]
         rank = {c: r for r, c in enumerate(self.distinct)}
         self.negations = [rank[-c] for c in self.distinct]
-        self.entries = [[row[s] for row in self._scaled] for s in range(num_states)]
+        self.state_rows = [[row[s] for row in self._scaled] for s in range(num_states)]
         # readers[i] picks, from a sequence in the order of ``distinct``, the
         # items of codes[i] - codes[j] for j descending.
         descending = self.codes[::-1]
@@ -295,8 +295,8 @@ class MarginTable:
     """One instance's margins over a battery, for any model kind.
 
     ``battery`` is a ``Battery`` of the instance's state count, or the
-    utility vectors to build one from; the table reads its codes and digits
-    and holds only what the instance adds.  Every model reads two
+    utility vectors to build one from; the table reads its geometry and
+    holds only what the instance adds.  Every model reads two
     primitives of a utility difference over its own belief sets, maxmin and
     minmax, and folds them with its ``combine`` rule.  On a model's first
     use, the table builds integer columns for the sets ``kind.sets`` names,
@@ -353,7 +353,7 @@ class _SetColumns:
         # that of u_j, and minmax(d) = -maxmin(-d).
         cols = []
         for v in self.vertices:
-            acts = _combine(v, battery.entries)
+            acts = _combine(v, battery.state_rows)
             cols.append(list(map(operator.sub, map(acts.__getitem__, battery.minuends),
                                  map(acts.__getitem__, battery.subtrahends))))
         self.maxmin = _nested(cols, self.parts, max, min)

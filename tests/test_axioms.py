@@ -735,6 +735,7 @@ class TestPairwiseAudits:
         inst = generate_instance(1, config.params_for_seed(1))
         table = MarginTable(inst, phi_lattice(3, config.resolution, F(config.radius)))
         assert table.n == 125
+
         def counts(report):
             return report.total_violations, report.checked, report.boundary_flags
 
