@@ -1,0 +1,134 @@
+"""Re-check the pairwise certificates of an ``ambipref analyze`` report.
+
+Usage:
+
+    python scripts/check_certificates.py INSTANCE REPORT
+
+INSTANCE is the instance file the report was made from and REPORT the JSON
+that ``ambipref analyze --instance INSTANCE`` printed.  The checker reads
+both files on its own, with exact Fractions and nothing from the package,
+so it vouches for the artifact a user keeps, not for the code that wrote it.
+
+- A ``common_prior`` certificate holds when both weight lists are
+  nonnegative, have one weight per vertex of their set, sum to 1, and mix
+  their set's vertices into the reported prior.
+- A ``disjoint`` certificate holds when phi2 = -phi1 and ``slack`` is the
+  smaller of the two floors, min over the first set of v . phi1 and min over
+  the second of w . phi2, and is positive.
+- Every unordered pair of sets has exactly one certificate, and
+  ``pairwise_intersections.holds`` and ``cbt_param`` are true exactly when
+  no certificate is ``disjoint``.
+
+Exit status 0 when every check passes; otherwise 1, with one line per
+problem on stdout.  A usage error exits 2.
+"""
+
+import json
+import sys
+from fractions import Fraction
+
+
+def _rational(value) -> Fraction:
+    """An int or a "num/den" string as a Fraction; floats and bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"not an exact rational: {value!r}")
+    return Fraction(value)
+
+
+def _dot(vertex, phi) -> Fraction:
+    return sum((p * e for p, e in zip(vertex, phi)), Fraction(0))
+
+
+def _common_prior(cert, first, second) -> list[str]:
+    prior = [_rational(p) for p in cert["prior"]]
+    problems = []
+    for key, verts in (("weights_first", first), ("weights_second", second)):
+        weights = [_rational(w) for w in cert[key]]
+        if len(weights) != len(verts):
+            problems.append(f"{key} has {len(weights)} weights for {len(verts)} vertices")
+            continue
+        if any(w < 0 for w in weights):
+            problems.append(f"{key} has a negative weight")
+        if sum(weights) != 1:
+            problems.append(f"{key} sums to {sum(weights)}, not 1")
+        mixed = [sum((w * v[s] for w, v in zip(weights, verts)), Fraction(0))
+                 for s in range(len(prior))]
+        if mixed != prior:
+            shown = ", ".join(map(str, mixed))
+            problems.append(f"{key} mixes its vertices into ({shown}), not the prior")
+    return problems
+
+
+def _disjoint(cert, first, second) -> list[str]:
+    phi1 = [_rational(e) for e in cert["phi1"]]
+    phi2 = [_rational(e) for e in cert["phi2"]]
+    slack = _rational(cert["slack"])
+    problems = []
+    if len(phi1) != len(phi2) or any(a + b for a, b in zip(phi1, phi2)):
+        problems.append("phi2 is not -phi1")
+    floor = min(min(_dot(v, phi1) for v in first), min(_dot(w, phi2) for w in second))
+    if slack != floor:
+        problems.append(f"slack {slack} is not the smaller floor {floor}")
+    if slack <= 0:
+        problems.append(f"slack {slack} is not positive")
+    return problems
+
+
+_CHECKS = {"common_prior": _common_prior, "disjoint": _disjoint}
+
+
+def check(instance: dict, report: dict) -> list[str]:
+    """One line per problem with the report's pairwise certificates."""
+    sets = {
+        s["name"]: [[_rational(p) for p in vertex] for vertex in s["vertices"]]
+        for s in instance["belief_collection"]
+    }
+    names = list(sets)
+    expected = {frozenset((a, b)) for i, a in enumerate(names) for b in names[i + 1:]}
+    pairwise = report["pairwise_intersections"]
+    problems = []
+    seen = set()
+    for index, cert in enumerate(pairwise["certificates"]):
+        where = f"certificate {index}"
+        try:
+            first, second = cert["sets"]
+            where += f" ({first}, {second})"
+            pair = frozenset((first, second))
+            if pair not in expected or pair in seen:
+                problems.append(f"{where}: not a new pair of distinct sets of the instance")
+                continue
+            seen.add(pair)
+            check_kind = _CHECKS.get(cert["kind"])
+            if check_kind is None:
+                problems.append(f"{where}: unknown kind {cert['kind']!r}")
+                continue
+            found = check_kind(cert, sets[first], sets[second])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            found = [f"malformed: {exc!r}"]
+        problems += [f"{where}: {p}" for p in found]
+    for pair in sorted(expected - seen, key=sorted):
+        problems.append(f"no certificate for the pair {tuple(sorted(pair))}")
+    shared = all(c.get("kind") == "common_prior" for c in pairwise["certificates"])
+    for name, verdict in (("pairwise_intersections.holds", pairwise["holds"]),
+                          ("cbt_param", report["cbt_param"])):
+        if verdict is not shared:
+            problems.append(f"{name} is {verdict}, certificates say {shared}")
+    return problems
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: check_certificates.py INSTANCE REPORT", file=sys.stderr)
+        return 2
+    documents = []
+    for path in argv:
+        with open(path, encoding="utf-8") as handle:
+            documents.append(json.load(handle))
+    problems = check(*documents)
+    for line in problems:
+        print(line)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

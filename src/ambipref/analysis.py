@@ -93,16 +93,11 @@ class SametCertificate:
     slack: Fraction
 
     def verify(self, first: BeliefSet, second: BeliefSet) -> bool:
-        if tuple(a + b for a, b in zip(self.phi1.entries, self.phi2.entries)) != tuple(
-            Fraction(0) for _ in self.phi1.entries
-        ):
+        phi1, phi2 = self.phi1.entries, self.phi2.entries
+        if len(phi1) != len(phi2) or any(a + b for a, b in zip(phi1, phi2)):
             return False
-        m1 = min(
-            sum(p * e for p, e in zip(v.probs, self.phi1.entries)) for v in first.vertices
-        )
-        m2 = min(
-            sum(p * e for p, e in zip(v.probs, self.phi2.entries)) for v in second.vertices
-        )
+        m1 = min(sum(p * e for p, e in zip(v.probs, phi1)) for v in first.vertices)
+        m2 = min(sum(p * e for p, e in zip(v.probs, phi2)) for v in second.vertices)
         return self.slack == min(m1, m2) and self.slack > 0
 
 
@@ -222,10 +217,12 @@ def polytopes_intersect(
 ) -> Union[CommonPrior, SametCertificate]:
     """Decide whether two credal polytopes share a prior.
 
-    A separation LP maximizes the floor t of <v, phi> over the first set and
-    of <w, -phi> over the second, with phi boxed in [-1, 1] per state.  A
-    strictly positive optimum certifies disjointness; otherwise a feasibility
-    LP produces an explicit common prior as a mixture of both vertex lists.
+    One separation LP maximizes the floor t of <v, phi> over the first set
+    and of <w, -phi> over the second, with phi boxed in [-1, 1] per state.  A
+    strictly positive optimum certifies disjointness.  At a zero optimum the
+    row duals of the first set's vertices and of the second's, each
+    normalized to sum to one, are the mixture weights of a common prior;
+    the certificate is re-checked exactly before it is returned.
     """
     n = first.dimension
     if second.dimension != n:
@@ -254,57 +251,31 @@ def polytopes_intersect(
         slack = min(set_min(first, phi), -set_max(second, phi))
         return SametCertificate(phi1=phi, phi2=-phi, slack=slack)
 
-    n1, n2 = len(first.vertices), len(second.vertices)
-    cols = n1 + n2
-    feas = [
-        Constraint(
-            tuple(Fraction(1) for _ in range(n1)) + tuple(Fraction(0) for _ in range(n2)),
-            "==",
-            Fraction(1),
-        ),
-        Constraint(
-            tuple(Fraction(0) for _ in range(n1)) + tuple(Fraction(1) for _ in range(n2)),
-            "==",
-            Fraction(1),
-        ),
-    ]
-    for s in range(n):
-        coeffs = tuple(v.probs[s] for v in first.vertices) + tuple(
-            -w.probs[s] for w in second.vertices
-        )
-        feas.append(Constraint(coeffs, "==", Fraction(0)))
-    res2 = solve(
-        LinearProgram(
-            cols,
-            [Fraction(0)] * cols,
-            feas,
-            lower=[Fraction(0)] * cols,
-            upper=[Fraction(1)] * cols,
-        )
+    # At a zero optimum phi = 0, t = 0 is optimal too and binds no bound, so
+    # the row duals lam, mu alone balance the objective: sum(lam * v) =
+    # sum(mu * w), and as each vertex sums to one, sum(lam) = sum(mu) > 0.
+    k = len(first.vertices)
+    lam, mu = (
+        tuple(Fraction(d, sum(part) or 1) for d in part)
+        for part in (res.duals[:k], res.duals[k:])
     )
-    if not isinstance(res2, Optimal):
-        raise RuntimeError(
-            "separation found no positive gap, yet no common prior exists; "
-            "this indicates a solver defect"
-        )
-    lam = res2.point[:n1]
-    mu = res2.point[n1:]
-    point = tuple(
-        sum(l * v.probs[s] for l, v in zip(lam, first.vertices)) for s in range(n)
-    )
-    return CommonPrior(prior=Prior(point), weights_first=lam, weights_second=mu)
+    mixture = tuple(sum(w * v.probs[s] for w, v in zip(lam, first.vertices)) for s in range(n))
+    try:
+        cert = CommonPrior(Prior(mixture), lam, mu)
+    except ValueError:  # lam mixes no prior
+        cert = None
+    if cert is None or not cert.verify(first, second):
+        raise RuntimeError(f"separation duals are not common-prior weights: {res.duals}")
+    return cert
 
 
 def pairwise_intersection_holds(collection: BeliefCollection) -> PairwiseReport:
     """Check every unordered pair of belief sets for a shared prior."""
-    entries = []
-    holds = True
-    for a, b in itertools.combinations(collection.sets, 2):
-        result = polytopes_intersect(a, b)
-        if isinstance(result, SametCertificate):
-            holds = False
-        entries.append(PairEntry(a.name, b.name, result))
-    return PairwiseReport(holds=holds, entries=tuple(entries))
+    entries = tuple(
+        PairEntry(a.name, b.name, polytopes_intersect(a, b))
+        for a, b in itertools.combinations(collection.sets, 2)
+    )
+    return PairwiseReport(holds=all(e.intersects for e in entries), entries=entries)
 
 
 def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
@@ -390,8 +361,8 @@ MAX_BATTERY_ACTS = 729
 
 def check_battery(resolution: int, num_states: int, what: str = "") -> None:
     """Raise ValueError for a lattice battery that is empty or over ``MAX_BATTERY_ACTS``."""
-    if resolution < 1:
-        raise ValueError(f"resolution must be a positive integer, got {resolution}")
+    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
+        raise ValueError(f"resolution must be a positive integer, got {resolution!r}")
     acts = (2 * resolution + 1) ** num_states
     if acts > MAX_BATTERY_ACTS:
         raise ValueError(

@@ -59,6 +59,7 @@ from .model import (
     Instance,
     UtilityVector,
     constant_act,
+    exact_rational,
     utility_vector,
 )
 from .margins import ModelKind, describe_model
@@ -193,7 +194,7 @@ def check_lattice(instance: Instance, resolution: int, radius) -> Fraction:
     instance's utility range.
     """
     check_battery(resolution, instance.num_states)
-    radius = Fraction(radius)
+    radius = exact_rational(radius, "radius")
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     lo, hi = instance.utility_bounds()
@@ -437,7 +438,9 @@ class _Runner:
     through ``fail_each``, which reads no margin past the cap.  Zero
     margins are counted where numerators are read, never in ``fail``, so
     ``zero_flags`` does not depend on the cap; ``zeros`` counts those read
-    in bulk.  The audit passes when ``total`` is zero.
+    in bulk.  ``weak_matrix`` adds every off-diagonal zero of the relation,
+    and its callers still count the zeros they read, so ``zero_flags`` can
+    count one zero twice.  The audit passes when ``total`` is zero.
     """
 
     def __init__(self, table: MarginTable, kind: ModelKind, witness_cap: int = WITNESS_CAP):

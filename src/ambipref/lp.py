@@ -1,8 +1,8 @@
 """Small exact linear programming solver over rationals.
 
 Programs are box-bounded: every variable has a finite lower bound and an
-optional upper bound, which is all the separation and common-prior programs
-of this package need.  Column j of the tableau holds x_j - lower_j >= 0, so
+optional upper bound, which is all the separation program of this package
+needs.  Column j of the tableau holds x_j - lower_j >= 0, so
 no variable is ever split.  Each row is read in over one positive scale
 that clears its coefficients, its rhs and every product of a coefficient
 with a lower bound, so the shifted rhs is an integer too.
@@ -19,6 +19,10 @@ are tiny (a handful of variables, a few dozen rows), so a dense tableau is
 enough.  Optimal points are re-checked on integers before being returned:
 the point is brought to one common denominator and tested against every
 constraint as given, and then against every bound.
+
+An optimum also carries each inequality's dual: the reduced cost of its
+slack column in the final cost row, negated for a '<=' row, so exact up to
+the cost row's one positive scale.  The duals are not checked here.
 """
 
 from __future__ import annotations
@@ -93,8 +97,16 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class Optimal:
+    """An optimum, its point and f * y_i for each constraint i and one f > 0.
+
+    y_i multiplies row i in objective . x + sum_i y_i (coeffs_i . x - rhs_i):
+    y_i >= 0 on '>=', y_i <= 0 on '<=', None on '=='.  If some optimum binds
+    no variable bound, objective + sum_i y_i coeffs_i = 0.
+    """
+
     value: Fraction
     point: tuple[Fraction, ...]
+    duals: tuple[int | None, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -267,7 +279,12 @@ def solve(lp: LinearProgram) -> LpOutcome:
     status = _simplex(body, basis, [j < total_cols for j in range(full_cols)])
     if status == "unbounded":
         return Unbounded()
-    body.pop()
+    # Slacks are +1 on '<=' and -1 on '>=' rows; row scaling keeps reduced costs.
+    slacks = iter(body.pop()[n:total_cols])
+    duals = tuple(
+        None if con.cmp == EQ else next(slacks) * (-1 if con.cmp == LE else 1)
+        for con in lp.constraints
+    )
 
     values = [_ZERO] * n
     for row, b in zip(body, basis):
@@ -276,7 +293,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
     point = tuple(v + lo for v, lo in zip(values, lower))
     objective_value = sum((c * x for c, x in zip(lp.objective, point)), _ZERO)
     _check_point(lp, point)
-    return Optimal(objective_value, point)
+    return Optimal(objective_value, point, duals)
 
 
 def _check_point(lp: LinearProgram, point: Sequence[Fraction]) -> None:

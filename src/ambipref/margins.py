@@ -21,9 +21,9 @@ from .model import (
     BeliefCollection,
     BeliefSet,
     Instance,
-    NotARational,
     Prior,
     UtilityVector,
+    exact_rational,
     expected_value,
     utility_vector,
 )
@@ -149,11 +149,9 @@ class AlphaMixture(_Kind):
     alpha: Fraction
 
     def __post_init__(self) -> None:
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, Fraction)):
-            raise NotARational(f"mixture weight must be an int or a Fraction, got {self.alpha!r}")
-        if not 0 <= self.alpha <= 1:
-            raise AlphaOutOfRange(f"mixture weight {self.alpha} outside [0, 1]")
-        alpha = Fraction(self.alpha)
+        alpha = exact_rational(self.alpha, "mixture weight")
+        if not 0 <= alpha <= 1:
+            raise AlphaOutOfRange(f"mixture weight {alpha} outside [0, 1]")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "_weights", (alpha.numerator, alpha.denominator - alpha.numerator))
 

@@ -119,6 +119,13 @@ def parse_rational(value: object) -> Fraction:
     )
 
 
+def exact_rational(value, what: str) -> Fraction:
+    """``value`` as a Fraction; NotARational unless an int (not a bool) or a Fraction."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise NotARational(f"{what} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 def format_rational(value: Fraction) -> str:
     """Render a Fraction in the canonical file format: ``"3/4"`` or ``"2"``."""
     if value.denominator == 1:

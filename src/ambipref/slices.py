@@ -39,7 +39,7 @@ from .margins import (
     ModelKind,
     margin_profile,
 )
-from .model import BeliefCollection, UtilityVector
+from .model import BeliefCollection, UtilityVector, exact_rational
 
 __all__ = [
     "DegenerateDirection",
@@ -100,14 +100,14 @@ class SlicePlane:
             raise ValueError(
                 f"e2 has {len(self.e2)} entries but the plane has {len(self.e1)} states"
             )
+        for e in self.e2:
+            exact_rational(e, "an e2 entry")
 
     @classmethod
     def through(cls, direction: Sequence) -> "SlicePlane":
-        entries = (
-            direction.entries
-            if isinstance(direction, UtilityVector)
-            else tuple(Fraction(d) for d in direction)
-        )
+        if isinstance(direction, UtilityVector):
+            direction = direction.entries
+        entries = tuple(exact_rational(d, "a direction entry") for d in direction)
         n = len(entries)
         if n < 2:
             raise DegenerateDirection("a slice plane needs at least two states")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -145,6 +147,56 @@ class TestPolytopeIntersection:
         report = pairwise_intersection_holds(overlapping_intervals.collection)
         assert report.holds
         assert report.failing() == []
+
+    def test_one_program_per_pair(self, monkeypatch):
+        """The separation program alone decides each pair, a shared prior too."""
+        real, calls = analysis.solve, []
+
+        def counted(lp):
+            calls.append(lp)
+            return real(lp)
+
+        monkeypatch.setattr(analysis, "solve", counted)
+        instances = [load_instance(p) for p in sorted(INSTANCE_DIR.glob("*.json"))]
+        instances.append(
+            generate_instance(0, GenParams(num_states=3, num_sets=4, vertices_per_set=6))
+        )
+        shared = 0
+        for instance in instances:
+            calls.clear()
+            report = pairwise_intersection_holds(instance.collection)
+            assert len(calls) == len(report.entries)
+            shared += sum(e.intersects for e in report.entries)
+        assert shared > 0
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [lambda d: (d[0] + 1,) + d[1:], lambda d: (0,) * len(d)],
+        ids=["perturbed", "zero"],
+    )
+    def test_wrong_duals_raise(self, overlapping_intervals, monkeypatch, tamper):
+        real = analysis.solve
+
+        def tampered(lp):
+            out = real(lp)
+            return dataclasses.replace(out, duals=tamper(out.duals))
+
+        monkeypatch.setattr(analysis, "solve", tampered)
+        left, right = overlapping_intervals.collection.sets
+        with pytest.raises(RuntimeError, match="common-prior weights"):
+            polytopes_intersect(left, right)
+
+    def test_default_box_common_priors_verify(self):
+        shared = 0
+        for states in (2, 3, 4):
+            for seed in range(40):
+                sets = generate_instance(seed, GenParams(num_states=states)).collection.sets
+                for first, second in itertools.combinations(sets, 2):
+                    result = polytopes_intersect(first, second)
+                    if isinstance(result, CommonPrior):
+                        shared += 1
+                        assert result.verify(first, second)
+        assert shared > 0
 
 
 class TestCuttingHyperplane:

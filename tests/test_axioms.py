@@ -28,6 +28,7 @@ from ambipref import (
     AlphaMixture,
     Justifiable,
     MarginTable,
+    NotARational,
     Prior,
     RadiusExceedsUtilityRange,
     SEU,
@@ -135,6 +136,30 @@ class TestGrid:
             verify(["thm2"], [0], VerifyConfig(resolution=10**6))
         with pytest.raises(AssertionError, match="lattice built"):
             generate_act_grid(disjoint_pair, resolution=13)  # 27 ** 2 acts: at the limit
+
+    @pytest.mark.parametrize(
+        "resolution, radius, error",
+        [
+            (True, F(1), ValueError),
+            (2.0, F(1), ValueError),
+            (2, 0.1, NotARational),  # the float 0.1 is 3602879701896397/36028797018963968
+            (2, True, NotARational),
+        ],
+        ids=["bool-resolution", "float-resolution", "float-radius", "bool-radius"],
+    )
+    def test_inexact_lattice_inputs_are_refused(
+        self, disjoint_pair, monkeypatch, resolution, radius, error
+    ):
+        """Both library entry points refuse before any lattice is built."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("lattice built from an inexact input")
+
+        for name in ("ambipref.axioms", "ambipref.verify"):
+            monkeypatch.setattr(importlib.import_module(name), "phi_lattice", refuse)
+        with pytest.raises(error):
+            generate_act_grid(disjoint_pair, resolution=resolution, radius=radius)
+        with pytest.raises(error):
+            verify(["thm2"], [0], VerifyConfig(resolution=resolution, radius=radius))
 
     def test_battery_labels(self, disjoint_pair):
         assert "custom" in battery_label(disjoint_pair, 3, None, None)

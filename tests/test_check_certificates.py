@@ -1,0 +1,92 @@
+"""The standalone certificate checker accepts the pinned reports and catches tampering."""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "check_certificates.py"
+STEMS = sorted(p.stem for p in (ROOT / "instances").glob("*.json"))
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("check_certificates", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+checker = _load_script()
+
+
+def _run(tmp_path, stem, tamper=None):
+    """The checker's exit status and output on a pinned report, tampered or not."""
+    report = json.loads((ROOT / "tests" / "data" / "analyze" / f"{stem}.json").read_text())
+    if tamper is not None:
+        tamper(report)
+    path = tmp_path / f"{stem}.json"
+    path.write_text(json.dumps(report))
+    return checker.main([str(ROOT / "instances" / f"{stem}.json"), str(path)])
+
+
+def test_the_script_imports_nothing_from_the_package():
+    imported = set()
+    for node in ast.walk(ast.parse(SCRIPT.read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module.split(".")[0])
+    assert imported == {"json", "fractions", "sys"}
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_pinned_reports_pass(tmp_path, stem, capsys):
+    assert _run(tmp_path, stem) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_perturbed_weight_is_rejected(tmp_path, capsys):
+    def perturb(report):
+        cert = report["pairwise_intersections"]["certificates"][0]
+        assert cert["kind"] == "common_prior"
+        weights = [Fraction(w) for w in cert["weights_first"]]
+        weights[0] += Fraction(1, 100)
+        weights[1] -= Fraction(1, 100)  # still sums to 1
+        cert["weights_first"] = [str(w) for w in weights]
+
+    assert _run(tmp_path, "overlapping_intervals", perturb) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "certificate 0 (left, right): weights_first mixes its vertices into "
+        "(397/1000, 603/1000), not the prior"
+    ]
+
+
+def test_slack_off_by_one_unit_is_rejected(tmp_path, capsys):
+    def nudge(report):
+        cert = report["pairwise_intersections"]["certificates"][0]
+        assert cert["kind"] == "disjoint"
+        slack = Fraction(cert["slack"])
+        cert["slack"] = str(Fraction(slack.numerator + 1, slack.denominator))
+
+    assert _run(tmp_path, "disjoint_pair", nudge) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and "is not the smaller floor 1/5" in lines[0]
+
+
+def test_flipped_verdict_is_rejected(tmp_path, capsys):
+    def flip(report):
+        report["pairwise_intersections"]["holds"] = True
+
+    assert _run(tmp_path, "disjoint_pair", flip) == 1
+    assert "pairwise_intersections.holds" in capsys.readouterr().out
+
+
+def test_usage_error_exits_2(capsys):
+    assert checker.main([]) == 2
+    assert "usage" in capsys.readouterr().err

@@ -375,3 +375,54 @@ class TestIntegerReadIn:
         except RuntimeError:
             accepted = False
         assert accepted == expected
+
+
+class TestDuals:
+    """Duals read off the final cost row, up to one positive factor."""
+
+    def test_hand_program_duals(self):
+        # max x + y with x + 2y <= 4 and 3x + y <= 6 (written as >=) binding
+        # at (8/5, 6/5): (1, 1) + y1 (1, 2) + y2 (-3, -1) = 0 gives
+        # y = (-2/5, 1/5), and the slack row x <= 10 gets 0.
+        cons = (le([1, 2], 4), ge([-3, -1], -6), le([1, 0], 10))
+        out = solve(LinearProgram(2, (F(1), F(1)), cons, lower=(F(0), F(0))))
+        assert isinstance(out, Optimal)
+        assert out.point == (F(8, 5), F(6, 5))
+        factor = F(out.duals[1]) / F(1, 5)
+        assert factor > 0
+        assert out.duals == (factor * F(-2, 5), factor * F(1, 5), 0)
+        # Strong duality: the value is -sum(y_i * rhs_i).
+        assert -sum(d * c.rhs for d, c in zip(out.duals, cons)) == factor * out.value
+
+    def test_equality_rows_get_none(self):
+        cons = (eq([1, 1], 1), le([1, 0], F(3, 4)))
+        out = solve(LinearProgram(2, (F(1), F(0)), cons, lower=(F(0), F(0))))
+        assert isinstance(out, Optimal)
+        assert out.point == (F(3, 4), F(1, 4))
+        assert out.duals[0] is None and out.duals[1] < 0
+
+    def test_duals_default_to_empty(self):
+        assert Optimal(F(0), (F(0),)).duals == ()
+
+    @given(
+        st.lists(
+            st.tuples(fractions, fractions, st.sampled_from(["<=", ">=", "=="]), fractions),
+            min_size=1,
+            max_size=4,
+        ),
+        st.tuples(fractions, fractions),
+    )
+    def test_dual_signs_and_complementary_slackness(self, rows, objective):
+        cons = tuple(Constraint((a, b), cmp, r) for a, b, cmp, r in rows)
+        out = solve(LinearProgram(2, objective, cons, lower=(F(-2), F(-2)), upper=(F(2), F(2))))
+        if not isinstance(out, Optimal):
+            return
+        assert len(out.duals) == len(cons)
+        for con, dual in zip(cons, out.duals):
+            if con.cmp == "==":
+                assert dual is None
+                continue
+            assert (dual >= 0) if con.cmp == ">=" else (dual <= 0)
+            value = sum(c * x for c, x in zip(con.coeffs, out.point))
+            if value != con.rhs:
+                assert dual == 0

@@ -75,6 +75,21 @@ class TestSlicePlane:
         plane = SlicePlane.through(UtilityVector((F(1, 2), F(-1, 2))))
         assert plane.e2 == (F(1), F(-1))
 
+    @pytest.mark.parametrize(
+        "direction",
+        [(1, 0.1, 0), (True, 0), UtilityVector((F(1), 0.5))],
+        ids=["float", "bool", "float-in-a-utility-vector"],
+    )
+    def test_inexact_entries_rejected(self, direction):
+        # Read as a float, 0.1 would give e2 = (22818238112010513, ...), not (19, -8, -11).
+        with pytest.raises(NotARational, match="direction entry"):
+            SlicePlane.through(direction)
+        assert SlicePlane.through((1, F(1, 10), 0)).e2 == (F(19), F(-8), F(-11))
+
+    def test_inexact_e2_rejected(self):
+        with pytest.raises(NotARational, match="e2 entry"):
+            SlicePlane((F(1), F(1)), (0.1, -0.1))
+
     def test_diagonal_direction_rejected(self):
         with pytest.raises(DegenerateDirection):
             SlicePlane.through((F(2), F(2)))
