@@ -1,4 +1,4 @@
-"""Re-check the pairwise certificates of an ``ambipref analyze`` report.
+"""Re-check the certificates and the cut of an ``ambipref analyze`` report.
 
 Usage:
 
@@ -18,6 +18,11 @@ so it vouches for the artifact a user keeps, not for the code that wrote it.
 - Every unordered pair of sets has exactly one certificate, and
   ``pairwise_intersections.holds`` and ``cbt_param`` are true exactly when
   no certificate is ``disjoint``.
+- A ``cutting`` hyperplane lists one straddle pair (plus, minus) per set,
+  in the instance's order, and each set's plus vertex lies strictly above
+  ``offset`` along ``normal`` and its minus vertex strictly below.
+- ``complete_param`` is true exactly when ``cutting`` is null.  That no cut
+  exists is taken on trust; only this consistency is checked.
 
 Exit status 0 when every check passes; otherwise 1, with one line per
 problem on stdout.  A usage error exits 2.
@@ -77,8 +82,28 @@ def _disjoint(cert, first, second) -> list[str]:
 _CHECKS = {"common_prior": _common_prior, "disjoint": _disjoint}
 
 
+def _cutting(cut, sets) -> list[str]:
+    normal = [_rational(e) for e in cut["normal"]]
+    offset = _rational(cut["offset"])
+    straddles = cut["straddles"]
+    dimension = len(next(iter(sets.values()))[0])
+    if len(normal) != dimension:
+        return [f"normal has {len(normal)} entries for {dimension} states"]
+    if len(straddles) != len(sets):
+        return [f"{len(straddles)} straddle pairs for {len(sets)} sets"]
+    problems = []
+    for (name, verts), pair in zip(sets.items(), straddles):
+        plus, minus = pair
+        if not all(type(i) is int and 0 <= i < len(verts) for i in (plus, minus)):
+            problems.append(f"set {name} has no vertices {plus} and {minus}")
+        elif not _dot(verts[plus], normal) > offset > _dot(verts[minus], normal):
+            problems.append(f"vertices {plus} and {minus} of set {name} do not lie "
+                            f"strictly above and below {offset} along the normal")
+    return problems
+
+
 def check(instance: dict, report: dict) -> list[str]:
-    """One line per problem with the report's pairwise certificates."""
+    """One line per problem with the report's certificates and cut."""
     sets = {
         s["name"]: [[_rational(p) for p in vertex] for vertex in s["vertices"]]
         for s in instance["belief_collection"]
@@ -113,6 +138,16 @@ def check(instance: dict, report: dict) -> list[str]:
                           ("cbt_param", report["cbt_param"])):
         if verdict is not shared:
             problems.append(f"{name} is {verdict}, certificates say {shared}")
+    cut = report["cutting"]
+    if report["complete_param"] is not (cut is None):
+        problems.append(f"complete_param is {report['complete_param']}, "
+                        f"the cut says {cut is None}")
+    if cut is not None:
+        try:
+            found = _cutting(cut, sets)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            found = [f"malformed: {exc!r}"]
+        problems += [f"cutting: {p}" for p in found]
     return problems
 
 

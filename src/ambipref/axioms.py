@@ -10,34 +10,31 @@ keeps the first ``witness_cap`` (default ``WITNESS_CAP``) violations,
 ``total_violations`` counts all of them, and ``boundary_flags`` does not
 depend on the cap.
 
-Every margin comes from a fold: builtin min and max run down the scaled
-vertex expectations of many difference vectors at once and yield their
-(maxmin, minmax) numerators, which each model's ``combine`` turns into its
-margin.  Each act has an integer code, linear in its scaled utility vector
-and injective on the differences the audits read, so each distinct
-difference is folded once: the pairwise margins fold the distinct
-u_i - u_j (9 ** n on a resolution-2 lattice, against 25 ** n pairs),
-independence their multiples k * (u_i - u_j) for each weight k / s in
-``MIX_GRID``, and favorable mixing the distinct
-k * u_f + (s - k) * u_h - s * u_g.  The last two decode their codes for
-``_SetColumns.fold``.  The first reads each vertex's expectation of
-u_i - u_j as that of u_i less that of u_j, and folds maxmin alone, since
-minmax(d) = -maxmin(-d) and the differences come in opposite pairs.  A
-model's margins become one "-0+" sign string per act, read as bitmask rows
-of its weak, positive and zero margins and their transposes, so the
-pairwise axioms loop only over the set bits of their violations.  Utility
-is affine, so mixing f and g with a common act h at weight a leaves
-a * (u_f - u_g): independence compares the folded margin of
-k * (u_i - u_j) with k times the pair's.
+Every margin comes from a fold: builtin min and max run down the vertex
+values of many vectors at once, each a combination of the vertex's
+expectations of the acts, and yield their (maxmin, minmax) numerators,
+which each model's ``combine`` turns into its margin.  Acts have integer
+codes, linear and injective on the vectors the audits read, used only as
+keys so that each distinct vector is folded once: the distinct
+u_i - u_j (9 ** n on a resolution-2 lattice, against 25 ** n pairs; maxmin
+alone, as minmax(d) = -maxmin(-d)), k * (u_i - u_j) for each weight k / s
+in ``MIX_GRID`` for independence, and the distinct
+k * u_f + (s - k) * u_h - s * u_g for favorable mixing.  A model's margins
+become one "-0+" sign string per act, read as bitmask rows of its weak,
+positive and zero margins and their transposes, so the pairwise axioms
+loop only over the set bits of their violations.  Utility is affine, so
+mixing f and g with a common act h at weight a leaves a * (u_f - u_g):
+independence compares the folded margin of k * (u_i - u_j) with k times
+the pair's.
 
 The shared work splits in two.  A ``Battery`` holds what reads no belief
-set: the scaled rows, codes, distinct differences with a pair of acts
-and the negation of each, the readers of its rows, the dominance pairs and
-the constant acts.  One
-battery serves every instance with its state count, and ``verify`` builds
-each lattice's once per process.  An instance's ``MarginTable`` over a
-battery holds the rest: the integer columns of its belief sets and one
-``relation(kind)`` per model.  An audit's ``_Runner`` keeps only its tally.
+set: the scaled rows, codes, distinct differences with a pair of acts and
+the negation of each, the readers of its rows, the dominance pairs and the
+constant acts.  One battery serves every instance with its state count,
+and ``verify`` builds each lattice's once per process.  An instance's
+``MarginTable`` over a battery holds the rest: per selection of belief
+sets, each vertex's expectation of each act, and one ``relation(kind)`` per
+model.  An audit's ``_Runner`` keeps only its tally.
 """
 
 from __future__ import annotations
@@ -218,24 +215,25 @@ class Battery:
     """The instance-free half of a battery's margin work: its integer geometry.
 
     A battery of acts on ``num_states`` states is its utility vectors
-    ``uvecs``; their entries over one common denominator ``du`` are integer
-    rows.  Act i has the integer code ``codes[i]``: its scaled entries as
-    the balanced digits of a base-``radix`` number, linear and injective on
-    every vector with entries within ``half`` of zero, which covers each
-    u_i - u_j and each favorable-mixing combination.  So codes[i] - codes[j]
-    names u_i - u_j, and ``distinct`` lists those codes once each, each
-    with one pair of acts that differ by it and the position of its
-    negation.  ``decode`` recovers any code's entries, and ``state_rows[s]``
-    holds the acts' scaled entries on state s.  None of it reads belief
-    sets, so one battery serves every instance with that many states;
-    ``dominance`` and the constant acts behind ``constants()`` are memoized
-    here.  The state count is given, since an empty battery has no vector
-    to read it from.
+    ``uvecs``, one entry per state, over one common denominator ``du``;
+    ``state_rows[s]`` holds the acts' scaled entries on state s.  Act i has
+    the integer code ``codes[i]``, its scaled entries as the balanced digits
+    of a base-``radix`` number: linear, and injective on each u_i - u_j and,
+    as ``half`` bounds their entries, on each favorable-mixing combination.
+    Codes are dedup keys, never read back.  ``distinct`` lists the codes of
+    the u_i - u_j once each, each with one pair of acts that differ by it
+    and the position of its negation.  None of it reads belief sets, so one
+    battery serves every instance with that many states; ``dominance`` and
+    the constant acts behind ``constants()`` are memoized here.  The state
+    count is given, since an empty battery has no vector to read it from.
     """
 
     def __init__(self, num_states: int, uvecs: Sequence[UtilityVector]):
         self.num_states = num_states
         self.uvecs = tuple(uvecs)
+        for i, vec in enumerate(self.uvecs):
+            if len(vec) != num_states:
+                raise ValueError(f"utility vector {i} has {len(vec)} entries, not {num_states}")
         self.n = len(self.uvecs)
         du = self.du = lcm(*(e.denominator for vec in self.uvecs for e in vec.entries))
         self._scaled = [
@@ -263,15 +261,6 @@ class Battery:
             operator.itemgetter(*map(rank.__getitem__, map(c.__sub__, descending)))
             for c in self.codes
         ]
-
-    def decode(self, codes: list[int]) -> list[list[int]]:
-        """The scaled entries of the vectors with these codes, one list per state."""
-        half, radix = self.half, self.radix
-        digits, cur = [], [c + half for c in codes]
-        for _ in range(self.num_states):
-            digits.append([c % radix - half for c in cur])
-            cur = [c // radix + half for c in cur]
-        return digits
 
     @cached_property
     def dominance(self) -> list[tuple[int, int]]:
@@ -303,6 +292,7 @@ class MarginTable:
     use, the table builds integer columns for the sets ``kind.sets`` names,
     keyed by their integer view, and folds (maxmin, minmax) once per
     distinct difference.  Kinds that read the same sets share all of it.
+    Sets on another number of states than the battery's are refused.
     ``relation(kind)`` is memoized here, and nowhere else; ``n`` and
     ``uvecs`` are the battery's.
     """
@@ -324,6 +314,9 @@ class MarginTable:
     def columns(self, kind: ModelKind) -> "_SetColumns":
         """The integer columns of the belief sets this model reads."""
         sets = kind.sets(self.instance.collection)
+        if sets.dimension != self.battery.num_states:
+            raise ValueError(f"{describe_model(kind)} reads beliefs on {sets.dimension} "
+                             f"states, the battery has {self.battery.num_states}")
         key = sets.integer_view
         if key not in self._columns:
             self._columns[key] = _SetColumns(sets, self.battery)
@@ -337,11 +330,13 @@ class MarginTable:
 
 
 class _SetColumns:
-    """One selection of belief sets, as integer vertices over a battery.
+    """One selection of belief sets, as vertex expectations of a battery's acts.
 
-    ``vertices[c]`` is the c-th vertex and ``parts`` are the sets' ranges in
-    it.  ``maxmin`` and ``minmax`` are those of the battery's distinct
-    differences, in their order; ``fold`` folds any other vectors.
+    ``acts[c][i]`` is the c-th vertex's expectation of u_i over ``denom``,
+    and ``parts`` are the sets' ranges in ``acts``.  Every vertex value an
+    audit reads combines these: ``differences`` folds the battery's distinct
+    differences, whose ``maxmin`` and ``minmax`` are kept, and ``fold`` any
+    other vectors.
     """
 
     def __init__(self, sets: BeliefCollection, battery: Battery):
@@ -349,24 +344,26 @@ class _SetColumns:
         self.denom = dv * battery.du
         ends = list(itertools.accumulate(map(len, set_rows)))
         self.parts = list(zip([0, *ends], ends))
-        self.vertices = [v for verts in set_rows for v in verts]
-        # A vertex's expectation of u_i - u_j is its expectation of u_i less
-        # that of u_j, and minmax(d) = -maxmin(-d).
-        cols = []
-        for v in self.vertices:
-            acts = _combine(v, battery.state_rows)
-            cols.append(list(map(operator.sub, map(acts.__getitem__, battery.minuends),
-                                 map(acts.__getitem__, battery.subtrahends))))
-        self.maxmin = _nested(cols, self.parts, max, min)
-        self.minmax = [-x for x in map(self.maxmin.__getitem__, battery.negations)]
+        self.battery = battery
+        self.acts = [_combine(v, battery.state_rows) for verts in set_rows for v in verts]
+        self.maxmin, self.minmax = self.differences(1)
 
-    def fold(self, digits: list[list[int]]) -> tuple[list[int], list[int]]:
-        """The (maxmin, minmax) numerators over ``denom`` of decoded vectors.
+    def differences(self, k: int) -> tuple[list[int], list[int]]:
+        """The (maxmin, minmax) of k * (u_i - u_j) for each of ``distinct`` in turn.
 
-        ``digits`` is as ``Battery.decode`` returns it; entry h of each
-        result list is that of the h-th vector.
+        Folds maxmin alone, since minmax(d) = -maxmin(-d).
         """
-        cols = [_combine(v, digits) for v in self.vertices]
+        battery = self.battery
+        cols = []
+        for acts in self.acts:
+            scaled = list(map(k.__mul__, acts))
+            cols.append(list(map(operator.sub, map(scaled.__getitem__, battery.minuends),
+                                 map(scaled.__getitem__, battery.subtrahends))))
+        maxmin = _nested(cols, self.parts, max, min)
+        return maxmin, [-x for x in map(maxmin.__getitem__, battery.negations)]
+
+    def fold(self, cols: list[list[int]]) -> tuple[list[int], list[int]]:
+        """The (maxmin, minmax) of the vectors whose values at the c-th vertex are ``cols[c]``."""
         return _nested(cols, self.parts, max, min), _nested(cols, self.parts, min, max)
 
 
@@ -404,11 +401,6 @@ class _Relation:
         return self._bits[key]
 
 
-def _elementwise(fn, lists: list[list[int]]) -> list[int]:
-    """``fn`` across equal-length lists, position by position."""
-    return lists[0] if len(lists) == 1 else list(map(fn, *lists))
-
-
 def _combine(weights: Sequence[int], rows: list[list[int]]) -> list[int]:
     """The sum of ``weights[j] * rows[j]`` over j, position by position."""
     out = [0] * len(rows[0])
@@ -418,13 +410,13 @@ def _combine(weights: Sequence[int], rows: list[list[int]]) -> list[int]:
 
 
 def _nested(cols: list[list[int]], parts, outer, inner) -> list[int]:
-    """``outer`` over the groups of ``inner`` over each group's columns.
+    """``outer`` over the sets of ``inner`` over each set's columns, entry by entry.
 
-    ``parts`` are the groups' ranges in ``cols``.  Works position by
-    position down equal-length column lists, so (max, min) folds maxmin and
-    (min, max) folds minmax for every entry.
+    ``parts`` are the sets' ranges in ``cols``, so (max, min) folds maxmin
+    and (min, max) minmax.  A lone column or set passes through.
     """
-    return _elementwise(outer, [_elementwise(inner, cols[s:e]) for s, e in parts])
+    groups = [cols[s] if e - s == 1 else list(map(inner, *cols[s:e])) for s, e in parts]
+    return groups[0] if len(groups) == 1 else list(map(outer, *groups))
 
 
 class _Runner:
@@ -432,11 +424,11 @@ class _Runner:
 
     Every margin comes from ``relation``, the table's memoized relation of
     the model: ``margin_num`` reads its margins of the table's differences,
-    and ``margins`` folds any other codes through its columns.  Runners
-    report through ``fail``, which counts every violation but builds a
-    witness's Fractions only while fewer than ``witness_cap`` are kept, or
-    through ``fail_each``, which reads no margin past the cap.  Zero
-    margins are counted where numerators are read, never in ``fail``, so
+    and the mixing runners fold their own vectors through ``relation.cols``.
+    Runners report through ``fail``, which counts every violation but builds
+    a witness's Fractions only while fewer than ``witness_cap`` are kept, or
+    through ``fail_each``, which reads no margin past the cap.  Zero margins
+    are counted where numerators are read, never in ``fail``, so
     ``zero_flags`` does not depend on the cap; ``zeros`` counts those read
     in bulk.  ``weak_matrix`` adds every off-diagonal zero of the relation,
     and its callers still count the zeros they read, so ``zero_flags`` can
@@ -476,15 +468,6 @@ class _Runner:
         for j in itertools.islice(_set_bits(mask), room):
             self.fail(*witness(j))
         self.total += max(mask.bit_count() - room, 0)
-
-    def margins(self, codes: list[int]) -> list[int]:
-        """Numerators over the relation's ``unit`` of the margins of these codes.
-
-        Always folded afresh, never read from the table's memo.  Zero
-        results are the caller's to count.
-        """
-        rel = self.relation
-        return list(map(rel.combine, *rel.cols.fold(self.table.battery.decode(codes))))
 
     def num(self, i: int, j: int) -> int:
         """Numerator over ``unit`` of the margin for u_i - u_j; no zero is counted."""
@@ -572,10 +555,10 @@ def _run_monotonicity(r: _Runner) -> None:
 
 def _run_independence(r: _Runner) -> None:
     codes, distinct = r.table.battery.codes, r.table.battery.distinct
-    ks = [int(a * _MIX_SCALE) for a in MIX_GRID]
-    # k * (u_i - u_j) has code k * (c_i - c_j), folded once per weight k / s.
-    weights = [(a, k, dict(zip(distinct, r.margins([k * c for c in distinct]))))
-               for a, k in zip(MIX_GRID, ks)]
+    rel = r.relation
+    # The margins of k * (u_i - u_j), folded once per weight k / s.
+    weights = [(a, k, dict(zip(distinct, map(rel.combine, *rel.cols.differences(k)))))
+               for a, k in zip(MIX_GRID, (int(a * _MIX_SCALE) for a in MIX_GRID))]
     for i, j in itertools.combinations(range(r.table.n), 2):
         code = codes[i] - codes[j]
         base_num = r.margin_num(i, j)
@@ -585,7 +568,7 @@ def _run_independence(r: _Runner) -> None:
             r.zeros += num == 0
             if num != k * base_num:
                 r.fail((i, j), (base_num * _MIX_SCALE, num),
-                       f"margin not homogeneous at {a}", r.relation.unit * _MIX_SCALE)
+                       f"margin not homogeneous at {a}", rel.unit * _MIX_SCALE)
 
 
 def _run_completeness(r: _Runner) -> None:
@@ -654,25 +637,41 @@ def _run_favorable_mixing(r: _Runner) -> None:
     strict = [(f, g) for g in range(n) for f in _set_bits(w[g] & ~wt[g])]
     if not strict:
         return
-    # Every margin read is that of d = k * u_f - s * u_g + (s - k) * u_h, and
-    # the table's codes are linear and injective on such d: code(d) is the
-    # same combination of the acts' codes.  Each distinct d is folded once.
+    # Every margin read is that of d = k * u_f - s * u_g + (s - k) * u_h, keyed
+    # by the same combination of the acts' codes: per weight, a base per
+    # strict pair and a rest per act.  heads[p] = (k, f, g) makes the base b
+    # at p = head_at[wi][b], and tail_of[d] = wi * n + h a rest that makes d.
     code = r.table.battery.codes
-    # Per weight: the codes of (s - k) * u_h for every h, and of
-    # k * u_f - s * u_g for every strict pair (f, g).
     rests = [[(s - k) * c for c in code] for k in ks]
     bases = [[k * code[f] - s * code[g] for f, g in strict] for k in ks]
-    distinct = list({b + x for bs, rest in zip(bases, rests) for b in set(bs) for x in rest})
-    num = dict(zip(distinct, r.margins(distinct)))
+    heads, head_at = [], []
+    for k, bs in zip(ks, bases):
+        pair_of = dict(zip(bs, strict))
+        head_at.append(dict(zip(pair_of, itertools.count(len(heads)))))
+        heads += [(k, f, g) for f, g in pair_of.values()]
+    tail_of = {b + x: t for wi, (by_base, rest) in enumerate(zip(head_at, rests))
+               for t, x in enumerate(rest, wi * n) for b in by_base}
+    flat = [x for rest in rests for x in rest]
+    at = [head_at[t // n][d - flat[t]] for d, t in tail_of.items()]
+    # A vertex's value of d is its k * E(u_f) - s * E(u_g) plus (s - k) * E(u_h).
+    hk, hf, hg = zip(*heads)
+    cols = []
+    for acts in r.relation.cols.acts:
+        head = list(map(operator.sub, map(operator.mul, hk, map(acts.__getitem__, hf)),
+                        map(s.__mul__, map(acts.__getitem__, hg))))
+        tails = [(s - k) * x for k in ks for x in acts]
+        cols.append(list(map(operator.add, map(head.__getitem__, at),
+                             map(tails.__getitem__, tail_of.values()))))
+    num = dict(zip(tail_of, map(r.relation.combine, *r.relation.cols.fold(cols))))
     sign = {c: "-" if x < 0 else "0" if x == 0 else "+" for c, x in num.items()}
 
     # Per weight and distinct base: its zero count over h, and the mask of
     # the h where d is negative (h descending in ``signs``, so bit h is h).
     summary = []
     negative = str.maketrans("-0+", _NEGATIVE)
-    for bs, rest in zip(bases, rests):
+    for bs, rest, distinct in zip(bases, rests, head_at):
         by_base = {}
-        for b in set(bs):
+        for b in distinct:
             signs = "".join(map(sign.__getitem__, map(b.__add__, reversed(rest))))
             by_base[b] = signs.count("0"), int(signs.translate(negative), 2)
         summary.append(list(map(by_base.__getitem__, bs)))

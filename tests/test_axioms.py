@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambipref import (
+    Act,
     AxiomKind,
     Battery,
     BatteryMissingConstants,
@@ -54,6 +55,7 @@ from ambipref.axioms import (
     WITNESS_CAP,
     _MIX_SCALE,
     _Runner,
+    _SetColumns,
     battery_label,
 )
 
@@ -247,6 +249,41 @@ class TestMarginTableAgreement:
             for kind in eight_kinds(inst)[1]:
                 assert weak_relation(table, kind, inst) == weak_relation(own, kind, inst)
         assert MarginTable(three_state, Battery(3, [])).n == 0
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_vectors_of_another_length_are_refused(self, disjoint_pair, length):
+        """A 2-state battery refuses, naming the first vector of the wrong length."""
+        good = UtilityVector((F(0), F(1)))
+        bad = UtilityVector(tuple(F(1, 2) for _ in range(length)))
+        message = f"utility vector 1 has {length} entries, not 2"
+        with pytest.raises(ValueError, match=message):
+            Battery(2, [good, bad, bad])
+        with pytest.raises(ValueError, match=message):
+            MarginTable(disjoint_pair, [good, bad])
+        acts = [act_from_utility_vector(disjoint_pair, good.entries),
+                Act(constant_act(disjoint_pair, F(0)).lotteries[:1] * length)]
+        for run in (
+            lambda: audit(AxiomKind.COMPLETENESS, GeneralizedBewley(), disjoint_pair, acts),
+            lambda: audit_suite(GeneralizedBewley(), disjoint_pair, acts),
+        ):
+            with pytest.raises(ValueError, match=message):
+                run()
+
+    def test_a_prior_of_another_dimension_is_refused(self, disjoint_pair, monkeypatch):
+        """An SEU prior on 3 or 1 states is refused on a 2-state table before any fold."""
+        table = MarginTable(disjoint_pair, phi_lattice(2, 1))
+        battery = generate_act_grid(disjoint_pair, resolution=1)
+        monkeypatch.setattr(_SetColumns, "__init__", lambda *args: pytest.fail("folded"))
+        for probs in ((F(1, 3),) * 3, (F(1),)):
+            kind = SEU(Prior(probs))
+            message = f"reads beliefs on {len(probs)} states, the battery has 2"
+            for run in (
+                lambda: audit(AxiomKind.COMPLETENESS, kind, disjoint_pair, table=table),
+                lambda: audit_suite(kind, disjoint_pair, battery),
+                lambda: weak_relation(table, kind, disjoint_pair),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    run()
 
     def test_table_alone_stands_for_the_battery(self, disjoint_pair):
         """Given a table, the battery may be left out; with neither, audit raises."""
@@ -515,21 +552,26 @@ class TestMixingAudits:
         """3 * n(n-1)/2 checks per audit, and every witness is a pair of acts.
 
         A fold that is off by one everywhere fails every check, so the
-        witness shape is tested on a full cap of witnesses.
+        witness shape is tested on a full cap of witnesses.  The table's
+        relations are built before the fold is patched, so only the
+        independence folds are off.
         """
         inst = generate_instance(3, GenParams(num_states=3))
         battery = generate_act_grid(inst, resolution=1)
+        table = MarginTable(inst, [utility_vector(inst.utility, a) for a in battery])
         n = len(battery)
         expected = len(MIX_GRID) * n * (n - 1) // 2
         for kind in eight_kinds(inst)[1]:
-            report = audit(AxiomKind.INDEPENDENCE, kind, inst, battery)
+            report = audit(AxiomKind.INDEPENDENCE, kind, inst, battery, table=table)
             assert report.passed and report.checked == expected, kind
-        margins = _Runner.margins
-        monkeypatch.setattr(
-            _Runner, "margins", lambda self, codes: [x + 1 for x in margins(self, codes)]
-        )
+        differences = _SetColumns.differences
+
+        def off_by_one(self, k):
+            return tuple([x + 1 for x in xs] for xs in differences(self, k))
+
+        monkeypatch.setattr(_SetColumns, "differences", off_by_one)
         for kind in eight_kinds(inst)[1]:
-            report = audit(AxiomKind.INDEPENDENCE, kind, inst, battery)
+            report = audit(AxiomKind.INDEPENDENCE, kind, inst, battery, table=table)
             assert report.checked == report.total_violations == expected, kind
             assert len(report.witnesses) == WITNESS_CAP
             assert all(len(w.indices) == 2 for w in report.witnesses), kind
@@ -547,18 +589,18 @@ class TestMixingAudits:
         assert audit(AxiomKind.INDEPENDENCE, kind, disjoint_pair, table=table).passed
         codes = table.battery.codes
         target = codes[0] - codes[1]
-        k = int(MIX_GRID[0] * _MIX_SCALE)
-        margins = _Runner.margins
+        at = table.battery.distinct.index(target)
+        differences = _SetColumns.differences
         calls = []
 
-        def perturbed(self, codes):
-            nums = margins(self, codes)
-            calls.append(len(codes))
+        def perturbed(self, k):
+            folds = differences(self, k)
+            calls.append(k)
             if len(calls) > 1:
-                return nums
-            return [x + (c == k * target) for c, x in zip(codes, nums)]
+                return folds
+            return tuple([x + (r == at) for r, x in enumerate(xs)] for xs in folds)
 
-        monkeypatch.setattr(_Runner, "margins", perturbed)
+        monkeypatch.setattr(_SetColumns, "differences", perturbed)
         report = audit(AxiomKind.INDEPENDENCE, kind, disjoint_pair, table=table)
         expected = [
             (i, j)
@@ -575,17 +617,50 @@ class TestMixingAudits:
         battery = generate_act_grid(disjoint_pair, resolution=2)
         uvecs = [utility_vector(disjoint_pair.utility, a) for a in battery]
         table = MarginTable(disjoint_pair, uvecs)
-        margins = _Runner.margins
+        table.relation(GeneralizedBewley())  # the table's own fold, at k = 1
+        differences = _SetColumns.differences
         calls = []
 
-        def counted(self, codes):
-            calls.append(len(codes))
-            return margins(self, codes)
+        def counted(self, k):
+            folds = differences(self, k)
+            calls.append(len(folds[0]))
+            return folds
 
-        monkeypatch.setattr(_Runner, "margins", counted)
+        monkeypatch.setattr(_SetColumns, "differences", counted)
         report = audit(AxiomKind.INDEPENDENCE, GeneralizedBewley(), disjoint_pair, table=table)
         assert report.passed
         assert calls == [len(table.battery.distinct)] * len(MIX_GRID)
+
+    def test_favorable_mixing_folds_each_distinct_vector_once(self, monkeypatch):
+        """One fold, with one column entry per distinct k * u_f - s * u_g + (s - k) * u_h.
+
+        The codes are computed here from the relation's strict pairs; they
+        repeat across (k, f, g, h), so folding every read would show.
+        """
+        inst = generate_instance(3, GenParams(num_states=3))
+        uvecs = [utility_vector(inst.utility, a) for a in generate_act_grid(inst, resolution=1)]
+        table = MarginTable(inst, uvecs)
+        codes, n, s = table.battery.codes, table.n, _MIX_SCALE
+        fold = _SetColumns.fold
+        calls = []
+
+        def counted(self, cols):
+            assert len({len(col) for col in cols}) == 1
+            calls.append(len(cols[0]))
+            return fold(self, cols)
+
+        monkeypatch.setattr(_SetColumns, "fold", counted)
+        for kind in eight_kinds(inst)[1]:
+            w, _ = weak_relation(table, kind, inst)
+            strict = [(f, g) for f in range(n) for g in range(n)
+                      if (w[g] >> f) & 1 and not (w[f] >> g) & 1]
+            ks = [int(a * s) for a in MIX_GRID]
+            expected = {k * codes[f] - s * codes[g] + (s - k) * codes[h]
+                        for f, g in strict for k in ks for h in range(n)}
+            assert len(expected) < len(ks) * len(strict) * n, kind
+            calls.clear()
+            audit(AxiomKind.FAVORABLE_MIXING, kind, inst, table=table)
+            assert calls == [len(expected)], kind
 
 
 PAIRWISE_AXIOMS = (

@@ -87,6 +87,42 @@ def test_flipped_verdict_is_rejected(tmp_path, capsys):
     assert "pairwise_intersections.holds" in capsys.readouterr().out
 
 
+def test_swapped_straddle_pair_is_rejected(tmp_path, capsys):
+    def swap(report):
+        report["cutting"]["straddles"][0].reverse()
+
+    assert _run(tmp_path, "overlapping_intervals", swap) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "cutting: vertices 0 and 1 of set left do not lie strictly above and below 0 "
+        "along the normal"
+    ]
+
+
+def test_flipped_complete_param_is_rejected(tmp_path, capsys):
+    def flip(report):
+        assert report["cutting"] is not None
+        report["complete_param"] = True
+
+    assert _run(tmp_path, "overlapping_intervals", flip) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "complete_param is True, the cut says False"
+    ]
+
+
+def test_a_generated_three_state_cut_passes(tmp_path, capsys):
+    """Seed 6 at 3 states has a cut across 4 sets of up to 6 vertices."""
+    from ambipref import GenParams, analyze, generate_instance, instance_to_jsonable
+
+    inst = generate_instance(6, GenParams(num_states=3, num_sets=4, vertices_per_set=6))
+    report = analyze(inst).to_jsonable()
+    assert report["cutting"] is not None
+    paths = tmp_path / "instance.json", tmp_path / "report.json"
+    for path, doc in zip(paths, (instance_to_jsonable(inst), report)):
+        path.write_text(json.dumps(doc))
+    assert checker.main([str(p) for p in paths]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_usage_error_exits_2(capsys):
     assert checker.main([]) == 2
     assert "usage" in capsys.readouterr().err
