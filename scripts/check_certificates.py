@@ -86,9 +86,8 @@ def _cutting(cut, sets) -> list[str]:
     normal = [_rational(e) for e in cut["normal"]]
     offset = _rational(cut["offset"])
     straddles = cut["straddles"]
-    dimension = len(next(iter(sets.values()))[0])
-    if len(normal) != dimension:
-        return [f"normal has {len(normal)} entries for {dimension} states"]
+    if any(len(v) != len(normal) for verts in sets.values() for v in verts):
+        return [f"normal has {len(normal)} entries, not one per state"]
     if len(straddles) != len(sets):
         return [f"{len(straddles)} straddle pairs for {len(sets)} sets"]
     problems = []
