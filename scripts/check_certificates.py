@@ -23,6 +23,11 @@ so it vouches for the artifact a user keeps, not for the code that wrote it.
   ``offset`` along ``normal`` and its minus vertex strictly below.
 - ``complete_param`` is true exactly when ``cutting`` is null.  That no cut
   exists is taken on trust; only this consistency is checked.
+- ``commutes.holds`` is true exactly when its ``counterexample`` is null.
+  With A(phi) the largest over sets of the set's least v . phi and B(phi)
+  the smallest of the greatest, a counterexample's phi replays to its
+  reported, unequal ``maxmin`` A and ``minmax`` B; while ``holds`` is true,
+  every ``disjoint`` phi1 and the cut's ``normal`` must have A = B.
 
 Exit status 0 when every check passes; otherwise 1, with one line per
 problem on stdout.  A usage error exits 2.
@@ -101,6 +106,40 @@ def _cutting(cut, sets) -> list[str]:
     return problems
 
 
+def _extremes(sets, phi) -> tuple[Fraction, Fraction]:
+    """A(phi) and B(phi): maxmin and minmax of phi over the sets."""
+    if any(len(v) != len(phi) for verts in sets.values() for v in verts):
+        raise ValueError(f"phi has {len(phi)} entries, not one per state")
+    values = [[_dot(v, phi) for v in verts] for verts in sets.values()]
+    return max(map(min, values)), min(map(max, values))
+
+
+def _commutes(report, sets) -> list[str]:
+    commutes = report["commutes"]
+    counter = commutes["counterexample"]
+    if commutes["holds"] is not (counter is None):
+        return [f"holds is {commutes['holds']}, the counterexample says {counter is None}"]
+    if counter is not None:
+        a, b = _extremes(sets, [_rational(e) for e in counter["phi"]])
+        reported = _rational(counter["maxmin"]), _rational(counter["minmax"])
+        if (a, b) != reported:
+            return [f"the counterexample replays to maxmin {a} and minmax {b}, "
+                    f"not {reported[0]} and {reported[1]}"]
+        return [f"the counterexample has maxmin = minmax = {a}"] if a == b else []
+    directions = [(f"phi1 of certificate {index}", cert["phi1"])
+                  for index, cert in enumerate(report["pairwise_intersections"]["certificates"])
+                  if cert.get("kind") == "disjoint"]
+    if report["cutting"] is not None:
+        directions.append(("the cut's normal", report["cutting"]["normal"]))
+    problems = []
+    for name, phi in directions:
+        a, b = _extremes(sets, [_rational(e) for e in phi])
+        if a != b:
+            problems.append(f"holds is true, but {name} ({', '.join(map(str, phi))}) has "
+                            f"maxmin {a} and minmax {b}")
+    return problems
+
+
 def check(instance: dict, report: dict) -> list[str]:
     """One line per problem with the report's certificates and cut."""
     sets = {
@@ -142,12 +181,17 @@ def check(instance: dict, report: dict) -> list[str]:
         problems.append(f"complete_param is {report['complete_param']}, "
                         f"the cut says {cut is None}")
     if cut is not None:
-        try:
-            found = _cutting(cut, sets)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            found = [f"malformed: {exc!r}"]
-        problems += [f"cutting: {p}" for p in found]
+        problems += [f"cutting: {p}" for p in _guarded(_cutting, cut, sets)]
+    problems += [f"commutes: {p}" for p in _guarded(_commutes, report, sets)]
     return problems
+
+
+def _guarded(check_part, *args) -> list[str]:
+    """The problems ``check_part`` finds, or one line when the report is malformed."""
+    try:
+        return check_part(*args)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return [f"malformed: {exc!r}"]
 
 
 def main(argv: list[str]) -> int:

@@ -422,23 +422,23 @@ def _nested(cols: list[list[int]], parts, outer, inner) -> list[int]:
 class _Runner:
     """One audit's tally: checks, violations, witnesses and boundary cases.
 
-    Every margin comes from ``relation``, the table's memoized relation of
-    the model: ``margin_num`` reads its margins of the table's differences,
-    and the mixing runners fold their own vectors through ``relation.cols``.
-    Runners report through ``fail``, which counts every violation but builds
-    a witness's Fractions only while fewer than ``witness_cap`` are kept, or
-    through ``fail_each``, which reads no margin past the cap.  Zero margins
-    are counted where numerators are read, never in ``fail``, so
-    ``zero_flags`` does not depend on the cap; ``zeros`` counts those read
-    in bulk.  ``weak_matrix`` adds every off-diagonal zero of the relation,
-    and its callers still count the zeros they read, so ``zero_flags`` can
-    count one zero twice.  The audit passes when ``total`` is zero.
+    ``margin_num`` is the one read of a battery pair's margin from
+    ``relation``, the table's memoized relation of the model; the mixing
+    runners fold their own vectors through ``relation.cols``.  ``fail``
+    counts every violation but builds a witness's Fractions only while
+    fewer than ``witness_cap`` are kept; ``fail_each`` reads no margin past
+    the cap.  A zero read of u_i - u_j sets bit j of ``zero_read[i]``, by
+    ``margin_num`` or by a runner's masks past the cap, so ``zero_flags``
+    counts each such pair once, whatever the cap, plus ``zeros``, the zeros
+    counted in bulk.  ``weak_matrix`` adds every off-diagonal zero of the
+    relation to ``zeros``, so one zero can count twice.  The audit passes
+    when ``total`` is zero.
     """
 
     def __init__(self, table: MarginTable, kind: ModelKind, witness_cap: int = WITNESS_CAP):
         self.table = table
         self.relation = table.relation(kind)
-        self._zero_seen: set[tuple[int, int]] = set()
+        self.zero_read = [0] * table.n
         self.zeros = 0
         self.witness_cap = witness_cap
         self.checked = 0
@@ -469,16 +469,12 @@ class _Runner:
             self.fail(*witness(j))
         self.total += max(mask.bit_count() - room, 0)
 
-    def num(self, i: int, j: int) -> int:
-        """Numerator over ``unit`` of the margin for u_i - u_j; no zero is counted."""
-        codes = self.table.battery.codes
-        return self.relation.num[codes[i] - codes[j]]
-
     def margin_num(self, i: int, j: int) -> int:
-        """Numerator over ``unit`` of the margin for u_i - u_j, counting a zero once."""
-        num = self.num(i, j)
+        """Numerator over ``unit`` of the margin for u_i - u_j, marking a zero in ``zero_read``."""
+        codes = self.table.battery.codes
+        num = self.relation.num[codes[i] - codes[j]]
         if num == 0:
-            self._zero_seen.add((i, j))
+            self.zero_read[i] |= 1 << j
         return num
 
     def weak_matrix(self) -> tuple[list[int], list[int]]:
@@ -493,7 +489,7 @@ class _Runner:
 
     @property
     def zero_flags(self) -> int:
-        return len(self._zero_seen) + self.zeros
+        return self.zeros + sum(row.bit_count() for row in self.zero_read)
 
 
 def _set_bits(mask: int):
@@ -573,22 +569,19 @@ def _run_independence(r: _Runner) -> None:
 
 def _run_completeness(r: _Runner) -> None:
     w, wt = r.weak_matrix()
-    n = r.table.n
+    n, num = r.table.n, r.margin_num
     r.checked += n * (n - 1) // 2
     upper = (1 << n) - 1
     for i in range(n):
         upper ^= 1 << i  # the j > i
         # Both margins of an incomparable pair are negative, so none is zero.
         if bad := upper & ~(w[i] | wt[i]):
-            r.fail_each(bad, lambda j: ((i, j), (r.num(i, j), r.num(j, i)), "incomparable pair"))
+            r.fail_each(bad, lambda j: ((i, j), (num(i, j), num(j, i)), "incomparable pair"))
 
 
 def _run_transitivity(r: _Runner) -> None:
     w, _ = r.weak_matrix()
-    n = r.table.n
-    # read[a] has bit b set when some violation (i, j, h) reads margin(a, b)
-    # as its (i, j) or (j, h); its margin (i, h) is negative, so never zero.
-    read = [0] * n
+    n, num, zero = r.table.n, r.margin_num, r.relation.bits(_ZERO)
     for i, wi in enumerate(w):
         worse = wi & ~(1 << i)
         r.checked += n * worse.bit_count()
@@ -596,11 +589,12 @@ def _run_transitivity(r: _Runner) -> None:
             bad = w[j] & ~wi
             if not bad:
                 continue
-            read[i] |= 1 << j
-            read[j] |= bad
-            r.fail_each(bad, lambda h: ((i, j, h), (r.num(i, j), r.num(j, h), r.num(i, h)),
+            # Every violation (i, j, h) reads margin(i, j) and margin(j, h), marked
+            # here past the cap too; its margin(i, h) is negative, so never zero.
+            r.zero_read[i] |= (1 << j) & zero[i]
+            r.zero_read[j] |= bad & zero[j]
+            r.fail_each(bad, lambda h: ((i, j, h), (num(i, j), num(j, h), num(i, h)),
                                         "weak preference fails to chain"))
-    r.zeros += sum((a & z).bit_count() for a, z in zip(read, r.relation.bits(_ZERO)))
 
 
 def _constant_sandwich(r: _Runner, order, bit: int, note: str) -> None:
@@ -695,7 +689,7 @@ def _run_negative_completeness(r: _Runner) -> None:
     rel = r.relation
     pos, pos_t = rel.bits(_POSITIVE), rel.bits(_POSITIVE, transposed=True)
     zero, zero_t = rel.bits(_ZERO), rel.bits(_ZERO, transposed=True)
-    n = r.table.n
+    n, num = r.table.n, r.margin_num
     r.checked += n * (n - 1) // 2
     upper = (1 << n) - 1
     for i in range(n):
@@ -704,7 +698,7 @@ def _run_negative_completeness(r: _Runner) -> None:
         r.zeros += (upper & (zero[i] | pos[i] & zero_t[i])).bit_count()
         if bad := upper & pos[i] & pos_t[i]:
             r.fail_each(bad, lambda j: (
-                (i, j), (r.num(i, j), r.num(j, i)), "both directions robustly preferred"))
+                (i, j), (num(i, j), num(j, i)), "both directions robustly preferred"))
 
 
 _RUNNERS = {

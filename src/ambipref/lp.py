@@ -228,8 +228,8 @@ def solve(lp: LinearProgram) -> LpOutcome:
             v // lo.denominator * lo.numerator for v, lo in zip(ints, lower) if v and lo
         )
         read.append((ints, cmp, shifted, scale))
-    # A row whose slack can start basic (a +1 slack once the rhs is made
-    # nonnegative) takes it; every other row gets an artificial column.
+    # Only a '<=' row with a nonnegative shifted rhs starts on its slack; every
+    # other row gets an artificial column, even a '>=' row flipped to a +1 slack.
     starts_basic = [cmp == LE and shifted >= 0 for _, cmp, shifted, _ in read]
     total_cols = n + sum(cmp != EQ for _, cmp, _ in rows)
     full_cols = total_cols + starts_basic.count(False)

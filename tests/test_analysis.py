@@ -32,6 +32,7 @@ from ambipref import (
     find_cutting_hyperplane,
     generate_instance,
     GenParams,
+    instance_to_jsonable,
     load_instance,
     margin_profile,
     pairwise_intersection_holds,
@@ -137,6 +138,13 @@ class TestPolytopeIntersection:
         broken_pair = SametCertificate(cert.phi1, cert.phi1, cert.slack)
         assert not broken_pair.verify(low, high)
 
+    def test_common_prior_weights_are_checked(self, touching_intervals):
+        low, high = touching_intervals.collection.sets
+        cert = polytopes_intersect(low, high)
+        assert isinstance(cert, CommonPrior) and cert.verify(low, high)
+        for weights in ((F(1),), (F(-1), F(2)), (F(1, 2), F(1, 4))):
+            assert not dataclasses.replace(cert, weights_first=weights).verify(low, high)
+
     def test_pairwise_report(self, disjoint_pair, overlapping_intervals):
         report = pairwise_intersection_holds(disjoint_pair.collection)
         assert not report.holds
@@ -225,6 +233,8 @@ class TestCuttingHyperplane:
         assert cut.verify(overlapping_intervals.collection)
         shifted = CuttingHyperplane(cut.normal, F(3, 4), cut.straddles)
         assert not shifted.verify(overlapping_intervals.collection)
+        short = CuttingHyperplane(cut.normal, cut.offset, cut.straddles[:1])
+        assert not short.verify(overlapping_intervals.collection)
 
     def test_singleton_sets_cannot_be_straddled(self):
         collection = BeliefCollection(
@@ -361,6 +371,21 @@ class TestWitnessBuilders:
             build_cbt_witness(
                 overlapping_intervals.collection, cert, overlapping_intervals
             )
+
+
+    @pytest.mark.parametrize("utility, message", [
+        ({"lose": "1", "win": "2"}, "must contain 0"),
+        ({"lose": "0", "win": "1"}, "degenerate on the witness side"),
+    ])
+    def test_witness_acts_need_room_around_zero(self, disjoint_pair, utility, message):
+        """The Samet direction (-1, 1) has a negative entry, which [0, 1] cannot scale."""
+        doc = instance_to_jsonable(disjoint_pair)
+        doc["utility"] = utility
+        inst = validate_instance(doc)
+        cert = polytopes_intersect(*inst.collection.sets)
+        assert cert.phi1 == UtilityVector((F(-1), F(1)))
+        with pytest.raises(ValueError, match=message):
+            build_cbt_witness(inst.collection, cert, inst)
 
 
 class TestCommutativity:

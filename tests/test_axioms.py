@@ -35,6 +35,7 @@ from ambipref import (
     SEU,
     UtilityVector,
     VerifyConfig,
+    Witness,
     act_from_utility_vector,
     audit,
     audit_suite,
@@ -923,6 +924,7 @@ class TestSuiteVerdicts:
         assert not ncbt4.passed
 
     def test_non_triviality_fails_on_flat_battery(self, disjoint_pair):
+        """Each ordered pair's zero margin is read twice, and flagged once."""
         coin = disjoint_pair.act("coin")
         report = audit(
             AxiomKind.NON_TRIVIALITY, GeneralizedBewley(), disjoint_pair, [coin, coin]
@@ -930,6 +932,102 @@ class TestSuiteVerdicts:
         assert not report.passed
         assert report.witnesses == ()
         assert report.total_violations == 1
+        assert report.boundary_flags == 2
+
+
+def negated_table(inst, uvecs, monkeypatch, pairs):
+    """A table whose fold reads maxmin = minmax = -1 at each u_i - u_j of ``pairs``.
+
+    The fold is patched before the table builds its relations, so every
+    model's margin there is negative, and the relation's numerators, sign
+    strings and bit rows agree on it.
+    """
+    battery = Battery(inst.num_states, uvecs)
+    codes = battery.codes
+    rows = {battery.distinct.index(codes[i] - codes[j]) for i, j in pairs}
+    differences = _SetColumns.differences
+
+    def shifted(self, k):
+        maxmin, minmax = differences(self, k)
+        for r in rows:
+            maxmin[r] = minmax[r] = -1
+        return maxmin, minmax
+
+    monkeypatch.setattr(_SetColumns, "differences", shifted)
+    return MarginTable(inst, battery)
+
+
+FAILURE_KINDS = [GeneralizedBewley(), HalfMixture(), AlphaMixture(F(3, 4)), Justifiable("low")]
+
+
+class TestRunnerFailures:
+    """Failure paths of axioms that every model kind satisfies, on a perturbed fold."""
+
+    @staticmethod
+    def negative(table, kind):
+        return F(kind.combine(-1, -1), table.relation(kind).unit)
+
+    @pytest.mark.parametrize("kind", FAILURE_KINDS)
+    def test_reflexivity_fails_on_a_negative_zero_difference(
+        self, disjoint_pair, monkeypatch, kind
+    ):
+        uvecs = phi_lattice(2, 3, F(1))
+        plain = audit(AxiomKind.REFLEXIVITY, kind, disjoint_pair,
+                      table=MarginTable(disjoint_pair, uvecs))
+        assert plain.passed and plain.boundary_flags == len(uvecs)
+        table = negated_table(disjoint_pair, uvecs, monkeypatch, [(0, 0)])
+        report = audit(AxiomKind.REFLEXIVITY, kind, disjoint_pair, table=table)
+        margin = self.negative(table, kind)
+        assert margin < 0
+        assert not report.passed
+        assert report.checked == report.total_violations == 49 > WITNESS_CAP
+        assert report.witnesses == tuple(
+            Witness((i,), (margin,), "act not weakly preferred to itself")
+            for i in range(WITNESS_CAP)
+        )
+        assert report.boundary_flags == 0
+
+    @pytest.mark.parametrize("kind", FAILURE_KINDS)
+    def test_unambiguous_completeness_fails_on_one_step_between_constants(
+        self, disjoint_pair, monkeypatch, kind
+    ):
+        """41 constants 1/20 apart: the 40 neighbouring pairs share both differences."""
+        levels = [F(k, 20) for k in range(-20, 21)]
+        uvecs = [UtilityVector((v, v)) for v in levels]
+        table = negated_table(disjoint_pair, uvecs, monkeypatch, [(0, 1), (1, 0)])
+        report = audit(AxiomKind.UNAMBIGUOUS_COMPLETENESS, kind, disjoint_pair, table=table)
+        margin = self.negative(table, kind)
+        assert not report.passed
+        assert report.checked == 41 * 40 // 2
+        assert report.total_violations == 40 > WITNESS_CAP
+        assert report.witnesses == tuple(
+            Witness((a, a + 1), (margin, margin),
+                    f"constants {levels[a]} and {levels[a + 1]} incomparable")
+            for a in range(WITNESS_CAP)
+        )
+        assert report.boundary_flags == 0
+
+    @pytest.mark.parametrize("kind", FAILURE_KINDS)
+    def test_monotonicity_fails_on_a_negative_dominance_difference(
+        self, disjoint_pair, monkeypatch, kind
+    ):
+        """u_7 - u_0 is one step up on the first state, for 42 dominance pairs."""
+        uvecs = phi_lattice(2, 3, F(1))
+        assert uvecs[7] - uvecs[0] == UtilityVector((F(1, 3), F(0)))
+        table = negated_table(disjoint_pair, uvecs, monkeypatch, [(7, 0)])
+        report = audit(AxiomKind.MONOTONICITY, kind, disjoint_pair, table=table)
+        codes, dominance = table.battery.codes, table.battery.dominance
+        failing = [(i, j) for i, j in dominance if codes[i] - codes[j] == codes[7] - codes[0]]
+        margin = self.negative(table, kind)
+        assert not report.passed
+        assert report.checked == len(dominance)
+        assert report.total_violations == len(failing) == 42 > WITNESS_CAP
+        assert report.witnesses == tuple(
+            Witness(pair, (margin,), "statewise dominance not honored")
+            for pair in failing[:WITNESS_CAP]
+        )
+        # The relation's zeros only: no failing margin is zero.
+        assert report.boundary_flags == table.relation(kind).zeros
 
 
 class TestHandWitnesses:

@@ -123,6 +123,61 @@ def test_a_generated_three_state_cut_passes(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def _check_generated(tmp_path, seed, states):
+    """The checker's exit status on ``ambipref gen --seed SEED --states STATES``'s report."""
+    from ambipref import GenParams, analyze, generate_instance, instance_to_jsonable
+
+    inst = generate_instance(seed, GenParams(num_states=states))
+    paths = tmp_path / "instance.json", tmp_path / "report.json"
+    for path, doc in zip(paths, (instance_to_jsonable(inst), analyze(inst).to_jsonable())):
+        path.write_text(json.dumps(doc))
+    return checker.main([str(p) for p in paths])
+
+
+@pytest.mark.parametrize("seed, phi1, a", [
+    (37, "-1/641, -1, 39/641", Fraction(1, 641)),
+    (148, "3/443, -157/443, 1", Fraction(3, 443)),
+])
+def test_commutation_contradicted_by_a_samet_direction(tmp_path, capsys, seed, phi1, a):
+    """The lattice says the operators commute; the P1/P3 certificate's phi1 says not."""
+    assert _check_generated(tmp_path, seed, 3) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"commutes: holds is true, but phi1 of certificate 1 ({phi1}) has "
+        f"maxmin {a} and minmax {-a}"
+    ]
+
+
+def test_a_counterexample_must_replay(tmp_path, capsys):
+    def nudge(report):
+        counter = report["commutes"]["counterexample"]
+        counter["maxmin"] = str(Fraction(counter["maxmin"]) + 1)
+
+    assert _run(tmp_path, "disjoint_pair", nudge) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("commutes: the counterexample replays to")
+
+
+def test_holds_must_match_the_counterexample(tmp_path, capsys):
+    def flip(report):
+        report["commutes"]["holds"] = True
+
+    assert _run(tmp_path, "disjoint_pair", flip) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "commutes: holds is True, the counterexample says False"
+    ]
+
+
+def test_a_cut_contradicts_commutation(tmp_path, capsys):
+    def commute(report):
+        report["commutes"].update(holds=True, counterexample=None)
+
+    assert _run(tmp_path, "overlapping_intervals", commute) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "commutes: holds is true, but the cut's normal (11/10, -9/10) has "
+        "maxmin -1/10 and minmax 1/10"
+    ]
+
+
 def test_usage_error_exits_2(capsys):
     assert checker.main([]) == 2
     assert "usage" in capsys.readouterr().err

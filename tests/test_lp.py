@@ -144,6 +144,30 @@ class TestExactPivoting:
         assert out.point == (F(-1), F(1))
 
 
+    def test_a_zero_level_artificial_is_driven_out(self, monkeypatch):
+        """max -x1 s.t. -2 x1 == 0, x1 - x2 <= 0, 0 <= x <= 3.
+
+        Phase 1 ends with the equality row's artificial basic at level 0, and
+        pivoting it out enters x1 on that row's -2 entry, so ``_pivot``
+        negates the row first.
+        """
+        pivot = lp_module._pivot
+        negative = []
+
+        def spied(tableau, basis, row, col):
+            negative.append(tableau[row][col] < 0)
+            pivot(tableau, basis, row, col)
+
+        monkeypatch.setattr(lp_module, "_pivot", spied)
+        cons = (eq([-2, 0], 0), le([1, -1], 0))
+        program = LinearProgram(2, (F(-1), F(0)), cons, lower=(F(0), F(0)),
+                                upper=(F(3), F(3)))
+        out = solve(program)
+        assert out == Optimal(F(0), (F(0), F(0)), (None, 0))
+        assert all(con.holds_at(out.point) for con in cons)
+        assert True in negative
+
+
 class TestSeparationShape:
     def test_disjoint_interval_margin(self):
         """Best uniform gap between two segments of the 2-simplex.
@@ -243,6 +267,14 @@ class TestOutcomeInvariants:
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError):
             LinearProgram(2, (F(1),), ())
+        with pytest.raises(ValueError, match="constraint width"):
+            LinearProgram(2, (F(1), F(1)), (le([1], 1),), lower=(F(0), F(0)))
+
+    @pytest.mark.parametrize("bounds", [{"lower": (F(0),)}, {"upper": (F(1),)}])
+    def test_rejects_bounds_of_another_length(self, bounds):
+        bounds = {"lower": (F(0), F(0)), **bounds}
+        with pytest.raises(ValueError, match="bounds length"):
+            LinearProgram(2, (F(1), F(1)), (le([1, 1], 1),), **bounds)
 
     def test_rejects_a_missing_lower_bound(self):
         with pytest.raises(ValueError, match="lower bound"):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -37,6 +38,7 @@ from ambipref.axioms import MIX_GRID
 from ambipref.model import MAX_RATIONAL_DIGITS
 
 F = Fraction
+DISJOINT_PAIR = Path(__file__).resolve().parent.parent / "instances" / "disjoint_pair.json"
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
@@ -300,6 +302,54 @@ class TestValidation:
         doc["belief_collection"][0]["vertices"][0] = [0.5, 0.5]
         with pytest.raises(InstanceValidationError):
             validate_instance(doc)
+
+
+def _set(path, value):
+    """A change to the instance document that sets the item at ``path``."""
+    def change(doc):
+        *keys, last = path
+        item = doc
+        for key in keys:
+            item = item[key]
+        item[last] = value
+        return doc
+    return change
+
+
+LOSE = ("acts", "all_lose", "s1")
+MALFORMED = {
+    "undeclared act prize": (_set(LOSE, {"lose": "1", "jackpot": "0"}),
+                             [("UnknownPrize", "acts.all_lose.s1.jackpot")]),
+    "decimal weight": (_set(LOSE, {"lose": "1.5"}), [("BadRational", "acts.all_lose.s1.lose")]),
+    "negative weight": (_set(LOSE, {"lose": "-1", "win": "2"}),
+                        [("NonSimplexLottery", "acts.all_lose.s1.lose")]),
+    "weights short of one": (_set(LOSE, {"lose": "1/2"}),
+                             [("NonSimplexLottery", "acts.all_lose.s1")]),
+    "lottery not a map": (_set(LOSE, ["lose"]), [("MissingField", "acts.all_lose.s1")]),
+    "act not a map": (_set(("acts", "all_lose"), "lose"), [("MissingField", "acts.all_lose")]),
+    "acts not a map": (_set(("acts",), []), [("MissingField", "acts")]),
+    "belief set not an object": (_set(("belief_collection", 0), "low"),
+                                 [("MissingField", "belief_collection[0]")]),
+    "empty set name": (_set(("belief_collection", 0, "name"), ""),
+                       [("MissingField", "belief_collection[0].name")]),
+    "no vertices": (_set(("belief_collection", 0, "vertices"), []),
+                    [("EmptyCollection", "belief_collection[0].vertices")]),
+    "undeclared utility prize": (_set(("utility", "extra"), "0"),
+                                 [("UnknownPrize", "utility.extra")]),
+    "top-level list": (lambda doc: [doc], [("MissingField", "$")]),
+    "one prize": (lambda doc: {**doc, "prizes": ["lose"], "utility": {"lose": "-1"}, "acts": {}},
+                  [("DimensionMismatch", "prizes"), ("ConstantUtility", "utility")]),
+    "repeated prize": (_set(("prizes",), ["lose", "lose", "win"]),
+                       [("DuplicateLabel", "prizes")]),
+}
+
+
+@pytest.mark.parametrize("change, expected", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_instance_issues(change, expected):
+    """Each malformed copy of the disjoint-pair instance names its issues and paths."""
+    with pytest.raises(InstanceValidationError) as exc:
+        validate_instance(change(json.loads(DISJOINT_PAIR.read_text())))
+    assert [(i.code, i.path) for i in exc.value.issues] == expected
 
 
 class TestSerialization:

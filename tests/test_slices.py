@@ -549,6 +549,13 @@ class TestExport:
         assert first["alpha"] == {"exact": "1/10", "value": 0.1}
         assert doc["arc_summary"]["maxmin"] == [[0, 9]]
 
+    def test_json_without_alpha(self, disjoint_pair):
+        plane = SlicePlane.through((1, -1))
+        profile = slice_profile(disjoint_pair.collection, plane, 16)
+        doc = json.loads(export_slice(profile, "json"))
+        assert doc["alpha_weight"] is None
+        assert {s["alpha"] for s in doc["samples"]} == {None}
+
     def test_unknown_format(self, disjoint_pair):
         plane = SlicePlane.through((1, -1))
         profile = slice_profile(disjoint_pair.collection, plane, 16)
