@@ -372,7 +372,6 @@ class TestWitnessBuilders:
                 overlapping_intervals.collection, cert, overlapping_intervals
             )
 
-
     @pytest.mark.parametrize("utility, message", [
         ({"lose": "1", "win": "2"}, "must contain 0"),
         ({"lose": "0", "win": "1"}, "degenerate on the witness side"),

@@ -143,7 +143,6 @@ class TestExactPivoting:
         assert out.value == F(1)
         assert out.point == (F(-1), F(1))
 
-
     def test_a_zero_level_artificial_is_driven_out(self, monkeypatch):
         """max -x1 s.t. -2 x1 == 0, x1 - x2 <= 0, 0 <= x <= 3.
 
