@@ -28,6 +28,9 @@ so it vouches for the artifact a user keeps, not for the code that wrote it.
   the smallest of the greatest, a counterexample's phi replays to its
   reported, unequal ``maxmin`` A and ``minmax`` B; while ``holds`` is true,
   every ``disjoint`` phi1 and the cut's ``normal`` must have A = B.
+- ``seu_collapse`` is null unless the instance has 2 states and a = b, with
+  a the largest over sets of the set's least first-state probability and b
+  the smallest of the greatest; then it is (a, 1 - a).
 
 Exit status 0 when every check passes; otherwise 1, with one line per
 problem on stdout.  A usage error exits 2.
@@ -140,6 +143,27 @@ def _commutes(report, sets) -> list[str]:
     return problems
 
 
+def _collapse(report, sets) -> list[str]:
+    reported = report["seu_collapse"]
+    states = {len(v) for verts in sets.values() for v in verts}
+    if states != {2}:
+        if reported is None:
+            return []
+        return [f"a collapse prior is reported on {', '.join(map(str, sorted(states)))} states, "
+                "not 2"]
+    a = max(min(v[0] for v in verts) for verts in sets.values())
+    b = min(max(v[0] for v in verts) for verts in sets.values())
+    if reported is None:
+        return [] if a != b else [f"null, but every set holds the first-state probability {a}"]
+    if a != b:
+        return [f"a collapse prior is reported, but the largest least first-state "
+                f"probability {a} is not the smallest greatest {b}"]
+    prior = [_rational(p) for p in reported]
+    if prior != [a, 1 - a]:
+        return [f"({', '.join(map(str, prior))}) is not ({a}, {1 - a})"]
+    return []
+
+
 def check(instance: dict, report: dict) -> list[str]:
     """One line per problem with the report's certificates and cut."""
     sets = {
@@ -183,6 +207,7 @@ def check(instance: dict, report: dict) -> list[str]:
     if cut is not None:
         problems += [f"cutting: {p}" for p in _guarded(_cutting, cut, sets)]
     problems += [f"commutes: {p}" for p in _guarded(_commutes, report, sets)]
+    problems += [f"seu_collapse: {p}" for p in _guarded(_collapse, report, sets)]
     return problems
 
 

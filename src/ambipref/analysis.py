@@ -221,8 +221,8 @@ def polytopes_intersect(
     and of <w, -phi> over the second, with phi boxed in [-1, 1] per state.  A
     strictly positive optimum certifies disjointness.  At a zero optimum the
     row duals of the first set's vertices and of the second's, each
-    normalized to sum to one, are the mixture weights of a common prior;
-    the certificate is re-checked exactly before it is returned.
+    normalized to sum to one, are the mixture weights of a common prior.
+    Either certificate is re-checked exactly before it is returned.
     """
     n = first.dimension
     if second.dimension != n:
@@ -249,7 +249,10 @@ def polytopes_intersect(
     if res.value > 0:
         phi = UtilityVector(res.point[:n])
         slack = min(set_min(first, phi), -set_max(second, phi))
-        return SametCertificate(phi1=phi, phi2=-phi, slack=slack)
+        samet = SametCertificate(phi1=phi, phi2=-phi, slack=slack)
+        if not samet.verify(first, second):
+            raise RuntimeError(f"separation point does not separate the sets: {res.point}")
+        return samet
 
     # At a zero optimum phi = 0, t = 0 is optimal too and binds no bound, so
     # the row duals lam, mu alone balance the objective: sum(lam * v) =

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
-from math import lcm
 from typing import Callable, Sequence
 
 from .analysis import check_battery, phi_lattice
@@ -57,6 +56,7 @@ from .model import (
     UtilityVector,
     constant_act,
     exact_rational,
+    scaled,
     utility_vector,
 )
 from .margins import ModelKind, describe_model
@@ -80,7 +80,7 @@ __all__ = [
 ]
 
 MIX_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-_MIX_SCALE = lcm(*(a.denominator for a in MIX_GRID))  # weight a is k / s, k integer
+_MIX_SCALE, _MIX_KS = scaled(MIX_GRID)  # MIX_GRID[i] = _MIX_KS[i] / _MIX_SCALE
 WITNESS_CAP = 25
 # The bit each margin sign "-0+" sets in a bitmask row of the relation.
 _WEAK, _POSITIVE, _ZERO, _NEGATIVE = "011", "001", "010", "100"
@@ -235,10 +235,8 @@ class Battery:
             if len(vec) != num_states:
                 raise ValueError(f"utility vector {i} has {len(vec)} entries, not {num_states}")
         self.n = len(self.uvecs)
-        du = self.du = lcm(*(e.denominator for vec in self.uvecs for e in vec.entries))
-        self._scaled = [
-            tuple(e.numerator * (du // e.denominator) for e in vec.entries) for vec in self.uvecs
-        ]
+        self.du, flat = scaled([e for vec in self.uvecs for e in vec.entries])
+        self._scaled = list(zip(*[iter(flat)] * num_states))  # one row per act
         spread = max(map(max, self._scaled), default=0) - min(map(min, self._scaled), default=0)
         self.half = _MIX_SCALE * spread  # bounds every entry of k*u_f + (s-k)*u_h - s*u_g
         self.radix = 2 * self.half + 1
@@ -428,11 +426,10 @@ class _Runner:
     counts every violation but builds a witness's Fractions only while
     fewer than ``witness_cap`` are kept; ``fail_each`` reads no margin past
     the cap.  A zero read of u_i - u_j sets bit j of ``zero_read[i]``, by
-    ``margin_num`` or by a runner's masks past the cap, so ``zero_flags``
-    counts each such pair once, whatever the cap, plus ``zeros``, the zeros
-    counted in bulk.  ``weak_matrix`` adds every off-diagonal zero of the
-    relation to ``zeros``, so one zero can count twice.  The audit passes
-    when ``total`` is zero.
+    ``margin_num`` or by ``weak_matrix``, which marks every off-diagonal
+    zero of the relation, so ``zero_flags`` counts each such pair once,
+    whatever the cap, plus ``zeros``, the zeros of other vectors and of
+    runners that count in bulk.  The audit passes when ``total`` is zero.
     """
 
     def __init__(self, table: MarginTable, kind: ModelKind, witness_cap: int = WITNESS_CAP):
@@ -482,9 +479,10 @@ class _Runner:
 
         Built once per (table, model) and shared; callers must not mutate
         them.  Every off-diagonal zero margin counts as a boundary case and
-        is added to ``zeros``, so each runner calls this at most once.
+        is marked in ``zero_read``.
         """
-        self.zeros += self.relation.zeros
+        for i, row in enumerate(self.relation.bits(_ZERO)):
+            self.zero_read[i] |= row & ~(1 << i)
         return self.relation.bits(_WEAK), self.relation.bits(_WEAK, transposed=True)
 
     @property
@@ -554,7 +552,7 @@ def _run_independence(r: _Runner) -> None:
     rel = r.relation
     # The margins of k * (u_i - u_j), folded once per weight k / s.
     weights = [(a, k, dict(zip(distinct, map(rel.combine, *rel.cols.differences(k)))))
-               for a, k in zip(MIX_GRID, (int(a * _MIX_SCALE) for a in MIX_GRID))]
+               for a, k in zip(MIX_GRID, _MIX_KS)]
     for i, j in itertools.combinations(range(r.table.n), 2):
         code = codes[i] - codes[j]
         base_num = r.margin_num(i, j)
@@ -581,7 +579,7 @@ def _run_completeness(r: _Runner) -> None:
 
 def _run_transitivity(r: _Runner) -> None:
     w, _ = r.weak_matrix()
-    n, num, zero = r.table.n, r.margin_num, r.relation.bits(_ZERO)
+    n, num = r.table.n, r.margin_num
     for i, wi in enumerate(w):
         worse = wi & ~(1 << i)
         r.checked += n * worse.bit_count()
@@ -589,10 +587,6 @@ def _run_transitivity(r: _Runner) -> None:
             bad = w[j] & ~wi
             if not bad:
                 continue
-            # Every violation (i, j, h) reads margin(i, j) and margin(j, h), marked
-            # here past the cap too; its margin(i, h) is negative, so never zero.
-            r.zero_read[i] |= (1 << j) & zero[i]
-            r.zero_read[j] |= bad & zero[j]
             r.fail_each(bad, lambda h: ((i, j, h), (num(i, j), num(j, h), num(i, h)),
                                         "weak preference fails to chain"))
 
@@ -625,8 +619,7 @@ def _run_favorable_mixing(r: _Runner) -> None:
     n = r.table.n
     s = _MIX_SCALE
     unit = r.relation.unit * s
-    grid = sorted(MIX_GRID)
-    ks = [int(a * s) for a in grid]
+    grid, ks = MIX_GRID, _MIX_KS  # ascending weights
     # Every (f, g) with g strictly better than f, g outer, as witnesses are kept.
     strict = [(f, g) for g in range(n) for f in _set_bits(w[g] & ~wt[g])]
     if not strict:

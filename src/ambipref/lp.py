@@ -30,8 +30,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
+
+from .model import primitive, scaled
 
 __all__ = [
     "Constraint",
@@ -124,18 +126,6 @@ LpOutcome = Optimal | Infeasible | Unbounded
 _ZERO = Fraction(0)
 
 
-def _reduced(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return [v // g for v in row] if g > 1 else row
-
-
-def _integer_row(values: Sequence[Fraction | int]) -> list[int]:
-    """The smallest integer row with the same ratios (a positive multiple)."""
-    scale = lcm(*(v.denominator for v in values))
-    return _reduced([v.numerator * (scale // v.denominator) for v in values])
-
-
 def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int) -> None:
     """Make ``col`` basic in ``row``; every other row, the cost row too, loses it.
 
@@ -153,7 +143,7 @@ def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int) -> No
         scale = other[col]
         if i == row or not scale:
             continue
-        tableau[i] = _reduced([p * a - scale * b for a, b in zip(other, pivot_row)])
+        tableau[i] = primitive([p * a - scale * b for a, b in zip(other, pivot_row)])
     basis[row] = col
 
 
@@ -163,7 +153,7 @@ def _cost_row(body: list[list[int]], basis: list[int], cost: Sequence[Fraction |
     The row is a positive multiple of the exact reduced costs, so its signs
     are theirs; its last entry is -c_B . rhs on the same scale.
     """
-    ints = _integer_row(list(cost) + [0])
+    ints = primitive(scaled([*cost, 0])[1])
     dens = [body[i][b] for i, b in enumerate(basis) if ints[b]]
     scale = lcm(*dens)
     out = [scale * c for c in ints]
@@ -171,7 +161,7 @@ def _cost_row(body: list[list[int]], basis: list[int], cost: Sequence[Fraction |
         if ints[b]:
             factor = ints[b] * (scale // row[b])
             out = [o - factor * v for o, v in zip(out, row)]
-    return _reduced(out)
+    return primitive(out)
 
 
 def _simplex(tableau: list[list[int]], basis: list[int], allowed: Sequence[bool]) -> str:
@@ -249,7 +239,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
             row[art_at] = scale
             basis.append(art_at)
             art_at += 1
-        body.append(_reduced(row))
+        body.append(primitive(row))
 
     if full_cols > total_cols:
         phase1_cost = [0] * total_cols + [1] * (full_cols - total_cols)
@@ -304,17 +294,11 @@ def _check_point(lp: LinearProgram, point: Sequence[Fraction]) -> None:
     tested as coeffs . (P * point) against rhs * P.  The constraints are
     read as given, independently of the tableau.
     """
-    common = lcm(*(x.denominator for x in point))
-    nums = [x.numerator * (common // x.denominator) for x in point]
+    common, nums = scaled(point)
     for con in lp.constraints:
-        scale = lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs))
-        value = sum(
-            c.numerator * (scale // c.denominator) * x
-            for c, x in zip(con.coeffs, nums)
-            if c
-        )
-        bound = con.rhs.numerator * (scale // con.rhs.denominator) * common
-        if not _COMPARE[con.cmp](value, bound):
+        _, ints = scaled((*con.coeffs, con.rhs))
+        value = sum(c * x for c, x in zip(ints, nums) if c)
+        if not _COMPARE[con.cmp](value, ints[-1] * common):
             raise RuntimeError(f"solver returned a point violating {con}")
     upper = lp.upper or (None,) * lp.num_vars
     for j, (lo, x, hi) in enumerate(zip(lp.lower, point, upper)):

@@ -12,7 +12,6 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Sequence, Union
 
 from .model import (
@@ -25,6 +24,7 @@ from .model import (
     UtilityVector,
     exact_rational,
     expected_value,
+    scaled,
     utility_vector,
 )
 
@@ -83,8 +83,7 @@ def margin_profile(collection: BeliefCollection, phi: UtilityVector) -> MarginPr
     if len(phi) != collection.dimension:
         raise ValueError("prior and utility vector disagree on dimension")
     den, rows = collection.integer_view
-    q = lcm(*(e.denominator for e in phi.entries))
-    x = [e.numerator * (q // e.denominator) for e in phi.entries]
+    q, x = scaled(phi.entries)
     _, maxmin, minmax = vertex_extremes(rows, x)
     return MarginProfile(maxmin=Fraction(maxmin, den * q), minmax=Fraction(minmax, den * q))
 

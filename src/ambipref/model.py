@@ -24,6 +24,8 @@ __all__ = [
     "ValidationIssue",
     "InstanceValidationError",
     "parse_rational",
+    "scaled",
+    "primitive",
     "format_rational",
     "StateSpace",
     "PrizeSet",
@@ -124,6 +126,18 @@ def exact_rational(value, what: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise NotARational(f"{what} must be an int or a Fraction, got {value!r}")
     return Fraction(value)
+
+
+def scaled(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """``(den, ints)``: the values as integers over ``den``, the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def primitive(ints: list[int]) -> list[int]:
+    """The integers divided by their gcd, or ``ints`` itself when the gcd is 1 or 0."""
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 def format_rational(value: Fraction) -> str:

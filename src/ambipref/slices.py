@@ -27,7 +27,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .margins import (
@@ -39,7 +38,7 @@ from .margins import (
     ModelKind,
     margin_profile,
 )
-from .model import BeliefCollection, UtilityVector, exact_rational
+from .model import BeliefCollection, UtilityVector, exact_rational, primitive, scaled
 
 __all__ = [
     "DegenerateDirection",
@@ -77,14 +76,6 @@ class UnknownFormat(ValueError):
     """Unsupported export format."""
 
 
-def _primitive(entries: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Rescale a rational vector to the smallest integer vector, same ray."""
-    scale = lcm(*(e.denominator for e in entries))
-    ints = [int(e * scale) for e in entries]
-    g = gcd(*(abs(v) for v in ints))
-    return tuple(Fraction(v, g) for v in ints)
-
-
 @dataclass(frozen=True)
 class SlicePlane:
     """Ordered basis (diagonal, off-diagonal residue) of a slice plane."""
@@ -117,7 +108,9 @@ class SlicePlane:
             raise DegenerateDirection(
                 "direction is proportional to the diagonal and spans no plane"
             )
-        return cls(e1=tuple(Fraction(1) for _ in range(n)), e2=_primitive(residue))
+        # e2 is the smallest integer vector on the residue's ray.
+        e2 = tuple(map(Fraction, primitive(scaled(residue)[1])))
+        return cls(e1=tuple(Fraction(1) for _ in range(n)), e2=e2)
 
     @property
     def num_states(self) -> int:
@@ -157,15 +150,14 @@ class ConvexityVerdict:
 
 @lru_cache(maxsize=8)
 def _circle_points(n: int) -> tuple[tuple[int, int, int], ...]:
-    """n unit-circle points (c/d, s/d) in circular order, as integer triples.
+    """The first n/2 of n unit-circle points (c/d, s/d) in circular order.
 
     With h = n/2 and m = 2j - h, point j is the tangent half-angle point of
-    u = m/h scaled by h^2: (h^2 - m^2, 2mh, h^2 + m^2).  Point k+n/2 is
-    (-c, -s, d).
+    u = m/h scaled by h^2: (h^2 - m^2, 2mh, h^2 + m^2), an integer triple.
+    Point k+n/2, never built, is (-c, -s, d).
     """
     h = n // 2
-    right = [(h * h - m * m, 2 * m * h, h * h + m * m) for m in range(-h, h, 2)]
-    return tuple(right + [(-c, -s, d) for c, s, d in right])
+    return tuple((h * h - m * m, 2 * m * h, h * h + m * m) for m in range(-h, h, 2))
 
 
 @lru_cache(maxsize=8)
@@ -175,11 +167,10 @@ def _directions(e2: tuple[Fraction, ...], n: int) -> tuple[UtilityVector, ...]:
     With q the lcm of e2's denominators, entry e/q of e2 gives the direction
     entry (c*q + s*e) / (d*q).  Direction k+n/2 is minus direction k.
     """
-    q = lcm(*(e.denominator for e in e2))
-    ints = [int(e * q) for e in e2]
+    q, ints = scaled(e2)
     right = [
         UtilityVector(tuple(Fraction(c * q + s * e, d * q) for e in ints))
-        for c, s, d in _circle_points(n)[: n // 2]
+        for c, s, d in _circle_points(n)
     ]
     return tuple(right + [-v for v in right])
 
@@ -230,17 +221,15 @@ def slice_profile(
         raise ValueError(f"sample count must be even so antipodes align, got {n}")
     mixture = AlphaMixture(alpha) if alpha is not None else None
     weight = mixture.alpha if mixture is not None else None
-    # With A = a/ad and B = b/bd, the primitives at the circle point
-    # (c/d, s/d) are c*ad*bd + s*a*bd and c*ad*bd + s*b*ad over
-    # denom = d*ad*bd, the two slopes swapped for s < 0.
+    # With A = a_slope/base and B = b_slope/base, the primitives at the
+    # circle point (c/d, s/d) are c*base + s*a_slope and c*base + s*b_slope
+    # over denom = d*base, the two slopes swapped for s < 0.
     along = margin_profile(collection, UtilityVector(plane.e2))
-    a, ad = along.maxmin.numerator, along.maxmin.denominator
-    b, bd = along.minmax.numerator, along.minmax.denominator
-    base, a_slope, b_slope = ad * bd, a * bd, b * ad
+    base, (a_slope, b_slope) = scaled((along.maxmin, along.minmax))
     half = _CONE_KINDS["half"]
     numerators = []
     values = []
-    for c, s, d in _circle_points(n)[: n // 2]:
+    for c, s, d in _circle_points(n):
         cb, denom = c * base, d * base
         mm_slope, mx_slope = (a_slope, b_slope) if s >= 0 else (b_slope, a_slope)
         mm, mx = cb + s * mm_slope, cb + s * mx_slope

@@ -194,6 +194,25 @@ class TestPolytopeIntersection:
         with pytest.raises(RuntimeError, match="common-prior weights"):
             polytopes_intersect(left, right)
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [lambda p: tuple(-x for x in p[:-1]) + p[-1:], lambda p: (F(0),) * (len(p) - 1) + p[-1:]],
+        ids=["flipped", "zero"],
+    )
+    def test_wrong_separation_point_raises(self, disjoint_pair, monkeypatch, tamper):
+        """A positive optimum whose phi does not separate the sets is refused."""
+        real = analysis.solve
+
+        def tampered(lp):
+            out = real(lp)
+            assert out.value > 0
+            return dataclasses.replace(out, point=tamper(out.point))
+
+        monkeypatch.setattr(analysis, "solve", tampered)
+        low, high = disjoint_pair.collection.sets
+        with pytest.raises(RuntimeError, match="does not separate"):
+            polytopes_intersect(low, high)
+
     def test_default_box_common_priors_verify(self):
         shared = 0
         for states in (2, 3, 4):

@@ -178,6 +178,52 @@ def test_a_cut_contradicts_commutation(tmp_path, capsys):
     ]
 
 
+def test_a_perturbed_collapse_prior_is_rejected(tmp_path, capsys):
+    def perturb(report):
+        assert report["seu_collapse"] == ["2/5", "3/5"]
+        report["seu_collapse"] = ["1/2", "1/2"]
+
+    assert _run(tmp_path, "touching_intervals", perturb) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "seu_collapse: (1/2, 1/2) is not (2/5, 3/5)"
+    ]
+
+
+def test_a_removed_collapse_prior_is_rejected(tmp_path, capsys):
+    def remove(report):
+        report["seu_collapse"] = None
+
+    assert _run(tmp_path, "touching_intervals", remove) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "seu_collapse: null, but every set holds the first-state probability 2/5"
+    ]
+
+
+def test_a_collapse_on_disjoint_intervals_is_rejected(tmp_path, capsys):
+    def add(report):
+        report["seu_collapse"] = ["1/2", "1/2"]
+
+    assert _run(tmp_path, "disjoint_pair", add) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "seu_collapse: a collapse prior is reported, but the largest least")
+
+
+def test_a_collapse_on_three_states_is_rejected(tmp_path, capsys):
+    from ambipref import GenParams, analyze, generate_instance, instance_to_jsonable
+
+    inst = generate_instance(6, GenParams(num_states=3, num_sets=4, vertices_per_set=6))
+    report = analyze(inst).to_jsonable()
+    report["seu_collapse"] = ["1/3", "1/3", "1/3"]
+    paths = tmp_path / "instance.json", tmp_path / "report.json"
+    for path, doc in zip(paths, (instance_to_jsonable(inst), report)):
+        path.write_text(json.dumps(doc))
+    assert checker.main([str(p) for p in paths]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "seu_collapse: a collapse prior is reported on 3 states, not 2"
+    ]
+
+
 def test_usage_error_exits_2(capsys):
     assert checker.main([]) == 2
     assert "usage" in capsys.readouterr().err

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ambipref import (
@@ -35,7 +35,7 @@ from ambipref import (
     validate_instance,
 )
 from ambipref.axioms import MIX_GRID
-from ambipref.model import MAX_RATIONAL_DIGITS
+from ambipref.model import MAX_RATIONAL_DIGITS, primitive, scaled
 
 F = Fraction
 DISJOINT_PAIR = Path(__file__).resolve().parent.parent / "instances" / "disjoint_pair.json"
@@ -153,6 +153,30 @@ class TestIntegerView:
         assert "integer_view" in vars(built) and "integer_view" not in vars(fresh)
         assert built == fresh and hash(built) == hash(fresh)
         assert built != _collection(HALVES_THIRDS[:1])
+
+
+class TestReadIn:
+    """``scaled`` and ``primitive``, where every layer crosses from Fractions to integers."""
+
+    @given(st.lists(rationals | st.integers(-100, 100), max_size=8))
+    def test_scaled_is_exact_over_the_lcm(self, values):
+        den, ints = scaled(values)
+        assert all(type(x) is int for x in ints)
+        assert [F(x, den) for x in ints] == values
+        assert den == math.lcm(*(F(v).denominator for v in values))
+
+    @given(st.lists(st.integers(-1000, 1000), max_size=8), st.integers(1, 60))
+    @example([3, -5, 0], 2)
+    @example([0, 0], 7)
+    def test_primitive_keeps_the_ratios(self, base, factor):
+        ints = [factor * x for x in base]
+        reduced, g = primitive(ints), math.gcd(*ints)
+        if g <= 1:
+            assert reduced is ints
+        else:
+            assert [x * g for x in reduced] == ints
+        assert math.gcd(*reduced) == (1 if any(ints) else 0)
+        assert primitive(reduced) is reduced
 
 
 class TestActHelpers:
