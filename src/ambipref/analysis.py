@@ -11,13 +11,12 @@ condition as a concrete axiom violation.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .lp import Constraint, LinearProgram, Optimal, solve
-from .margins import margin_profile, set_max, set_min, vertex_extremes
+from .margins import margin_profile, vertex_extremes
 from .model import (
     Act,
     BeliefCollection,
@@ -27,6 +26,9 @@ from .model import (
     UtilityVector,
     act_from_utility_vector,
     constant_act,
+    primitive,
+    scaled,
+    vertex_rows,
 )
 
 __all__ = [
@@ -70,17 +72,21 @@ class CommonPrior:
     weights_second: tuple[Fraction, ...]
 
     def verify(self, first: BeliefSet, second: BeliefSet) -> bool:
-        for weights, bset in ((self.weights_first, first), (self.weights_second, second)):
-            if len(weights) != len(bset.vertices):
+        """Checked on integers: with the weights over their lcm q, the vertex
+        rows over den and the prior over p, each weight list is nonnegative,
+        sums to q, and mixes its rows into q * den / p times the prior."""
+        den, rows = vertex_rows((first, second))
+        p, prior = scaled(self.prior.probs)
+        for weights, verts in zip((self.weights_first, self.weights_second), rows):
+            if len(weights) != len(verts) or len(verts[0]) != len(prior):
                 return False
-            if any(w < 0 for w in weights) or sum(weights) != 1:
+            q, ints = scaled(weights)
+            if any(w < 0 for w in ints) or sum(ints) != q:
                 return False
-            mixed = [
-                sum(w * v.probs[s] for w, v in zip(weights, bset.vertices))
-                for s in range(len(self.prior.probs))
-            ]
-            if tuple(mixed) != self.prior.probs:
-                return False
+            scale = q * den
+            for s, target in enumerate(prior):
+                if p * sum(w * v[s] for w, v in zip(ints, verts)) != target * scale:
+                    return False
         return True
 
 
@@ -93,12 +99,21 @@ class SametCertificate:
     slack: Fraction
 
     def verify(self, first: BeliefSet, second: BeliefSet) -> bool:
-        phi1, phi2 = self.phi1.entries, self.phi2.entries
-        if len(phi1) != len(phi2) or any(a + b for a, b in zip(phi1, phi2)):
+        """Checked on integers: with phi1 and phi2 over their lcm q and the
+        vertex rows over den, phi2 = -phi1 and den * q * slack is the
+        smaller integer floor, and positive."""
+        n = len(self.phi1)
+        q, ints = scaled((*self.phi1.entries, *self.phi2.entries))
+        x = ints[:n]
+        if len(self.phi2) != n or ints[n:] != [-a for a in x]:
             return False
-        m1 = min(sum(p * e for p, e in zip(v.probs, phi1)) for v in first.vertices)
-        m2 = min(sum(p * e for p, e in zip(v.probs, phi2)) for v in second.vertices)
-        return self.slack == min(m1, m2) and self.slack > 0
+        if first.dimension != n or second.dimension != n:
+            return False
+        den, rows = vertex_rows((first, second))
+        (on_first, on_second), _, _ = vertex_extremes(rows, x)
+        floor = min(min(on_first), -max(on_second))
+        slack = self.slack
+        return slack > 0 and slack.numerator * den * q == floor * slack.denominator
 
 
 @dataclass(frozen=True)
@@ -218,38 +233,31 @@ def polytopes_intersect(
     """Decide whether two credal polytopes share a prior.
 
     One separation LP maximizes the floor t of <v, phi> over the first set
-    and of <w, -phi> over the second, with phi boxed in [-1, 1] per state.  A
-    strictly positive optimum certifies disjointness.  At a zero optimum the
-    row duals of the first set's vertices and of the second's, each
-    normalized to sum to one, are the mixture weights of a common prior.
-    Either certificate is re-checked exactly before it is returned.
+    and of <w, -phi> over the second, with phi boxed in [-1, 1] per state.
+    Its rows are integers: both sets' vertices over one denominator den, as
+    den * v . phi - den * t >= 0 and -den * w . phi - den * t >= 0.  A
+    strictly positive optimum is the slack of a disjointness certificate.
+    At a zero optimum the row duals of the first set's vertices and of the
+    second's, each normalized to sum to one, are the mixture weights of a
+    common prior.  Either certificate is re-checked exactly before it is
+    returned.
     """
     n = first.dimension
     if second.dimension != n:
         raise DimensionMismatch(
             f"belief sets on {n} and {second.dimension} states cannot be compared"
         )
-    rows = []
-    for v in first.vertices:
-        rows.append(Constraint(tuple(v.probs) + (Fraction(-1),), ">=", Fraction(0)))
-    for w in second.vertices:
-        rows.append(
-            Constraint(tuple(-p for p in w.probs) + (Fraction(-1),), ">=", Fraction(0))
-        )
-    lp = LinearProgram(
-        n + 1,
-        [Fraction(0)] * n + [Fraction(1)],
-        rows,
-        lower=[Fraction(-1)] * n + [Fraction(-3)],
-        upper=[Fraction(1)] * n + [Fraction(1)],
-    )
+    den, (firsts, seconds) = vertex_rows((first, second))
+    rows = [Constraint((*v, -den), ">=", 0) for v in firsts]
+    rows += [Constraint((*(-p for p in w), -den), ">=", 0) for w in seconds]
+    lp = LinearProgram(n + 1, (0,) * n + (1,), rows, lower=(-1,) * n + (-3,), upper=(1,) * (n + 1))
     res = solve(lp)
     if not isinstance(res, Optimal):
         raise RuntimeError(f"separation program did not optimize: {res!r}")
     if res.value > 0:
+        # At the optimum t is the smaller floor of phi, which verify re-derives.
         phi = UtilityVector(res.point[:n])
-        slack = min(set_min(first, phi), -set_max(second, phi))
-        samet = SametCertificate(phi1=phi, phi2=-phi, slack=slack)
+        samet = SametCertificate(phi1=phi, phi2=-phi, slack=res.value)
         if not samet.verify(first, second):
             raise RuntimeError(f"separation point does not separate the sets: {res.point}")
         return samet
@@ -257,15 +265,17 @@ def polytopes_intersect(
     # At a zero optimum phi = 0, t = 0 is optimal too and binds no bound, so
     # the row duals lam, mu alone balance the objective: sum(lam * v) =
     # sum(mu * w), and as each vertex sums to one, sum(lam) = sum(mu) > 0.
-    k = len(first.vertices)
-    lam, mu = (
-        tuple(Fraction(d, sum(part) or 1) for d in part)
-        for part in (res.duals[:k], res.duals[k:])
-    )
-    mixture = tuple(sum(w * v.probs[s] for w, v in zip(lam, first.vertices)) for s in range(n))
+    k = len(firsts)
+    lam, mu = res.duals[:k], res.duals[k:]
+    total = sum(lam)
     try:
-        cert = CommonPrior(Prior(mixture), lam, mu)
-    except ValueError:  # lam mixes no prior
+        prior = Prior(
+            tuple(Fraction(sum(d * v[s] for d, v in zip(lam, firsts)), den * total) for s in range(n))
+        )
+        cert = CommonPrior(
+            prior, tuple(Fraction(d, total) for d in lam), tuple(Fraction(d, sum(mu)) for d in mu)
+        )
+    except (ValueError, ZeroDivisionError):  # lam or mu mixes no prior
         cert = None
     if cert is None or not cert.verify(first, second):
         raise RuntimeError(f"separation duals are not common-prior weights: {res.duals}")
@@ -281,10 +291,10 @@ def pairwise_intersection_holds(collection: BeliefCollection) -> PairwiseReport:
     return PairwiseReport(holds=all(e.intersects for e in entries), entries=entries)
 
 
-def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
-    """A nonzero integer vector over its gcd, first nonzero entry positive."""
-    g = math.gcd(*vec) * (1 if next(x for x in vec if x) > 0 else -1)
-    return tuple(x // g for x in vec)
+def _oriented(vec: list[int]) -> tuple[int, ...]:
+    """``primitive(vec)`` of a nonzero vector, its first nonzero entry made positive."""
+    ints = primitive(vec)
+    return tuple(ints) if next(filter(None, ints)) > 0 else tuple(-x for x in ints)
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
@@ -318,7 +328,7 @@ def find_cutting_hyperplane(
     n = collection.dimension
     points = {v for verts in scaled for v in verts}
     normals = {
-        _primitive([a - b for a, b in zip(v, w)])
+        _oriented([a - b for a, b in zip(v, w)])
         for v, w in itertools.combinations(points, 2)
     }
     for i, j in itertools.combinations(range(n), 2):
@@ -329,7 +339,7 @@ def find_cutting_hyperplane(
         # cross product of those n - 2 rows in n - 1 dimensions.
         rows = [[a - row[-1] for a in row[:-1]] for row in subset]
         x = [(-1) ** k * _det([r[:k] + r[k + 1:] for r in rows]) for k in range(n - 1)]
-        if not any(x) or (ray := _primitive(x + [-sum(x)])) in seen:
+        if not any(x) or (ray := _oriented(x + [-sum(x)])) in seen:
             continue
         seen.add(ray)
         values, maxmin, minmax = vertex_extremes(scaled, ray)

@@ -2,14 +2,20 @@
 
 Programs are box-bounded: every variable has a finite lower bound and an
 optional upper bound, which is all the separation program of this package
-needs.  Column j of the tableau holds x_j - lower_j >= 0, so
+needs.  Coefficients, right-hand sides and bounds are ints or Fractions.
+Column j of the tableau holds x_j - lower_j >= 0, so
 no variable is ever split.  Each row is read in over one positive scale
 that clears its coefficients, its rhs and every product of a coefficient
 with a lower bound, so the shifted rhs is an integer too.
 
-Two-phase primal simplex with Bland's smallest-index rule for both entering
-and leaving variables, so cycling is impossible.  The tableau is kept
-fraction-free: each row, the reduced-cost row included, is a list of Python
+Primal simplex with Bland's smallest-index rule for both entering and
+leaving variables, so cycling is impossible.  Every inequality row whose
+slack, once the row is signed to a nonnegative shifted rhs, has coefficient
++1 starts on that slack: a '<=' row with a nonnegative shifted rhs or a '>='
+row with a negative one.  Phase 1 runs only when some row cannot start on
+its slack (an equality row, a '<=' row with a negative shifted rhs or a '>='
+row with a nonnegative one), and only those rows get an artificial column.
+The tableau is kept fraction-free: each row, the reduced-cost row included, is a list of Python
 ints that stands for the row divided by one positive denominator (for a
 constraint row, its basic entry).  A pivot cross-multiplies and divides each
 changed row by its gcd, and ratio ties are compared by cross-multiplying, so
@@ -53,15 +59,15 @@ _COMPARE = {LE: operator.le, EQ: operator.eq, GE: operator.ge}
 class Constraint:
     """coeffs . x  (cmp)  rhs, with cmp one of '<=', '==', '>='."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Fraction | int, ...]
     cmp: str
-    rhs: Fraction
+    rhs: Fraction | int
 
     def __post_init__(self) -> None:
         if self.cmp not in (LE, EQ, GE):
             raise ValueError(f"comparison must be one of <=, ==, >=; got {self.cmp!r}")
 
-    def holds_at(self, point: Sequence[Fraction]) -> bool:
+    def holds_at(self, point: Sequence[Fraction | int]) -> bool:
         value = sum((c * x for c, x in zip(self.coeffs, point)), Fraction(0))
         if self.cmp == LE:
             return value <= self.rhs
@@ -79,10 +85,10 @@ class LinearProgram:
     """
 
     num_vars: int
-    objective: tuple[Fraction, ...]
+    objective: tuple[Fraction | int, ...]
     constraints: tuple[Constraint, ...]
-    lower: tuple[Fraction, ...] | None = None
-    upper: tuple[Fraction | None, ...] | None = None
+    lower: tuple[Fraction | int, ...] | None = None
+    upper: tuple[Fraction | int | None, ...] | None = None
 
     def __post_init__(self) -> None:
         if len(self.objective) != self.num_vars:
@@ -218,9 +224,10 @@ def solve(lp: LinearProgram) -> LpOutcome:
             v // lo.denominator * lo.numerator for v, lo in zip(ints, lower) if v and lo
         )
         read.append((ints, cmp, shifted, scale))
-    # Only a '<=' row with a nonnegative shifted rhs starts on its slack; every
-    # other row gets an artificial column, even a '>=' row flipped to a +1 slack.
-    starts_basic = [cmp == LE and shifted >= 0 for _, cmp, shifted, _ in read]
+    # A row with a negative shifted rhs is negated below, so a '<=' row with a
+    # nonnegative shifted rhs and a '>=' row with a negative one both have a
+    # +1 slack and start on it; only the other rows get an artificial column.
+    starts_basic = [cmp != EQ and (cmp == LE) == (shifted >= 0) for _, cmp, shifted, _ in read]
     total_cols = n + sum(cmp != EQ for _, cmp, _ in rows)
     full_cols = total_cols + starts_basic.count(False)
     body: list[list[int]] = []

@@ -1,7 +1,7 @@
 """Exact-arithmetic decision universe: states, prizes, lotteries, acts, priors.
 
 Every number is an exact :class:`fractions.Fraction` or an integer over a
-common denominator (``BeliefCollection.integer_view``), and nothing rounds.
+common denominator (``vertex_rows``), and nothing rounds.
 Preference judgments reduce to sign tests of exact margins, so cases that land
 exactly on a boundary stay exact instead of dissolving into float noise.
 """
@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "parse_rational",
     "scaled",
     "primitive",
+    "vertex_rows",
     "format_rational",
     "StateSpace",
     "PrizeSet",
@@ -138,6 +140,17 @@ def primitive(ints: list[int]) -> list[int]:
     """The integers divided by their gcd, or ``ints`` itself when the gcd is 1 or 0."""
     g = math.gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
+
+
+def vertex_rows(
+    sets: Sequence[BeliefSet],
+) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+    """``(den, rows)``: ``rows[g][k]`` is ``den`` times the g-th set's k-th vertex,
+    ``den`` the lcm of all their vertex denominators; the only place vertices
+    become ints."""
+    den, flat = scaled([p for s in sets for v in s.vertices for p in v.probs])
+    ints = iter(flat)
+    return den, tuple(tuple(tuple(islice(ints, len(v.probs))) for v in s.vertices) for s in sets)
 
 
 def format_rational(value: Fraction) -> str:
@@ -379,14 +392,9 @@ class BeliefCollection:
 
     @cached_property
     def integer_view(self) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
-        """``(den, rows)``: ``rows[g][k]`` is ``den`` times the g-th set's k-th vertex,
-        ``den`` the lcm of all vertex denominators.  Cached outside the fields,
-        so equality and hashing ignore it; the only place vertices become ints."""
-        den = math.lcm(*(p.denominator for s in self.sets for v in s.vertices for p in v.probs))
-        return den, tuple(
-            tuple(tuple(p.numerator * (den // p.denominator) for p in v.probs) for v in s.vertices)
-            for s in self.sets
-        )
+        """``vertex_rows`` of the collection's sets.  Cached outside the fields,
+        so equality and hashing ignore it."""
+        return vertex_rows(self.sets)
 
     def get(self, name: str) -> BeliefSet:
         for bset in self.sets:

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambipref import analysis, cli
+from ambipref import lp as lp_module
+from ambipref.model import scaled
 from ambipref import (
     AxiomKind,
     BeliefCollection,
@@ -177,6 +179,27 @@ class TestPolytopeIntersection:
             shared += sum(e.intersects for e in report.entries)
         assert shared > 0
 
+    def test_no_separation_program_runs_phase_1(self, monkeypatch):
+        """Every vertex row starts on its slack, so only phase 2 builds a cost row."""
+        real, cost_rows = lp_module._cost_row, []
+
+        def counted(body, basis, cost):
+            cost_rows.append(cost)
+            return real(body, basis, cost)
+
+        monkeypatch.setattr(lp_module, "_cost_row", counted)
+        instances = [load_instance(p) for p in sorted(INSTANCE_DIR.glob("*.json"))]
+        instances.append(
+            generate_instance(1, GenParams(num_states=4, num_sets=4, vertices_per_set=6))
+        )
+        kinds = set()
+        for instance in instances:
+            for first, second in itertools.combinations(instance.collection.sets, 2):
+                cost_rows.clear()
+                kinds.add(type(polytopes_intersect(first, second)))
+                assert len(cost_rows) == 1
+        assert kinds == {CommonPrior, SametCertificate}
+
     @pytest.mark.parametrize(
         "tamper",
         [lambda d: (d[0] + 1,) + d[1:], lambda d: (0,) * len(d)],
@@ -224,6 +247,133 @@ class TestPolytopeIntersection:
                         shared += 1
                         assert result.verify(first, second)
         assert shared > 0
+
+
+def reference_common_prior(cert, first, second) -> bool:
+    """``CommonPrior.verify`` in Fraction arithmetic, one state at a time."""
+    for weights, bset in ((cert.weights_first, first), (cert.weights_second, second)):
+        if len(weights) != len(bset.vertices) or any(w < 0 for w in weights) or sum(weights) != 1:
+            return False
+        mixed = tuple(
+            sum(w * v.probs[s] for w, v in zip(weights, bset.vertices))
+            for s in range(len(cert.prior.probs))
+        )
+        if mixed != cert.prior.probs:
+            return False
+    return True
+
+
+def reference_samet(cert, first, second) -> bool:
+    """``SametCertificate.verify`` in Fraction arithmetic."""
+    phi1, phi2 = cert.phi1.entries, cert.phi2.entries
+    if len(phi1) != len(phi2) or any(a + b for a, b in zip(phi1, phi2)):
+        return False
+    m1 = min(sum(p * e for p, e in zip(v.probs, phi1)) for v in first.vertices)
+    m2 = min(sum(p * e for p, e in zip(v.probs, phi2)) for v in second.vertices)
+    return cert.slack == min(m1, m2) and cert.slack > 0
+
+
+def _certified_pairs() -> list:
+    """(first, second, certificate) for every pair of the bundled instances and
+    of geometry-box seeds 0..3, in that order."""
+    instances = [load_instance(p) for p in sorted(INSTANCE_DIR.glob("*.json"))]
+    instances += [
+        generate_instance(s, GenParams(num_states=3 + s % 2, num_sets=4, vertices_per_set=6))
+        for s in range(4)
+    ]
+    return [
+        (a, b, polytopes_intersect(a, b))
+        for instance in instances
+        for a, b in itertools.combinations(instance.collection.sets, 2)
+    ]
+
+
+CERTIFIED_PAIRS = _certified_pairs()
+SHARED_PAIRS = [p for p in CERTIFIED_PAIRS if isinstance(p[2], CommonPrior)]
+DISJOINT_PAIRS = [p for p in CERTIFIED_PAIRS if isinstance(p[2], SametCertificate)]
+small = st.fractions(min_value=-1, max_value=1, max_denominator=7)
+
+
+def _nudged(values, index, delta):
+    values = list(values)
+    values[index % len(values)] += delta
+    return tuple(values)
+
+
+class TestIntegerVerify:
+    """The integer ``verify`` methods reject each way a certificate can be wrong."""
+
+    def test_every_returned_certificate_verifies(self):
+        assert SHARED_PAIRS and DISJOINT_PAIRS
+        for first, second, cert in CERTIFIED_PAIRS:
+            assert cert.verify(first, second)
+
+    def test_a_prior_off_by_one_numerator(self):
+        for first, second, cert in SHARED_PAIRS:
+            den, nums = scaled(cert.prior.probs)
+            down = nums.index(max(nums))
+            nums[down] -= 1
+            nums[(down + 1) % len(nums)] += 1
+            moved = Prior(tuple(F(x, den) for x in nums))
+            assert not dataclasses.replace(cert, prior=moved).verify(first, second)
+
+    def test_a_wrong_length_weights_second(self):
+        first, second, cert = SHARED_PAIRS[0]
+        for weights in (cert.weights_second + (F(0),), cert.weights_second[:-1]):
+            assert not dataclasses.replace(cert, weights_second=weights).verify(first, second)
+
+    def test_weights_summing_to_one_with_a_negative_entry(self):
+        """(2/5, 3/5) = v0 - v1 + v2 on three collinear vertices: only the sign fails."""
+        line = BeliefSet("line", tuple(Prior((F(k, 5), 1 - F(k, 5))) for k in (1, 2, 3)))
+        point = BeliefSet("point", (Prior((F(2, 5), F(3, 5))),))
+        good = CommonPrior(Prior((F(2, 5), F(3, 5))), (F(0), F(1), F(0)), (F(1),))
+        assert good.verify(line, point)
+        bad = dataclasses.replace(good, weights_first=(F(1), F(-1), F(1)))
+        assert sum(bad.weights_first) == 1
+        assert not bad.verify(line, point)
+        assert not dataclasses.replace(good, weights_second=(F(2), F(-1))).verify(point, point)
+
+    def test_phi2_not_minus_phi1_in_one_entry(self):
+        for first, second, cert in DISJOINT_PAIRS:
+            entries = _nudged(cert.phi2.entries, 0, F(1, 3))
+            broken = dataclasses.replace(cert, phi2=UtilityVector(entries))
+            assert not broken.verify(first, second)
+
+    def test_a_slack_off_by_one_unit(self):
+        """One unit is 1/(den * q): den for the vertices, q for phi1."""
+        for first, second, cert in DISJOINT_PAIRS:
+            den, _ = scaled([p for s in (first, second) for v in s.vertices for p in v.probs])
+            q, _ = scaled(cert.phi1.entries)
+            for step in (F(1, den * q), F(-1, den * q)):
+                assert not dataclasses.replace(cert, slack=cert.slack + step).verify(first, second)
+
+    def test_a_zero_slack(self):
+        """phi1 = (3/5, -2/5) has floor 0 on both touching intervals: only the sign fails."""
+        low, high = interval_set("low", F(1, 5), F(2, 5)), interval_set("high", F(2, 5), F(3, 5))
+        phi = UtilityVector((F(3, 5), F(-2, 5)))
+        for bset, functional in ((high, phi), (low, -phi)):
+            assert min(sum(p * e for p, e in zip(v.probs, functional.entries)) for v in bset.vertices) == 0
+        assert not SametCertificate(phi, -phi, F(0)).verify(high, low)
+
+    @given(st.data())
+    def test_common_prior_matches_the_fraction_reference(self, data):
+        first, second, cert = data.draw(st.sampled_from(SHARED_PAIRS))
+        field = data.draw(st.sampled_from(["weights_first", "weights_second"]))
+        index = data.draw(st.integers(0, 5))
+        delta = data.draw(small)
+        tampered = dataclasses.replace(cert, **{field: _nudged(getattr(cert, field), index, delta)})
+        assert tampered.verify(first, second) == reference_common_prior(tampered, first, second)
+        assert tampered.verify(first, second) == (delta == 0)
+
+    @given(st.data())
+    def test_samet_matches_the_fraction_reference(self, data):
+        first, second, cert = data.draw(st.sampled_from(DISJOINT_PAIRS))
+        index = data.draw(st.integers(0, 3))
+        phi1 = UtilityVector(_nudged(cert.phi1.entries, index, data.draw(small)))
+        phi2 = data.draw(st.sampled_from([-phi1, cert.phi2]))
+        slack = data.draw(st.sampled_from([cert.slack, cert.slack + data.draw(small)]))
+        tampered = SametCertificate(phi1, phi2, slack)
+        assert tampered.verify(first, second) == reference_samet(tampered, first, second)
 
 
 class TestCuttingHyperplane:
@@ -520,13 +670,40 @@ class TestPinnedReports:
         expected = (DATA / "analyze" / f"{stem}.json").read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
 
-    def test_geometry_box_reports(self):
-        """Seeds 0..79 of the geometry box, 3 states on even seeds, 4 on odd."""
-        pinned = json.loads((DATA / "analyze_geometry_sha256.json").read_text())
-        digests = {}
+    @pytest.fixture(scope="class")
+    def geometry_reports(self) -> dict[str, dict]:
+        """Reports of seeds 0..79 of the geometry box, 3 states on even seeds, 4 on odd."""
+        reports = {}
         for seed in range(80):
             params = GenParams(num_states=3 if seed % 2 == 0 else 4, num_sets=4, vertices_per_set=6)
-            doc = analyze(generate_instance(seed, params)).to_jsonable()
+            reports[str(seed)] = analyze(generate_instance(seed, params)).to_jsonable()
+        return reports
+
+    def test_geometry_box_reports(self, geometry_reports):
+        pinned = json.loads((DATA / "analyze_geometry_sha256.json").read_text())
+        digests = {}
+        for seed, doc in geometry_reports.items():
             text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-            digests[str(seed)] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            digests[seed] = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digests == pinned
+
+    def test_geometry_box_verdicts(self, geometry_reports):
+        """The verdicts behind the digests, pinned apart from the certificates.
+
+        Each pair is shared or disjoint, and a disjoint pair's slack is the
+        separation program's optimal value, so neither may move when only a
+        certificate's prior, weights or phi does.
+        """
+        pinned = json.loads((DATA / "analyze_geometry_verdicts.json").read_text())
+        verdicts = {}
+        for seed, doc in geometry_reports.items():
+            certs = doc["pairwise_intersections"]["certificates"]
+            verdicts[seed] = {
+                "shared": ["/".join(c["sets"]) for c in certs if c["kind"] == "common_prior"],
+                "disjoint": {"/".join(c["sets"]): c["slack"] for c in certs if c["kind"] == "disjoint"},
+                "complete_param": doc["complete_param"],
+                "cbt_param": doc["cbt_param"],
+                "commutes": doc["commutes"]["holds"],
+            }
+        assert verdicts == pinned
+        assert sum(len(v["disjoint"]) for v in pinned.values()) == 250

@@ -63,7 +63,7 @@ def test_perturbed_weight_is_rejected(tmp_path, capsys):
     assert _run(tmp_path, "overlapping_intervals", perturb) == 1
     assert capsys.readouterr().out.splitlines() == [
         "certificate 0 (left, right): weights_first mixes its vertices into "
-        "(397/1000, 603/1000), not the prior"
+        "(497/1000, 503/1000), not the prior"
     ]
 
 

@@ -408,6 +408,56 @@ class TestIntegerReadIn:
         assert accepted == expected
 
 
+class TestSlackStart:
+    """A '>=' row with a negative shifted rhs starts on its slack, as a '<=' row
+    with a nonnegative one does, so a program of such rows skips phase 1."""
+
+    BOX = (F(-2), F(-2)), (F(2), F(2))
+    # y <= x + 1, x + 2y <= 4 and 3x + y <= 5; the two '>=' rows shift by the
+    # lower bounds to rhs -1 and -10.
+    ROWS = (ge([1, -1], -1), ge([-1, -2], -4), le([3, 1], 5))
+    OBJECTIVE = (F(1), F(1))
+
+    def _solve_counting_cost_rows(self, monkeypatch, program):
+        real, cost_rows = lp_module._cost_row, []
+
+        def counted(body, basis, cost):
+            cost_rows.append(cost)
+            return real(body, basis, cost)
+
+        monkeypatch.setattr(lp_module, "_cost_row", counted)
+        return solve(program), len(cost_rows)
+
+    def test_optimum_point_and_duals_match_the_brute_force_vertex(self, monkeypatch):
+        cons, (lo, hi) = self.ROWS, self.BOX
+        program = LinearProgram(2, self.OBJECTIVE, cons, lower=lo, upper=hi)
+        out, cost_rows = self._solve_counting_cost_rows(monkeypatch, program)
+        assert cost_rows == 1  # phase 2 only
+        value = lambda p: sum(c * x for c, x in zip(self.OBJECTIVE, p))
+        vertices = feasible_vertices(cons, self.BOX)
+        best = max(map(value, vertices))
+        (winner,) = {p for p in vertices if value(p) == best}
+        assert isinstance(out, Optimal)
+        assert (out.value, out.point) == (best, winner) == (F(13, 5), (F(6, 5), F(7, 5)))
+        # The winner binds no box bound, so the duals of its binding rows
+        # alone balance the objective; a slack row's dual is zero.
+        assert all(lo_j < x < hi_j for lo_j, x, hi_j in zip(lo, winner, hi))
+        for con, dual in zip(cons, out.duals):
+            binding = sum(c * x for c, x in zip(con.coeffs, winner)) == con.rhs
+            assert dual == 0 if not binding else (dual > 0) == (con.cmp == ">=")
+        factor = F(out.duals[1]) / F(2, 5)
+        for j, c in enumerate(self.OBJECTIVE):
+            assert factor * c + sum(d * con.coeffs[j] for d, con in zip(out.duals, cons)) == 0
+        assert out.duals == (0, factor * F(2, 5), factor * F(-1, 5))
+
+    def test_a_ge_row_with_a_nonnegative_shifted_rhs_still_takes_phase_1(self, monkeypatch):
+        rows = self.ROWS + (ge([1, 0], -1),)  # shifted rhs 1: its slack is -1
+        program = LinearProgram(2, self.OBJECTIVE, rows, lower=self.BOX[0], upper=self.BOX[1])
+        out, cost_rows = self._solve_counting_cost_rows(monkeypatch, program)
+        assert cost_rows == 2
+        assert out.point == (F(6, 5), F(7, 5))
+
+
 class TestDuals:
     """Duals read off the final cost row, up to one positive factor."""
 

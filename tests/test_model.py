@@ -35,7 +35,7 @@ from ambipref import (
     validate_instance,
 )
 from ambipref.axioms import MIX_GRID
-from ambipref.model import MAX_RATIONAL_DIGITS, primitive, scaled
+from ambipref.model import MAX_RATIONAL_DIGITS, primitive, scaled, vertex_rows
 
 F = Fraction
 DISJOINT_PAIR = Path(__file__).resolve().parent.parent / "instances" / "disjoint_pair.json"
@@ -146,6 +146,16 @@ class TestIntegerView:
         coll = _collection(HALVES_THIRDS)
         assert _collection(HALVES_THIRDS[:1]).integer_view == (2, (((1, 1), (2, 0)),))
         assert Bewley("thirds").sets(coll).integer_view == (3, (((1, 2), (0, 3), (2, 1)),))
+
+    def test_sets_of_any_dimension_share_one_denominator(self):
+        """``vertex_rows`` cuts each vertex at its own length, as ``verify`` reads it."""
+        halves, thirds = (BeliefSet(name, tuple(map(Prior, verts))) for name, verts in HALVES_THIRDS)
+        flat = BeliefSet("flat", (Prior((F(1, 4),) * 4),))
+        assert vertex_rows((halves, flat, thirds)) == (
+            12,
+            (((6, 6), (12, 0)), ((3, 3, 3, 3),), ((4, 8), (0, 12), (8, 4))),
+        )
+        assert vertex_rows((halves, thirds)) == _collection(HALVES_THIRDS).integer_view
 
     def test_view_leaves_equality_and_hashing_alone(self):
         built, fresh = _collection(HALVES_THIRDS), _collection(HALVES_THIRDS)
