@@ -250,7 +250,9 @@ def polytopes_intersect(
     den, (firsts, seconds) = vertex_rows((first, second))
     rows = [Constraint((*v, -den), ">=", 0) for v in firsts]
     rows += [Constraint((*(-p for p in w), -den), ">=", 0) for w in seconds]
-    lp = LinearProgram(n + 1, (0,) * n + (1,), rows, lower=(-1,) * n + (-3,), upper=(1,) * (n + 1))
+    lp = LinearProgram(
+        n + 1, (0,) * n + (1,), rows, lower=(-1,) * n + (-3,), upper=(1,) * (n + 1)
+    )
     res = solve(lp)
     if not isinstance(res, Optimal):
         raise RuntimeError(f"separation program did not optimize: {res!r}")
@@ -269,9 +271,8 @@ def polytopes_intersect(
     lam, mu = res.duals[:k], res.duals[k:]
     total = sum(lam)
     try:
-        prior = Prior(
-            tuple(Fraction(sum(d * v[s] for d, v in zip(lam, firsts)), den * total) for s in range(n))
-        )
+        mixed = (sum(d * v[s] for d, v in zip(lam, firsts)) for s in range(n))
+        prior = Prior(tuple(Fraction(m, den * total) for m in mixed))
         cert = CommonPrior(
             prior, tuple(Fraction(d, total) for d in lam), tuple(Fraction(d, sum(mu)) for d in mu)
         )

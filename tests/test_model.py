@@ -149,7 +149,7 @@ class TestIntegerView:
 
     def test_sets_of_any_dimension_share_one_denominator(self):
         """``vertex_rows`` cuts each vertex at its own length, as ``verify`` reads it."""
-        halves, thirds = (BeliefSet(name, tuple(map(Prior, verts))) for name, verts in HALVES_THIRDS)
+        halves, thirds = (BeliefSet(n, tuple(map(Prior, verts))) for n, verts in HALVES_THIRDS)
         flat = BeliefSet("flat", (Prior((F(1, 4),) * 4),))
         assert vertex_rows((halves, flat, thirds)) == (
             12,
