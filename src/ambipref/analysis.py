@@ -26,6 +26,7 @@ from .model import (
     UtilityVector,
     act_from_utility_vector,
     constant_act,
+    exact_rational,
     primitive,
     scaled,
     vertex_rows,
@@ -130,14 +131,15 @@ class CuttingHyperplane:
     straddles: tuple[tuple[int, int], ...]
 
     def verify(self, collection: BeliefCollection) -> bool:
-        if len(self.straddles) != len(collection.sets):
+        if len(self.straddles) != len(collection.sets) or len(self.normal) != collection.dimension:
             return False
         for (ip, im), bset in zip(self.straddles, collection.sets):
             values = [
                 sum(p * e for p, e in zip(v.probs, self.normal.entries))
                 for v in bset.vertices
             ]
-            if not (values[ip] > self.offset > values[im]):
+            in_range = 0 <= ip < len(values) and 0 <= im < len(values)
+            if not (in_range and values[ip] > self.offset > values[im]):
                 return False
         return True
 
@@ -321,7 +323,8 @@ def find_cutting_hyperplane(
     of the normals cut out of psi.1 = 0.  Rays are tried in the order of the
     sorted normal subsets; the first with D > 0 is shifted by
     t = (maxmin + minmax) / 2 to threshold zero, and each set is straddled
-    by its first argmax and argmin vertices.
+    by its first argmax and argmin vertices.  The cut is re-checked by its
+    own ``verify`` before it is returned.
     """
     den, scaled = collection.integer_view
     if any(len(verts) < 2 for verts in scaled):  # a point cannot be straddled
@@ -346,19 +349,27 @@ def find_cutting_hyperplane(
         values, maxmin, minmax = vertex_extremes(scaled, ray)
         if minmax > maxmin:
             t = Fraction(maxmin + minmax, 2 * den)
-            return CuttingHyperplane(
+            cut = CuttingHyperplane(
                 normal=UtilityVector(tuple(r - t for r in ray)),
                 offset=Fraction(0),
                 straddles=tuple((v.index(max(v)), v.index(min(v))) for v in values),
             )
+            if not cut.verify(collection):
+                raise RuntimeError(f"cutting hyperplane does not straddle every set: {cut}")
+            return cut
     return None
 
 
 def phi_lattice(
     num_states: int, resolution: int = 2, radius: Fraction = Fraction(1)
 ) -> list[UtilityVector]:
-    """Cubic lattice of raw utility vectors, independent of any instance."""
-    radius = Fraction(radius)
+    """Cubic lattice of raw utility vectors, independent of any instance.
+
+    Raises ValueError for a resolution that is not a positive int or a
+    radius that is not a positive exact rational.
+    """
+    _check_resolution(resolution)
+    radius = check_radius(radius)
     step = radius / resolution
     levels = [-radius + k * step for k in range(2 * resolution + 1)]
     return [
@@ -373,10 +384,22 @@ def phi_lattice(
 MAX_BATTERY_ACTS = 729
 
 
-def check_battery(resolution: int, num_states: int, what: str = "") -> None:
-    """Raise ValueError for a lattice battery that is empty or over ``MAX_BATTERY_ACTS``."""
+def _check_resolution(resolution: int) -> None:
     if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
         raise ValueError(f"resolution must be a positive integer, got {resolution!r}")
+
+
+def check_radius(radius) -> Fraction:
+    """The radius as a Fraction; ValueError unless a positive int or Fraction."""
+    radius = exact_rational(radius, "radius")
+    if radius <= 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    return radius
+
+
+def check_battery(resolution: int, num_states: int, what: str = "") -> None:
+    """Raise ValueError for a lattice battery that is empty or over ``MAX_BATTERY_ACTS``."""
+    _check_resolution(resolution)
     acts = (2 * resolution + 1) ** num_states
     if acts > MAX_BATTERY_ACTS:
         raise ValueError(
@@ -407,16 +430,16 @@ def seu_collapse_binary(collection: BeliefCollection) -> Optional[Prior]:
 
     With two states each belief set is an interval of first-state masses;
     the collapse prior exists exactly when the largest interval minimum
-    meets the smallest interval maximum.
+    meets the smallest interval maximum: maxmin = minmax on (1, 0).
     """
     n = collection.dimension
     if n != 2:
         raise WrongDimension(f"collapse analysis needs exactly 2 states, got {n}")
-    a = max(min(v.probs[0] for v in s.vertices) for s in collection.sets)
-    b = min(max(v.probs[0] for v in s.vertices) for s in collection.sets)
+    den, rows = collection.integer_view
+    _, a, b = vertex_extremes(rows, (1, 0))
     if a != b:
         return None
-    return Prior((a, 1 - a))
+    return Prior((Fraction(a, den), Fraction(den - a, den)))
 
 
 def _realize(
@@ -471,12 +494,13 @@ def build_cbt_witness(
     s, phi, f, x0 = _realize(instance, cert.phi1)
     eps = s * cert.slack / 2
     xe = constant_act(instance, eps)
-    down = margin_profile(collection, -phi)
-    up = margin_profile(collection, phi.shift(-eps))
-    if not (down.maxmin > 0 and up.maxmin > 0 and eps > 0):
+    # x0 over f reads maxmin(-phi) = -minmax(phi), f over xe maxmin(phi) - eps.
+    prof = margin_profile(collection, phi)
+    down, up = -prof.minmax, prof.maxmin - eps
+    if not (down > 0 and up > 0 and eps > 0):
         raise RuntimeError(
             "separation certificate did not produce a transitivity failure; "
-            f"margins were {down.maxmin}, {up.maxmin}, eps {eps}"
+            f"margins were {down}, {up}, eps {eps}"
         )
     return x0, f, xe
 

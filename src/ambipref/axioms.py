@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Sequence
 
-from .analysis import check_battery, phi_lattice
+from .analysis import check_battery, check_radius, phi_lattice
 from .analysis import MAX_BATTERY_ACTS  # noqa: F401  (re-exported for callers of the axioms module)
 from .model import (
     Act,
@@ -55,7 +55,6 @@ from .model import (
     Instance,
     UtilityVector,
     constant_act,
-    exact_rational,
     scaled,
     utility_vector,
 )
@@ -186,14 +185,12 @@ def check_lattice(instance: Instance, resolution: int, radius) -> Fraction:
     """Reject lattice parameters that ``generate_act_grid`` cannot realize.
 
     Returns the radius as a Fraction.  Raises ValueError where
-    ``check_battery`` does or for a radius that is not positive, and
+    ``check_battery`` or ``check_radius`` does, and
     RadiusExceedsUtilityRange when [-radius, radius] does not fit the
     instance's utility range.
     """
     check_battery(resolution, instance.num_states)
-    radius = exact_rational(radius, "radius")
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    radius = check_radius(radius)
     lo, hi = instance.utility_bounds()
     if lo > -radius or hi < radius:
         raise RadiusExceedsUtilityRange(
@@ -426,8 +423,8 @@ class _Runner:
     counts every violation but builds a witness's Fractions only while
     fewer than ``witness_cap`` are kept; ``fail_each`` reads no margin past
     the cap.  A zero read of u_i - u_j sets bit j of ``zero_read[i]``, by
-    ``margin_num`` or by ``weak_matrix``, which marks every off-diagonal
-    zero of the relation, so ``zero_flags`` counts each such pair once,
+    ``margin_num``, by ``weak_matrix``, which marks every off-diagonal zero,
+    or from a runner's masks, so ``zero_flags`` counts each such pair once,
     whatever the cap, plus ``zeros``, the zeros of other vectors and of
     runners that count in bulk.  The audit passes when ``total`` is zero.
     """
@@ -596,22 +593,24 @@ def _constant_sandwich(r: _Runner, order, bit: int, note: str) -> None:
 
     Both premises, a vs f and f vs b, must have weak-preference bit ``bit``;
     each such f violates the axiom, since the order leaves its conclusion
-    false.  ``note`` is formatted with the two constants' values.
+    false.  ``note`` is formatted with the two constants' values.  Of the zero
+    reads (a, f), (f, b), (a, b), the masks mark those ``weak_matrix`` does not.
     """
     consts = r.table.battery.constants()
     w, wt = r.weak_matrix()
-    n = r.table.n
+    zero = r.relation.bits(_ZERO)
+    n, num = r.table.n, r.margin_num
     flip = 0 if bit else (1 << n) - 1
     for a, va in consts:
         for b, vb in consts:
             if not order(va, vb):
                 continue  # the conclusion already holds
-            pair_note = note.format(va, vb)
             r.checked += n
-            for f in _set_bits((w[a] ^ flip) & (wt[b] ^ flip)):
-                r.fail((a, f, b),
-                       (r.margin_num(a, f), r.margin_num(f, b), r.margin_num(a, b)),
-                       pair_note)
+            if bad := (w[a] ^ flip) & (wt[b] ^ flip):
+                r.zero_read[a] |= zero[a] & (bad | 1 << b)
+                r.zero_read[b] |= zero[b] & bad & (1 << b)
+                r.fail_each(bad, lambda f: ((a, f, b), (num(a, f), num(f, b), num(a, b)),
+                                            note.format(va, vb)))
 
 
 def _run_favorable_mixing(r: _Runner) -> None:

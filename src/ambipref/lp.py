@@ -4,9 +4,9 @@ Programs are box-bounded: every variable has a finite lower bound and an
 optional upper bound, which is all the separation program of this package
 needs.  Coefficients, right-hand sides and bounds are ints or Fractions.
 Column j of the tableau holds x_j - lower_j >= 0, so
-no variable is ever split.  Each row is read in over one positive scale
-that clears its coefficients, its rhs and every product of a coefficient
-with a lower bound, so the shifted rhs is an integer too.
+no variable is ever split, and each row's rhs shifts to rhs - coeffs . lower.
+Each row is read in by ``model.scaled``, as integers over the lcm of the
+denominators of its coefficients and its shifted rhs.
 
 Primal simplex with Bland's smallest-index rule for both entering and
 leaving variables, so cycling is impossible.  Every inequality row whose
@@ -211,19 +211,11 @@ def solve(lp: LinearProgram) -> LpOutcome:
         if hi is not None
     ]
     # Column j holds x_j - lower_j >= 0, so each rhs shifts by the bounds.
-    # Each row is read in over one positive scale that makes every
-    # coefficient, the rhs and every product c * lower_j an integer.
+    # Every body row is made primitive below, so its scale is immaterial.
     read = []
     for coeffs, cmp, rhs in rows:
-        scale = lcm(
-            rhs.denominator,
-            *(c.denominator * lo.denominator for c, lo in zip(coeffs, lower) if c),
-        )
-        ints = [c.numerator * (scale // c.denominator) for c in coeffs]
-        shifted = rhs.numerator * (scale // rhs.denominator) - sum(
-            v // lo.denominator * lo.numerator for v, lo in zip(ints, lower) if v and lo
-        )
-        read.append((ints, cmp, shifted, scale))
+        scale, ints = scaled((*coeffs, rhs - sum(c * lo for c, lo in zip(coeffs, lower) if c)))
+        read.append((ints[:-1], cmp, ints[-1], scale))
     # A row with a negative shifted rhs is negated below, so a '<=' row with a
     # nonnegative shifted rhs and a '>=' row with a negative one both have a
     # +1 slack and start on it; only the other rows get an artificial column.

@@ -301,9 +301,9 @@ def _replay(
     """
     instance = ctx.instance
     if cert is None:
-        rep = ctx.audit(axiom, GeneralizedBewley())
-        bad = [{"detail": held, **w} for w in _witness_dicts(rep)]
-        return SuiteOutcome(rep.passed, True, False, tuple(bad), rep.boundary_flags, (ctx.desc,))
+        scan = _audit_suite(GeneralizedBewley(), [axiom])(ctx)
+        bad = tuple({"detail": held, **w} for w in scan.counterexamples)
+        return replace(scan, counterexamples=bad)
     try:
         acts = build(instance.collection, cert, instance)
     except (ValueError, RuntimeError) as exc:

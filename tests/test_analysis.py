@@ -401,6 +401,30 @@ class TestCuttingHyperplane:
         short = CuttingHyperplane(cut.normal, cut.offset, cut.straddles[:1])
         assert not short.verify(overlapping_intervals.collection)
 
+    def test_a_normal_of_the_wrong_length_fails(self, overlapping_intervals):
+        """A normal longer or shorter than the states would verify if zip cut it."""
+        long = CuttingHyperplane(UtilityVector((F(1), F(0), F(5))), F(9, 20), ((1, 0), (1, 0)))
+        assert not long.verify(overlapping_intervals.collection)
+        three = BeliefCollection(tuple(
+            BeliefSet(name, (Prior((F(1, 4), F(1, 2), F(1, 4))), Prior((F(3, 4), F(0), F(1, 4)))))
+            for name in ("a", "b")
+        ))
+        short = CuttingHyperplane(UtilityVector((F(1), F(0))), F(1, 2), ((1, 0), (1, 0)))
+        assert not short.verify(three)
+        padded = CuttingHyperplane(UtilityVector((F(1), F(0), F(0))), F(1, 2), short.straddles)
+        assert padded.verify(three)
+
+    @pytest.mark.parametrize("straddles", [((2, 0), (1, 0)), ((1, -2), (1, 0))])
+    def test_straddles_naming_no_vertex_fail(self, overlapping_intervals, straddles):
+        """Each interval has vertices 0 and 1; -2 would wrap around to vertex 0."""
+        cut = CuttingHyperplane(UtilityVector((F(1), F(0))), F(9, 20), straddles)
+        assert not cut.verify(overlapping_intervals.collection)
+
+    def test_a_cut_failing_its_own_check_raises(self, overlapping_intervals, monkeypatch):
+        monkeypatch.setattr(CuttingHyperplane, "verify", lambda self, collection: False)
+        with pytest.raises(RuntimeError, match="does not straddle every set"):
+            find_cutting_hyperplane(overlapping_intervals.collection)
+
     def test_singleton_sets_cannot_be_straddled(self):
         collection = BeliefCollection(
             (
@@ -556,6 +580,21 @@ class TestCommutativity:
     def test_lattice_size(self):
         assert len(phi_lattice(2)) == 25
         assert len(phi_lattice(3, resolution=1)) == 27
+
+    @pytest.mark.parametrize("resolution", [0, -1, True, 2.0, "2"])
+    def test_lattice_resolution_must_be_a_positive_int(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be a positive integer"):
+            phi_lattice(2, resolution)
+
+    @pytest.mark.parametrize("radius, message", [
+        (0.1, "must be an int or a Fraction"),
+        (True, "must be an int or a Fraction"),
+        (0, "radius must be positive"),
+        (F(-1, 2), "radius must be positive"),
+    ])
+    def test_lattice_radius_must_be_a_positive_rational(self, radius, message):
+        with pytest.raises(ValueError, match=message):
+            phi_lattice(2, 2, radius)
 
     def test_disjoint_sets_break_commutativity(self, disjoint_pair):
         verdict = check_commutativity(disjoint_pair.collection, phi_lattice(2))

@@ -13,9 +13,13 @@ from ambipref import (
     SEU,
     SUITES,
     AxiomKind,
+    CommutativityVerdict,
     GeneralizedBewley,
     GenParams,
+    PairwiseReport,
+    Prior,
     UnknownSuite,
+    UtilityVector,
     VerifyConfig,
     constant_act,
     generate_instance,
@@ -334,6 +338,66 @@ class TestSuiteOutcomes:
         for seed in (0, 1):  # two and three states
             instance = generate_instance(seed, cfg.params_for_seed(seed))
             assert set(suite_outcomes(instance, suites, cfg)) == set(suites)
+
+    def test_operators_disagreeing_under_the_conditions_fail_prop1(
+        self, monkeypatch, touching_intervals
+    ):
+        phi = UtilityVector((Fraction(1), Fraction(-1)))
+        verdict = CommutativityVerdict(False, (phi, Fraction(-1, 5), Fraction(1, 5)), 1)
+        monkeypatch.setattr(verify_mod, "check_commutativity", lambda *args: verdict)
+        out = suite_outcomes(touching_intervals, ["prop1"], VerifyConfig())["prop1"]
+        assert not out.ok
+        assert out.counterexamples == ({
+            "detail": "parametric conditions hold yet the operators disagree",
+            "phi": ["1", "-1"],
+            "maxmin": "-1/5",
+            "minmax": "1/5",
+        },)
+
+    def test_a_missing_collapse_prior_fails_prop2(self, monkeypatch, touching_intervals):
+        monkeypatch.setattr(verify_mod, "seu_collapse_binary", lambda collection: None)
+        out = suite_outcomes(touching_intervals, ["prop2"], VerifyConfig())["prop2"]
+        assert not out.ok and out.applicable
+        assert out.counterexamples == (
+            {"detail": "parametric conditions hold but no collapse prior exists"},
+        )
+
+    def test_a_wrong_collapse_prior_fails_prop2(self, monkeypatch, touching_intervals):
+        """The touching intervals collapse to (2/5, 3/5); (1/2, 1/2) must disagree."""
+        half = Prior((Fraction(1, 2), Fraction(1, 2)))
+        monkeypatch.setattr(verify_mod, "seu_collapse_binary", lambda collection: half)
+        out = suite_outcomes(touching_intervals, ["prop2"], VerifyConfig())["prop2"]
+        assert not out.ok and out.applicable
+        (record,) = out.counterexamples
+        assert set(record) == {"detail", "pair", "maxmin_margin", "seu_margin"}
+        assert record["detail"] == "collapse prior disagrees with the set-based model"
+        set_based, seu = (Fraction(record[k]) for k in ("maxmin_margin", "seu_margin"))
+        assert (set_based >= 0) != (seu >= 0)
+
+    @pytest.mark.parametrize(
+        "suite, seed, search, missed, axiom, held",
+        [
+            ("prop3", 1, "find_cutting_hyperplane", None, "completeness",
+             "no cutting hyperplane, yet completeness failed"),
+            ("prop4", 6, "pairwise_intersection_holds", PairwiseReport(True, ()),
+             "constant_bound_transitivity",
+             "all pairs intersect, yet bound transitivity failed"),
+        ],
+    )
+    def test_a_missed_certificate_reports_the_lattice_failures(
+        self, monkeypatch, suite, seed, search, missed, axiom, held
+    ):
+        """Seeds 1 and 6 have a cut and a disjoint pair that the lattice audit sees."""
+        monkeypatch.setattr(verify_mod, search, lambda collection: missed)
+        cfg = VerifyConfig()
+        instance = generate_instance(seed, cfg.params_for_seed(seed))
+        out = suite_outcomes(instance, [suite], cfg)[suite]
+        assert not out.ok and out.applicable
+        assert out.batteries == (_lattice_desc(instance),)
+        assert out.counterexamples
+        for record in out.counterexamples:
+            assert record["detail"] == held
+            assert (record["axiom"], record["model"]) == (axiom, "generalized-bewley")
 
     def test_collapse_suite_branches(self, touching_intervals, disjoint_pair):
         cfg = VerifyConfig()
