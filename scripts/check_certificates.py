@@ -33,7 +33,9 @@ so it vouches for the artifact a user keeps, not for the code that wrote it.
   the smallest of the greatest; then it is (a, 1 - a).
 
 Exit status 0 when every check passes; otherwise 1, with one line per
-problem on stdout.  A usage error exits 2.
+problem on stdout.  A usage error, a file that cannot be read as JSON, or a
+pair of documents that are not an instance and its report exits 2, with one
+line on stderr.
 """
 
 import json
@@ -225,9 +227,17 @@ def main(argv: list[str]) -> int:
         return 2
     documents = []
     for path in argv:
-        with open(path, encoding="utf-8") as handle:
-            documents.append(json.load(handle))
-    problems = check(*documents)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                documents.append(json.load(handle))
+        except (OSError, ValueError) as exc:  # JSON and Unicode errors are ValueErrors
+            print(f"cannot read {path}: {exc}", file=sys.stderr)
+            return 2
+    try:
+        problems = check(*documents)
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        print(f"not an instance and its analyze report: {exc!r}", file=sys.stderr)
+        return 2
     for line in problems:
         print(line)
     return 1 if problems else 0

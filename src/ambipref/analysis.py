@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .lp import Constraint, LinearProgram, Optimal, solve
+from .lp import Constraint, LinearProgram, solve
 from .margins import margin_profile, vertex_extremes
 from .model import (
     Act,
@@ -256,8 +256,6 @@ def polytopes_intersect(
         n + 1, (0,) * n + (1,), rows, lower=(-1,) * n + (-3,), upper=(1,) * (n + 1)
     )
     res = solve(lp)
-    if not isinstance(res, Optimal):
-        raise RuntimeError(f"separation program did not optimize: {res!r}")
     if res.value > 0:
         # At the optimum t is the smaller floor of phi, which verify re-derives.
         phi = UtilityVector(res.point[:n])

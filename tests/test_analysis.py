@@ -179,26 +179,31 @@ class TestPolytopeIntersection:
             shared += sum(e.intersects for e in report.entries)
         assert shared > 0
 
-    def test_no_separation_program_runs_phase_1(self, monkeypatch):
-        """Every vertex row starts on its slack, so only phase 2 builds a cost row."""
-        real, cost_rows = lp_module._cost_row, []
+    def test_separation_pivots_are_pinned(self, monkeypatch):
+        """Every pivot of 720 separation programs on the geometry box.
 
-        def counted(body, basis, cost):
-            cost_rows.append(cost)
-            return real(body, basis, cost)
+        Seeds 0..39 at 2, 3 and 4 states, four sets of up to six vertices
+        each.  The row read-in, the slack start, Bland's rule and its ratio
+        tie-break all show in the sequence of (row, column) pivots, so a
+        change to any of them moves the digest.
+        """
+        real, pivots = lp_module._pivot, []
 
-        monkeypatch.setattr(lp_module, "_cost_row", counted)
-        instances = [load_instance(p) for p in sorted(INSTANCE_DIR.glob("*.json"))]
-        instances.append(
-            generate_instance(1, GenParams(num_states=4, num_sets=4, vertices_per_set=6))
+        def spied(tableau, basis, row, col):
+            pivots.append((row, col))
+            real(tableau, basis, row, col)
+
+        monkeypatch.setattr(lp_module, "_pivot", spied)
+        programs = 0
+        for states in (2, 3, 4):
+            for seed in range(40):
+                params = GenParams(num_states=states, num_sets=4, vertices_per_set=6)
+                report = pairwise_intersection_holds(generate_instance(seed, params).collection)
+                programs += len(report.entries)
+        assert (programs, len(pivots)) == (720, 4177)
+        assert hashlib.sha256(repr(pivots).encode()).hexdigest() == (
+            "ebe7538b2670e5cf7c3fef0ae90e60976e56c356916cf77da2a901c612d89a27"
         )
-        kinds = set()
-        for instance in instances:
-            for first, second in itertools.combinations(instance.collection.sets, 2):
-                cost_rows.clear()
-                kinds.add(type(polytopes_intersect(first, second)))
-                assert len(cost_rows) == 1
-        assert kinds == {CommonPrior, SametCertificate}
 
     @pytest.mark.parametrize(
         "tamper",

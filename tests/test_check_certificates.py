@@ -227,3 +227,26 @@ def test_a_collapse_on_three_states_is_rejected(tmp_path, capsys):
 def test_usage_error_exits_2(capsys):
     assert checker.main([]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read"),
+        ("not json", "cannot read"),
+        ("{}", "not an instance and its analyze report"),
+        ("instance", "not an instance and its analyze report"),
+    ],
+    ids=["missing", "not-json", "empty-object", "instance-as-report"],
+)
+def test_unreadable_or_malformed_input_exits_2(tmp_path, capsys, content, message):
+    instance = ROOT / "instances" / f"{STEMS[0]}.json"
+    report = tmp_path / "report.json"
+    if content == "instance":
+        report = instance
+    elif content is not None:
+        report.write_text(content)
+    assert checker.main([str(instance), str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and message in captured.err
