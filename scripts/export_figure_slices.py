@@ -15,15 +15,15 @@ from pathlib import Path
 
 from ambipref import (
     CONES,
-    AlphaMixture,
     SlicePlane,
     certify_slice_convexity,
+    check_sample_count,
     export_slice,
     load_instance,
+    mixture_weight,
     parse_rational,
     slice_profile,
 )
-from ambipref.cli import MAX_SLICE_SAMPLES
 
 DIRECTIONS: tuple[tuple[Fraction, ...], ...] = (
     (Fraction(1), Fraction(0)),
@@ -39,15 +39,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--samples", type=int, default=64)
     parser.add_argument("--alpha", default="3/4", help="alpha-mixture weight, a rational in [0, 1]")
     args = parser.parse_args(argv)
-    if not (8 <= args.samples <= MAX_SLICE_SAMPLES and args.samples % 2 == 0):
-        print(
-            f"error: --samples must be an even integer from 8 to {MAX_SLICE_SAMPLES}, "
-            f"got {args.samples}",
-            file=sys.stderr,
-        )
+    try:
+        check_sample_count(args.samples)
+    except ValueError as exc:
+        print(f"error: bad --samples: {exc}", file=sys.stderr)
         return 2
     try:
-        alpha = AlphaMixture(parse_rational(args.alpha)).alpha
+        alpha = mixture_weight(parse_rational(args.alpha))
     except ValueError as exc:
         print(f"error: bad --alpha {args.alpha!r}: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,8 @@ The heavy lifting happens in :func:`ambipref.verify`.  This wrapper picks the
 seed range, forwards generator overrides, and writes the JSON report somewhere
 useful.  Its flags are checked and mapped exactly as ``ambipref verify`` maps
 them, so a bad flag exits 2 with one ``error:`` line before any instance is
-built.  Worker count comes from the AMBIPREF_THREADS environment variable, so
+built.  Worker count comes from the AMBIPREF_THREADS environment variable (a
+bad value exits 2 the same way), so
 
     AMBIPREF_THREADS=4 python3 scripts/run_full_verification.py --seeds 0..99
 
@@ -41,7 +42,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     started = time.monotonic()
-    report = verify(suites, seeds, config=config)
+    try:
+        report = verify(suites, seeds, config=config)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.monotonic() - started
 
     args.out.write_text(json.dumps(report.to_jsonable(), indent=2, sort_keys=True) + "\n")

@@ -32,6 +32,7 @@ from .model import (
     load_instance,
     mix_acts,
     mix_lotteries,
+    mixture_weight,
     parse_rational,
     format_rational,
     statewise_dominates,
@@ -103,6 +104,7 @@ from .slices import (
     SliceSample,
     UnknownFormat,
     certify_slice_convexity,
+    check_sample_count,
     export_slice,
     slice_profile,
 )

@@ -32,7 +32,6 @@ from .margins import (
     phi_between,
 )
 from .model import (
-    AlphaOutOfRange,
     Instance,
     InstanceValidationError,
     Prior,
@@ -42,7 +41,8 @@ from .model import (
     parse_rational,
     utility_vector,
 )
-from .slices import MAX_SLICE_SAMPLES, SlicePlane, export_slice, slice_profile
+from .slices import MAX_SLICE_SAMPLES  # noqa: F401  (re-exported for callers of the CLI module)
+from .slices import SlicePlane, check_sample_count, export_slice, slice_profile
 from .verify import SUITES, VerifyConfig, verify
 
 __all__ = [
@@ -96,7 +96,7 @@ def parse_model(text: str, instance: Optional[Instance] = None) -> ModelKind:
                     f"{instance.num_states} states"
                 )
             return SEU(prior)
-    except (ValueError, AlphaOutOfRange) as exc:
+    except ValueError as exc:
         raise InputError(f"bad model spec {text!r}: {exc}") from exc
     except UnknownBeliefSetName as exc:
         raise InputError(str(exc)) from exc
@@ -224,10 +224,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_slice(args: argparse.Namespace) -> int:
-    if args.samples > MAX_SLICE_SAMPLES:
-        raise InputError(f"--samples {args.samples} exceeds the limit of {MAX_SLICE_SAMPLES}")
-    instance = _load(args.instance)
     try:
+        check_sample_count(args.samples)
+        instance = _load(args.instance)
         direction = [parse_rational(p.strip()) for p in args.direction.split(",")]
         if len(direction) != instance.num_states:
             raise InputError(
@@ -238,7 +237,7 @@ def _cmd_slice(args: argparse.Namespace) -> int:
         alpha = parse_rational(args.alpha) if args.alpha is not None else None
         profile = slice_profile(instance.collection, plane, args.samples, alpha)
         text = export_slice(profile, args.format)
-    except (ValueError, AlphaOutOfRange) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
     _emit(text, args.output)
     return 0

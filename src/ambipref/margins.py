@@ -16,14 +16,13 @@ from typing import Sequence, Union
 
 from .model import (
     Act,
-    AlphaOutOfRange,
     BeliefCollection,
     BeliefSet,
     Instance,
     Prior,
     UtilityVector,
-    exact_rational,
     expected_value,
+    mixture_weight,
     scaled,
     utility_vector,
 )
@@ -148,9 +147,7 @@ class AlphaMixture(_Kind):
     alpha: Fraction
 
     def __post_init__(self) -> None:
-        alpha = exact_rational(self.alpha, "mixture weight")
-        if not 0 <= alpha <= 1:
-            raise AlphaOutOfRange(f"mixture weight {alpha} outside [0, 1]")
+        alpha = mixture_weight(self.alpha)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "_weights", (alpha.numerator, alpha.denominator - alpha.numerator))
 

@@ -42,6 +42,7 @@ __all__ = [
     "utility_of_lottery",
     "utility_vector",
     "expected_value",
+    "mixture_weight",
     "mix_lotteries",
     "mix_acts",
     "statewise_dominates",
@@ -461,21 +462,24 @@ def expected_value(prior: Prior, vector: UtilityVector) -> Fraction:
     return sum((p * v for p, v in zip(prior.probs, vector.entries)), Fraction(0))
 
 
-def _check_alpha(alpha: Fraction) -> None:
+def mixture_weight(alpha) -> Fraction:
+    """``alpha`` as a Fraction in [0, 1]; NotARational unless exact, AlphaOutOfRange outside."""
+    alpha = exact_rational(alpha, "mixture weight")
     if not 0 <= alpha <= 1:
         raise AlphaOutOfRange(f"mixture weight {alpha} outside [0, 1]")
+    return alpha
 
 
 def mix_lotteries(alpha: Fraction, x: Lottery, y: Lottery) -> Lottery:
     """Prize-wise mixture alpha*x + (1-alpha)*y, exact."""
-    _check_alpha(alpha)
+    alpha = mixture_weight(alpha)
     prizes = set(x.weights) | set(y.weights)
     return Lottery({z: alpha * x.weight(z) + (1 - alpha) * y.weight(z) for z in prizes})
 
 
 def mix_acts(alpha: Fraction, f: Act, g: Act) -> Act:
     """Statewise mixture of two acts over the same state space."""
-    _check_alpha(alpha)
+    alpha = mixture_weight(alpha)
     if len(f.lotteries) != len(g.lotteries):
         raise ValueError("acts disagree on the number of states")
     return Act(tuple(mix_lotteries(alpha, a, b) for a, b in zip(f.lotteries, g.lotteries)))

@@ -9,13 +9,13 @@ the two swap.  Directions around the slice are rational points on the unit
 circle, generated by the tangent half-angle substitution as integer triples
 (c, s, d) standing for (c/d, s/d).  A plane's sample directions depend only
 on e2 and the sample count, so they are built once and shared by every
-profile of that plane.  Each sample is computed as integer numerators over
-one positive denominator per circle point; each cone's sign is read on those
-integers, so every margin sign along the circle is decided exactly.  Circle
-point k+n/2 is (-c, -s, d), so its maxmin, minmax and half are minus point
-k's minmax, maxmin and half: those Fractions are built for the first
-half-circle only and negated for the second.  Floats appear only in exported
-decimal columns.
+profile of that plane.  Each sample is computed as integer numerators
+(maxmin, minmax) over one positive denominator per circle point.  Circle
+point k+n/2 is (-c, -s, d), so by maxmin(-phi) = -minmax(phi) its numerators
+are minus point k's, swapped: they are built for the first half-circle only.
+Every cone's value and sign is then read on those integers through its model
+kind's rule, so every margin along the circle is exact.  Floats appear only
+in exported decimal columns.
 ``certify_slice_convexity`` reports whether a cone's sampled signs form a
 single arc; that is necessary for a convex slice but not sufficient, since
 one arc longer than a half-turn is not a convex cone.
@@ -38,7 +38,14 @@ from .margins import (
     ModelKind,
     margin_profile,
 )
-from .model import BeliefCollection, UtilityVector, exact_rational, primitive, scaled
+from .model import (
+    BeliefCollection,
+    UtilityVector,
+    exact_rational,
+    mixture_weight,
+    primitive,
+    scaled,
+)
 
 __all__ = [
     "DegenerateDirection",
@@ -49,6 +56,7 @@ __all__ = [
     "ConvexityVerdict",
     "CONES",
     "MAX_SLICE_SAMPLES",
+    "check_sample_count",
     "slice_profile",
     "certify_slice_convexity",
     "export_slice",
@@ -197,19 +205,10 @@ def _sign_arcs(flags: Sequence[bool]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(arcs))
 
 
-def slice_profile(
-    collection: BeliefCollection,
-    plane: SlicePlane,
-    n: int,
-    alpha: Optional[Fraction] = None,
-) -> SliceProfile:
-    """Sample the four margin operators around one diagonal slice.
+def check_sample_count(n: int) -> None:
+    """Reject a sample count unless it is an even int from 8 to ``MAX_SLICE_SAMPLES``.
 
-    The sample count must be an even int from 8 to ``MAX_SLICE_SAMPLES``
-    (even so antipodes pair up index-wise).  Sample k is labeled theta = k/n
-    turns; its direction is the k-th rational circle point (c, s) combined
-    through the plane basis, and its margins come from the plane's closed
-    form, not a vertex sweep.
+    Even so antipodes pair up index-wise.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"sample count must be an int, got {n!r}")
@@ -219,55 +218,49 @@ def slice_profile(
         raise ValueError(f"sample count {n} exceeds the limit of {MAX_SLICE_SAMPLES}")
     if n % 2:
         raise ValueError(f"sample count must be even so antipodes align, got {n}")
-    mixture = AlphaMixture(alpha) if alpha is not None else None
-    weight = mixture.alpha if mixture is not None else None
+
+
+def slice_profile(
+    collection: BeliefCollection,
+    plane: SlicePlane,
+    n: int,
+    alpha: Optional[Fraction] = None,
+) -> SliceProfile:
+    """Sample the four margin operators around one diagonal slice.
+
+    The sample count must pass ``check_sample_count``.  Sample k is labeled
+    theta = k/n turns; its direction is the k-th rational circle point (c, s)
+    combined through the plane basis, and its margins come from the plane's
+    closed form, not a vertex sweep.
+    """
+    check_sample_count(n)
+    weight = None if alpha is None else mixture_weight(alpha)
     # With A = a_slope/base and B = b_slope/base, the primitives at the
     # circle point (c/d, s/d) are c*base + s*a_slope and c*base + s*b_slope
     # over denom = d*base, the two slopes swapped for s < 0.
     along = margin_profile(collection, UtilityVector(plane.e2))
     base, (a_slope, b_slope) = scaled((along.maxmin, along.minmax))
-    half = _CONE_KINDS["half"]
     numerators = []
-    values = []
     for c, s, d in _circle_points(n):
-        cb, denom = c * base, d * base
         mm_slope, mx_slope = (a_slope, b_slope) if s >= 0 else (b_slope, a_slope)
-        mm, mx = cb + s * mm_slope, cb + s * mx_slope
-        numerators.append((mm, mx, denom))
-        half_value = Fraction(half.combine(mm, mx), half.den * denom)
-        values.append((Fraction(mm, denom), Fraction(mx, denom), half_value))
-    # Point k+n/2 is (-c, -s, d), so its maxmin is minus point k's minmax,
-    # its minmax minus point k's maxmin, and its half minus point k's half.
+        numerators.append((c * base + s * mm_slope, c * base + s * mx_slope, d * base))
+    # Point k+n/2 is (-c, -s, d): maxmin(-phi) = -minmax(phi) and back.
     numerators += [(-mx, -mm, denom) for mm, mx, denom in numerators]
-    values += [(-mx, -mm, -hv) for mm, mx, hv in values]
-    samples = tuple(
-        SliceSample(
-            theta=theta,
-            direction=direction,
-            maxmin=maxmin,
-            minmax=minmax,
-            half=half_value,
-            alpha=None
-            if mixture is None
-            else Fraction(mixture.combine(mm, mx), mixture.den * denom),
-        )
-        for theta, direction, (maxmin, minmax, half_value), (mm, mx, denom) in zip(
-            _thetas(n), _directions(tuple(plane.e2), n), values, numerators
-        )
-    )
+    kinds = {c: _cone_kind(c, weight) for c in CONES if c != "alpha" or weight is not None}
+    # Each sampled field is its cone's margin; alpha is None without a weight.
+    columns = [
+        [None] * n
+        if kind is None
+        else [Fraction(kind.combine(mm, mx), kind.den * denom) for mm, mx, denom in numerators]
+        for kind in map(kinds.get, ("maxmin", "minmax", "half", "alpha"))
+    ]
+    samples = tuple(map(SliceSample, _thetas(n), _directions(tuple(plane.e2), n), *columns))
     # denom > 0, so each cone's sign is its combine's sign on the numerators.
-    summary = []
-    for cone in CONES:
-        if cone == "alpha" and weight is None:
-            continue
-        combine = _cone_kind(cone, weight).combine
-        summary.append((cone, _sign_arcs([combine(mm, mx) >= 0 for mm, mx, _ in numerators])))
-    return SliceProfile(
-        plane=plane,
-        alpha_weight=weight,
-        samples=samples,
-        arc_summary=tuple(summary),
+    summary = tuple(
+        (cone, _sign_arcs([kind.combine(mm, mx) >= 0 for mm, mx, _ in numerators]))
+        for cone, kind in kinds.items()
     )
+    return SliceProfile(plane=plane, alpha_weight=weight, samples=samples, arc_summary=summary)
 
 
 def _cone_kind(cone: str, weight: Optional[Fraction]) -> ModelKind:

@@ -19,7 +19,6 @@ violation could be exhibited at all.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -417,15 +416,17 @@ def _seed_work(args: tuple[int, tuple[str, ...], VerifyConfig]):
 
 
 def _worker_count(jobs: int) -> int:
-    """Pool size from AMBIPREF_THREADS, clamped to the jobs and the CPUs."""
+    """Pool size from AMBIPREF_THREADS, clamped to the jobs and the CPUs.
+
+    Unset or empty means one worker; any value but a decimal integer >= 1 is
+    a ValueError.
+    """
     raw = os.environ.get(THREADS_ENV, "").strip()
     if not raw:
         return 1
-    try:
-        wanted = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(wanted, jobs, os.cpu_count() or 1))
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"{THREADS_ENV} must be a decimal integer >= 1, got {raw!r}")
+    return max(1, min(int(raw), jobs, os.cpu_count() or 1))
 
 
 def _merge(name: str, results: Sequence[tuple[int, dict[str, SuiteOutcome]]]) -> SuiteEntry:
@@ -459,7 +460,8 @@ def verify(
     Set the AMBIPREF_THREADS environment variable above 1 to fan seeds out
     over a process pool of that many workers, capped at the number of seeds
     and of CPUs; results are merged in seed order either way, so the report
-    does not depend on the worker count.
+    does not depend on the worker count.  A setting that is not a decimal
+    integer >= 1 raises ValueError before any seed runs.
     """
     config = config or VerifyConfig()
     requested = list(dict.fromkeys(suites))
@@ -472,6 +474,8 @@ def verify(
     jobs = [(s, tuple(requested), config) for s in seed_list]
     workers = _worker_count(len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for the import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_seed_work, jobs))
     else:

@@ -346,6 +346,14 @@ class TestIntegerVerify:
             for step in (F(1, den * q), F(-1, den * q)):
                 assert not dataclasses.replace(cert, slack=cert.slack + step).verify(first, second)
 
+    def test_a_set_of_another_dimension(self, disjoint_pair):
+        low, high = disjoint_pair.collection.sets
+        cert = polytopes_intersect(low, high)
+        assert cert.verify(low, high)
+        third = BeliefSet("third", (Prior((F(1, 3), F(1, 3), F(1, 3))),))
+        assert not cert.verify(third, high)
+        assert not cert.verify(low, third)
+
     def test_a_zero_slack(self):
         """phi1 = (3/5, -2/5) has floor 0 on both touching intervals: only the sign fails."""
         low, high = interval_set("low", F(1, 5), F(2, 5)), interval_set("high", F(2, 5), F(3, 5))
@@ -565,6 +573,12 @@ class TestWitnessBuilders:
             build_cbt_witness(
                 overlapping_intervals.collection, cert, overlapping_intervals
             )
+
+    def test_incompleteness_builder_rejects_a_cut_that_does_not_straddle(self, disjoint_pair):
+        """Along the diagonal every prior scores 1, so both margins are positive."""
+        level = CuttingHyperplane(UtilityVector((F(1), F(1))), F(0), ((0, 0), (0, 0)))
+        with pytest.raises(RuntimeError, match="did not produce an incomparable pair"):
+            build_incompleteness_witness(disjoint_pair.collection, level, disjoint_pair)
 
     @pytest.mark.parametrize("utility, message", [
         ({"lose": "1", "win": "2"}, "must contain 0"),

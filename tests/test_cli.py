@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from ambipref import AlphaMixture, Bewley, Justifiable, Prior, SEU, load_instance
+from ambipref import (
+    AlphaMixture, Bewley, Justifiable, Prior, SEU, check_sample_count, load_instance,
+)
 from ambipref import cli
 from ambipref.cli import (
     MAX_BATTERY_ACTS,
@@ -19,6 +21,8 @@ from ambipref.cli import (
     parse_seed_range,
 )
 from ambipref.model import MAX_RATIONAL_DIGITS
+
+verify_mod = importlib.import_module("ambipref.verify")
 
 F = Fraction
 
@@ -369,6 +373,30 @@ class TestSizeLimits:
         assert code == 2
         assert f"limit of {MAX_SLICE_SAMPLES}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples, message", [("9", "must be even"), ("6", "at least 8")])
+    def test_slice_samples_are_checked_before_the_instance(
+        self, no_work, monkeypatch, tmp_path, capsys, samples, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the instance was read despite a bad sample count")
+
+        monkeypatch.setattr(cli, "load_instance", refuse)
+        code = main(["slice", "--instance", str(tmp_path / "missing.json"),
+                     "--direction", "1,-1", "--samples", samples])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "cannot read" not in err
+
+    def test_verify_thread_setting(self, monkeypatch, capsys):
+        def refuse(job):
+            raise AssertionError("a seed ran despite a bad worker count")
+
+        monkeypatch.setattr(verify_mod, "_seed_work", refuse)
+        monkeypatch.setenv("AMBIPREF_THREADS", "many")
+        code = main(["verify", "--suites", "thm2", "--seeds", "0..1"])
+        assert code == 2
+        assert "AMBIPREF_THREADS" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -472,6 +500,14 @@ class TestExportScript:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("samples", [6, 9, MAX_SLICE_SAMPLES + 2])
+    def test_sample_count_message_is_the_library_s(self, script, tmp_path, capsys, samples):
+        with pytest.raises(ValueError) as expected:
+            check_sample_count(samples)
+        script.main(["--instances", str(INSTANCES), "--out", str(tmp_path / "out"),
+                     "--samples", str(samples)])
+        assert str(expected.value) in capsys.readouterr().err
+
     def test_largest_sample_count_is_accepted(self, script, tmp_path):
         with pytest.raises(AssertionError, match="slice sampling started"):
             script.main(["--instances", str(INSTANCES), "--out", str(tmp_path),
@@ -514,6 +550,21 @@ class TestVerificationScript:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["many", "0", "-3"])
+    def test_bad_thread_setting_exits_two(self, monkeypatch, tmp_path, capsys, setting):
+        def refuse(job):
+            raise AssertionError("a seed ran despite a bad worker count")
+
+        monkeypatch.setattr(verify_mod, "_seed_work", refuse)
+        monkeypatch.setenv("AMBIPREF_THREADS", setting)
+        out = tmp_path / "report.json"
+        code = self.load().main(["--out", str(out), "--seeds", "0..1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"AMBIPREF_THREADS must be a decimal integer >= 1, got {setting!r}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("seeds", ["-5..5", "-3", "-2,4"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -10,6 +11,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ambipref import (
+    Act,
+    AlphaMixture,
+    AlphaOutOfRange,
     BeliefCollection,
     BeliefSet,
     Bewley,
@@ -18,6 +22,9 @@ from ambipref import (
     Lottery,
     NotARational,
     Prior,
+    PrizeSet,
+    StateSpace,
+    UtilityFunction,
     UtilityVector,
     act_from_utility_vector,
     constant_act,
@@ -253,6 +260,34 @@ class TestActHelpers:
         with pytest.raises(ValueError):
             mix_acts(F(3, 2), f, f)
 
+    @pytest.mark.parametrize(
+        "weight, error, message",
+        [
+            (0.5, NotARational, "mixture weight must be an int or a Fraction, got 0.5"),
+            (True, NotARational, "mixture weight must be an int or a Fraction, got True"),
+            ("1/2", NotARational, "mixture weight must be an int or a Fraction"),
+            (F(3, 2), AlphaOutOfRange, r"mixture weight 3/2 outside \[0, 1\]"),
+            (-1, AlphaOutOfRange, r"mixture weight -1 outside \[0, 1\]"),
+        ],
+    )
+    @pytest.mark.parametrize("mixer", ["alpha_mixture", "mix_lotteries", "mix_acts"])
+    def test_every_mixer_checks_its_weight_alike(
+        self, disjoint_pair, mixer, weight, error, message
+    ):
+        f, g = disjoint_pair.act("bet_s1"), disjoint_pair.act("all_lose")
+        mix = {
+            "alpha_mixture": lambda: AlphaMixture(weight),
+            "mix_lotteries": lambda: mix_lotteries(weight, f.lotteries[0], g.lotteries[0]),
+            "mix_acts": lambda: mix_acts(weight, f, g),
+        }[mixer]
+        with pytest.raises(error, match=message):
+            mix()
+
+    @pytest.mark.parametrize("weight", [0, 1, F(0), F(1)])
+    def test_endpoint_weights_pick_one_side(self, disjoint_pair, weight):
+        f, g = disjoint_pair.act("bet_s1"), disjoint_pair.act("all_lose")
+        assert mix_acts(weight, f, g) == (f if weight == 1 else g)
+
     def test_statewise_dominance(self, disjoint_pair):
         assert statewise_dominates(
             disjoint_pair, disjoint_pair.act("all_win"), disjoint_pair.act("coin")
@@ -264,6 +299,87 @@ class TestActHelpers:
     def test_expected_value(self):
         p = Prior((F(1, 4), F(3, 4)))
         assert expected_value(p, UtilityVector((F(1), F(-1)))) == F(-1, 2)
+
+
+WIN, LOSE = Lottery({"win": F(1)}), Lottery({"lose": F(1)})
+HALF = Prior((F(1, 2), F(1, 2)))
+POINT = Prior((F(1),))
+
+
+# Each case builds an object that breaks one constructor or helper
+# invariant, from the disjoint-pair instance where it needs one.
+INVARIANT_CASES = {
+    "duplicate state": (lambda inst: StateSpace(("s1", "s1")), "duplicate state labels"),
+    "no states": (lambda inst: StateSpace(()), "state space must be nonempty"),
+    "one prize": (lambda inst: PrizeSet(("win",)), "need at least two prizes"),
+    "duplicate prize": (lambda inst: PrizeSet(("win", "win")), "duplicate prize labels"),
+    "constant utility": (
+        lambda inst: UtilityFunction({"lose": F(1), "win": F(1)}),
+        "utility is constant across prizes",
+    ),
+    "empty vector": (lambda inst: UtilityVector(()), "at least one entry"),
+    "empty act": (lambda inst: Act(()), "act must cover at least one state"),
+    "empty prior": (lambda inst: Prior(()), "prior must cover at least one state"),
+    "no vertices": (lambda inst: BeliefSet("b", ()), "belief set 'b' has no vertices"),
+    "mixed vertex dimensions": (
+        lambda inst: BeliefSet("b", (HALF, POINT)),
+        r"belief set 'b' mixes dimensions \[1, 2\]",
+    ),
+    "repeated vertex": (lambda inst: BeliefSet("b", (HALF, HALF)), "belief set 'b' repeats vertex"),
+    "no sets": (lambda inst: BeliefCollection(()), "must contain at least one set"),
+    "sets on two dimensions": (
+        lambda inst: BeliefCollection((BeliefSet("a", (HALF,)), BeliefSet("b", (POINT,)))),
+        r"belief sets disagree on dimension: \[1, 2\]",
+    ),
+    "duplicate set": (
+        lambda inst: BeliefCollection((BeliefSet("a", (HALF,)), BeliefSet("a", (HALF,)))),
+        "duplicate belief set labels",
+    ),
+    "collection on other states": (
+        lambda inst: dataclasses.replace(
+            inst, collection=BeliefCollection((BeliefSet("a", (POINT,)),))
+        ),
+        "belief sets live on 1 states, instance has 2",
+    ),
+    "utility on other prizes": (
+        lambda inst: dataclasses.replace(
+            inst, utility=UtilityFunction({"lose": F(0), "draw": F(1)})
+        ),
+        "utility must assign a value to exactly the declared prizes",
+    ),
+    "act on too few states": (
+        lambda inst: dataclasses.replace(inst, acts={"short": Act((WIN,))}),
+        "act 'short' covers 1 states, expected 2",
+    ),
+    "act on an unknown prize": (
+        lambda inst: dataclasses.replace(inst, acts={"odd": Act((WIN, Lottery({"draw": F(1)})))}),
+        r"act 'odd' uses unknown prizes \['draw'\]",
+    ),
+    "expected value across dimensions": (
+        lambda inst: expected_value(HALF, UtilityVector((F(1),))),
+        "prior and utility vector disagree on dimension",
+    ),
+    "mixing acts across dimensions": (
+        lambda inst: mix_acts(F(1, 2), Act((WIN,)), Act((WIN, LOSE))),
+        "acts disagree on the number of states",
+    ),
+    "act from a vector of another dimension": (
+        lambda inst: act_from_utility_vector(inst, [F(0)]),
+        "target vector dimension does not match the state space",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INVARIANT_CASES)
+def test_invariant_violations_raise(disjoint_pair, case):
+    build, message = INVARIANT_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        build(disjoint_pair)
+
+
+def test_extreme_prizes_when_the_low_prize_comes_last():
+    utility = UtilityFunction({"win": F(1), "draw": F(0), "lose": F(-1), "bust": F(-1)})
+    assert utility.extreme_prizes() == ("lose", "win")
 
 
 class TestValidation:

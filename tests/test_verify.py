@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import concurrent.futures
 import importlib
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -62,10 +67,21 @@ class TestRunner:
         pooled = verify(["thm2", "prop1"], range(3))
         assert serial.to_jsonable() == pooled.to_jsonable()
 
-    def test_garbage_thread_setting_falls_back_to_serial(self, monkeypatch):
-        monkeypatch.setenv("AMBIPREF_THREADS", "many")
-        report = verify(["thm2"], [0, 1])
-        assert report.passed
+    @pytest.mark.parametrize("setting", ["many", "0", "-3", "1.5", "2x", "+2"])
+    def test_bad_thread_setting_is_rejected_before_any_seed_runs(self, monkeypatch, setting):
+        def refuse(job):
+            raise AssertionError("a seed ran despite a bad worker count")
+
+        monkeypatch.setattr(verify_mod, "_seed_work", refuse)
+        monkeypatch.setenv("AMBIPREF_THREADS", setting)
+        with pytest.raises(ValueError, match=f"AMBIPREF_THREADS .*got {re.escape(repr(setting))}"):
+            verify(["thm2"], [0, 1])
+
+    @pytest.mark.parametrize("setting, workers", [("", 1), ("  ", 1), ("1", 1), (" 2 ", 2)])
+    def test_blank_and_whole_thread_settings_are_accepted(self, monkeypatch, setting, workers):
+        monkeypatch.setenv("AMBIPREF_THREADS", setting)
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 8)
+        assert verify_mod._worker_count(3) == workers
 
     def test_thread_setting_is_clamped_to_seeds_and_cpus(self, monkeypatch):
         sizes = []
@@ -85,7 +101,7 @@ class TestRunner:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setenv("AMBIPREF_THREADS", str(10**9))
         monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 8)
         report = verify(["thm2"], range(3))
@@ -95,6 +111,19 @@ class TestRunner:
         verify(["thm2"], range(3))
         assert sizes == [3, 2]
         assert report.passed
+
+    def test_importing_the_package_leaves_the_process_pool_unloaded(self):
+        """Only a run with more than one worker imports the pool machinery."""
+        code = (
+            "import sys, ambipref\n"
+            "pool = ('concurrent.futures', 'multiprocessing')\n"
+            "print(sorted(m for m in pool if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(verify_mod.__file__).parent.parent)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "[]\n"
 
     def test_report_schema(self):
         report = verify(["thm3"], [0, 1])
