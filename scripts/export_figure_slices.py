@@ -3,18 +3,23 @@
 For each instance under instances/ this samples the margin operators on a
 two-dimensional slice through the simplex diagonal, certifies which cones cut
 the slice in a single arc, and writes one CSV plus one JSON file per direction
-into the output directory.
+into the output directory.  Every instance is loaded, and the output directory
+made, before anything is sampled or written: a bad flag, an unreadable or
+malformed instance file or an unusable ``--out`` exits 2 with one ``error:``
+line.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from ambipref import (
     CONES,
+    InstanceValidationError,
     SlicePlane,
     certify_slice_convexity,
     check_sample_count,
@@ -54,10 +59,20 @@ def main(argv: list[str] | None = None) -> int:
     if not paths:
         print(f"no instance files under {args.instances}", file=sys.stderr)
         return 1
-    args.out.mkdir(parents=True, exist_ok=True)
-
+    instances = []
     for path in paths:
-        instance = load_instance(path)
+        try:
+            instances.append((path, load_instance(path)))
+        except (OSError, json.JSONDecodeError, InstanceValidationError) as exc:
+            print(f"error: cannot load instance {path}: {exc}", file=sys.stderr)
+            return 2
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot make output directory {args.out}: {exc}", file=sys.stderr)
+        return 2
+
+    for path, instance in instances:
         for direction in DIRECTIONS:
             if len(direction) != instance.num_states:
                 continue

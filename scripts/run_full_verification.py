@@ -3,9 +3,10 @@
 The heavy lifting happens in :func:`ambipref.verify`.  This wrapper picks the
 seed range, forwards generator overrides, and writes the JSON report somewhere
 useful.  Its flags are checked and mapped exactly as ``ambipref verify`` maps
-them, so a bad flag exits 2 with one ``error:`` line before any instance is
-built.  Worker count comes from the AMBIPREF_THREADS environment variable (a
-bad value exits 2 the same way), so
+them, so a bad flag, or an ``--out`` that is a directory or lies in a missing
+one, exits 2 with one ``error:`` line before any instance is built.  Worker
+count comes from the AMBIPREF_THREADS environment variable (a bad value exits
+2 the same way), so
 
     AMBIPREF_THREADS=4 python3 scripts/run_full_verification.py --seeds 0..99
 
@@ -21,7 +22,7 @@ import time
 from pathlib import Path
 
 from ambipref import verify
-from ambipref.cli import InputError, attach_negative_seeds, verify_request
+from ambipref.cli import InputError, attach_negative_seeds, check_output, verify_request
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -37,6 +38,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(attach_negative_seeds(sys.argv[1:] if argv is None else argv))
     try:
         suites, seeds, config = verify_request(args)
+        check_output(str(args.out))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -49,7 +51,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     elapsed = time.monotonic() - started
 
-    args.out.write_text(json.dumps(report.to_jsonable(), indent=2, sort_keys=True) + "\n")
+    try:
+        args.out.write_text(json.dumps(report.to_jsonable(), indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
 
     for entry in report.suites:
         flag = "pass" if entry.passed else "FAIL"

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .lp import Constraint, LinearProgram, solve
-from .margins import margin_profile, vertex_extremes
+from .margins import GeneralizedBewley, margin_pair, margin_profile, vertex_extremes
 from .model import (
     Act,
     BeliefCollection,
@@ -470,11 +470,11 @@ def build_incompleteness_witness(
     directional margins are recomputed and must be strictly negative.
     """
     _, phi, f, x0 = _realize(instance, cut.normal.shift(-cut.offset))
-    prof = margin_profile(collection, phi)
-    if not (prof.maxmin < 0 and -prof.minmax < 0):
+    forward, reverse = margin_pair(GeneralizedBewley(), collection, phi)
+    if not (forward < 0 and reverse < 0):
         raise RuntimeError(
             "cutting hyperplane did not produce an incomparable pair; "
-            f"margins were {prof.maxmin} and {-prof.minmax}"
+            f"margins were {forward} and {reverse}"
         )
     return f, x0
 
@@ -492,9 +492,9 @@ def build_cbt_witness(
     s, phi, f, x0 = _realize(instance, cert.phi1)
     eps = s * cert.slack / 2
     xe = constant_act(instance, eps)
-    # x0 over f reads maxmin(-phi) = -minmax(phi), f over xe maxmin(phi) - eps.
-    prof = margin_profile(collection, phi)
-    down, up = -prof.minmax, prof.maxmin - eps
+    # x0 over f reads the reverse margin, f over xe the forward one less eps.
+    forward, down = margin_pair(GeneralizedBewley(), collection, phi)
+    up = forward - eps
     if not (down > 0 and up > 0 and eps > 0):
         raise RuntimeError(
             "separation certificate did not produce a transitivity failure; "

@@ -19,13 +19,12 @@ keys so that each distinct vector is folded once: the distinct
 u_i - u_j (9 ** n on a resolution-2 lattice, against 25 ** n pairs; maxmin
 alone, as minmax(d) = -maxmin(-d)), k * (u_i - u_j) for each weight k / s
 in ``MIX_GRID`` for independence, and the distinct
-k * u_f + (s - k) * u_h - s * u_g for favorable mixing.  A model's margins
-become one "-0+" sign string per act, read as bitmask rows of its weak,
-positive and zero margins and their transposes, so the pairwise axioms
-loop only over the set bits of their violations.  Utility is affine, so
-mixing f and g with a common act h at weight a leaves a * (u_f - u_g):
-independence compares the folded margin of k * (u_i - u_j) with k times
-the pair's.
+k * u_f + (s - k) * u_h - s * u_g for favorable mixing.  A model's relation
+is four bitmask rows per act, of its weak and zero margins and their
+transposes, so the pairwise axioms loop only over the set bits of their
+violations.  Utility is affine, so mixing f and g with a common act h at
+weight a leaves a * (u_f - u_g): independence compares the folded margin of
+k * (u_i - u_j) with k times the pair's.
 
 The shared work splits in two.  A ``Battery`` holds what reads no belief
 set: the scaled rows, codes, distinct differences with a pair of acts and
@@ -81,8 +80,6 @@ __all__ = [
 MIX_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 _MIX_SCALE, _MIX_KS = scaled(MIX_GRID)  # MIX_GRID[i] = _MIX_KS[i] / _MIX_SCALE
 WITNESS_CAP = 25
-# The bit each margin sign "-0+" sets in a bitmask row of the relation.
-_WEAK, _POSITIVE, _ZERO, _NEGATIVE = "011", "001", "010", "100"
 
 
 class AxiomKind(Enum):
@@ -368,10 +365,10 @@ class _Relation:
     Built only by ``MarginTable.relation``, and holds no reference to the
     table.  ``combine`` turns the (maxmin, minmax) of the model's columns
     ``cols`` into a numerator over ``unit``; ``num[c]`` is that of code c.
-    ``signs[i]`` spells the margins of u_i - u_j in "-0+" for j descending,
-    so that bit j of a row read as binary digits after ``str.translate`` is
-    act j; ``transposed[i]`` does the same for u_j - u_i.  ``zeros`` counts
-    the zero margins off the diagonal, where u_i - u_i is the zero vector.
+    Bit j of ``weak[i]`` is set when the margin of u_i - u_j is nonnegative,
+    and of ``zero[i]`` when it is zero; ``weak_t[i]`` and ``zero_t[i]`` do
+    the same for u_j - u_i.  ``zeros`` counts the zero margins off the
+    diagonal, where u_i - u_i is the zero vector.
     """
 
     def __init__(self, kind: ModelKind, table: MarginTable):
@@ -380,20 +377,21 @@ class _Relation:
         battery = table.battery
         self.unit = cols.denom * kind.den
         self.num = dict(zip(battery.distinct, map(self.combine, cols.maxmin, cols.minmax)))
-        line = "".join(["-" if x < 0 else "0" if x == 0 else "+" for x in self.num.values()])
-        self.signs = ["".join(read(line)) for read in battery.readers]
-        self.transposed = ["".join(col) for col in zip(*self.signs[::-1])][::-1]
-        self.zeros = sum(s.count("0") for s in self.signs) - table.n
-        self._bits: dict[tuple[str, bool], list[int]] = {}
+        # The signs of u_i - u_j for j descending, so that digit j from the
+        # right of a row is act j.
+        line = _signs(self.num.values())
+        rows = ["".join(read(line)) for read in battery.readers]
+        transposed = ["".join(col) for col in zip(*rows[::-1])][::-1]
+        weak, zero = str.maketrans("-0+", "011"), str.maketrans("-0+", "010")
+        self.weak, self.weak_t, self.zero, self.zero_t = (
+            [int(s.translate(digits), 2) for s in strings]
+            for digits in (weak, zero) for strings in (rows, transposed))
+        self.zeros = sum(row.bit_count() for row in self.zero) - table.n
 
-    def bits(self, digits: str, transposed: bool = False) -> list[int]:
-        """Rows with bit j set where the sign maps to "1" in ``digits``, for "-0+"."""
-        key = digits, transposed
-        if key not in self._bits:
-            table = str.maketrans("-0+", digits)
-            strings = self.transposed if transposed else self.signs
-            self._bits[key] = [int(s.translate(table), 2) for s in strings]
-        return self._bits[key]
+
+def _signs(nums) -> str:
+    """One "-0+" character per integer, by its sign."""
+    return "".join(["-" if x < 0 else "0" if x == 0 else "+" for x in nums])
 
 
 def _combine(weights: Sequence[int], rows: list[list[int]]) -> list[int]:
@@ -478,9 +476,9 @@ class _Runner:
         them.  Every off-diagonal zero margin counts as a boundary case and
         is marked in ``zero_read``.
         """
-        for i, row in enumerate(self.relation.bits(_ZERO)):
+        for i, row in enumerate(self.relation.zero):
             self.zero_read[i] |= row & ~(1 << i)
-        return self.relation.bits(_WEAK), self.relation.bits(_WEAK, transposed=True)
+        return self.relation.weak, self.relation.weak_t
 
     @property
     def zero_flags(self) -> int:
@@ -598,7 +596,7 @@ def _constant_sandwich(r: _Runner, order, bit: int, note: str) -> None:
     """
     consts = r.table.battery.constants()
     w, wt = r.weak_matrix()
-    zero = r.relation.bits(_ZERO)
+    zero = r.relation.zero
     n, num = r.table.n, r.margin_num
     flip = 0 if bit else (1 << n) - 1
     for a, va in consts:
@@ -649,18 +647,25 @@ def _run_favorable_mixing(r: _Runner) -> None:
         cols.append(list(map(operator.add, map(head.__getitem__, at),
                              map(tails.__getitem__, tail_of.values()))))
     num = dict(zip(tail_of, map(r.relation.combine, *r.relation.cols.fold(cols))))
-    sign = {c: "-" if x < 0 else "0" if x == 0 else "+" for c, x in num.items()}
+    sign = dict(zip(num, _signs(num.values())))
 
     # Per weight and distinct base: its zero count over h, and the mask of
     # the h where d is negative (h descending in ``signs``, so bit h is h).
     summary = []
-    negative = str.maketrans("-0+", _NEGATIVE)
+    negative = str.maketrans("-0+", "100")
     for bs, rest, distinct in zip(bases, rests, head_at):
         by_base = {}
         for b in distinct:
             signs = "".join(map(sign.__getitem__, map(b.__add__, reversed(rest))))
             by_base[b] = signs.count("0"), int(signs.translate(negative), 2)
         summary.append(list(map(by_base.__getitem__, bs)))
+
+    def witness(pair, f, g, h):
+        nums = [num[bs[pair] + rest[h]] for bs, rest in zip(bases, rests)]
+        lo_w = next(ai for ai, x in enumerate(nums) if x < 0)  # lightest unacceptable
+        hi_w = next(ai for ai in range(lo_w, len(nums)) if nums[ai] >= 0)
+        return ((f, g, h), (nums[hi_w], nums[lo_w]),
+                f"acceptable at weight {grid[hi_w]} but not at {grid[lo_w]}", unit)
 
     for pair, ((f, g), per_weight) in enumerate(zip(strict, zip(*summary))):
         r.checked += n
@@ -669,26 +674,21 @@ def _run_favorable_mixing(r: _Runner) -> None:
             r.zeros += zeros
             bad |= below & ~mask
             below |= mask
-        for h in _set_bits(bad):
-            nums = [num[bs[pair] + rest[h]] for bs, rest in zip(bases, rests)]
-            lo_w = next(ai for ai, x in enumerate(nums) if x < 0)  # lightest unacceptable
-            hi_w = next(ai for ai in range(lo_w, len(nums)) if nums[ai] >= 0)
-            r.fail((f, g, h), (nums[hi_w], nums[lo_w]),
-                   f"acceptable at weight {grid[hi_w]} but not at {grid[lo_w]}", unit)
+        if bad:
+            r.fail_each(bad, lambda h: witness(pair, f, g, h))
 
 
 def _run_negative_completeness(r: _Runner) -> None:
     rel = r.relation
-    pos, pos_t = rel.bits(_POSITIVE), rel.bits(_POSITIVE, transposed=True)
-    zero, zero_t = rel.bits(_ZERO), rel.bits(_ZERO, transposed=True)
     n, num = r.table.n, r.margin_num
     r.checked += n * (n - 1) // 2
     upper = (1 << n) - 1
-    for i in range(n):
+    for i, (w, wt, zero, zero_t) in enumerate(zip(rel.weak, rel.weak_t, rel.zero, rel.zero_t)):
         upper ^= 1 << i  # the j > i
+        pos = w & ~zero
         # Each pair reads margin(i, j), and margin(j, i) only when the first is positive.
-        r.zeros += (upper & (zero[i] | pos[i] & zero_t[i])).bit_count()
-        if bad := upper & pos[i] & pos_t[i]:
+        r.zeros += (upper & (zero | pos & zero_t)).bit_count()
+        if bad := upper & pos & wt & ~zero_t:
             r.fail_each(bad, lambda j: (
                 (i, j), (num(i, j), num(j, i)), "both directions robustly preferred"))
 
@@ -770,7 +770,7 @@ def weak_relation(
     if instance != table.instance:
         raise ValueError("margin table was built for another instance")
     rel = table.relation(kind)
-    return list(rel.bits(_WEAK)), rel.zeros
+    return list(rel.weak), rel.zeros
 
 
 def audit_suite(

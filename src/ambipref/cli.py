@@ -2,7 +2,7 @@
 
 Exit codes: 0 when the requested check passes, 1 when a verification or
 audit turns up a counterexample, 2 on input errors (bad flags, unreadable
-files, malformed instances).
+files, malformed instances, an output path that cannot be written).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 from .analysis import analyze, check_battery
@@ -51,6 +52,7 @@ __all__ = [
     "parse_seed_range",
     "attach_negative_seeds",
     "verify_request",
+    "check_output",
     "MAX_BATTERY_ACTS",
     "MAX_SLICE_SAMPLES",
 ]
@@ -136,12 +138,30 @@ def _load(path: str) -> Instance:
         raise InputError(f"invalid instance:\n{exc}") from exc
 
 
+def check_output(path: Optional[str]) -> None:
+    """Refuse an output file that cannot be created, before any work and any write.
+
+    The path must not be a directory, and its parent must be one.  An empty
+    or missing path means standard output.
+    """
+    if not path:
+        return
+    target = Path(path)
+    if target.is_dir():
+        raise InputError(f"output path {path} is a directory")
+    if not target.parent.is_dir():
+        raise InputError(f"output directory {target.parent} does not exist")
+
+
 def _emit(text: str, output: Optional[str]) -> None:
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write output: {exc}") from exc
 
 
 def _json_doc(doc: dict) -> str:
@@ -399,6 +419,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(attach_negative_seeds(sys.argv[1:] if argv is None else argv))
     try:
+        check_output(args.output)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -150,14 +150,11 @@ class AlphaMixture(_Kind):
         alpha = mixture_weight(self.alpha)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "_weights", (alpha.numerator, alpha.denominator - alpha.numerator))
+        object.__setattr__(self, "den", alpha.denominator)
 
     @property
     def tag(self) -> str:
         return f"alpha-mixture({self.alpha})"
-
-    @property
-    def den(self) -> int:
-        return self.alpha.denominator
 
     def combine(self, maxmin, minmax):
         p, rest = self._weights

@@ -342,9 +342,17 @@ class TestMarginTableAgreement:
             assert report.boundary_flags == alone.boundary_flags, report.axiom
 
     def test_the_table_owns_one_relation_per_kind(self, disjoint_pair, monkeypatch):
-        """Audits and ``weak_relation`` on one table read one memoized relation."""
+        """Audits and ``weak_relation`` on one table read one memoized relation.
+
+        Its four rows are those of the margins it holds by difference code.
+        """
         battery = generate_act_grid(disjoint_pair, resolution=1)
         table = MarginTable(disjoint_pair, [utility_vector(disjoint_pair.utility, a) for a in battery])
+        codes = table.battery.codes
+
+        def bit_rows(cells, test):
+            return [sum(test(x) << j for j, x in enumerate(row)) for row in cells]
+
         runners = []
         original = _Runner.__init__
 
@@ -356,10 +364,15 @@ class TestMarginTableAgreement:
         for kind in eight_kinds(disjoint_pair)[1]:
             rel = table.relation(kind)
             assert table.relation(kind) is rel, kind
+            margins = [[rel.num[a - b] for b in codes] for a in codes]
+            transposed = list(zip(*margins))
+            assert (rel.weak, rel.weak_t, rel.zero, rel.zero_t) == (
+                bit_rows(margins, (0).__le__), bit_rows(transposed, (0).__le__),
+                bit_rows(margins, (0).__eq__), bit_rows(transposed, (0).__eq__)), kind
             audit(AxiomKind.COMPLETENESS, kind, disjoint_pair, table=table)
             assert runners.pop().relation is rel, kind
             rows, zeros = weak_relation(table, kind, disjoint_pair)
-            assert (rows, zeros) == (rel.bits("011"), rel.zeros), kind
+            assert (rows, zeros) == (rel.weak, rel.zeros), kind
             assert table.relation(kind) is rel, kind
 
     def test_weak_relation_runs_no_audit(self, disjoint_pair, monkeypatch):
@@ -662,6 +675,28 @@ class TestMixingAudits:
             calls.clear()
             audit(AxiomKind.FAVORABLE_MIXING, kind, inst, table=table)
             assert calls == [len(expected)], kind
+
+
+    def test_favorable_mixing_keeps_no_witness_past_the_cap(self, monkeypatch):
+        """With ``witness_cap=1``, only the kept violation reaches ``_Runner.fail``."""
+        inst = generate_instance(3, GenParams(num_states=3))
+        uvecs = [utility_vector(inst.utility, a) for a in generate_act_grid(inst, resolution=1)]
+        table = MarginTable(inst, uvecs)
+        calls = []
+        fail = _Runner.fail
+
+        def spied(self, *args):
+            calls.append(args)
+            return fail(self, *args)
+
+        monkeypatch.setattr(_Runner, "fail", spied)
+        over_cap = 0
+        for kind in eight_kinds(inst)[1]:
+            calls.clear()
+            report = audit(AxiomKind.FAVORABLE_MIXING, kind, inst, table=table, witness_cap=1)
+            assert len(calls) == len(report.witnesses) == min(report.total_violations, 1), kind
+            over_cap += report.total_violations >= 2
+        assert over_cap
 
 
 PAIRWISE_AXIOMS = (

@@ -508,6 +508,36 @@ class TestExportScript:
                      "--samples", str(samples)])
         assert str(expected.value) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (json.dumps({"states": ["a"]}), "MissingField"),
+            ("{not json", "Expecting property name"),
+        ],
+    )
+    def test_a_bad_instance_exits_two_before_any_write(self, script, tmp_path, capsys, text, message):
+        instances = tmp_path / "instances"
+        instances.mkdir()
+        (instances / "a_good.json").write_text(Path(DISJOINT).read_text())
+        (instances / "b_bad.json").write_text(text)
+        out = tmp_path / "out"
+        code = script.main(["--instances", str(instances), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "b_bad.json" in err and message in err
+        assert not out.exists()
+
+    def test_an_unusable_out_exits_two(self, script, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory")
+        code = script.main(["--instances", str(INSTANCES), "--out", str(out / "sub")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out / "sub") in err
+        assert out.read_text() == "a file, not a directory"
+
     def test_largest_sample_count_is_accepted(self, script, tmp_path):
         with pytest.raises(AssertionError, match="slice sampling started"):
             script.main(["--instances", str(INSTANCES), "--out", str(tmp_path),
@@ -565,6 +595,34 @@ class TestVerificationScript:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"AMBIPREF_THREADS must be a decimal integer >= 1, got {setting!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["missing", "directory"])
+    def test_bad_out_exits_two(self, script, tmp_path, capsys, bad):
+        out = tmp_path / "missing" / "report.json" if bad == "missing" else tmp_path
+        before = sorted(tmp_path.iterdir())
+        code = script.main(["--out", str(out), "--seeds", "0..1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_an_out_that_vanishes_during_the_run_exits_two(self, monkeypatch, tmp_path, capsys):
+        module = self.load()
+        gone = tmp_path / "gone"
+        gone.mkdir()
+        run = module.verify
+
+        def vanish(*args, **kwargs):
+            gone.rmdir()
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(module, "verify", vanish)
+        out = gone / "report.json"
+        code = module.main(["--out", str(out), "--suites", "thm2", "--seeds", "0", "--states", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write the report: ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("seeds", ["-5..5", "-3", "-2,4"])
@@ -676,3 +734,52 @@ class TestBadInstanceFiles:
         path.write_text(json.dumps({"states": ["s1", "s2"]}))
         assert main(["analyze", "--instance", str(path)]) == 2
         assert "invalid instance" in capsys.readouterr().err
+
+
+class TestOutputPaths:
+    """An output file that cannot be written exits 2 before any work starts."""
+
+    COMMANDS = {
+        "evaluate": ["--instance", DISJOINT, "--model", "gb", "--left", "bet_s1", "--right", "coin"],
+        "audit": ["--instance", DISJOINT, "--model", "gb"],
+        "analyze": ["--instance", DISJOINT],
+        "slice": ["--instance", DISJOINT, "--direction", "1,-1"],
+        "gen": ["--seed", "3"],
+        "verify": ["--suites", "thm2", "--seeds", "0..1"],
+    }
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started despite an unwritable output")
+
+        for name in ("load_instance", "generate_act_grid", "slice_profile", "verify",
+                     "analyze", "generate_instance", "verify_request"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("bad", ["missing", "directory"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_bad_output_exits_two(self, no_work, tmp_path, capsys, command, bad):
+        out = tmp_path / "missing" / "x.json" if bad == "missing" else tmp_path
+        before = sorted(tmp_path.iterdir())
+        code = main([command, *self.COMMANDS[command], "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out if bad == "directory" else out.parent) in err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_an_output_that_vanishes_during_the_work_exits_two(self, monkeypatch, tmp_path, capsys):
+        gone = tmp_path / "gone"
+        gone.mkdir()
+        generate = cli.generate_instance
+
+        def vanish(*args, **kwargs):
+            gone.rmdir()
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "generate_instance", vanish)
+        code = main(["gen", "--seed", "3", "--output", str(gone / "x.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
