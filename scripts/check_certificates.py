@@ -35,7 +35,7 @@ so it vouches for the artifact a user keeps, not for the code that wrote it.
 Exit status 0 when every check passes; otherwise 1, with one line per
 problem on stdout.  A usage error, a file that cannot be read as JSON, or a
 pair of documents that are not an instance and its report exits 2, with one
-line on stderr.
+``error:`` line on stderr.
 """
 
 import json
@@ -223,7 +223,7 @@ def _guarded(check_part, *args) -> list[str]:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
-        print("usage: check_certificates.py INSTANCE REPORT", file=sys.stderr)
+        print("error: expected two files; usage: check_certificates.py INSTANCE REPORT", file=sys.stderr)
         return 2
     documents = []
     for path in argv:
@@ -231,12 +231,12 @@ def main(argv: list[str]) -> int:
             with open(path, encoding="utf-8") as handle:
                 documents.append(json.load(handle))
         except (OSError, ValueError) as exc:  # JSON and Unicode errors are ValueErrors
-            print(f"cannot read {path}: {exc}", file=sys.stderr)
+            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
             return 2
     try:
         problems = check(*documents)
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        print(f"not an instance and its analyze report: {exc!r}", file=sys.stderr)
+        print(f"error: not an instance and its analyze report: {exc!r}", file=sys.stderr)
         return 2
     for line in problems:
         print(line)

@@ -4,31 +4,29 @@ For each instance under instances/ this samples the margin operators on a
 two-dimensional slice through the simplex diagonal, certifies which cones cut
 the slice in a single arc, and writes one CSV plus one JSON file per direction
 into the output directory.  Every instance is loaded, and the output directory
-made, before anything is sampled or written: a bad flag, an unreadable or
-malformed instance file or an unusable ``--out`` exits 2 with one ``error:``
-line.
+made, before anything is sampled or written: a bad flag, no instance file,
+an unreadable or malformed one or an unusable ``--out`` exits 2 with one
+``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from ambipref import (
     CONES,
-    InstanceValidationError,
     SlicePlane,
     certify_slice_convexity,
     check_sample_count,
     export_slice,
-    load_instance,
     mixture_weight,
     parse_rational,
     slice_profile,
 )
+from ambipref.cli import InputError, load
 
 DIRECTIONS: tuple[tuple[Fraction, ...], ...] = (
     (Fraction(1), Fraction(0)),
@@ -56,16 +54,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     paths = sorted(args.instances.glob("*.json"))
-    if not paths:
-        print(f"no instance files under {args.instances}", file=sys.stderr)
-        return 1
-    instances = []
-    for path in paths:
-        try:
-            instances.append((path, load_instance(path)))
-        except (OSError, json.JSONDecodeError, InstanceValidationError) as exc:
-            print(f"error: cannot load instance {path}: {exc}", file=sys.stderr)
-            return 2
+    try:
+        if not paths:
+            raise InputError(f"no instance files under {args.instances}")
+        instances = [(path, load(path)) for path in paths]
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         args.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -131,15 +131,18 @@ class CuttingHyperplane:
     straddles: tuple[tuple[int, int], ...]
 
     def verify(self, collection: BeliefCollection) -> bool:
+        """Checked on integers: with the normal and offset over their lcm q and
+        the vertex rows over den, each set's plus vertex reads strictly above
+        den * q * offset and its minus vertex strictly below."""
         if len(self.straddles) != len(collection.sets) or len(self.normal) != collection.dimension:
             return False
-        for (ip, im), bset in zip(self.straddles, collection.sets):
-            values = [
-                sum(p * e for p, e in zip(v.probs, self.normal.entries))
-                for v in bset.vertices
-            ]
-            in_range = 0 <= ip < len(values) and 0 <= im < len(values)
-            if not (in_range and values[ip] > self.offset > values[im]):
+        den, rows = collection.integer_view
+        q, ints = scaled((*self.normal.entries, self.offset))
+        values, _, _ = vertex_extremes(rows, ints[:-1])
+        threshold = den * ints[-1]
+        for (ip, im), on_set in zip(self.straddles, values):
+            in_range = 0 <= ip < len(on_set) and 0 <= im < len(on_set)
+            if not (in_range and on_set[ip] > threshold > on_set[im]):
                 return False
         return True
 
@@ -363,10 +366,11 @@ def phi_lattice(
 ) -> list[UtilityVector]:
     """Cubic lattice of raw utility vectors, independent of any instance.
 
-    Raises ValueError for a resolution that is not a positive int or a
-    radius that is not a positive exact rational.
+    Raises ValueError for a resolution that is not a positive int, a
+    lattice over ``MAX_BATTERY_ACTS`` vectors or a radius that is not a
+    positive exact rational, all before any vector is built.
     """
-    _check_resolution(resolution)
+    check_battery(resolution, num_states)
     radius = check_radius(radius)
     step = radius / resolution
     levels = [-radius + k * step for k in range(2 * resolution + 1)]
@@ -382,11 +386,6 @@ def phi_lattice(
 MAX_BATTERY_ACTS = 729
 
 
-def _check_resolution(resolution: int) -> None:
-    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
-        raise ValueError(f"resolution must be a positive integer, got {resolution!r}")
-
-
 def check_radius(radius) -> Fraction:
     """The radius as a Fraction; ValueError unless a positive int or Fraction."""
     radius = exact_rational(radius, "radius")
@@ -397,7 +396,8 @@ def check_radius(radius) -> Fraction:
 
 def check_battery(resolution: int, num_states: int, what: str = "") -> None:
     """Raise ValueError for a lattice battery that is empty or over ``MAX_BATTERY_ACTS``."""
-    _check_resolution(resolution)
+    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
+        raise ValueError(f"resolution must be a positive integer, got {resolution!r}")
     acts = (2 * resolution + 1) ** num_states
     if acts > MAX_BATTERY_ACTS:
         raise ValueError(

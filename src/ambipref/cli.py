@@ -53,11 +53,15 @@ __all__ = [
     "attach_negative_seeds",
     "verify_request",
     "check_output",
+    "load",
     "MAX_BATTERY_ACTS",
     "MAX_SLICE_SAMPLES",
 ]
 
 MAX_SEEDS = 10_000  # a range is checked from its two ends, before its list is built
+# One favorable-mixing audit takes seconds per kind on the 343-act lattice (three
+# states, resolution 3) and over a minute on the 625-act one (four, resolution 2).
+MAX_MIXING_ACTS = 343
 
 _MODEL_HELP = (
     "gb | disjunctive | conjunctive | half | alpha:Q | bewley:NAME | "
@@ -127,15 +131,16 @@ def parse_seed_range(text: str) -> list[int]:
         raise InputError(f"bad seed range {text!r}: {exc}") from exc
 
 
-def _load(path: str) -> Instance:
+def load(path: str | Path) -> Instance:
+    """Read and validate an instance file; any failure is one InputError line naming it."""
     try:
         return load_instance(path)
     except OSError as exc:
-        raise InputError(f"cannot read instance file: {exc}") from exc
+        raise InputError(f"cannot read instance file {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"instance file is not valid JSON: {exc}") from exc
+        raise InputError(f"instance file {path} is not valid JSON: {exc}") from exc
     except InstanceValidationError as exc:
-        raise InputError(f"invalid instance:\n{exc}") from exc
+        raise InputError(f"invalid instance {path}: {exc}") from exc
 
 
 def check_output(path: Optional[str]) -> None:
@@ -169,7 +174,7 @@ def _json_doc(doc: dict) -> str:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    instance = _load(args.instance)
+    instance = load(args.instance)
     kind = parse_model(args.model, instance)
     try:
         left = instance.act(args.left)
@@ -213,7 +218,7 @@ def _parse_axioms(text: str) -> list[AxiomKind]:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    instance = _load(args.instance)
+    instance = load(args.instance)
     kind = parse_model(args.model, instance)
     axioms = _parse_axioms(args.axioms)
     try:
@@ -222,6 +227,13 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         battery = generate_act_grid(instance, args.resolution, radius)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    if AxiomKind.FAVORABLE_MIXING in axioms and len(battery) > MAX_MIXING_ACTS:
+        n = instance.num_states
+        fits = next(r for r in range(MAX_MIXING_ACTS) if (2 * r + 3) ** n > MAX_MIXING_ACTS)
+        raise InputError(
+            f"{AxiomKind.FAVORABLE_MIXING.value} audits at most {MAX_MIXING_ACTS} acts, not "
+            f"{len(battery)}; the largest resolution that fits on {n} states is {fits or 'none'}"
+        )
     uvecs = [utility_vector(instance.utility, act) for act in battery]
     desc = battery_label(instance, len(battery), args.resolution, radius)
     reports = audit_suite(kind, instance, battery, axioms=axioms, battery_desc=desc)
@@ -233,7 +245,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    instance = _load(args.instance)
+    instance = load(args.instance)
     try:
         check_battery(2, instance.num_states, " (analyze's commutativity lattice)")
     except ValueError as exc:
@@ -246,7 +258,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_slice(args: argparse.Namespace) -> int:
     try:
         check_sample_count(args.samples)
-        instance = _load(args.instance)
+        instance = load(args.instance)
         direction = [parse_rational(p.strip()) for p in args.direction.split(",")]
         if len(direction) != instance.num_states:
             raise InputError(

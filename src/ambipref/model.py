@@ -645,8 +645,7 @@ def validate_instance(raw: Mapping) -> Instance:
                 probs = [log.rational(entry, f"{vpath}[{k}]") for k, entry in enumerate(raw_vertex)]
                 if any(p is None for p in probs):
                     continue
-                assert all(p is not None for p in probs)
-                entries = tuple(p for p in probs if p is not None)
+                entries = tuple(probs)
                 if any(p < 0 for p in entries) or sum(entries) != 1:
                     log.add("NonSimplexPrior", vpath, f"entries {list(map(str, entries))} are not a distribution")
                     continue

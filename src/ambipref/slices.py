@@ -301,18 +301,8 @@ def export_slice(profile: SliceProfile, fmt: str) -> str:
     if fmt == "csv":
         lines = ["theta,maxmin,minmax,half,alpha"]
         for s in profile.samples:
-            alpha = "" if s.alpha is None else repr(float(s.alpha))
-            lines.append(
-                ",".join(
-                    [
-                        repr(float(s.theta)),
-                        repr(float(s.maxmin)),
-                        repr(float(s.minmax)),
-                        repr(float(s.half)),
-                        alpha,
-                    ]
-                )
-            )
+            cells = (s.theta, s.maxmin, s.minmax, s.half, s.alpha)
+            lines.append(",".join("" if x is None else repr(float(x)) for x in cells))
         return "\n".join(lines) + "\n"
     if fmt == "json":
         def both(x: Fraction) -> dict:

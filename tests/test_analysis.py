@@ -411,6 +411,8 @@ class TestCuttingHyperplane:
         assert cut.verify(overlapping_intervals.collection)
         shifted = CuttingHyperplane(cut.normal, F(3, 4), cut.straddles)
         assert not shifted.verify(overlapping_intervals.collection)
+        touching = CuttingHyperplane(cut.normal, F(1, 2), cut.straddles)  # left's plus vertex
+        assert not touching.verify(overlapping_intervals.collection)
         short = CuttingHyperplane(cut.normal, cut.offset, cut.straddles[:1])
         assert not short.verify(overlapping_intervals.collection)
 
@@ -604,6 +606,16 @@ class TestCommutativity:
     def test_lattice_resolution_must_be_a_positive_int(self, resolution):
         with pytest.raises(ValueError, match="resolution must be a positive integer"):
             phi_lattice(2, resolution)
+
+    @pytest.mark.parametrize("states, resolution", [(4, 4), (6, 10)])
+    def test_lattice_over_the_battery_limit_is_refused(self, monkeypatch, states, resolution):
+        """6561 and 85,766,121 vectors: refused before the first one is built."""
+        def refuse(*args):
+            raise AssertionError("lattice vector built despite a lattice over the limit")
+
+        monkeypatch.setattr(analysis, "UtilityVector", refuse)
+        with pytest.raises(ValueError, match=f"the limit is {analysis.MAX_BATTERY_ACTS}"):
+            phi_lattice(states, resolution)
 
     @pytest.mark.parametrize("radius, message", [
         (0.1, "must be an int or a Fraction"),

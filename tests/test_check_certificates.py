@@ -226,7 +226,8 @@ def test_a_collapse_on_three_states_is_rejected(tmp_path, capsys):
 
 def test_usage_error_exits_2(capsys):
     assert checker.main([]) == 2
-    assert "usage" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "usage" in err
 
 
 @pytest.mark.parametrize(
@@ -250,3 +251,4 @@ def test_unreadable_or_malformed_input_exits_2(tmp_path, capsys, content, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and message in captured.err
+    assert captured.err.startswith("error: ")

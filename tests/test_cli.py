@@ -8,11 +8,13 @@ from pathlib import Path
 import pytest
 
 from ambipref import (
-    AlphaMixture, Bewley, Justifiable, Prior, SEU, check_sample_count, load_instance,
+    AlphaMixture, Bewley, GenParams, Justifiable, Prior, SEU, check_sample_count,
+    dumps_instance, generate_instance, load_instance,
 )
 from ambipref import cli
 from ambipref.cli import (
     MAX_BATTERY_ACTS,
+    MAX_MIXING_ACTS,
     MAX_SEEDS,
     MAX_SLICE_SAMPLES,
     InputError,
@@ -451,6 +453,44 @@ class TestSizeLimits:
         with pytest.raises(Reached):
             main(["analyze", "--instance", str(CORNER_CLUSTERS)])
 
+    @staticmethod
+    def generated(tmp_path, states):
+        path = tmp_path / f"seed1_{states}.json"
+        path.write_text(dumps_instance(generate_instance(1, GenParams(num_states=states))))
+        return str(path)
+
+    def test_favorable_mixing_over_its_act_limit(self, monkeypatch, tmp_path, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("audit started despite favorable mixing over its limit")
+
+        monkeypatch.setattr(cli, "audit_suite", refuse)
+        # Four states at the default resolution 2: 5 ** 4 = 625 acts.
+        code = main(["audit", "--instance", self.generated(tmp_path, 4), "--model", "gb"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"favorable_mixing audits at most {MAX_MIXING_ACTS} acts, not 625" in err
+        assert "the largest resolution that fits on 4 states is 1" in err
+
+    @pytest.mark.parametrize(
+        "states, flags",
+        [
+            (4, ["--axioms", "completeness"]),  # 625 acts without favorable mixing
+            (3, ["--resolution", "3"]),  # 7 ** 3 = 343 acts: at the limit
+            (4, ["--resolution", "1"]),  # 3 ** 4 = 81 acts
+        ],
+    )
+    def test_favorable_mixing_limit_admits_the_rest(self, monkeypatch, tmp_path, states, flags):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "audit_suite", reached)
+        with pytest.raises(Reached):
+            main(["audit", "--instance", self.generated(tmp_path, states), "--model", "gb", *flags])
+
     def test_verify_defaults_fit(self, monkeypatch):
         # Resolution 2 on the default sizing's three states: 125 acts.
         class Reached(Exception):
@@ -537,6 +577,19 @@ class TestExportScript:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out / "sub") in err
         assert out.read_text() == "a file, not a directory"
+
+    @pytest.mark.parametrize("make", [True, False], ids=["empty", "missing"])
+    def test_no_instance_files_exit_two(self, script, tmp_path, capsys, make):
+        instances = tmp_path / "instances"
+        if make:
+            instances.mkdir()
+        out = tmp_path / "out"
+        code = script.main(["--instances", str(instances), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(instances) in err
+        assert not out.exists()
 
     def test_largest_sample_count_is_accepted(self, script, tmp_path):
         with pytest.raises(AssertionError, match="slice sampling started"):
@@ -719,21 +772,29 @@ class TestVerifyCommand:
 
 
 class TestBadInstanceFiles:
+    """Each exits 2 with one ``error:`` line that names the file."""
+
+    @staticmethod
+    def error_line(capsys, path) -> str:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+        return err
+
     def test_missing_file(self, capsys):
         assert main(["analyze", "--instance", "/no/such/file.json"]) == 2
-        assert "cannot read" in capsys.readouterr().err
+        assert "cannot read" in self.error_line(capsys, "/no/such/file.json")
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["analyze", "--instance", str(path)]) == 2
-        assert "not valid JSON" in capsys.readouterr().err
+        assert "not valid JSON" in self.error_line(capsys, path)
 
     def test_invalid_instance_document(self, tmp_path, capsys):
         path = tmp_path / "invalid.json"
         path.write_text(json.dumps({"states": ["s1", "s2"]}))
         assert main(["analyze", "--instance", str(path)]) == 2
-        assert "invalid instance" in capsys.readouterr().err
+        assert "invalid instance" in self.error_line(capsys, path)
 
 
 class TestOutputPaths:
