@@ -230,7 +230,7 @@ def main(argv: list[str]) -> int:
         try:
             with open(path, encoding="utf-8") as handle:
                 documents.append(json.load(handle))
-        except (OSError, ValueError) as exc:  # JSON and Unicode errors are ValueErrors
+        except (OSError, ValueError, RecursionError) as exc:  # deep nesting is a RecursionError
             print(f"error: cannot read {path}: {exc}", file=sys.stderr)
             return 2
     try:

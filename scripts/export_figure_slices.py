@@ -6,7 +6,8 @@ the slice in a single arc, and writes one CSV plus one JSON file per direction
 into the output directory.  Every instance is loaded, and the output directory
 made, before anything is sampled or written: a bad flag, no instance file,
 an unreadable or malformed one or an unusable ``--out`` exits 2 with one
-``error:`` line.
+``error:`` line.  So does an output file that cannot be written; the files
+written before it stay.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ambipref import (
     parse_rational,
     slice_profile,
 )
-from ambipref.cli import InputError, load
+from ambipref.cli import InputError, load, run
 
 DIRECTIONS: tuple[tuple[Fraction, ...], ...] = (
     (Fraction(1), Fraction(0)),
@@ -42,30 +43,27 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--samples", type=int, default=64)
     parser.add_argument("--alpha", default="3/4", help="alpha-mixture weight, a rational in [0, 1]")
     args = parser.parse_args(argv)
+    return run(lambda: _export(args))
+
+
+def _export(args: argparse.Namespace) -> int:
     try:
         check_sample_count(args.samples)
     except ValueError as exc:
-        print(f"error: bad --samples: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(f"bad --samples: {exc}") from exc
     try:
         alpha = mixture_weight(parse_rational(args.alpha))
     except ValueError as exc:
-        print(f"error: bad --alpha {args.alpha!r}: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(f"bad --alpha {args.alpha!r}: {exc}") from exc
 
     paths = sorted(args.instances.glob("*.json"))
-    try:
-        if not paths:
-            raise InputError(f"no instance files under {args.instances}")
-        instances = [(path, load(path)) for path in paths]
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if not paths:
+        raise InputError(f"no instance files under {args.instances}")
+    instances = [(path, load(path)) for path in paths]
     try:
         args.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot make output directory {args.out}: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(f"cannot make output directory {args.out}: {exc}") from exc
 
     for path, instance in instances:
         for direction in DIRECTIONS:
@@ -75,8 +73,12 @@ def main(argv: list[str] | None = None) -> int:
             profile = slice_profile(instance.collection, plane, args.samples, alpha=alpha)
             tag = "_".join(str(c).replace("/", "over").replace("-", "m") for c in direction)
             stem = args.out / f"{path.stem}__d{tag}"
-            stem.with_suffix(".csv").write_text(export_slice(profile, "csv"))
-            stem.with_suffix(".json").write_text(export_slice(profile, "json"))
+            for fmt in ("csv", "json"):
+                target = stem.with_suffix(f".{fmt}")
+                try:
+                    target.write_text(export_slice(profile, fmt))
+                except OSError as exc:
+                    raise InputError(f"cannot write {target}: {exc}") from exc
             verdicts = []
             for cone in CONES:
                 v = certify_slice_convexity(profile, cone)

@@ -16,13 +16,13 @@ spreads the batch over four processes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 from ambipref import verify
-from ambipref.cli import InputError, attach_negative_seeds, check_output, verify_request
+from ambipref.cli import InputError, attach_negative_seeds, check_output, run, verify_request
+from ambipref.model import json_text
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -36,26 +36,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=Path("verification_report.json"))
     parser.set_defaults(resolution=2, radius="1")
     args = parser.parse_args(attach_negative_seeds(sys.argv[1:] if argv is None else argv))
-    try:
-        suites, seeds, config = verify_request(args)
-        check_output(str(args.out))
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return run(lambda: _verify_and_write(args))
 
+
+def _verify_and_write(args: argparse.Namespace) -> int:
+    suites, seeds, config = verify_request(args)
+    check_output(str(args.out))
     started = time.monotonic()
-    try:
-        report = verify(suites, seeds, config=config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = verify(suites, seeds, config=config)
     elapsed = time.monotonic() - started
-
     try:
-        args.out.write_text(json.dumps(report.to_jsonable(), indent=2, sort_keys=True) + "\n")
+        args.out.write_text(json_text(report.to_jsonable()))
     except OSError as exc:
-        print(f"error: cannot write the report: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(f"cannot write the report: {exc}") from exc
 
     for entry in report.suites:
         flag = "pass" if entry.passed else "FAIL"

@@ -3,6 +3,10 @@
 Exit codes: 0 when the requested check passes, 1 when a verification or
 audit turns up a counterexample, 2 on input errors (bad flags, unreadable
 files, malformed instances, an output path that cannot be written).
+
+:func:`run`, the one error boundary of the CLI and the scripts, reads a
+``ValueError`` (an :class:`InputError` among them) as bad input.  A
+``RuntimeError`` is a result that failed its own check and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -12,12 +16,12 @@ import json
 import re
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .analysis import analyze, check_battery
 from .analysis import MAX_BATTERY_ACTS  # noqa: F401  (re-exported for callers of the CLI module)
 from .axioms import AxiomKind, audit_suite, battery_label, generate_act_grid
-from .generate import GenParams, ParamsOutOfRange, generate_instance
+from .generate import GenParams, generate_instance
 from .margins import (
     AlphaMixture,
     Bewley,
@@ -38,6 +42,7 @@ from .model import (
     Prior,
     UnknownBeliefSetName,
     dumps_instance,
+    json_text,
     load_instance,
     parse_rational,
     utility_vector,
@@ -48,6 +53,7 @@ from .verify import SUITES, VerifyConfig, verify
 
 __all__ = [
     "main",
+    "run",
     "parse_model",
     "parse_seed_range",
     "attach_negative_seeds",
@@ -69,8 +75,8 @@ _MODEL_HELP = (
 )
 
 
-class InputError(Exception):
-    """User-facing problem with flags or files; maps to exit code 2."""
+class InputError(ValueError):
+    """User-facing problem with flags or files; :func:`run` maps it to exit code 2."""
 
 
 def parse_model(text: str, instance: Optional[Instance] = None) -> ModelKind:
@@ -102,6 +108,8 @@ def parse_model(text: str, instance: Optional[Instance] = None) -> ModelKind:
                     f"{instance.num_states} states"
                 )
             return SEU(prior)
+    except InputError:
+        raise
     except ValueError as exc:
         raise InputError(f"bad model spec {text!r}: {exc}") from exc
     except UnknownBeliefSetName as exc:
@@ -112,23 +120,21 @@ def parse_model(text: str, instance: Optional[Instance] = None) -> ModelKind:
 def parse_seed_range(text: str) -> list[int]:
     """Seeds as 'A..B' (inclusive), an integer, or a comma list; at most ``MAX_SEEDS``."""
     text = text.strip()
+    lo_text, dots, hi_text = text.partition("..")
+    parts = [] if dots else text.split(",")
+    if len(parts) > MAX_SEEDS:
+        raise InputError(f"seed list holds {len(parts)} seeds; the limit is {MAX_SEEDS}")
     try:
-        if ".." in text:
-            lo_text, _, hi_text = text.partition("..")
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise InputError(f"empty seed range {text!r}")
-            if hi - lo + 1 > MAX_SEEDS:
-                raise InputError(
-                    f"seed range {text!r} holds {hi - lo + 1} seeds; the limit is {MAX_SEEDS}"
-                )
-            return list(range(lo, hi + 1))
-        parts = text.split(",")
-        if len(parts) > MAX_SEEDS:
-            raise InputError(f"seed list holds {len(parts)} seeds; the limit is {MAX_SEEDS}")
-        return [int(p) for p in parts]
+        if not dots:
+            return [int(p) for p in parts]
+        lo, hi = int(lo_text), int(hi_text)
     except ValueError as exc:
         raise InputError(f"bad seed range {text!r}: {exc}") from exc
+    if hi < lo:
+        raise InputError(f"empty seed range {text!r}")
+    if hi - lo + 1 > MAX_SEEDS:
+        raise InputError(f"seed range {text!r} holds {hi - lo + 1} seeds; the limit is {MAX_SEEDS}")
+    return list(range(lo, hi + 1))
 
 
 def load(path: str | Path) -> Instance:
@@ -137,7 +143,7 @@ def load(path: str | Path) -> Instance:
         return load_instance(path)
     except OSError as exc:
         raise InputError(f"cannot read instance file {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InputError(f"instance file {path} is not valid JSON: {exc}") from exc
     except InstanceValidationError as exc:
         raise InputError(f"invalid instance {path}: {exc}") from exc
@@ -169,10 +175,6 @@ def _emit(text: str, output: Optional[str]) -> None:
         raise InputError(f"cannot write output: {exc}") from exc
 
 
-def _json_doc(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     instance = load(args.instance)
     kind = parse_model(args.model, instance)
@@ -185,7 +187,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     forward, reverse = margin_pair(kind, instance.collection, phi)
     relation = classify(kind, instance, left, right)
     _emit(
-        _json_doc(
+        json_text(
             {
                 "model": args.model,
                 "left": args.left,
@@ -221,12 +223,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     instance = load(args.instance)
     kind = parse_model(args.model, instance)
     axioms = _parse_axioms(args.axioms)
-    try:
-        check_battery(args.resolution, instance.num_states)
-        radius = parse_rational(args.radius)
-        battery = generate_act_grid(instance, args.resolution, radius)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    check_battery(args.resolution, instance.num_states)
+    radius = parse_rational(args.radius)
+    battery = generate_act_grid(instance, args.resolution, radius)
     if AxiomKind.FAVORABLE_MIXING in axioms and len(battery) > MAX_MIXING_ACTS:
         n = instance.num_states
         fits = next(r for r in range(MAX_MIXING_ACTS) if (2 * r + 3) ** n > MAX_MIXING_ACTS)
@@ -237,54 +236,41 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     uvecs = [utility_vector(instance.utility, act) for act in battery]
     desc = battery_label(instance, len(battery), args.resolution, radius)
     reports = audit_suite(kind, instance, battery, axioms=axioms, battery_desc=desc)
-    _emit(
-        _json_doc({"reports": [r.to_jsonable(uvecs) for r in reports]}),
-        args.output,
-    )
+    _emit(json_text({"reports": [r.to_jsonable(uvecs) for r in reports]}), args.output)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     instance = load(args.instance)
-    try:
-        check_battery(2, instance.num_states, " (analyze's commutativity lattice)")
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    check_battery(2, instance.num_states, " (analyze's commutativity lattice)")
     report = analyze(instance)
-    _emit(_json_doc(report.to_jsonable()), args.output)
+    _emit(json_text(report.to_jsonable()), args.output)
     return 0
 
 
 def _cmd_slice(args: argparse.Namespace) -> int:
-    try:
-        check_sample_count(args.samples)
-        instance = load(args.instance)
-        direction = [parse_rational(p.strip()) for p in args.direction.split(",")]
-        if len(direction) != instance.num_states:
-            raise InputError(
-                f"direction has {len(direction)} entries, instance has "
-                f"{instance.num_states} states"
-            )
-        plane = SlicePlane.through(direction)
-        alpha = parse_rational(args.alpha) if args.alpha is not None else None
-        profile = slice_profile(instance.collection, plane, args.samples, alpha)
-        text = export_slice(profile, args.format)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _emit(text, args.output)
+    check_sample_count(args.samples)
+    instance = load(args.instance)
+    direction = [parse_rational(p.strip()) for p in args.direction.split(",")]
+    if len(direction) != instance.num_states:
+        raise InputError(
+            f"direction has {len(direction)} entries, instance has "
+            f"{instance.num_states} states"
+        )
+    plane = SlicePlane.through(direction)
+    alpha = parse_rational(args.alpha) if args.alpha is not None else None
+    profile = slice_profile(instance.collection, plane, args.samples, alpha)
+    _emit(export_slice(profile, args.format), args.output)
     return 0
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        params = GenParams(
-            num_states=args.states,
-            num_sets=args.sets,
-            vertices_per_set=args.vertices,
-            denominator_bound=args.denominator,
-        )
-    except ParamsOutOfRange as exc:
-        raise InputError(str(exc)) from exc
+    params = GenParams(
+        num_states=args.states,
+        num_sets=args.sets,
+        vertices_per_set=args.vertices,
+        denominator_bound=args.denominator,
+    )
     instance = generate_instance(args.seed, params)
     _emit(dumps_instance(instance), args.output)
     return 0
@@ -310,7 +296,7 @@ def verify_request(
 
     Reads ``suites``, ``seeds``, ``resolution``, ``radius`` and the generator
     overrides ``states``, ``sets``, ``vertices`` and ``denominator`` (None
-    when unset).  Raises InputError before any instance or battery is built.
+    when unset).  Raises ValueError before any instance or battery is built.
     """
     suites = _parse_suites(args.suites)
     seeds = parse_seed_range(args.seeds)
@@ -321,27 +307,18 @@ def verify_request(
         "denominator_bound": args.denominator,
     }
     given = {field: value for field, value in overrides.items() if value is not None}
-    try:
-        params = GenParams(**given) if given else None
-    except ParamsOutOfRange as exc:
-        raise InputError(str(exc)) from exc
-    try:
-        radius = parse_rational(args.radius)
-        config = VerifyConfig(resolution=args.resolution, radius=radius, params=params)
-        states = max(config.params_for_seed(seed).num_states for seed in seeds)
-        check_battery(args.resolution, states)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    params = GenParams(**given) if given else None
+    radius = parse_rational(args.radius)
+    config = VerifyConfig(resolution=args.resolution, radius=radius, params=params)
+    states = max(config.params_for_seed(seed).num_states for seed in seeds)
+    check_battery(args.resolution, states)
     return suites, seeds, config
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     suites, seeds, config = verify_request(args)
-    try:
-        report = verify(suites, seeds, config)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _emit(_json_doc(report.to_jsonable()), args.output)
+    report = verify(suites, seeds, config)
+    _emit(json_text(report.to_jsonable()), args.output)
     return 0 if report.passed else 1
 
 
@@ -427,15 +404,23 @@ def attach_negative_seeds(argv: Sequence[str]) -> list[str]:
     return out
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(attach_negative_seeds(sys.argv[1:] if argv is None else argv))
+def run(body: Callable[[], int]) -> int:
+    """Return ``body()``, or 2 after one ``error:`` line when it raises a ValueError."""
     try:
-        check_output(args.output)
-        return args.func(args)
-    except InputError as exc:
+        return body()
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(attach_negative_seeds(sys.argv[1:] if argv is None else argv))
+
+    def body() -> int:
+        check_output(args.output)
+        return args.func(args)
+
+    return run(body)
 
 
 if __name__ == "__main__":

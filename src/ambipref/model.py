@@ -52,6 +52,7 @@ __all__ = [
     "load_instance",
     "instance_to_jsonable",
     "dumps_instance",
+    "json_text",
 ]
 
 
@@ -722,6 +723,11 @@ def instance_to_jsonable(instance: Instance) -> dict:
     }
 
 
+def json_text(doc: object) -> str:
+    """The one layout of every JSON text the package writes: same document, same bytes."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def dumps_instance(instance: Instance) -> str:
     """Serialize deterministically: same instance, same bytes."""
-    return json.dumps(instance_to_jsonable(instance), indent=2, sort_keys=True) + "\n"
+    return json_text(instance_to_jsonable(instance))

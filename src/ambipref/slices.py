@@ -23,7 +23,6 @@ one arc longer than a half-turn is not a convex cone.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -42,6 +41,7 @@ from .model import (
     BeliefCollection,
     UtilityVector,
     exact_rational,
+    json_text,
     mixture_weight,
     primitive,
     scaled,
@@ -331,5 +331,5 @@ def export_slice(profile: SliceProfile, fmt: str) -> str:
                 cone: [list(a) for a in arcs] for cone, arcs in profile.arc_summary
             },
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json_text(doc)
     raise UnknownFormat(f"unsupported format {fmt!r}; expected 'csv' or 'json'")

@@ -235,10 +235,11 @@ def test_usage_error_exits_2(capsys):
     [
         (None, "cannot read"),
         ("not json", "cannot read"),
+        ("[" * 100_000 + "]" * 100_000, "cannot read"),
         ("{}", "not an instance and its analyze report"),
         ("instance", "not an instance and its analyze report"),
     ],
-    ids=["missing", "not-json", "empty-object", "instance-as-report"],
+    ids=["missing", "not-json", "deep-nesting", "empty-object", "instance-as-report"],
 )
 def test_unreadable_or_malformed_input_exits_2(tmp_path, capsys, content, message):
     instance = ROOT / "instances" / f"{STEMS[0]}.json"

@@ -9,7 +9,7 @@ import pytest
 
 from ambipref import (
     AlphaMixture, Bewley, GenParams, Justifiable, Prior, SEU, check_sample_count,
-    dumps_instance, generate_instance, load_instance,
+    dumps_instance, generate_instance, load_instance, slice_profile,
 )
 from ambipref import cli
 from ambipref.cli import (
@@ -21,6 +21,7 @@ from ambipref.cli import (
     main,
     parse_model,
     parse_seed_range,
+    run,
 )
 from ambipref.model import MAX_RATIONAL_DIGITS
 
@@ -35,6 +36,10 @@ OVERLAP = str(INSTANCES / "overlapping_intervals.json")
 EXPORT_SCRIPT = INSTANCES.parent / "scripts" / "export_figure_slices.py"
 VERIFY_SCRIPT = INSTANCES.parent / "scripts" / "run_full_verification.py"
 CORNER_CLUSTERS = Path(__file__).resolve().parent / "data" / "corner_clusters.json"
+# Two instance files no JSON decoder reads: bytes that are not UTF-8, and
+# nesting deeper than the decoder's recursion limit.
+NOT_UTF8 = b"\xff\xfe{}"
+DEEP_NESTING = ("[" * 100_000 + "]" * 100_000).encode()
 
 
 class TestParseModel:
@@ -57,7 +62,7 @@ class TestParseModel:
             parse_model("bewley:nope", disjoint_pair)
 
     def test_prior_length_checked_against_the_instance(self, disjoint_pair):
-        with pytest.raises(InputError, match="3 entries"):
+        with pytest.raises(InputError, match="^prior has 3 entries"):
             parse_model("seu:1/3,1/3,1/3", disjoint_pair)
 
     @pytest.mark.parametrize(
@@ -76,9 +81,13 @@ class TestParseSeedRange:
         assert parse_seed_range("4,2,9") == [4, 2, 9]
         assert parse_seed_range(" 5..5 ") == [5]
 
-    @pytest.mark.parametrize("text", ["5..1", "a..b", "x", "1,two", ""])
-    def test_bad_ranges(self, text):
-        with pytest.raises(InputError):
+    @pytest.mark.parametrize(
+        "text, message",
+        [("5..1", r"empty seed range '5\.\.1'$"), ("a..b", "bad seed range"),
+         ("x", "bad seed range"), ("1,two", "bad seed range"), ("", "bad seed range")],
+    )
+    def test_bad_ranges(self, text, message):
+        with pytest.raises(InputError, match=f"^{message}"):
             parse_seed_range(text)
 
     @pytest.mark.parametrize(
@@ -551,15 +560,18 @@ class TestExportScript:
     @pytest.mark.parametrize(
         "text, message",
         [
-            (json.dumps({"states": ["a"]}), "MissingField"),
-            ("{not json", "Expecting property name"),
+            (json.dumps({"states": ["a"]}).encode(), "MissingField"),
+            (b"{not json", "Expecting property name"),
+            (NOT_UTF8, "not valid JSON"),
+            (DEEP_NESTING, "not valid JSON"),
         ],
+        ids=["invalid", "malformed", "not-utf8", "deep"],
     )
     def test_a_bad_instance_exits_two_before_any_write(self, script, tmp_path, capsys, text, message):
         instances = tmp_path / "instances"
         instances.mkdir()
         (instances / "a_good.json").write_text(Path(DISJOINT).read_text())
-        (instances / "b_bad.json").write_text(text)
+        (instances / "b_bad.json").write_bytes(text)
         out = tmp_path / "out"
         code = script.main(["--instances", str(instances), "--out", str(out)])
         assert code == 2
@@ -577,6 +589,16 @@ class TestExportScript:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out / "sub") in err
         assert out.read_text() == "a file, not a directory"
+
+    def test_an_output_file_that_cannot_be_written_exits_two(self, script, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(script, "slice_profile", slice_profile)
+        out = tmp_path / "out"
+        blocked = out / "disjoint_pair__d1_m1.json"
+        blocked.mkdir(parents=True)
+        code = script.main(["--instances", str(INSTANCES), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {blocked}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("make", [True, False], ids=["empty", "missing"])
     def test_no_instance_files_exit_two(self, script, tmp_path, capsys, make):
@@ -784,9 +806,12 @@ class TestBadInstanceFiles:
         assert main(["analyze", "--instance", "/no/such/file.json"]) == 2
         assert "cannot read" in self.error_line(capsys, "/no/such/file.json")
 
-    def test_malformed_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "content", [b"{not json", NOT_UTF8, DEEP_NESTING], ids=["malformed", "not-utf8", "deep"]
+    )
+    def test_malformed_json(self, tmp_path, capsys, content):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_bytes(content)
         assert main(["analyze", "--instance", str(path)]) == 2
         assert "not valid JSON" in self.error_line(capsys, path)
 
@@ -844,3 +869,20 @@ class TestOutputPaths:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
+
+class TestErrorBoundary:
+    """``run`` reports bad input; a failed self-check is never bad input."""
+
+    def test_a_value_error_exits_two_and_a_runtime_error_propagates(self, capsys):
+        def fails(error: Exception):
+            def body() -> int:
+                raise error
+
+            return body
+
+        assert run(fails(ValueError("bad flag"))) == 2
+        assert capsys.readouterr().err == "error: bad flag\n"
+        with pytest.raises(RuntimeError, match="failed its own check"):
+            run(fails(RuntimeError("a certificate failed its own check")))
+        assert capsys.readouterr().err == ""
