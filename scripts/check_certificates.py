@@ -8,6 +8,10 @@ INSTANCE is the instance file the report was made from and REPORT the JSON
 that ``ambipref analyze --instance INSTANCE`` printed.  The checker reads
 both files on its own, with exact Fractions and nothing from the package,
 so it vouches for the artifact a user keeps, not for the code that wrote it.
+Every number it reads is a rational in the instance format: an int below
+10**100 in size, or a string of an optional sign, ASCII digits and an
+optional "/digits", at most 100 digits a part.  Every vector it reads (a
+prior, phi1, phi2, a normal) has one entry per state.
 
 - A ``common_prior`` certificate holds when both weight lists are
   nonnegative, have one weight per vertex of their set, sum to 1, and mix
@@ -34,8 +38,10 @@ so it vouches for the artifact a user keeps, not for the code that wrote it.
 
 Exit status 0 when every check passes; otherwise 1, with one line per
 problem on stdout.  A usage error, a file that cannot be read as JSON, or a
-pair of documents that are not an instance and its report exits 2, with one
-``error:`` line on stderr.
+pair of documents that are not an instance and its report (an instance
+vertex that is not such a rational among them) exits 2, with one ``error:``
+line on stderr, before any arithmetic.  A report number that is not one is
+a ``malformed`` problem line.
 """
 
 import json
@@ -43,11 +49,30 @@ import sys
 from fractions import Fraction
 
 
+MAX_DIGITS = 100  # per part of a rational, as in the instance format
+
+
 def _rational(value) -> Fraction:
-    """An int or a "num/den" string as a Fraction; floats and bools are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"not an exact rational: {value!r}")
-    return Fraction(value)
+    """A rational in the instance format as a Fraction; anything else is a ValueError.
+
+    Floats, bools, decimal points and exponents are refused, so no short
+    string can expand into a huge number.
+    """
+    if isinstance(value, int) and not isinstance(value, bool) and abs(value) < 10**MAX_DIGITS:
+        return Fraction(value)
+    if isinstance(value, str):
+        parts = (value[1:] if value.startswith(("+", "-")) else value).split("/")
+        if len(parts) <= 2 and all(p.isascii() and p.isdigit() and len(p) <= MAX_DIGITS
+                                   for p in parts):
+            return Fraction(value)
+    raise ValueError(f"not an exact rational: {value!r:.40}")
+
+
+def _per_state(name, vector, *vertex_lists) -> list[str]:
+    """One problem line unless ``vector`` is as long as every vertex listed."""
+    if any(len(v) != len(vector) for verts in vertex_lists for v in verts):
+        return [f"{name} has {len(vector)} entries, not one per state"]
+    return []
 
 
 def _dot(vertex, phi) -> Fraction:
@@ -56,6 +81,8 @@ def _dot(vertex, phi) -> Fraction:
 
 def _common_prior(cert, first, second) -> list[str]:
     prior = [_rational(p) for p in cert["prior"]]
+    if short := _per_state("prior", prior, first, second):
+        return short
     problems = []
     for key, verts in (("weights_first", first), ("weights_second", second)):
         weights = [_rational(w) for w in cert[key]]
@@ -78,8 +105,10 @@ def _disjoint(cert, first, second) -> list[str]:
     phi1 = [_rational(e) for e in cert["phi1"]]
     phi2 = [_rational(e) for e in cert["phi2"]]
     slack = _rational(cert["slack"])
+    if short := _per_state("phi1", phi1, first, second) + _per_state("phi2", phi2, first, second):
+        return short
     problems = []
-    if len(phi1) != len(phi2) or any(a + b for a, b in zip(phi1, phi2)):
+    if any(a + b for a, b in zip(phi1, phi2)):
         problems.append("phi2 is not -phi1")
     floor = min(min(_dot(v, phi1) for v in first), min(_dot(w, phi2) for w in second))
     if slack != floor:
@@ -96,8 +125,8 @@ def _cutting(cut, sets) -> list[str]:
     normal = [_rational(e) for e in cut["normal"]]
     offset = _rational(cut["offset"])
     straddles = cut["straddles"]
-    if any(len(v) != len(normal) for verts in sets.values() for v in verts):
-        return [f"normal has {len(normal)} entries, not one per state"]
+    if short := _per_state("normal", normal, *sets.values()):
+        return short
     if len(straddles) != len(sets):
         return [f"{len(straddles)} straddle pairs for {len(sets)} sets"]
     problems = []

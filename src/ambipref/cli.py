@@ -40,7 +40,6 @@ from .model import (
     Instance,
     InstanceValidationError,
     Prior,
-    UnknownBeliefSetName,
     dumps_instance,
     json_text,
     load_instance,
@@ -49,7 +48,7 @@ from .model import (
 )
 from .slices import MAX_SLICE_SAMPLES  # noqa: F401  (re-exported for callers of the CLI module)
 from .slices import SlicePlane, check_sample_count, export_slice, slice_profile
-from .verify import SUITES, VerifyConfig, verify
+from .verify import SUITES, VerifyConfig, check_suites, verify
 
 __all__ = [
     "main",
@@ -112,8 +111,6 @@ def parse_model(text: str, instance: Optional[Instance] = None) -> ModelKind:
         raise
     except ValueError as exc:
         raise InputError(f"bad model spec {text!r}: {exc}") from exc
-    except UnknownBeliefSetName as exc:
-        raise InputError(str(exc)) from exc
     raise InputError(f"bad model spec {text!r}; expected {_MODEL_HELP}")
 
 
@@ -178,11 +175,7 @@ def _emit(text: str, output: Optional[str]) -> None:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     instance = load(args.instance)
     kind = parse_model(args.model, instance)
-    try:
-        left = instance.act(args.left)
-        right = instance.act(args.right)
-    except KeyError as exc:
-        raise InputError(str(exc)) from exc
+    left, right = instance.act(args.left), instance.act(args.right)
     phi = phi_between(instance, left, right)
     forward, reverse = margin_pair(kind, instance.collection, phi)
     relation = classify(kind, instance, left, right)
@@ -264,29 +257,27 @@ def _cmd_slice(args: argparse.Namespace) -> int:
     return 0
 
 
+def _gen_params(args: argparse.Namespace) -> Optional[GenParams]:
+    """The box the four generator flags set, unset ones at their default; None if none is set."""
+    given = {
+        "num_states": args.states,
+        "num_sets": args.sets,
+        "vertices_per_set": args.vertices,
+        "denominator_bound": args.denominator,
+    }
+    given = {field: value for field, value in given.items() if value is not None}
+    return GenParams(**given) if given else None
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    params = GenParams(
-        num_states=args.states,
-        num_sets=args.sets,
-        vertices_per_set=args.vertices,
-        denominator_bound=args.denominator,
-    )
-    instance = generate_instance(args.seed, params)
-    _emit(dumps_instance(instance), args.output)
+    _emit(dumps_instance(generate_instance(args.seed, _gen_params(args))), args.output)
     return 0
 
 
 def _parse_suites(text: str) -> list[str]:
     if text.strip().lower() == "all":
         return list(SUITES)
-    suites = [part.strip() for part in text.split(",")]
-    for name in suites:
-        if name not in SUITES:
-            raise InputError(
-                f"unknown suite {name!r}; expected 'all' or a comma list of: "
-                + ", ".join(SUITES)
-            )
-    return suites
+    return check_suites(part.strip() for part in text.split(","))
 
 
 def verify_request(
@@ -296,20 +287,14 @@ def verify_request(
 
     Reads ``suites``, ``seeds``, ``resolution``, ``radius`` and the generator
     overrides ``states``, ``sets``, ``vertices`` and ``denominator`` (None
-    when unset).  Raises ValueError before any instance or battery is built.
+    when unset).  ``all`` is ``SUITES``; a comma list may name any suite
+    :func:`verify.check_suites` knows, including one run only by name.  Raises
+    ValueError before any instance or battery is built.
     """
     suites = _parse_suites(args.suites)
     seeds = parse_seed_range(args.seeds)
-    overrides = {
-        "num_states": args.states,
-        "num_sets": args.sets,
-        "vertices_per_set": args.vertices,
-        "denominator_bound": args.denominator,
-    }
-    given = {field: value for field, value in overrides.items() if value is not None}
-    params = GenParams(**given) if given else None
     radius = parse_rational(args.radius)
-    config = VerifyConfig(resolution=args.resolution, radius=radius, params=params)
+    config = VerifyConfig(resolution=args.resolution, radius=radius, params=_gen_params(args))
     states = max(config.params_for_seed(seed).num_states for seed in seeds)
     check_battery(args.resolution, states)
     return suites, seeds, config

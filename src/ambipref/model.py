@@ -21,6 +21,7 @@ __all__ = [
     "AlphaOutOfRange",
     "NotARational",
     "MAX_RATIONAL_DIGITS",
+    "UnknownName",
     "UnknownBeliefSetName",
     "ValidationIssue",
     "InstanceValidationError",
@@ -64,7 +65,14 @@ class NotARational(ValueError):
     """A value that is not an exact rational in the file format, or too long."""
 
 
-class UnknownBeliefSetName(KeyError):
+class UnknownName(KeyError, ValueError):
+    """A belief-set or act name the instance does not define: a lookup miss and
+    bad input at once, printed as its sentence rather than as a quoted key."""
+
+    __str__ = ValueError.__str__
+
+
+class UnknownBeliefSetName(UnknownName):
     """A model referenced a belief-set name absent from the collection."""
 
 
@@ -402,7 +410,8 @@ class BeliefCollection:
         for bset in self.sets:
             if bset.name == name:
                 return bset
-        raise UnknownBeliefSetName(name)
+        names = ", ".join(bset.name for bset in self.sets)
+        raise UnknownBeliefSetName(f"no belief set named {name!r}; the collection has {names}")
 
 
 @dataclass(frozen=True)
@@ -440,7 +449,8 @@ class Instance:
         try:
             return self.acts[name]
         except KeyError:
-            raise KeyError(f"instance has no act named {name!r}") from None
+            acts = ", ".join(self.acts)
+            raise UnknownName(f"instance has no act named {name!r}; it has {acts}") from None
 
     def utility_bounds(self) -> tuple[Fraction, Fraction]:
         return self.utility.bounds()

@@ -64,11 +64,13 @@ __all__ = [
     "SuiteOutcome",
     "SuiteEntry",
     "VerificationReport",
+    "check_suites",
     "suite_outcomes",
     "verify",
 ]
 
 SCHEMA_VERSION = 1
+# The ``all`` selection; a suite in ``_SUITE_FUNCS`` but not here runs only by name.
 SUITES = (
     "thm2",
     "thm3",
@@ -105,12 +107,7 @@ class VerifyConfig:
     def params_for_seed(self, seed: int) -> GenParams:
         if self.params is not None:
             return self.params
-        return GenParams(
-            num_states=2 if seed % 2 == 0 else 3,
-            num_sets=3,
-            vertices_per_set=4,
-            denominator_bound=20,
-        )
+        return GenParams(num_states=2 if seed % 2 == 0 else 3)
 
 
 @dataclass(frozen=True)
@@ -450,6 +447,15 @@ def _merge(name: str, results: Sequence[tuple[int, dict[str, SuiteOutcome]]]) ->
     )
 
 
+def check_suites(names: Iterable[str]) -> list[str]:
+    """``names`` without repeats, in order; UnknownSuite if any is not registered."""
+    requested = list(dict.fromkeys(names))
+    for name in requested:
+        if name not in _SUITE_FUNCS:
+            raise UnknownSuite(f"unknown suite {name!r}; expected one of {', '.join(_SUITE_FUNCS)}")
+    return requested
+
+
 def verify(
     suites: Sequence[str],
     seeds: Iterable[int],
@@ -464,12 +470,7 @@ def verify(
     integer >= 1 raises ValueError before any seed runs.
     """
     config = config or VerifyConfig()
-    requested = list(dict.fromkeys(suites))
-    for name in requested:
-        if name not in _SUITE_FUNCS:
-            raise UnknownSuite(
-                f"unknown suite {name!r}; expected one of {', '.join(SUITES)}"
-            )
+    requested = check_suites(suites)
     seed_list = list(seeds)
     jobs = [(s, tuple(requested), config) for s in seed_list]
     workers = _worker_count(len(jobs))

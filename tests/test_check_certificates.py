@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib.util
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -253,3 +254,67 @@ def test_unreadable_or_malformed_input_exits_2(tmp_path, capsys, content, messag
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and message in captured.err
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["1e10000000", "0.5", "0.5e0", 10**100],
+    ids=["huge-exponent", "decimal", "decimal-exponent", "101-digit-int"],
+)
+def test_an_instance_rational_outside_the_format_exits_2_at_once(tmp_path, capsys, entry):
+    doc = json.loads((ROOT / "instances" / "disjoint_pair.json").read_text())
+    doc["belief_collection"][0]["vertices"][0][0] = entry
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(doc))
+    started = time.monotonic()
+    code = checker.main([str(instance), str(ROOT / "tests" / "data" / "analyze" / "disjoint_pair.json")])
+    assert time.monotonic() - started < 1
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "not an exact rational" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("3/4", Fraction(3, 4)), ("-7", Fraction(-7)), ("+2/6", Fraction(1, 3)),
+     ("9" * 100, Fraction(int("9" * 100))), (-(10**100) + 1, Fraction(-(10**100) + 1))],
+)
+def test_the_instance_format_rationals_are_read(text, value):
+    assert checker._rational(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "+", "1/", "/2", "1/-2", "--1", "1/2/3", " 1", "1_000", "\u0661", "9" * 101,
+     "1/" + "9" * 101, 1.5, True, None],
+)
+def test_other_values_are_refused(text):
+    with pytest.raises(ValueError, match="not an exact rational"):
+        checker._rational(text)
+
+
+def test_a_report_rational_outside_the_format_is_malformed(tmp_path, capsys):
+    def decimal(report):
+        report["pairwise_intersections"]["certificates"][0]["slack"] = "0.2"
+
+    assert _run(tmp_path, "disjoint_pair", decimal) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and "malformed" in lines[0] and "not an exact rational" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "stem, key, where",
+    [("overlapping_intervals", "prior", "left, right"),
+     ("disjoint_pair", "phi1", "low, high"),
+     ("disjoint_pair", "phi2", "low, high")],
+)
+def test_a_vector_short_of_the_states_is_rejected(tmp_path, capsys, stem, key, where):
+    def truncate(report):
+        cert = report["pairwise_intersections"]["certificates"][0]
+        cert[key] = cert[key][:1]
+
+    assert _run(tmp_path, stem, truncate) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"certificate 0 ({where}): {key} has 1 entries, not one per state"
+    ]

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from ambipref import (
-    AlphaMixture, Bewley, GenParams, Justifiable, Prior, SEU, check_sample_count,
-    dumps_instance, generate_instance, load_instance, slice_profile,
+    SUITES, AlphaMixture, Bewley, GenParams, Justifiable, Prior, SEU, SuiteOutcome,
+    check_sample_count, dumps_instance, generate_instance, load_instance, slice_profile,
 )
 from ambipref import cli
 from ambipref.cli import (
@@ -177,6 +177,41 @@ class TestEvaluate:
 
 
 PINNED_AUDIT_MODELS = ("gb", "disjunctive", "conjunctive", "half", "alpha:3/4")
+
+
+class TestUnknownNames:
+    """A name the instance lacks is one ``error:`` line naming it and the names it has."""
+
+    @pytest.mark.parametrize(
+        "argv, missing, present",
+        [
+            (["evaluate", "--model", "bewley:nope", "--left", "bet_s1", "--right", "coin"],
+             "no belief set named 'nope'", "the collection has low, high"),
+            (["audit", "--model", "bewley:nope"],
+             "no belief set named 'nope'", "the collection has low, high"),
+            (["evaluate", "--model", "gb", "--left", "bet_s1", "--right", "nope"],
+             "no act named 'nope'", "it has all_lose, all_win, bet_s1, bet_s2, coin"),
+        ],
+        ids=["evaluate-set", "audit-set", "evaluate-act"],
+    )
+    def test_one_readable_line(self, capsys, argv, missing, present):
+        assert main([*argv, "--instance", DISJOINT]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert missing in err and present in err
+        assert '"' not in err and err != "error: 'nope'\n"
+
+
+@pytest.fixture
+def by_name_suite(monkeypatch):
+    """A suite registered for verify but left out of ``SUITES``, so only its name runs it."""
+    outcome = SuiteOutcome(ok=True, applicable=True, found=False, counterexamples=(),
+                           boundary_flags=0, batteries=())
+    monkeypatch.setitem(verify_mod._SUITE_FUNCS, "by_name", lambda ctx: outcome)
+    monkeypatch.delenv("AMBIPREF_THREADS", raising=False)
+    return "by_name"
 
 
 class TestPinnedAudits:
@@ -705,6 +740,12 @@ class TestVerificationScript:
         with pytest.raises(AssertionError, match="verification started"):
             script.main(["--out", str(tmp_path / "report.json"), "--seeds", seeds])
 
+    def test_a_suite_outside_suites_runs_by_name(self, by_name_suite, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert self.load().main(["--out", str(out), "--suites", by_name_suite, "--seeds", "0"]) == 0
+        assert [s["theorem"] for s in json.loads(out.read_text())["suites"]] == [by_name_suite]
+        assert capsys.readouterr().out.split()[:3] == [by_name_suite, "pass", "instances=1"]
+
     def test_small_run_writes_the_report_and_summary(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = self.load().main(["--out", str(out), "--suites", "thm2,lemma3",
@@ -767,6 +808,18 @@ class TestVerifyCommand:
         code = main(["verify", "--suites", "thm9", "--seeds", "0"])
         assert code == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    def test_a_suite_outside_suites_runs_by_name_only(self, by_name_suite, capsys):
+        assert by_name_suite not in SUITES
+        assert main(["verify", "--suites", f"{by_name_suite},thm2", "--seeds", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [s["theorem"] for s in doc["suites"]] == [by_name_suite, "thm2"]
+        assert doc["suites"][0] == {"theorem": by_name_suite, "instances": 1, "batteries": [],
+                                    "verdict": "pass", "counterexamples": [], "boundary_flags": 0}
+        # exit 1: seed 0 alone exhibits no fig4 violation
+        assert main(["verify", "--suites", "all", "--seeds", "0"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [s["theorem"] for s in doc["suites"]] == list(SUITES)
 
     def test_bad_seed_range(self, capsys):
         code = main(["verify", "--suites", "thm2", "--seeds", "9..1"])

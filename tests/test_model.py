@@ -24,6 +24,7 @@ from ambipref import (
     Prior,
     PrizeSet,
     StateSpace,
+    UnknownBeliefSetName,
     UtilityFunction,
     UtilityVector,
     act_from_utility_vector,
@@ -33,6 +34,7 @@ from ambipref import (
     format_rational,
     generate_instance,
     instance_to_jsonable,
+    json_text,
     mix_acts,
     mix_lotteries,
     parse_rational,
@@ -513,6 +515,20 @@ class TestSerialization:
         assert text == dumps_instance(validate_instance(json.loads(text)))
         assert text.endswith("\n")
 
+    def test_json_text_is_the_instance_layout(self, disjoint_pair):
+        text = dumps_instance(disjoint_pair)
+        assert json_text(json.loads(text)) == text
+
     def test_act_lookup_error_names_candidates(self, disjoint_pair):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as caught:
             disjoint_pair.act("missing")
+        assert isinstance(caught.value, ValueError)
+        assert str(caught.value) == (
+            "instance has no act named 'missing'; it has all_lose, all_win, bet_s1, bet_s2, coin"
+        )
+
+    def test_belief_set_lookup_error_names_candidates(self, disjoint_pair):
+        with pytest.raises(UnknownBeliefSetName) as caught:
+            disjoint_pair.collection.get("missing")
+        assert isinstance(caught.value, KeyError) and isinstance(caught.value, ValueError)
+        assert str(caught.value) == "no belief set named 'missing'; the collection has low, high"
