@@ -8,10 +8,12 @@ INSTANCE is the instance file the report was made from and REPORT the JSON
 that ``ambipref analyze --instance INSTANCE`` printed.  The checker reads
 both files on its own, with exact Fractions and nothing from the package,
 so it vouches for the artifact a user keeps, not for the code that wrote it.
-Every number it reads is a rational in the instance format: an int below
-10**100 in size, or a string of an optional sign, ASCII digits and an
-optional "/digits", at most 100 digits a part.  Every vector it reads (a
-prior, phi1, phi2, a normal) has one entry per state.
+Every number it reads is a rational in the instance format: an int, or a
+string of an optional sign, ASCII digits and an optional "/digits".  An
+instance vertex has at most 100 digits a part, as the instance format
+requires; a report's numbers are computed from the instance, so they may be
+longer, bounded only by the 4300 digits that json and int read.  Every
+vector it reads (a prior, phi1, phi2, a normal) has one entry per state.
 
 - A ``common_prior`` certificate holds when both weight lists are
   nonnegative, have one weight per vertex of their set, sum to 1, and mix
@@ -49,22 +51,22 @@ import sys
 from fractions import Fraction
 
 
-MAX_DIGITS = 100  # per part of a rational, as in the instance format
+MAX_DIGITS = 100  # per part of an instance rational, as in the instance format
 
 
-def _rational(value) -> Fraction:
+def _rational(value, max_digits=None) -> Fraction:
     """A rational in the instance format as a Fraction; anything else is a ValueError.
 
     Floats, bools, decimal points and exponents are refused, so no short
-    string can expand into a huge number.
+    string can expand into a huge number.  With ``max_digits``, each part is
+    at most that many digits long.
     """
-    if isinstance(value, int) and not isinstance(value, bool) and abs(value) < 10**MAX_DIGITS:
-        return Fraction(value)
-    if isinstance(value, str):
-        parts = (value[1:] if value.startswith(("+", "-")) else value).split("/")
-        if len(parts) <= 2 and all(p.isascii() and p.isdigit() and len(p) <= MAX_DIGITS
-                                   for p in parts):
-            return Fraction(value)
+    text = str(value) if type(value) is int else value
+    if isinstance(text, str):
+        parts = (text[1:] if text.startswith(("+", "-")) else text).split("/")
+        if (len(parts) <= 2 and all(p.isascii() and p.isdigit() for p in parts)
+                and (max_digits is None or max(map(len, parts)) <= max_digits)):
+            return Fraction(text)
     raise ValueError(f"not an exact rational: {value!r:.40}")
 
 
@@ -142,8 +144,8 @@ def _cutting(cut, sets) -> list[str]:
 
 def _extremes(sets, phi) -> tuple[Fraction, Fraction]:
     """A(phi) and B(phi): maxmin and minmax of phi over the sets."""
-    if any(len(v) != len(phi) for verts in sets.values() for v in verts):
-        raise ValueError(f"phi has {len(phi)} entries, not one per state")
+    if short := _per_state("phi", phi, *sets.values()):
+        raise ValueError(short[0])
     values = [[_dot(v, phi) for v in verts] for verts in sets.values()]
     return max(map(min, values)), min(map(max, values))
 
@@ -198,7 +200,7 @@ def _collapse(report, sets) -> list[str]:
 def check(instance: dict, report: dict) -> list[str]:
     """One line per problem with the report's certificates and cut."""
     sets = {
-        s["name"]: [[_rational(p) for p in vertex] for vertex in s["vertices"]]
+        s["name"]: [[_rational(p, MAX_DIGITS) for p in vertex] for vertex in s["vertices"]]
         for s in instance["belief_collection"]
     }
     names = list(sets)

@@ -48,7 +48,7 @@ from .model import (
 )
 from .slices import MAX_SLICE_SAMPLES  # noqa: F401  (re-exported for callers of the CLI module)
 from .slices import SlicePlane, check_sample_count, export_slice, slice_profile
-from .verify import SUITES, VerifyConfig, check_suites, verify
+from .verify import SUITES, UnknownSuite, VerifyConfig, check_suites, verify
 
 __all__ = [
     "main",
@@ -259,12 +259,8 @@ def _cmd_slice(args: argparse.Namespace) -> int:
 
 def _gen_params(args: argparse.Namespace) -> Optional[GenParams]:
     """The box the four generator flags set, unset ones at their default; None if none is set."""
-    given = {
-        "num_states": args.states,
-        "num_sets": args.sets,
-        "vertices_per_set": args.vertices,
-        "denominator_bound": args.denominator,
-    }
+    given = {"num_states": args.states, "num_sets": args.sets,
+             "vertices_per_set": args.vertices, "denominator_bound": args.denominator}
     given = {field: value for field, value in given.items() if value is not None}
     return GenParams(**given) if given else None
 
@@ -277,7 +273,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _parse_suites(text: str) -> list[str]:
     if text.strip().lower() == "all":
         return list(SUITES)
-    return check_suites(part.strip() for part in text.split(","))
+    try:
+        return check_suites(part.strip() for part in text.split(","))
+    except UnknownSuite as exc:
+        raise UnknownSuite(f"{exc}, or 'all'") from None
 
 
 def verify_request(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib.util
 import json
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -117,6 +118,20 @@ def test_a_generated_three_state_cut_passes(tmp_path, capsys):
     inst = generate_instance(6, GenParams(num_states=3, num_sets=4, vertices_per_set=6))
     report = analyze(inst).to_jsonable()
     assert report["cutting"] is not None
+    paths = tmp_path / "instance.json", tmp_path / "report.json"
+    for path, doc in zip(paths, (instance_to_jsonable(inst), report)):
+        path.write_text(json.dumps(doc))
+    assert checker.main([str(p) for p in paths]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_a_report_longer_than_the_instance_format_passes(tmp_path, capsys):
+    """A report's computed numbers may outgrow the 100 digits of an instance part."""
+    from ambipref import GenParams, analyze, generate_instance, instance_to_jsonable
+
+    inst = generate_instance(0, GenParams(num_states=3, denominator_bound=10**99))
+    report = analyze(inst).to_jsonable()
+    assert max(len(part) for part in re.findall(r"\d+", json.dumps(report))) > 100
     paths = tmp_path / "instance.json", tmp_path / "report.json"
     for path, doc in zip(paths, (instance_to_jsonable(inst), report)):
         path.write_text(json.dumps(doc))
@@ -286,12 +301,22 @@ def test_the_instance_format_rationals_are_read(text, value):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "+", "1/", "/2", "1/-2", "--1", "1/2/3", " 1", "1_000", "\u0661", "9" * 101,
-     "1/" + "9" * 101, 1.5, True, None],
+    ["", "+", "1/", "/2", "1/-2", "--1", "1/2/3", " 1", "1_000", "\u0661", 1.5, True, None],
 )
 def test_other_values_are_refused(text):
     with pytest.raises(ValueError, match="not an exact rational"):
         checker._rational(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["9" * 101, "1/" + "9" * 101, -(10**100)],
+    ids=["101-digit-numerator", "101-digit-denominator", "101-digit-int"],
+)
+def test_a_part_longer_than_the_cap_is_refused_only_with_the_cap(text):
+    assert checker._rational(text) == Fraction(text)
+    with pytest.raises(ValueError, match="not an exact rational"):
+        checker._rational(text, checker.MAX_DIGITS)
 
 
 def test_a_report_rational_outside_the_format_is_malformed(tmp_path, capsys):

@@ -807,7 +807,8 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         code = main(["verify", "--suites", "thm9", "--seeds", "0"])
         assert code == 2
-        assert "unknown suite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown suite" in err and "thm2" in err and "'all'" in err
 
     def test_a_suite_outside_suites_runs_by_name_only(self, by_name_suite, capsys):
         assert by_name_suite not in SUITES
