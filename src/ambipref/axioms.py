@@ -20,11 +20,11 @@ u_i - u_j (9 ** n on a resolution-2 lattice, against 25 ** n pairs; maxmin
 alone, as minmax(d) = -maxmin(-d)), k * (u_i - u_j) for each weight k / s
 in ``MIX_GRID`` for independence, and the distinct
 k * u_f + (s - k) * u_h - s * u_g for favorable mixing.  A model's relation
-is four bitmask rows per act, of its weak and zero margins and their
-transposes, so the pairwise axioms loop only over the set bits of their
-violations.  Utility is affine, so mixing f and g with a common act h at
-weight a leaves a * (u_f - u_g): independence compares the folded margin of
-k * (u_i - u_j) with k times the pair's.
+is the sign of each distinct difference, so the completeness and
+constant-bound axioms count pairs per difference and gather act rows only
+for witnesses and constants.  Utility is affine, so mixing f and g with a
+common act h at weight a leaves a * (u_f - u_g): independence compares the
+folded margin of k * (u_i - u_j) with k times the pair's.
 
 The shared work splits in two.  A ``Battery`` holds what reads no belief
 set: the scaled rows, codes, distinct differences with a pair of acts and
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -216,9 +217,10 @@ class Battery:
     as ``half`` bounds their entries, on each favorable-mixing combination.
     Codes are dedup keys, never read back.  ``distinct`` lists the codes of
     the u_i - u_j once each, each with one pair of acts that differ by it
-    and the position of its negation.  None of it reads belief sets, so one
-    battery serves every instance with that many states; ``dominance`` and
-    the constant acts behind ``constants()`` are memoized here.  The state
+    and the position of its negation; ``upper`` counts the pairs i < j
+    behind each.  None of it reads belief sets, so one battery serves every
+    instance with that many states; ``upper``, ``dominance`` and the
+    constant acts behind ``constants()`` are memoized here.  The state
     count is given, since an empty battery has no vector to read it from.
     """
 
@@ -253,6 +255,12 @@ class Battery:
             operator.itemgetter(*map(rank.__getitem__, map(c.__sub__, descending)))
             for c in self.codes
         ]
+
+    @cached_property
+    def upper(self) -> list[int]:
+        """How many pairs of acts i < j have each of ``distinct`` as u_i - u_j."""
+        count = Counter(itertools.starmap(operator.sub, itertools.combinations(self.codes, 2)))
+        return list(map(count.__getitem__, self.distinct))
 
     @cached_property
     def dominance(self) -> list[tuple[int, int]]:
@@ -359,34 +367,55 @@ class _SetColumns:
         return _nested(cols, self.parts, max, min), _nested(cols, self.parts, min, max)
 
 
+_SIGN_BITS = {signs: str.maketrans("-0+", "".join("01"[c in signs] for c in "-0+"))
+              for signs in ("-", "0", "+", "0+")}
+_BYTE_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 class _Relation:
-    """One model's margin numerators by difference code, and its relation rows.
+    """One model's margins over a battery's distinct differences.
 
     Built only by ``MarginTable.relation``, and holds no reference to the
     table.  ``combine`` turns the (maxmin, minmax) of the model's columns
     ``cols`` into a numerator over ``unit``; ``num[c]`` is that of code c.
+    ``line`` has the "-0+" sign of each d of ``battery.distinct``, and
+    ``neg`` that of -d; ``zeros`` counts the zero margins off the diagonal.
     Bit j of ``weak[i]`` is set when the margin of u_i - u_j is nonnegative,
     and of ``zero[i]`` when it is zero; ``weak_t[i]`` and ``zero_t[i]`` do
-    the same for u_j - u_i.  ``zeros`` counts the zero margins off the
-    diagonal, where u_i - u_i is the zero vector.
+    the same for u_j - u_i.  Each of the four is gathered on first read.
     """
 
     def __init__(self, kind: ModelKind, table: MarginTable):
         self.combine = kind.combine
         self.cols = cols = table.columns(kind)
-        battery = table.battery
+        self.battery = battery = table.battery
         self.unit = cols.denom * kind.den
         self.num = dict(zip(battery.distinct, map(self.combine, cols.maxmin, cols.minmax)))
-        # The signs of u_i - u_j for j descending, so that digit j from the
-        # right of a row is act j.
-        line = _signs(self.num.values())
-        rows = ["".join(read(line)) for read in battery.readers]
-        transposed = ["".join(col) for col in zip(*rows[::-1])][::-1]
-        weak, zero = str.maketrans("-0+", "011"), str.maketrans("-0+", "010")
-        self.weak, self.weak_t, self.zero, self.zero_t = (
-            [int(s.translate(digits), 2) for s in strings]
-            for digits in (weak, zero) for strings in (rows, transposed))
-        self.zeros = sum(row.bit_count() for row in self.zero) - table.n
+        self.line = line = _signs(self.num.values())
+        self.neg = "".join(map(line.__getitem__, battery.negations))
+        self.zeros = self.count(self.mask("0")) + self.count(self.mask("0", transposed=True))
+
+    def mask(self, signs: str, transposed: bool = False) -> int:
+        """A bit per d, first highest, set when d's sign (-d's if ``transposed``) is in ``signs``."""
+        return int("0" + (self.neg if transposed else self.line).translate(_SIGN_BITS[signs]), 2)
+
+    def count(self, mask: int) -> int:
+        """How many pairs of acts i < j differ by a difference in ``mask``."""
+        selectors = format(mask, f"0{len(self.line)}b").encode().translate(_BYTE_BITS)
+        return sum(itertools.compress(self.battery.upper, selectors))
+
+    def rows(self, signs: str, acts=None, transposed: bool = False) -> list[int]:
+        """Bitmask rows of ``acts`` (default all): bit j of row i is set where
+        the sign of u_i - u_j (of u_j - u_i when ``transposed``) is in ``signs``."""
+        line = (self.neg if transposed else self.line).translate(_SIGN_BITS[signs])
+        readers = self.battery.readers
+        return [int("".join(read(line)), 2)
+                for read in (readers if acts is None else map(readers.__getitem__, acts))]
+
+    weak = cached_property(lambda self: self.rows("0+"))
+    weak_t = cached_property(lambda self: self.rows("0+", transposed=True))
+    zero = cached_property(lambda self: self.rows("0"))
+    zero_t = cached_property(lambda self: self.rows("0", transposed=True))
 
 
 def _signs(nums) -> str:
@@ -421,10 +450,11 @@ class _Runner:
     counts every violation but builds a witness's Fractions only while
     fewer than ``witness_cap`` are kept; ``fail_each`` reads no margin past
     the cap.  A zero read of u_i - u_j sets bit j of ``zero_read[i]``, by
-    ``margin_num``, by ``weak_matrix``, which marks every off-diagonal zero,
-    or from a runner's masks, so ``zero_flags`` counts each such pair once,
-    whatever the cap, plus ``zeros``, the zeros of other vectors and of
-    runners that count in bulk.  The audit passes when ``total`` is zero.
+    ``margin_num`` or from a runner's masks; ``all_zeros``, set by runners
+    that read every pair, adds every off-diagonal zero.  So ``zero_flags``
+    counts each such pair once, whatever the cap, plus ``zeros``, the zeros
+    of other vectors and of runners that count in bulk.  The audit passes
+    when ``total`` is zero.
     """
 
     def __init__(self, table: MarginTable, kind: ModelKind, witness_cap: int = WITNESS_CAP):
@@ -432,6 +462,7 @@ class _Runner:
         self.relation = table.relation(kind)
         self.zero_read = [0] * table.n
         self.zeros = 0
+        self.all_zeros = False
         self.witness_cap = witness_cap
         self.checked = 0
         self.total = 0
@@ -469,20 +500,37 @@ class _Runner:
             self.zero_read[i] |= 1 << j
         return num
 
+    def fail_pairs(self, mask: int, note: str) -> None:
+        """Count each pair i < j with u_i - u_j in the relation's ``mask`` as one violation.
+
+        Witnesses, with both margins, are kept in (i, j) order, gathering a
+        row of ``mask`` per i only until the cap is met or all are seen.
+        """
+        num, rel = self.margin_num, self.relation
+        hits, total, seen = format(mask, f"0{len(rel.line)}b"), rel.count(mask), 0
+        for i, read in enumerate(self.table.battery.readers):
+            if seen == total or len(self.witnesses) >= self.witness_cap:
+                break
+            bad = int("".join(read(hits)), 2) >> i + 1 << i + 1  # the j > i
+            seen += bad.bit_count()
+            self.fail_each(bad, lambda j: ((i, j), (num(i, j), num(j, i)), note))
+        self.total += total - seen
+
     def weak_matrix(self) -> tuple[list[int], list[int]]:
         """Bitmask rows of the weak-preference relation and of its transpose.
 
         Built once per (table, model) and shared; callers must not mutate
-        them.  Every off-diagonal zero margin counts as a boundary case and
-        is marked in ``zero_read``.
+        them.  Every off-diagonal zero margin counts as a boundary case.
         """
-        for i, row in enumerate(self.relation.zero):
-            self.zero_read[i] |= row & ~(1 << i)
+        self.all_zeros = True
         return self.relation.weak, self.relation.weak_t
 
     @property
     def zero_flags(self) -> int:
-        return self.zeros + sum(row.bit_count() for row in self.zero_read)
+        marks = self.zero_read
+        if self.all_zeros:  # a mark off the diagonal is one of the relation's zeros
+            return self.zeros + self.relation.zeros + sum(m >> i & 1 for i, m in enumerate(marks))
+        return self.zeros + sum(m.bit_count() for m in marks)
 
 
 def _set_bits(mask: int):
@@ -561,15 +609,11 @@ def _run_independence(r: _Runner) -> None:
 
 
 def _run_completeness(r: _Runner) -> None:
-    w, wt = r.weak_matrix()
-    n, num = r.table.n, r.margin_num
+    rel, n = r.relation, r.table.n
     r.checked += n * (n - 1) // 2
-    upper = (1 << n) - 1
-    for i in range(n):
-        upper ^= 1 << i  # the j > i
-        # Both margins of an incomparable pair are negative, so none is zero.
-        if bad := upper & ~(w[i] | wt[i]):
-            r.fail_each(bad, lambda j: ((i, j), (num(i, j), num(j, i)), "incomparable pair"))
+    r.all_zeros = True
+    # Both margins of an incomparable pair are negative, so none is zero.
+    r.fail_pairs(rel.mask("-") & rel.mask("-", transposed=True), "incomparable pair")
 
 
 def _run_transitivity(r: _Runner) -> None:
@@ -591,12 +635,14 @@ def _constant_sandwich(r: _Runner, order, bit: int, note: str) -> None:
 
     Both premises, a vs f and f vs b, must have weak-preference bit ``bit``;
     each such f violates the axiom, since the order leaves its conclusion
-    false.  ``note`` is formatted with the two constants' values.  Of the zero
-    reads (a, f), (f, b), (a, b), the masks mark those ``weak_matrix`` does not.
+    false.  ``note`` is formatted with the two constants' values.  Only the
+    constants' rows are gathered, and every off-diagonal zero counts.
     """
     consts = r.table.battery.constants()
-    w, wt = r.weak_matrix()
-    zero = r.relation.zero
+    acts = [a for a, _ in consts]
+    w, wt = (dict(zip(acts, r.relation.rows("0+", acts, t))) for t in (False, True))
+    diagonal = r.relation.num[0] == 0  # every other zero read is one of the relation's
+    r.all_zeros = True
     n, num = r.table.n, r.margin_num
     flip = 0 if bit else (1 << n) - 1
     for a, va in consts:
@@ -605,8 +651,8 @@ def _constant_sandwich(r: _Runner, order, bit: int, note: str) -> None:
                 continue  # the conclusion already holds
             r.checked += n
             if bad := (w[a] ^ flip) & (wt[b] ^ flip):
-                r.zero_read[a] |= zero[a] & (bad | 1 << b)
-                r.zero_read[b] |= zero[b] & bad & (1 << b)
+                r.zero_read[a] |= diagonal << a & (bad | 1 << b)
+                r.zero_read[b] |= diagonal << b & bad
                 r.fail_each(bad, lambda f: ((a, f, b), (num(a, f), num(f, b), num(a, b)),
                                             note.format(va, vb)))
 
@@ -679,18 +725,12 @@ def _run_favorable_mixing(r: _Runner) -> None:
 
 
 def _run_negative_completeness(r: _Runner) -> None:
-    rel = r.relation
-    n, num = r.table.n, r.margin_num
+    rel, n = r.relation, r.table.n
     r.checked += n * (n - 1) // 2
-    upper = (1 << n) - 1
-    for i, (w, wt, zero, zero_t) in enumerate(zip(rel.weak, rel.weak_t, rel.zero, rel.zero_t)):
-        upper ^= 1 << i  # the j > i
-        pos = w & ~zero
-        # Each pair reads margin(i, j), and margin(j, i) only when the first is positive.
-        r.zeros += (upper & (zero | pos & zero_t)).bit_count()
-        if bad := upper & pos & wt & ~zero_t:
-            r.fail_each(bad, lambda j: (
-                (i, j), (num(i, j), num(j, i)), "both directions robustly preferred"))
+    # Each pair reads margin(i, j), and margin(j, i) only when the first is positive.
+    positive = rel.mask("+")
+    r.zeros += rel.count(rel.mask("0") | positive & rel.mask("0", transposed=True))
+    r.fail_pairs(positive & rel.mask("+", transposed=True), "both directions robustly preferred")
 
 
 _RUNNERS = {

@@ -33,6 +33,7 @@ from ambipref import (
     Prior,
     RadiusExceedsUtilityRange,
     SEU,
+    SUITES,
     UtilityVector,
     VerifyConfig,
     Witness,
@@ -44,6 +45,7 @@ from ambipref import (
     generate_instance,
     model_margin,
     phi_lattice,
+    suite_outcomes,
     utility_vector,
     validate_instance,
     verify,
@@ -55,6 +57,7 @@ from ambipref.axioms import (
     MIX_GRID,
     WITNESS_CAP,
     _MIX_SCALE,
+    _Relation,
     _Runner,
     _SetColumns,
     battery_label,
@@ -856,6 +859,84 @@ class TestPairwiseAudits:
                     flagged += report.boundary_flags > 0
         assert all(failing.values()), failing  # every comparison sees witnesses
         assert flagged and missing == 2 * 9 * 2
+
+    def test_counted_audits_match_the_reference_before_and_after_the_rows(self):
+        """The four audits that count pairs per difference, at caps 0, 1 and 25.
+
+        Nine kinds and a reversed one on a lattice, on the lattice with
+        duplicates out of order, on one constant act and on no act; each
+        audit runs on a fresh table and again after a transitivity audit has
+        built the rows.  Past a cap of 0 or 1, only the counts see the zero
+        margins of the reversed kind's sandwiches f = b.
+        """
+        inst = generate_instance(0, GenParams(num_states=2))
+        lattice = phi_lattice(2, 2, F(1))
+        rng = random.Random(43)
+        shuffled = lattice + [rng.choice(lattice) for _ in range(8)]
+        rng.shuffle(shuffled)
+        batteries = [lattice, shuffled, [UtilityVector((F(1, 2), F(1, 2)))], []]
+        kinds = [*eight_kinds(inst)[1], AlphaMixture(F(1, 3)), Reversed()]
+        counted = PAIRWISE_AXIOMS[:4]
+        failing, over_cap = {axiom: 0 for axiom in counted}, 0
+        for uvecs, kind in itertools.product(batteries, kinds):
+            expected = {axiom: reference_pairwise_audit(axiom, kind, inst, uvecs)
+                        for axiom in counted}
+            for chained in (False, True):
+                table = MarginTable(inst, uvecs)
+                if chained:
+                    audit(AxiomKind.TRANSITIVITY, kind, inst, table=table)
+                    assert "weak" in vars(table.relation(kind))
+                for axiom, cap in itertools.product(counted, (0, 1, WITNESS_CAP)):
+                    want = expected[axiom]
+                    if want is None:
+                        with pytest.raises(BatteryMissingConstants):
+                            audit(axiom, kind, inst, table=table, witness_cap=cap)
+                        continue
+                    report = audit(axiom, kind, inst, table=table, witness_cap=cap)
+                    got = summarize(report)
+                    got["witnesses"] = [(w.indices, w.margins, w.note) for w in report.witnesses]
+                    assert got == {**want, "witnesses": want["witnesses"][:cap]}, (
+                        len(uvecs), kind, axiom, cap, chained)
+                    failing[axiom] += not report.passed
+                    over_cap += report.total_violations > WITNESS_CAP
+        assert all(failing.values()) and over_cap, failing
+
+    def test_verify_suites_build_no_relation_rows(self, monkeypatch):
+        """A 3-state seed, where prop2 does not apply, gathers no n-by-n rows.
+
+        A transitivity audit then builds them once, on the same relation.
+        """
+        verify_mod = importlib.import_module("ambipref.verify")
+        tables = []
+
+        def recorded(*args):
+            tables.append(MarginTable(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(verify_mod, "MarginTable", recorded)
+        config = VerifyConfig()
+        inst = generate_instance(1, config.params_for_seed(1))
+        assert inst.num_states == 3
+        suite_outcomes(inst, SUITES, config)
+        (table,) = tables
+        kinds = list(table._relations)
+        assert len(kinds) == 5
+        rows = ("weak", "weak_t", "zero", "zero_t")
+        for kind in kinds:
+            assert not vars(table.relation(kind)).keys() & set(rows), kind
+        gathered = []
+        original = _Relation.rows
+
+        def counted(self, *args, **kwargs):
+            gathered.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Relation, "rows", counted)
+        rel = table.relation(kinds[0])
+        for _ in range(2):
+            audit(AxiomKind.TRANSITIVITY, kinds[0], inst, table=table)
+        assert len(gathered) == 2 and len(rel.weak) == len(rel.weak_t) == table.n == 125
+        assert table.relation(kinds[0]) is rel
 
     @pytest.mark.parametrize(
         "axiom",

@@ -520,3 +520,11 @@ class TestGoldenReport:
     def test_checked_in_report_reproduces(self):
         report = verify(SUITES, range(4))
         assert report.to_jsonable() == json.loads(GOLDEN.read_text())
+
+    def test_four_state_report_reproduces_byte_for_byte(self, capsys, monkeypatch):
+        """``verify --suites all --seeds 0..3 --states 4``, on 625-act lattices."""
+        monkeypatch.delenv("AMBIPREF_THREADS", raising=False)
+        main = importlib.import_module("ambipref.cli").main
+        assert main(["verify", "--suites", "all", "--seeds", "0..3", "--states", "4"]) == 0
+        pinned = GOLDEN.with_name("verify_report_4states.json")
+        assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")
