@@ -26,6 +26,16 @@ for witnesses and constants.  Utility is affine, so mixing f and g with a
 common act h at weight a leaves a * (u_f - u_g): independence compares the
 folded margin of k * (u_i - u_j) with k times the pair's.
 
+Favorable mixing on a battery whose mixing box fits in n ** 3 entries folds
+the whole box instead: every vector with balanced digits in [-half, half],
+``radix ** num_states`` of them, which on a lattice is little more than its
+distinct d.  Vector d sits at index code + size // 2, each vertex's values
+are separable sums over the states, and the box's minmax is its maxmin
+reversed and negated, since -d sits at size - 1 - index.  So one "-0+" sign
+line serves every read, and each weight gathers one character per strictly
+ordered pair from the line's slice at act h.  Batteries with irregular
+denominators, whose box is larger, fold each distinct d once.
+
 The shared work splits in two.  A ``Battery`` holds what reads no belief
 set: the scaled rows, codes, distinct differences with a pair of acts and
 the negation of each, the readers of its rows, the dominance pairs and the
@@ -44,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from typing import Callable, Sequence
 
 from .analysis import check_battery, check_radius, phi_lattice
@@ -215,7 +225,8 @@ class Battery:
     the integer code ``codes[i]``, its scaled entries as the balanced digits
     of a base-``radix`` number: linear, and injective on each u_i - u_j and,
     as ``half`` bounds their entries, on each favorable-mixing combination.
-    Codes are dedup keys, never read back.  ``distinct`` lists the codes of
+    Codes are dedup keys and, offset by half the mixing box's size, its
+    indices; they are never decoded.  ``distinct`` lists the codes of
     the u_i - u_j once each, each with one pair of acts that differ by it
     and the position of its negation; ``upper`` counts the pairs i < j
     behind each.  None of it reads belief sets, so one battery serves every
@@ -333,10 +344,11 @@ class _SetColumns:
     """One selection of belief sets, as vertex expectations of a battery's acts.
 
     ``acts[c][i]`` is the c-th vertex's expectation of u_i over ``denom``,
-    and ``parts`` are the sets' ranges in ``acts``.  Every vertex value an
-    audit reads combines these: ``differences`` folds the battery's distinct
-    differences, whose ``maxmin`` and ``minmax`` are kept, and ``fold`` any
-    other vectors.
+    and ``parts`` are the sets' ranges in ``acts`` and in ``vertices``, the
+    integer vertex rows.  Every vertex value an audit reads combines these:
+    ``differences`` folds the battery's distinct differences, whose
+    ``maxmin`` and ``minmax`` are kept, ``box`` the battery's whole mixing
+    box, and ``fold`` any other vectors.
     """
 
     def __init__(self, sets: BeliefCollection, battery: Battery):
@@ -345,8 +357,31 @@ class _SetColumns:
         ends = list(itertools.accumulate(map(len, set_rows)))
         self.parts = list(zip([0, *ends], ends))
         self.battery = battery
-        self.acts = [_combine(v, battery.state_rows) for verts in set_rows for v in verts]
+        self.vertices = [v for verts in set_rows for v in verts]
+        self.acts = [_combine(v, battery.state_rows) for v in self.vertices]
         self.maxmin, self.minmax = self.differences(1)
+
+    def box(self) -> list[int]:
+        """The maxmin of every vector in the battery's mixing box, by box index.
+
+        The box holds the ``radix ** num_states`` vectors whose scaled
+        entries d_j lie in [-half, half]; d has index code + size // 2, the
+        sum of (d_j + half) * radix ** j.  A vertex's value of d is the
+        separable sum of v_j * d_j, and the sets are folded one at a time,
+        so only a few box-length lists are live at once.
+        """
+        digits = range(-self.battery.half, self.battery.half + 1)
+        maxmin = None
+        for start, end in self.parts:
+            low = None
+            for vertex in self.vertices[start:end]:
+                values = [0]
+                for x in reversed(vertex):  # the last state is the leading digit
+                    steps = [x * t for t in digits]
+                    values = [a + b for a in values for b in steps]
+                low = values if low is None else [a if a < b else b for a, b in zip(low, values)]
+            maxmin = low if maxmin is None else [a if a > b else b for a, b in zip(maxmin, low)]
+        return maxmin  # the comprehensions run about 3x faster than map(min, ...)
 
     def differences(self, k: int) -> tuple[list[int], list[int]]:
         """The (maxmin, minmax) of k * (u_i - u_j) for each of ``distinct`` in turn.
@@ -593,8 +628,10 @@ def _run_monotonicity(r: _Runner) -> None:
 def _run_independence(r: _Runner) -> None:
     codes, distinct = r.table.battery.codes, r.table.battery.distinct
     rel = r.relation
-    # The margins of k * (u_i - u_j), folded once per weight k / s.
-    weights = [(a, k, dict(zip(distinct, map(rel.combine, *rel.cols.differences(k)))))
+    # The margins of k * (u_i - u_j), folded once per weight k / s; at k = 1
+    # they are the relation's own.
+    weights = [(a, k, rel.num if k == 1 else
+                dict(zip(distinct, map(rel.combine, *rel.cols.differences(k)))))
                for a, k in zip(MIX_GRID, _MIX_KS)]
     for i, j in itertools.combinations(range(r.table.n), 2):
         code = codes[i] - codes[j]
@@ -658,24 +695,103 @@ def _constant_sandwich(r: _Runner, order, bit: int, note: str) -> None:
 
 
 def _run_favorable_mixing(r: _Runner) -> None:
+    battery = r.table.battery
+    # A lattice's mixing box is about as large as its set of distinct d, and
+    # fits in n ** 3; irregular denominators make it far larger.
+    fits = battery.radix ** battery.num_states <= battery.n ** 3
+    _favorable_mixing(r, _box_signs if fits else _distinct_signs)
+
+
+def _favorable_mixing(r: _Runner, signs: Callable) -> None:
+    """Favorable mixing over the margins of every d = k * u_f + (s - k) * u_h - s * u_g.
+
+    ``signs(relation, strict, bases, rests)`` returns ``gather`` and
+    ``numerator``: ``gather(wi, h)`` spells the "-0+" sign of d at weight
+    ``_MIX_KS[wi]`` for act h and each strict pair, the last pair first, and
+    ``numerator(code)`` is the margin numerator of the d with that code.
+    """
     w, wt = r.weak_matrix()
     n = r.table.n
     s = _MIX_SCALE
-    unit = r.relation.unit * s
-    grid, ks = MIX_GRID, _MIX_KS  # ascending weights
     # Every (f, g) with g strictly better than f, g outer, as witnesses are kept.
     strict = [(f, g) for g in range(n) for f in _set_bits(w[g] & ~wt[g])]
     if not strict:
         return
-    # Every margin read is that of d = k * u_f - s * u_g + (s - k) * u_h, keyed
-    # by the same combination of the acts' codes: per weight, a base per
-    # strict pair and a rest per act.  heads[p] = (k, f, g) makes the base b
-    # at p = head_at[wi][b], and tail_of[d] = wi * n + h a rest that makes d.
+    # The code of d is the same combination of the acts' codes: per weight,
+    # the base of a strict pair plus the rest of act h.
     code = r.table.battery.codes
-    rests = [[(s - k) * c for c in code] for k in ks]
-    bases = [[k * code[f] - s * code[g] for f, g in strict] for k in ks]
+    rests = [[(s - k) * c for c in code] for k in _MIX_KS]
+    bases = [[k * code[f] - s * code[g] for f, g in strict] for k in _MIX_KS]
+    gather, numerator = signs(r.relation, strict, bases, rests)
+
+    # Bit p of bad[h] is set when h is unacceptable with strict[p] at some
+    # weight and acceptable at a heavier one.
+    negative = str.maketrans("-0+", "100")
+    bad = []
+    for h in range(n):
+        worse = below = 0
+        for wi in range(len(_MIX_KS)):
+            line = gather(wi, h)
+            r.zeros += line.count("0")
+            mask = int(line.translate(negative), 2)
+            worse |= below & ~mask
+            below |= mask
+        bad.append(worse)
+    r.checked += n * len(strict)
+
+    grid, unit = MIX_GRID, r.relation.unit * s
+
+    def witness(p, h):
+        nums = [numerator(bs[p] + rest[h]) for bs, rest in zip(bases, rests)]
+        lo_w = next(ai for ai, x in enumerate(nums) if x < 0)  # lightest unacceptable
+        hi_w = next(ai for ai in range(lo_w, len(nums)) if nums[ai] >= 0)
+        return ((*strict[p], h), (nums[hi_w], nums[lo_w]),
+                f"acceptable at weight {grid[hi_w]} but not at {grid[lo_w]}", unit)
+
+    # Witnesses in (pair, h) order, gathering the h of a pair only until the cap is met.
+    total, seen = sum(map(int.bit_count, bad)), 0
+    for p in _set_bits(reduce(operator.or_, bad)):
+        if len(r.witnesses) >= r.witness_cap:
+            break
+        acts = int("".join("01"[m >> p & 1] for m in reversed(bad)), 2)
+        seen += acts.bit_count()
+        r.fail_each(acts, lambda h: witness(p, h))
+    r.total += total - seen
+
+
+def _box_signs(rel: _Relation, strict, bases, rests):
+    """The signs of every d, read from one fold of the battery's mixing box.
+
+    The box's minmax is its maxmin reversed and negated, since -d has index
+    size - 1 - index, so one "-0+" line covers every code.  Per weight, one
+    gather of the strict pairs' bases reads the slice of the line that
+    starts at act h's rest.
+    """
+    maxmin = rel.cols.box()
+    mid = len(maxmin) // 2
+    line = _signs(map(rel.combine, maxmin, map(operator.neg, reversed(maxmin))))
+    reads = []
+    for bs in bases:
+        low = min(bs)
+        reads.append((operator.itemgetter(*[b - low for b in reversed(bs)]), low + mid))
+
+    def gather(wi, h):
+        read, start = reads[wi]
+        return "".join(read(line[start + rests[wi][h]:]))  # one pair reads one character
+
+    return gather, lambda c: rel.combine(maxmin[mid + c], -maxmin[mid - c])
+
+
+def _distinct_signs(rel: _Relation, strict, bases, rests):
+    """The signs of every d, folding each distinct d once.
+
+    Per weight, heads[p] = (k, f, g) makes the base b at p = head_at[wi][b],
+    and tail_of[d] = wi * n + h a rest that makes d; a vertex's value of d
+    is its k * E(u_f) - s * E(u_g) plus (s - k) * E(u_h).
+    """
+    n, s = len(rests[0]), _MIX_SCALE
     heads, head_at = [], []
-    for k, bs in zip(ks, bases):
+    for k, bs in zip(_MIX_KS, bases):
         pair_of = dict(zip(bs, strict))
         head_at.append(dict(zip(pair_of, itertools.count(len(heads)))))
         heads += [(k, f, g) for f, g in pair_of.values()]
@@ -683,45 +799,22 @@ def _run_favorable_mixing(r: _Runner) -> None:
                for t, x in enumerate(rest, wi * n) for b in by_base}
     flat = [x for rest in rests for x in rest]
     at = [head_at[t // n][d - flat[t]] for d, t in tail_of.items()]
-    # A vertex's value of d is its k * E(u_f) - s * E(u_g) plus (s - k) * E(u_h).
     hk, hf, hg = zip(*heads)
     cols = []
-    for acts in r.relation.cols.acts:
+    for acts in rel.cols.acts:
         head = list(map(operator.sub, map(operator.mul, hk, map(acts.__getitem__, hf)),
                         map(s.__mul__, map(acts.__getitem__, hg))))
-        tails = [(s - k) * x for k in ks for x in acts]
+        tails = [(s - k) * x for k in _MIX_KS for x in acts]
         cols.append(list(map(operator.add, map(head.__getitem__, at),
                              map(tails.__getitem__, tail_of.values()))))
-    num = dict(zip(tail_of, map(r.relation.combine, *r.relation.cols.fold(cols))))
+    num = dict(zip(tail_of, map(rel.combine, *rel.cols.fold(cols))))
     sign = dict(zip(num, _signs(num.values())))
+    backwards = [bs[::-1] for bs in bases]
 
-    # Per weight and distinct base: its zero count over h, and the mask of
-    # the h where d is negative (h descending in ``signs``, so bit h is h).
-    summary = []
-    negative = str.maketrans("-0+", "100")
-    for bs, rest, distinct in zip(bases, rests, head_at):
-        by_base = {}
-        for b in distinct:
-            signs = "".join(map(sign.__getitem__, map(b.__add__, reversed(rest))))
-            by_base[b] = signs.count("0"), int(signs.translate(negative), 2)
-        summary.append(list(map(by_base.__getitem__, bs)))
+    def gather(wi, h):
+        return "".join(map(sign.__getitem__, map(rests[wi][h].__add__, backwards[wi])))
 
-    def witness(pair, f, g, h):
-        nums = [num[bs[pair] + rest[h]] for bs, rest in zip(bases, rests)]
-        lo_w = next(ai for ai, x in enumerate(nums) if x < 0)  # lightest unacceptable
-        hi_w = next(ai for ai in range(lo_w, len(nums)) if nums[ai] >= 0)
-        return ((f, g, h), (nums[hi_w], nums[lo_w]),
-                f"acceptable at weight {grid[hi_w]} but not at {grid[lo_w]}", unit)
-
-    for pair, ((f, g), per_weight) in enumerate(zip(strict, zip(*summary))):
-        r.checked += n
-        bad = below = 0  # h unacceptable at some weight and acceptable at a heavier one
-        for zeros, mask in per_weight:
-            r.zeros += zeros
-            bad |= below & ~mask
-            below |= mask
-        if bad:
-            r.fail_each(bad, lambda h: witness(pair, f, g, h))
+    return gather, num.__getitem__
 
 
 def _run_negative_completeness(r: _Runner) -> None:

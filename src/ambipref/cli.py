@@ -64,8 +64,9 @@ __all__ = [
 ]
 
 MAX_SEEDS = 10_000  # a range is checked from its two ends, before its list is built
-# One favorable-mixing audit takes seconds per kind on the 343-act lattice (three
-# states, resolution 3) and over a minute on the 625-act one (four, resolution 2).
+# One favorable-mixing audit of generator seed 1 takes 0.9-1.6 s of CPU per kind on
+# the 343-act lattice (three states, resolution 3) and 9 s under generalized Bewley
+# on the 625-act one (four, resolution 2), whose mixing box holds 1.19 million codes.
 MAX_MIXING_ACTS = 343
 
 _MODEL_HELP = (

@@ -60,6 +60,9 @@ from ambipref.axioms import (
     _Relation,
     _Runner,
     _SetColumns,
+    _box_signs,
+    _distinct_signs,
+    _favorable_mixing,
     battery_label,
 )
 
@@ -481,6 +484,37 @@ def reference_mixing_audits(kind, inst, uvecs, cap=WITNESS_CAP):
     return fav, ind
 
 
+def spy_boxes(monkeypatch) -> list[int]:
+    """Patch ``_SetColumns.box`` to record the length of each box it folds."""
+    box = _SetColumns.box
+    boxes = []
+
+    def counted(self):
+        out = box(self)
+        boxes.append(len(out))
+        return out
+
+    monkeypatch.setattr(_SetColumns, "box", counted)
+    return boxes
+
+
+def mixing_tally(table, kind, cap, signs):
+    """A favorable-mixing audit's counts and witnesses through one branch's ``signs``."""
+    r = _Runner(table, kind, cap)
+    _favorable_mixing(r, signs)
+    return r.total, r.checked, r.zero_flags, r.witnesses
+
+
+class CountedReads(dict):
+    """A dict that counts its ``[]`` reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
 def summarize(report):
     return {
         "passed": report.passed,
@@ -494,27 +528,46 @@ def summarize(report):
 class TestMixingAudits:
     """The integer row folds against explicit Fraction combinations."""
 
-    def test_reports_match_fraction_reference(self):
+    def test_reports_match_fraction_reference(self, monkeypatch):
         """All eight kinds on a 2-state and a 3-state instance.
 
         Every other lattice act keeps the Fraction reference quick; on the
         3-state instance four kinds fail favorable mixing.
         """
         failing = 0
-        for seed, states in ((0, 2), (3, 3)):
+        boxes = spy_boxes(monkeypatch)
+        # The 13-act battery folds its whole mixing box, the 14-act one each distinct d.
+        for seed, states, box in ((0, 2, True), (3, 3, False)):
             inst = generate_instance(seed, GenParams(num_states=states))
             battery = generate_act_grid(inst, resolution=4 - states)[::2]
             uvecs = [utility_vector(inst.utility, a) for a in battery]
             for kind in eight_kinds(inst)[1]:
+                boxes.clear()
                 fav, ind = audit_suite(
                     kind, inst, battery,
                     axioms=[AxiomKind.FAVORABLE_MIXING, AxiomKind.INDEPENDENCE],
                 )
+                assert len(boxes) == box, kind
                 expected_fav, expected_ind = reference_mixing_audits(kind, inst, uvecs)
                 assert summarize(fav) == expected_fav, kind
                 assert summarize(ind) == expected_ind, kind
                 failing += not fav.passed
         assert failing == 4  # the witness comparison is not vacuous
+
+    def test_full_two_state_lattice_matches_fraction_reference(self, monkeypatch):
+        """The whole 9-act lattice, whose favorable mixing reads the mixing box."""
+        boxes = spy_boxes(monkeypatch)
+        inst = generate_instance(0, GenParams(num_states=2))
+        battery = generate_act_grid(inst, resolution=1)
+        uvecs = [utility_vector(inst.utility, a) for a in battery]
+        table = MarginTable(inst, uvecs)
+        for kind in eight_kinds(inst)[1]:
+            fav, ind = (audit(axiom, kind, inst, table=table)
+                        for axiom in (AxiomKind.FAVORABLE_MIXING, AxiomKind.INDEPENDENCE))
+            expected_fav, expected_ind = reference_mixing_audits(kind, inst, uvecs)
+            assert summarize(fav) == expected_fav, kind
+            assert summarize(ind) == expected_ind, kind
+        assert len(boxes) == 8
 
     def test_irregular_batteries_match_fraction_reference(self):
         """Non-lattice acts over denominators 1, 3, 7, 12 and 35, all eight kinds.
@@ -568,10 +621,10 @@ class TestMixingAudits:
     def test_independence_checks_each_pair_at_each_weight(self, monkeypatch):
         """3 * n(n-1)/2 checks per audit, and every witness is a pair of acts.
 
-        A fold that is off by one everywhere fails every check, so the
-        witness shape is tested on a full cap of witnesses.  The table's
-        relations are built before the fold is patched, so only the
-        independence folds are off.
+        A fold that is off by one everywhere fails every check at weights
+        1/2 and 3/4, so the witness shape is tested on a full cap of
+        witnesses.  The table's relations are built before the fold is
+        patched, so only the independence folds are off.
         """
         inst = generate_instance(3, GenParams(num_states=3))
         battery = generate_act_grid(inst, resolution=1)
@@ -582,14 +635,24 @@ class TestMixingAudits:
             report = audit(AxiomKind.INDEPENDENCE, kind, inst, battery, table=table)
             assert report.passed and report.checked == expected, kind
         differences = _SetColumns.differences
+        calls = []
 
         def off_by_one(self, k):
+            calls.append(k)
             return tuple([x + 1 for x in xs] for xs in differences(self, k))
 
         monkeypatch.setattr(_SetColumns, "differences", off_by_one)
+        pairs = n * (n - 1) // 2
         for kind in eight_kinds(inst)[1]:
+            rel = table.relation(kind)
+            monkeypatch.setattr(rel, "num", CountedReads(rel.num))
+            calls.clear()
             report = audit(AxiomKind.INDEPENDENCE, kind, inst, battery, table=table)
-            assert report.checked == report.total_violations == expected, kind
+            # Weight 1/4 reads the relation's own margins, once per pair
+            # beside the pair's margin, and only weights 1/2 and 3/4 fold.
+            assert calls == [2, 3], kind
+            assert rel.num.reads == 2 * pairs, kind
+            assert report.checked == expected and report.total_violations == 2 * pairs, kind
             assert len(report.witnesses) == WITNESS_CAP
             assert all(len(w.indices) == 2 for w in report.witnesses), kind
 
@@ -630,7 +693,7 @@ class TestMixingAudits:
         assert [w.indices for w in report.witnesses] == expected
 
     def test_independence_folds_once_per_weight(self, disjoint_pair, monkeypatch):
-        """One fold per weight in ``MIX_GRID``, each over the table's distinct codes."""
+        """One fold per weight in ``MIX_GRID`` but 1/4, each over the table's distinct codes."""
         battery = generate_act_grid(disjoint_pair, resolution=2)
         uvecs = [utility_vector(disjoint_pair.utility, a) for a in battery]
         table = MarginTable(disjoint_pair, uvecs)
@@ -640,24 +703,27 @@ class TestMixingAudits:
 
         def counted(self, k):
             folds = differences(self, k)
-            calls.append(len(folds[0]))
+            calls.append((k, len(folds[0])))
             return folds
 
         monkeypatch.setattr(_SetColumns, "differences", counted)
         report = audit(AxiomKind.INDEPENDENCE, GeneralizedBewley(), disjoint_pair, table=table)
         assert report.passed
-        assert calls == [len(table.battery.distinct)] * len(MIX_GRID)
+        assert calls == [(2, len(table.battery.distinct)), (3, len(table.battery.distinct))]
 
     def test_favorable_mixing_folds_each_distinct_vector_once(self, monkeypatch):
         """One fold, with one column entry per distinct k * u_f - s * u_g + (s - k) * u_h.
 
+        On an irregular battery, whose mixing box is far larger than n ** 3.
         The codes are computed here from the relation's strict pairs; they
         repeat across (k, f, g, h), so folding every read would show.
         """
         inst = generate_instance(3, GenParams(num_states=3))
-        uvecs = [utility_vector(inst.utility, a) for a in generate_act_grid(inst, resolution=1)]
+        uvecs = list(irregular_batteries(random.Random(0), 3))[3]
         table = MarginTable(inst, uvecs)
         codes, n, s = table.battery.codes, table.n, _MIX_SCALE
+        assert table.battery.radix ** 3 > n ** 3
+        boxes = spy_boxes(monkeypatch)
         fold = _SetColumns.fold
         calls = []
 
@@ -678,6 +744,59 @@ class TestMixingAudits:
             calls.clear()
             audit(AxiomKind.FAVORABLE_MIXING, kind, inst, table=table)
             assert calls == [len(expected)], kind
+        assert boxes == []
+
+    def test_favorable_mixing_on_a_lattice_folds_its_whole_box_once(self, monkeypatch):
+        """One box of ``radix ** num_states`` entries per audit, and no fold of distinct d."""
+        inst = generate_instance(3, GenParams(num_states=3))
+        uvecs = [utility_vector(inst.utility, a) for a in generate_act_grid(inst, resolution=1)]
+        table = MarginTable(inst, uvecs)
+        size = table.battery.radix ** 3
+        assert size <= table.n ** 3
+        boxes = spy_boxes(monkeypatch)
+        monkeypatch.setattr(_SetColumns, "fold", lambda *args: pytest.fail("folded distinct d"))
+        for kind in eight_kinds(inst)[1]:
+            boxes.clear()
+            report = audit(AxiomKind.FAVORABLE_MIXING, kind, inst, table=table)
+            assert report.checked and boxes == [size], kind
+
+    def test_box_holds_the_maxmin_of_each_vector_at_its_index(self, overlapping_intervals):
+        """Entry sum_j (d_j + half) * radix ** j is the maxmin of d, for every d of the box."""
+        inst = overlapping_intervals
+        uvecs = [utility_vector(inst.utility, a) for a in generate_act_grid(inst, resolution=1)]
+        table = MarginTable(inst, uvecs)
+        cols = table.columns(GeneralizedBewley())
+        half, radix = table.battery.half, table.battery.radix
+        _, rows = inst.collection.integer_view
+        box = cols.box()
+        assert len(box) == radix ** inst.num_states
+        for index, value in enumerate(box):
+            d = [index // radix ** j % radix - half for j in range(inst.num_states)]
+            assert value == max(min(sum(map(int.__mul__, v, d)) for v in verts)
+                                for verts in rows), d
+
+    def test_box_and_distinct_branches_agree(self):
+        """Both favorable-mixing branches give equal reports on the same tables.
+
+        Eight kinds and a reversed one, at witness caps 0, 1 and 25, on the
+        2-state lattices at resolutions 1 and 2, the 3-state one at
+        resolution 1, and every third act of the 3-state resolution-2
+        lattice on radius 1/2 (its 125 acts would take seconds per cap).
+        """
+        failing = 0
+        for seed, states, resolution, radius, step in (
+            (0, 2, 1, F(1), 1), (0, 2, 2, F(1), 1), (3, 3, 1, F(1), 1), (3, 3, 2, F(1, 2), 3),
+        ):
+            inst = generate_instance(seed, GenParams(num_states=states))
+            battery = generate_act_grid(inst, resolution, radius)[::step]
+            table = MarginTable(inst, [utility_vector(inst.utility, a) for a in battery])
+            for kind in [*eight_kinds(inst)[1], Reversed()]:
+                for cap in (0, 1, WITNESS_CAP):
+                    box, distinct = (mixing_tally(table, kind, cap, signs)
+                                     for signs in (_box_signs, _distinct_signs))
+                    assert box == distinct, (seed, states, resolution, kind, cap)
+                    failing += box[0] > 0
+        assert failing
 
 
     def test_favorable_mixing_keeps_no_witness_past_the_cap(self, monkeypatch):
