@@ -14,8 +14,8 @@ Every margin comes from a fold: builtin min and max run down the vertex
 values of many vectors at once, each a combination of the vertex's
 expectations of the acts, and yield their (maxmin, minmax) numerators,
 which each model's ``combine`` turns into its margin.  Acts have integer
-codes, linear and injective on the vectors the audits read, used only as
-keys so that each distinct vector is folded once: the distinct
+codes, linear and injective on the vectors the audits read, used as keys
+so that each distinct vector is folded once: the distinct
 u_i - u_j (9 ** n on a resolution-2 lattice, against 25 ** n pairs; maxmin
 alone, as minmax(d) = -maxmin(-d)), k * (u_i - u_j) for each weight k / s
 in ``MIX_GRID`` for independence, and the distinct
@@ -28,8 +28,8 @@ folded margin of k * (u_i - u_j) with k times the pair's.
 
 Favorable mixing on a battery whose mixing box fits in n ** 3 entries folds
 the whole box instead: every vector with balanced digits in [-half, half],
-``radix ** num_states`` of them, which on a lattice is little more than its
-distinct d.  Vector d sits at index code + size // 2, each vertex's values
+``radix ** num_states`` of them, which on a lattice is 1.3 to 1.6 times
+its distinct d.  Vector d sits at index code + size // 2, each vertex's values
 are separable sums over the states, and the box's minmax is its maxmin
 reversed and negated, since -d sits at size - 1 - index.  So one "-0+" sign
 line serves every read, and each weight gathers one character per strictly
@@ -379,9 +379,10 @@ class _SetColumns:
                 for x in reversed(vertex):  # the last state is the leading digit
                     steps = [x * t for t in digits]
                     values = [a + b for a in values for b in steps]
+                # These comprehensions run about 3x faster than map(min, ...).
                 low = values if low is None else [a if a < b else b for a, b in zip(low, values)]
             maxmin = low if maxmin is None else [a if a > b else b for a, b in zip(maxmin, low)]
-        return maxmin  # the comprehensions run about 3x faster than map(min, ...)
+        return maxmin
 
     def differences(self, k: int) -> tuple[list[int], list[int]]:
         """The (maxmin, minmax) of k * (u_i - u_j) for each of ``distinct`` in turn.

@@ -660,7 +660,7 @@ class TestMixingAudits:
     def test_independence_sees_a_perturbed_fold(self, disjoint_pair, monkeypatch, kind):
         """Homogeneity is checked on folded values, not derived from the base.
 
-        Shifting the first weight's fold at the code of u_0 - u_1 fails
+        Shifting the first fold, weight 1/2's, at the code of u_0 - u_1 fails
         exactly the pairs i < j with that difference, in row-major order.
         """
         battery = generate_act_grid(disjoint_pair, resolution=1)
