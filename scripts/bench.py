@@ -10,9 +10,13 @@ load.  For every workload the script writes one row per checkout: the median
 and quartiles over the seeds of each end-to-end metric that ``BENCHMARK.json``
 declares, the per-seed values, whether every run was correct and the commit
 (``git rev-parse HEAD`` in that checkout, with a flag for uncommitted
-changes); the row of this checkout also counts the pairs in which it beat the
-baseline on each metric.  The file records ``nproc`` and the Python version.
-Nothing under ``perfbench/`` is changed.
+changes).  The row of this checkout also has, per metric, the count of pairs
+in which it beat the baseline (``pairs_won``) and the median and quartiles of
+the per-seed ratio this checkout / baseline (``ratios``).  The pairs share
+the machine's load, so their ratios separate a change from a drift that moves
+both sides.  The file records ``nproc`` and the Python version.  Nothing
+under ``perfbench/`` is changed.  A run takes about 35 minutes: 3 workloads,
+10 seeds and 2 checkouts at 30 s a run, plus each run's set-up probes.
 """
 
 from __future__ import annotations
@@ -62,19 +66,38 @@ def run_once(root: Path, workload: str, seed: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
 def summarize(results: list[dict], names: list[str]) -> dict:
     metrics = {}
     for name in names:
         values = [r["metrics"][name]["value"] for r in results]
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
         metrics[name] = {
             "unit": results[0]["metrics"][name]["unit"],
-            "median": median,
-            "q1": q1,
-            "q3": q3,
+            **quartiles(values),
             "values": values,
         }
     return metrics
+
+
+def compare(head: dict, base: dict, higher: dict) -> dict:
+    """Seed-by-seed comparison of two rows' metrics, for the head row.
+
+    ``pairs_won`` counts the pairs in which the head beat the baseline;
+    ties count for neither.  ``ratios`` has the median and quartiles of
+    the per-seed ratio head / baseline of each metric, with the ratios in
+    seed order; a pair whose baseline reads 0 gives no ratio.
+    """
+    pairs_won, ratios = {}, {}
+    for name, better_high in higher.items():
+        pairs = list(zip(head[name]["values"], base[name]["values"]))
+        pairs_won[name] = sum(h > b if better_high else h < b for h, b in pairs)
+        values = [h / b for h, b in pairs if b]
+        ratios[name] = {**quartiles(values), "values": values} if len(values) > 1 else None
+    return {"pairs_won": pairs_won, "ratios": ratios}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -110,15 +133,7 @@ def main(argv: list[str] | None = None) -> int:
                     "metrics": summarize(results[role], names),
                 }
             )
-        # Pairs in which this checkout beat the baseline; ties count for neither.
-        head, base = rows[-1]["metrics"], rows[-2]["metrics"]
-        rows[-1]["pairs_won"] = {
-            name: sum(
-                h > b if higher[name] else h < b
-                for h, b in zip(head[name]["values"], base[name]["values"])
-            )
-            for name in names
-        }
+        rows[-1].update(compare(rows[-1]["metrics"], rows[-2]["metrics"], higher))
 
     doc = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds N --trace 0",
@@ -133,6 +148,10 @@ def main(argv: list[str] | None = None) -> int:
             for name, m in row["metrics"].items()
         )
         print(f"{row['workload']:13s} {row['role']:8s} {cells}")
+        if "ratios" in row:
+            cells = "  ".join(f"{name}={r['median']:.4g} [{r['q1']:.4g}, {r['q3']:.4g}]"
+                              for name, r in row["ratios"].items() if r)
+            print(f"{row['workload']:13s} {'ratio':8s} {cells}")
     return 0
 
 

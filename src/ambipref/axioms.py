@@ -360,6 +360,7 @@ class _SetColumns:
         self.vertices = [v for verts in set_rows for v in verts]
         self.acts = [_combine(v, battery.state_rows) for v in self.vertices]
         self.maxmin, self.minmax = self.differences(1)
+        self._box = None
 
     def box(self) -> list[int]:
         """The maxmin of every vector in the battery's mixing box, by box index.
@@ -367,22 +368,24 @@ class _SetColumns:
         The box holds the ``radix ** num_states`` vectors whose scaled
         entries d_j lie in [-half, half]; d has index code + size // 2, the
         sum of (d_j + half) * radix ** j.  A vertex's value of d is the
-        separable sum of v_j * d_j, and the sets are folded one at a time,
-        so only a few box-length lists are live at once.
+        separable sum of v_j * d_j, and the vertices are folded one at a
+        time, so only a few box-length lists are live at once.  Folded on
+        the first call and kept, as ``maxmin`` is, so every kind that reads
+        these sets shares one fold; callers must not mutate it.
         """
-        digits = range(-self.battery.half, self.battery.half + 1)
-        maxmin = None
-        for start, end in self.parts:
-            low = None
-            for vertex in self.vertices[start:end]:
-                values = [0]
+        if self._box is None:
+            digits = range(-self.battery.half, self.battery.half + 1)
+
+            def values(vertex):
+                out = [0]
                 for x in reversed(vertex):  # the last state is the leading digit
                     steps = [x * t for t in digits]
-                    values = [a + b for a in values for b in steps]
-                # These comprehensions run about 3x faster than map(min, ...).
-                low = values if low is None else [a if a < b else b for a, b in zip(low, values)]
-            maxmin = low if maxmin is None else [a if a > b else b for a, b in zip(maxmin, low)]
-        return maxmin
+                    out = [a + b for a in out for b in steps]
+                return out
+
+            self._box = reduce(_upper, (reduce(_lower, map(values, self.vertices[start:end]))
+                                        for start, end in self.parts))
+        return self._box
 
     def differences(self, k: int) -> tuple[list[int], list[int]]:
         """The (maxmin, minmax) of k * (u_i - u_j) for each of ``distinct`` in turn.
@@ -395,12 +398,13 @@ class _SetColumns:
             scaled = list(map(k.__mul__, acts))
             cols.append(list(map(operator.sub, map(scaled.__getitem__, battery.minuends),
                                  map(scaled.__getitem__, battery.subtrahends))))
-        maxmin = _nested(cols, self.parts, max, min)
+        maxmin = _nested(cols, self.parts, _upper, _lower)
         return maxmin, [-x for x in map(maxmin.__getitem__, battery.negations)]
 
     def fold(self, cols: list[list[int]]) -> tuple[list[int], list[int]]:
         """The (maxmin, minmax) of the vectors whose values at the c-th vertex are ``cols[c]``."""
-        return _nested(cols, self.parts, max, min), _nested(cols, self.parts, min, max)
+        return (_nested(cols, self.parts, _upper, _lower),
+                _nested(cols, self.parts, _lower, _upper))
 
 
 _SIGN_BITS = {signs: str.maketrans("-0+", "".join("01"[c in signs] for c in "-0+"))
@@ -467,14 +471,24 @@ def _combine(weights: Sequence[int], rows: list[list[int]]) -> list[int]:
     return out
 
 
+def _lower(x: list[int], y: list[int]) -> list[int]:
+    """The entrywise min of two lists; about 3x faster than ``map(min, x, y)``."""
+    return [a if a < b else b for a, b in zip(x, y)]
+
+
+def _upper(x: list[int], y: list[int]) -> list[int]:
+    """The entrywise max of two lists."""
+    return [a if a > b else b for a, b in zip(x, y)]
+
+
 def _nested(cols: list[list[int]], parts, outer, inner) -> list[int]:
     """``outer`` over the sets of ``inner`` over each set's columns, entry by entry.
 
-    ``parts`` are the sets' ranges in ``cols``, so (max, min) folds maxmin
-    and (min, max) minmax.  A lone column or set passes through.
+    ``parts`` are the sets' ranges in ``cols``, so (``_upper``, ``_lower``)
+    folds maxmin and (``_lower``, ``_upper``) minmax, pairwise.  A lone
+    column or set passes through.
     """
-    groups = [cols[s] if e - s == 1 else list(map(inner, *cols[s:e])) for s, e in parts]
-    return groups[0] if len(groups) == 1 else list(map(outer, *groups))
+    return reduce(outer, [reduce(inner, cols[s:e]) for s, e in parts])
 
 
 class _Runner:
@@ -907,6 +921,10 @@ def weak_relation(
     return list(rel.weak), rel.zeros
 
 
+# audit_suite's last table: (instance, tuple of acts, MarginTable), or None.
+_last_table: tuple | None = None
+
+
 def audit_suite(
     kind: ModelKind,
     instance: Instance,
@@ -915,9 +933,25 @@ def audit_suite(
     axioms: Sequence[AxiomKind] | None = None,
     battery_desc: str | None = None,
 ) -> list[AuditReport]:
-    """Run every requested axiom (default: all twelve) over one shared table."""
-    table = MarginTable(instance, [utility_vector(instance.utility, act) for act in battery])
+    """Run every requested axiom (default: all twelve) over one shared table.
+
+    The table is kept for the next call: a one-entry memo keyed by the
+    instance and ``tuple(battery)``, compared with ``==``.  So a caller that
+    audits several kinds on one battery, in turn, builds one table and each
+    selection of belief sets folds once, whether it passes the same objects
+    or equal ones.  A call with another instance or battery drops the entry
+    before it builds a new one, so at most one table is live, and the last
+    one stays alive until then.  There is no option to turn it off;
+    ``audit(..., table=)`` shares a table explicitly.
+    """
+    global _last_table
+    acts = tuple(battery)
+    last = _last_table
+    if last is None or last[0] != instance or last[1] != acts:
+        _last_table = last = None  # the old table goes before the new one is built
+        uvecs = [utility_vector(instance.utility, act) for act in acts]
+        _last_table = last = (instance, acts, MarginTable(instance, uvecs))
     return [
-        audit(a, kind, instance, battery, table=table, battery_desc=battery_desc)
+        audit(a, kind, instance, acts, table=last[2], battery_desc=battery_desc)
         for a in (axioms if axioms is not None else list(AxiomKind))
     ]

@@ -7,7 +7,7 @@ import itertools
 import json
 import random
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,6 +51,7 @@ from ambipref import (
     verify,
     weak_relation,
 )
+from ambipref import axioms as axioms_module
 from ambipref.margins import _Kind
 from ambipref.axioms import (
     MAX_BATTERY_ACTS,
@@ -485,7 +486,11 @@ def reference_mixing_audits(kind, inst, uvecs, cap=WITNESS_CAP):
 
 
 def spy_boxes(monkeypatch) -> list[int]:
-    """Patch ``_SetColumns.box`` to record the length of each box it folds."""
+    """Patch ``_SetColumns.box`` to record the length of the box at each read.
+
+    A read is one call: the first call on a set of columns folds the box,
+    and later ones return the kept box.
+    """
     box = _SetColumns.box
     boxes = []
 
@@ -759,6 +764,23 @@ class TestMixingAudits:
             boxes.clear()
             report = audit(AxiomKind.FAVORABLE_MIXING, kind, inst, table=table)
             assert report.checked and boxes == [size], kind
+
+    def test_the_box_is_folded_once_per_selection_of_sets(self, monkeypatch):
+        """Eight kinds' favorable mixing on ``audit_box(1)`` reads the box 8 times, folds it 3.
+
+        The folds are of all sets (GB, Disjunctive, Conjunctive and both
+        mixtures), of P1 (Bewley and Justifiable) and of the SEU prior.  A
+        fold makes a new list, and a later read returns the kept one.
+        """
+        monkeypatch.setattr(axioms_module, "_last_table", None)
+        box = _SetColumns.box
+        reads = []
+        monkeypatch.setattr(_SetColumns, "box", lambda self: reads.append(box(self)) or reads[-1])
+        inst, battery, desc = audit_box(1)
+        for kind in eight_kinds(inst)[1]:
+            audit_suite(kind, inst, battery, axioms=[AxiomKind.FAVORABLE_MIXING])
+        assert len(reads) == 8
+        assert len({id(b) for b in reads}) == 3
 
     def test_box_holds_the_maxmin_of_each_vector_at_its_index(self, overlapping_intervals):
         """Entry sum_j (d_j + half) * radix ** j is the maxmin of d, for every d of the box."""
@@ -1412,6 +1434,80 @@ class TestPinnedAudits:
         """
         pinned = json.loads((DATA / "audit_lattice_sha256.json").read_text())
         assert lattice_audit_digests() == pinned
+
+
+class TestAuditSuiteMemo:
+    """``audit_suite`` keeps its last table, keyed by the instance and the acts.
+
+    No test patches ``_SetColumns`` in a way that changes a fold and then
+    calls ``audit_suite``, so no table in the memo is perturbed.
+    """
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Weak references to the tables ``audit_suite`` builds, from an empty memo.
+
+        Each build checks that every earlier table is gone.
+        """
+        monkeypatch.setattr(axioms_module, "_last_table", None)
+        built = []
+
+        def counted(*args):
+            assert all(ref() is None for ref in built), "two tables live"
+            table = MarginTable(*args)
+            built.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(axioms_module, "MarginTable", counted)
+        return built
+
+    @staticmethod
+    def check(kind, inst, battery, desc=None):
+        """``audit_suite``'s reports equal those of ``audit`` on a fresh table."""
+        table = MarginTable(inst, [utility_vector(inst.utility, a) for a in battery])
+        fresh = [audit(a, kind, inst, battery, table=table, battery_desc=desc)
+                 for a in AxiomKind]
+        assert audit_suite(kind, inst, battery, battery_desc=desc) == fresh, kind
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_the_eight_kinds_build_one_table(self, builds, seed):
+        inst, battery, desc = audit_box(seed)
+        for kind in eight_kinds(inst)[1]:
+            self.check(kind, inst, battery, desc)
+        assert len(builds) == 1
+
+    def test_equal_acts_and_instance_hit(self, builds):
+        """Equal objects that are not the same objects hit the memo."""
+        inst, battery, desc = audit_box(1)
+        again, acts, _ = audit_box(1)
+        assert again is not inst and again == inst
+        assert all(a is not b and a == b for a, b in zip(acts, battery))
+        kinds = eight_kinds(inst)[1]
+        self.check(kinds[0], inst, battery, desc)
+        self.check(kinds[1], again, acts, desc)
+        self.check(kinds[2], inst, list(acts), desc)
+        assert len(builds) == 1
+
+    def test_another_battery_or_instance_misses(self, builds):
+        """A reordered battery, another of the same length, another utility or vertex.
+
+        Each call builds a table, after the memo has dropped the one before.
+        """
+        inst, battery, _ = audit_box(1)
+        half = generate_act_grid(inst, 1, F(1, 2))
+        assert len(half) == len(battery) and half != battery
+        first, *rest = inst.collection.sets
+        moved = Prior(tuple((p + q) / 2 for p, q in zip(first.vertices[0].probs, (F(1, 3),) * 3)))
+        nudged = replace(inst, collection=replace(inst.collection, sets=(
+            replace(first, vertices=(moved, *first.vertices[1:])), *rest)))
+        doubled = replace(inst, utility=replace(
+            inst.utility, values={z: 2 * u for z, u in inst.utility.values.items()}))
+        runs = [(inst, battery), (inst, battery[::-1]), (inst, half), (inst, battery),
+                (nudged, battery), (doubled, battery), (inst, battery)]
+        for count, (instance, acts) in enumerate(runs, 1):
+            self.check(HalfMixture(), instance, acts)
+            assert len(builds) == count
+            assert axioms_module._last_table[2] is builds[-1]()
 
 
 LATTICE_SEEDS = (1, 3, 5, 7)
