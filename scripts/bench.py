@@ -15,8 +15,9 @@ in which it beat the baseline (``pairs_won``) and the median and quartiles of
 the per-seed ratio this checkout / baseline (``ratios``).  The pairs share
 the machine's load, so their ratios separate a change from a drift that moves
 both sides.  The file records ``nproc`` and the Python version.  Nothing
-under ``perfbench/`` is changed.  A run takes about 35 minutes: 3 workloads,
-10 seeds and 2 checkouts at 30 s a run, plus each run's set-up probes.
+under ``perfbench/`` is changed.  The 60 runs took about 3 minutes on a
+2-core x86 sandbox with Python 3.11: ``--seconds`` sizes each window from the
+workload's nominal rate, and the code now runs well above those rates.
 """
 
 from __future__ import annotations

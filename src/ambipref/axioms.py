@@ -42,8 +42,12 @@ the negation of each, the readers of its rows, the dominance pairs and the
 constant acts.  One battery serves every instance with its state count,
 and ``verify`` builds each lattice's once per process.  An instance's
 ``MarginTable`` over a battery holds the rest: per selection of belief
-sets, each vertex's expectation of each act, and one ``relation(kind)`` per
-model.  An audit's ``_Runner`` keeps only its tally.
+sets, each vertex's expectation of each act and, once read, the folded
+mixing box, and one ``relation(kind)`` per model.  Kinds that read the same
+sets (GeneralizedBewley, Disjunctive, Conjunctive and the mixtures) share
+one box fold.  ``audit_suite`` keeps the last table it built, so calls that
+audit one instance's battery under several kinds in turn build one table.
+An audit's ``_Runner`` keeps only its tally.
 """
 
 from __future__ import annotations
@@ -941,8 +945,10 @@ def audit_suite(
     selection of belief sets folds once, whether it passes the same objects
     or equal ones.  A call with another instance or battery drops the entry
     before it builds a new one, so at most one table is live, and the last
-    one stays alive until then.  There is no option to turn it off;
-    ``audit(..., table=)`` shares a table explicitly.
+    one stays alive until then.  Calls from several threads at once stay
+    correct, each on a table of its own arguments, but may each build one.
+    There is no option to turn the memo off; ``audit(..., table=)`` shares
+    a table explicitly.
     """
     global _last_table
     acts = tuple(battery)
