@@ -372,23 +372,24 @@ class _SetColumns:
         The box holds the ``radix ** num_states`` vectors whose scaled
         entries d_j lie in [-half, half]; d has index code + size // 2, the
         sum of (d_j + half) * radix ** j.  A vertex's value of d is the
-        separable sum of v_j * d_j, and the vertices are folded one at a
-        time, so only a few box-length lists are live at once.  Folded on
+        separable sum of v_j * d_j, and the sets are folded one at a time,
+        so only a few box-length lists are live at once.  Folded on
         the first call and kept, as ``maxmin`` is, so every kind that reads
         these sets shares one fold; callers must not mutate it.
         """
         if self._box is None:
             digits = range(-self.battery.half, self.battery.half + 1)
-
-            def values(vertex):
-                out = [0]
-                for x in reversed(vertex):  # the last state is the leading digit
-                    steps = [x * t for t in digits]
-                    out = [a + b for a in out for b in steps]
-                return out
-
-            self._box = reduce(_upper, (reduce(_lower, map(values, self.vertices[start:end]))
-                                        for start, end in self.parts))
+            maxmin = None
+            for start, end in self.parts:
+                low = None
+                for vertex in self.vertices[start:end]:
+                    values = [0]
+                    for x in reversed(vertex):  # the last state is the leading digit
+                        steps = [x * t for t in digits]
+                        values = [a + b for a in values for b in steps]
+                    low = values if low is None else _lower(low, values)
+                maxmin = low if maxmin is None else _upper(maxmin, low)
+            self._box = maxmin
         return self._box
 
     def differences(self, k: int) -> tuple[list[int], list[int]]:
