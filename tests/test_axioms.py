@@ -1439,8 +1439,8 @@ class TestPinnedAudits:
 class TestAuditSuiteMemo:
     """``audit_suite`` keeps its last table, keyed by the instance and the acts.
 
-    No test patches ``_SetColumns`` in a way that changes a fold and then
-    calls ``audit_suite``, so no table in the memo is perturbed.
+    A test that patches ``_SetColumns`` so that a fold changes must not call
+    ``audit_suite``: the memo would keep the perturbed table for later tests.
     """
 
     @pytest.fixture
