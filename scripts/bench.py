@@ -16,7 +16,7 @@ the per-seed ratio this checkout / baseline (``ratios``).  The pairs share
 the machine's load, so their ratios separate a change from a drift that moves
 both sides.  The file records ``nproc`` and the Python version.  Nothing
 under ``perfbench/`` is changed.  The 60 runs took about 3 minutes on a
-2-core x86 sandbox with Python 3.11: ``--seconds`` sizes each window from the
+2-core x86 machine with Python 3.11: ``--seconds`` sizes each window from the
 workload's nominal rate, and the code now runs well above those rates.
 """
 
