@@ -26,15 +26,17 @@ for witnesses and constants.  Utility is affine, so mixing f and g with a
 common act h at weight a leaves a * (u_f - u_g): independence compares the
 folded margin of k * (u_i - u_j) with k times the pair's.
 
-Favorable mixing on a battery whose mixing box fits in n ** 3 entries folds
-the whole box instead: every vector with balanced digits in [-half, half],
+Favorable mixing on a battery whose mixing box fits in n ** 3 entries, as
+every lattice's does, folds the whole box instead: every vector whose
+entries, in the battery's steps, are balanced digits in [-half, half],
 ``radix ** num_states`` of them, which on a lattice is 1.3 to 1.6 times
 its distinct d.  Vector d sits at index code + size // 2, each vertex's values
 are separable sums over the states, and the box's minmax is its maxmin
 reversed and negated, since -d sits at size - 1 - index.  So one "-0+" sign
 line serves every read, and each weight gathers one character per strictly
 ordered pair from the line's slice at act h.  Batteries with irregular
-denominators, whose box is larger, fold each distinct d once.
+denominators, whose box is larger, fold each distinct d once, from one
+act triple that makes it.
 
 The shared work splits in two.  A ``Battery`` holds what reads no belief
 set: the scaled rows, codes, distinct differences with a pair of acts and
@@ -53,6 +55,7 @@ An audit's ``_Runner`` keeps only its tally.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -225,18 +228,21 @@ class Battery:
 
     A battery of acts on ``num_states`` states is its utility vectors
     ``uvecs``, one entry per state, over one common denominator ``du``;
-    ``state_rows[s]`` holds the acts' scaled entries on state s.  Act i has
-    the integer code ``codes[i]``, its scaled entries as the balanced digits
-    of a base-``radix`` number: linear, and injective on each u_i - u_j and,
-    as ``half`` bounds their entries, on each favorable-mixing combination.
-    Codes are dedup keys and, offset by half the mixing box's size, its
-    indices; they are never decoded.  ``distinct`` lists the codes of
-    the u_i - u_j once each, each with one pair of acts that differ by it
-    and the position of its negation; ``upper`` counts the pairs i < j
-    behind each.  None of it reads belief sets, so one battery serves every
-    instance with that many states; ``upper``, ``dominance`` and the
-    constant acts behind ``constants()`` are memoized here.  The state
-    count is given, since an empty battery has no vector to read it from.
+    ``state_rows[s]`` holds the acts' scaled entries on state s, all
+    multiples of ``step``, their gcd (1 when every entry is 0).  Act i has
+    the integer code ``codes[i]``, its scaled entries in steps as the
+    balanced digits of a base-``radix`` number: linear, and injective on
+    each u_i - u_j and, as ``half`` bounds their entries in steps, on each
+    favorable-mixing combination.  So a lattice's codes, and its mixing
+    box, do not grow with its radius.  Codes are dedup keys and, offset by
+    half the mixing box's size, its indices; they are never decoded.
+    ``distinct`` lists the codes of the u_i - u_j once each, each with one
+    pair of acts that differ by it and the position of its negation;
+    ``upper`` counts the pairs i < j behind each.  None of it reads belief
+    sets, so one battery serves every instance with that many states;
+    ``upper``, ``dominance`` and the constant acts behind ``constants()``
+    are memoized here.  The state count is given, since an empty battery
+    has no vector to read it from.
     """
 
     def __init__(self, num_states: int, uvecs: Sequence[UtilityVector]):
@@ -248,10 +254,12 @@ class Battery:
         self.n = len(self.uvecs)
         self.du, flat = scaled([e for vec in self.uvecs for e in vec.entries])
         self._scaled = list(zip(*[iter(flat)] * num_states))  # one row per act
-        spread = max(map(max, self._scaled), default=0) - min(map(min, self._scaled), default=0)
-        self.half = _MIX_SCALE * spread  # bounds every entry of k*u_f + (s-k)*u_h - s*u_g
+        self.step = math.gcd(*flat) or 1
+        spread = (max(flat, default=0) - min(flat, default=0)) // self.step
+        self.half = _MIX_SCALE * spread  # bounds every entry of k*u_f + (s-k)*u_h - s*u_g, in steps
         self.radix = 2 * self.half + 1
-        self.codes = [sum(x * self.radix**j for j, x in enumerate(u)) for u in self._scaled]
+        self.codes = [sum(x // self.step * self.radix**j for j, x in enumerate(u))
+                      for u in self._scaled]
         unique = set(self.codes)
         pairs = {a - b: (a, b) for a in unique for b in unique}
         self.distinct = list(pairs)
@@ -370,15 +378,17 @@ class _SetColumns:
         """The maxmin of every vector in the battery's mixing box, by box index.
 
         The box holds the ``radix ** num_states`` vectors whose scaled
-        entries d_j lie in [-half, half]; d has index code + size // 2, the
-        sum of (d_j + half) * radix ** j.  A vertex's value of d is the
-        separable sum of v_j * d_j, and the sets are folded one at a time,
-        so only a few box-length lists are live at once.  Folded on
-        the first call and kept, as ``maxmin`` is, so every kind that reads
-        these sets shares one fold; callers must not mutate it.
+        entries are d_j steps, d_j in [-half, half]; d has index code +
+        size // 2, the sum of (d_j + half) * radix ** j.  A vertex's value
+        of d is the separable sum of v_j * step * d_j, on the unit of
+        ``acts``, and the sets are folded one at a time, so only a few
+        box-length lists are live at once.  Folded on the first call and
+        kept, as ``maxmin`` is, so every kind that reads these sets shares
+        one fold; callers must not mutate it.
         """
         if self._box is None:
-            digits = range(-self.battery.half, self.battery.half + 1)
+            half, step = self.battery.half, self.battery.step
+            digits = range(-half * step, half * step + 1, step)
             maxmin = None
             for start, end in self.parts:
                 low = None
@@ -403,13 +413,13 @@ class _SetColumns:
             scaled = list(map(k.__mul__, acts))
             cols.append(list(map(operator.sub, map(scaled.__getitem__, battery.minuends),
                                  map(scaled.__getitem__, battery.subtrahends))))
-        maxmin = _nested(cols, self.parts, _upper, _lower)
+        maxmin = _maxmin(cols, self.parts)
         return maxmin, [-x for x in map(maxmin.__getitem__, battery.negations)]
 
     def fold(self, cols: list[list[int]]) -> tuple[list[int], list[int]]:
         """The (maxmin, minmax) of the vectors whose values at the c-th vertex are ``cols[c]``."""
-        return (_nested(cols, self.parts, _upper, _lower),
-                _nested(cols, self.parts, _lower, _upper))
+        negated = [[-x for x in col] for col in cols]
+        return _maxmin(cols, self.parts), [-x for x in _maxmin(negated, self.parts)]
 
 
 _SIGN_BITS = {signs: str.maketrans("-0+", "".join("01"[c in signs] for c in "-0+"))
@@ -426,8 +436,8 @@ class _Relation:
     ``line`` has the "-0+" sign of each d of ``battery.distinct``, and
     ``neg`` that of -d; ``zeros`` counts the zero margins off the diagonal.
     Bit j of ``weak[i]`` is set when the margin of u_i - u_j is nonnegative,
-    and of ``zero[i]`` when it is zero; ``weak_t[i]`` and ``zero_t[i]`` do
-    the same for u_j - u_i.  Each of the four is gathered on first read.
+    and ``weak_t[i]`` does the same for u_j - u_i.  Both are gathered on
+    first read.
     """
 
     def __init__(self, kind: ModelKind, table: MarginTable):
@@ -459,8 +469,6 @@ class _Relation:
 
     weak = cached_property(lambda self: self.rows("0+"))
     weak_t = cached_property(lambda self: self.rows("0+", transposed=True))
-    zero = cached_property(lambda self: self.rows("0"))
-    zero_t = cached_property(lambda self: self.rows("0", transposed=True))
 
 
 def _signs(nums) -> str:
@@ -486,14 +494,13 @@ def _upper(x: list[int], y: list[int]) -> list[int]:
     return [a if a > b else b for a, b in zip(x, y)]
 
 
-def _nested(cols: list[list[int]], parts, outer, inner) -> list[int]:
-    """``outer`` over the sets of ``inner`` over each set's columns, entry by entry.
+def _maxmin(cols: list[list[int]], parts) -> list[int]:
+    """The max over the sets of the min over each set's columns, entry by entry.
 
-    ``parts`` are the sets' ranges in ``cols``, so (``_upper``, ``_lower``)
-    folds maxmin and (``_lower``, ``_upper``) minmax, pairwise.  A lone
-    column or set passes through.
+    ``parts`` are the sets' ranges in ``cols``; the only fold, since
+    minmax(d) = -maxmin(-d).  A lone column or set passes through.
     """
-    return reduce(outer, [reduce(inner, cols[s:e]) for s, e in parts])
+    return reduce(_upper, [reduce(_lower, cols[s:e]) for s, e in parts])
 
 
 class _Runner:
@@ -716,8 +723,9 @@ def _constant_sandwich(r: _Runner, order, bit: int, note: str) -> None:
 
 def _run_favorable_mixing(r: _Runner) -> None:
     battery = r.table.battery
-    # A lattice's mixing box is about as large as its set of distinct d, and
-    # fits in n ** 3; irregular denominators make it far larger.
+    # Counted in steps, a resolution-r lattice's mixing box has (16r + 1) **
+    # num_states entries, about as many as its distinct d, and fits in n ** 3
+    # whatever the radius; irregular denominators make it far larger.
     fits = battery.radix ** battery.num_states <= battery.n ** 3
     _favorable_mixing(r, _box_signs if fits else _distinct_signs)
 
@@ -805,29 +813,17 @@ def _box_signs(rel: _Relation, strict, bases, rests):
 def _distinct_signs(rel: _Relation, strict, bases, rests):
     """The signs of every d, folding each distinct d once.
 
-    Per weight, heads[p] = (k, f, g) makes the base b at p = head_at[wi][b],
-    and tail_of[d] = wi * n + h a rest that makes d; a vertex's value of d
-    is its k * E(u_f) - s * E(u_g) plus (s - k) * E(u_h).
+    ``made`` keeps, per code, one (k, f, g, h) that makes its d; codes are
+    injective on these vectors, so any such act triple gives the same
+    vertex values k * E(u_f) + (s - k) * E(u_h) - s * E(u_g).
     """
-    n, s = len(rests[0]), _MIX_SCALE
-    heads, head_at = [], []
-    for k, bs in zip(_MIX_KS, bases):
-        pair_of = dict(zip(bs, strict))
-        head_at.append(dict(zip(pair_of, itertools.count(len(heads)))))
-        heads += [(k, f, g) for f, g in pair_of.values()]
-    tail_of = {b + x: t for wi, (by_base, rest) in enumerate(zip(head_at, rests))
-               for t, x in enumerate(rest, wi * n) for b in by_base}
-    flat = [x for rest in rests for x in rest]
-    at = [head_at[t // n][d - flat[t]] for d, t in tail_of.items()]
-    hk, hf, hg = zip(*heads)
-    cols = []
-    for acts in rel.cols.acts:
-        head = list(map(operator.sub, map(operator.mul, hk, map(acts.__getitem__, hf)),
-                        map(s.__mul__, map(acts.__getitem__, hg))))
-        tails = [(s - k) * x for k in _MIX_KS for x in acts]
-        cols.append(list(map(operator.add, map(head.__getitem__, at),
-                             map(tails.__getitem__, tail_of.values()))))
-    num = dict(zip(tail_of, map(rel.combine, *rel.cols.fold(cols))))
+    s = _MIX_SCALE
+    made = {b + x: (k, f, g, h)
+            for k, bs, rest in zip(_MIX_KS, bases, rests)
+            for b, (f, g) in zip(bs, strict) for h, x in enumerate(rest)}
+    cols = [[k * e[f] + (s - k) * e[h] - s * e[g] for k, f, g, h in made.values()]
+            for e in rel.cols.acts]
+    num = dict(zip(made, map(rel.combine, *rel.cols.fold(cols))))
     sign = dict(zip(num, _signs(num.values())))
     backwards = [bs[::-1] for bs in bases]
 
