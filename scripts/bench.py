@@ -14,10 +14,19 @@ changes).  The row of this checkout also has, per metric, the count of pairs
 in which it beat the baseline (``pairs_won``) and the median and quartiles of
 the per-seed ratio this checkout / baseline (``ratios``).  The pairs share
 the machine's load, so their ratios separate a change from a drift that moves
-both sides.  The file records ``nproc`` and the Python version.  Nothing
-under ``perfbench/`` is changed.  The 60 runs took about 3 minutes on a
-2-core x86 machine with Python 3.11: ``--seconds`` sizes each window from the
-workload's nominal rate, and the code now runs well above those rates.
+both sides.
+
+Each checkout also makes one ``--trace 1`` run per workload, at the first
+seed, and the head row gets both sides' per-layer metrics (``layers``: each
+side's correctness and metrics) and ``counter_diffs``: every deterministic
+counter, that is every per-layer metric but the times and the pool's, whose
+value differs between the checkouts, with both values.  A change that only
+speeds code up moves none, so each listed diff is one the change must
+explain.  The file records ``nproc`` and the Python version.  Nothing under
+``perfbench/`` is changed.  The 60 measured runs and 6 traced runs took
+about 4 minutes on a 2-core x86 machine with Python 3.11: ``--seconds``
+sizes each window from the workload's nominal rate, and the code now runs
+well above those rates.
 """
 
 from __future__ import annotations
@@ -55,11 +64,11 @@ def checkout_info(root: Path) -> dict:
     }
 
 
-def run_once(root: Path, workload: str, seed: int) -> dict:
-    """One untraced perfbench run; returns its final JSON line."""
+def run_once(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    """One perfbench run, untraced unless ``trace``; returns its final JSON line."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if done.returncode != 0:
@@ -101,6 +110,30 @@ def compare(head: dict, base: dict, higher: dict) -> dict:
     return {"pairs_won": pairs_won, "ratios": ratios}
 
 
+def is_counter(name: str) -> bool:
+    """A per-layer metric two traced runs of the same code must agree on.
+
+    The rule of perfbench's fresh-process check: every metric but the times
+    (named ``*_s``) and the pool's busy ratio.
+    """
+    return not name.endswith("_s") and not name.startswith("verify.pool_")
+
+
+def layers_of(result: dict) -> dict:
+    """A traced run's correctness and per-layer metrics, name to value."""
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    return {"correct": result["correct"], "metrics": metrics}
+
+
+def counter_diffs(head: dict, base: dict) -> dict:
+    """Every deterministic counter whose value differs, with both values."""
+    return {
+        name: {"baseline": base.get(name), "head": head.get(name)}
+        for name in sorted(set(head) | set(base))
+        if is_counter(name) and head.get(name) != base.get(name)
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True)
@@ -135,6 +168,14 @@ def main(argv: list[str] | None = None) -> int:
                 }
             )
         rows[-1].update(compare(rows[-1]["metrics"], rows[-2]["metrics"], higher))
+        layers = {}
+        for role, root in roots.items():
+            print(f"# {workload} seed={SEEDS[0]} {role} traced", file=sys.stderr, flush=True)
+            layers[role] = layers_of(run_once(root, workload, SEEDS[0], trace=1))
+        rows[-1]["layers"] = layers
+        rows[-1]["counter_diffs"] = counter_diffs(
+            layers["head"]["metrics"], layers["baseline"]["metrics"]
+        )
 
     doc = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds N --trace 0",
@@ -153,6 +194,9 @@ def main(argv: list[str] | None = None) -> int:
             cells = "  ".join(f"{name}={r['median']:.4g} [{r['q1']:.4g}, {r['q3']:.4g}]"
                               for name, r in row["ratios"].items() if r)
             print(f"{row['workload']:13s} {'ratio':8s} {cells}")
+        for name, diff in row.get("counter_diffs", {}).items():
+            print(f"{row['workload']:13s} {'counter':8s} {name}: "
+                  f"{diff['baseline']} -> {diff['head']}")
     return 0
 
 

@@ -11,9 +11,11 @@ condition as a concrete axiom violation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from functools import lru_cache
+from typing import Iterator, Optional, Sequence, Union
 
 from .lp import Constraint, LinearProgram, solve
 from .margins import GeneralizedBewley, margin_pair, margin_profile, vertex_extremes
@@ -43,6 +45,7 @@ __all__ = [
     "CommutativityVerdict",
     "AnalysisReport",
     "polytopes_intersect",
+    "pair_entries",
     "pairwise_intersection_holds",
     "find_cutting_hyperplane",
     "check_commutativity",
@@ -51,6 +54,7 @@ __all__ = [
     "build_cbt_witness",
     "phi_lattice",
     "MAX_BATTERY_ACTS",
+    "MAX_CUT_WORK",
     "check_battery",
     "analyze",
 ]
@@ -286,12 +290,20 @@ def polytopes_intersect(
     return cert
 
 
+def pair_entries(collection: BeliefCollection) -> Iterator[PairEntry]:
+    """Each unordered pair of belief sets with its certificate, solved lazily.
+
+    Pairs come in ``itertools.combinations`` order, and each one's program is
+    solved only when the walk reaches it, so a caller that stops at the first
+    disjoint pair solves no later pair.
+    """
+    for a, b in itertools.combinations(collection.sets, 2):
+        yield PairEntry(a.name, b.name, polytopes_intersect(a, b))
+
+
 def pairwise_intersection_holds(collection: BeliefCollection) -> PairwiseReport:
     """Check every unordered pair of belief sets for a shared prior."""
-    entries = tuple(
-        PairEntry(a.name, b.name, polytopes_intersect(a, b))
-        for a, b in itertools.combinations(collection.sets, 2)
-    )
+    entries = tuple(pair_entries(collection))
     return PairwiseReport(holds=all(e.intersects for e in entries), entries=entries)
 
 
@@ -311,6 +323,14 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
     )
 
 
+# The cut search's work bound C(N, n - 2) * V (find_cutting_hyperplane).  The
+# generator's largest box (4 sets of 6 vertices) stays at or under 950,904;
+# tests/data/corner_clusters.json reads 910,800, a search of 1-1.5 s on a
+# 2-core x86 machine.  Clusters of 10 vertices per set read 1.2e7, about
+# 11 s, and are refused.
+MAX_CUT_WORK = 2_000_000
+
+
 def find_cutting_hyperplane(
     collection: BeliefCollection,
 ) -> Optional[CuttingHyperplane]:
@@ -321,7 +341,10 @@ def find_cutting_hyperplane(
     cell of the arrangement of planes (v - w).psi = 0 (v, w any two
     vertices) and (e_i - e_j).psi = 0 inside psi.1 = 0.  Those cells are
     pointed cones, so D > 0 somewhere iff D > 0 on an edge: a ray that n - 2
-    of the normals cut out of psi.1 = 0.  Rays are tried in the order of the
+    of the normals cut out of psi.1 = 0.  With N distinct normals and V
+    vertices in all, the search reads up to C(N, n - 2) * V vertices; once the
+    normals are built, a bound over ``MAX_CUT_WORK`` raises ``ValueError``
+    before any ray is tried.  Rays are tried in the order of the
     sorted normal subsets; the first with D > 0 is shifted by
     t = (maxmin + minmax) / 2 to threshold zero, and each set is straddled
     by its first argmax and argmin vertices.  The cut is re-checked by its
@@ -338,6 +361,13 @@ def find_cutting_hyperplane(
     }
     for i, j in itertools.combinations(range(n), 2):
         normals.add(tuple((k == i) - (k == j) for k in range(n)))
+    vertices = sum(map(len, scaled))
+    work = math.comb(len(normals), n - 2) * vertices
+    if work > MAX_CUT_WORK:
+        raise ValueError(
+            f"the cutting-hyperplane search would read up to C({len(normals)}, {n - 2}) rays "
+            f"times {vertices} vertices = {work}; the limit is {MAX_CUT_WORK}"
+        )
     seen = set()
     for subset in itertools.combinations(sorted(normals), n - 2):
         # On psi = (x, -sum(x)) a normal a reads (a_i - a_n) . x; x is the
@@ -503,14 +533,24 @@ def build_cbt_witness(
     return x0, f, xe
 
 
+@lru_cache(maxsize=8)
+def _commutativity_lattice(num_states: int) -> tuple[UtilityVector, ...]:
+    """``analyze``'s lattice, built once per state count and shared by every instance."""
+    return tuple(phi_lattice(num_states))
+
+
 def analyze(instance: Instance) -> AnalysisReport:
-    """Full parametric analysis of an instance's belief collection."""
+    """Full parametric analysis of an instance's belief collection.
+
+    The cut search runs first, so an instance over ``MAX_CUT_WORK`` raises
+    ``ValueError`` before any program is solved.
+    """
     n = instance.num_states
     check_battery(2, n, " (analyze's commutativity lattice)")
     collection = instance.collection
-    pairwise = pairwise_intersection_holds(collection)
     cutting = find_cutting_hyperplane(collection)
-    commutes = check_commutativity(collection, phi_lattice(n))
+    pairwise = pairwise_intersection_holds(collection)
+    commutes = check_commutativity(collection, _commutativity_lattice(n))
     collapse = seu_collapse_binary(collection) if n == 2 else None
     return AnalysisReport(
         pairwise=pairwise,

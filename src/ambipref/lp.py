@@ -16,20 +16,27 @@ so row i starts on its own +1 slack, column n + i.
 
 Primal simplex with Bland's smallest-index rule for both entering and
 leaving variables, so cycling is impossible.  The tableau is kept
-fraction-free: each row, the reduced-cost row included, is a list of Python
-ints that stands for the row divided by one positive denominator (for a
-constraint row, its basic entry).  A pivot cross-multiplies and divides each
-changed row by its gcd, and ratio ties are compared by cross-multiplying, so
-every pivot is the one exact rational arithmetic would take; Fractions appear
-only in the objective and the returned point.  Problem sizes in this package
-are tiny (a handful of variables, a few dozen rows), so a dense tableau is
-enough.  Optimal points are re-checked on integers before being returned:
-the point is brought to one common denominator and tested against every
-constraint as given, and then against every bound.
+fraction-free and compact.  Of the n + m columns (n variables, m slacks)
+exactly n are non-basic at a time; every basic column is a unit column, so
+it is not stored.  Row i is a list of Python ints: its entries at the n non-basic
+columns, then its basic entry, positive, and its rhs; it stands for the
+full row divided by that basic entry.  The cost row has the same layout,
+with a basic entry of 0.  One list of labels is the basis: label i names
+row i's basic variable and label m + k the variable of non-basic slot k.
+A pivot swaps the entering and leaving labels, cross-multiplies each
+changed row and divides it by its gcd, and ratio ties are compared by
+cross-multiplying, so every pivot is the one exact rational arithmetic would
+take; Fractions appear only in the objective and the returned point.
+Problem sizes in this package are tiny (a handful of variables, a few dozen
+rows), so dense rows are enough.  Optimal points are re-checked on integers
+before being returned: the point is brought to one common denominator and
+tested against every constraint as given, and then against every bound.
 
 An optimum also carries each row's dual: the reduced cost of its slack
-column in the final cost row, negated for a '<=' row, so exact up to the
-cost row's one positive scale.  The duals are not checked here.
+column in the final cost row (0 for a basic slack), negated for a '<=' row,
+so exact up to the cost row's one positive scale.  A full tableau's cost
+row holds the same ints, since its basic columns read 0 and zeros change no
+gcd.  The duals are not checked here.
 """
 
 from __future__ import annotations
@@ -108,39 +115,48 @@ class Optimal:
 _ZERO = Fraction(0)
 
 
-def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int) -> None:
-    """Make ``col`` basic in ``row``; every other row, the cost row too, loses it.
+def _pivot(tableau: list[list[int]], labels: list[int], row: int, col: int) -> None:
+    """Make variable ``col`` basic in ``row``; every other row, the cost row too, loses it.
 
-    Each row is a list of ints whose basic entry is positive and acts as the
-    row's denominator, so the row is exact without Fractions: eliminating
-    ``col`` from another row cross-multiplies by the pivot entry, and the
-    result is divided by its gcd to keep the integers small.  The ratio test
-    picks only positive entries, so the pivot row keeps a positive basic entry.
+    Let p be the pivot row's entry in ``col``'s slot k and d its basic entry.
+    Another row with entry a in slot k becomes p * row - a * pivot row, divided
+    by its gcd; its slot k then holds the leaving variable's column, -a * d,
+    and its basic entry becomes p times the old one (0 stays 0 on the cost
+    row).  The pivot row only trades p and d, and the two labels swap.  The
+    ratio test picks only positive entries, so every basic entry stays
+    positive.
     """
+    m = len(tableau) - 1
+    k = labels.index(col, m) - m
     pivot_row = tableau[row]
-    p = pivot_row[col]
+    p, d = pivot_row[k], pivot_row[-2]
     for i, other in enumerate(tableau):
-        scale = other[col]
-        if i == row or not scale:
+        a = other[k]
+        if i == row or not a:
             continue
-        tableau[i] = primitive([p * a - scale * b for a, b in zip(other, pivot_row)])
-    basis[row] = col
+        new = [p * x - a * y for x, y in zip(other, pivot_row)]
+        new[k], new[-2] = -a * d, p * other[-2]
+        tableau[i] = primitive(new)
+    pivot_row[k], pivot_row[-2] = d, p
+    labels[row], labels[m + k] = col, labels[row]
 
 
-def _simplex(tableau: list[list[int]], basis: list[int]) -> None:
+def _simplex(tableau: list[list[int]], labels: list[int]) -> None:
     """Minimize the cost row (the last row) of a bounded program."""
     nrows = len(tableau) - 1
     while True:
         costs = tableau[-1]
-        entering = next(
-            (j for j in range(len(costs) - 1) if costs[j] < 0), -1
-        )  # Bland: smallest index wins
+        # Bland: the smallest variable label with a negative cost enters.
+        entering = min(
+            (label for label, c in zip(labels[nrows:], costs) if c < 0), default=-1
+        )
         if entering < 0:
             return
+        k = labels.index(entering, nrows) - nrows
         leaving = -1
         for i in range(nrows):
             tab_row = tableau[i]
-            coef = tab_row[entering]
+            coef = tab_row[k]
             if coef > 0:
                 if leaving < 0:
                     leaving = i
@@ -148,13 +164,13 @@ def _simplex(tableau: list[list[int]], basis: list[int]) -> None:
                 # rhs_i / coef_i against the best ratio, cross-multiplied;
                 # the rows' denominators cancel within each ratio.
                 best = tableau[leaving]
-                lhs = tab_row[-1] * best[entering]
+                lhs = tab_row[-1] * best[k]
                 rhs = best[-1] * coef
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                if lhs < rhs or (lhs == rhs and labels[i] < labels[leaving]):
                     leaving = i
         if leaving < 0:  # a boxed program has no unbounded ray
             raise RuntimeError(f"column {entering} has no leaving row in a boxed program")
-        _pivot(tableau, basis, leaving, entering)
+        _pivot(tableau, labels, leaving, entering)
 
 
 def solve(lp: LinearProgram) -> Optimal:
@@ -169,7 +185,8 @@ def solve(lp: LinearProgram) -> Optimal:
     # Column j holds x_j - lower_j >= 0, so each rhs shifts by the bounds.
     # Every body row is made primitive below, so its scale is immaterial.
     # A '>=' row is negated into a '<=' one; a nonnegative shifted rhs then
-    # lets row i start on its own +1 slack, column n + i.
+    # lets row i start on its own +1 slack, variable n + i, as its basic
+    # entry, with the n variables non-basic.
     body: list[list[int]] = []
     for i, (coeffs, cmp, rhs) in enumerate(rows):
         scale, ints = scaled((*coeffs, rhs - sum(c * lo for c, lo in zip(coeffs, lower) if c)))
@@ -179,27 +196,28 @@ def solve(lp: LinearProgram) -> Optimal:
             k = i - len(lp.constraints)
             what = f"constraint {i}, {lp.constraints[i]}," if k < 0 else f"variable {k}'s upper bound"
             raise ValueError(f"{what} fails at the lower-bound corner")
-        row = ints[:-1] + [0] * len(rows) + ints[-1:]
-        row[n + i] = scale
-        body.append(primitive(row))
-    basis = list(range(n, n + len(rows)))
+        body.append(primitive(ints[:-1] + [scale] + ints[-1:]))
+    m = len(rows)
+    labels = [*range(n, n + m), *range(n)]
 
     # Minimize the negated objective.  Every starting basic column is a
     # zero-cost slack, so the cost row needs no reduction.
-    body.append(primitive(scaled([-c for c in lp.objective] + [0] * (len(rows) + 1))[1]))
-    _simplex(body, basis)
+    body.append(primitive(scaled([-c for c in lp.objective] + [0, 0])[1]))
+    _simplex(body, labels)
     # Each slack is +1 on its row as read in, and a '>=' row was read in
     # negated, so a '<=' row's dual is its slack's reduced cost negated and a
-    # '>=' row's is that cost itself; row scaling keeps reduced costs.
-    costs = body.pop()
+    # '>=' row's is that cost itself; row scaling keeps reduced costs.  A
+    # basic slack's reduced cost is 0.
+    reduced = dict(zip(labels[m:], body.pop()))
     duals = tuple(
-        costs[n + i] * (-1 if con.cmp == LE else 1) for i, con in enumerate(lp.constraints)
+        reduced.get(n + i, 0) * (-1 if con.cmp == LE else 1)
+        for i, con in enumerate(lp.constraints)
     )
 
     values = [_ZERO] * n
-    for row, b in zip(body, basis):
+    for row, b in zip(body, labels):
         if b < n:
-            values[b] = Fraction(row[-1], row[b])
+            values[b] = Fraction(row[-1], row[-2])
     point = tuple(v + lo for v, lo in zip(values, lower))
     objective_value = sum((c * x for c, x in zip(lp.objective, point)), _ZERO)
     _check_point(lp, point)

@@ -125,7 +125,7 @@ class SlicePlane:
         return len(self.e1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SliceSample:
     theta: Fraction
     direction: UtilityVector
@@ -189,19 +189,22 @@ def _thetas(n: int) -> tuple[Fraction, ...]:
 
 
 def _sign_arcs(flags: Sequence[bool]) -> tuple[tuple[int, int], ...]:
-    """Maximal circular runs of True as (start, length), sorted by start."""
+    """Maximal circular runs of True as (start, length), sorted by start.
+
+    The circle is read from its first False on, so no run wraps past the end
+    of the scan; a trailing False, True pair ends the last run and the scan.
+    """
     n = len(flags)
     if all(flags):
         return ((0, n),)
-    if not any(flags):
-        return ()
+    first = flags.index(False)
+    ring = [*flags[first:], *flags[:first], False, True]
     arcs = []
-    for i in range(n):
-        if flags[i] and not flags[i - 1]:
-            length = 1
-            while flags[(i + length) % n]:
-                length += 1
-            arcs.append((i, length))
+    start = ring.index(True)
+    while start < n:
+        end = ring.index(False, start)
+        arcs.append(((start + first) % n, end - start))
+        start = ring.index(True, end)
     return tuple(sorted(arcs))
 
 
@@ -240,25 +243,29 @@ def slice_profile(
     # over denom = d*base, the two slopes swapped for s < 0.
     along = margin_profile(collection, UtilityVector(plane.e2))
     base, (a_slope, b_slope) = scaled((along.maxmin, along.minmax))
-    numerators = []
+    mms, mxs, denoms = [], [], []
     for c, s, d in _circle_points(n):
         mm_slope, mx_slope = (a_slope, b_slope) if s >= 0 else (b_slope, a_slope)
-        numerators.append((c * base + s * mm_slope, c * base + s * mx_slope, d * base))
+        mms.append(c * base + s * mm_slope)
+        mxs.append(c * base + s * mx_slope)
+        denoms.append(d * base)
     # Point k+n/2 is (-c, -s, d): maxmin(-phi) = -minmax(phi) and back.
-    numerators += [(-mx, -mm, denom) for mm, mx, denom in numerators]
+    mms, mxs, denoms = mms + [-v for v in mxs], mxs + [-v for v in mms], denoms * 2
     kinds = {c: _cone_kind(c, weight) for c in CONES if c != "alpha" or weight is not None}
+    # One pass per cone gives its margin numerators over kind.den * denom,
+    # which both its sample values and, as denom > 0, its signs read.
+    cone_nums = {cone: list(map(kind.combine, mms, mxs)) for cone, kind in kinds.items()}
     # Each sampled field is its cone's margin; alpha is None without a weight.
-    columns = [
-        [None] * n
-        if kind is None
-        else [Fraction(kind.combine(mm, mx), kind.den * denom) for mm, mx, denom in numerators]
-        for kind in map(kinds.get, ("maxmin", "minmax", "half", "alpha"))
-    ]
+    columns = []
+    for cone in ("maxmin", "minmax", "half", "alpha"):
+        if cone not in kinds:
+            columns.append([None] * n)
+            continue
+        den = kinds[cone].den
+        columns.append([Fraction(v, den * d) for v, d in zip(cone_nums[cone], denoms)])
     samples = tuple(map(SliceSample, _thetas(n), _directions(tuple(plane.e2), n), *columns))
-    # denom > 0, so each cone's sign is its combine's sign on the numerators.
     summary = tuple(
-        (cone, _sign_arcs([kind.combine(mm, mx) >= 0 for mm, mx, _ in numerators]))
-        for cone, kind in kinds.items()
+        (cone, _sign_arcs([v >= 0 for v in nums])) for cone, nums in cone_nums.items()
     )
     return SliceProfile(plane=plane, alpha_weight=weight, samples=samples, arc_summary=summary)
 

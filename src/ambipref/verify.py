@@ -29,10 +29,11 @@ from .analysis import (
     build_incompleteness_witness,
     check_commutativity,
     find_cutting_hyperplane,
-    pairwise_intersection_holds,
+    pair_entries,
     phi_lattice,
     seu_collapse_binary,
 )
+from .analysis import pairwise_intersection_holds  # noqa: F401  (perfbench/tracer.py wraps it here)
 from .axioms import (
     AuditReport,
     AxiomKind,
@@ -200,9 +201,12 @@ class _SeedContext:
 
     @cached_property
     def separation(self):
-        """The Samet separation of the first disjoint pair of sets, or None."""
-        pairwise = pairwise_intersection_holds(self.instance.collection)
-        return None if pairwise.holds else pairwise.failing()[0].result
+        """The Samet separation of the first disjoint pair of sets, or None.
+
+        The walk stops at that pair, so no later pair's program is solved.
+        """
+        entries = pair_entries(self.instance.collection)
+        return next((e.result for e in entries if not e.intersects), None)
 
     def conditions_hold(self) -> bool:
         """No cutting hyperplane and no disjoint pair: complete and bound-transitive."""

@@ -180,20 +180,29 @@ class TestPolytopeIntersection:
         assert shared > 0
 
     def test_separation_pivots_are_pinned(self, monkeypatch):
-        """Every pivot of 720 separation programs on the geometry box.
+        """Every pivot and every dual of 720 separation programs on the geometry box.
 
         Seeds 0..39 at 2, 3 and 4 states, four sets of up to six vertices
         each.  The row read-in, the slack start, Bland's rule and its ratio
         tie-break all show in the sequence of (row, column) pivots, so a
-        change to any of them moves the digest.
+        change to any of them moves the digest.  The duals are the exact
+        ints of the final cost row, so a change to the tableau's scaling
+        moves theirs.
         """
         real, pivots = lp_module._pivot, []
+        real_solve, duals = analysis.solve, []
 
-        def spied(tableau, basis, row, col):
+        def spied(tableau, labels, row, col):
             pivots.append((row, col))
-            real(tableau, basis, row, col)
+            real(tableau, labels, row, col)
+
+        def solved(lp):
+            out = real_solve(lp)
+            duals.append(out.duals)
+            return out
 
         monkeypatch.setattr(lp_module, "_pivot", spied)
+        monkeypatch.setattr(analysis, "solve", solved)
         programs = 0
         for states in (2, 3, 4):
             for seed in range(40):
@@ -203,6 +212,10 @@ class TestPolytopeIntersection:
         assert (programs, len(pivots)) == (720, 4177)
         assert hashlib.sha256(repr(pivots).encode()).hexdigest() == (
             "ebe7538b2670e5cf7c3fef0ae90e60976e56c356916cf77da2a901c612d89a27"
+        )
+        assert len(duals) == 720
+        assert hashlib.sha256(repr(duals).encode()).hexdigest() == (
+            "aad150a1779c4f0f7f4c6a07c2f3bbab6817c69ae33dde173190c85a0e579156"
         )
 
     @pytest.mark.parametrize(
@@ -723,6 +736,33 @@ class TestAnalyze:
     def test_four_states_fit_the_lattice(self):
         report = analyze(self._flat_prior(4))
         assert report.cbt_param and report.commutes.holds
+
+    def test_one_commutativity_lattice_per_state_count(self, monkeypatch):
+        real, calls = analysis.phi_lattice, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "phi_lattice", counted)
+        analysis._commutativity_lattice.cache_clear()
+        lattice = real(4)
+        for seed in range(3):
+            collection = generate_instance(seed, GenParams(num_states=4)).collection
+            report = analyze(generate_instance(seed, GenParams(num_states=4)))
+            assert report.commutes == check_commutativity(collection, lattice), seed
+        assert calls == [(4,)]
+
+    def test_cut_search_over_its_work_limit_refuses_before_any_program(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a program was solved despite a cut search over its limit")
+
+        monkeypatch.setattr(analysis, "pairwise_intersection_holds", refuse)
+        monkeypatch.setattr(analysis, "MAX_CUT_WORK", 910_799)
+        instance = load_instance(CORNER_CLUSTERS)
+        with pytest.raises(ValueError, match=r"C\(276, 2\) rays times 24 vertices = 910800; "
+                           r"the limit is 910799"):
+            analyze(instance)
 
 
 class TestPinnedReports:

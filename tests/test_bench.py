@@ -55,10 +55,28 @@ def test_a_zero_baseline_gives_no_ratio():
     assert ratios["setup_s"]["values"] == [2.0, 3.0]
 
 
+def test_counter_diffs_name_each_moved_counter_with_both_values():
+    base = {"lp.solve_calls": 240, "lp.solve_s": 0.5, "analysis.pairwise_calls": 8,
+            "lp.cutting_prune_ratio": 0.25, "verify.pool_busy_ratio": 0.9,
+            "verify.pool_child_cpu_s": 1.0, "trace.overhead_s": 0.1}
+    head = {**base, "lp.solve_calls": 146, "lp.solve_s": 0.3, "analysis.pairwise_calls": 0,
+            "verify.pool_busy_ratio": 0.8, "verify.pool_child_cpu_s": 0.7,
+            "trace.overhead_s": 0.2, "slices.samples": 46080}
+    assert bench.counter_diffs(head, base) == {
+        "analysis.pairwise_calls": {"baseline": 8, "head": 0},
+        "lp.solve_calls": {"baseline": 240, "head": 146},
+        "slices.samples": {"baseline": None, "head": 46080},
+    }
+    assert bench.counter_diffs(base, dict(base)) == {}
+
+
 def test_rows_keep_every_key_of_earlier_files(tmp_path, monkeypatch):
-    """``main`` on canned runs writes the keys of ``BENCH_44.json`` plus ``ratios``."""
-    def run_once(root, workload, seed):
+    """``main`` on canned runs writes the keys of ``BENCH_44.json``; the head row
+    adds ``ratios``, ``layers`` and ``counter_diffs``."""
+    def run_once(root, workload, seed, trace=0):
         scale = 2.0 if root == bench.ROOT else 1.0
+        if trace:  # the head solves fewer programs, in less time
+            return canned({"lp.solve_calls": 100 / scale, "lp.solve_s": 0.1 / scale})
         return canned({name: scale * (seed - 10) for name in NAMES})
 
     monkeypatch.setattr(bench, "run_once", run_once)
@@ -69,7 +87,8 @@ def test_rows_keep_every_key_of_earlier_files(tmp_path, monkeypatch):
     assert set(doc) == set(earlier)
     assert len(doc["rows"]) == 2 * len(SPEC["workloads"])
     for row, old in zip(doc["rows"], earlier["rows"]):
-        assert set(row) == set(old) | ({"ratios"} if row["role"] == "head" else set())
+        added = {"ratios", "layers", "counter_diffs"} if row["role"] == "head" else set()
+        assert set(row) == set(old) | added
         assert set(row["metrics"]) == set(NAMES)
         for name, metric in row["metrics"].items():
             assert set(metric) == set(old["metrics"][name]), name
@@ -77,3 +96,8 @@ def test_rows_keep_every_key_of_earlier_files(tmp_path, monkeypatch):
             # The head reads twice the baseline on every seed.
             assert row["pairs_won"] == {n: len(bench.SEEDS) if HIGHER[n] else 0 for n in NAMES}
             assert all(r["median"] == pytest.approx(2.0) for r in row["ratios"].values())
+            assert row["layers"] == {
+                "baseline": {"correct": True, "metrics": {"lp.solve_calls": 100, "lp.solve_s": 0.1}},
+                "head": {"correct": True, "metrics": {"lp.solve_calls": 50, "lp.solve_s": 0.05}},
+            }
+            assert row["counter_diffs"] == {"lp.solve_calls": {"baseline": 100, "head": 50}}

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -485,6 +487,42 @@ class TestSizeLimits:
         assert code == 2
         err = capsys.readouterr().err
         assert "analyze" in err and "3125 acts" in err
+
+    @staticmethod
+    def corner_clusters(per_set: int) -> dict:
+        """Four sets of ``per_set`` distinct vertices within 1/10 of a simplex corner."""
+        rng = random.Random(per_set)
+        states = [f"s{i}" for i in range(1, 5)]
+        sets = []
+        for corner in range(4):
+            vertices = set()
+            while len(vertices) < per_set:
+                off = [F(rng.randint(0, 13), 400) for _ in range(3)]
+                off.insert(corner, 1 - sum(off))
+                vertices.add(tuple(off))
+            sets.append({"name": f"corner{corner + 1}",
+                         "vertices": [[str(p) for p in v] for v in sorted(vertices)]})
+        return {
+            "states": states,
+            "prizes": ["lose", "win"],
+            "utility": {"lose": "-1", "win": "1"},
+            "acts": {"all_win": {s: {"win": "1"} for s in states}},
+            "belief_collection": sets,
+        }
+
+    def test_analyze_refuses_a_cut_search_over_its_work_limit(self, tmp_path, capsys):
+        """16 vertices per corner: C(N, 2) * 64 is about 1.3e8, and the search would
+        take minutes; the refusal comes within a second."""
+        path = tmp_path / "clusters16.json"
+        path.write_text(json.dumps(self.corner_clusters(16)))
+        start = time.perf_counter()
+        code = main(["analyze", "--instance", str(path)])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "times 64 vertices" in err and "the limit is 2000000" in err
+        assert elapsed < 1.0
 
     def test_analyze_accepts_four_states(self, monkeypatch):
         class Reached(Exception):

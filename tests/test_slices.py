@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambipref import (
     CONES,
@@ -407,7 +409,42 @@ class TestClosedForm:
                 self.check(instance.collection, direction)
 
 
+def brute_force_arcs(flags) -> tuple[tuple[int, int], ...]:
+    """Every (start, length) whose circular run is all True between two False flags."""
+    n = len(flags)
+    if all(flags):
+        return ((0, n),)
+    return tuple(
+        (start, length)
+        for start in range(n)
+        for length in range(1, n)
+        if not flags[start - 1]
+        and not flags[(start + length) % n]
+        and all(flags[(start + k) % n] for k in range(length))
+    )
+
+
 class TestArcs:
+    @pytest.mark.parametrize(
+        "flags, arcs",
+        [
+            ([True] * 5, ((0, 5),)),
+            ([False] * 5, ()),
+            ([True, False, False, True, True], ((3, 3),)),
+            ([True, True, False, True], ((3, 3),)),
+            ([False, True, True, False, True], ((1, 2), (4, 1))),
+            ((True, False, True, False), ((0, 1), (2, 1))),
+        ],
+        ids=["all-true", "all-false", "wrap", "wrap-one-gap", "two-runs", "tuple"],
+    )
+    def test_sign_arcs_cases(self, flags, arcs):
+        assert _sign_arcs(flags) == brute_force_arcs(flags) == arcs
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.booleans(), min_size=1, max_size=40))
+    def test_sign_arcs_match_brute_force(self, flags):
+        assert _sign_arcs(flags) == brute_force_arcs(flags)
+
     def test_disjoint_pair_arcs(self, disjoint_pair):
         plane = SlicePlane.through((1, -1))
         profile = slice_profile(disjoint_pair.collection, plane, 16)

@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,13 +22,13 @@ from ambipref import (
     CommutativityVerdict,
     GeneralizedBewley,
     GenParams,
-    PairwiseReport,
     Prior,
     UnknownSuite,
     UtilityVector,
     VerifyConfig,
     constant_act,
     generate_instance,
+    pairwise_intersection_holds,
     suite_outcomes,
     verify,
 )
@@ -339,7 +340,7 @@ class TestSuiteOutcomes:
         assert (info.misses, info.currsize) == (4, 4)  # two lattices at two state counts
 
     @pytest.mark.parametrize(
-        "search_name", ["find_cutting_hyperplane", "pairwise_intersection_holds"]
+        "search_name", ["find_cutting_hyperplane", "pair_entries"]
     )
     def test_one_certificate_search_per_seed(self, monkeypatch, search_name):
         """prop1 to prop4 share one cutting-hyperplane and one pairwise search."""
@@ -356,11 +357,35 @@ class TestSuiteOutcomes:
             suite_outcomes(generate_instance(seed, cfg.params_for_seed(seed)), SUITES, cfg)
             assert len(calls) == 1, seed
 
+    def test_separation_stops_at_the_first_disjoint_pair(self, monkeypatch):
+        """Seeds 0..199 at 2, 3 and 4 states: the full report's first failure, or None."""
+        analysis_mod = importlib.import_module("ambipref.analysis")
+        real, solved = analysis_mod.polytopes_intersect, []
+
+        def counted(first, second):
+            solved.append((first.name, second.name))
+            return real(first, second)
+
+        monkeypatch.setattr(analysis_mod, "polytopes_intersect", counted)
+        separation = verify_mod._SeedContext.separation.func
+        for states in (2, 3, 4):
+            for seed in range(200):
+                instance = generate_instance(seed, GenParams(num_states=states))
+                report = pairwise_intersection_holds(instance.collection)
+                names = [(e.first, e.second) for e in report.entries]
+                failing = report.failing()
+                expected = failing[0] if failing else None
+                solved.clear()
+                got = separation(SimpleNamespace(instance=instance))
+                assert got == (expected and expected.result), (states, seed)
+                stop = names.index((expected.first, expected.second)) + 1 if failing else None
+                assert solved == names[:stop], (states, seed)
+
     def test_suites_that_read_no_certificate_search_none(self, monkeypatch):
         def refuse(collection):
             raise AssertionError("certificate searched for a suite that reads none")
 
-        for name in ("find_cutting_hyperplane", "pairwise_intersection_holds"):
+        for name in ("find_cutting_hyperplane", "pair_entries"):
             monkeypatch.setattr(verify_mod, name, refuse)
         cfg = VerifyConfig()
         suites = ["thm2", "thm3", "thm4", "prop5", "prop6", "lemma3", "fig4"]
@@ -408,7 +433,7 @@ class TestSuiteOutcomes:
         [
             ("prop3", 1, "find_cutting_hyperplane", None, "completeness",
              "no cutting hyperplane, yet completeness failed"),
-            ("prop4", 6, "pairwise_intersection_holds", PairwiseReport(True, ()),
+            ("prop4", 6, "pair_entries", (),
              "constant_bound_transitivity",
              "all pairs intersect, yet bound transitivity failed"),
         ],
