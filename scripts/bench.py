@@ -110,27 +110,17 @@ def compare(head: dict, base: dict, higher: dict) -> dict:
     return {"pairs_won": pairs_won, "ratios": ratios}
 
 
-def is_counter(name: str) -> bool:
-    """A per-layer metric two traced runs of the same code must agree on.
-
-    The rule of perfbench's fresh-process check: every metric but the times
-    (named ``*_s``) and the pool's busy ratio.
-    """
-    return not name.endswith("_s") and not name.startswith("verify.pool_")
-
-
-def layers_of(result: dict) -> dict:
-    """A traced run's correctness and per-layer metrics, name to value."""
-    metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    return {"correct": result["correct"], "metrics": metrics}
-
-
 def counter_diffs(head: dict, base: dict) -> dict:
-    """Every deterministic counter whose value differs, with both values."""
+    """Every deterministic counter whose value differs, with both values.
+
+    The counters are those of perfbench's fresh-process check: every
+    per-layer metric but the times (named ``*_s``) and the pool's busy ratio.
+    """
     return {
         name: {"baseline": base.get(name), "head": head.get(name)}
         for name in sorted(set(head) | set(base))
-        if is_counter(name) and head.get(name) != base.get(name)
+        if not name.endswith("_s") and not name.startswith("verify.pool_")
+        and head.get(name) != base.get(name)
     }
 
 
@@ -171,7 +161,11 @@ def main(argv: list[str] | None = None) -> int:
         layers = {}
         for role, root in roots.items():
             print(f"# {workload} seed={SEEDS[0]} {role} traced", file=sys.stderr, flush=True)
-            layers[role] = layers_of(run_once(root, workload, SEEDS[0], trace=1))
+            traced = run_once(root, workload, SEEDS[0], trace=1)
+            layers[role] = {
+                "correct": traced["correct"],
+                "metrics": {name: m["value"] for name, m in traced["metrics"].items()},
+            }
         rows[-1]["layers"] = layers
         rows[-1]["counter_diffs"] = counter_diffs(
             layers["head"]["metrics"], layers["baseline"]["metrics"]
