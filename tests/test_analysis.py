@@ -748,9 +748,9 @@ class TestAnalyze:
         analysis._commutativity_lattice.cache_clear()
         lattice = real(4)
         for seed in range(3):
-            collection = generate_instance(seed, GenParams(num_states=4)).collection
-            report = analyze(generate_instance(seed, GenParams(num_states=4)))
-            assert report.commutes == check_commutativity(collection, lattice), seed
+            instance = generate_instance(seed, GenParams(num_states=4))
+            report = analyze(instance)
+            assert report.commutes == check_commutativity(instance.collection, lattice), seed
         assert calls == [(4,)]
 
     def test_cut_search_over_its_work_limit_refuses_before_any_program(self, monkeypatch):
