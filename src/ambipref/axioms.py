@@ -20,11 +20,14 @@ u_i - u_j (9 ** n on a resolution-2 lattice, against 25 ** n pairs; maxmin
 alone, as minmax(d) = -maxmin(-d)), k * (u_i - u_j) for each weight k / s
 in ``MIX_GRID`` for independence, and the distinct
 k * u_f + (s - k) * u_h - s * u_g for favorable mixing.  A model's relation
-is the sign of each distinct difference, so the completeness and
-constant-bound axioms count pairs per difference and gather act rows only
-for witnesses and constants.  Utility is affine, so mixing f and g with a
-common act h at weight a leaves a * (u_f - u_g): independence compares the
-folded margin of k * (u_i - u_j) with k times the pair's.
+is the sign of each distinct difference, so both completeness axioms and
+independence count checks, violations and zero margins per difference,
+weighted by the pairs of acts behind each (``Battery.upper``), and the
+audits gather act rows only for witnesses and constants.  Utility is
+affine, so mixing f and g with a common act h at weight a leaves
+a * (u_f - u_g): independence compares, once per distinct d, the folded
+margin of k * d with k times d's, and walks pairs of acts only to gather
+witnesses.
 
 Favorable mixing on a battery whose mixing box fits in n ** 3 entries, as
 every lattice's does, folds the whole box instead: every vector whose
@@ -44,11 +47,13 @@ the negation of each, the readers of its rows, the dominance pairs and the
 constant acts.  One battery serves every instance with its state count,
 and ``verify`` builds each lattice's once per process.  An instance's
 ``MarginTable`` over a battery holds the rest: per selection of belief
-sets, each vertex's expectation of each act and, once read, the folded
-mixing box, and one ``relation(kind)`` per model.  Kinds that read the same
-sets (GeneralizedBewley, Disjunctive, Conjunctive and the mixtures) share
-one box fold.  ``audit_suite`` keeps the last table it built, so calls that
-audit one instance's battery under several kinds in turn build one table.
+sets, each vertex's expectation of each act and, once read, the fold of
+k * d for each weight and the folded mixing box, and one
+``relation(kind)`` per model.  Kinds that read the same sets
+(GeneralizedBewley, Disjunctive, Conjunctive and the mixtures; Bewley and
+Justifiable on one set) share one fold per weight and one box fold.
+``audit_suite`` keeps the last table it built, so calls that audit one
+instance's battery under several kinds in turn build one table.
 An audit's ``_Runner`` keeps only its tally.
 """
 
@@ -314,7 +319,8 @@ class MarginTable:
     minmax, and folds them with its ``combine`` rule.  On a model's first
     use, the table builds integer columns for the sets ``kind.sets`` names,
     keyed by their integer view, and folds (maxmin, minmax) once per
-    distinct difference.  Kinds that read the same sets share all of it.
+    distinct difference, and on first read k times each and the mixing
+    box.  Kinds that read the same sets share all of it.
     Sets on another number of states than the battery's are refused.
     ``relation(kind)`` is memoized here, and nowhere else; ``n`` and
     ``uvecs`` are the battery's.
@@ -358,9 +364,9 @@ class _SetColumns:
     ``acts[c][i]`` is the c-th vertex's expectation of u_i over ``denom``,
     and ``parts`` are the sets' ranges in ``acts`` and in ``vertices``, the
     integer vertex rows.  Every vertex value an audit reads combines these:
-    ``differences`` folds the battery's distinct differences, whose
-    ``maxmin`` and ``minmax`` are kept, ``box`` the battery's whole mixing
-    box, and ``fold`` any other vectors.
+    ``differences(k)`` folds k times the battery's distinct differences (at
+    k = 1 ``maxmin`` and ``minmax``), ``box`` the battery's whole mixing
+    box, each once and kept, and ``fold`` any other vectors.
     """
 
     def __init__(self, sets: BeliefCollection, battery: Battery):
@@ -371,6 +377,7 @@ class _SetColumns:
         self.battery = battery
         self.vertices = [v for verts in set_rows for v in verts]
         self.acts = [_combine(v, battery.state_rows) for v in self.vertices]
+        self._differences = {}
         self.maxmin, self.minmax = self.differences(1)
         self._box = None
 
@@ -405,16 +412,19 @@ class _SetColumns:
     def differences(self, k: int) -> tuple[list[int], list[int]]:
         """The (maxmin, minmax) of k * (u_i - u_j) for each of ``distinct`` in turn.
 
-        Folds maxmin alone, since minmax(d) = -maxmin(-d).
+        Folds maxmin alone, since minmax(d) = -maxmin(-d), once per k;
+        callers must not mutate the kept lists.
         """
-        battery = self.battery
-        cols = []
-        for acts in self.acts:
-            scaled = list(map(k.__mul__, acts))
-            cols.append(list(map(operator.sub, map(scaled.__getitem__, battery.minuends),
-                                 map(scaled.__getitem__, battery.subtrahends))))
-        maxmin = _maxmin(cols, self.parts)
-        return maxmin, [-x for x in map(maxmin.__getitem__, battery.negations)]
+        if k not in self._differences:
+            battery = self.battery
+            cols = []
+            for acts in self.acts:
+                scaled = list(map(k.__mul__, acts))
+                cols.append(list(map(operator.sub, map(scaled.__getitem__, battery.minuends),
+                                     map(scaled.__getitem__, battery.subtrahends))))
+            maxmin = _maxmin(cols, self.parts)
+            self._differences[k] = maxmin, [-x for x in map(maxmin.__getitem__, battery.negations)]
+        return self._differences[k]
 
     def fold(self, cols: list[list[int]]) -> tuple[list[int], list[int]]:
         """The (maxmin, minmax) of the vectors whose values at the c-th vertex are ``cols[c]``."""
@@ -563,19 +573,28 @@ class _Runner:
         return num
 
     def fail_pairs(self, mask: int, note: str) -> None:
-        """Count each pair i < j with u_i - u_j in the relation's ``mask`` as one violation.
-
-        Witnesses, with both margins, are kept in (i, j) order, gathering a
-        row of ``mask`` per i only until the cap is met or all are seen.
-        """
+        """Count each pair i < j with u_i - u_j in the relation's ``mask`` as one violation."""
         num, rel = self.margin_num, self.relation
-        hits, total, seen = format(mask, f"0{len(rel.line)}b"), rel.count(mask), 0
+        self.fail_rows(format(mask, f"0{len(rel.line)}b"), rel.count(mask),
+                       lambda i, j: [((i, j), (num(i, j), num(j, i)), note)])
+
+    def fail_rows(self, hits: str, total: int, failures: Callable[[int, int], list]) -> None:
+        """Count ``total`` violations, at the pairs i < j whose u_i - u_j is "1" in ``hits``.
+
+        ``failures(i, j)`` lists the arguments of ``fail`` for each at the
+        pair.  Witnesses are kept in (i, j) order, gathering a row of
+        ``hits`` per i only until the cap is met or all are seen.
+        """
+        seen = 0
         for i, read in enumerate(self.table.battery.readers):
             if seen == total or len(self.witnesses) >= self.witness_cap:
                 break
-            bad = int("".join(read(hits)), 2) >> i + 1 << i + 1  # the j > i
-            seen += bad.bit_count()
-            self.fail_each(bad, lambda j: ((i, j), (num(i, j), num(j, i)), note))
+            for j in _set_bits(int("".join(read(hits)), 2) >> i + 1 << i + 1):  # the j > i
+                if len(self.witnesses) >= self.witness_cap:
+                    break  # the rest are counted unread
+                for args in failures(i, j):
+                    seen += 1
+                    self.fail(*args)
         self.total += total - seen
 
     def weak_matrix(self) -> tuple[list[int], list[int]]:
@@ -653,23 +672,29 @@ def _run_monotonicity(r: _Runner) -> None:
 
 
 def _run_independence(r: _Runner) -> None:
-    codes, distinct = r.table.battery.codes, r.table.battery.distinct
-    rel = r.relation
-    # The margins of k * (u_i - u_j), folded once per weight k / s; at k = 1
-    # they are the relation's own.
-    weights = [(a, k, rel.num if k == 1 else
-                dict(zip(distinct, map(rel.combine, *rel.cols.differences(k)))))
-               for a, k in zip(MIX_GRID, _MIX_KS)]
-    for i, j in itertools.combinations(range(r.table.n), 2):
-        code = codes[i] - codes[j]
-        base_num = r.margin_num(i, j)
-        for a, k, folded in weights:
-            r.checked += 1
-            num = folded[code]
-            r.zeros += num == 0
-            if num != k * base_num:
-                r.fail((i, j), (base_num * _MIX_SCALE, num),
-                       f"margin not homogeneous at {a}", rel.unit * _MIX_SCALE)
+    battery, rel, n = r.table.battery, r.relation, r.table.n
+    r.checked += len(_MIX_KS) * n * (n - 1) // 2
+    base = list(rel.num.values())  # in the order of ``distinct``
+    # A pair reads its own margin and each weight's; every zero read counts.
+    zeros = sum(itertools.compress(battery.upper, map(operator.not_, base)))
+    r.zeros += zeros
+    off, total = {}, 0  # per code, each weight where k * d's margin is not k times d's
+    for a, k in zip(MIX_GRID, _MIX_KS):
+        nums = base if k == 1 else list(map(rel.combine, *rel.cols.differences(k)))
+        scaled = base if k == 1 else list(map(k.__mul__, base))
+        if nums == scaled:  # so their zeros are the base's
+            r.zeros += zeros
+            continue
+        r.zeros += sum(itertools.compress(battery.upper, map(operator.not_, nums)))
+        for c, b, x, m in itertools.compress(zip(battery.distinct, base, nums, battery.upper),
+                                             map(operator.ne, nums, scaled)):
+            off.setdefault(c, []).append((a, b * _MIX_SCALE, x))
+            total += m
+    if total:
+        codes, unit = battery.codes, rel.unit * _MIX_SCALE
+        r.fail_rows("".join(["1" if c in off else "0" for c in battery.distinct]), total,
+                    lambda i, j: [((i, j), margins, f"margin not homogeneous at {a}", unit)
+                                  for a, *margins in off[codes[i] - codes[j]]])
 
 
 def _run_completeness(r: _Runner) -> None:

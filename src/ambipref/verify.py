@@ -469,8 +469,9 @@ def verify(
 
     Set the AMBIPREF_THREADS environment variable above 1 to fan seeds out
     over a process pool of that many workers, capped at the number of seeds
-    and of CPUs; results are merged in seed order either way, so the report
-    does not depend on the worker count.  A setting that is not a decimal
+    and of CPUs, handed the seeds in chunks, about four chunks per worker;
+    results are merged in seed order either way, so the report does not
+    depend on the worker count.  A setting that is not a decimal
     integer >= 1 raises ValueError before any seed runs.
     """
     config = config or VerifyConfig()
@@ -482,7 +483,8 @@ def verify(
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for the import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_seed_work, jobs))
+            results = list(pool.map(_seed_work, jobs,
+                                    chunksize=max(1, len(jobs) // (4 * workers))))
     else:
         results = [_seed_work(job) for job in jobs]
     return VerificationReport(

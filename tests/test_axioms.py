@@ -485,6 +485,35 @@ def reference_mixing_audits(kind, inst, uvecs, cap=WITNESS_CAP):
     return fav, ind
 
 
+def pairwise_independence(table, kind, cap):
+    """Independence by a walk of every pair i < j, weights inner, in the shape of ``summarize``.
+
+    Each pair reads its own margin and each weight's folded margin by its
+    code, each zero read counting once, from the table's relation and its
+    columns' ``differences``.
+    """
+    rel, codes = table.relation(kind), table.battery.codes
+    cols = table.columns(kind)
+    ks = [int(a * _MIX_SCALE) for a in MIX_GRID]
+    folded = [rel.num if k == 1 else
+              dict(zip(table.battery.distinct, map(kind.combine, *cols.differences(k))))
+              for k in ks]
+    unit = rel.unit * _MIX_SCALE
+    out = {"total": 0, "checked": 0, "flags": 0, "witnesses": []}
+    for i, j in itertools.combinations(range(table.n), 2):
+        base = rel.num[codes[i] - codes[j]]
+        out["flags"] += base == 0
+        for k, nums in zip(ks, folded):
+            num = nums[codes[i] - codes[j]]
+            out["checked"] += 1
+            out["flags"] += num == 0
+            if num != k * base:
+                out["total"] += 1
+                if len(out["witnesses"]) < cap:
+                    out["witnesses"].append(((i, j), (F(base * _MIX_SCALE, unit), F(num, unit))))
+    return {"passed": not out["total"], **out}
+
+
 def spy_boxes(monkeypatch) -> list[int]:
     """Patch ``_SetColumns.box`` to record the length of the box at each read.
 
@@ -653,10 +682,12 @@ class TestMixingAudits:
             monkeypatch.setattr(rel, "num", CountedReads(rel.num))
             calls.clear()
             report = audit(AxiomKind.INDEPENDENCE, kind, inst, battery, table=table)
-            # Weight 1/4 reads the relation's own margins, once per pair
-            # beside the pair's margin, and only weights 1/2 and 3/4 fold.
+            # Weight 1/4 reads the relation's own margins, and only weights
+            # 1/2 and 3/4 fold.  The margins are read once, in the order of
+            # the battery's distinct differences, and the kept witnesses'
+            # come from that read: no pair looks one up.
             assert calls == [2, 3], kind
-            assert rel.num.reads == 2 * pairs, kind
+            assert rel.num.reads == 0, kind
             assert report.checked == expected and report.total_violations == 2 * pairs, kind
             assert len(report.witnesses) == WITNESS_CAP
             assert all(len(w.indices) == 2 for w in report.witnesses), kind
@@ -715,6 +746,83 @@ class TestMixingAudits:
         report = audit(AxiomKind.INDEPENDENCE, GeneralizedBewley(), disjoint_pair, table=table)
         assert report.passed
         assert calls == [(2, len(table.battery.distinct)), (3, len(table.battery.distinct))]
+
+    @pytest.mark.parametrize("cap", [2, WITNESS_CAP])
+    def test_independence_counts_per_difference_as_pair_by_pair(self, monkeypatch, cap):
+        """Perturbed heavier folds give the counts, witnesses and flags of a pair walk.
+
+        Both heavier folds are shifted at the difference the most pairs
+        share, more than a cap of 2 and, on the 125-act lattice, more than
+        the default cap; weight 3/4's is also zero at the difference of the
+        first and last acts.  On the lattice and on two irregular batteries, with
+        duplicate acts, the report matches a walk of every pair i < j with
+        the weights inner, reading the same folds.
+        """
+        inst = generate_instance(3, GenParams(num_states=3))
+        lattice = [utility_vector(inst.utility, a) for a in generate_act_grid(inst, resolution=2)]
+        batteries = [lattice, *list(irregular_batteries(random.Random(0), 3))[2:4]]
+        differences = _SetColumns.differences
+        targets = {}
+
+        def perturbed(self, k):
+            maxmin, minmax = differences(self, k)
+            if k == 1:
+                return maxmin, minmax
+            shift, zero = targets[self.battery]
+            maxmin = [x + (r == shift) for r, x in enumerate(maxmin)]
+            if k == 2:
+                return maxmin, minmax
+            return ([0 if r == zero else x for r, x in enumerate(maxmin)],
+                    [0 if r == zero else x for r, x in enumerate(minmax)])
+
+        monkeypatch.setattr(_SetColumns, "differences", perturbed)
+        for uvecs in batteries:
+            table = MarginTable(inst, uvecs)
+            battery = table.battery
+            upper, codes = battery.upper, battery.codes
+            targets[battery] = (max(range(len(upper)), key=upper.__getitem__),
+                                battery.distinct.index(codes[0] - codes[-1]))
+            assert upper[targets[battery][0]] > (WITNESS_CAP if uvecs is lattice else 2)
+            for kind in eight_kinds(inst)[1]:
+                report = audit(AxiomKind.INDEPENDENCE, kind, inst, table=table, witness_cap=cap)
+                assert summarize(report) == pairwise_independence(table, kind, cap), kind
+                assert not report.passed, (len(uvecs), kind)
+
+    def test_audit_suite_folds_each_weight_once_per_selection_of_sets(self, monkeypatch):
+        """Eight kinds over one battery fold k = 1, 2 and 3 once per selection of sets.
+
+        The five kinds over the whole collection share one selection,
+        Bewley and Justifiable on the first set another, SEU its prior a
+        third.  The spy counts the folds that ``differences`` runs, not its
+        calls, which later kinds repeat to read the kept folds.
+        """
+        monkeypatch.setattr(axioms_module, "_last_table", None)
+        inst = generate_instance(3, GenParams(num_states=3))
+        battery = generate_act_grid(inst, resolution=1)
+        differences, maxmin = _SetColumns.differences, axioms_module._maxmin
+        weights, folds = [], []
+
+        def in_differences(self, k):
+            weights.append((self, k))
+            try:
+                return differences(self, k)
+            finally:
+                weights.pop()
+
+        def counted(cols, parts):
+            if weights:
+                folds.append(weights[-1])
+            return maxmin(cols, parts)
+
+        monkeypatch.setattr(_SetColumns, "differences", in_differences)
+        monkeypatch.setattr(axioms_module, "_maxmin", counted)
+        for kind in eight_kinds(inst)[1]:
+            reports = audit_suite(kind, inst, battery)
+            assert [r.axiom for r in reports] == list(AxiomKind)
+        selections = {cols for cols, _ in folds}
+        assert len(selections) == 3
+        assert sorted(k for _, k in folds) == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+        assert len(set(folds)) == len(folds)
 
     def test_favorable_mixing_folds_each_distinct_vector_once(self, monkeypatch):
         """One fold, with one column entry per distinct k * u_f - s * u_g + (s - k) * u_h.
@@ -885,6 +993,25 @@ class TestMixingAudits:
             calls.clear()
             report = audit(AxiomKind.FAVORABLE_MIXING, kind, inst, table=table, witness_cap=1)
             assert len(calls) == len(report.witnesses) == min(report.total_violations, 1), kind
+            over_cap += report.total_violations >= 2
+        assert over_cap
+
+    @pytest.mark.parametrize("axiom", [AxiomKind.COMPLETENESS, AxiomKind.NEGATIVE_COMPLETENESS])
+    def test_pair_walks_read_no_pair_past_the_cap(self, axiom, monkeypatch):
+        """With ``witness_cap=1``, the walk stops inside the first failing row.
+
+        Each kept witness reads its pair's two margins, and the pairs left
+        in that row are counted without a read.
+        """
+        inst = generate_instance(3, GenParams(num_states=3))
+        uvecs = [utility_vector(inst.utility, a) for a in generate_act_grid(inst, resolution=1)]
+        table = MarginTable(inst, uvecs)
+        over_cap = 0
+        for kind in eight_kinds(inst)[1]:
+            rel = table.relation(kind)
+            monkeypatch.setattr(rel, "num", CountedReads(rel.num))
+            report = audit(axiom, kind, inst, table=table, witness_cap=1)
+            assert rel.num.reads == 2 * len(report.witnesses), kind
             over_cap += report.total_violations >= 2
         assert over_cap
 

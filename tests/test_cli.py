@@ -178,7 +178,9 @@ class TestEvaluate:
         assert doc["relation"] == "strictly_preferred"
 
 
-PINNED_AUDIT_MODELS = ("gb", "disjunctive", "conjunctive", "half", "alpha:3/4")
+# "{first}" stands for the name of the instance's first belief set.
+PINNED_AUDIT_MODELS = ("gb", "disjunctive", "conjunctive", "half", "alpha:3/4",
+                       "bewley:{first}", "justifiable:{first}", "seu:1/2,1/2")
 
 
 class TestUnknownNames:
@@ -222,11 +224,12 @@ class TestPinnedAudits:
     @pytest.mark.parametrize("model", PINNED_AUDIT_MODELS)
     @pytest.mark.parametrize("stem", sorted(p.stem for p in INSTANCES.glob("*.json")))
     def test_bundled_instance_audit(self, stem, model, capsys):
-        code = main(["audit", "--instance", str(INSTANCES / f"{stem}.json"),
-                     "--model", model, "--axioms", "all"])
+        path = INSTANCES / f"{stem}.json"
+        model = model.format(first=json.loads(path.read_text())["belief_collection"][0]["name"])
+        code = main(["audit", "--instance", str(path), "--model", model, "--axioms", "all"])
         out = capsys.readouterr().out
         assert code == (0 if '"passed": false' not in out else 1)
-        tag = model.replace(":", "_").replace("/", "_")
+        tag = model.replace(":", "_").replace("/", "_").replace(",", "_")
         pinned = Path(__file__).resolve().parent / "data" / "audit" / f"{stem}_{tag}.json"
         assert out == pinned.read_text(encoding="utf-8")
 

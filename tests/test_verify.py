@@ -85,10 +85,11 @@ class TestRunner:
         assert verify_mod._worker_count(3) == workers
 
     def test_thread_setting_is_clamped_to_seeds_and_cpus(self, monkeypatch):
-        sizes = []
+        """The pool's size is clamped, and it takes about four chunks of seeds per worker."""
+        sizes, chunks = [], []
 
         class RecordingPool:
-            """Stands in for the process pool: records its size, maps serially."""
+            """Stands in for the process pool: records its size and chunks, maps serially."""
 
             def __init__(self, max_workers):
                 sizes.append(max_workers)
@@ -99,7 +100,8 @@ class TestRunner:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
+            def map(self, fn, jobs, chunksize=1):
+                chunks.append(chunksize)
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -110,7 +112,10 @@ class TestRunner:
         verify(["thm2"], range(3))
         monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
         verify(["thm2"], range(3))
-        assert sizes == [3, 2]
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+        verify(["thm2"], range(17))
+        assert sizes == [3, 2, 2]
+        assert chunks == [1, 1, 2]
         assert report.passed
 
     def test_importing_the_package_leaves_the_process_pool_unloaded(self):
