@@ -1,10 +1,11 @@
 """Measure this checkout against a baseline checkout on every perfbench workload.
 
-    python3 scripts/bench.py --out BENCH_10.json --baseline ../parent-checkout
+    python3 scripts/bench.py --out BENCH_10.json --baseline ../parent-checkout --seeds 60..69
 
 Each run is ``python3 perfbench/run.py --workload W --seed S --seconds 30
 --trace 0`` in the root of the checkout being measured, for every workload in
-``BENCHMARK.json`` and seeds 20..29.  The two checkouts alternate run by run
+``BENCHMARK.json`` and each seed of ``--seeds A..B`` (default 20..29, at least
+two seeds), recorded in every row.  The two checkouts alternate run by run
 (and alternate which of the two goes first), so both see the same machine
 load.  For every workload the script writes one row per checkout: the median
 and quartiles over the seeds of each end-to-end metric that ``BENCHMARK.json``
@@ -35,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -43,6 +45,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = list(range(20, 30))
 SECONDS = 30
+
+
+def parse_seeds(text: str) -> list[int]:
+    """The seeds A, A + 1, ..., B of ``A..B``, for 0 <= A < B."""
+    match = re.fullmatch(r"(\d+)\.\.(\d+)", text, re.ASCII)
+    if not match or int(match[1]) >= int(match[2]):
+        raise argparse.ArgumentTypeError(f"expected A..B with 0 <= A < B, got {text!r}")
+    return list(range(int(match[1]), int(match[2]) + 1))
 
 
 def _git(root: Path, *args: str):
@@ -129,7 +139,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--baseline", type=Path, required=True,
                         help="a second checkout to measure alongside")
+    parser.add_argument("--seeds", type=parse_seeds, default=SEEDS,
+                        help="the perfbench seeds, as A..B (default 20..29)")
     args = parser.parse_args(argv)
+    seeds = args.seeds
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [m["name"] for m in spec["end_to_end"]]
@@ -139,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     rows = []
     for workload in (w["name"] for w in spec["workloads"]):
         results = {role: [] for role in roots}
-        for i, seed in enumerate(SEEDS):
+        for i, seed in enumerate(seeds):
             # Alternate which checkout runs first, so neither always runs warm.
             order = list(roots.items())
             for role, root in order if i % 2 == 0 else order[::-1]:
@@ -151,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
                     "workload": workload,
                     "role": role,
                     **checkout_info(root),
-                    "seeds": SEEDS,
+                    "seeds": seeds,
                     "seconds": SECONDS,
                     "correct": all(r["correct"] for r in results[role]),
                     "metrics": summarize(results[role], names),
@@ -160,8 +173,8 @@ def main(argv: list[str] | None = None) -> int:
         rows[-1].update(compare(rows[-1]["metrics"], rows[-2]["metrics"], higher))
         layers = {}
         for role, root in roots.items():
-            print(f"# {workload} seed={SEEDS[0]} {role} traced", file=sys.stderr, flush=True)
-            traced = run_once(root, workload, SEEDS[0], trace=1)
+            print(f"# {workload} seed={seeds[0]} {role} traced", file=sys.stderr, flush=True)
+            traced = run_once(root, workload, seeds[0], trace=1)
             layers[role] = {
                 "correct": traced["correct"],
                 "metrics": {name: m["value"] for name, m in traced["metrics"].items()},

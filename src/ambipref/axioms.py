@@ -16,14 +16,20 @@ expectations of the acts, and yield their (maxmin, minmax) numerators,
 which each model's ``combine`` turns into its margin.  Acts have integer
 codes, linear and injective on the vectors the audits read, used as keys
 so that each distinct vector is folded once: the distinct
-u_i - u_j (9 ** n on a resolution-2 lattice, against 25 ** n pairs; maxmin
-alone, as minmax(d) = -maxmin(-d)), k * (u_i - u_j) for each weight k / s
-in ``MIX_GRID`` for independence, and the distinct
-k * u_f + (s - k) * u_h - s * u_g for favorable mixing.  A model's relation
-is the sign of each distinct difference, so both completeness axioms and
-independence count checks, violations and zero margins per difference,
-weighted by the pairs of acts behind each (``Battery.upper``), and the
-audits gather act rows only for witnesses and constants.  Utility is
+u_i - u_j (9 ** n on a resolution-2 lattice, against 25 ** n pairs), k *
+(u_i - u_j) for each weight k / s in ``MIX_GRID`` for independence, and the
+distinct k * u_f + (s - k) * u_h - s * u_g for favorable mixing.  The
+distinct u_i - u_j are kept in code order, and come in opposite pairs, so
+-d sits at the mirror position of d: every read of -d, the minmax of each
+fold (minmax(d) = -maxmin(-d)) and each sign of -d, is a reversal.  On a
+lattice they fill a grid of balanced digits, in product order, so each
+weight's fold builds separable sums over the states, as the mixing box's
+does; other batteries gather each d's vertex values from one pair of acts
+that makes it.  A model's relation is the sign of each distinct
+difference, so both completeness axioms and independence count checks,
+violations and zero margins per difference, weighted by the pairs of acts
+behind each (``Battery.upper``), and the audits gather act rows only for
+witnesses and constants.  Utility is
 affine, so mixing f and g with a common act h at weight a leaves
 a * (u_f - u_g): independence compares, once per distinct d, the folded
 margin of k * d with k times d's, and walks pairs of acts only to gather
@@ -42,14 +48,14 @@ denominators, whose box is larger, fold each distinct d once, from one
 act triple that makes it.
 
 The shared work splits in two.  A ``Battery`` holds what reads no belief
-set: the scaled rows, codes, distinct differences with a pair of acts and
-the negation of each, the readers of its rows, the dominance pairs and the
+set: the scaled rows, codes, distinct differences in code order with a pair
+of acts behind each, the readers of its rows, the dominance pairs and the
 constant acts.  One battery serves every instance with its state count,
 and ``verify`` builds each lattice's once per process.  An instance's
 ``MarginTable`` over a battery holds the rest: per selection of belief
-sets, each vertex's expectation of each act and, once read, the fold of
-k * d for each weight and the folded mixing box, and one
-``relation(kind)`` per model.  Kinds that read the same sets
+sets, its vertices and, once read, the fold of k * d for each weight, the
+folded mixing box and, off the grid, each vertex's expectation of each
+act, and one ``relation(kind)`` per model.  Kinds that read the same sets
 (GeneralizedBewley, Disjunctive, Conjunctive and the mixtures; Bewley and
 Justifiable on one set) share one fold per weight and one box fold.
 ``audit_suite`` keeps the last table it built, so calls that audit one
@@ -241,10 +247,14 @@ class Battery:
     favorable-mixing combination.  So a lattice's codes, and its mixing
     box, do not grow with its radius.  Codes are dedup keys and, offset by
     half the mixing box's size, its indices; they are never decoded.
-    ``distinct`` lists the codes of the u_i - u_j once each, each with one
-    pair of acts that differ by it and the position of its negation;
-    ``upper`` counts the pairs i < j behind each.  None of it reads belief
-    sets, so one battery serves every instance with that many states;
+    ``distinct`` lists the codes of the u_i - u_j once each, in ascending
+    order, so -distinct[r] is distinct[-1 - r]; ``position`` maps each code
+    to its place there, ``minuends`` and ``subtrahends`` hold one pair of
+    acts that differ by each, and ``upper`` counts the pairs i < j behind
+    each.  ``grid`` holds when they are every vector whose entries are at
+    most ``spread`` steps, as on every lattice: then ``distinct`` is that
+    digit grid in product order, the last state leading.  None of it reads
+    belief sets, so one battery serves every instance with that many states;
     ``upper``, ``dominance`` and the constant acts behind ``constants()``
     are memoized here.  The state count is given, since an empty battery
     has no vector to read it from.
@@ -267,20 +277,23 @@ class Battery:
                       for u in self._scaled]
         unique = set(self.codes)
         pairs = {a - b: (a, b) for a in unique for b in unique}
-        self.distinct = list(pairs)
-        # distinct[r] is u_i - u_j for i = minuends[r] and j = subtrahends[r],
-        # and its negation is distinct[negations[r]].
+        # Sorted, and closed under negation, so -distinct[r] is distinct[-1 - r].
+        self.distinct = sorted(pairs)
+        self.position = position = {c: r for r, c in enumerate(self.distinct)}
+        # Every u_i - u_j has entries of at most ``spread`` steps, so this
+        # holds when they are all such vectors, as on every lattice.
+        self.spread = spread
+        self.grid = len(self.distinct) == (2 * spread + 1) ** num_states
+        # distinct[r] is u_i - u_j for i = minuends[r] and j = subtrahends[r].
         act = {c: i for i, c in enumerate(self.codes)}
-        self.minuends = [act[a] for a, _ in pairs.values()]
-        self.subtrahends = [act[b] for _, b in pairs.values()]
-        rank = {c: r for r, c in enumerate(self.distinct)}
-        self.negations = [rank[-c] for c in self.distinct]
+        self.minuends = [act[pairs[c][0]] for c in self.distinct]
+        self.subtrahends = [act[pairs[c][1]] for c in self.distinct]
         self.state_rows = [[row[s] for row in self._scaled] for s in range(num_states)]
         # readers[i] picks, from a sequence in the order of ``distinct``, the
         # items of codes[i] - codes[j] for j descending.
         descending = self.codes[::-1]
         self.readers = [
-            operator.itemgetter(*map(rank.__getitem__, map(c.__sub__, descending)))
+            operator.itemgetter(*map(position.__getitem__, map(c.__sub__, descending)))
             for c in self.codes
         ]
 
@@ -366,7 +379,10 @@ class _SetColumns:
     integer vertex rows.  Every vertex value an audit reads combines these:
     ``differences(k)`` folds k times the battery's distinct differences (at
     k = 1 ``maxmin`` and ``minmax``), ``box`` the battery's whole mixing
-    box, each once and kept, and ``fold`` any other vectors.
+    box, each once and kept, and ``fold`` any other vectors.  On a battery
+    whose differences fill their digit grid, as a lattice's do, both
+    ``differences`` and ``box`` fold separable sums over the vertices and
+    ``acts`` is never built; otherwise it is built on first read.
     """
 
     def __init__(self, sets: BeliefCollection, battery: Battery):
@@ -376,10 +392,13 @@ class _SetColumns:
         self.parts = list(zip([0, *ends], ends))
         self.battery = battery
         self.vertices = [v for verts in set_rows for v in verts]
-        self.acts = [_combine(v, battery.state_rows) for v in self.vertices]
         self._differences = {}
         self.maxmin, self.minmax = self.differences(1)
         self._box = None
+
+    @cached_property
+    def acts(self) -> list[list[int]]:
+        return [_combine(v, self.battery.state_rows) for v in self.vertices]
 
     def box(self) -> list[int]:
         """The maxmin of every vector in the battery's mixing box, by box index.
@@ -388,42 +407,39 @@ class _SetColumns:
         entries are d_j steps, d_j in [-half, half]; d has index code +
         size // 2, the sum of (d_j + half) * radix ** j.  A vertex's value
         of d is the separable sum of v_j * step * d_j, on the unit of
-        ``acts``, and the sets are folded one at a time, so only a few
-        box-length lists are live at once.  Folded on the first call and
+        ``acts``, folded by ``_grid_maxmin``.  Folded on the first call and
         kept, as ``maxmin`` is, so every kind that reads these sets shares
         one fold; callers must not mutate it.
         """
         if self._box is None:
             half, step = self.battery.half, self.battery.step
-            digits = range(-half * step, half * step + 1, step)
-            maxmin = None
-            for start, end in self.parts:
-                low = None
-                for vertex in self.vertices[start:end]:
-                    values = [0]
-                    for x in reversed(vertex):  # the last state is the leading digit
-                        steps = [x * t for t in digits]
-                        values = [a + b for a in values for b in steps]
-                    low = values if low is None else _lower(low, values)
-                maxmin = low if maxmin is None else _upper(maxmin, low)
-            self._box = maxmin
+            self._box = _grid_maxmin(self.vertices, self.parts,
+                                     range(-half * step, half * step + 1, step))
         return self._box
 
     def differences(self, k: int) -> tuple[list[int], list[int]]:
         """The (maxmin, minmax) of k * (u_i - u_j) for each of ``distinct`` in turn.
 
-        Folds maxmin alone, since minmax(d) = -maxmin(-d), once per k;
+        Folds maxmin alone, once per k, from the digit grid when
+        ``Battery.grid`` holds and from each d's pair of acts otherwise.
+        The minmax is the maxmin reversed and negated, since
+        minmax(d) = -maxmin(-d) and -d sits at the mirror position;
         callers must not mutate the kept lists.
         """
         if k not in self._differences:
             battery = self.battery
-            cols = []
-            for acts in self.acts:
-                scaled = list(map(k.__mul__, acts))
-                cols.append(list(map(operator.sub, map(scaled.__getitem__, battery.minuends),
-                                     map(scaled.__getitem__, battery.subtrahends))))
-            maxmin = _maxmin(cols, self.parts)
-            self._differences[k] = maxmin, [-x for x in map(maxmin.__getitem__, battery.negations)]
+            if battery.grid:
+                t = k * battery.step
+                maxmin = _grid_maxmin(self.vertices, self.parts,
+                                      range(-battery.spread * t, battery.spread * t + 1, t))
+            else:
+                cols = []
+                for acts in self.acts:
+                    scaled = list(map(k.__mul__, acts))
+                    cols.append(list(map(operator.sub, map(scaled.__getitem__, battery.minuends),
+                                         map(scaled.__getitem__, battery.subtrahends))))
+                maxmin = _maxmin(cols, self.parts)
+            self._differences[k] = maxmin, [-x for x in reversed(maxmin)]
         return self._differences[k]
 
     def fold(self, cols: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -442,9 +458,11 @@ class _Relation:
 
     Built only by ``MarginTable.relation``, and holds no reference to the
     table.  ``combine`` turns the (maxmin, minmax) of the model's columns
-    ``cols`` into a numerator over ``unit``; ``num[c]`` is that of code c.
+    ``cols`` into a numerator over ``unit``; ``num[r]`` is that of
+    ``battery.distinct[r]``, so code c's is at ``battery.position[c]``.
     ``line`` has the "-0+" sign of each d of ``battery.distinct``, and
-    ``neg`` that of -d; ``zeros`` counts the zero margins off the diagonal.
+    ``neg``, its reversal, that of -d; ``zeros`` counts the zero margins
+    off the diagonal.
     Bit j of ``weak[i]`` is set when the margin of u_i - u_j is nonnegative,
     and ``weak_t[i]`` does the same for u_j - u_i.  Both are gathered on
     first read.
@@ -455,9 +473,9 @@ class _Relation:
         self.cols = cols = table.columns(kind)
         self.battery = battery = table.battery
         self.unit = cols.denom * kind.den
-        self.num = dict(zip(battery.distinct, map(self.combine, cols.maxmin, cols.minmax)))
-        self.line = line = _signs(self.num.values())
-        self.neg = "".join(map(line.__getitem__, battery.negations))
+        self.num = list(map(self.combine, cols.maxmin, cols.minmax))
+        self.line = line = _signs(self.num)
+        self.neg = line[::-1]
         self.zeros = self.count(self.mask("0")) + self.count(self.mask("0", transposed=True))
 
     def mask(self, signs: str, transposed: bool = False) -> int:
@@ -502,6 +520,27 @@ def _lower(x: list[int], y: list[int]) -> list[int]:
 def _upper(x: list[int], y: list[int]) -> list[int]:
     """The entrywise max of two lists."""
     return [a if a > b else b for a, b in zip(x, y)]
+
+
+def _grid_maxmin(vertices: list, parts, digits: range) -> list[int]:
+    """The maxmin of every vector whose entries, in scaled units, run over ``digits``.
+
+    The ``len(digits) ** num_states`` vectors come in product order, the
+    last state's entry leading, as codes sort.  A vertex's value is the
+    separable sum of v_j * d_j, and the sets are folded one at a time, so
+    only a few grid-length lists are live at once.
+    """
+    maxmin = None
+    for start, end in parts:
+        low = None
+        for vertex in vertices[start:end]:
+            values = [0]
+            for x in reversed(vertex):  # the last state is the leading digit
+                steps = [x * t for t in digits]
+                values = [a + b for a in values for b in steps]
+            low = values if low is None else _lower(low, values)
+        maxmin = low if maxmin is None else _upper(maxmin, low)
+    return maxmin
 
 
 def _maxmin(cols: list[list[int]], parts) -> list[int]:
@@ -566,8 +605,8 @@ class _Runner:
 
     def margin_num(self, i: int, j: int) -> int:
         """Numerator over ``unit`` of the margin for u_i - u_j, marking a zero in ``zero_read``."""
-        codes = self.table.battery.codes
-        num = self.relation.num[codes[i] - codes[j]]
+        battery = self.table.battery
+        num = self.relation.num[battery.position[battery.codes[i] - battery.codes[j]]]
         if num == 0:
             self.zero_read[i] |= 1 << j
         return num
@@ -674,7 +713,7 @@ def _run_monotonicity(r: _Runner) -> None:
 def _run_independence(r: _Runner) -> None:
     battery, rel, n = r.table.battery, r.relation, r.table.n
     r.checked += len(_MIX_KS) * n * (n - 1) // 2
-    base = list(rel.num.values())  # in the order of ``distinct``
+    base = rel.num
     # A pair reads its own margin and each weight's; every zero read counts.
     zeros = sum(itertools.compress(battery.upper, map(operator.not_, base)))
     r.zeros += zeros
@@ -730,7 +769,8 @@ def _constant_sandwich(r: _Runner, order, bit: int, note: str) -> None:
     consts = r.table.battery.constants()
     acts = [a for a, _ in consts]
     w, wt = (dict(zip(acts, r.relation.rows("0+", acts, t))) for t in (False, True))
-    diagonal = r.relation.num[0] == 0  # every other zero read is one of the relation's
+    # Every zero read off the diagonal is one of the relation's.
+    diagonal = r.relation.num[r.table.battery.position[0]] == 0
     r.all_zeros = True
     n, num = r.table.n, r.margin_num
     flip = 0 if bit else (1 << n) - 1

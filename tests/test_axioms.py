@@ -6,6 +6,7 @@ import importlib
 import itertools
 import json
 import math
+import operator
 import random
 import weakref
 from dataclasses import dataclass, replace
@@ -352,11 +353,12 @@ class TestMarginTableAgreement:
     def test_the_table_owns_one_relation_per_kind(self, disjoint_pair, monkeypatch):
         """Audits and ``weak_relation`` on one table read one memoized relation.
 
-        Its two rows are those of the margins it holds by difference code.
+        Its two rows are those of the margins it holds in the order of the
+        battery's distinct differences, read through their positions.
         """
         battery = generate_act_grid(disjoint_pair, resolution=1)
         table = MarginTable(disjoint_pair, [utility_vector(disjoint_pair.utility, a) for a in battery])
-        codes = table.battery.codes
+        codes, position = table.battery.codes, table.battery.position
 
         def bit_rows(cells, test):
             return [sum(test(x) << j for j, x in enumerate(row)) for row in cells]
@@ -372,7 +374,7 @@ class TestMarginTableAgreement:
         for kind in eight_kinds(disjoint_pair)[1]:
             rel = table.relation(kind)
             assert table.relation(kind) is rel, kind
-            margins = [[rel.num[a - b] for b in codes] for a in codes]
+            margins = [[rel.num[position[a - b]] for b in codes] for a in codes]
             transposed = list(zip(*margins))
             assert (rel.weak, rel.weak_t) == (
                 bit_rows(margins, (0).__le__), bit_rows(transposed, (0).__le__)), kind
@@ -488,23 +490,22 @@ def reference_mixing_audits(kind, inst, uvecs, cap=WITNESS_CAP):
 def pairwise_independence(table, kind, cap):
     """Independence by a walk of every pair i < j, weights inner, in the shape of ``summarize``.
 
-    Each pair reads its own margin and each weight's folded margin by its
-    code, each zero read counting once, from the table's relation and its
-    columns' ``differences``.
+    Each pair reads its own margin and each weight's folded margin at the
+    position of its code, each zero read counting once, from the table's
+    relation and its columns' ``differences``.
     """
-    rel, codes = table.relation(kind), table.battery.codes
+    rel, codes, position = table.relation(kind), table.battery.codes, table.battery.position
     cols = table.columns(kind)
     ks = [int(a * _MIX_SCALE) for a in MIX_GRID]
-    folded = [rel.num if k == 1 else
-              dict(zip(table.battery.distinct, map(kind.combine, *cols.differences(k))))
-              for k in ks]
+    folded = [rel.num if k == 1 else list(map(kind.combine, *cols.differences(k))) for k in ks]
     unit = rel.unit * _MIX_SCALE
     out = {"total": 0, "checked": 0, "flags": 0, "witnesses": []}
     for i, j in itertools.combinations(range(table.n), 2):
-        base = rel.num[codes[i] - codes[j]]
+        r = position[codes[i] - codes[j]]
+        base = rel.num[r]
         out["flags"] += base == 0
         for k, nums in zip(ks, folded):
-            num = nums[codes[i] - codes[j]]
+            num = nums[r]
             out["checked"] += 1
             out["flags"] += num == 0
             if num != k * base:
@@ -539,8 +540,8 @@ def mixing_tally(table, kind, cap, signs):
     return r.total, r.checked, r.zero_flags, r.witnesses
 
 
-class CountedReads(dict):
-    """A dict that counts its ``[]`` reads."""
+class CountedReads(list):
+    """A list that counts its ``[]`` reads; iterating it reads none."""
 
     reads = 0
 
@@ -794,12 +795,15 @@ class TestMixingAudits:
         The five kinds over the whole collection share one selection,
         Bewley and Justifiable on the first set another, SEU its prior a
         third.  The spy counts the folds that ``differences`` runs, not its
-        calls, which later kinds repeat to read the kept folds.
+        calls, which later kinds repeat to read the kept folds, whether a
+        fold gathers columns (``_maxmin``) or builds the lattice's digit grid
+        (``_grid_maxmin``, which the mixing box's fold also runs, outside
+        ``differences``).
         """
         monkeypatch.setattr(axioms_module, "_last_table", None)
         inst = generate_instance(3, GenParams(num_states=3))
         battery = generate_act_grid(inst, resolution=1)
-        differences, maxmin = _SetColumns.differences, axioms_module._maxmin
+        differences = _SetColumns.differences
         weights, folds = [], []
 
         def in_differences(self, k):
@@ -809,13 +813,16 @@ class TestMixingAudits:
             finally:
                 weights.pop()
 
-        def counted(cols, parts):
-            if weights:
-                folds.append(weights[-1])
-            return maxmin(cols, parts)
+        def counted(fold):
+            def spied(*args):
+                if weights:
+                    folds.append(weights[-1])
+                return fold(*args)
+            return spied
 
         monkeypatch.setattr(_SetColumns, "differences", in_differences)
-        monkeypatch.setattr(axioms_module, "_maxmin", counted)
+        for name in ("_maxmin", "_grid_maxmin"):
+            monkeypatch.setattr(axioms_module, name, counted(getattr(axioms_module, name)))
         for kind in eight_kinds(inst)[1]:
             reports = audit_suite(kind, inst, battery)
             assert [r.axiom for r in reports] == list(AxiomKind)
@@ -1140,6 +1147,79 @@ class Reversed(_Kind):
 
     tag = "reversed-generalized-bewley"
     combine = staticmethod(lambda maxmin, minmax: -minmax)
+
+
+class TestDifferenceOrder:
+    """``Battery.distinct`` in code order, and the digit-grid fold of lattices."""
+
+    @staticmethod
+    def batteries():
+        """Lattices at 2, 3 and 4 states, at radii 1 and 3/2, then irregular batteries."""
+        for states, resolution in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)):
+            for radius in (F(1), F(3, 2)):
+                yield True, Battery(states, phi_lattice(states, resolution, radius))
+        rng = random.Random(0)
+        for states in (2, 3):
+            for uvecs in irregular_batteries(rng, states):
+                yield len(uvecs) == 1, Battery(states, uvecs)
+
+    def test_distinct_is_sorted_and_its_reversal_is_its_negation(self):
+        """distinct[-1 - r] == -distinct[r], so the relation reads -d by reversal.
+
+        Every lattice's differences fill their digit grid; of the irregular
+        batteries only the one-act battery does, trivially.
+        """
+        for grid, battery in self.batteries():
+            distinct = battery.distinct
+            assert distinct == sorted(set(distinct)), battery.n
+            assert [-c for c in reversed(distinct)] == distinct, battery.n
+            assert battery.position == {c: r for r, c in enumerate(distinct)}
+            assert battery.grid is grid, battery.n
+
+    @pytest.mark.parametrize("radius", [F(1), F(3, 2)])
+    def test_the_grid_fold_is_a_pair_by_pair_fold(self, radius):
+        """At k = 1, 2 and 3, ``differences(k)`` on a lattice equals the fold of
+        explicit columns, each vertex's value of k * (u_i - u_j) for the pair
+        behind each distinct difference, on two selections of sets."""
+        for states, resolution in ((2, 2), (3, 1), (3, 2)):
+            inst = generate_instance(3, GenParams(num_states=states))
+            uvecs = phi_lattice(states, resolution, radius)
+            table = MarginTable(inst, Battery(states, uvecs))
+            battery = table.battery
+            assert battery.grid
+            for kind in (GeneralizedBewley(), Bewley(next(iter(inst.collection)).name)):
+                cols = table.columns(kind)
+                for k in (1, 2, 3):
+                    explicit = [
+                        [int(k * battery.du * sum(map(operator.mul, vertex, (uvecs[i] - uvecs[j]).entries)))
+                         for i, j in zip(battery.minuends, battery.subtrahends)]
+                        for vertex in cols.vertices
+                    ]
+                    assert cols.differences(k) == cols.fold(explicit), (states, resolution, kind, k)
+
+    def test_only_a_full_grid_takes_the_grid_fold(self, monkeypatch):
+        """An irregular battery gathers its pairs' columns and a lattice builds its
+        grid, reading no act column, through every audit of every kind."""
+        inst = generate_instance(3, GenParams(num_states=3))
+        irregular = list(irregular_batteries(random.Random(0), 3))[3]
+        lattice = phi_lattice(3, 2, F(1))
+        folds = []
+        for name in ("_maxmin", "_grid_maxmin"):
+            fold = getattr(axioms_module, name)
+            monkeypatch.setattr(axioms_module, name,
+                                lambda *args, fold=fold, name=name: folds.append(name) or fold(*args))
+        for uvecs, path in ((irregular, "_maxmin"), (lattice, "_grid_maxmin")):
+            table = MarginTable(inst, uvecs)
+            assert table.battery.grid is (uvecs is lattice)
+            folds.clear()
+            for kind in eight_kinds(inst)[1]:
+                table.columns(kind).differences(2)
+            assert folds == [path] * 6  # k = 1 and 2 on each of three selections of sets
+            if uvecs is lattice:
+                for kind in eight_kinds(inst)[1]:
+                    for axiom in AxiomKind:
+                        audit(axiom, kind, inst, table=table)
+                assert all("acts" not in vars(cols) for cols in table._columns.values())
 
 
 class TestPairwiseAudits:

@@ -101,3 +101,37 @@ def test_rows_keep_every_key_of_earlier_files(tmp_path, monkeypatch):
                 "head": {"correct": True, "metrics": {"lp.solve_calls": 50, "lp.solve_s": 0.05}},
             }
             assert row["counter_diffs"] == {"lp.solve_calls": {"baseline": 100, "head": 50}}
+
+
+@pytest.mark.parametrize("text, seeds", [("60..69", list(range(60, 70))), ("0..1", [0, 1])])
+def test_seed_ranges_parse(text, seeds):
+    assert bench.parse_seeds(text) == seeds
+
+
+@pytest.mark.parametrize("text", ["5", "9..3", "4..4", "-1..3", "a..b", "1...3", "1..3,5", "١..٣"])
+def test_bad_seed_ranges_exit_2_before_any_run(text, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "run_once", lambda *args, **kwargs: pytest.fail("ran a workload"))
+    with pytest.raises(SystemExit) as exit_info:
+        bench.main(["--out", str(tmp_path / "bench.json"), "--baseline", str(tmp_path),
+                    f"--seeds={text}"])
+    assert exit_info.value.code == 2
+    assert "expected A..B" in capsys.readouterr().err
+    assert not (tmp_path / "bench.json").exists()
+
+
+def test_each_row_records_the_seeds_it_ran(tmp_path, monkeypatch):
+    """``--seeds 60..62`` runs each checkout at those seeds, and traces the first."""
+    runs = []
+
+    def run_once(root, workload, seed, trace=0):
+        runs.append((workload, seed, trace))
+        return canned({name: 1.0 for name in NAMES})
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--out", str(out), "--baseline", str(tmp_path), "--seeds", "60..62"]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["seeds"] for row in rows] == [[60, 61, 62]] * len(rows)
+    assert {seed for _, seed, trace in runs if trace} == {60}
+    assert sorted(seed for _, seed, trace in runs if not trace) == sorted(
+        [60, 61, 62] * 2 * len(SPEC["workloads"]))  # one run per seed, workload and checkout

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import importlib
 import json
 import os
@@ -558,3 +559,13 @@ class TestGoldenReport:
         assert main(["verify", "--suites", "all", "--seeds", "0..3", "--states", "4"]) == 0
         pinned = GOLDEN.with_name("verify_report_4states.json")
         assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")
+
+    def test_hundred_four_state_seeds_reproduce_their_digest(self, capsys, monkeypatch):
+        """``verify --suites all --seeds 0..99 --states 4``: every seed folds the
+        625-act lattice's 6561-entry digit grid of differences."""
+        monkeypatch.delenv("AMBIPREF_THREADS", raising=False)
+        main = importlib.import_module("ambipref.cli").main
+        assert main(["verify", "--suites", "all", "--seeds", "0..99", "--states", "4"]) == 0
+        pinned = json.loads(GOLDEN.with_name("verify_4states_100_sha256.json").read_text())
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert [digest] == list(pinned.values())
