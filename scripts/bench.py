@@ -24,10 +24,10 @@ counter, that is every per-layer metric but the times and the pool's, whose
 value differs between the checkouts, with both values.  A change that only
 speeds code up moves none, so each listed diff is one the change must
 explain.  The file records ``nproc`` and the Python version.  Nothing under
-``perfbench/`` is changed.  The 60 measured runs and 6 traced runs took
-about 4 minutes on a 2-core x86 machine with Python 3.11: ``--seconds``
-sizes each window from the workload's nominal rate, and the code now runs
-well above those rates.
+``perfbench/`` is changed.  With ten seeds, the 60 measured runs and 6
+traced runs took 4 to 6 minutes on a 2-core x86 machine with Python 3.11:
+``--seconds`` sizes each window from the workload's nominal rate, and the
+code now runs well above those rates.
 """
 
 from __future__ import annotations
