@@ -43,9 +43,10 @@ its distinct d.  Vector d sits at index code + size // 2, each vertex's values
 are separable sums over the states, and the box's minmax is its maxmin
 reversed and negated, since -d sits at size - 1 - index.  So one "-0+" sign
 line serves every read, and each weight gathers one character per strictly
-ordered pair from the line's slice at act h.  Batteries with irregular
-denominators, whose box is larger, fold each distinct d once, from one
-act triple that makes it.
+ordered pair from the line's slice at act h; a box over ``MAX_MIXING_BOX``
+entries is refused before its fold.  Batteries with irregular denominators,
+whose box is larger, fold each distinct d once, from one act triple that
+makes it.
 
 The shared work splits in two.  A ``Battery`` holds what reads no belief
 set: the scaled rows, codes, distinct differences in code order with a pair
@@ -109,6 +110,7 @@ __all__ = [
 MIX_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 _MIX_SCALE, _MIX_KS = scaled(MIX_GRID)  # MIX_GRID[i] = _MIX_KS[i] / _MIX_SCALE
 WITNESS_CAP = 25
+MAX_MIXING_BOX = 17**5  # resolution 1 on 5 states: fits every lattice check_battery admits on <= 5
 
 
 class AxiomKind(Enum):
@@ -249,11 +251,11 @@ class Battery:
     half the mixing box's size, its indices; they are never decoded.
     ``distinct`` lists the codes of the u_i - u_j once each, in ascending
     order, so -distinct[r] is distinct[-1 - r]; ``position`` maps each code
-    to its place there, ``minuends`` and ``subtrahends`` hold one pair of
-    acts that differ by each, and ``upper`` counts the pairs i < j behind
-    each.  ``grid`` holds when they are every vector whose entries are at
-    most ``spread`` steps, as on every lattice: then ``distinct`` is that
-    digit grid in product order, the last state leading.  None of it reads
+    to its place there, ``minuends`` and ``subtrahends``, built on first
+    read, hold one pair of acts that differ by each, and ``upper`` counts
+    the pairs i < j behind each.  ``grid`` holds when they are every vector
+    whose entries are at most ``spread`` steps, as on every lattice: then
+    ``distinct`` is that digit grid in product order, the last state leading.  None of it reads
     belief sets, so one battery serves every instance with that many states;
     ``upper``, ``dominance`` and the constant acts behind ``constants()``
     are memoized here.  The state count is given, since an empty battery
@@ -276,18 +278,13 @@ class Battery:
         self.codes = [sum(x // self.step * self.radix**j for j, x in enumerate(u))
                       for u in self._scaled]
         unique = set(self.codes)
-        pairs = {a - b: (a, b) for a in unique for b in unique}
         # Sorted, and closed under negation, so -distinct[r] is distinct[-1 - r].
-        self.distinct = sorted(pairs)
+        self.distinct = sorted({a - b for a in unique for b in unique})
         self.position = position = {c: r for r, c in enumerate(self.distinct)}
         # Every u_i - u_j has entries of at most ``spread`` steps, so this
         # holds when they are all such vectors, as on every lattice.
         self.spread = spread
         self.grid = len(self.distinct) == (2 * spread + 1) ** num_states
-        # distinct[r] is u_i - u_j for i = minuends[r] and j = subtrahends[r].
-        act = {c: i for i, c in enumerate(self.codes)}
-        self.minuends = [act[pairs[c][0]] for c in self.distinct]
-        self.subtrahends = [act[pairs[c][1]] for c in self.distinct]
         self.state_rows = [[row[s] for row in self._scaled] for s in range(num_states)]
         # readers[i] picks, from a sequence in the order of ``distinct``, the
         # items of codes[i] - codes[j] for j descending.
@@ -296,6 +293,16 @@ class Battery:
             operator.itemgetter(*map(position.__getitem__, map(c.__sub__, descending)))
             for c in self.codes
         ]
+
+    @cached_property
+    def _pairs(self) -> tuple[list[int], list[int]]:
+        """For each of ``distinct``, one pair of acts i, j whose u_i - u_j it is."""
+        act = {c: i for i, c in enumerate(self.codes)}
+        pairs = {a - b: (i, j) for a, i in act.items() for b, j in act.items()}
+        return [pairs[c][0] for c in self.distinct], [pairs[c][1] for c in self.distinct]
+
+    minuends = property(lambda self: self._pairs[0])
+    subtrahends = property(lambda self: self._pairs[1])
 
     @cached_property
     def upper(self) -> list[int]:
@@ -791,7 +798,10 @@ def _run_favorable_mixing(r: _Runner) -> None:
     # Counted in steps, a resolution-r lattice's mixing box has (16r + 1) **
     # num_states entries, about as many as its distinct d, and fits in n ** 3
     # whatever the radius; irregular denominators make it far larger.
-    fits = battery.radix ** battery.num_states <= battery.n ** 3
+    size = battery.radix ** battery.num_states
+    fits = size <= battery.n ** 3
+    if fits and size > MAX_MIXING_BOX:
+        raise ValueError(f"favorable_mixing's box of {size} entries is over {MAX_MIXING_BOX = }")
     _favorable_mixing(r, _box_signs if fits else _distinct_signs)
 
 

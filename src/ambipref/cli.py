@@ -64,10 +64,6 @@ __all__ = [
 ]
 
 MAX_SEEDS = 10_000  # a range is checked from its two ends, before its list is built
-# One favorable-mixing audit of generator seed 1 takes 0.9-1.6 s of CPU per kind on
-# the 343-act lattice (three states, resolution 3) and 9 s under generalized Bewley
-# on the 625-act one (four, resolution 2), whose mixing box holds 1.19 million codes.
-MAX_MIXING_ACTS = 343
 
 _MODEL_HELP = (
     "gb | disjunctive | conjunctive | half | alpha:Q | bewley:NAME | "
@@ -220,13 +216,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     check_battery(args.resolution, instance.num_states)
     radius = parse_rational(args.radius)
     battery = generate_act_grid(instance, args.resolution, radius)
-    if AxiomKind.FAVORABLE_MIXING in axioms and len(battery) > MAX_MIXING_ACTS:
-        n = instance.num_states
-        fits = next(r for r in range(MAX_MIXING_ACTS) if (2 * r + 3) ** n > MAX_MIXING_ACTS)
-        raise InputError(
-            f"{AxiomKind.FAVORABLE_MIXING.value} audits at most {MAX_MIXING_ACTS} acts, not "
-            f"{len(battery)}; the largest resolution that fits on {n} states is {fits or 'none'}"
-        )
     uvecs = [utility_vector(instance.utility, act) for act in battery]
     desc = battery_label(instance, len(battery), args.resolution, radius)
     reports = audit_suite(kind, instance, battery, axioms=axioms, battery_desc=desc)

@@ -57,6 +57,7 @@ from ambipref import axioms as axioms_module
 from ambipref.margins import _Kind
 from ambipref.axioms import (
     MAX_BATTERY_ACTS,
+    MAX_MIXING_BOX,
     MIX_GRID,
     WITNESS_CAP,
     _MIX_SCALE,
@@ -880,6 +881,41 @@ class TestMixingAudits:
             report = audit(AxiomKind.FAVORABLE_MIXING, kind, inst, table=table)
             assert report.checked and boxes == [size], kind
 
+    def test_a_box_over_the_limit_is_refused_before_its_fold(self, tilted_instance, monkeypatch):
+        """The 6-state resolution-1 lattice: 729 acts and a box of 17 ** 6 entries.
+
+        Favorable mixing raises before any box fold, and the other eleven
+        axioms still audit the lattice.
+        """
+        inst = tilted_instance(6)
+        table = MarginTable(inst, phi_lattice(6, 1, F(1)))
+        assert (table.n, table.battery.radix ** 6) == (729, 17 ** 6)
+        boxes = spy_boxes(monkeypatch)
+        with pytest.raises(ValueError, match=f"box of {17 ** 6} entries is over "
+                                             f"MAX_MIXING_BOX = {MAX_MIXING_BOX}"):
+            audit(AxiomKind.FAVORABLE_MIXING, GeneralizedBewley(), inst, table=table)
+        assert boxes == []
+        others = [a for a in AxiomKind if a is not AxiomKind.FAVORABLE_MIXING]
+        reports = [audit(a, GeneralizedBewley(), inst, table=table) for a in others]
+        assert len(reports) == 11 and all(r.checked for r in reports)
+        assert boxes == []
+
+    def test_the_largest_admitted_box_reaches_its_fold(self, tilted_instance, monkeypatch):
+        """The 5-state resolution-1 lattice's box, of exactly ``MAX_MIXING_BOX`` entries,
+        is read through ``_box_signs``, stubbed here to spare its 1.4 million-entry fold."""
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        inst = tilted_instance(5)
+        table = MarginTable(inst, phi_lattice(5, 1, F(1)))
+        assert table.battery.radix ** 5 == MAX_MIXING_BOX == 17 ** 5
+        monkeypatch.setattr(axioms_module, "_box_signs", reached)
+        with pytest.raises(Reached):
+            audit(AxiomKind.FAVORABLE_MIXING, GeneralizedBewley(), inst, table=table)
+
     def test_the_box_is_counted_in_steps_at_every_radius(self, monkeypatch):
         """At radii 1, 3/2 and 5 the 125-act lattice folds one box of 33 ** 3 entries.
 
@@ -1199,7 +1235,7 @@ class TestDifferenceOrder:
 
     def test_only_a_full_grid_takes_the_grid_fold(self, monkeypatch):
         """An irregular battery gathers its pairs' columns and a lattice builds its
-        grid, reading no act column, through every audit of every kind."""
+        grid, reading no act column nor pair of acts, through every audit of every kind."""
         inst = generate_instance(3, GenParams(num_states=3))
         irregular = list(irregular_batteries(random.Random(0), 3))[3]
         lattice = phi_lattice(3, 2, F(1))
@@ -1220,6 +1256,7 @@ class TestDifferenceOrder:
                     for axiom in AxiomKind:
                         audit(axiom, kind, inst, table=table)
                 assert all("acts" not in vars(cols) for cols in table._columns.values())
+            assert ("_pairs" in vars(table.battery)) is (uvecs is irregular)
 
 
 class TestPairwiseAudits:

@@ -16,7 +16,6 @@ from ambipref import (
 from ambipref import cli
 from ambipref.cli import (
     MAX_BATTERY_ACTS,
-    MAX_MIXING_ACTS,
     MAX_SEEDS,
     MAX_SLICE_SAMPLES,
     InputError,
@@ -544,24 +543,26 @@ class TestSizeLimits:
         path.write_text(dumps_instance(generate_instance(1, GenParams(num_states=states))))
         return str(path)
 
-    def test_favorable_mixing_over_its_act_limit(self, monkeypatch, tmp_path, capsys):
-        def refuse(*args, **kwargs):
-            raise AssertionError("audit started despite favorable mixing over its limit")
-
-        monkeypatch.setattr(cli, "audit_suite", refuse)
-        # Four states at the default resolution 2: 5 ** 4 = 625 acts.
-        code = main(["audit", "--instance", self.generated(tmp_path, 4), "--model", "gb"])
+    def test_favorable_mixing_over_its_box_limit(self, tilted_instance, tmp_path, capsys):
+        """Six states at resolution 1: 729 acts, whose mixing box of 17 ** 6 entries
+        the library refuses before folding it."""
+        path = tmp_path / "six_states.json"
+        path.write_text(dumps_instance(tilted_instance(6)))
+        out = tmp_path / "report.json"
+        code = main(["audit", "--instance", str(path), "--model", "gb", "--resolution", "1",
+                     "--output", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"favorable_mixing audits at most {MAX_MIXING_ACTS} acts, not 625" in err
-        assert "the largest resolution that fits on 4 states is 1" in err
+        assert "favorable_mixing's box of 24137569 entries is over MAX_MIXING_BOX = 1419857" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "states, flags",
         [
-            (4, ["--axioms", "completeness"]),  # 625 acts without favorable mixing
-            (3, ["--resolution", "3"]),  # 7 ** 3 = 343 acts: at the limit
+            (4, []),  # 5 ** 4 = 625 acts at the default resolution
+            (3, ["--resolution", "4"]),  # 9 ** 3 = 729 acts
+            (2, ["--resolution", "13"]),  # 27 ** 2 = 729 acts
             (4, ["--resolution", "1"]),  # 3 ** 4 = 81 acts
         ],
     )
