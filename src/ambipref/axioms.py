@@ -16,24 +16,26 @@ expectations of the acts, and yield their (maxmin, minmax) numerators,
 which each model's ``combine`` turns into its margin.  Acts have integer
 codes, linear and injective on the vectors the audits read, used as keys
 so that each distinct vector is folded once: the distinct
-u_i - u_j (9 ** n on a resolution-2 lattice, against 25 ** n pairs), k *
-(u_i - u_j) for each weight k / s in ``MIX_GRID`` for independence, and the
-distinct k * u_f + (s - k) * u_h - s * u_g for favorable mixing.  The
+u_i - u_j (9 ** n on a resolution-2 lattice, against 25 ** n pairs), once
+per selection of belief sets, and the distinct
+k * u_f + (s - k) * u_h - s * u_g for favorable mixing.  The
 distinct u_i - u_j are kept in code order, and come in opposite pairs, so
 -d sits at the mirror position of d: every read of -d, the minmax of each
 fold (minmax(d) = -maxmin(-d)) and each sign of -d, is a reversal.  On a
-lattice they fill a grid of balanced digits, in product order, so each
-weight's fold builds separable sums over the states, as the mixing box's
-does; other batteries gather each d's vertex values from one pair of acts
+lattice they fill a grid of balanced digits, in product order, so their
+fold builds separable sums over the states, as the mixing box's does;
+other batteries gather each d's vertex values from one pair of acts
 that makes it.  A model's relation is the sign of each distinct
 difference, so both completeness axioms and independence count checks,
 violations and zero margins per difference, weighted by the pairs of acts
 behind each (``Battery.upper``), and the audits gather act rows only for
 witnesses and constants.  Utility is
 affine, so mixing f and g with a common act h at weight a leaves
-a * (u_f - u_g): independence compares, once per distinct d, the folded
-margin of k * d with k times d's, and walks pairs of acts only to gather
-witnesses.
+a * (u_f - u_g), and min and max commute with a positive scale, so the
+primitives of k * d are k times d's, as those of -d are d's reversed:
+independence compares, once per distinct d, the model's ``combine`` of
+k times d's primitives with k times its margin of d, and walks pairs of
+acts only to gather witnesses.
 
 Favorable mixing on a battery whose mixing box fits in n ** 3 entries, as
 every lattice's does, folds the whole box instead: every vector whose
@@ -46,7 +48,8 @@ line serves every read, and each weight gathers one character per strictly
 ordered pair from the line's slice at act h; a box over ``MAX_MIXING_BOX``
 entries is refused before its fold.  Batteries with irregular denominators,
 whose box is larger, fold each distinct d once, from one act triple that
-makes it.
+makes it; one with over ``MAX_MIXING_TRIPLES`` (weight, strict pair, act)
+triples is refused before any of that is built.
 
 The shared work splits in two.  A ``Battery`` holds what reads no belief
 set: the scaled rows, codes, distinct differences in code order with a pair
@@ -54,11 +57,11 @@ of acts behind each, the readers of its rows, the dominance pairs and the
 constant acts.  One battery serves every instance with its state count,
 and ``verify`` builds each lattice's once per process.  An instance's
 ``MarginTable`` over a battery holds the rest: per selection of belief
-sets, its vertices and, once read, the fold of k * d for each weight, the
+sets, its vertices, the one fold of its distinct d and, once read, the
 folded mixing box and, off the grid, each vertex's expectation of each
 act, and one ``relation(kind)`` per model.  Kinds that read the same sets
 (GeneralizedBewley, Disjunctive, Conjunctive and the mixtures; Bewley and
-Justifiable on one set) share one fold per weight and one box fold.
+Justifiable on one set) share the fold of the distinct d and the box fold.
 ``audit_suite`` keeps the last table it built, so calls that audit one
 instance's battery under several kinds in turn build one table.
 An audit's ``_Runner`` keeps only its tally.
@@ -111,6 +114,7 @@ MIX_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 _MIX_SCALE, _MIX_KS = scaled(MIX_GRID)  # MIX_GRID[i] = _MIX_KS[i] / _MIX_SCALE
 WITNESS_CAP = 25
 MAX_MIXING_BOX = 17**5  # resolution 1 on 5 states: fits every lattice check_battery admits on <= 5
+MAX_MIXING_TRIPLES = 250_000  # (weight, strict pair, act) triples off the box: about 150 MB of peak RSS
 
 
 class AxiomKind(Enum):
@@ -241,7 +245,7 @@ class Battery:
 
     A battery of acts on ``num_states`` states is its utility vectors
     ``uvecs``, one entry per state, over one common denominator ``du``;
-    ``state_rows[s]`` holds the acts' scaled entries on state s, all
+    ``rows[i]`` holds act i's scaled entries, one per state, all
     multiples of ``step``, their gcd (1 when every entry is 0).  Act i has
     the integer code ``codes[i]``, its scaled entries in steps as the
     balanced digits of a base-``radix`` number: linear, and injective on
@@ -255,7 +259,9 @@ class Battery:
     read, hold one pair of acts that differ by each, and ``upper`` counts
     the pairs i < j behind each.  ``grid`` holds when they are every vector
     whose entries are at most ``spread`` steps, as on every lattice: then
-    ``distinct`` is that digit grid in product order, the last state leading.  None of it reads
+    ``distinct`` is that digit grid in product order, the last state
+    leading, and each selection of belief sets folds it as one grid, with
+    no pair of acts; otherwise it folds each d from its pair.  None of it reads
     belief sets, so one battery serves every instance with that many states;
     ``upper``, ``dominance`` and the constant acts behind ``constants()``
     are memoized here.  The state count is given, since an empty battery
@@ -270,13 +276,13 @@ class Battery:
                 raise ValueError(f"utility vector {i} has {len(vec)} entries, not {num_states}")
         self.n = len(self.uvecs)
         self.du, flat = scaled([e for vec in self.uvecs for e in vec.entries])
-        self._scaled = list(zip(*[iter(flat)] * num_states))  # one row per act
+        self.rows = list(zip(*[iter(flat)] * num_states))  # one row per act
         self.step = math.gcd(*flat) or 1
         spread = (max(flat, default=0) - min(flat, default=0)) // self.step
         self.half = _MIX_SCALE * spread  # bounds every entry of k*u_f + (s-k)*u_h - s*u_g, in steps
         self.radix = 2 * self.half + 1
         self.codes = [sum(x // self.step * self.radix**j for j, x in enumerate(u))
-                      for u in self._scaled]
+                      for u in self.rows]
         unique = set(self.codes)
         # Sorted, and closed under negation, so -distinct[r] is distinct[-1 - r].
         self.distinct = sorted({a - b for a in unique for b in unique})
@@ -285,7 +291,6 @@ class Battery:
         # holds when they are all such vectors, as on every lattice.
         self.spread = spread
         self.grid = len(self.distinct) == (2 * spread + 1) ** num_states
-        self.state_rows = [[row[s] for row in self._scaled] for s in range(num_states)]
         # readers[i] picks, from a sequence in the order of ``distinct``, the
         # items of codes[i] - codes[j] for j descending.
         descending = self.codes[::-1]
@@ -313,13 +318,13 @@ class Battery:
     @cached_property
     def dominance(self) -> list[tuple[int, int]]:
         """The pairs (i, j), i != j, where act i statewise dominates act j, row-major."""
-        rows = self._scaled
+        rows = self.rows
         return [(i, j) for i, ri in enumerate(rows) for j, rj in enumerate(rows)
                 if i != j and all(map(operator.ge, ri, rj))]
 
     @cached_property
     def _constant_acts(self) -> list[tuple[int, Fraction]]:
-        return [(i, self.uvecs[i].entries[0]) for i, row in enumerate(self._scaled)
+        return [(i, self.uvecs[i].entries[0]) for i, row in enumerate(self.rows)
                 if row.count(row[0]) == len(row)]
 
     def constants(self) -> list[tuple[int, Fraction]]:
@@ -338,9 +343,9 @@ class MarginTable:
     primitives of a utility difference over its own belief sets, maxmin and
     minmax, and folds them with its ``combine`` rule.  On a model's first
     use, the table builds integer columns for the sets ``kind.sets`` names,
-    keyed by their integer view, and folds (maxmin, minmax) once per
-    distinct difference, and on first read k times each and the mixing
-    box.  Kinds that read the same sets share all of it.
+    keyed by their integer view, which fold (maxmin, minmax) once per
+    distinct difference, and the mixing box on first read.  Kinds that read
+    the same sets share all of it.
     Sets on another number of states than the battery's are refused.
     ``relation(kind)`` is memoized here, and nowhere else; ``n`` and
     ``uvecs`` are the battery's.
@@ -383,13 +388,16 @@ class _SetColumns:
 
     ``acts[c][i]`` is the c-th vertex's expectation of u_i over ``denom``,
     and ``parts`` are the sets' ranges in ``acts`` and in ``vertices``, the
-    integer vertex rows.  Every vertex value an audit reads combines these:
-    ``differences(k)`` folds k times the battery's distinct differences (at
-    k = 1 ``maxmin`` and ``minmax``), ``box`` the battery's whole mixing
-    box, each once and kept, and ``fold`` any other vectors.  On a battery
-    whose differences fill their digit grid, as a lattice's do, both
-    ``differences`` and ``box`` fold separable sums over the vertices and
-    ``acts`` is never built; otherwise it is built on first read.
+    integer vertex rows.  Every vertex value an audit reads combines these.
+    The battery's distinct differences are folded once, on construction,
+    into ``maxmin`` and ``minmax``; ``box`` folds the battery's whole mixing
+    box once and keeps it, and ``fold`` any other vectors.  On a battery
+    whose differences fill their digit grid, as a lattice's do, both folds
+    build separable sums over the vertices and ``acts`` is never built;
+    otherwise each d's vertex values are gathered from one pair of acts
+    that makes it, and ``acts`` is built on first read.  The minmax is the
+    maxmin reversed and negated, since minmax(d) = -maxmin(-d) and -d sits
+    at the mirror position; callers must not mutate either list.
     """
 
     def __init__(self, sets: BeliefCollection, battery: Battery):
@@ -399,13 +407,21 @@ class _SetColumns:
         self.parts = list(zip([0, *ends], ends))
         self.battery = battery
         self.vertices = [v for verts in set_rows for v in verts]
-        self._differences = {}
-        self.maxmin, self.minmax = self.differences(1)
+        if battery.grid:
+            t = battery.step
+            self.maxmin = _grid_maxmin(self.vertices, self.parts,
+                                       range(-battery.spread * t, battery.spread * t + 1, t))
+        else:
+            self.maxmin = _maxmin([list(map(operator.sub, map(acts.__getitem__, battery.minuends),
+                                            map(acts.__getitem__, battery.subtrahends)))
+                                   for acts in self.acts], self.parts)
+        self.minmax = [-x for x in reversed(self.maxmin)]
         self._box = None
 
     @cached_property
     def acts(self) -> list[list[int]]:
-        return [_combine(v, self.battery.state_rows) for v in self.vertices]
+        return [[sum(map(operator.mul, v, row)) for row in self.battery.rows]
+                for v in self.vertices]
 
     def box(self) -> list[int]:
         """The maxmin of every vector in the battery's mixing box, by box index.
@@ -423,31 +439,6 @@ class _SetColumns:
             self._box = _grid_maxmin(self.vertices, self.parts,
                                      range(-half * step, half * step + 1, step))
         return self._box
-
-    def differences(self, k: int) -> tuple[list[int], list[int]]:
-        """The (maxmin, minmax) of k * (u_i - u_j) for each of ``distinct`` in turn.
-
-        Folds maxmin alone, once per k, from the digit grid when
-        ``Battery.grid`` holds and from each d's pair of acts otherwise.
-        The minmax is the maxmin reversed and negated, since
-        minmax(d) = -maxmin(-d) and -d sits at the mirror position;
-        callers must not mutate the kept lists.
-        """
-        if k not in self._differences:
-            battery = self.battery
-            if battery.grid:
-                t = k * battery.step
-                maxmin = _grid_maxmin(self.vertices, self.parts,
-                                      range(-battery.spread * t, battery.spread * t + 1, t))
-            else:
-                cols = []
-                for acts in self.acts:
-                    scaled = list(map(k.__mul__, acts))
-                    cols.append(list(map(operator.sub, map(scaled.__getitem__, battery.minuends),
-                                         map(scaled.__getitem__, battery.subtrahends))))
-                maxmin = _maxmin(cols, self.parts)
-            self._differences[k] = maxmin, [-x for x in reversed(maxmin)]
-        return self._differences[k]
 
     def fold(self, cols: list[list[int]]) -> tuple[list[int], list[int]]:
         """The (maxmin, minmax) of the vectors whose values at the c-th vertex are ``cols[c]``."""
@@ -509,14 +500,6 @@ class _Relation:
 def _signs(nums) -> str:
     """One "-0+" character per integer, by its sign."""
     return "".join(["-" if x < 0 else "0" if x == 0 else "+" for x in nums])
-
-
-def _combine(weights: Sequence[int], rows: list[list[int]]) -> list[int]:
-    """The sum of ``weights[j] * rows[j]`` over j, position by position."""
-    out = [0] * len(rows[0])
-    for wt, row in zip(weights, rows):
-        out = list(map(operator.add, out, map(wt.__mul__, row)))
-    return out
 
 
 def _lower(x: list[int], y: list[int]) -> list[int]:
@@ -718,15 +701,25 @@ def _run_monotonicity(r: _Runner) -> None:
 
 
 def _run_independence(r: _Runner) -> None:
+    """Independence at each weight k / s of ``MIX_GRID`` and each distinct d.
+
+    The primitives of k * d are k times d's, so the model's margin of k * d
+    is its ``combine`` of k * maxmin(d) and k * minmax(d), checked against
+    k times its margin of d; neither is derived from the other, and
+    ``combine`` is the one part that can break homogeneity.  Every kind in
+    ``ModelKind`` passes, since ``_Kind`` requires its ``combine`` to be
+    integer-homogeneous.
+    """
     battery, rel, n = r.table.battery, r.relation, r.table.n
     r.checked += len(_MIX_KS) * n * (n - 1) // 2
-    base = rel.num
+    base, maxmin, minmax = rel.num, rel.cols.maxmin, rel.cols.minmax
     # A pair reads its own margin and each weight's; every zero read counts.
     zeros = sum(itertools.compress(battery.upper, map(operator.not_, base)))
     r.zeros += zeros
     off, total = {}, 0  # per code, each weight where k * d's margin is not k times d's
     for a, k in zip(MIX_GRID, _MIX_KS):
-        nums = base if k == 1 else list(map(rel.combine, *rel.cols.differences(k)))
+        nums = base if k == 1 else list(map(rel.combine, map(k.__mul__, maxmin),
+                                            map(k.__mul__, minmax)))
         scaled = base if k == 1 else list(map(k.__mul__, base))
         if nums == scaled:  # so their zeros are the base's
             r.zeros += zeros
@@ -890,8 +883,14 @@ def _distinct_signs(rel: _Relation, strict, bases, rests):
 
     ``made`` keeps, per code, one (k, f, g, h) that makes its d; codes are
     injective on these vectors, so any such act triple gives the same
-    vertex values k * E(u_f) + (s - k) * E(u_h) - s * E(u_g).
+    vertex values k * E(u_f) + (s - k) * E(u_h) - s * E(u_g).  A battery
+    with more than ``MAX_MIXING_TRIPLES`` (weight, strict pair, act)
+    triples is refused before ``made`` or its fold is built.
     """
+    triples = len(_MIX_KS) * len(strict) * rel.battery.n
+    if triples > MAX_MIXING_TRIPLES:
+        raise ValueError(f"favorable_mixing's {triples} (weight, strict pair, act) triples "
+                         f"off the mixing box are over {MAX_MIXING_TRIPLES = }")
     s = _MIX_SCALE
     made = {b + x: (k, f, g, h)
             for k, bs, rest in zip(_MIX_KS, bases, rests)

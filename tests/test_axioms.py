@@ -58,6 +58,7 @@ from ambipref.margins import _Kind
 from ambipref.axioms import (
     MAX_BATTERY_ACTS,
     MAX_MIXING_BOX,
+    MAX_MIXING_TRIPLES,
     MIX_GRID,
     WITNESS_CAP,
     _MIX_SCALE,
@@ -491,14 +492,14 @@ def reference_mixing_audits(kind, inst, uvecs, cap=WITNESS_CAP):
 def pairwise_independence(table, kind, cap):
     """Independence by a walk of every pair i < j, weights inner, in the shape of ``summarize``.
 
-    Each pair reads its own margin and each weight's folded margin at the
-    position of its code, each zero read counting once, from the table's
-    relation and its columns' ``differences``.
+    Each pair reads its own margin from the table's relation and, at each
+    weight k / s, the model's ``combine`` of k times its columns' maxmin
+    and minmax at the position of its code, each zero read counting once.
     """
     rel, codes, position = table.relation(kind), table.battery.codes, table.battery.position
     cols = table.columns(kind)
     ks = [int(a * _MIX_SCALE) for a in MIX_GRID]
-    folded = [rel.num if k == 1 else list(map(kind.combine, *cols.differences(k))) for k in ks]
+    folded = [[kind.combine(k * a, k * b) for a, b in zip(cols.maxmin, cols.minmax)] for k in ks]
     unit = rel.unit * _MIX_SCALE
     out = {"total": 0, "checked": 0, "flags": 0, "witnesses": []}
     for i, j in itertools.combinations(range(table.n), 2):
@@ -657,10 +658,10 @@ class TestMixingAudits:
     def test_independence_checks_each_pair_at_each_weight(self, monkeypatch):
         """3 * n(n-1)/2 checks per audit, and every witness is a pair of acts.
 
-        A fold that is off by one everywhere fails every check at weights
-        1/2 and 3/4, so the witness shape is tested on a full cap of
-        witnesses.  The table's relations are built before the fold is
-        patched, so only the independence folds are off.
+        The eight kinds pass.  ``Lifted()``, maxmin + 1, is not homogeneous
+        and fails every check at weights 1/2 and 3/4, so the witnesses are
+        tested on a full cap: pairs in (i, j) order, weights inner, their
+        margins over s times the relation's unit.
         """
         inst = generate_instance(3, GenParams(num_states=3))
         battery = generate_act_grid(inst, resolution=1)
@@ -670,36 +671,34 @@ class TestMixingAudits:
         for kind in eight_kinds(inst)[1]:
             report = audit(AxiomKind.INDEPENDENCE, kind, inst, battery, table=table)
             assert report.passed and report.checked == expected, kind
-        differences = _SetColumns.differences
-        calls = []
-
-        def off_by_one(self, k):
-            calls.append(k)
-            return tuple([x + 1 for x in xs] for xs in differences(self, k))
-
-        monkeypatch.setattr(_SetColumns, "differences", off_by_one)
-        pairs = n * (n - 1) // 2
-        for kind in eight_kinds(inst)[1]:
-            rel = table.relation(kind)
-            monkeypatch.setattr(rel, "num", CountedReads(rel.num))
-            calls.clear()
-            report = audit(AxiomKind.INDEPENDENCE, kind, inst, battery, table=table)
-            # Weight 1/4 reads the relation's own margins, and only weights
-            # 1/2 and 3/4 fold.  The margins are read once, in the order of
-            # the battery's distinct differences, and the kept witnesses'
-            # come from that read: no pair looks one up.
-            assert calls == [2, 3], kind
-            assert rel.num.reads == 0, kind
-            assert report.checked == expected and report.total_violations == 2 * pairs, kind
-            assert len(report.witnesses) == WITNESS_CAP
-            assert all(len(w.indices) == 2 for w in report.witnesses), kind
+        kind = Lifted()
+        rel = table.relation(kind)
+        monkeypatch.setattr(rel, "num", CountedReads(rel.num))
+        report = audit(AxiomKind.INDEPENDENCE, kind, inst, battery, table=table)
+        # The margins are read once, in the order of the battery's distinct
+        # differences, and the kept witnesses' come from that read: no pair
+        # looks one up.
+        assert rel.num.reads == 0
+        pairs = list(itertools.combinations(range(n), 2))
+        assert report.checked == expected and report.total_violations == 2 * len(pairs)
+        maxmin, codes, position = rel.cols.maxmin, table.battery.codes, table.battery.position
+        s = _MIX_SCALE
+        unit = rel.unit * s
+        assert report.witnesses == tuple(
+            Witness((i, j), (F(s * (m + 1), unit), F(k * m + 1, unit)),
+                    f"margin not homogeneous at {a}")
+            for i, j in pairs[:WITNESS_CAP]
+            for m in [maxmin[position[codes[i] - codes[j]]]]
+            for a, k in zip(MIX_GRID[1:], (2, 3))
+        )[:WITNESS_CAP]
 
     @pytest.mark.parametrize("kind", [GeneralizedBewley(), HalfMixture(), Bewley("low")])
     def test_independence_sees_a_perturbed_fold(self, disjoint_pair, monkeypatch, kind):
-        """Homogeneity is checked on folded values, not derived from the base.
+        """The heavier weights' margins are combined from the fold, not derived from the relation.
 
-        Shifting the first fold, weight 1/2's, at the code of u_0 - u_1 fails
-        exactly the pairs i < j with that difference, in row-major order.
+        Raising the kept maxmin at the code of u_0 - u_1, after the relation
+        is built, fails exactly the pairs i < j with that difference, at
+        weights 1/2 and 3/4, in row-major order.
         """
         battery = generate_act_grid(disjoint_pair, resolution=1)
         uvecs = [utility_vector(disjoint_pair.utility, a) for a in battery]
@@ -707,18 +706,9 @@ class TestMixingAudits:
         assert audit(AxiomKind.INDEPENDENCE, kind, disjoint_pair, table=table).passed
         codes = table.battery.codes
         target = codes[0] - codes[1]
-        at = table.battery.distinct.index(target)
-        differences = _SetColumns.differences
-        calls = []
-
-        def perturbed(self, k):
-            folds = differences(self, k)
-            calls.append(k)
-            if len(calls) > 1:
-                return folds
-            return tuple([x + (r == at) for r, x in enumerate(xs)] for xs in folds)
-
-        monkeypatch.setattr(_SetColumns, "differences", perturbed)
+        at = table.battery.position[target]
+        cols = table.columns(kind)
+        monkeypatch.setattr(cols, "maxmin", [x + (r == at) for r, x in enumerate(cols.maxmin)])
         report = audit(AxiomKind.INDEPENDENCE, kind, disjoint_pair, table=table)
         expected = [
             (i, j)
@@ -727,110 +717,94 @@ class TestMixingAudits:
         ]
         assert len(expected) == 6
         assert not report.passed
-        assert report.total_violations == len(expected)
-        assert [w.indices for w in report.witnesses] == expected
+        assert report.total_violations == 2 * len(expected)
+        assert [w.indices for w in report.witnesses] == [p for p in expected for _ in "12"]
 
-    def test_independence_folds_once_per_weight(self, disjoint_pair, monkeypatch):
-        """One fold per weight in ``MIX_GRID`` but 1/4, each over the table's distinct codes."""
-        battery = generate_act_grid(disjoint_pair, resolution=2)
-        uvecs = [utility_vector(disjoint_pair.utility, a) for a in battery]
-        table = MarginTable(disjoint_pair, uvecs)
-        table.relation(GeneralizedBewley())  # the table's own fold, at k = 1
-        differences = _SetColumns.differences
-        calls = []
+    def test_independence_folds_nothing_once_the_relation_exists(self, disjoint_pair, monkeypatch):
+        """With the model's relation built, an independence audit runs no fold.
 
-        def counted(self, k):
-            folds = differences(self, k)
-            calls.append((k, len(folds[0])))
-            return folds
-
-        monkeypatch.setattr(_SetColumns, "differences", counted)
-        report = audit(AxiomKind.INDEPENDENCE, GeneralizedBewley(), disjoint_pair, table=table)
-        assert report.passed
-        assert calls == [(2, len(table.battery.distinct)), (3, len(table.battery.distinct))]
+        Neither the lattice's grid fold (``_grid_maxmin``) nor an irregular
+        battery's gather (``_maxmin``) runs: every weight reads k times the
+        one fold of the distinct differences, for the eight kinds, which
+        pass, and for a non-homogeneous one, which fails.
+        """
+        lattice = [utility_vector(disjoint_pair.utility, a)
+                   for a in generate_act_grid(disjoint_pair, resolution=2)]
+        irregular = list(irregular_batteries(random.Random(0), 2))[3]
+        kinds = [*eight_kinds(disjoint_pair)[1], Lifted()]
+        for uvecs in (lattice, irregular):
+            table = MarginTable(disjoint_pair, uvecs)
+            for kind in kinds:
+                table.relation(kind)
+            with monkeypatch.context() as m:
+                for name in ("_maxmin", "_grid_maxmin"):
+                    m.setattr(axioms_module, name, lambda *args: pytest.fail("folded"))
+                for kind in kinds:
+                    report = audit(AxiomKind.INDEPENDENCE, kind, disjoint_pair, table=table)
+                    assert report.passed is not isinstance(kind, Lifted), (len(uvecs), kind)
 
     @pytest.mark.parametrize("cap", [2, WITNESS_CAP])
-    def test_independence_counts_per_difference_as_pair_by_pair(self, monkeypatch, cap):
-        """Perturbed heavier folds give the counts, witnesses and flags of a pair walk.
+    def test_independence_counts_per_difference_as_pair_by_pair(self, cap):
+        """Non-homogeneous kinds give the counts, witnesses and flags of a pair walk.
 
-        Both heavier folds are shifted at the difference the most pairs
-        share, more than a cap of 2 and, on the 125-act lattice, more than
-        the default cap; weight 3/4's is also zero at the difference of the
-        first and last acts.  On the lattice and on two irregular batteries, with
-        duplicate acts, the report matches a walk of every pair i < j with
-        the weights inner, reading the same folds.
+        ``Lifted()`` fails at weights 1/2 and 3/4 everywhere.  ``Lifted(-2 *
+        m, 0)``, m the least positive maxmin, fails there exactly the d with
+        positive maxmin, and its margin of 2 * d is zero where d's maxmin is
+        m, though its margin of d is not.  On the 125-act lattice and on two
+        irregular batteries, with duplicate acts, each report matches a walk
+        of every pair i < j with the weights inner, reading k times the same
+        fold; the eight kinds pass on the same walk.
         """
         inst = generate_instance(3, GenParams(num_states=3))
         lattice = [utility_vector(inst.utility, a) for a in generate_act_grid(inst, resolution=2)]
         batteries = [lattice, *list(irregular_batteries(random.Random(0), 3))[2:4]]
-        differences = _SetColumns.differences
-        targets = {}
-
-        def perturbed(self, k):
-            maxmin, minmax = differences(self, k)
-            if k == 1:
-                return maxmin, minmax
-            shift, zero = targets[self.battery]
-            maxmin = [x + (r == shift) for r, x in enumerate(maxmin)]
-            if k == 2:
-                return maxmin, minmax
-            return ([0 if r == zero else x for r, x in enumerate(maxmin)],
-                    [0 if r == zero else x for r, x in enumerate(minmax)])
-
-        monkeypatch.setattr(_SetColumns, "differences", perturbed)
         for uvecs in batteries:
             table = MarginTable(inst, uvecs)
-            battery = table.battery
-            upper, codes = battery.upper, battery.codes
-            targets[battery] = (max(range(len(upper)), key=upper.__getitem__),
-                                battery.distinct.index(codes[0] - codes[-1]))
-            assert upper[targets[battery][0]] > (WITNESS_CAP if uvecs is lattice else 2)
-            for kind in eight_kinds(inst)[1]:
+            least = min(x for x in table.columns(GeneralizedBewley()).maxmin if x > 0)
+            lifted = [Lifted(), Lifted(-2 * least, 0)]
+            for kind in [*eight_kinds(inst)[1], *lifted]:
                 report = audit(AxiomKind.INDEPENDENCE, kind, inst, table=table, witness_cap=cap)
                 assert summarize(report) == pairwise_independence(table, kind, cap), kind
-                assert not report.passed, (len(uvecs), kind)
+                assert report.passed is (kind not in lifted), (len(uvecs), kind)
+                assert kind not in lifted or report.total_violations > cap, (len(uvecs), kind)
 
-    def test_audit_suite_folds_each_weight_once_per_selection_of_sets(self, monkeypatch):
-        """Eight kinds over one battery fold k = 1, 2 and 3 once per selection of sets.
+    def test_audit_suite_folds_each_selection_of_sets_once(self, monkeypatch):
+        """Eight kinds over one battery fold the distinct differences once per selection of sets.
 
         The five kinds over the whole collection share one selection,
         Bewley and Justifiable on the first set another, SEU its prior a
-        third.  The spy counts the folds that ``differences`` runs, not its
-        calls, which later kinds repeat to read the kept folds, whether a
-        fold gathers columns (``_maxmin``) or builds the lattice's digit grid
-        (``_grid_maxmin``, which the mixing box's fold also runs, outside
-        ``differences``).
+        third.  The spy counts the folds run while a selection's columns
+        are built, whether a fold gathers columns (``_maxmin``) or builds
+        the lattice's digit grid (``_grid_maxmin``, which the mixing box's
+        fold also runs, later).
         """
         monkeypatch.setattr(axioms_module, "_last_table", None)
         inst = generate_instance(3, GenParams(num_states=3))
         battery = generate_act_grid(inst, resolution=1)
-        differences = _SetColumns.differences
-        weights, folds = [], []
+        init = _SetColumns.__init__
+        building, folds = [], []
 
-        def in_differences(self, k):
-            weights.append((self, k))
+        def spied_init(self, *args):
+            building.append(self)
             try:
-                return differences(self, k)
+                init(self, *args)
             finally:
-                weights.pop()
+                building.pop()
 
         def counted(fold):
             def spied(*args):
-                if weights:
-                    folds.append(weights[-1])
+                if building:
+                    folds.append(building[-1])
                 return fold(*args)
             return spied
 
-        monkeypatch.setattr(_SetColumns, "differences", in_differences)
+        monkeypatch.setattr(_SetColumns, "__init__", spied_init)
         for name in ("_maxmin", "_grid_maxmin"):
             monkeypatch.setattr(axioms_module, name, counted(getattr(axioms_module, name)))
         for kind in eight_kinds(inst)[1]:
             reports = audit_suite(kind, inst, battery)
             assert [r.axiom for r in reports] == list(AxiomKind)
-        selections = {cols for cols, _ in folds}
-        assert len(selections) == 3
-        assert sorted(k for _, k in folds) == [1, 1, 1, 2, 2, 2, 3, 3, 3]
-        assert len(set(folds)) == len(folds)
+        assert len(folds) == len(set(folds)) == 3
 
     def test_favorable_mixing_folds_each_distinct_vector_once(self, monkeypatch):
         """One fold, with one column entry per distinct k * u_f - s * u_g + (s - k) * u_h.
@@ -915,6 +889,45 @@ class TestMixingAudits:
         monkeypatch.setattr(axioms_module, "_box_signs", reached)
         with pytest.raises(Reached):
             audit(AxiomKind.FAVORABLE_MIXING, GeneralizedBewley(), inst, table=table)
+
+    def test_triples_over_the_limit_are_refused_before_any_fold(self, monkeypatch):
+        """80 random 3-state acts over 641: 662,400 (weight, strict pair, act) triples.
+
+        Off the box, favorable mixing raises, naming both numbers, before it
+        folds any mixed vector; the battery's other audits still run.
+        """
+        rng = random.Random(0)
+        inst = generate_instance(1, GenParams(num_states=3))
+        uvecs = [UtilityVector(tuple(F(rng.randint(-641, 641), 641) for _ in range(3)))
+                 for _ in range(80)]
+        table = MarginTable(inst, uvecs)
+        assert table.battery.radix ** 3 > table.n ** 3
+        rel = table.relation(GeneralizedBewley())
+        strict = sum((w & ~wt).bit_count() for w, wt in zip(rel.weak, rel.weak_t))
+        assert len(MIX_GRID) * table.n * strict == 662_400 > MAX_MIXING_TRIPLES
+        monkeypatch.setattr(_SetColumns, "fold", lambda *args: pytest.fail("folded mixed vectors"))
+        with pytest.raises(ValueError, match=f"favorable_mixing's 662400 .* triples off the mixing "
+                                             f"box are over MAX_MIXING_TRIPLES = {MAX_MIXING_TRIPLES}"):
+            audit(AxiomKind.FAVORABLE_MIXING, GeneralizedBewley(), inst, table=table)
+        assert not audit(AxiomKind.INDEPENDENCE, Lifted(), inst, table=table).passed
+
+    def test_the_largest_admitted_triple_count_reaches_its_fold(self, monkeypatch):
+        """An irregular battery at exactly ``MAX_MIXING_TRIPLES`` triples is folded once,
+        through ``_distinct_signs``; one triple over the limit, it is refused."""
+        inst = generate_instance(3, GenParams(num_states=3))
+        table = MarginTable(inst, list(irregular_batteries(random.Random(0), 3))[3])
+        rel = table.relation(GeneralizedBewley())
+        strict = sum((w & ~wt).bit_count() for w, wt in zip(rel.weak, rel.weak_t))
+        triples = len(MIX_GRID) * table.n * strict
+        fold, folds = _SetColumns.fold, []
+        monkeypatch.setattr(_SetColumns, "fold", lambda self, cols: folds.append(1) or fold(self, cols))
+        monkeypatch.setattr(axioms_module, "MAX_MIXING_TRIPLES", triples)
+        report = audit(AxiomKind.FAVORABLE_MIXING, GeneralizedBewley(), inst, table=table)
+        assert report.checked == table.n * strict > 0 and folds == [1]
+        monkeypatch.setattr(axioms_module, "MAX_MIXING_TRIPLES", triples - 1)
+        with pytest.raises(ValueError, match=f"{triples} .* over MAX_MIXING_TRIPLES = {triples - 1}"):
+            audit(AxiomKind.FAVORABLE_MIXING, GeneralizedBewley(), inst, table=table)
+        assert folds == [1]
 
     def test_the_box_is_counted_in_steps_at_every_radius(self, monkeypatch):
         """At radii 1, 3/2 and 5 the 125-act lattice folds one box of 33 ** 3 entries.
@@ -1185,6 +1198,24 @@ class Reversed(_Kind):
     combine = staticmethod(lambda maxmin, minmax: -minmax)
 
 
+@dataclass(frozen=True)
+class Lifted(_Kind):
+    """The generalized Bewley numerator plus ``lift`` where maxmin exceeds ``above``.
+
+    Not integer-homogeneous, so no model kind, and independence fails: at
+    weights 1/2 and 3/4 its margin of k * d is k * maxmin(d) + lift, not k
+    times its margin of d, at every d whose maxmin exceeds ``above``; by
+    default, at every d.
+    """
+
+    lift: int = 1
+    above: float = -math.inf
+    tag = "lifted-generalized-bewley"
+
+    def combine(self, maxmin, minmax):
+        return maxmin + self.lift * (maxmin > self.above)
+
+
 class TestDifferenceOrder:
     """``Battery.distinct`` in code order, and the digit-grid fold of lattices."""
 
@@ -1214,8 +1245,8 @@ class TestDifferenceOrder:
 
     @pytest.mark.parametrize("radius", [F(1), F(3, 2)])
     def test_the_grid_fold_is_a_pair_by_pair_fold(self, radius):
-        """At k = 1, 2 and 3, ``differences(k)`` on a lattice equals the fold of
-        explicit columns, each vertex's value of k * (u_i - u_j) for the pair
+        """A lattice's one fold, ``maxmin`` and ``minmax``, equals the fold of
+        explicit columns, each vertex's value of u_i - u_j for the pair
         behind each distinct difference, on two selections of sets."""
         for states, resolution in ((2, 2), (3, 1), (3, 2)):
             inst = generate_instance(3, GenParams(num_states=states))
@@ -1225,13 +1256,12 @@ class TestDifferenceOrder:
             assert battery.grid
             for kind in (GeneralizedBewley(), Bewley(next(iter(inst.collection)).name)):
                 cols = table.columns(kind)
-                for k in (1, 2, 3):
-                    explicit = [
-                        [int(k * battery.du * sum(map(operator.mul, vertex, (uvecs[i] - uvecs[j]).entries)))
-                         for i, j in zip(battery.minuends, battery.subtrahends)]
-                        for vertex in cols.vertices
-                    ]
-                    assert cols.differences(k) == cols.fold(explicit), (states, resolution, kind, k)
+                explicit = [
+                    [int(battery.du * sum(map(operator.mul, vertex, (uvecs[i] - uvecs[j]).entries)))
+                     for i, j in zip(battery.minuends, battery.subtrahends)]
+                    for vertex in cols.vertices
+                ]
+                assert (cols.maxmin, cols.minmax) == cols.fold(explicit), (states, resolution, kind)
 
     def test_only_a_full_grid_takes_the_grid_fold(self, monkeypatch):
         """An irregular battery gathers its pairs' columns and a lattice builds its
@@ -1249,8 +1279,8 @@ class TestDifferenceOrder:
             assert table.battery.grid is (uvecs is lattice)
             folds.clear()
             for kind in eight_kinds(inst)[1]:
-                table.columns(kind).differences(2)
-            assert folds == [path] * 6  # k = 1 and 2 on each of three selections of sets
+                table.columns(kind)
+            assert folds == [path] * 3  # one on each of three selections of sets
             if uvecs is lattice:
                 for kind in eight_kinds(inst)[1]:
                     for axiom in AxiomKind:
@@ -1483,24 +1513,23 @@ class TestSuiteVerdicts:
 
 
 def negated_table(inst, uvecs, monkeypatch, pairs):
-    """A table whose fold reads maxmin = minmax = -1 at each u_i - u_j of ``pairs``.
+    """A table whose one fold reads maxmin = minmax = -1 at each u_i - u_j of ``pairs``.
 
-    The fold is patched before the table builds its relations, so every
+    The columns are patched before the table builds its relations, so every
     model's margin there is negative, and the relation's numerators, sign
     strings and bit rows agree on it.
     """
     battery = Battery(inst.num_states, uvecs)
     codes = battery.codes
     rows = {battery.distinct.index(codes[i] - codes[j]) for i, j in pairs}
-    differences = _SetColumns.differences
+    init = _SetColumns.__init__
 
-    def shifted(self, k):
-        maxmin, minmax = differences(self, k)
+    def shifted(self, *args):
+        init(self, *args)
         for r in rows:
-            maxmin[r] = minmax[r] = -1
-        return maxmin, minmax
+            self.maxmin[r] = self.minmax[r] = -1
 
-    monkeypatch.setattr(_SetColumns, "differences", shifted)
+    monkeypatch.setattr(_SetColumns, "__init__", shifted)
     return MarginTable(inst, battery)
 
 
