@@ -6,9 +6,10 @@ tuples and the margins that witness the violation.  All judgments are sign
 tests on integers scaled to a common denominator, so verdicts are exact and
 reproducible; a margin that is exactly zero increments ``boundary_flags`` on
 the report because the verdict hinged on a boundary case.  ``witnesses``
-keeps the first ``witness_cap`` (default ``WITNESS_CAP``) violations,
-``total_violations`` counts all of them, and ``boundary_flags`` does not
-depend on the cap.
+keeps the first ``witness_cap`` (default ``WITNESS_CAP``) violations, in a
+fixed order, ``total_violations`` counts all of them, and ``boundary_flags``
+does not depend on the cap.  Most audits count their violations in bulk and
+walk them lazily, so no margin behind a violation past the cap is read.
 
 Every margin comes from a fold: builtin min and max run down the vertex
 values of many vectors at once, each a combination of the vertex's
@@ -79,8 +80,7 @@ from fractions import Fraction
 from functools import cached_property, partial, reduce
 from typing import Callable, Sequence
 
-from .analysis import check_battery, check_radius, phi_lattice
-from .analysis import MAX_BATTERY_ACTS  # noqa: F401  (re-exported for callers of the axioms module)
+from .analysis import MAX_BATTERY_ACTS, check_battery, check_radius, phi_lattice
 from .model import (
     Act,
     BeliefCollection,
@@ -115,6 +115,7 @@ _MIX_SCALE, _MIX_KS = scaled(MIX_GRID)  # MIX_GRID[i] = _MIX_KS[i] / _MIX_SCALE
 WITNESS_CAP = 25
 MAX_MIXING_BOX = 17**5  # resolution 1 on 5 states: fits every lattice check_battery admits on <= 5
 MAX_MIXING_TRIPLES = 250_000  # (weight, strict pair, act) triples off the box: about 150 MB of peak RSS
+MAX_BATTERY_DIFFERENCES = 250_000  # distinct u_i - u_j: about 130 MB of peak RSS in audits
 
 
 class AxiomKind(Enum):
@@ -265,16 +266,20 @@ class Battery:
     belief sets, so one battery serves every instance with that many states;
     ``upper``, ``dominance`` and the constant acts behind ``constants()``
     are memoized here.  The state count is given, since an empty battery
-    has no vector to read it from.
+    has no vector to read it from.  A battery of over ``MAX_BATTERY_ACTS``
+    acts is refused before its codes are built, and one of over
+    ``MAX_BATTERY_DIFFERENCES`` distinct differences before ``position``.
     """
 
     def __init__(self, num_states: int, uvecs: Sequence[UtilityVector]):
         self.num_states = num_states
         self.uvecs = tuple(uvecs)
+        self.n = len(self.uvecs)
+        if self.n > MAX_BATTERY_ACTS:
+            raise ValueError(f"battery of {self.n} acts is over {MAX_BATTERY_ACTS = }")
         for i, vec in enumerate(self.uvecs):
             if len(vec) != num_states:
                 raise ValueError(f"utility vector {i} has {len(vec)} entries, not {num_states}")
-        self.n = len(self.uvecs)
         self.du, flat = scaled([e for vec in self.uvecs for e in vec.entries])
         self.rows = list(zip(*[iter(flat)] * num_states))  # one row per act
         self.step = math.gcd(*flat) or 1
@@ -284,8 +289,12 @@ class Battery:
         self.codes = [sum(x // self.step * self.radix**j for j, x in enumerate(u))
                       for u in self.rows]
         unique = set(self.codes)
+        distinct = {a - b for a in unique for b in unique}
+        if len(distinct) > MAX_BATTERY_DIFFERENCES:
+            raise ValueError(f"battery's {len(distinct)} distinct differences are over "
+                             f"{MAX_BATTERY_DIFFERENCES = }")
         # Sorted, and closed under negation, so -distinct[r] is distinct[-1 - r].
-        self.distinct = sorted({a - b for a in unique for b in unique})
+        self.distinct = sorted(distinct)
         self.position = position = {c: r for r, c in enumerate(self.distinct)}
         # Every u_i - u_j has entries of at most ``spread`` steps, so this
         # holds when they are all such vectors, as on every lattice.
@@ -308,6 +317,13 @@ class Battery:
 
     minuends = property(lambda self: self._pairs[0])
     subtrahends = property(lambda self: self._pairs[1])
+
+    def pairs(self, hits: str):
+        """The pairs i < j whose u_i - u_j is "1" in ``hits``, a character per
+        ``distinct``, in (i, j) order; each row i is gathered when the walk reaches it."""
+        for i, read in enumerate(self.readers):
+            for j in _set_bits(int("".join(read(hits)), 2) >> i + 1 << i + 1):  # the j > i
+                yield i, j
 
     @cached_property
     def upper(self) -> list[int]:
@@ -548,9 +564,10 @@ class _Runner:
     ``margin_num`` is the one read of a battery pair's margin from
     ``relation``, the table's memoized relation of the model; the mixing
     runners fold their own vectors through ``relation.cols``.  ``fail``
-    counts every violation but builds a witness's Fractions only while
-    fewer than ``witness_cap`` are kept; ``fail_each`` reads no margin past
-    the cap.  A zero read of u_i - u_j sets bit j of ``zero_read[i]``, by
+    counts one violation but builds a witness's Fractions only while fewer
+    than ``witness_cap`` are kept; ``fail_first`` counts many at once and
+    pulls from a lazy walk only the witnesses kept, so it reads no margin
+    past the cap.  A zero read of u_i - u_j sets bit j of ``zero_read[i]``, by
     ``margin_num`` or from a runner's masks; ``all_zeros``, set by runners
     that read every pair, adds every off-diagonal zero.  So ``zero_flags``
     counts each such pair once, whatever the cap, plus ``zeros``, the zeros
@@ -580,18 +597,17 @@ class _Runner:
             den = unit or self.relation.unit
             self.witnesses.append(Witness(indices, tuple(Fraction(x, den) for x in nums), note))
 
-    def fail_each(self, mask: int, witness: Callable[[int], tuple]) -> None:
-        """Count each set bit j of ``mask`` as one violation.
+    def fail_first(self, total: int, failures) -> None:
+        """Count ``total`` violations, keeping the witnesses of the first while under the cap.
 
-        ``witness(j)`` returns the arguments of ``fail`` for violation j.
-        It is called for the lowest bits only, while fewer than
-        ``witness_cap`` witnesses are kept, so the margins of violations
-        past the cap are never read.
+        ``failures`` lazily yields the arguments of ``fail`` for each
+        violation, in witness order; only the first min(total, room) are
+        pulled, so no witness past the cap, nor the margins behind it, is read.
         """
-        room = max(self.witness_cap - len(self.witnesses), 0)
-        for j in itertools.islice(_set_bits(mask), room):
-            self.fail(*witness(j))
-        self.total += max(mask.bit_count() - room, 0)
+        kept = min(total, max(self.witness_cap - len(self.witnesses), 0))
+        self.total += total - kept
+        for args in itertools.islice(failures, kept):
+            self.fail(*args)
 
     def margin_num(self, i: int, j: int) -> int:
         """Numerator over ``unit`` of the margin for u_i - u_j, marking a zero in ``zero_read``."""
@@ -604,27 +620,8 @@ class _Runner:
     def fail_pairs(self, mask: int, note: str) -> None:
         """Count each pair i < j with u_i - u_j in the relation's ``mask`` as one violation."""
         num, rel = self.margin_num, self.relation
-        self.fail_rows(format(mask, f"0{len(rel.line)}b"), rel.count(mask),
-                       lambda i, j: [((i, j), (num(i, j), num(j, i)), note)])
-
-    def fail_rows(self, hits: str, total: int, failures: Callable[[int, int], list]) -> None:
-        """Count ``total`` violations, at the pairs i < j whose u_i - u_j is "1" in ``hits``.
-
-        ``failures(i, j)`` lists the arguments of ``fail`` for each at the
-        pair.  Witnesses are kept in (i, j) order, gathering a row of
-        ``hits`` per i only until the cap is met or all are seen.
-        """
-        seen = 0
-        for i, read in enumerate(self.table.battery.readers):
-            if seen == total or len(self.witnesses) >= self.witness_cap:
-                break
-            for j in _set_bits(int("".join(read(hits)), 2) >> i + 1 << i + 1):  # the j > i
-                if len(self.witnesses) >= self.witness_cap:
-                    break  # the rest are counted unread
-                for args in failures(i, j):
-                    seen += 1
-                    self.fail(*args)
-        self.total += total - seen
+        pairs = self.table.battery.pairs(format(mask, f"0{len(rel.line)}b"))
+        self.fail_first(rel.count(mask), (((i, j), (num(i, j), num(j, i)), note) for i, j in pairs))
 
     def weak_matrix(self) -> tuple[list[int], list[int]]:
         """Bitmask rows of the weak-preference relation and of its transpose.
@@ -731,9 +728,9 @@ def _run_independence(r: _Runner) -> None:
             total += m
     if total:
         codes, unit = battery.codes, rel.unit * _MIX_SCALE
-        r.fail_rows("".join(["1" if c in off else "0" for c in battery.distinct]), total,
-                    lambda i, j: [((i, j), margins, f"margin not homogeneous at {a}", unit)
-                                  for a, *margins in off[codes[i] - codes[j]]])
+        pairs = battery.pairs("".join(["1" if c in off else "0" for c in battery.distinct]))
+        r.fail_first(total, (((i, j), margins, f"margin not homogeneous at {a}", unit)
+                             for i, j in pairs for a, *margins in off[codes[i] - codes[j]]))
 
 
 def _run_completeness(r: _Runner) -> None:
@@ -754,8 +751,9 @@ def _run_transitivity(r: _Runner) -> None:
             bad = w[j] & ~wi
             if not bad:
                 continue
-            r.fail_each(bad, lambda h: ((i, j, h), (num(i, j), num(j, h), num(i, h)),
-                                        "weak preference fails to chain"))
+            r.fail_first(bad.bit_count(), (((i, j, h), (num(i, j), num(j, h), num(i, h)),
+                                            "weak preference fails to chain")
+                                           for h in _set_bits(bad)))
 
 
 def _constant_sandwich(r: _Runner, order, bit: int, note: str) -> None:
@@ -782,8 +780,8 @@ def _constant_sandwich(r: _Runner, order, bit: int, note: str) -> None:
             if bad := (w[a] ^ flip) & (wt[b] ^ flip):
                 r.zero_read[a] |= diagonal << a & (bad | 1 << b)
                 r.zero_read[b] |= diagonal << b & bad
-                r.fail_each(bad, lambda f: ((a, f, b), (num(a, f), num(f, b), num(a, b)),
-                                            note.format(va, vb)))
+                r.fail_first(bad.bit_count(), (((a, f, b), (num(a, f), num(f, b), num(a, b)),
+                                                note.format(va, vb)) for f in _set_bits(bad)))
 
 
 def _run_favorable_mixing(r: _Runner) -> None:
@@ -844,15 +842,9 @@ def _favorable_mixing(r: _Runner, signs: Callable) -> None:
         return ((*strict[p], h), (nums[hi_w], nums[lo_w]),
                 f"acceptable at weight {grid[hi_w]} but not at {grid[lo_w]}", unit)
 
-    # Witnesses in (pair, h) order, gathering the h of a pair only until the cap is met.
-    total, seen = sum(map(int.bit_count, bad)), 0
-    for p in _set_bits(reduce(operator.or_, bad)):
-        if len(r.witnesses) >= r.witness_cap:
-            break
-        acts = int("".join("01"[m >> p & 1] for m in reversed(bad)), 2)
-        seen += acts.bit_count()
-        r.fail_each(acts, lambda h: witness(p, h))
-    r.total += total - seen
+    pairs = _set_bits(reduce(operator.or_, bad))  # witnesses in (pair, h) order
+    r.fail_first(sum(map(int.bit_count, bad)),
+                 (witness(p, h) for p in pairs for h, m in enumerate(bad) if m >> p & 1))
 
 
 def _box_signs(rel: _Relation, strict, bases, rests):

@@ -57,6 +57,7 @@ from ambipref import axioms as axioms_module
 from ambipref.margins import _Kind
 from ambipref.axioms import (
     MAX_BATTERY_ACTS,
+    MAX_BATTERY_DIFFERENCES,
     MAX_MIXING_BOX,
     MAX_MIXING_TRIPLES,
     MIX_GRID,
@@ -69,6 +70,7 @@ from ambipref.axioms import (
     _distinct_signs,
     _favorable_mixing,
     battery_label,
+    check_battery,
 )
 
 F = Fraction
@@ -743,11 +745,12 @@ class TestMixingAudits:
                     report = audit(AxiomKind.INDEPENDENCE, kind, disjoint_pair, table=table)
                     assert report.passed is not isinstance(kind, Lifted), (len(uvecs), kind)
 
-    @pytest.mark.parametrize("cap", [2, WITNESS_CAP])
+    @pytest.mark.parametrize("cap", [2, 3, WITNESS_CAP])
     def test_independence_counts_per_difference_as_pair_by_pair(self, cap):
         """Non-homogeneous kinds give the counts, witnesses and flags of a pair walk.
 
-        ``Lifted()`` fails at weights 1/2 and 3/4 everywhere.  ``Lifted(-2 *
+        ``Lifted()`` fails at weights 1/2 and 3/4 everywhere, so at cap 3
+        the cap falls between the two weights of one pair.  ``Lifted(-2 *
         m, 0)``, m the least positive maxmin, fails there exactly the d with
         positive maxmin, and its margin of 2 * d is zero where d's maxmin is
         m, though its margin of d is not.  On the 125-act lattice and on two
@@ -1071,6 +1074,27 @@ class TestMixingAudits:
             over_cap += report.total_violations >= 2
         assert over_cap
 
+    def test_an_uncapped_pair_walk_stops_at_its_last_violation(self, monkeypatch):
+        """At cap 10**6, completeness gathers the reader rows up to the last row with
+        a violation, and none after it: 120 of the 125 rows of seed 1's lattice,
+        under GeneralizedBewley and under Conjunctive."""
+        inst = generate_instance(1, GenParams(num_states=3))
+        uvecs = [utility_vector(inst.utility, a) for a in generate_act_grid(inst, resolution=2)]
+        table = MarginTable(inst, uvecs)
+        battery, gathered = table.battery, []
+
+        def counted(i, read):
+            return lambda hits: gathered.append(i) or read(hits)
+
+        readers = list(itertools.starmap(counted, enumerate(battery.readers)))
+        monkeypatch.setattr(battery, "readers", readers)
+        for kind in (GeneralizedBewley(), Conjunctive()):
+            gathered.clear()
+            report = audit(AxiomKind.COMPLETENESS, kind, inst, table=table, witness_cap=10**6)
+            assert len(report.witnesses) == report.total_violations > 0, kind
+            last = max(w.indices[0] for w in report.witnesses)
+            assert gathered == list(range(last + 1)) and last + 1 == 120 < table.n, kind
+
 
 PAIRWISE_AXIOMS = (
     AxiomKind.COMPLETENESS,
@@ -1287,6 +1311,65 @@ class TestDifferenceOrder:
                         audit(axiom, kind, inst, table=table)
                 assert all("acts" not in vars(cols) for cols in table._columns.values())
             assert ("_pairs" in vars(table.battery)) is (uvecs is irregular)
+
+
+def random_battery(size, states=3):
+    """``size`` random acts with entries k/641, so nearly every difference is distinct."""
+    rng = random.Random(0)
+    return [UtilityVector(tuple(F(rng.randint(-641, 641), 641) for _ in range(states)))
+            for _ in range(size)]
+
+
+class TestBatteryLimits:
+    """Every battery, on the lattice or off it, is bounded in acts and in distinct differences."""
+
+    def test_a_large_random_battery_is_refused_before_its_readers(self):
+        """600 random 3-state acts make about 360,000 distinct differences: the
+        battery raises, naming both numbers, before ``position`` or ``readers``."""
+        with pytest.raises(ValueError, match=r"battery's \d+ distinct differences are over "
+                                             f"MAX_BATTERY_DIFFERENCES = {MAX_BATTERY_DIFFERENCES}"
+                           ) as raised:
+            Battery(3, random_battery(600))
+        battery = raised.traceback[-1].locals["self"]
+        assert battery.n == 600 and len(battery.codes) == 600
+        assert not hasattr(battery, "position") and not hasattr(battery, "readers")
+
+    def test_a_battery_at_each_limit_builds_and_one_over_it_is_refused(self, monkeypatch):
+        """At exactly ``MAX_BATTERY_ACTS`` acts and ``MAX_BATTERY_DIFFERENCES``
+        distinct differences a battery builds; one over either is refused, and
+        one over the act limit before any code is built."""
+        uvecs = random_battery(40)
+        distinct = len(Battery(3, uvecs).distinct)
+        monkeypatch.setattr(axioms_module, "MAX_BATTERY_ACTS", 40)
+        monkeypatch.setattr(axioms_module, "MAX_BATTERY_DIFFERENCES", distinct)
+        assert Battery(3, uvecs).n == 40
+        monkeypatch.setattr(axioms_module, "MAX_BATTERY_DIFFERENCES", distinct - 1)
+        with pytest.raises(ValueError, match=f"{distinct} distinct differences are over "
+                                             f"MAX_BATTERY_DIFFERENCES = {distinct - 1}"):
+            Battery(3, uvecs)
+        monkeypatch.setattr(axioms_module, "MAX_BATTERY_ACTS", 39)
+        with pytest.raises(ValueError, match="battery of 40 acts is over MAX_BATTERY_ACTS = 39"
+                           ) as raised:
+            Battery(3, uvecs)
+        assert not hasattr(raised.traceback[-1].locals["self"], "codes")
+
+    def test_every_admitted_lattice_builds(self):
+        """Every lattice ``check_battery`` admits has at most 5 ** 6 = 15,625
+        distinct differences, (4r + 1) ** states; the 729-act 2- and 3-state
+        lattices and the 6-state resolution-1 lattice build."""
+        most = 0
+        for states in range(1, 7):
+            for resolution in itertools.count(1):
+                try:
+                    check_battery(resolution, states)
+                except ValueError:
+                    break
+                most = max(most, (4 * resolution + 1) ** states)
+        assert most == 5 ** 6 <= MAX_BATTERY_DIFFERENCES
+        for states, resolution in ((2, 13), (3, 4), (6, 1)):
+            battery = Battery(states, phi_lattice(states, resolution, F(1)))
+            assert battery.n == MAX_BATTERY_ACTS and battery.grid, states
+            assert len(battery.distinct) == (4 * resolution + 1) ** states, states
 
 
 class TestPairwiseAudits:
