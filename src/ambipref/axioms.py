@@ -27,11 +27,14 @@ lattice they fill a grid of balanced digits, in product order, so their
 fold builds separable sums over the states, as the mixing box's does;
 other batteries gather each d's vertex values from one pair of acts
 that makes it.  A model's relation is the sign of each distinct
-difference, so both completeness axioms and independence count checks,
-violations and zero margins per difference, weighted by the pairs of acts
-behind each (``Battery.upper``), and the audits gather act rows only for
-witnesses and constants.  Utility is
-affine, so mixing f and g with a common act h at weight a leaves
+difference, read off the signs of its two primitives through the kind's
+slopes (``_Kind.slopes``): its margin lies between them, so where they
+share a sign, or one is 0, that is its sign, and ``combine`` weighs only
+opposite signs that a slope strictly between 0 and 1 mixes.  So both
+completeness axioms and independence count checks, violations and zero
+margins per difference, weighted by the pairs of acts behind each
+(``Battery.upper``), and the audits gather act rows only for witnesses
+and constants.  Utility is affine, so mixing f and g with a common act h at weight a leaves
 a * (u_f - u_g), and min and max commute with a positive scale, so the
 primitives of k * d are k times d's, as those of -d are d's reversed:
 independence compares, once per distinct d, the model's ``combine`` of
@@ -44,10 +47,12 @@ entries, in the battery's steps, are balanced digits in [-half, half],
 ``radix ** num_states`` of them, which on a lattice is 1.3 to 1.6 times
 its distinct d.  Vector d sits at index code + size // 2, each vertex's values
 are separable sums over the states, and the box's minmax is its maxmin
-reversed and negated, since -d sits at size - 1 - index.  So one "-0+" sign
-line serves every read, and each weight gathers one character per strictly
-ordered pair from the line's slice at act h; a box over ``MAX_MIXING_BOX``
-entries is refused before its fold.  Batteries with irregular denominators,
+reversed and negated, since -d sits at size - 1 - index, and its signs
+are the maxmin's reversed, - and + swapped.  So one "-0+" sign line, read
+through the slopes as the relation's is, serves every read, and each
+weight gathers one character per strictly ordered pair from the line's
+slice at act h; a box over ``MAX_MIXING_BOX`` entries is refused before
+its fold.  Batteries with irregular denominators,
 whose box is larger, fold each distinct d once, from one act triple that
 makes it; one with over ``MAX_MIXING_TRIPLES`` (weight, strict pair, act)
 triples is refused before any of that is built.
@@ -77,7 +82,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from typing import Callable, Sequence
 
 from .analysis import MAX_BATTERY_ACTS, check_battery, check_radius, phi_lattice
@@ -413,7 +418,10 @@ class _SetColumns:
     otherwise each d's vertex values are gathered from one pair of acts
     that makes it, and ``acts`` is built on first read.  The minmax is the
     maxmin reversed and negated, since minmax(d) = -maxmin(-d) and -d sits
-    at the mirror position; callers must not mutate either list.
+    at the mirror position; callers must not mutate either list.  ``signs``
+    and ``box_signs`` keep the "-0+" lines of the two primitives, read once
+    and shared by every kind's ``_sign_line``; the box's minmax signs are
+    its maxmin's reversed, - and + swapped, so its minmax list is never built.
     """
 
     def __init__(self, sets: BeliefCollection, battery: Battery):
@@ -432,7 +440,6 @@ class _SetColumns:
                                             map(acts.__getitem__, battery.subtrahends)))
                                    for acts in self.acts], self.parts)
         self.minmax = [-x for x in reversed(self.maxmin)]
-        self._box = None
 
     @cached_property
     def acts(self) -> list[list[int]]:
@@ -450,11 +457,23 @@ class _SetColumns:
         kept, as ``maxmin`` is, so every kind that reads these sets shares
         one fold; callers must not mutate it.
         """
-        if self._box is None:
-            half, step = self.battery.half, self.battery.step
-            self._box = _grid_maxmin(self.vertices, self.parts,
-                                     range(-half * step, half * step + 1, step))
         return self._box
+
+    @cached_property
+    def _box(self) -> list[int]:
+        half, step = self.battery.half, self.battery.step
+        return _grid_maxmin(self.vertices, self.parts, range(-half * step, half * step + 1, step))
+
+    @cached_property
+    def signs(self) -> tuple[str, str]:
+        """The "-0+" lines of ``maxmin`` and of ``minmax``, read on first use."""
+        return _signs(self.maxmin), _signs(self.minmax)
+
+    @cached_property
+    def box_signs(self) -> tuple[str, str]:
+        """The box's maxmin signs, and its minmax's: their reversal with - and + swapped."""
+        line = _signs(self._box)
+        return line, line[::-1].translate(_SWAP)
 
     def fold(self, cols: list[list[int]]) -> tuple[list[int], list[int]]:
         """The (maxmin, minmax) of the vectors whose values at the c-th vertex are ``cols[c]``."""
@@ -462,6 +481,7 @@ class _SetColumns:
         return _maxmin(cols, self.parts), [-x for x in _maxmin(negated, self.parts)]
 
 
+_SWAP = str.maketrans("-+", "+-")
 _SIGN_BITS = {signs: str.maketrans("-0+", "".join("01"[c in signs] for c in "-0+"))
               for signs in ("-", "0", "+", "0+")}
 _BYTE_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -473,24 +493,31 @@ class _Relation:
     Built only by ``MarginTable.relation``, and holds no reference to the
     table.  ``combine`` turns the (maxmin, minmax) of the model's columns
     ``cols`` into a numerator over ``unit``; ``num[r]`` is that of
-    ``battery.distinct[r]``, so code c's is at ``battery.position[c]``.
-    ``line`` has the "-0+" sign of each d of ``battery.distinct``, and
-    ``neg``, its reversal, that of -d; ``zeros`` counts the zero margins
-    off the diagonal.
+    ``battery.distinct[r]``, so code c's is at ``battery.position[c]``,
+    built on first read.  ``line`` has the "-0+" sign of each d of
+    ``battery.distinct``, read off the columns' signs through the kind's
+    ``slopes`` by ``_sign_line``, and ``neg``, its reversal, that of -d;
+    ``zeros`` counts the zero margins off the diagonal.
     Bit j of ``weak[i]`` is set when the margin of u_i - u_j is nonnegative,
     and ``weak_t[i]`` does the same for u_j - u_i.  Both are gathered on
     first read.
     """
 
     def __init__(self, kind: ModelKind, table: MarginTable):
-        self.combine = kind.combine
+        self.combine = combine = kind.combine
+        self.slopes = kind.slopes
         self.cols = cols = table.columns(kind)
-        self.battery = battery = table.battery
+        self.battery = table.battery
         self.unit = cols.denom * kind.den
-        self.num = list(map(self.combine, cols.maxmin, cols.minmax))
-        self.line = line = _signs(self.num)
+        maxmin, minmax = cols.maxmin, cols.minmax
+        self.line = line = _sign_line(self.slopes, cols.signs,
+                                      lambda r: combine(maxmin[r], minmax[r]))
         self.neg = line[::-1]
         self.zeros = self.count(self.mask("0")) + self.count(self.mask("0", transposed=True))
+
+    @cached_property
+    def num(self) -> list[int]:
+        return list(map(self.combine, self.cols.maxmin, self.cols.minmax))
 
     def mask(self, signs: str, transposed: bool = False) -> int:
         """A bit per d, first highest, set when d's sign (-d's if ``transposed``) is in ``signs``."""
@@ -516,6 +543,52 @@ class _Relation:
 def _signs(nums) -> str:
     """One "-0+" character per integer, by its sign."""
     return "".join(["-" if x < 0 else "0" if x == 0 else "+" for x in nums])
+
+
+_A_DIGIT = bytes.maketrans(b"-0+", b"\x00\x01\x02")
+_B_DIGIT = bytes.maketrans(b"-0+", b"\x00\x03\x06")
+
+
+@cache
+def _slope_table(ends: tuple[bool, bool, bool, bool]) -> bytes:
+    """Maps 3 * sign(B) + sign(A), signs as 0, 1, 2 for "-0+", to the margin's sign.
+
+    The margin is (1 - t) * A + t * B, with t = u where B > A and v where
+    B < A, so its sign is that of the terms that are not 0; "?" marks
+    terms of opposite signs, which only ``combine`` can weigh.  ``ends``
+    holds u > 0, u < 1, v > 0 and v < 1, all that the signs depend on, so
+    at most nine tables are built.
+    """
+    line = ""
+    for b, a in itertools.product((-1, 0, 1), repeat=2):
+        above, below = ends[:2] if b > a else ends[2:]
+        terms = {a * below, b * above} - {0}
+        line += "?" if len(terms) > 1 else "-0+"[1 + sum(terms)]
+    return bytes.maketrans(bytes(range(9)), line.encode())
+
+
+def _sign_line(slopes, signs: tuple[str, str], num: Callable[[int], int]) -> str:
+    """The "-0+" line of a kind's margins, from the lines ``signs`` of maxmin and minmax.
+
+    Each entry's two signs are packed into one byte and mapped through the
+    kind's slope table; ``num(r)``, the kind's numerator at entry r, is
+    called only where that leaves the sign open, and everywhere when
+    ``slopes`` is None.
+    """
+    a, b = signs
+    if slopes is None:
+        return _signs(map(num, range(len(a))))
+    u, v = slopes
+    packed = (int.from_bytes(a.encode().translate(_A_DIGIT), "big")
+              + int.from_bytes(b.encode().translate(_B_DIGIT), "big"))
+    table = _slope_table((u > 0, u < 1, v > 0, v < 1))
+    line = bytearray(packed.to_bytes(len(a), "big").translate(table))
+    r = line.find(b"?")
+    while r >= 0:
+        x = num(r)
+        line[r] = 45 if x < 0 else 48 if x == 0 else 43  # "-", "0", "+"
+        r = line.find(b"?", r + 1)
+    return line.decode()
 
 
 def _lower(x: list[int], y: list[int]) -> list[int]:
@@ -768,7 +841,7 @@ def _constant_sandwich(r: _Runner, order, bit: int, note: str) -> None:
     acts = [a for a, _ in consts]
     w, wt = (dict(zip(acts, r.relation.rows("0+", acts, t))) for t in (False, True))
     # Every zero read off the diagonal is one of the relation's.
-    diagonal = r.relation.num[r.table.battery.position[0]] == 0
+    diagonal = r.relation.line[r.table.battery.position[0]] == "0"
     r.all_zeros = True
     n, num = r.table.n, r.margin_num
     flip = 0 if bit else (1 << n) - 1
@@ -851,13 +924,18 @@ def _box_signs(rel: _Relation, strict, bases, rests):
     """The signs of every d, read from one fold of the battery's mixing box.
 
     The box's minmax is its maxmin reversed and negated, since -d has index
-    size - 1 - index, so one "-0+" line covers every code.  Per weight, one
+    size - 1 - index, so one "-0+" line, read off the box's signs through
+    the kind's slopes, covers every code.  Per weight, one
     gather of the strict pairs' bases reads the slice of the line that
     starts at act h's rest.
     """
     maxmin = rel.cols.box()
     mid = len(maxmin) // 2
-    line = _signs(map(rel.combine, maxmin, map(operator.neg, reversed(maxmin))))
+
+    def numerator(c):
+        return rel.combine(maxmin[mid + c], -maxmin[mid - c])
+
+    line = _sign_line(rel.slopes, rel.cols.box_signs, lambda i: numerator(i - mid))
     reads = []
     for bs in bases:
         low = min(bs)
@@ -867,7 +945,7 @@ def _box_signs(rel: _Relation, strict, bases, rests):
         read, start = reads[wi]
         return "".join(read(line[start + rests[wi][h]:]))  # one pair reads one character
 
-    return gather, lambda c: rel.combine(maxmin[mid + c], -maxmin[mid - c])
+    return gather, numerator
 
 
 def _distinct_signs(rel: _Relation, strict, bases, rests):

@@ -95,9 +95,16 @@ class _Kind:
     by ``den`` it is the model's margin.  Over a single set, maxmin is the
     set's minimal vertex expectation and minmax its maximal one, so the
     one-set models are the same algebra over a smaller collection.
+
+    ``slopes`` (u, v), each in [0, 1], write that algebra out: with
+    D = minmax - maxmin, the margin is maxmin + u * max(D, 0) +
+    v * min(D, 0), a point between the two primitives.  So where they share
+    a sign, or one is 0, the slopes alone fix the margin's sign; ``None``
+    marks a rule with no slopes.  They are class attributes, not fields.
     """
 
     den = 1
+    slopes = None
 
     def sets(self, collection: BeliefCollection) -> BeliefCollection:
         return collection
@@ -113,6 +120,7 @@ class GeneralizedBewley(_Kind):
 
     tag = "generalized-bewley"
     combine = staticmethod(lambda maxmin, minmax: maxmin)
+    slopes = (0, 0)
 
 
 @dataclass(frozen=True)
@@ -121,6 +129,7 @@ class Disjunctive(_Kind):
 
     tag = "disjunctive"
     combine = staticmethod(max)
+    slopes = (1, 0)
 
 
 @dataclass(frozen=True)
@@ -129,6 +138,7 @@ class Conjunctive(_Kind):
 
     tag = "conjunctive"
     combine = staticmethod(min)
+    slopes = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -138,6 +148,7 @@ class HalfMixture(_Kind):
     tag = "half-mixture"
     den = 2
     combine = staticmethod(operator.add)
+    slopes = (Fraction(1, 2), Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -151,6 +162,7 @@ class AlphaMixture(_Kind):
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "_weights", (alpha.numerator, alpha.denominator - alpha.numerator))
         object.__setattr__(self, "den", alpha.denominator)
+        object.__setattr__(self, "slopes", (1 - alpha, 1 - alpha))
 
     @property
     def tag(self) -> str:
@@ -179,6 +191,7 @@ class Bewley(_OneSet):
     set_name: str
     label = "bewley"
     combine = staticmethod(lambda maxmin, minmax: maxmin)
+    slopes = (0, 0)
 
 
 @dataclass(frozen=True)
@@ -188,6 +201,7 @@ class Justifiable(_OneSet):
     set_name: str
     label = "justifiable"
     combine = staticmethod(lambda maxmin, minmax: minmax)
+    slopes = (1, 1)
 
 
 @dataclass(frozen=True)
@@ -196,6 +210,7 @@ class SEU(_Kind):
 
     prior: Prior
     combine = staticmethod(lambda maxmin, minmax: maxmin)
+    slopes = (0, 0)
 
     @property
     def tag(self) -> str:

@@ -69,6 +69,8 @@ from ambipref.axioms import (
     _box_signs,
     _distinct_signs,
     _favorable_mixing,
+    _sign_line,
+    _signs,
     battery_label,
     check_battery,
 )
@@ -1240,6 +1242,48 @@ class Lifted(_Kind):
         return maxmin + self.lift * (maxmin > self.above)
 
 
+class TestSignLine:
+    """A kind's sign line read off the two primitives' signs through its slopes."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_line_is_the_sign_of_combine_at_every_entry(self, disjoint_pair, seed):
+        """Random integers with zeros, every pair of signs present.
+
+        ``combine`` is called only where the slopes leave the sign open: at
+        opposite signs, for slopes strictly between 0 and 1, and everywhere
+        for ``Reversed`` and ``Lifted``, which have none.
+        """
+        rng = random.Random(seed)
+        kinds = [*eight_kinds(disjoint_pair)[1], AlphaMixture(F(1, 3)), AlphaMixture(0),
+                 Reversed(), Lifted(), Lifted(-2, 0)]
+        for size in (0, 1, 400):
+            a, b = ([rng.choice((0, rng.randint(-9, 9))) for _ in range(size)] for _ in "ab")
+            signs = (_signs(a), _signs(b))
+            opposite = [r for r, (x, y) in enumerate(zip(a, b)) if x * y < 0]
+            assert size < 400 or len(set(zip(*signs))) == 9
+            for kind in kinds:
+                calls = []
+                line = _sign_line(kind.slopes, signs,
+                                  lambda r: calls.append(r) or kind.combine(a[r], b[r]))
+                assert line == _signs(map(kind.combine, a, b)), kind
+                if kind.slopes is None:
+                    assert calls == list(range(size)), kind
+                else:
+                    inside = [0 < t < 1 for t in kind.slopes]
+                    assert calls == [r for r in opposite if inside[a[r] > 0]], kind
+
+    def test_a_passing_completeness_audit_builds_no_numerators(self, monkeypatch):
+        """Disjunctive is complete: its audit reads the relation's signs, never ``num``."""
+        built = []
+        monkeypatch.setattr(_Relation, "num", property(lambda self: built.append(self)))
+        inst = generate_instance(3, GenParams(num_states=3))
+        uvecs = [utility_vector(inst.utility, a) for a in generate_act_grid(inst, resolution=1)]
+        report = audit(AxiomKind.COMPLETENESS, Disjunctive(), inst,
+                       table=MarginTable(inst, uvecs))
+        assert report.passed and report.checked
+        assert built == []
+
+
 class TestDifferenceOrder:
     """``Battery.distinct`` in code order, and the digit-grid fold of lattices."""
 
@@ -1831,11 +1875,15 @@ class TestPinnedAudits:
         """verify's own 125-act lattice (3 states, resolution 2), all eight kinds.
 
         One sha256 per (seed, axiom) over the eight kinds' reports, for every
-        axiom but favorable mixing, which is pinned on the smaller batteries
-        above.
+        axiom but favorable mixing, which is pinned below.
         """
         pinned = json.loads((DATA / "audit_lattice_sha256.json").read_text())
-        assert lattice_audit_digests() == pinned
+        assert lattice_audit_digests(LATTICE_AXIOMS) == pinned
+
+    def test_verify_lattice_favorable_mixing(self):
+        """Favorable mixing on the same lattice, its 33^3 = 35,937-entry box, all eight kinds."""
+        pinned = json.loads((DATA / "audit_lattice_mixing_sha256.json").read_text())
+        assert lattice_audit_digests([AxiomKind.FAVORABLE_MIXING]) == pinned
 
 
 class TestAuditSuiteMemo:
@@ -1916,8 +1964,8 @@ LATTICE_SEEDS = (1, 3, 5, 7)
 LATTICE_AXIOMS = [a for a in AxiomKind if a is not AxiomKind.FAVORABLE_MIXING]
 
 
-def lattice_audit_digests():
-    """sha256 of the reports ``verify`` would read on its lattice, by seed and axiom."""
+def lattice_audit_digests(axioms):
+    """sha256 of the ``axioms`` reports on ``verify``'s lattice, by seed and axiom."""
     config = VerifyConfig()
     digests = {}
     for seed in LATTICE_SEEDS:
@@ -1926,7 +1974,7 @@ def lattice_audit_digests():
         lattice = phi_lattice(3, config.resolution, F(config.radius))
         table = MarginTable(inst, lattice)
         desc = battery_label(inst, len(lattice), config.resolution, config.radius)
-        for axiom in LATTICE_AXIOMS:
+        for axiom in axioms:
             doc = [
                 audit(axiom, kind, inst, lattice, table=table, battery_desc=desc).to_jsonable(
                     table.uvecs

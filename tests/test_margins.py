@@ -203,6 +203,19 @@ class TestModelMargins:
             assert margin == reference_margin(kind, coll, phi), kind
             assert margin_pair(kind, coll, phi) == (margin, model_margin(kind, coll, -phi))
 
+    @pytest.mark.parametrize("alpha", [F(0), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)])
+    @given(st.integers(-60, 60), st.integers(-60, 60))
+    @example(0, 0)
+    @example(0, 7)
+    @example(-7, 0)
+    def test_every_kind_is_maxmin_plus_its_slopes_of_d(self, disjoint_pair, alpha, a, b):
+        """combine(A, B) / den = A + u * max(D, 0) + v * min(D, 0), D = B - A."""
+        for kind in [*all_kinds(disjoint_pair), AlphaMixture(alpha)]:
+            u, v = kind.slopes
+            assert 0 <= u <= 1 and 0 <= v <= 1, kind
+            d = b - a
+            assert F(kind.combine(a, b), kind.den) == a + u * max(d, 0) + v * min(d, 0), kind
+
     def test_end_mixtures_are_the_primitives(self, disjoint_pair):
         prof = margin_profile(disjoint_pair.collection, BET)
         assert [model_margin(k, disjoint_pair.collection, BET) for k in END_MIXTURES] == [
