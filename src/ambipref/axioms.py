@@ -27,19 +27,18 @@ lattice they fill a grid of balanced digits, in product order, so their
 fold builds separable sums over the states, as the mixing box's does;
 other batteries gather each d's vertex values from one pair of acts
 that makes it.  A model's relation is the sign of each distinct
-difference, read off the signs of its two primitives through the kind's
-slopes (``_Kind.slopes``): its margin lies between them, so where they
-share a sign, or one is 0, that is its sign, and ``combine`` weighs only
-opposite signs that a slope strictly between 0 and 1 mixes.  So both
+difference, read off its two primitives' signs through the kind's
+``slopes``: its margin lies between them, so ``combine`` weighs only
+opposite signs that a slope strictly inside (0, 1) mixes.  So both
 completeness axioms and independence count checks, violations and zero
 margins per difference, weighted by the pairs of acts behind each
 (``Battery.upper``), and the audits gather act rows only for witnesses
-and constants.  Utility is affine, so mixing f and g with a common act h at weight a leaves
-a * (u_f - u_g), and min and max commute with a positive scale, so the
-primitives of k * d are k times d's, as those of -d are d's reversed:
-independence compares, once per distinct d, the model's ``combine`` of
-k times d's primitives with k times its margin of d, and walks pairs of
-acts only to gather witnesses.
+and constants.  Utility is affine, so mixing f and g with a common act h
+at weight a leaves a * (u_f - u_g), and min and max commute with a
+positive scale, so the primitives of k * d are k times d's, as those of
+-d are d's reversed: independence compares, once per distinct d, the
+model's ``combine`` of k times d's primitives with k times its margin of
+d, and walks pairs of acts only to gather witnesses.
 
 Favorable mixing on a battery whose mixing box fits in n ** 3 entries, as
 every lattice's does, folds the whole box instead: every vector whose
@@ -419,9 +418,8 @@ class _SetColumns:
     that makes it, and ``acts`` is built on first read.  The minmax is the
     maxmin reversed and negated, since minmax(d) = -maxmin(-d) and -d sits
     at the mirror position; callers must not mutate either list.  ``signs``
-    and ``box_signs`` keep the "-0+" lines of the two primitives, read once
-    and shared by every kind's ``_sign_line``; the box's minmax signs are
-    its maxmin's reversed, - and + swapped, so its minmax list is never built.
+    and ``box_signs`` keep both primitives' "-0+" lines for every kind's
+    ``_sign_line``, so the box's minmax list is never built.
     """
 
     def __init__(self, sets: BeliefCollection, battery: Battery):
@@ -464,16 +462,13 @@ class _SetColumns:
         half, step = self.battery.half, self.battery.step
         return _grid_maxmin(self.vertices, self.parts, range(-half * step, half * step + 1, step))
 
-    @cached_property
-    def signs(self) -> tuple[str, str]:
-        """The "-0+" lines of ``maxmin`` and of ``minmax``, read on first use."""
-        return _signs(self.maxmin), _signs(self.minmax)
+    signs = cached_property(lambda self: (_signs(self.maxmin), _signs(self.minmax)))
 
     @cached_property
     def box_signs(self) -> tuple[str, str]:
         """The box's maxmin signs, and its minmax's: their reversal with - and + swapped."""
         line = _signs(self._box)
-        return line, line[::-1].translate(_SWAP)
+        return line, line[::-1].translate(str.maketrans("-+", "+-"))
 
     def fold(self, cols: list[list[int]]) -> tuple[list[int], list[int]]:
         """The (maxmin, minmax) of the vectors whose values at the c-th vertex are ``cols[c]``."""
@@ -481,7 +476,6 @@ class _SetColumns:
         return _maxmin(cols, self.parts), [-x for x in _maxmin(negated, self.parts)]
 
 
-_SWAP = str.maketrans("-+", "+-")
 _SIGN_BITS = {signs: str.maketrans("-0+", "".join("01"[c in signs] for c in "-0+"))
               for signs in ("-", "0", "+", "0+")}
 _BYTE_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -509,9 +503,8 @@ class _Relation:
         self.cols = cols = table.columns(kind)
         self.battery = table.battery
         self.unit = cols.denom * kind.den
-        maxmin, minmax = cols.maxmin, cols.minmax
         self.line = line = _sign_line(self.slopes, cols.signs,
-                                      lambda r: combine(maxmin[r], minmax[r]))
+                                      lambda r: combine(cols.maxmin[r], cols.minmax[r]))
         self.neg = line[::-1]
         self.zeros = self.count(self.mask("0")) + self.count(self.mask("0", transposed=True))
 
@@ -545,19 +538,16 @@ def _signs(nums) -> str:
     return "".join(["-" if x < 0 else "0" if x == 0 else "+" for x in nums])
 
 
-_A_DIGIT = bytes.maketrans(b"-0+", b"\x00\x01\x02")
-_B_DIGIT = bytes.maketrans(b"-0+", b"\x00\x03\x06")
+_DIGITS = bytes.maketrans(b"-0+", b"\x00\x01\x02"), bytes.maketrans(b"-0+", b"\x00\x03\x06")
 
 
 @cache
 def _slope_table(ends: tuple[bool, bool, bool, bool]) -> bytes:
-    """Maps 3 * sign(B) + sign(A), signs as 0, 1, 2 for "-0+", to the margin's sign.
+    """Maps 3 * sign(B) + sign(A), as 0, 1, 2 for "-0+", to the sign of (1 - t) * A + t * B.
 
-    The margin is (1 - t) * A + t * B, with t = u where B > A and v where
-    B < A, so its sign is that of the terms that are not 0; "?" marks
-    terms of opposite signs, which only ``combine`` can weigh.  ``ends``
-    holds u > 0, u < 1, v > 0 and v < 1, all that the signs depend on, so
-    at most nine tables are built.
+    t is u where B > A and v where B < A; ``ends`` holds u > 0, u < 1,
+    v > 0 and v < 1, all that sign depends on.  "?" marks terms of
+    opposite signs, which only ``combine`` can weigh.
     """
     line = ""
     for b, a in itertools.product((-1, 0, 1), repeat=2):
@@ -568,25 +558,23 @@ def _slope_table(ends: tuple[bool, bool, bool, bool]) -> bytes:
 
 
 def _sign_line(slopes, signs: tuple[str, str], num: Callable[[int], int]) -> str:
-    """The "-0+" line of a kind's margins, from the lines ``signs`` of maxmin and minmax.
+    """The "-0+" line of a kind's margins, read off the lines ``signs`` of maxmin and minmax.
 
     Each entry's two signs are packed into one byte and mapped through the
     kind's slope table; ``num(r)``, the kind's numerator at entry r, is
     called only where that leaves the sign open, and everywhere when
     ``slopes`` is None.
     """
-    a, b = signs
+    size = len(signs[0])
     if slopes is None:
-        return _signs(map(num, range(len(a))))
+        return _signs(map(num, range(size)))
     u, v = slopes
-    packed = (int.from_bytes(a.encode().translate(_A_DIGIT), "big")
-              + int.from_bytes(b.encode().translate(_B_DIGIT), "big"))
-    table = _slope_table((u > 0, u < 1, v > 0, v < 1))
-    line = bytearray(packed.to_bytes(len(a), "big").translate(table))
+    packed = sum(int.from_bytes(s.encode().translate(t), "big") for s, t in zip(signs, _DIGITS))
+    line = bytearray(packed.to_bytes(size, "big").translate(
+        _slope_table((u > 0, u < 1, v > 0, v < 1))))
     r = line.find(b"?")
     while r >= 0:
-        x = num(r)
-        line[r] = 45 if x < 0 else 48 if x == 0 else 43  # "-", "0", "+"
+        line[r] = ord(_signs((num(r),)))
         r = line.find(b"?", r + 1)
     return line.decode()
 
@@ -925,17 +913,14 @@ def _box_signs(rel: _Relation, strict, bases, rests):
 
     The box's minmax is its maxmin reversed and negated, since -d has index
     size - 1 - index, so one "-0+" line, read off the box's signs through
-    the kind's slopes, covers every code.  Per weight, one
-    gather of the strict pairs' bases reads the slice of the line that
-    starts at act h's rest.
+    the kind's slopes, covers every code.  Per weight, one gather of the
+    strict pairs' bases reads the slice of the line that starts at act h's
+    rest.
     """
     maxmin = rel.cols.box()
     mid = len(maxmin) // 2
-
-    def numerator(c):
-        return rel.combine(maxmin[mid + c], -maxmin[mid - c])
-
-    line = _sign_line(rel.slopes, rel.cols.box_signs, lambda i: numerator(i - mid))
+    line = _sign_line(rel.slopes, rel.cols.box_signs,
+                      lambda i: rel.combine(maxmin[i], -maxmin[-1 - i]))
     reads = []
     for bs in bases:
         low = min(bs)
@@ -945,7 +930,7 @@ def _box_signs(rel: _Relation, strict, bases, rests):
         read, start = reads[wi]
         return "".join(read(line[start + rests[wi][h]:]))  # one pair reads one character
 
-    return gather, numerator
+    return gather, lambda c: rel.combine(maxmin[mid + c], -maxmin[mid - c])
 
 
 def _distinct_signs(rel: _Relation, strict, bases, rests):

@@ -96,11 +96,10 @@ class _Kind:
     set's minimal vertex expectation and minmax its maximal one, so the
     one-set models are the same algebra over a smaller collection.
 
-    ``slopes`` (u, v), each in [0, 1], write that algebra out: with
-    D = minmax - maxmin, the margin is maxmin + u * max(D, 0) +
-    v * min(D, 0), a point between the two primitives.  So where they share
-    a sign, or one is 0, the slopes alone fix the margin's sign; ``None``
-    marks a rule with no slopes.  They are class attributes, not fields.
+    With D = minmax - maxmin, the margin is maxmin + u * max(D, 0) +
+    v * min(D, 0), its ``slopes`` (u, v) each in [0, 1]: a point between the
+    two primitives, so where they share a sign, or one is 0, the slopes fix
+    its sign.  ``None`` marks a rule with no slopes; they are not fields.
     """
 
     den = 1
