@@ -82,7 +82,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property, partial, reduce
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .analysis import MAX_BATTERY_ACTS, check_battery, check_radius, phi_lattice
 from .model import (
@@ -503,8 +503,8 @@ class _Relation:
         self.cols = cols = table.columns(kind)
         self.battery = table.battery
         self.unit = cols.denom * kind.den
-        self.line = line = _sign_line(self.slopes, cols.signs,
-                                      lambda r: combine(cols.maxmin[r], cols.minmax[r]))
+        self.line = line = _sign_line(self.slopes, cols.signs, lambda at: map(
+            combine, map(cols.maxmin.__getitem__, at), map(cols.minmax.__getitem__, at)))
         self.neg = line[::-1]
         self.zeros = self.count(self.mask("0")) + self.count(self.mask("0", transposed=True))
 
@@ -557,26 +557,25 @@ def _slope_table(ends: tuple[bool, bool, bool, bool]) -> bytes:
     return bytes.maketrans(bytes(range(9)), line.encode())
 
 
-def _sign_line(slopes, signs: tuple[str, str], num: Callable[[int], int]) -> str:
+def _sign_line(slopes, signs: tuple[str, str], nums: Callable[[list[int]], Iterable[int]]) -> str:
     """The "-0+" line of a kind's margins, read off the lines ``signs`` of maxmin and minmax.
 
     Each entry's two signs are packed into one byte and mapped through the
-    kind's slope table; ``num(r)``, the kind's numerator at entry r, is
-    called only where that leaves the sign open, and everywhere when
-    ``slopes`` is None.
+    kind's slope table.  ``nums(entries)`` yields the kind's numerators at
+    the entries where that leaves the sign open, in order, and at every
+    entry when ``slopes`` is None.
     """
     size = len(signs[0])
     if slopes is None:
-        return _signs(map(num, range(size)))
+        return _signs(nums(range(size)))
     u, v = slopes
     packed = sum(int.from_bytes(s.encode().translate(t), "big") for s, t in zip(signs, _DIGITS))
-    line = bytearray(packed.to_bytes(size, "big").translate(
-        _slope_table((u > 0, u < 1, v > 0, v < 1))))
-    r = line.find(b"?")
-    while r >= 0:
-        line[r] = ord(_signs((num(r),)))
-        r = line.find(b"?", r + 1)
-    return line.decode()
+    parts = packed.to_bytes(size, "big").translate(
+        _slope_table((u > 0, u < 1, v > 0, v < 1))).decode().split("?")
+    # The k-th "?" sits after parts[:k + 1] and the k "?" between them.
+    fill = _signs(nums(list(map(operator.add, itertools.accumulate(map(len, parts[:-1])),
+                                itertools.count()))))
+    return "".join(map(operator.add, parts, fill)) + parts[-1]
 
 
 def _lower(x: list[int], y: list[int]) -> list[int]:
@@ -919,8 +918,8 @@ def _box_signs(rel: _Relation, strict, bases, rests):
     """
     maxmin = rel.cols.box()
     mid = len(maxmin) // 2
-    line = _sign_line(rel.slopes, rel.cols.box_signs,
-                      lambda i: rel.combine(maxmin[i], -maxmin[-1 - i]))
+    line = _sign_line(rel.slopes, rel.cols.box_signs, lambda at: map(
+        rel.combine, map(maxmin.__getitem__, at), [-maxmin[-1 - i] for i in at]))
     reads = []
     for bs in bases:
         low = min(bs)

@@ -1263,8 +1263,8 @@ class TestSignLine:
             assert size < 400 or len(set(zip(*signs))) == 9
             for kind in kinds:
                 calls = []
-                line = _sign_line(kind.slopes, signs,
-                                  lambda r: calls.append(r) or kind.combine(a[r], b[r]))
+                line = _sign_line(kind.slopes, signs, lambda at: calls.extend(at) or map(
+                    kind.combine, map(a.__getitem__, at), map(b.__getitem__, at)))
                 assert line == _signs(map(kind.combine, a, b)), kind
                 if kind.slopes is None:
                     assert calls == list(range(size)), kind
