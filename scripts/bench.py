@@ -28,6 +28,11 @@ explain.  The file records ``nproc`` and the Python version.  Nothing under
 traced runs took 4 to 6 minutes on a 2-core x86 machine with Python 3.11:
 ``--seconds`` sizes each window from the workload's nominal rate, and the
 code now runs well above those rates.
+
+Before the first timed run, ``python -m compileall -q src`` compiles the
+package in both checkouts, which writes bytecode even under
+``PYTHONDONTWRITEBYTECODE=1``; so ``setup_s`` compares the code, not which
+checkout already held a ``__pycache__``.
 """
 
 from __future__ import annotations
@@ -72,6 +77,15 @@ def checkout_info(root: Path) -> dict:
         "commit": commit,
         "dirty": None if status is None else bool(status),
     }
+
+
+def compile_sources(root: Path) -> None:
+    """Write the bytecode of every module under ``src`` in ``root``."""
+    cmd = [sys.executable, "-m", "compileall", "-q", "src"]
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"error: {' '.join(cmd)} in {root} exited {done.returncode}:\n"
+                         f"{done.stdout}{done.stderr}")
 
 
 def run_once(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -148,6 +162,8 @@ def main(argv: list[str] | None = None) -> int:
     names = [m["name"] for m in spec["end_to_end"]]
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
     roots = {"baseline": args.baseline.resolve(), "head": ROOT}
+    for root in roots.values():
+        compile_sources(root)
 
     rows = []
     for workload in (w["name"] for w in spec["workloads"]):

@@ -260,19 +260,20 @@ class Battery:
     half the mixing box's size, its indices; they are never decoded.
     ``distinct`` lists the codes of the u_i - u_j once each, in ascending
     order, so -distinct[r] is distinct[-1 - r]; ``position`` maps each code
-    to its place there, ``minuends`` and ``subtrahends``, built on first
-    read, hold one pair of acts that differ by each, and ``upper`` counts
-    the pairs i < j behind each.  ``grid`` holds when they are every vector
-    whose entries are at most ``spread`` steps, as on every lattice: then
-    ``distinct`` is that digit grid in product order, the last state
-    leading, and each selection of belief sets folds it as one grid, with
-    no pair of acts; otherwise it folds each d from its pair.  None of it reads
-    belief sets, so one battery serves every instance with that many states;
-    ``upper``, ``dominance`` and the constant acts behind ``constants()``
-    are memoized here.  The state count is given, since an empty battery
-    has no vector to read it from.  A battery of over ``MAX_BATTERY_ACTS``
-    acts is refused before its codes are built, and one of over
-    ``MAX_BATTERY_DIFFERENCES`` distinct differences before ``position``.
+    to its place there, and ``upper`` counts the pairs i < j behind each,
+    counted in the one pass over the pairs that finds the differences.
+    ``_pairs``, built on first read, holds one pair of acts that differ by
+    each.  ``grid`` holds when they are every vector whose entries are at
+    most ``spread`` steps, as on every lattice: then ``distinct`` is that
+    digit grid in product order, the last state leading, and each selection
+    of belief sets folds it as one grid, with no pair of acts; otherwise it
+    folds each d from its pair.  None of it reads belief sets, so one
+    battery serves every instance with that many states; ``dominance`` and
+    the constant acts behind ``constants()`` are memoized here.  The state
+    count is given, since an empty battery has no vector to read it from.
+    A battery of over ``MAX_BATTERY_ACTS`` acts is refused before its codes
+    are built, and one of over ``MAX_BATTERY_DIFFERENCES`` distinct
+    differences before ``position`` and ``readers``.
     """
 
     def __init__(self, num_states: int, uvecs: Sequence[UtilityVector]):
@@ -292,14 +293,17 @@ class Battery:
         self.radix = 2 * self.half + 1
         self.codes = [sum(x // self.step * self.radix**j for j, x in enumerate(u))
                       for u in self.rows]
-        unique = set(self.codes)
-        distinct = {a - b for a in unique for b in unique}
+        # Each pair i < j counted by u_i - u_j; with their negations and, given
+        # an act, u_i - u_i = 0, that is every difference.
+        count = Counter(itertools.starmap(operator.sub, itertools.combinations(self.codes, 2)))
+        distinct = {*count, *map(operator.neg, count), *([0] if self.n else [])}
         if len(distinct) > MAX_BATTERY_DIFFERENCES:
             raise ValueError(f"battery's {len(distinct)} distinct differences are over "
                              f"{MAX_BATTERY_DIFFERENCES = }")
         # Sorted, and closed under negation, so -distinct[r] is distinct[-1 - r].
         self.distinct = sorted(distinct)
         self.position = position = {c: r for r, c in enumerate(self.distinct)}
+        self.upper = list(map(count.__getitem__, self.distinct))
         # Every u_i - u_j has entries of at most ``spread`` steps, so this
         # holds when they are all such vectors, as on every lattice.
         self.spread = spread
@@ -319,21 +323,12 @@ class Battery:
         pairs = {a - b: (i, j) for a, i in act.items() for b, j in act.items()}
         return [pairs[c][0] for c in self.distinct], [pairs[c][1] for c in self.distinct]
 
-    minuends = property(lambda self: self._pairs[0])
-    subtrahends = property(lambda self: self._pairs[1])
-
     def pairs(self, hits: str):
         """The pairs i < j whose u_i - u_j is "1" in ``hits``, a character per
         ``distinct``, in (i, j) order; each row i is gathered when the walk reaches it."""
         for i, read in enumerate(self.readers):
             for j in _set_bits(int("".join(read(hits)), 2) >> i + 1 << i + 1):  # the j > i
                 yield i, j
-
-    @cached_property
-    def upper(self) -> list[int]:
-        """How many pairs of acts i < j have each of ``distinct`` as u_i - u_j."""
-        count = Counter(itertools.starmap(operator.sub, itertools.combinations(self.codes, 2)))
-        return list(map(count.__getitem__, self.distinct))
 
     @cached_property
     def dominance(self) -> list[tuple[int, int]]:
@@ -419,7 +414,9 @@ class _SetColumns:
     maxmin reversed and negated, since minmax(d) = -maxmin(-d) and -d sits
     at the mirror position; callers must not mutate either list.  ``signs``
     and ``box_signs`` keep both primitives' "-0+" lines for every kind's
-    ``_sign_line``, so the box's minmax list is never built.
+    ``_sign_line``, each fold's by one mirror rule, ``_mirror_signs``: the
+    minmax line is the maxmin line reversed, - and + swapped.  So no minmax
+    list is signed, and the box's is never built.
     """
 
     def __init__(self, sets: BeliefCollection, battery: Battery):
@@ -434,8 +431,9 @@ class _SetColumns:
             self.maxmin = _grid_maxmin(self.vertices, self.parts,
                                        range(-battery.spread * t, battery.spread * t + 1, t))
         else:
-            self.maxmin = _maxmin([list(map(operator.sub, map(acts.__getitem__, battery.minuends),
-                                            map(acts.__getitem__, battery.subtrahends)))
+            minuends, subtrahends = battery._pairs
+            self.maxmin = _maxmin([list(map(operator.sub, map(acts.__getitem__, minuends),
+                                            map(acts.__getitem__, subtrahends)))
                                    for acts in self.acts], self.parts)
         self.minmax = [-x for x in reversed(self.maxmin)]
 
@@ -462,13 +460,8 @@ class _SetColumns:
         half, step = self.battery.half, self.battery.step
         return _grid_maxmin(self.vertices, self.parts, range(-half * step, half * step + 1, step))
 
-    signs = cached_property(lambda self: (_signs(self.maxmin), _signs(self.minmax)))
-
-    @cached_property
-    def box_signs(self) -> tuple[str, str]:
-        """The box's maxmin signs, and its minmax's: their reversal with - and + swapped."""
-        line = _signs(self._box)
-        return line, line[::-1].translate(str.maketrans("-+", "+-"))
+    signs = cached_property(lambda self: _mirror_signs(self.maxmin))
+    box_signs = cached_property(lambda self: _mirror_signs(self._box))
 
     def fold(self, cols: list[list[int]]) -> tuple[list[int], list[int]]:
         """The (maxmin, minmax) of the vectors whose values at the c-th vertex are ``cols[c]``."""
@@ -536,6 +529,12 @@ class _Relation:
 def _signs(nums) -> str:
     """One "-0+" character per integer, by its sign."""
     return "".join(["-" if x < 0 else "0" if x == 0 else "+" for x in nums])
+
+
+def _mirror_signs(maxmin: list[int]) -> tuple[str, str]:
+    """A fold's maxmin "-0+" line, and its minmax's: that line reversed, - and + swapped."""
+    line = _signs(maxmin)
+    return line, line[::-1].translate(str.maketrans("-+", "+-"))
 
 
 _DIGITS = bytes.maketrans(b"-0+", b"\x00\x01\x02"), bytes.maketrans(b"-0+", b"\x00\x03\x06")
@@ -880,14 +879,13 @@ def _favorable_mixing(r: _Runner, signs: Callable) -> None:
 
     # Bit p of bad[h] is set when h is unacceptable with strict[p] at some
     # weight and acceptable at a heavier one.
-    negative = str.maketrans("-0+", "100")
     bad = []
     for h in range(n):
         worse = below = 0
         for wi in range(len(_MIX_KS)):
             line = gather(wi, h)
             r.zeros += line.count("0")
-            mask = int(line.translate(negative), 2)
+            mask = int(line.translate(_SIGN_BITS["-"]), 2)
             worse |= below & ~mask
             below |= mask
         bad.append(worse)

@@ -895,6 +895,21 @@ class TestMixingAudits:
         with pytest.raises(Reached):
             audit(AxiomKind.FAVORABLE_MIXING, GeneralizedBewley(), inst, table=table)
 
+    def test_every_other_act_of_a_lattice_keeps_the_box_at_resolution_2(self, monkeypatch):
+        """Thinned to every other act, the 25-, 125- and 625-act lattices still fit
+        their box in n ** 3 entries; the 9-, 27- and 81-act ones take the distinct
+        branch.  The branch is read from the ``signs`` passed to a stubbed fold."""
+        chosen = []
+        monkeypatch.setattr(axioms_module, "_favorable_mixing",
+                            lambda r, signs: chosen.append((r.table.n, signs.__name__)))
+        for states in (2, 3, 4):
+            inst = generate_instance(1, GenParams(num_states=states))
+            for resolution in (1, 2):
+                table = MarginTable(inst, phi_lattice(states, resolution, F(1))[::2])
+                audit(AxiomKind.FAVORABLE_MIXING, GeneralizedBewley(), inst, table=table)
+        assert chosen == [(5, "_distinct_signs"), (13, "_box_signs"), (14, "_distinct_signs"),
+                          (63, "_box_signs"), (41, "_distinct_signs"), (313, "_box_signs")]
+
     def test_triples_over_the_limit_are_refused_before_any_fold(self, monkeypatch):
         """80 random 3-state acts over 641: 662,400 (weight, strict pair, act) triples.
 
@@ -1326,10 +1341,38 @@ class TestDifferenceOrder:
                 cols = table.columns(kind)
                 explicit = [
                     [int(battery.du * sum(map(operator.mul, vertex, (uvecs[i] - uvecs[j]).entries)))
-                     for i, j in zip(battery.minuends, battery.subtrahends)]
+                     for i, j in zip(*battery._pairs)]
                     for vertex in cols.vertices
                 ]
                 assert (cols.maxmin, cols.minmax) == cols.fold(explicit), (states, resolution, kind)
+
+    def test_upper_counts_the_pairs_behind_each_difference(self):
+        """``distinct`` is the sorted set of every c_i - c_j, and ``upper[r]``
+        the number of pairs i < j behind ``distinct[r]``, counted pair by pair."""
+        for _, battery in self.batteries():
+            codes, n = battery.codes, battery.n
+            assert battery.distinct == sorted({a - b for a in codes for b in codes}), n
+            upper = dict.fromkeys(battery.distinct, 0)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    upper[codes[i] - codes[j]] += 1
+            assert battery.upper == list(upper.values()), n
+
+    def test_minmax_signs_are_the_maxmin_signs_mirrored(self):
+        """Both lines of ``signs`` are those of the fold's two lists, for every
+        selection of sets; on a lattice the box's minmax line is that of its
+        maxmin reversed and negated, checked on the whole collection's box."""
+        for grid, battery in self.batteries():
+            states = battery.num_states
+            inst = generate_instance(states, GenParams(num_states=states))
+            table = MarginTable(inst, battery)
+            prior = Prior(tuple(F(1, states) for _ in range(states)))
+            for kind in (GeneralizedBewley(), SEU(prior), *(Bewley(s.name) for s in inst.collection)):
+                cols = table.columns(kind)
+                assert cols.signs == (_signs(cols.maxmin), _signs(cols.minmax)), (battery.n, kind)
+                if grid and kind == GeneralizedBewley():
+                    mirrored = _signs([-x for x in reversed(cols.box())])
+                    assert cols.box_signs[1] == mirrored, (battery.n, kind)
 
     def test_only_a_full_grid_takes_the_grid_fold(self, monkeypatch):
         """An irregular battery gathers its pairs' columns and a lattice builds its
@@ -1644,7 +1687,8 @@ def negated_table(inst, uvecs, monkeypatch, pairs):
 
     The columns are patched before the table builds its relations, so every
     model's margin there is negative, and the relation's numerators, sign
-    strings and bit rows agree on it.
+    strings and bit rows agree on it.  The patch breaks the mirror between
+    maxmin and minmax on purpose, so ``signs`` is set from both lists.
     """
     battery = Battery(inst.num_states, uvecs)
     codes = battery.codes
@@ -1655,6 +1699,7 @@ def negated_table(inst, uvecs, monkeypatch, pairs):
         init(self, *args)
         for r in rows:
             self.maxmin[r] = self.minmax[r] = -1
+        self.signs = _signs(self.maxmin), _signs(self.minmax)
 
     monkeypatch.setattr(_SetColumns, "__init__", shifted)
     return MarginTable(inst, battery)

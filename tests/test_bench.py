@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -135,3 +136,23 @@ def test_each_row_records_the_seeds_it_ran(tmp_path, monkeypatch):
     assert {seed for _, seed, trace in runs if trace} == {60}
     assert sorted(seed for _, seed, trace in runs if not trace) == sorted(
         [60, 61, 62] * 2 * len(SPEC["workloads"]))  # one run per seed, workload and checkout
+
+
+def test_both_checkouts_are_compiled_before_any_run(tmp_path, monkeypatch):
+    """``main`` compiles ``src`` in the baseline and the head, in their own roots,
+    before the first perfbench command; ``subprocess.run`` is stubbed."""
+    calls = []
+
+    def run(cmd, cwd=None, **kwargs):
+        calls.append((cmd[1:], Path(cwd)))
+        line = json.dumps(canned({name: 1.0 for name in NAMES})) if "perfbench/run.py" in cmd else ""
+        return subprocess.CompletedProcess(cmd, 0, stdout=line, stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    assert bench.main(["--out", str(tmp_path / "bench.json"), "--baseline", str(tmp_path),
+                       "--seeds", "0..1"]) == 0
+    compiles = [(["-m", "compileall", "-q", "src"], root) for root in (tmp_path, bench.ROOT)]
+    assert calls[:2] == compiles
+    # Then only perfbench runs, two seeds and one trace per checkout, and git's reads.
+    assert {cmd[0] for cmd, _ in calls[2:]} == {"perfbench/run.py", "rev-parse", "status"}
+    assert sum(cmd[0] == "perfbench/run.py" for cmd, _ in calls) == 6 * len(SPEC["workloads"])
