@@ -151,8 +151,8 @@ def test_both_checkouts_are_compiled_before_any_run(tmp_path, monkeypatch):
     monkeypatch.setattr(bench.subprocess, "run", run)
     assert bench.main(["--out", str(tmp_path / "bench.json"), "--baseline", str(tmp_path),
                        "--seeds", "0..1"]) == 0
-    compiles = [(["-m", "compileall", "-q", "src"], root) for root in (tmp_path, bench.ROOT)]
-    assert calls[:2] == compiles
+    compileall = ["-m", "compileall", "-q", "src"]
+    assert calls[:2] == [(compileall, tmp_path.resolve()), (compileall, bench.ROOT)]
     # Then only perfbench runs, two seeds and one trace per checkout, and git's reads.
     assert {cmd[0] for cmd, _ in calls[2:]} == {"perfbench/run.py", "rev-parse", "status"}
     assert sum(cmd[0] == "perfbench/run.py" for cmd, _ in calls) == 6 * len(SPEC["workloads"])
